@@ -105,6 +105,28 @@ bool FullScale() {
 int Scaled(int quick, int full) { return FullScale() ? full : quick; }
 double Scaled(double quick, double full) { return FullScale() ? full : quick; }
 
+double MedianPairedRatio(int pairs, const std::function<double()>& a,
+                         const std::function<double()>& b) {
+  std::vector<double> ratios;
+  for (int p = 0; p < pairs; ++p) {
+    double ta = 0.0, tb = 0.0;
+    if (p % 2 == 0) {
+      ta = a();
+      tb = b();
+    } else {
+      tb = b();
+      ta = a();
+    }
+    if (ta <= 0.0 || tb < 0.0) return -1.0;
+    ratios.push_back(tb / ta);
+  }
+  if (ratios.empty()) return -1.0;
+  std::sort(ratios.begin(), ratios.end());
+  const size_t mid = ratios.size() / 2;
+  return ratios.size() % 2 == 1 ? ratios[mid]
+                                : 0.5 * (ratios[mid - 1] + ratios[mid]);
+}
+
 double UniformWeightMass(const FederatedDataset& data) {
   int users_with_records = 0;
   double mass = 0.0;

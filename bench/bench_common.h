@@ -6,6 +6,7 @@
 #define ULDP_BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,6 +61,15 @@ bool FullScale();
 /// Picks quick or full value.
 int Scaled(int quick, int full);
 double Scaled(double quick, double full);
+
+/// Cost of arm `b` relative to arm `a` as the median of `pairs` per-pair
+/// time ratios b / a. The arm that runs first alternates from pair to
+/// pair, so drift and order effects hit both arms alike, and one noisy
+/// pair cannot move the median the way it moves a min or a mean. Each arm
+/// returns its wall seconds, or a negative value on failure, which makes
+/// the whole call return -1.
+double MedianPairedRatio(int pairs, const std::function<double()>& a,
+                         const std::function<double()>& b);
 
 /// Which methods a suite runs.
 struct MethodSelection {

@@ -1,7 +1,7 @@
 #include "math/montgomery.h"
 
 #include "common/check.h"
-#include "math/bigint.h"
+#include "math/mont_row.h"
 
 namespace uldp {
 
@@ -48,11 +48,10 @@ int WindowBits(int exp_bits) {
 
 }  // namespace
 
-Montgomery::Montgomery(const BigInt& modulus) {
+Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
   ULDP_CHECK_MSG(modulus.IsOdd() && modulus > BigInt(1),
                  "Montgomery modulus must be odd and > 1");
   n_limbs_ = modulus.limbs();
-  modulus_copy_ = n_limbs_;
   k_ = n_limbs_.size();
   n_prime_ = ~InverseMod2_64(n_limbs_[0]) + 1;  // -n^{-1} mod 2^64
 
@@ -63,41 +62,28 @@ Montgomery::Montgomery(const BigInt& modulus) {
   // one_mont_ = R mod n = REDC(R^2).
   std::vector<uint64_t> t(r2_);
   t.resize(2 * k_, 0);
-  one_mont_ = Redc(std::move(t));
+  one_mont_ = Redc(t.data());
 }
 
-const BigInt& Montgomery::modulus() const {
-  // Rebuild lazily in a thread-local to keep the hot path allocation-free.
-  thread_local BigInt cached;
-  cached = BigInt::FromLimbs(modulus_copy_);
-  return cached;
-}
-
-Montgomery::Limbs Montgomery::Redc(std::vector<uint64_t> t) const {
-  ULDP_CHECK_EQ(t.size(), 2 * k_);
-  t.push_back(0);  // overflow word
+Montgomery::Limbs Montgomery::Redc(uint64_t* t) const {
+  const mont_row::AddMulRowFn add_mul_row = mont_row::ActiveAddMulRow();
+  // Row i adds m * n at limb i, which zeroes t[i]; its carry lands on
+  // t[i + k]. The carry out of that addition belongs one limb higher,
+  // where row i + 1 lands its own carry, so it waits in `top` until then.
+  // After the last row, `top` is the overflow bit t[2k].
+  uint64_t top = 0;
   for (size_t i = 0; i < k_; ++i) {
     uint64_t m = t[i] * n_prime_;
-    uint64_t carry = 0;
-    for (size_t j = 0; j < k_; ++j) {
-      uint128 cur = static_cast<uint128>(m) * n_limbs_[j] + t[i + j] + carry;
-      t[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    // Propagate the carry through the upper words.
-    size_t idx = i + k_;
-    while (carry != 0) {
-      uint128 cur = static_cast<uint128>(t[idx]) + carry;
-      t[idx] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-      ++idx;
-    }
+    uint64_t carry = add_mul_row(t + i, n_limbs_.data(), k_, m);
+    uint128 cur = static_cast<uint128>(t[i + k_]) + carry + top;
+    t[i + k_] = static_cast<uint64_t>(cur);
+    top = static_cast<uint64_t>(cur >> 64);
   }
-  Limbs out(t.begin() + k_, t.begin() + 2 * k_);
-  // The REDC result may exceed n by at most n (t[2k] overflow bit means
+  Limbs out(t + k_, t + 2 * k_);
+  // The REDC result may exceed n by at most n (the overflow bit means
   // result + 2^(64k) — handled by one conditional subtraction since
   // result < 2n is guaranteed for inputs < n*R).
-  if (t[2 * k_] != 0 || GreaterEqual(out, n_limbs_)) {
+  if (top != 0 || GreaterEqual(out, n_limbs_)) {
     SubInPlace(out, n_limbs_);
   }
   return out;
@@ -105,42 +91,28 @@ Montgomery::Limbs Montgomery::Redc(std::vector<uint64_t> t) const {
 
 Montgomery::Limbs Montgomery::MontMul(const Limbs& a, const Limbs& b) const {
   // Full product then REDC. Schoolbook is optimal at Paillier limb counts.
+  // Row i covers t[i, i + k); no earlier row reaches t[i + k], so its
+  // carry is stored there.
+  const mont_row::AddMulRowFn add_mul_row = mont_row::ActiveAddMulRow();
   std::vector<uint64_t> t(2 * k_, 0);
   for (size_t i = 0; i < k_; ++i) {
-    uint64_t carry = 0;
-    uint64_t ai = a[i];
-    if (ai == 0) continue;
-    for (size_t j = 0; j < k_; ++j) {
-      uint128 cur = static_cast<uint128>(ai) * b[j] + t[i + j] + carry;
-      t[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    t[i + k_] += carry;
+    if (a[i] == 0) continue;
+    t[i + k_] = add_mul_row(t.data() + i, b.data(), k_, a[i]);
   }
-  return Redc(std::move(t));
+  return Redc(t.data());
 }
 
 Montgomery::Limbs Montgomery::MontSqrLimbs(const Limbs& a) const {
   // a^2 = 2 * sum_{i<j} a_i a_j B^{i+j} + sum_i a_i^2 B^{2i}: the cross
   // products are computed once and doubled, roughly halving the inner-loop
-  // work of a generic MontMul.
+  // work of a generic MontMul. Cross row i covers t[2i + 1, i + k); no
+  // earlier row reaches t[i + k], so its carry is stored there.
+  const mont_row::AddMulRowFn add_mul_row = mont_row::ActiveAddMulRow();
   std::vector<uint64_t> t(2 * k_, 0);
   for (size_t i = 0; i + 1 < k_; ++i) {
-    uint64_t ai = a[i];
-    if (ai == 0) continue;
-    uint64_t carry = 0;
-    for (size_t j = i + 1; j < k_; ++j) {
-      uint128 cur = static_cast<uint128>(ai) * a[j] + t[i + j] + carry;
-      t[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    size_t idx = i + k_;
-    while (carry != 0) {
-      uint128 cur = static_cast<uint128>(t[idx]) + carry;
-      t[idx] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-      ++idx;
-    }
+    if (a[i] == 0) continue;
+    t[i + k_] =
+        add_mul_row(t.data() + 2 * i + 1, a.data() + i + 1, k_ - i - 1, a[i]);
   }
   // Double the cross-product sum (cannot overflow 2k limbs: 2*cross <= a^2
   // < R^2).
@@ -163,7 +135,7 @@ Montgomery::Limbs Montgomery::MontSqrLimbs(const Limbs& a) const {
     t[2 * i + 1] = static_cast<uint64_t>(hi);
     carry = static_cast<uint64_t>(hi >> 64);
   }
-  return Redc(std::move(t));
+  return Redc(t.data());
 }
 
 Montgomery::Limbs Montgomery::ToMont(const BigInt& x) const {
@@ -177,8 +149,7 @@ Montgomery::Limbs Montgomery::ToMont(const BigInt& x) const {
 BigInt Montgomery::FromMont(const Limbs& x) const {
   std::vector<uint64_t> t(x);
   t.resize(2 * k_, 0);
-  Limbs reduced = Redc(std::move(t));
-  return BigInt::FromLimbs(std::move(reduced));
+  return BigInt::FromLimbs(Redc(t.data()));
 }
 
 BigInt Montgomery::ModMul(const BigInt& a, const BigInt& b) const {

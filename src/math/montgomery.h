@@ -9,9 +9,9 @@
 #include <cstdint>
 #include <vector>
 
-namespace uldp {
+#include "math/bigint.h"
 
-class BigInt;
+namespace uldp {
 
 /// Fixed-modulus Montgomery multiplier. The modulus must be odd and > 1.
 /// Values are handled in the ordinary (non-Montgomery) domain at the API
@@ -36,7 +36,7 @@ class Montgomery {
   /// Alias for MontExp (kept for existing call sites).
   BigInt ModExp(const BigInt& base, const BigInt& exp) const;
 
-  const BigInt& modulus() const;
+  const BigInt& modulus() const { return modulus_; }
 
  private:
   // FixedBaseTable builds per-base power tables directly in the Montgomery
@@ -48,22 +48,25 @@ class Montgomery {
   // All internal vectors have exactly k_ limbs (little endian).
   using Limbs = std::vector<uint64_t>;
 
+  // Every product, squaring and reduction below is a sequence of
+  // multiply-accumulate rows (math/mont_row.h), run by the row kernel the
+  // CPU supports.
   Limbs ToMont(const BigInt& x) const;
   BigInt FromMont(const Limbs& x) const;
   /// Montgomery product of two k-limb values (in Montgomery domain).
   Limbs MontMul(const Limbs& a, const Limbs& b) const;
   /// Montgomery square of a k-limb value (in Montgomery domain).
   Limbs MontSqrLimbs(const Limbs& a) const;
-  /// REDC of a 2k-limb value t: returns t * R^{-1} mod n as k limbs.
-  Limbs Redc(std::vector<uint64_t> t) const;
+  /// REDC of the 2k-limb value at t, which it overwrites: returns
+  /// t * R^{-1} mod n as k limbs.
+  Limbs Redc(uint64_t* t) const;
 
+  BigInt modulus_;
   std::vector<uint64_t> n_limbs_;
   size_t k_ = 0;
   uint64_t n_prime_ = 0;  // -n^{-1} mod 2^64
   Limbs r2_;              // R^2 mod n
   Limbs one_mont_;        // R mod n (Montgomery representation of 1)
-  // Keep a BigInt copy for modulus() and FromMont reduction checks.
-  std::vector<uint64_t> modulus_copy_;
 };
 
 }  // namespace uldp

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/parallel.h"
 #include "crypto/paillier_ctx.h"
 
@@ -182,6 +184,49 @@ TEST_F(PaillierCtxFixture, DecryptRejectsOutOfRange) {
   EXPECT_FALSE(ctx_->Decrypt(pk_->n_squared).ok());
   EXPECT_FALSE(ctx_->Decrypt(BigInt(-3)).ok());
 }
+
+// The key sizes Protocol 1 is deployed at: 2048 bits, and the paper's
+// 3072 (n^2 and p^2 then run 64/96- and 32/48-limb Montgomery products).
+// The seeds are fixed ones whose prime searches end quickly, so key
+// generation stays short under sanitizers.
+struct DeployedKey {
+  int bits;
+  uint64_t seed;
+};
+
+class PaillierDeployedKeyTest : public ::testing::TestWithParam<DeployedKey> {};
+
+TEST_P(PaillierDeployedKeyTest, CrtDecryptTableFoldAndRoundTrip) {
+  const DeployedKey param = GetParam();
+  Rng rng(param.seed);
+  PaillierPublicKey pk;
+  PaillierSecretKey sk;
+  ASSERT_TRUE(Paillier::GenerateKeyPair(param.bits, rng, &pk, &sk).ok());
+  ASSERT_EQ(pk.n.BitLength(), param.bits);
+  const PaillierContext ctx(pk, sk);
+
+  for (const BigInt& m :
+       {BigInt(0), pk.n - BigInt(1), BigInt::RandomBelow(pk.n, rng)}) {
+    const BigInt c = ctx.Encrypt(m, rng).value();
+    const BigInt crt = ctx.Decrypt(c).value();
+    EXPECT_EQ(crt, Paillier::Decrypt(pk, sk, c).value());
+    EXPECT_EQ(crt, m);
+  }
+
+  const BigInt c = ctx.Encrypt(BigInt::RandomBelow(pk.n, rng), rng).value();
+  const FixedBaseTable table = ctx.MakeMulPlaintextTable(c, 4);
+  for (const BigInt& k :
+       {BigInt(1), pk.n - BigInt(1), BigInt::RandomBelow(pk.n, rng)}) {
+    EXPECT_EQ(ctx.MulPlaintextWithTable(table, k), ctx.MulPlaintext(c, k));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DeployedKeySizes, PaillierDeployedKeyTest,
+    ::testing::Values(DeployedKey{2048, 14048}, DeployedKey{3072, 13072}),
+    [](const ::testing::TestParamInfo<DeployedKey>& info) {
+      return std::to_string(info.param.bits);
+    });
 
 TEST(PaillierKeygenParallelTest, ThreadCountInvariant) {
   // The same seed must yield the same key pair whatever pool executes the

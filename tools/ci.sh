@@ -77,9 +77,10 @@ if [ -x "$BUILD_DIR/bench_membership_churn" ]; then
 fi
 
 # Telemetry-overhead bench in smoke mode: produces BENCH_obs_overhead.json
-# (traced vs untraced round latency interleaved min-of-N, NullSpan vs bare
-# loop) and fails on bitwise divergence; check_bench then gates the <=2%
-# traced-round ceiling and the zero-cost compiled-out span shape.
+# (traced vs untraced round latency as the median of 51 order-alternating
+# pair ratios, NullSpan vs bare loop) and fails on bitwise divergence;
+# check_bench then gates the <=2% traced-round ceiling and the zero-cost
+# compiled-out span shape.
 if [ -x "$BUILD_DIR/bench_obs_overhead" ]; then
   (cd "$BUILD_DIR" && ULDP_BENCH_SMOKE=1 ./bench_obs_overhead)
 fi
