@@ -2,7 +2,8 @@
 // focused on the Paillier fast path: cold-context operations (the static
 // Paillier shim, which rebuilds Montgomery state per call) against the
 // cached PaillierContext (long-lived contexts, sliding-window MontExp with
-// a dedicated squaring path, CRT decryption, and the one-multiply
+// a dedicated squaring path, CRT decryption, CRT randomizers on the key
+// holder against the eval-only n^2 path, and the one-multiply
 // randomizer-pipeline encryption), plus fixed-base exponentiation (per-base
 // window tables, math/fixed_base.h) against the sliding-window path it
 // amortizes away, Pippenger multi-exponentiation against the per-base
@@ -222,10 +223,33 @@ int main() {
            SecondsPerOp([&] { ctx.Encrypt(msg, rng).value(); }, window,
                         min_iters));
     // Randomizer pipeline: the plaintext-independent r^n precompute, and
-    // the one-multiply hot path that consumes it.
+    // the one-multiply hot path that consumes it. The key holder builds
+    // r^n from its CRT halves; an eval-only context (every silo) runs the
+    // n^2 exponentiation, and both must return the same number on the
+    // same draws.
+    PaillierContext eval_ctx(pk);
+    bool crt_identical = true;
+    for (uint64_t seed = 0; seed < 8; ++seed) {
+      Rng a(9000 + seed), b(9000 + seed);
+      crt_identical = crt_identical &&
+                      ctx.ComputeRandomizer(a) == eval_ctx.ComputeRandomizer(b);
+    }
+    json.Add("randomizer_crt_bitwise_identical", crt_identical ? 1.0 : 0.0,
+             {{"bits", std::to_string(bits)}});
+    if (!crt_identical) {
+      std::cerr << "BUG: CRT randomizers disagree with the n^2 path\n";
+      return 1;
+    }
     RecordOp(table, json, rows, "randomizer_precompute", "cached", bits,
            SecondsPerOp([&] { ctx.ComputeRandomizer(rng); }, window,
                         min_iters));
+    RecordOp(table, json, rows, "randomizer_precompute", "eval_only", bits,
+           SecondsPerOp([&] { eval_ctx.ComputeRandomizer(rng); }, window,
+                        min_iters));
+    json.Add("speedup_crt_randomizer",
+             Find(rows, "randomizer_precompute", "eval_only", bits) /
+                 Find(rows, "randomizer_precompute", "cached", bits),
+             {{"bits", std::to_string(bits)}});
     BigInt r_n = ctx.ComputeRandomizer(rng);
     RecordOp(table, json, rows, "encrypt", "cached_pipeline", bits,
            SecondsPerOp([&] { ctx.EncryptWithRandomizer(msg, r_n).value(); },

@@ -35,6 +35,10 @@ Status CheckTheorem4Bound(const ProtocolConfig& config, int num_silos,
   return Status::Ok();
 }
 
+bool IsOddOfBits(const BigInt& v, int bits) {
+  return !v.IsNegative() && v.IsOdd() && v.BitLength() == bits;
+}
+
 uint64_t SlotCounter(size_t user, size_t slot) {
   return (static_cast<uint64_t>(user) << 32) | static_cast<uint64_t>(slot);
 }
@@ -64,8 +68,13 @@ Status ProtocolParams::Derive() {
   if (num_silos < 2 || num_users < 1) {
     return Status::InvalidArgument("protocol needs >= 2 silos and >= 1 user");
   }
-  if (public_key.n.IsZero()) {
-    return Status::InvalidArgument("protocol params missing Paillier modulus");
+  // A silo takes n and the OT group from the wire, so every value its
+  // Montgomery contexts and tables will need is checked here: positive odd
+  // moduli of exactly the sizes the join digest pinned, and 1 < g < p.
+  if (!IsOddOfBits(public_key.n, config.paillier_bits)) {
+    return Status::InvalidArgument(
+        "Paillier modulus must be positive and odd with exactly " +
+        std::to_string(config.paillier_bits) + " bits");
   }
   public_key.n_squared = public_key.n * public_key.n;
   public_key.modulus_bits = public_key.n.BitLength();
@@ -77,8 +86,13 @@ Status ProtocolParams::Derive() {
   if (!pack.ok()) return pack.status();
   packed = std::move(pack.value());
   if (config.ot_slots > 0) {
-    if (ot_group.p.IsZero() || ot_group.g.IsZero()) {
-      return Status::InvalidArgument("OT mode requires the OT group");
+    if (!IsOddOfBits(ot_group.p, config.ot_group_bits)) {
+      return Status::InvalidArgument(
+          "OT group prime must be positive and odd with exactly " +
+          std::to_string(config.ot_group_bits) + " bits");
+    }
+    if (ot_group.g <= BigInt(1) || ot_group.g >= ot_group.p) {
+      return Status::InvalidArgument("OT group generator must be in (1, p)");
     }
     ot_group.EnsureGeneratorTable();
   }

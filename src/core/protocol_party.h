@@ -149,7 +149,10 @@ struct ProtocolParams {
 
   /// Rebuilds the derived fields (n², C_LCM, codec, OT Montgomery state)
   /// from config + public_key (+ ot_group p, g if OT is on). Used by
-  /// remote silos after receiving the SetupParams message.
+  /// remote silos after receiving the SetupParams message, so it rejects
+  /// (InvalidArgument) an n that is even or not exactly
+  /// config.paillier_bits long and, with OT on, a p that is even or not
+  /// exactly config.ot_group_bits long, or a g outside (1, p).
   Status Derive();
 };
 

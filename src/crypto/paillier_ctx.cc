@@ -21,8 +21,12 @@ PaillierContext::PaillierContext(const PaillierPublicKey& pk,
   q2_ = q_ * q_;
   p_minus_1_ = p_ - BigInt(1);
   q_minus_1_ = q_ - BigInt(1);
+  mont_p_ = std::make_unique<Montgomery>(p_);
+  mont_q_ = std::make_unique<Montgomery>(q_);
   mont_p2_ = std::make_unique<Montgomery>(p2_);
   mont_q2_ = std::make_unique<Montgomery>(q2_);
+  q_mod_p_minus_1_ = q_.Mod(p_minus_1_);
+  p_mod_q_minus_1_ = p_.Mod(q_minus_1_);
   // h_p = L_p((1+n)^(p-1) mod p^2)^{-1} mod p. With g = n + 1 and
   // n^2 = 0 mod p^2, (1+n)^(p-1) = 1 + (p-1)*n mod p^2, so the L_p value
   // is ((p-1)*n mod p^2) / p = (p-1)*q mod p — a unit of F_p.
@@ -37,6 +41,9 @@ PaillierContext::PaillierContext(const PaillierPublicKey& pk,
   auto qinv = q_.ModInverse(p_);
   ULDP_CHECK_MSG(qinv.ok(), "CRT precompute: q not invertible mod p");
   q_inv_mod_p_ = std::move(qinv.value());
+  auto q2inv = q2_.ModInverse(p2_);
+  ULDP_CHECK_MSG(q2inv.ok(), "CRT precompute: q^2 not invertible mod p^2");
+  q2_inv_mod_p2_ = std::move(q2inv.value());
 }
 
 Status PaillierContext::CheckCiphertext(const BigInt& c) const {
@@ -47,9 +54,33 @@ Status PaillierContext::CheckCiphertext(const BigInt& c) const {
 }
 
 BigInt PaillierContext::ComputeRandomizer(Rng& rng) const {
-  // Paillier::DrawUnit keeps the draw sequence identical to the static
-  // Encrypt; only the exponentiation goes through the cached context.
-  return mont_n2_.MontExp(Paillier::DrawUnit(pk_, rng), pk_.n);
+  if (!has_sk_) {
+    // Paillier::DrawUnit keeps the draw sequence identical to the static
+    // Encrypt; only the exponentiation goes through the cached context.
+    return mont_n2_.MontExp(Paillier::DrawUnit(pk_, rng), pk_.n);
+  }
+  // The DrawUnit loop with its unit test read off the residues: r = 0 or
+  // gcd(r, n) != 1 exactly when p | r or q | r, so the same draws are
+  // accepted and no n-bit gcd runs.
+  BigInt r_p, r_q;
+  do {
+    const BigInt r = BigInt::RandomBelow(pk_.n, rng);
+    r_p = r.Mod(p_);
+    r_q = r.Mod(q_);
+  } while (r_p.IsZero() || r_q.IsZero());
+  // r^n mod p^2 depends only on r mod p (p | n kills the linear binomial
+  // term) and lies in the order-(p-1) subgroup of Z*_{p^2}, which reduction
+  // mod p maps one-to-one onto Z*_p. Mod p, r^n = r^q = a with
+  // a = (r mod p)^(q mod (p-1)); a^p mod p^2 is in that subgroup and also
+  // reduces to a, so r^n mod p^2 = a^p mod p^2. Symmetrically over q^2.
+  const BigInt x_p =
+      mont_p2_->MontExp(mont_p_->MontExp(r_p, q_mod_p_minus_1_), p_);
+  const BigInt x_q =
+      mont_q2_->MontExp(mont_q_->MontExp(r_q, p_mod_q_minus_1_), q_);
+  // Garner over p^2, q^2: the unique value in [0, n^2) with both residues.
+  const BigInt h =
+      x_p.ModSub(x_q.Mod(p2_), p2_).ModMul(q2_inv_mod_p2_, p2_);
+  return x_q + q2_ * h;
 }
 
 std::vector<BigInt> PaillierContext::PrecomputeRandomizers(
@@ -111,9 +142,12 @@ Result<BigInt> PaillierContext::Decrypt(const BigInt& c) const {
         "PaillierContext built without a secret key cannot decrypt");
   }
   ULDP_RETURN_IF_ERROR(CheckCiphertext(c));
-  // gcd(c, n^2) = 1 iff gcd(c, n) = 1 (same prime support) — the half-size
-  // gcd keeps the validity check off the critical path.
-  if (BigInt::Gcd(c, pk_.n) != BigInt(1)) {
+  // c is a unit mod n^2 iff neither p nor q divides it, and p | c iff
+  // p | (c mod p^2): the residues CRT needs anyway answer the check
+  // without a gcd.
+  const BigInt c_p2 = c.Mod(p2_);
+  const BigInt c_q2 = c.Mod(q2_);
+  if (c_p2.Mod(p_).IsZero() || c_q2.Mod(q_).IsZero()) {
     return Status::InvalidArgument("ciphertext not in Z*_{n^2}");
   }
   // Write c = (1+n)^a * b^n mod n^2. Then c^(p-1) = 1 + a(p-1)n mod p^2
@@ -121,9 +155,9 @@ Result<BigInt> PaillierContext::Decrypt(const BigInt& c) const {
   //   m_p = L_p(c^(p-1) mod p^2) * h_p = a mod p,
   // and symmetrically m_q = a mod q. Garner recombination returns the
   // same a in [0, n) the classic L(c^lambda)*mu path produces.
-  BigInt xp = mont_p2_->MontExp(c.Mod(p2_), p_minus_1_);
+  BigInt xp = mont_p2_->MontExp(c_p2, p_minus_1_);
   BigInt mp = ((xp - BigInt(1)) / p_).ModMul(h_p_, p_);
-  BigInt xq = mont_q2_->MontExp(c.Mod(q2_), q_minus_1_);
+  BigInt xq = mont_q2_->MontExp(c_q2, q_minus_1_);
   BigInt mq = ((xq - BigInt(1)) / q_).ModMul(h_q_, q_);
   BigInt h = mp.ModSub(mq.Mod(p_), p_).ModMul(q_inv_mod_p_, p_);
   return mq + q_ * h;

@@ -252,6 +252,53 @@ TEST(NetProtocolTest, JoinRejectsMismatchedConfigAndBadIds) {
   EXPECT_EQ(server.RunSetup().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(NetProtocolTest, MalformedSetupParamsFailTheJoinInsteadOfAborting) {
+  // A silo builds Montgomery contexts and the OT generator table from the
+  // n, p and g a server sends. Values those cannot take must end the join
+  // with InvalidArgument, not abort the silo process.
+  const BigInt one(1);
+  const BigInt n_ok = (one << 511) + one;  // odd, 512 bits
+  const BigInt p_ok = (one << 191) + one;  // odd, 192 bits
+  struct Case {
+    const char* what;
+    bool ot;
+    BigInt n, p, g;
+  };
+  const std::vector<Case> cases = {
+      {"even n", false, one << 511, BigInt(0), BigInt(0)},
+      {"short n", false, (one << 510) + one, BigInt(0), BigInt(0)},
+      {"long n", false, (one << 512) + one, BigInt(0), BigInt(0)},
+      {"zero n", false, BigInt(0), BigInt(0), BigInt(0)},
+      {"negative n", false, -n_ok, BigInt(0), BigInt(0)},
+      {"even p", true, n_ok, one << 191, BigInt(4)},
+      {"short p", true, n_ok, (one << 190) + one, BigInt(4)},
+      {"missing group", true, n_ok, BigInt(0), BigInt(0)},
+      {"g = 1", true, n_ok, p_ok, one},
+      {"g = p", true, n_ok, p_ok, p_ok},
+  };
+  for (const Case& c : cases) {
+    const ProtocolConfig config = c.ot ? OtTestConfig() : TestConfig();
+    auto [server_end, silo_end] = ChannelTransport::CreatePair();
+    Status client_status = Status::Ok();
+    std::thread client([&] {
+      client_status = RunDemoSilo(config, 0, kSilos, kUsers, kDim,
+                                  kInputSeed, *silo_end);
+    });
+    // The fake server reads the Join, answers with the bad parameters
+    // and hangs up.
+    EXPECT_TRUE(server_end->Recv().ok()) << c.what;
+    SetupParamsMsg setup;
+    setup.paillier_n = c.n;
+    setup.ot_p = c.p;
+    setup.ot_g = c.g;
+    EXPECT_TRUE(server_end->Send(ToFrame(setup)).ok()) << c.what;
+    server_end->Close();
+    client.join();
+    EXPECT_EQ(client_status.code(), StatusCode::kInvalidArgument)
+        << c.what << ": " << client_status.ToString();
+  }
+}
+
 TEST(NetProtocolTest, RoundBeyondTagLimitIsRejected) {
   // No connections needed: the range check precedes any traffic, but
   // setup must have run — so check the error class only.

@@ -1,11 +1,15 @@
 // Tests for the cached-context Paillier fast path: CRT decryption must be
 // bitwise-identical to the classic path, the randomizer pipeline must be
-// bitwise-identical to direct encryption at any thread count, and the
-// parallel key generation must be thread-count-invariant.
+// bitwise-identical to direct encryption at any thread count, the key
+// holder's CRT randomizers must equal the eval-only n^2 exponentiation on
+// the same draws, and the parallel key generation must be
+// thread-count-invariant.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/parallel.h"
 #include "crypto/paillier_ctx.h"
@@ -185,6 +189,62 @@ TEST_F(PaillierCtxFixture, DecryptRejectsOutOfRange) {
   EXPECT_FALSE(ctx_->Decrypt(BigInt(-3)).ok());
 }
 
+TEST_F(PaillierCtxFixture, DecryptRejectsNonUnitsLikeClassic) {
+  // The CRT path reads p | c and q | c off its residues instead of a gcd;
+  // it must reject exactly what the classic gcd(c, n^2) check rejects.
+  for (const BigInt& c :
+       {BigInt(0), sk_->p, sk_->q, BigInt(5) * sk_->p, pk_->n}) {
+    EXPECT_EQ(ctx_->Decrypt(c).status().code(), StatusCode::kInvalidArgument)
+        << c.ToDecimal();
+    EXPECT_EQ(Paillier::Decrypt(*pk_, *sk_, c).status().code(),
+              StatusCode::kInvalidArgument)
+        << c.ToDecimal();
+  }
+}
+
+// Hand-built keys with p = 11, q = 13: 23 of the 143 values below n are
+// non-units, so about one first draw in six is rejected and both the
+// key holder's residue test and DrawUnit's gcd test run their retry loops.
+void MakeTinyKey(int p, int q, PaillierPublicKey* pk, PaillierSecretKey* sk) {
+  sk->p = BigInt(p);
+  sk->q = BigInt(q);
+  sk->lambda = BigInt::Lcm(BigInt(p - 1), BigInt(q - 1));
+  pk->n = sk->p * sk->q;
+  pk->n_squared = pk->n * pk->n;
+  pk->modulus_bits = pk->n.BitLength();
+  sk->mu = sk->lambda.ModInverse(pk->n).value();
+}
+
+TEST(PaillierCtxTinyKeyTest, KeyHolderRandomizerBitwiseEqualsEvalOnly) {
+  for (const auto& [p, q] : {std::pair{11, 13}, std::pair{13, 11}}) {
+    PaillierPublicKey pk;
+    PaillierSecretKey sk;
+    MakeTinyKey(p, q, &pk, &sk);
+    const PaillierContext holder(pk, sk);
+    const PaillierContext eval(pk);
+    int non_unit_first_draws = 0;
+    for (uint64_t seed = 1; seed <= 2000; ++seed) {
+      Rng probe(seed);
+      const BigInt first = BigInt::RandomBelow(pk.n, probe);
+      if (BigInt::Gcd(first, pk.n) != BigInt(1)) ++non_unit_first_draws;
+
+      Rng a(seed), b(seed);
+      EXPECT_EQ(holder.ComputeRandomizer(a), eval.ComputeRandomizer(b))
+          << "p=" << p << " seed=" << seed;
+      // Same number of draws consumed, so later draws stay aligned.
+      EXPECT_EQ(a.NextUint64(), b.NextUint64()) << "seed=" << seed;
+
+      const BigInt m(seed % 143);
+      Rng c(seed), d(seed), e(seed);
+      const BigInt want = Paillier::Encrypt(pk, m, c).value();
+      EXPECT_EQ(holder.Encrypt(m, d).value(), want) << "seed=" << seed;
+      EXPECT_EQ(eval.Encrypt(m, e).value(), want) << "seed=" << seed;
+      EXPECT_EQ(holder.Decrypt(want).value(), m) << "seed=" << seed;
+    }
+    EXPECT_GT(non_unit_first_draws, 200) << "p=" << p;
+  }
+}
+
 // The key sizes Protocol 1 is deployed at: 2048 bits, and the paper's
 // 3072 (n^2 and p^2 then run 64/96- and 32/48-limb Montgomery products).
 // The seeds are fixed ones whose prime searches end quickly, so key
@@ -218,6 +278,35 @@ TEST_P(PaillierDeployedKeyTest, CrtDecryptTableFoldAndRoundTrip) {
   for (const BigInt& k :
        {BigInt(1), pk.n - BigInt(1), BigInt::RandomBelow(pk.n, rng)}) {
     EXPECT_EQ(ctx.MulPlaintextWithTable(table, k), ctx.MulPlaintext(c, k));
+  }
+}
+
+TEST_P(PaillierDeployedKeyTest, KeyHolderRandomizersAndBatchMatchEvalOnly) {
+  const DeployedKey param = GetParam();
+  Rng rng(param.seed);
+  PaillierPublicKey pk;
+  PaillierSecretKey sk;
+  ASSERT_TRUE(Paillier::GenerateKeyPair(param.bits, rng, &pk, &sk).ok());
+  const PaillierContext holder(pk, sk);
+  const PaillierContext eval(pk);
+
+  Rng base(param.seed + 1);
+  auto fork = [&](size_t i) { return base.Fork(9, i, kRngStreamEncrypt); };
+  const size_t count = 4;
+  std::vector<BigInt> ms(count);
+  std::vector<BigInt> expected(count);
+  for (size_t i = 0; i < count; ++i) {
+    ms[i] = BigInt::RandomBelow(pk.n, rng);
+    Rng a = fork(i), b = fork(i);
+    const BigInt r_eval = eval.ComputeRandomizer(a);
+    EXPECT_EQ(holder.ComputeRandomizer(b), r_eval) << "i=" << i;
+    expected[i] = eval.EncryptWithRandomizer(ms[i], r_eval).value();
+  }
+  for (int threads : {1, 2, 5}) {
+    ThreadPool pool(threads);
+    auto batch = holder.EncryptBatch(ms, fork, pool);
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(batch.value(), expected) << "threads=" << threads;
   }
 }
 
