@@ -63,10 +63,9 @@ class Paillier {
 
   /// Draws the encryption randomizer base: r uniform in [1, n) with
   /// gcd(r, n) = 1 (holds w.h.p.; retries otherwise). Shared by Encrypt
-  /// and the eval-only PaillierContext so both consume identical draw
-  /// sequences — the bitwise fast/cold parity contract depends on it. A
-  /// key-holder PaillierContext runs the same RandomBelow loop and tests
-  /// p ∤ r and q ∤ r instead, which accepts exactly the same draws.
+  /// and PaillierContext so both consume identical draw sequences — the
+  /// bitwise fast/cold parity contract depends on this being the single
+  /// implementation.
   static BigInt DrawUnit(const PaillierPublicKey& pk, Rng& rng);
 
   /// (1 + m*n) * r_n mod n^2 for a precomputed r_n = r^n mod n^2. The

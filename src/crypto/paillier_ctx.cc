@@ -25,8 +25,6 @@ PaillierContext::PaillierContext(const PaillierPublicKey& pk,
   mont_q_ = std::make_unique<Montgomery>(q_);
   mont_p2_ = std::make_unique<Montgomery>(p2_);
   mont_q2_ = std::make_unique<Montgomery>(q2_);
-  q_mod_p_minus_1_ = q_.Mod(p_minus_1_);
-  p_mod_q_minus_1_ = p_.Mod(q_minus_1_);
   // h_p = L_p((1+n)^(p-1) mod p^2)^{-1} mod p. With g = n + 1 and
   // n^2 = 0 mod p^2, (1+n)^(p-1) = 1 + (p-1)*n mod p^2, so the L_p value
   // is ((p-1)*n mod p^2) / p = (p-1)*q mod p — a unit of F_p.
@@ -54,29 +52,17 @@ Status PaillierContext::CheckCiphertext(const BigInt& c) const {
 }
 
 BigInt PaillierContext::ComputeRandomizer(Rng& rng) const {
-  if (!has_sk_) {
-    // Paillier::DrawUnit keeps the draw sequence identical to the static
-    // Encrypt; only the exponentiation goes through the cached context.
-    return mont_n2_.MontExp(Paillier::DrawUnit(pk_, rng), pk_.n);
-  }
-  // The DrawUnit loop with its unit test read off the residues: r = 0 or
-  // gcd(r, n) != 1 exactly when p | r or q | r, so the same draws are
-  // accepted and no n-bit gcd runs.
-  BigInt r_p, r_q;
-  do {
-    const BigInt r = BigInt::RandomBelow(pk_.n, rng);
-    r_p = r.Mod(p_);
-    r_q = r.Mod(q_);
-  } while (r_p.IsZero() || r_q.IsZero());
+  // Paillier::DrawUnit keeps the draw sequence identical to the static
+  // Encrypt; only the exponentiation differs.
+  const BigInt r = Paillier::DrawUnit(pk_, rng);
+  if (!has_sk_) return mont_n2_.MontExp(r, pk_.n);
   // r^n mod p^2 depends only on r mod p (p | n kills the linear binomial
   // term) and lies in the order-(p-1) subgroup of Z*_{p^2}, which reduction
   // mod p maps one-to-one onto Z*_p. Mod p, r^n = r^q = a with
-  // a = (r mod p)^(q mod (p-1)); a^p mod p^2 is in that subgroup and also
-  // reduces to a, so r^n mod p^2 = a^p mod p^2. Symmetrically over q^2.
-  const BigInt x_p =
-      mont_p2_->MontExp(mont_p_->MontExp(r_p, q_mod_p_minus_1_), p_);
-  const BigInt x_q =
-      mont_q2_->MontExp(mont_q_->MontExp(r_q, p_mod_q_minus_1_), q_);
+  // a = (r mod p)^q; a^p mod p^2 is in that subgroup and also reduces to a,
+  // so r^n mod p^2 = a^p mod p^2. Symmetrically over q^2.
+  const BigInt x_p = mont_p2_->MontExp(mont_p_->MontExp(r.Mod(p_), q_), p_);
+  const BigInt x_q = mont_q2_->MontExp(mont_q_->MontExp(r.Mod(q_), p_), q_);
   // Garner over p^2, q^2: the unique value in [0, n^2) with both residues.
   const BigInt h =
       x_p.ModSub(x_q.Mod(p2_), p2_).ModMul(q2_inv_mod_p2_, p2_);
