@@ -203,8 +203,8 @@ TEST_F(PaillierCtxFixture, DecryptRejectsNonUnitsLikeClassic) {
 }
 
 // Hand-built keys with p = 11, q = 13: 23 of the 143 values below n are
-// non-units, so about one first draw in six is rejected and both the
-// key holder's residue test and DrawUnit's gcd test run their retry loops.
+// non-units, so about one first draw in six is rejected and DrawUnit's
+// retry loop runs under both the CRT and the n^2 exponentiation.
 void MakeTinyKey(int p, int q, PaillierPublicKey* pk, PaillierSecretKey* sk) {
   sk->p = BigInt(p);
   sk->q = BigInt(q);
