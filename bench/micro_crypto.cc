@@ -6,10 +6,13 @@
 // holder against the eval-only n^2 path, and the one-multiply
 // randomizer-pipeline encryption), plus fixed-base exponentiation (per-base
 // window tables, math/fixed_base.h) against the sliding-window path it
-// amortizes away, Pippenger multi-exponentiation against the per-base
-// fold, and the Lim-Lee comb against the radix table layout. Also
-// measures fig11-style private weighting rounds at each ciphertext packing
-// factor, plus the remaining substrate unit costs behind Figures 10/11
+// amortizes away, Straus multi-exponentiation against the per-base
+// fold, the silo fold's two paths (Straus vs per-user tables) on a shape
+// on each side of the cost model's crossover, and the Lim-Lee comb
+// against the radix table layout. Also measures fig11-style private
+// weighting rounds at each ciphertext packing factor (median of
+// alternating round pairs), plus the remaining substrate unit costs behind
+// Figures 10/11
 // (BigInt mul/div, secure-aggregation masking serial vs pooled, SHA-256,
 // the ChaCha stream, C_LCM).
 //
@@ -18,10 +21,12 @@
 //   ULDP_BENCH_SMOKE=1 — CI smoke: 512-bit only, short measurement windows
 //   ULDP_BENCH_SCALE=full — adds the 2048-bit point
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -103,11 +108,17 @@ double Find(const std::vector<OpRow>& rows, const std::string& op,
   return 0.0;
 }
 
-/// One protocol round on a pack-feasible configuration (small n_max /
-/// precision / clip so pack_slots up to 8 fits a 512-bit plaintext).
-/// Returns wall seconds; `out` receives the aggregate so the caller can
-/// assert every packing factor decodes bitwise identically.
-double TimedPackedRound(int pack_slots, int users, int dim, Vec* out) {
+/// One packing factor's set-up protocol on a pack-feasible configuration
+/// (small n_max / precision / clip so pack_slots up to 8 fits a 512-bit
+/// plaintext), its fixed round inputs, and its timed rounds.
+struct PackedRound {
+  std::unique_ptr<PrivateWeightingProtocol> protocol;
+  std::vector<std::vector<Vec>> deltas;
+  std::vector<Vec> noise;
+  std::vector<double> seconds;
+};
+
+bool SetupPackedRound(int pack_slots, int users, int dim, PackedRound* r) {
   const int silos = 3;
   ProtocolConfig pc;
   pc.paillier_bits = 512;
@@ -116,7 +127,7 @@ double TimedPackedRound(int pack_slots, int users, int dim, Vec* out) {
   pc.pack_clip = 8.0;
   pc.seed = 909;
   pc.pack_slots = pack_slots;
-  PrivateWeightingProtocol protocol(pc, silos, users);
+  r->protocol = std::make_unique<PrivateWeightingProtocol>(pc, silos, users);
   Rng rng(23);
   std::vector<std::vector<int>> hist(silos, std::vector<int>(users, 0));
   for (int u = 0; u < users; ++u) {
@@ -124,23 +135,31 @@ double TimedPackedRound(int pack_slots, int users, int dim, Vec* out) {
     hist[static_cast<int>(rng.UniformInt(silos))][u] =
         1 + static_cast<int>(rng.UniformInt(4));
   }
-  if (!protocol.Setup(hist).ok()) return -1.0;
-  std::vector<std::vector<Vec>> deltas(silos, std::vector<Vec>(users));
-  std::vector<Vec> noise(silos, Vec(dim));
+  if (!r->protocol->Setup(hist).ok()) return false;
+  r->deltas.assign(silos, std::vector<Vec>(users));
+  r->noise.assign(silos, Vec(dim));
   for (int s = 0; s < silos; ++s) {
     for (int u = 0; u < users; ++u) {
       if (hist[s][u] == 0) continue;
-      deltas[s][u].resize(dim);
-      for (double& v : deltas[s][u]) v = rng.Gaussian(0.0, 0.1);
+      r->deltas[s][u].resize(dim);
+      for (double& v : r->deltas[s][u]) v = rng.Gaussian(0.0, 0.1);
     }
-    for (double& v : noise[s]) v = rng.Gaussian(0.0, 0.1);
+    for (double& v : r->noise[s]) v = rng.Gaussian(0.0, 0.1);
   }
-  std::vector<bool> sampled(users, true);
+  return true;
+}
+
+/// Runs one round and returns its wall seconds (-1 on failure), appending
+/// them to r->seconds; `out` receives the aggregate so the caller can
+/// assert every packing factor decodes bitwise identically.
+double RunPackedRound(PackedRound* r, Vec* out) {
+  const std::vector<bool> sampled(r->deltas[0].size(), true);
   auto start = Clock::now();
-  auto result = protocol.WeightingRound(0, deltas, noise, sampled);
-  double seconds =
+  auto result = r->protocol->WeightingRound(0, r->deltas, r->noise, sampled);
+  const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   if (!result.ok()) return -1.0;
+  r->seconds.push_back(seconds);
   *out = std::move(result.value());
   return seconds;
 }
@@ -353,10 +372,10 @@ int main() {
              SecondsPerOp([&] { LcmUpTo(100); }, window, min_iters));
   }
 
-  // -- Pippenger multi-exp vs the per-ciphertext MontExp fold -------------
+  // -- Straus multi-exp vs the per-ciphertext MontExp fold ----------------
   // The weighting-phase shape: fold prod_i c_i^{k_i} mod n^2 over a batch
-  // of ciphertexts. The bucket method shares window squarings across the
-  // whole batch; the loop pays them per base.
+  // of ciphertexts. Straus shares one squaring chain across the whole
+  // batch; the loop pays it per base.
   {
     PaillierPublicKey pk;
     PaillierSecretKey sk;
@@ -391,13 +410,103 @@ int main() {
     const std::string op = "multi_exp_fold" + std::to_string(batch);
     RecordOp(table, json, rows, op, "loop", 512,
              SecondsPerOp([&] { loop_fold(); }, window, min_iters));
-    RecordOp(table, json, rows, op, "pippenger", 512,
+    RecordOp(table, json, rows, op, "straus", 512,
              SecondsPerOp([&] { multi.Product(exps); }, window, min_iters));
     const double loop_s = Find(rows, op, "loop", 512);
-    const double multi_s = Find(rows, op, "pippenger", 512);
+    const double multi_s = Find(rows, op, "straus", 512);
     json.Add("speedup_multi_exp_vs_loop", loop_s / multi_s,
              {{"bases", std::to_string(batch)}, {"bits", "512"}});
     json.Add("multi_exp_bitwise_identical", 1.0);
+  }
+
+  // -- The silo fold's two paths around the cost model's crossover --------
+  // SiloCore::FoldUsers raises a batch of users' Enc(B_inv) to one scalar
+  // per packed coordinate, either through one Straus chain per coordinate
+  // or through one fixed-base table per user, as ChooseFoldPath picks.
+  // Both paths run on a shape the model sends each way; the protocol
+  // ledger has no table-side workload, so these rows are the table side's
+  // evidence. The ratio is reported, not gated.
+  {
+    bool fold_identical = true;
+    struct FoldShape {
+      int users;
+      int coords;
+    };
+    for (int bits : key_bits) {
+      PaillierPublicKey pk;
+      PaillierSecretKey sk;
+      Rng keyrng(80 + bits);
+      if (!Paillier::GenerateKeyPair(bits, keyrng, &pk, &sk).ok()) {
+        std::cerr << "keygen failed for the fold series\n";
+        return 1;
+      }
+      PaillierContext ctx(pk);
+      Rng rng(81);
+      for (const FoldShape& shape : {FoldShape{8, 4}, FoldShape{2, 16}}) {
+        std::vector<BigInt> ciphers;
+        for (int u = 0; u < shape.users; ++u) {
+          ciphers.push_back(
+              ctx.Encrypt(BigInt::RandomBelow(pk.n, rng), rng).value());
+        }
+        std::vector<std::vector<BigInt>> scalars(
+            shape.coords, std::vector<BigInt>(shape.users));
+        for (auto& coord : scalars) {
+          for (BigInt& k : coord) k = BigInt::RandomBelow(pk.n, rng);
+        }
+        const size_t coords = static_cast<size_t>(shape.coords);
+        auto tables_fold = [&] {
+          std::vector<FixedBaseTable> tables;
+          for (const BigInt& c : ciphers) {
+            tables.push_back(ctx.MakeMulPlaintextTable(c, coords));
+          }
+          std::vector<BigInt> out(coords, BigInt(1));
+          for (size_t g = 0; g < coords; ++g) {
+            for (size_t u = 0; u < tables.size(); ++u) {
+              out[g] = ctx.AddCiphertexts(
+                  out[g], ctx.MulPlaintextWithTable(tables[u], scalars[g][u]));
+            }
+          }
+          return out;
+        };
+        auto straus_fold = [&] {
+          const MultiExp multi(ctx.mont_n_squared(), ciphers,
+                               pk.n.BitLength(), coords);
+          std::vector<BigInt> out;
+          for (const auto& coord : scalars) out.push_back(multi.Product(coord));
+          return out;
+        };
+        std::vector<BigInt> loop(coords, BigInt(1));
+        for (size_t g = 0; g < coords; ++g) {
+          for (size_t u = 0; u < ciphers.size(); ++u) {
+            loop[g] = ctx.AddCiphertexts(
+                loop[g], ctx.MulPlaintext(ciphers[u], scalars[g][u]));
+          }
+        }
+        fold_identical = fold_identical && tables_fold() == loop &&
+                         straus_fold() == loop;
+        const std::string op = "silo_fold_" + std::to_string(shape.users) +
+                               "x" + std::to_string(shape.coords);
+        RecordOp(table, json, rows, op, "tables", bits,
+                 SecondsPerOp([&] { tables_fold(); }, window, min_iters));
+        RecordOp(table, json, rows, op, "straus", bits,
+                 SecondsPerOp([&] { straus_fold(); }, window, min_iters));
+        const bool pick_tables =
+            ChooseFoldPath(ciphers.size(), coords, pk.n.BitLength()) ==
+            FoldPath::kTables;
+        json.Add("fold_tables_over_straus",
+                 Find(rows, op, "tables", bits) / Find(rows, op, "straus", bits),
+                 {{"users", std::to_string(shape.users)},
+                  {"coords", std::to_string(shape.coords)},
+                  {"bits", std::to_string(bits)},
+                  {"pick", pick_tables ? "tables" : "straus"}});
+      }
+    }
+    json.Add("fold_paths_bitwise_identical", fold_identical ? 1.0 : 0.0);
+    if (!fold_identical) {
+      std::cerr << "BUG: a silo fold path disagrees with the MulPlaintext "
+                   "loop\n";
+      return 1;
+    }
   }
 
   // -- Lim-Lee comb vs radix fixed-base layout ----------------------------
@@ -443,33 +552,62 @@ int main() {
   const int dim = smoke ? 12 : 48;
 
   // -- Packed protocol rounds: pack_slots 1 vs 2 vs 4 vs 8 ----------------
+  // Every factor runs one untimed warm-up round. Each speedup is then the
+  // median of kPackedPairs per-pair round-time ratios against pack_slots
+  // 1, with the arm that runs first alternating, so host drift lands on
+  // both arms alike and one slow ~5 ms round cannot set the gate's input.
   std::cout << "\n=== Protocol round with ciphertext packing (pack-feasible "
                "config: n_max 8, precision 1e-6, clip 8) ===\n";
-  Vec packed_ref;
-  double packed1_s = TimedPackedRound(1, users, dim, &packed_ref);
-  if (packed1_s < 0.0) {
-    std::cerr << "packed protocol round failed\n";
-    return 1;
-  }
-  Table packed({"pack_slots", "round_seconds", "speedup",
-                "bitwise_identical"});
-  packed.AddRow({"1", FormatG(packed1_s, 4), "1.0", "ref"});
-  json.Add("round_seconds_packed", packed1_s, {{"pack_slots", "1"}});
-  bool packed_identical = true;
-  for (int k : {2, 4, 8}) {
-    Vec out;
-    double k_s = TimedPackedRound(k, users, dim, &out);
-    if (k_s < 0.0) {
-      std::cerr << "packed protocol round failed at pack_slots " << k << "\n";
+  constexpr int kPackedPairs = 7;
+  const std::vector<int> factors = {1, 2, 4, 8};
+  std::vector<PackedRound> packed_rounds(factors.size());
+  for (size_t i = 0; i < factors.size(); ++i) {
+    if (!SetupPackedRound(factors[i], users, dim, &packed_rounds[i])) {
+      std::cerr << "packed protocol setup failed at pack_slots "
+                << factors[i] << "\n";
       return 1;
     }
-    const bool same = out == packed_ref;
-    packed_identical = packed_identical && same;
-    const std::string ks = std::to_string(k);
-    packed.AddRow({ks, FormatG(k_s, 4), FormatG(packed1_s / k_s, 3),
-                   same ? "yes" : "NO (BUG)"});
+  }
+  Vec packed_ref;
+  bool packed_identical = true;
+  auto round_of = [&](size_t i) {
+    return [&, i] {
+      Vec out;
+      const double seconds = RunPackedRound(&packed_rounds[i], &out);
+      if (packed_ref.empty()) packed_ref = out;
+      packed_identical = packed_identical && out == packed_ref;
+      return seconds;
+    };
+  };
+  std::vector<double> speedups(factors.size(), 1.0);
+  for (size_t i = 0; i < factors.size(); ++i) {
+    const double warm = round_of(i)();
+    packed_rounds[i].seconds.clear();
+    const double ratio =
+        i == 0 ? 1.0 : MedianPairedRatio(kPackedPairs, round_of(0), round_of(i));
+    if (warm < 0.0 || ratio <= 0.0) {
+      std::cerr << "packed protocol round failed at pack_slots "
+                << factors[i] << "\n";
+      return 1;
+    }
+    speedups[i] = 1.0 / ratio;
+  }
+  Table packed({"pack_slots", "round_seconds_median", "speedup",
+                "bitwise_identical"});
+  for (size_t i = 0; i < factors.size(); ++i) {
+    std::vector<double>& timed = packed_rounds[i].seconds;
+    std::nth_element(timed.begin(), timed.begin() + timed.size() / 2,
+                     timed.end());
+    const double k_s = timed[timed.size() / 2];
+    const std::string ks = std::to_string(factors[i]);
     json.Add("round_seconds_packed", k_s, {{"pack_slots", ks}});
-    json.Add("packed_round_speedup", packed1_s / k_s, {{"pack_slots", ks}});
+    if (i == 0) {
+      packed.AddRow({ks, FormatG(k_s, 4), "1.0", "ref"});
+      continue;
+    }
+    packed.AddRow({ks, FormatG(k_s, 4), FormatG(speedups[i], 3),
+                   packed_identical ? "yes" : "NO (BUG)"});
+    json.Add("packed_round_speedup", speedups[i], {{"pack_slots", ks}});
   }
   packed.Print(std::cout);
   json.Add("packed_bitwise_identical", packed_identical ? 1.0 : 0.0);

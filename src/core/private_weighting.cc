@@ -70,7 +70,6 @@ Status PrivateWeightingProtocol::Setup(
   // Each silo's pair is a Fork(0, silo) substream of the seed, so the key
   // exchange needs only the public-key directory — exactly what the server
   // relays in the distributed driver.
-  histograms_ = silo_histograms;
   silos_.clear();
   for (int s = 0; s < num_silos_; ++s) {
     silos_.push_back(std::make_unique<SiloCore>(server_->params(), s,
@@ -170,32 +169,20 @@ Result<Vec> PrivateWeightingProtocol::WeightingRound(
 
   // -- Weighting (a)+(b)+(c): one chunk sweep for every round shape. A
   // chunk is stream_chunk_users users, or kWeightingBatchUsers when
-  // streaming is off. Each chunk is encrypted, gets one fixed-base table
-  // per user — every silo raises the SAME ciphertext Enc(B_inv(N_u)), so
-  // the table is built once and shared read-only by all silo cores — and
-  // is folded by every silo core on the pool; then its tables are freed,
-  // and when streaming its ciphertexts too, so resident ciphertexts stay
-  // O(chunk). Every per-user value comes from a Fork(round, user)
-  // substream and every fold is an exact modular product, so the chunk
-  // size never changes a bit, and a distributed silo (which builds its
-  // own tables) matches exactly.
+  // streaming is off. Each chunk is encrypted and folded by every silo
+  // core on the pool through SiloCore::FoldUsers — the batch fold the
+  // distributed silos run — and, when streaming, its ciphertexts are freed
+  // afterwards, so resident ciphertexts stay O(chunk). Every per-user
+  // value comes from a Fork(round, user) substream and every fold is an
+  // exact modular product, so the chunk size never changes a bit, and a
+  // distributed silo matches exactly.
   const bool streaming = StreamChunkUsers(config_) > 0;
   const int chunk_users =
       streaming ? StreamChunkUsers(config_) : kWeightingBatchUsers;
   const size_t cdim = server_->params().packed.PackedDim(dim);
-  std::vector<uint32_t> silos_with_user(num_users_, 0);
-  for (int s = 0; s < num_silos_; ++s) {
-    for (int u = 0; u < num_users_; ++u) {
-      if (histograms_[s][u] > 0 && !clipped_deltas[s][u].empty()) {
-        ++silos_with_user[u];
-      }
-    }
-  }
   std::vector<std::vector<BigInt>> silo_ciphers(
       num_silos_, SiloCore::NewCipherAccumulator(cdim));
   std::vector<Status> silo_status(num_silos_, Status::Ok());
-  const PaillierContext* ctx = silos_[0]->eval_context();
-  weight_tables_.BeginRound(num_users_, /*keep=*/false);
   for (int u0 = 0; u0 < num_users_; u0 += chunk_users) {
     const int u1 = std::min(num_users_, u0 + chunk_users);
     if (!ot) {
@@ -208,20 +195,13 @@ Result<Vec> PrivateWeightingProtocol::WeightingRound(
       timings_.encrypt_weights_s += SecondsSince(t0);
     }
     auto t0 = Clock::now();
-    pool_->ParallelFor(static_cast<size_t>(u1 - u0), [&](size_t i) {
-      const int u = u0 + static_cast<int>(i);
-      if (silos_with_user[u] == 0) return;
-      weight_tables_.Ensure(*ctx, u, enc_weights[u],
-                            static_cast<size_t>(silos_with_user[u]) * cdim);
-    });
     pool_->ParallelFor(static_cast<size_t>(num_silos_), [&](size_t s) {
       if (!silo_status[s].ok()) return;  // earlier chunk already failed
-      silo_status[s] = silos_[s]->AccumulateUsers(
-          u0, u1, enc_weights, &weight_tables_.tables(), clipped_deltas[s],
-          dim, &silo_ciphers[s], *pool_);
+      silo_status[s] = silos_[s]->FoldUsers(u0, u1, enc_weights,
+                                            clipped_deltas[s], dim,
+                                            &silo_ciphers[s], *pool_);
     });
     ULDP_RETURN_IF_ERROR(FirstError(silo_status));
-    weight_tables_.DropRange(u0, u1);
     if (streaming && !ot) {
       for (int u = u0; u < u1; ++u) enc_weights[u] = BigInt();
     }

@@ -107,13 +107,6 @@ class PrivateWeightingProtocol {
 
   std::unique_ptr<ServerCore> server_;
   std::vector<std::unique_ptr<SiloCore>> silos_;
-  std::vector<std::vector<int>> histograms_;  // for table-use sizing
-
-  // In-process shared fixed-base tables: every silo raises the SAME
-  // ciphertext Enc(B_inv(N_u)), so the orchestrator builds one table per
-  // user per chunk and all silo cores consume it read-only (a distributed
-  // silo builds its own).
-  WeightTableCache weight_tables_;
 
   bool setup_done_ = false;
   ProtocolTimings timings_;

@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "core/mask_tags.h"
+#include "math/multi_exp.h"
 #include "obs/trace.h"
 
 namespace uldp {
@@ -42,6 +43,11 @@ bool IsOddOfBits(const BigInt& v, int bits) {
 uint64_t SlotCounter(size_t user, size_t slot) {
   return (static_cast<uint64_t>(user) << 32) | static_cast<uint64_t>(slot);
 }
+
+// Bits of the `path` arg on the core.accumulate_users trace span: which
+// fold raised the batch's active users.
+constexpr int64_t kFoldPathStraus = 1;  // one shared Straus chain
+constexpr int64_t kFoldPathTables = 2;  // per-user fixed-base tables
 
 }  // namespace
 
@@ -707,6 +713,9 @@ Status SiloCore::AccumulateUsers(
   if (u0 < 0 || u1 > num_users || u0 > u1) {
     return Status::InvalidArgument("user batch out of range");
   }
+  if (tables != nullptr && static_cast<int>(tables->size()) != num_users) {
+    return Status::InvalidArgument("weight table count mismatch");
+  }
   const PackedCodec& packed = params_.packed;
   const size_t cdim = cipher->size();
   if (cdim != packed.PackedDim(model_dim)) {
@@ -742,6 +751,31 @@ Status SiloCore::AccumulateUsers(
   });
   ULDP_RETURN_IF_ERROR(FirstError(prep_status));
 
+  // Active users with a table raise through it; the rest share one
+  // Straus chain per coordinate, their odd-power tables built once here.
+  std::vector<int> straus_slot(u1 - u0, -1);
+  std::vector<BigInt> straus_bases;
+  int64_t table_users = 0;
+  for (int u = u0; u < u1; ++u) {
+    if (!active[u - u0]) continue;
+    if (tables != nullptr && (*tables)[u] != nullptr) {
+      ++table_users;
+      continue;
+    }
+    straus_slot[u - u0] = static_cast<int>(straus_bases.size());
+    straus_bases.push_back(enc_weights[u]);
+  }
+  const MultiExp straus(paillier_->mont_n_squared(), straus_bases,
+                        n.BitLength(), cdim);
+  const int64_t path = (straus_bases.empty() ? 0 : kFoldPathStraus) |
+                       (table_users == 0 ? 0 : kFoldPathTables);
+  span.AddArg("users",
+              table_users + static_cast<int64_t>(straus_bases.size()));
+  span.AddArg("coords", static_cast<int64_t>(cdim));
+  span.AddArg("path", path);
+  if (!straus_bases.empty()) straus_batches_.Add(1);
+  if (table_users > 0) table_batches_.Add(1);
+
   // Packed or not, the per-user exponent for coordinate group g is the
   // group's (packed) delta encoding times the user's scalar base — the
   // aggregation stays a mod-n linear form, so slot digits add exactly like
@@ -749,6 +783,8 @@ Status SiloCore::AccumulateUsers(
   std::vector<Status> dim_status(cdim, Status::Ok());
   pool.ParallelFor(cdim, [&](size_t g) {
     const size_t d0 = g * slots;
+    std::vector<BigInt> exps(straus_bases.size());
+    bool any_straus = false;
     for (int u = u0; u < u1; ++u) {
       if (!active[u - u0]) continue;
       Result<BigInt> e =
@@ -762,12 +798,17 @@ Status SiloCore::AccumulateUsers(
       }
       if (e.value().IsZero()) continue;
       BigInt scalar = e.value().ModMul(bases[u - u0], n);
-      const FixedBaseTable* table =
-          tables != nullptr ? (*tables)[u].get() : nullptr;
-      BigInt term = table != nullptr
-                        ? paillier_->MulPlaintextWithTable(*table, scalar)
-                        : paillier_->MulPlaintext(enc_weights[u], scalar);
+      if (straus_slot[u - u0] >= 0) {
+        any_straus = any_straus || !scalar.IsZero();
+        exps[straus_slot[u - u0]] = std::move(scalar);
+        continue;
+      }
+      BigInt term = paillier_->MulPlaintextWithTable(*(*tables)[u], scalar);
       (*cipher)[g] = Paillier::AddCiphertexts(pk, (*cipher)[g], term);
+    }
+    if (any_straus) {
+      (*cipher)[g] =
+          Paillier::AddCiphertexts(pk, (*cipher)[g], straus.Product(exps));
     }
   });
   return FirstError(dim_status);
@@ -807,7 +848,19 @@ Status SiloCore::FoldUsers(int u0, int u1,
       static_cast<int>(deltas.size()) != num_users) {
     return Status::InvalidArgument("per-user input size mismatch");
   }
+  if (u0 < 0 || u1 > num_users || u0 > u1) {
+    return Status::InvalidArgument("user batch out of range");
+  }
   const size_t cdim = cipher->size();
+  size_t users = 0;
+  for (int u = u0; u < u1; ++u) {
+    if (!deltas[u].empty() && histogram_[u] > 0) ++users;
+  }
+  if (ChooseFoldPath(users, cdim, params_.public_key.n.BitLength()) ==
+      FoldPath::kStraus) {
+    return AccumulateUsers(u0, u1, enc_weights, nullptr, deltas, model_dim,
+                           cipher, pool);
+  }
   table_cache_.BeginRound(num_users, /*keep=*/false);
   pool.ParallelFor(static_cast<size_t>(u1 - u0), [&](size_t i) {
     const int u = u0 + static_cast<int>(i);

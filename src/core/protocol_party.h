@@ -117,8 +117,9 @@ struct ProtocolConfig {
 };
 
 /// Users per weighting batch when streaming is off: each batch builds and
-/// frees its own per-user fixed-base tables, so transient table memory
-/// stays at ~128 * 2 MB worst case instead of O(num_users).
+/// frees its own per-user tables (Straus odd powers, or fixed-base tables
+/// when the fold's cost model picks them), so transient table memory stays
+/// O(batch) instead of O(num_users).
 inline constexpr int kWeightingBatchUsers = 128;
 
 /// Effective chunk sizes for streaming mode (resolving the <= 0 defaults);
@@ -263,12 +264,11 @@ class ServerCore {
 };
 
 /// Ciphertext-keyed cache of per-user fixed-base MulPlaintext tables for
-/// the silo-weighting loop. One instance is shared by the in-process
-/// orchestrator across all silo cores; each distributed silo endpoint
-/// owns its own. Entries persist across rounds only when BeginRound runs
-/// with keep = true: the key is the ciphertext itself, so fresh round
-/// randomness or a changed sampling mask invalidates an entry
-/// automatically.
+/// the silo-weighting loop's table path. Every SiloCore owns one for the
+/// batches its fold cost model sends down that path. Entries persist
+/// across rounds only when BeginRound runs with keep = true: the key is
+/// the ciphertext itself, so fresh round randomness or a changed sampling
+/// mask invalidates an entry automatically.
 class WeightTableCache {
  public:
   /// Sizes the cache for the round; keep = false drops every old entry.
@@ -347,10 +347,10 @@ class SiloCore {
   /// its users, the encoded noise, and the pairwise additive masks.
   /// `deltas[u]` is empty when user u has no records here; non-empty
   /// entries must all have noise.size() coordinates. This is the
-  /// self-contained entry point a distributed silo endpoint uses; it is
-  /// composed from the batch-level pieces below, which the in-process
-  /// orchestrator drives directly so one fixed-base table per user can be
-  /// shared read-only across all silo cores.
+  /// self-contained entry point a distributed silo endpoint uses in OT
+  /// mode: FoldUsers over kWeightingBatchUsers batches, then FinishRound —
+  /// the same batch fold the streamed endpoints and the in-process
+  /// orchestrator run.
   Result<std::vector<BigInt>> WeightMaskRound(
       uint64_t round, const std::vector<BigInt>& enc_weights,
       const std::vector<Vec>& deltas, const Vec& noise, ThreadPool& pool);
@@ -361,19 +361,20 @@ class SiloCore {
   static std::vector<BigInt> NewCipherAccumulator(size_t dim);
 
   /// This silo's evaluation-only Paillier context. Tables built over it
-  /// are a pure function of the ciphertext and modulus, so any party's
-  /// build is bitwise identical and safe to share read-only — the
-  /// orchestrator feeds it to a shared WeightTableCache.
+  /// are a pure function of the ciphertext and modulus, so a caller may
+  /// build them itself (a WeightTableCache over this context) and pass
+  /// them to AccumulateUsers, as the ledger's layer replay does.
   const PaillierContext* eval_context() const { return paillier_.get(); }
 
   /// Phase (b) for users [u0, u1): accumulates this silo's encrypted
   /// weighted terms into `cipher` (from NewCipherAccumulator, size =
   /// PackedDim(model_dim); model_dim is the unpacked coordinate count,
   /// i.e. the noise dimension). `tables`, when non-null, maps user →
-  /// fixed-base table for enc_weights[u] (null entries fall back to plain
-  /// MulPlaintext). Parallelizes over coordinates on `pool`; the result is
-  /// an exact modular product, so batching, scheduling and packing never
-  /// change a bit.
+  /// fixed-base table for enc_weights[u]; users with a null entry (every
+  /// user when `tables` is null) fold through one Straus MultiExp over the
+  /// batch, one Product per coordinate. Parallelizes over coordinates on
+  /// `pool`; the result is an exact modular product, so batching,
+  /// scheduling, packing and the fold path never change a bit.
   Status AccumulateUsers(
       int u0, int u1, const std::vector<BigInt>& enc_weights,
       const std::vector<std::unique_ptr<FixedBaseTable>>* tables,
@@ -381,16 +382,26 @@ class SiloCore {
       std::vector<BigInt>* cipher, ThreadPool& pool) const;
 
   /// Streaming phase (b): folds users [u0, u1) given only that chunk of
-  /// ciphertexts (enc_chunk[i] = Enc(B_inv) for user u0 + i), building and
-  /// dropping this silo's own fixed-base tables for the chunk. The caller
-  /// discards enc_chunk afterwards, so peak resident ciphertexts stay at
-  /// O(chunk) instead of O(users); concatenated chunk folds reproduce
-  /// WeightMaskRound's accumulator bit for bit (exact modular products).
-  /// Finish with FinishRound as usual.
+  /// ciphertexts (enc_chunk[i] = Enc(B_inv) for user u0 + i) through
+  /// FoldUsers. The caller discards enc_chunk afterwards, so peak
+  /// resident ciphertexts stay at O(chunk) instead of O(users);
+  /// concatenated chunk folds reproduce WeightMaskRound's accumulator bit
+  /// for bit (exact modular products). Finish with FinishRound as usual.
   Status AccumulateUsersChunk(const std::vector<BigInt>& enc_chunk, int u0,
                               int u1, const std::vector<Vec>& deltas,
                               size_t model_dim, std::vector<BigInt>* cipher,
                               ThreadPool& pool);
+
+  /// The batch fold: phase (b) for users [u0, u1) of the absolute-indexed
+  /// `enc_weights`. ChooseFoldPath (math/fixed_base.h) weighs one Straus
+  /// chain per coordinate against one fixed-base table per active user
+  /// from the active-user count, the coordinate count and the exponent
+  /// bits — never the thread count — and the fold either passes no tables
+  /// to AccumulateUsers or builds this silo's tables, folds and drops
+  /// them. Both paths produce the same bits.
+  Status FoldUsers(int u0, int u1, const std::vector<BigInt>& enc_weights,
+                   const std::vector<Vec>& deltas, size_t model_dim,
+                   std::vector<BigInt>* cipher, ThreadPool& pool);
 
   /// Phase (b) tail + (c): adds the encoded noise (packed into groups when
   /// packing is active), then this silo's pairwise additive masks for the
@@ -401,12 +412,6 @@ class SiloCore {
  private:
   BigInt BlindOf(int user) const;
   BigInt PairMask(int peer, uint64_t tag, int index) const;
-  /// Builds this silo's tables for users [u0, u1) of the absolute-indexed
-  /// `enc_weights`, folds them through AccumulateUsers, and drops the
-  /// tables again.
-  Status FoldUsers(int u0, int u1, const std::vector<BigInt>& enc_weights,
-                   const std::vector<Vec>& deltas, size_t model_dim,
-                   std::vector<BigInt>* cipher, ThreadPool& pool);
 
   ProtocolParams params_;
   int silo_id_ = 0;
@@ -426,10 +431,15 @@ class SiloCore {
   std::vector<BigInt> ot_ks_;
   std::vector<size_t> ot_sigmas_;
 
-  // Per-user fixed-base tables for FoldUsers (the distributed endpoint
-  // path; the in-process orchestrator shares one cache across silo cores
-  // instead).
+  // Per-user fixed-base tables for FoldUsers' table path. Built with the
+  // core, so core.weight_table_cache_hits is registered wherever a silo
+  // core exists.
   WeightTableCache table_cache_;
+
+  // Batches AccumulateUsers folded through a Straus chain / per-user
+  // tables (a batch mixing both counts in each).
+  mutable obs::Counter straus_batches_{"core.fold.straus_batches"};
+  mutable obs::Counter table_batches_{"core.fold.table_batches"};
 
   // AccumulateUsersChunk scratch: a full-size vector of (mostly empty)
   // BigInts so the chunk can be addressed by absolute user index through

@@ -73,8 +73,10 @@ class PaillierContext {
   // -- Fixed-base MulPlaintext ----------------------------------------------
   // MulPlaintext is c^k mod n^2 with k < n. When one ciphertext is raised
   // to many scalars — the silo-weighting loop raises Enc(B_inv(N_u)) once
-  // per model coordinate — a per-ciphertext fixed-base table removes every
-  // squaring from those exponentiations (math/fixed_base.h).
+  // per shipped coordinate — a per-ciphertext fixed-base table removes
+  // most squarings from those exponentiations (math/fixed_base.h). The
+  // silo fold builds them when ChooseFoldPath says they beat one Straus
+  // chain shared by the batch.
 
   /// Precomputes the fixed-base table for ciphertext `c` over the cached
   /// n^2 context. `expected_uses` is the number of MulPlaintextWithTable

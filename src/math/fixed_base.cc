@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "math/multi_exp.h"
 
 namespace uldp {
 
@@ -14,7 +15,10 @@ constexpr size_t kMaxTableEntries = 8192;
 
 // A Montgomery squaring through the dedicated path costs roughly this
 // fraction of a generic multiply; the cost models below use it to compare
-// the squaring-free radix layout against the comb.
+// the squaring-free radix layout against the comb, and ChooseFoldPath
+// uses it as the Straus chain's σ. Fitted to single-threaded
+// tables-vs-Straus fold timings at 1024-, 2048- and 3072-bit keys (1 to
+// 64 users × 1 to 64 coordinates), σ came out at this value too.
 constexpr double kSqrWeight = 0.67;
 
 struct Plan {
@@ -251,6 +255,20 @@ size_t FixedBaseTable::entries() const {
 
 BigInt FixedBaseExp(const FixedBaseTable& table, const BigInt& exponent) {
   return table.Exp(exponent);
+}
+
+FoldPath ChooseFoldPath(size_t bases, size_t products, int exp_bits) {
+  if (bases == 0 || products == 0) return FoldPath::kStraus;
+  ULDP_CHECK_GE(exp_bits, 1);
+  const double u = static_cast<double>(bases);
+  const double c = static_cast<double>(products);
+  const double b = static_cast<double>(exp_bits);
+  const double tables =
+      u * PickPlan(exp_bits, products, FixedBaseTable::Strategy::kAuto).cost;
+  const int w = MultiExp::WindowBits(exp_bits, products);
+  const double straus = u * static_cast<double>(1u << (w - 1)) +
+                        c * (kSqrWeight * b + u * b / (w + 1));
+  return tables < straus ? FoldPath::kTables : FoldPath::kStraus;
 }
 
 }  // namespace uldp

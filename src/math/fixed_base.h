@@ -92,6 +92,24 @@ class FixedBaseTable {
 /// Free-function spelling of table.Exp(exponent).
 BigInt FixedBaseExp(const FixedBaseTable& table, const BigInt& exponent);
 
+/// The two ways to compute Π_i bases[i]^exps[c][i] for `products`
+/// exponent vectors c over one batch of bases.
+enum class FoldPath {
+  kStraus,  // one MultiExp over the batch: one squaring chain per product
+  kTables,  // one FixedBaseTable per base, built once, used per product
+};
+
+/// Deterministic cost model, in modular multiplies, picking the cheaper
+/// FoldPath for `bases` bases, `products` exponent vectors and exponents
+/// of `exp_bits` bits. Per-base tables cost
+///   bases · (build + products · per-use)
+/// for the plan FixedBaseTable's kAuto picker resolves to; Straus costs
+///   bases · 2^(w-1) + products · (σ · exp_bits + bases · exp_bits/(w+1))
+/// with w = MultiExp::WindowBits(exp_bits, products) and σ a chain
+/// squaring's cost in multiplies, calibrated against measured folds.
+/// Ties go to Straus, which holds less memory.
+FoldPath ChooseFoldPath(size_t bases, size_t products, int exp_bits);
+
 }  // namespace uldp
 
 #endif  // ULDP_MATH_FIXED_BASE_H_

@@ -40,8 +40,9 @@ class Montgomery {
 
  private:
   // FixedBaseTable builds per-base power tables directly in the Montgomery
-  // domain (math/fixed_base.h), and MultiExp runs its bucket accumulation
-  // there (math/multi_exp.h), so both share the private limb-level ops.
+  // domain (math/fixed_base.h), and MultiExp builds its odd-power tables
+  // and runs its shared squaring chain there (math/multi_exp.h), so both
+  // share the private limb-level ops.
   friend class FixedBaseTable;
   friend class MultiExp;
 

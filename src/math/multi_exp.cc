@@ -6,26 +6,14 @@
 
 namespace uldp {
 
-namespace {
-
-// Bucket arrays above this width stop paying for themselves and start
-// costing memory (2^w k-limb slots); the cost model below never wants
-// more anyway for realistic batch sizes.
-constexpr int kMaxWindow = 10;
-
-// Window width minimizing the modeled cost of one Product() call:
-//   windows · (0.67·w squarings + batch bucket inserts + 2·(2^w − 1) fold)
-// with squarings weighted at ~0.67 of a generic multiply (the dedicated
-// squaring path). Deterministic — same inputs, same width, everywhere.
-int PickWindow(int exp_bits, size_t batch) {
+int MultiExp::WindowBits(int exp_bits, size_t products) {
+  const double chain = static_cast<double>(std::max(exp_bits, 1)) *
+                       static_cast<double>(std::max<size_t>(products, 1));
   int best_w = 1;
   double best_cost = -1.0;
   for (int w = 1; w <= kMaxWindow; ++w) {
-    const double windows =
-        static_cast<double>((exp_bits + w - 1) / w);
-    const double fold = 2.0 * (static_cast<double>(1ull << w) - 1.0);
     const double cost =
-        windows * (0.67 * w + static_cast<double>(batch) + fold);
+        static_cast<double>(1u << (w - 1)) + chain / static_cast<double>(w + 1);
     if (best_cost < 0.0 || cost < best_cost) {
       best_cost = cost;
       best_w = w;
@@ -34,84 +22,82 @@ int PickWindow(int exp_bits, size_t batch) {
   return best_w;
 }
 
-// w-bit window t of exp, windows counted from the LSB.
-uint32_t WindowDigit(const BigInt& exp, int bits, int t, int w) {
-  uint32_t digit = 0;
-  for (int b = w - 1; b >= 0; --b) {
-    const int idx = t * w + b;
-    digit = (digit << 1) | (idx < bits && exp.Bit(idx) ? 1u : 0u);
-  }
-  return digit;
-}
-
-}  // namespace
-
-MultiExp::MultiExp(const Montgomery& mont, const std::vector<BigInt>& bases)
-    : mont_(&mont) {
-  bases_mont_.reserve(bases.size());
+MultiExp::MultiExp(const Montgomery& mont, const std::vector<BigInt>& bases,
+                   int exp_bits, size_t products)
+    : mont_(&mont),
+      w_(WindowBits(exp_bits > 0 ? exp_bits : mont.modulus().BitLength(),
+                    products)) {
+  const size_t entries = static_cast<size_t>(1) << (w_ - 1);
+  odd_.reserve(bases.size());
   for (const BigInt& base : bases) {
     ULDP_CHECK_MSG(!base.IsNegative(), "multi-exp base must be >= 0");
-    bases_mont_.push_back(mont_->ToMont(base));
+    std::vector<std::vector<uint64_t>> odd;
+    odd.reserve(entries);
+    odd.push_back(mont_->ToMont(base));
+    if (entries > 1) {
+      const std::vector<uint64_t> sq = mont_->MontSqrLimbs(odd[0]);
+      for (size_t j = 1; j < entries; ++j) {
+        odd.push_back(mont_->MontMul(odd[j - 1], sq));
+      }
+    }
+    odd_.push_back(std::move(odd));
   }
 }
 
 BigInt MultiExp::Product(const std::vector<BigInt>& exps) const {
-  ULDP_CHECK_EQ(exps.size(), bases_mont_.size());
-  int max_bits = 0;
-  size_t batch = 0;  // bases with a nonzero exponent
-  for (const BigInt& exp : exps) {
+  ULDP_CHECK_EQ(exps.size(), odd_.size());
+  // Every exponent's greedy sliding windows, as MontExp cuts them: a
+  // window starts at a set bit, spans at most w bits and ends at a set
+  // bit, so its value is odd and indexes the half-size table.
+  struct Window {
+    int end;         // lowest bit of the window
+    uint32_t base;   // index into odd_
+    uint32_t entry;  // (window value - 1) / 2
+  };
+  std::vector<Window> windows;
+  for (size_t i = 0; i < exps.size(); ++i) {
+    const BigInt& exp = exps[i];
     ULDP_CHECK_MSG(!exp.IsNegative(), "multi-exp exponent must be >= 0");
-    if (exp.IsZero()) continue;
-    ++batch;
-    max_bits = std::max(max_bits, exp.BitLength());
+    int b = exp.BitLength() - 1;
+    while (b >= 0) {
+      if (!exp.Bit(b)) {
+        --b;
+        continue;
+      }
+      int j = std::max(b - w_ + 1, 0);
+      while (!exp.Bit(j)) ++j;
+      uint32_t value = 0;
+      for (int t = b; t >= j; --t) value = (value << 1) | (exp.Bit(t) ? 1u : 0u);
+      windows.push_back({j, static_cast<uint32_t>(i), value >> 1});
+      b = j - 1;
+    }
   }
-  if (batch == 0) return mont_->FromMont(mont_->one_mont_);
+  if (windows.empty()) return mont_->FromMont(mont_->one_mont_);
+  std::stable_sort(windows.begin(), windows.end(),
+                   [](const Window& a, const Window& b) {
+                     return a.end > b.end;
+                   });
 
-  const int w = PickWindow(max_bits, batch);
-  const int windows = (max_bits + w - 1) / w;
-  const size_t bucket_count = static_cast<size_t>(1) << w;
-  std::vector<std::vector<uint64_t>> bucket(bucket_count);
-  std::vector<char> filled(bucket_count, 0);
-
+  // One shared chain from the highest window end down to bit 0: square
+  // once per bit, then multiply in every window that ends at that bit.
+  // Each window's entry is squared exactly `end` times afterwards, which
+  // places it at its weight 2^end.
   std::vector<uint64_t> acc;
-  bool acc_started = false;
-  for (int t = windows - 1; t >= 0; --t) {
-    if (acc_started) {
-      for (int s = 0; s < w; ++s) acc = mont_->MontSqrLimbs(acc);
-    }
-    std::fill(filled.begin(), filled.end(), 0);
-    for (size_t i = 0; i < exps.size(); ++i) {
-      if (exps[i].IsZero()) continue;
-      const uint32_t digit = WindowDigit(exps[i], exps[i].BitLength(), t, w);
-      if (digit == 0) continue;
-      if (filled[digit]) {
-        bucket[digit] = mont_->MontMul(bucket[digit], bases_mont_[i]);
+  bool started = false;
+  size_t next = 0;
+  for (int bit = windows.front().end; bit >= 0; --bit) {
+    if (started) acc = mont_->MontSqrLimbs(acc);
+    for (; next < windows.size() && windows[next].end == bit; ++next) {
+      const std::vector<uint64_t>& entry =
+          odd_[windows[next].base][windows[next].entry];
+      if (started) {
+        acc = mont_->MontMul(acc, entry);
       } else {
-        bucket[digit] = bases_mont_[i];
-        filled[digit] = 1;
+        acc = entry;
+        started = true;
       }
-    }
-    // Fold: running = Π_{u >= v} bucket[u], total accumulates one running
-    // factor per step, so bucket[v] enters total exactly v times.
-    std::vector<uint64_t> running, total;
-    bool running_started = false, total_started = false;
-    for (size_t v = bucket_count - 1; v >= 1; --v) {
-      if (filled[v]) {
-        running =
-            running_started ? mont_->MontMul(running, bucket[v]) : bucket[v];
-        running_started = true;
-      }
-      if (running_started) {
-        total = total_started ? mont_->MontMul(total, running) : running;
-        total_started = true;
-      }
-    }
-    if (total_started) {
-      acc = acc_started ? mont_->MontMul(acc, total) : total;
-      acc_started = true;
     }
   }
-  if (!acc_started) return mont_->FromMont(mont_->one_mont_);
   return mont_->FromMont(acc);
 }
 

@@ -833,9 +833,9 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
   // recorded directly rather than via a scoped span.
   obs::TraceBuffer& trace = obs::TraceBuffer::Global();
   if (trace.enabled()) {
+    const obs::TraceArg silo{"silo", static_cast<int64_t>(silo_id_)};
     trace.Record("silo.setup", setup_start_ns,
-                 obs::NowNs() - setup_start_ns, "silo",
-                 static_cast<int64_t>(silo_id_));
+                 obs::NowNs() - setup_start_ns, &silo, 1);
   }
 
   // -- Round loop ----------------------------------------------------------

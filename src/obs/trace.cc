@@ -83,8 +83,13 @@ std::string TraceBuffer::ToJson() const {
     os << "\n{\"name\": \"" << e.name << "\", \"cat\": \"uldp\", "
        << "\"ph\": \"X\", \"pid\": 0, \"tid\": " << e.tid << ", \"ts\": "
        << micros(e.ts_ns) << ", \"dur\": " << micros(e.dur_ns);
-    if (e.arg_name != nullptr) {
-      os << ", \"args\": {\"" << e.arg_name << "\": " << e.arg << "}";
+    if (e.num_args > 0) {
+      os << ", \"args\": {";
+      for (uint32_t a = 0; a < e.num_args; ++a) {
+        os << (a > 0 ? ", " : "") << "\"" << e.args[a].name
+           << "\": " << e.args[a].value;
+      }
+      os << "}";
     }
     os << "}";
   }

@@ -13,7 +13,8 @@
 // never reach the output file.
 //
 // Span names (and arg names) must be string literals or otherwise outlive
-// the buffer: only the pointer is stored.
+// the buffer: only the pointer is stored. A span carries up to
+// kMaxTraceArgs integer args.
 //
 // Tracing is strictly passive: no Rng stream is touched and no
 // instrumented computation observes whether the buffer is enabled, so
@@ -22,7 +23,9 @@
 #ifndef ULDP_OBS_TRACE_H_
 #define ULDP_OBS_TRACE_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -34,12 +37,21 @@
 namespace uldp {
 namespace obs {
 
+/// One named integer arg of a span.
+struct TraceArg {
+  const char* name = nullptr;
+  int64_t value = 0;
+};
+
+/// Args one event holds; a span drops any beyond this.
+inline constexpr size_t kMaxTraceArgs = 4;
+
 struct TraceEvent {
   const char* name = nullptr;
-  const char* arg_name = nullptr;  // nullptr = no arg
-  uint64_t ts_ns = 0;              // NowNs() at span start
+  uint64_t ts_ns = 0;  // NowNs() at span start
   uint64_t dur_ns = 0;
-  int64_t arg = 0;
+  TraceArg args[kMaxTraceArgs];
+  uint32_t num_args = 0;
   uint32_t tid = 0;
 };
 
@@ -56,9 +68,10 @@ class TraceBuffer {
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Records one complete event; drops (and counts) when full or disabled.
+  /// Records one complete event with the first min(num_args,
+  /// kMaxTraceArgs) of `args`; drops (and counts) when full or disabled.
   void Record(const char* name, uint64_t ts_ns, uint64_t dur_ns,
-              const char* arg_name = nullptr, int64_t arg = 0) {
+              const TraceArg* args = nullptr, size_t num_args = 0) {
     if (!enabled()) return;
     const uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
     if (idx >= events_.size()) {
@@ -67,10 +80,10 @@ class TraceBuffer {
     }
     TraceEvent& e = events_[idx];
     e.name = name;
-    e.arg_name = arg_name;
     e.ts_ns = ts_ns;
     e.dur_ns = dur_ns;
-    e.arg = arg;
+    e.num_args = static_cast<uint32_t>(std::min(num_args, kMaxTraceArgs));
+    for (uint32_t i = 0; i < e.num_args; ++i) e.args[i] = args[i];
     e.tid = ThreadId();
   }
 
@@ -115,6 +128,10 @@ class TraceSpan {
     (void)arg_name;
     (void)arg;
   }
+  void AddArg(const char* arg_name, int64_t arg) {
+    (void)arg_name;
+    (void)arg;
+  }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 };
@@ -131,22 +148,27 @@ class TraceSpan {
     TraceBuffer& buffer = TraceBuffer::Global();
     if (!buffer.enabled()) return;
     name_ = name;
-    arg_name_ = arg_name;
-    arg_ = arg;
+    if (arg_name != nullptr) AddArg(arg_name, arg);
     start_ns_ = NowNs();
   }
   ~TraceSpan() {
     if (name_ == nullptr) return;
     TraceBuffer::Global().Record(name_, start_ns_, NowNs() - start_ns_,
-                                 arg_name_, arg_);
+                                 args_, num_args_);
+  }
+  /// Attaches one more arg (a no-op while tracing is disabled, and past
+  /// kMaxTraceArgs) — for values known only once the span's work began.
+  void AddArg(const char* arg_name, int64_t arg) {
+    if (name_ == nullptr || num_args_ == kMaxTraceArgs) return;
+    args_[num_args_++] = TraceArg{arg_name, arg};
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
   const char* name_ = nullptr;
-  const char* arg_name_ = nullptr;
-  int64_t arg_ = 0;
+  TraceArg args_[kMaxTraceArgs];
+  size_t num_args_ = 0;
   uint64_t start_ns_ = 0;
 };
 
@@ -160,6 +182,10 @@ class NullSpan {
   explicit NullSpan(const char* name) { (void)name; }
   NullSpan(const char* name, const char* arg_name, int64_t arg) {
     (void)name;
+    (void)arg_name;
+    (void)arg;
+  }
+  void AddArg(const char* arg_name, int64_t arg) {
     (void)arg_name;
     (void)arg;
   }

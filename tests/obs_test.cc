@@ -188,6 +188,34 @@ TEST(TraceTest, SpansBalanceAndSerializeWellFormed) {
   buffer.Clear();
 }
 
+TEST(TraceTest, SpanArgsAddedLaterSerializeInOrderUpToTheCap) {
+  TraceBuffer& buffer = TraceBuffer::Global();
+  buffer.Clear();
+  {
+    TraceSpan early("test.args-before-enable", "u0", 1);
+    buffer.Enable();
+    early.AddArg("users", 2);  // the span began disabled: stays unrecorded
+    TraceSpan span("test.args", "u0", 7);
+    span.AddArg("users", 5);
+    span.AddArg("coords", 4);
+    span.AddArg("path", 3);
+    span.AddArg("dropped", 9);  // past kMaxTraceArgs
+  }
+  buffer.Disable();
+
+#ifndef ULDP_DISABLE_TRACING
+  EXPECT_EQ(buffer.size(), 1u);
+  const std::string json = buffer.ToJson();
+  EXPECT_NE(json.find("\"args\": {\"u0\": 7, \"users\": 5, \"coords\": 4, "
+                      "\"path\": 3}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("dropped\": 9"), std::string::npos);
+  EXPECT_EQ(json.find("test.args-before-enable"), std::string::npos);
+#endif
+  buffer.Clear();
+}
+
 TEST(TraceTest, FullBufferDropsInsteadOfOverwriting) {
   TraceBuffer& buffer = TraceBuffer::Global();
   buffer.Clear();

@@ -3,10 +3,14 @@
 #include <cmath>
 
 #include "core/experiment.h"
+#include "core/mask_tags.h"
 #include "core/private_weighting.h"
 #include "core/uldp_avg.h"
 #include "data/allocation.h"
 #include "data/synthetic.h"
+#include "math/fixed_base.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace uldp {
 namespace {
@@ -380,6 +384,174 @@ TEST(ProtocolChunkTest, ChunkSizeNeverChangesABit) {
       EXPECT_EQ(out.value(), ref) << "chunk " << chunk;
     }
   }
+}
+
+// --- The silo batch fold ----------------------------------------------------
+
+// One silo core over a fresh 512-bit key and a test-chosen shared seed,
+// plus one batch of inputs. User 1 holds no records here (histogram 0) and
+// user 3 sent no delta, so both are inactive; every other user is active.
+struct FoldBatch {
+  ProtocolParams params;
+  std::unique_ptr<SiloCore> silo;
+  BigInt shared_seed;
+  std::vector<BigInt> enc_weights;
+  std::vector<Vec> deltas;
+  std::vector<int> histogram;
+  int active = 0;
+};
+
+FoldBatch MakeFoldBatch(int users, int dim, uint64_t seed) {
+  FoldBatch b;
+  Rng rng(seed);
+  b.params.config.paillier_bits = 512;
+  b.params.config.n_max = 30;
+  b.params.num_silos = 2;
+  b.params.num_users = users;
+  PaillierSecretKey sk;
+  EXPECT_TRUE(
+      Paillier::GenerateKeyPair(512, rng, &b.params.public_key, &sk).ok());
+  EXPECT_TRUE(b.params.Derive().ok());
+  PaillierContext ctx(b.params.public_key);
+  b.histogram.assign(users, 0);
+  b.deltas.assign(users, Vec());
+  for (int u = 0; u < users; ++u) {
+    b.enc_weights.push_back(
+        ctx.Encrypt(BigInt::RandomBelow(b.params.public_key.n, rng), rng)
+            .value());
+    b.histogram[u] = u == 1 ? 0 : 1 + static_cast<int>(rng.UniformInt(4));
+    if (u == 3) continue;
+    b.deltas[u].resize(dim);
+    for (double& v : b.deltas[u]) v = rng.Gaussian(0.0, 1.0);
+    if (b.histogram[u] > 0) ++b.active;
+  }
+  b.silo = std::make_unique<SiloCore>(b.params, 0, b.histogram);
+  b.shared_seed = BigInt::RandomBits(256, rng);
+  b.silo->SetSharedSeed(b.shared_seed);
+  return b;
+}
+
+// The batch fold the slow way: one MulPlaintext per (user, coordinate)
+// into a fresh accumulator, with each blind r_u re-derived from the shared
+// seed as every silo derives it.
+std::vector<BigInt> MulPlaintextReference(const FoldBatch& b, size_t dim) {
+  const BigInt& n = b.params.public_key.n;
+  PaillierContext ctx(b.params.public_key);
+  const ChaChaRng::Key key =
+      ChaChaRng::DeriveKey("uldp-shared-seed|" + b.shared_seed.ToHex());
+  std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(dim);
+  for (int u = 0; u < b.params.num_users; ++u) {
+    if (b.deltas[u].empty() || b.histogram[u] == 0) continue;
+    BigInt r;
+    for (uint32_t attempt = 0;; ++attempt) {
+      ChaChaRng stream(
+          key, ChaChaRng::MakeNonce(
+                   MakeMaskTag(MaskPhase::kUserBlind,
+                               static_cast<uint64_t>(u)),
+                   attempt));
+      r = stream.UniformBelow(n);
+      if (!r.IsZero() && BigInt::Gcd(r, n) == BigInt(1)) break;
+    }
+    const BigInt base = r.ModMul(BigInt(static_cast<int64_t>(b.histogram[u])),
+                                 n)
+                            .ModMul(b.params.c_lcm.Mod(n), n);
+    for (size_t g = 0; g < dim; ++g) {
+      const BigInt scalar =
+          b.params.codec.Encode(b.deltas[u][g]).value().ModMul(base, n);
+      cipher[g] = ctx.AddCiphertexts(
+          cipher[g], ctx.MulPlaintext(b.enc_weights[u], scalar));
+    }
+  }
+  return cipher;
+}
+
+uint64_t CounterValue(const std::string& name) {
+  for (const auto& m : obs::MetricsRegistry::Global().Snapshot()) {
+    if (m.kind == obs::MetricSnapshot::Kind::kCounter && m.name == name) {
+      return m.counter_value;
+    }
+  }
+  return 0;
+}
+
+TEST(SiloFoldTest, FoldUsersMatchesMulPlaintextOnEachSideOfTheCrossover) {
+  // At 512-bit exponents six active users over two coordinates share one
+  // Straus chain per coordinate; two active users over twelve coordinates
+  // amortize per-user tables instead.
+  struct Shape {
+    int users;
+    int dim;
+    FoldPath path;
+  };
+  ThreadPool pool(3);
+  uint64_t seed = 4100;
+  for (const Shape& shape : {Shape{8, 2, FoldPath::kStraus},
+                             Shape{4, 12, FoldPath::kTables}}) {
+    FoldBatch b = MakeFoldBatch(shape.users, shape.dim, ++seed);
+    ASSERT_EQ(ChooseFoldPath(static_cast<size_t>(b.active),
+                             static_cast<size_t>(shape.dim), 512),
+              shape.path)
+        << shape.users << " users x " << shape.dim;
+    const uint64_t straus0 = CounterValue("core.fold.straus_batches");
+    const uint64_t tables0 = CounterValue("core.fold.table_batches");
+    std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(shape.dim);
+    ASSERT_TRUE(b.silo->FoldUsers(0, shape.users, b.enc_weights, b.deltas,
+                                  shape.dim, &cipher, pool)
+                    .ok());
+    EXPECT_EQ(cipher, MulPlaintextReference(b, shape.dim))
+        << shape.users << " users x " << shape.dim;
+    const bool straus = shape.path == FoldPath::kStraus;
+    EXPECT_EQ(CounterValue("core.fold.straus_batches") - straus0,
+              straus ? 1u : 0u);
+    EXPECT_EQ(CounterValue("core.fold.table_batches") - tables0,
+              straus ? 0u : 1u);
+  }
+}
+
+TEST(SiloFoldTest, AccumulateUsersFoldsNullTableEntriesThroughStraus) {
+  // The ledger replay's call: tables built by the caller, some entries
+  // null. Users 0, 2, 4, 6 raise through their tables, user 5 joins the
+  // Straus chain, and users 1 and 3 are inactive.
+  const int users = 7, dim = 3;
+  FoldBatch b = MakeFoldBatch(users, dim, 4200);
+  WeightTableCache cache;
+  cache.BeginRound(users, /*keep=*/false);
+  for (int u = 0; u < users; u += 2) {
+    ASSERT_NE(cache.Ensure(*b.silo->eval_context(), u, b.enc_weights[u], dim),
+              nullptr);
+  }
+  const std::vector<BigInt> want = MulPlaintextReference(b, dim);
+  ThreadPool pool(2);
+  obs::TraceBuffer& trace = obs::TraceBuffer::Global();
+  trace.Clear();
+  trace.Enable();
+  const uint64_t straus0 = CounterValue("core.fold.straus_batches");
+  const uint64_t tables0 = CounterValue("core.fold.table_batches");
+  std::vector<BigInt> mixed = SiloCore::NewCipherAccumulator(dim);
+  ASSERT_TRUE(b.silo->AccumulateUsers(0, users, b.enc_weights,
+                                      &cache.tables(), b.deltas, dim, &mixed,
+                                      pool)
+                  .ok());
+  trace.Disable();
+  EXPECT_EQ(mixed, want);
+  EXPECT_EQ(CounterValue("core.fold.straus_batches") - straus0, 1u);
+  EXPECT_EQ(CounterValue("core.fold.table_batches") - tables0, 1u);
+#ifndef ULDP_DISABLE_TRACING
+  EXPECT_NE(trace.ToJson().find("\"args\": {\"u0\": 0, \"users\": 5, "
+                                "\"coords\": 3, \"path\": 3}"),
+            std::string::npos);
+#endif
+  trace.Clear();
+
+  // No tables at all, and the batch split in two: the same bits.
+  std::vector<BigInt> straus = SiloCore::NewCipherAccumulator(dim);
+  ASSERT_TRUE(b.silo->AccumulateUsers(0, 4, b.enc_weights, nullptr, b.deltas,
+                                      dim, &straus, pool)
+                  .ok());
+  ASSERT_TRUE(b.silo->AccumulateUsers(4, users, b.enc_weights, nullptr,
+                                      b.deltas, dim, &straus, pool)
+                  .ok());
+  EXPECT_EQ(straus, want);
 }
 
 // Packing-feasible configuration: at 512-bit keys the slot width is driven

@@ -37,8 +37,8 @@ ULDP_THREADS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 # Crypto fast-path micro bench in smoke mode: produces
 # BENCH_micro_crypto.json in the build dir (uploaded by CI alongside the
 # fig11 artifact) and fails the run if the cached-context operations, the
-# fixed-base tables, multi-exp or packed rounds ever disagree bitwise with
-# their reference computations.
+# fixed-base tables, multi-exp, either silo fold path or packed rounds ever
+# disagree bitwise with their reference computations.
 if [ -x "$BUILD_DIR/bench_micro_crypto" ]; then
   (cd "$BUILD_DIR" && ULDP_BENCH_SMOKE=1 ./bench_micro_crypto)
 fi
@@ -412,11 +412,14 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
       --require-span proto.ot_round:2 \
       --require-span stream.fold.silo_cipher \
       --require-span mux.drain
-  # Silo side: per-chunk stream telemetry lives in the sender process.
+  # Silo side: per-chunk stream telemetry lives in the sender process, and
+  # the fold's cost model sends silo 0's batch (5 active users x 4 packed
+  # coordinates per round) down the Straus path.
   python3 tools/check_metrics.py \
       --metrics "$BUILD_DIR/obs_smoke_silo0_metrics.json" \
       --trace "$BUILD_DIR/obs_smoke_silo0_trace.json" \
       --require-metric net.stream.silo-cipher.chunks_sent:2 \
+      --require-metric core.fold.straus_batches \
       --require-metric net.stream.silo-cipher.chunk_bytes \
       --require-hist net.stream.silo-cipher.ack_wait_ns \
       --require-span silo.setup \
