@@ -143,30 +143,13 @@ Status UldpAvgTrainer::RunRound(int round, Vec& global_params) {
     // The protocol path keeps per-user clipped (unweighted) deltas since
     // the weighting happens inside the encryption. Each user's training
     // draws from its own Fork(round, silo, user) substream and fills its
-    // own delta slot, so a silo's user sweep splits into independent
-    // shard tasks (FlConfig::shard_users) with no effect on the bits —
-    // the silo's noise share comes from its first shard, from the same
-    // substream a whole-silo sweep would use.
+    // own delta slot, so one task per silo gives the same bits at any
+    // thread count.
     std::vector<std::vector<Vec>> protocol_deltas(s_count,
                                                   std::vector<Vec>(u_count));
     std::vector<Vec> silo_noise(s_count, Vec());
-    std::vector<int> shard_counts(s_count, 1);
-    if (config_.shard_users > 0) {
-      for (int s = 0; s < s_count; ++s) {
-        const int n = static_cast<int>(silo_shards_[s].size());
-        shard_counts[s] =
-            std::max(1, (n + config_.shard_users - 1) / config_.shard_users);
-      }
-    }
-    auto shard_work = [&](int s, int shard, Model& model) {
-      const std::vector<UserShard>& users = silo_shards_[s];
-      const size_t per = config_.shard_users > 0
-                             ? static_cast<size_t>(config_.shard_users)
-                             : users.size();
-      const size_t u0 = static_cast<size_t>(shard) * per;
-      const size_t u1 = std::min(users.size(), u0 + per);
-      for (size_t i = u0; i < u1; ++i) {
-        const UserShard& user_shard = users[i];
+    auto silo_work = [&](int s, Model& model, Vec&) {
+      for (const UserShard& user_shard : silo_shards_[s]) {
         if (!sampled[user_shard.user]) continue;
         model.SetParams(global_params);
         Rng local = rng_.Fork(r, static_cast<uint64_t>(s),
@@ -178,15 +161,13 @@ Status UldpAvgTrainer::RunRound(int round, Vec& global_params) {
         ClipToL2Ball(delta, config_.clip);
         protocol_deltas[s][user_shard.user] = std::move(delta);
       }
-      if (shard == 0) {
-        Rng noise = rng_.Fork(r, static_cast<uint64_t>(s), kRngStreamNoise);
-        silo_noise[s].assign(global_params.size(), 0.0);
-        AddGaussianNoise(silo_noise[s], noise_std, noise);
-      }
+      Rng noise = rng_.Fork(r, static_cast<uint64_t>(s), kRngStreamNoise);
+      silo_noise[s].assign(global_params.size(), 0.0);
+      AddGaussianNoise(silo_noise[s], noise_std, noise);
       return Status::Ok();
     };
     ULDP_RETURN_IF_ERROR(
-        engine_.RunSiloShards(global_params, shard_counts, shard_work));
+        engine_.RunSilos(global_params, silo_work, /*silo_deltas=*/nullptr));
     auto agg = options_.private_protocol->WeightingRound(
         r, protocol_deltas, silo_noise, sampled);
     if (!agg.ok()) return agg.status();

@@ -87,17 +87,6 @@ struct FlConfig {
   /// <= 0 resolves to the silo count. Values < num_silos let fast silos
   /// outpace a straggler (its update lands late, discounted or rejected).
   int async_buffer = 0;
-  /// > 0: split each silo's per-user protocol sweep into shards of at
-  /// most this many users, scheduled as independent round-engine tasks
-  /// (RoundEngine::RunSiloShards) — a single dominant silo no longer owns
-  /// the round's critical path. Bitwise-identical for any value: per-user
-  /// work draws from Rng::Fork(round, silo, user) substreams and each
-  /// silo's noise share is computed by its first shard from the same
-  /// substream either way. Applies to the private-protocol path only —
-  /// the plaintext paths accumulate silo deltas in floating point, where
-  /// a shard split would change the summation order (and hence the bits),
-  /// so they stay unsharded.
-  int shard_users = 0;
 };
 
 /// A federated algorithm: owns its per-silo state and privacy accounting;

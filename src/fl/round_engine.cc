@@ -197,12 +197,10 @@ RoundEngine::RoundEngine(const Model& model, int num_silos,
                          RoundEngineConfig config)
     : num_silos_(num_silos),
       config_(config),
-      pool_(config.num_threads),
-      prototype_(model.Clone()) {
+      pool_(config.num_threads) {
   ULDP_CHECK_GE(num_silos_, 1);
   // At most min(silos, threads) silo tasks run concurrently, so that many
   // clones suffice — memory stays bounded by parallelism, not silo count.
-  // (RunSiloShards grows the pool to the thread count on first use.)
   const int clones = std::min(num_silos_, pool_->num_threads());
   model_clones_.reserve(clones);
   for (int i = 0; i < clones; ++i) {
@@ -229,14 +227,6 @@ void RoundEngine::ReleaseModel(Model* model) {
   model_cv_.notify_one();
 }
 
-void RoundEngine::EnsureClones(int n) {
-  std::lock_guard<std::mutex> lock(model_mu_);
-  while (static_cast<int>(model_clones_.size()) < n) {
-    model_clones_.push_back(prototype_->Clone());
-    free_models_.push_back(model_clones_.back().get());
-  }
-}
-
 Status RoundEngine::RunSilos(const Vec& global, const LocalWork& work,
                              std::vector<Vec>* silo_deltas) {
   ULDP_CHECK_EQ(global.size(), model_clones_[0]->NumParams());
@@ -251,32 +241,6 @@ Status RoundEngine::RunSilos(const Vec& global, const LocalWork& work,
     Vec& delta = silo_deltas != nullptr ? (*silo_deltas)[s] : scratch[s];
     if (silo_deltas != nullptr) delta.assign(global.size(), 0.0);
     statuses[s] = work(static_cast<int>(s), *model, delta);
-    ReleaseModel(model);
-  });
-  return FirstError(statuses);
-}
-
-Status RoundEngine::RunSiloShards(const Vec& global,
-                                  const std::vector<int>& silo_shard_counts,
-                                  const ShardWork& work) {
-  ULDP_CHECK_EQ(global.size(), prototype_->NumParams());
-  ULDP_CHECK_EQ(silo_shard_counts.size(), static_cast<size_t>(num_silos_));
-  // Flatten to (silo, shard) tasks, silo-major — a deterministic plan
-  // independent of the thread count (which only schedules it).
-  std::vector<std::pair<int, int>> tasks;
-  for (int s = 0; s < num_silos_; ++s) {
-    ULDP_CHECK_GE(silo_shard_counts[s], 1);
-    for (int c = 0; c < silo_shard_counts[s]; ++c) tasks.emplace_back(s, c);
-  }
-  EnsureClones(std::min(static_cast<int>(tasks.size()),
-                        pool_->num_threads()));
-  std::vector<Status> statuses(tasks.size(), Status::Ok());
-  pool_->ParallelFor(tasks.size(), [&](size_t t) {
-    obs::TraceSpan span("engine.shard_task", "silo",
-                        static_cast<int64_t>(tasks[t].first));
-    Model* model = AcquireModel();
-    model->SetParams(global);
-    statuses[t] = work(tasks[t].first, tasks[t].second, *model);
     ReleaseModel(model);
   });
   return FirstError(statuses);

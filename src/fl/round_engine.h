@@ -206,26 +206,6 @@ class RoundEngine {
   Status RunSilos(const Vec& global, const LocalWork& work,
                   std::vector<Vec>* silo_deltas);
 
-  /// Shard-level local work: one deterministic slice of a silo's user
-  /// sweep. `model`'s parameters are set to the round's global parameters
-  /// before the call. Shards of one silo run concurrently with each other
-  /// and with other silos' shards, so the callback must write only
-  /// shard-local state (e.g. disjoint per-user output slots).
-  using ShardWork = std::function<Status(int silo, int shard, Model& model)>;
-
-  /// Runs `work` for every (silo, shard) pair — `silo_shard_counts[s]`
-  /// shards for silo s, all >= 1 — as independent pool tasks, so one
-  /// dominant silo's user sweep no longer owns the round's critical path.
-  /// No reduce step: results must be stored by the callback. Bitwise
-  /// determinism is the caller's contract — per-shard randomness must come
-  /// from Rng::Fork substreams keyed by (round, silo, user), never from
-  /// shard-count-dependent state. Grows the model-clone pool up to the
-  /// thread count on first use (sharding exists precisely for
-  /// silos < threads, where the per-silo clone bound would serialize it).
-  Status RunSiloShards(const Vec& global,
-                       const std::vector<int>& silo_shard_counts,
-                       const ShardWork& work);
-
   // -- Asynchronous staleness-bounded rounds --------------------------------
   //
   // StartAsync installs the per-silo work callback and (unless an arrival
@@ -262,9 +242,6 @@ class RoundEngine {
   /// available (stolen work can briefly oversubscribe the pool).
   Model* AcquireModel();
   void ReleaseModel(Model* model);
-  /// Grows the clone pool to `n` clones (from the pristine prototype —
-  /// checked-out clones may be mutating concurrently).
-  void EnsureClones(int n);
 
   void AsyncWorkerLoop();
   /// Serial-mode step: consumes injected arrival-schedule events.
@@ -275,8 +252,6 @@ class RoundEngine {
   int num_silos_;
   RoundEngineConfig config_;
   PoolHandle pool_;
-  /// Never checked out or mutated: the EnsureClones template.
-  std::unique_ptr<Model> prototype_;
   std::vector<std::unique_ptr<Model>> model_clones_;
   std::vector<Model*> free_models_;
   std::mutex model_mu_;

@@ -14,49 +14,27 @@ namespace {
 constexpr size_t kMaxTableEntries = 8192;
 
 // A Montgomery squaring through the dedicated path costs roughly this
-// fraction of a generic multiply; the cost models below use it to compare
-// the squaring-free radix layout against the comb, and ChooseFoldPath
-// uses it as the Straus chain's σ. Fitted to single-threaded
-// tables-vs-Straus fold timings at 1024-, 2048- and 3072-bit keys (1 to
-// 64 users × 1 to 64 coordinates), σ came out at this value too.
+// fraction of a generic multiply; the comb cost model below weighs its
+// squarings with it, and ChooseFoldPath uses it as the Straus chain's σ.
+// Fitted to single-threaded tables-vs-Straus fold timings at 1024-, 2048-
+// and 3072-bit keys (1 to 64 users × 1 to 64 coordinates), σ came out at
+// this value too.
 constexpr double kSqrWeight = 0.67;
 
 struct Plan {
-  FixedBaseTable::Strategy kind = FixedBaseTable::Strategy::kRadix;
-  int w = 1;       // radix window width, or comb teeth h
-  int comb_b = 0;  // comb columns per sub-block
+  int h = 1;  // comb teeth
+  int b = 0;  // comb columns per sub-block
   double cost = -1.0;
 };
-
-// Radix cost:
-//   build    = levels * (2^w - 1)            multiplies (no squarings)
-//   per use  = levels * (1 - 2^-w)           expected multiplies
-void ConsiderRadix(int exp_bits, size_t expected_uses, Plan* best) {
-  for (int w = 1; w <= 8; ++w) {
-    const size_t levels = (static_cast<size_t>(exp_bits) + w - 1) / w;
-    const size_t entries = levels * ((static_cast<size_t>(1) << w) - 1);
-    if (w > 1 && entries > kMaxTableEntries) break;
-    const double per_use = static_cast<double>(levels) *
-                           (1.0 - 1.0 / static_cast<double>(1ull << w));
-    const double cost = static_cast<double>(entries) +
-                        static_cast<double>(expected_uses) * per_use;
-    if (best->cost < 0.0 || cost < best->cost) {
-      best->kind = FixedBaseTable::Strategy::kRadix;
-      best->w = w;
-      best->comb_b = 0;
-      best->cost = cost;
-    }
-  }
-}
 
 // Comb cost with teeth h and sub-block width b (a = ceil(bits/h) columns,
 // v = ceil(a/b) sub-blocks):
 //   build    = chain squarings + v * (2^h - 1 - h) multiplies
 //   per use  = (b - 1) squarings + a * (1 - 2^-h) expected multiplies
 // v is capped at 4: beyond that each doubling trades a large table-size
-// increase for a shrinking per-use saving, and small tables at radix-level
-// speed are the point of the comb layout.
-void ConsiderComb(int exp_bits, size_t expected_uses, Plan* best) {
+// increase for a shrinking per-use saving.
+Plan PickPlan(int exp_bits, size_t expected_uses) {
+  Plan best;
   const int max_h = std::min(8, std::max(1, exp_bits));
   for (int h = 1; h <= max_h; ++h) {
     const int a = (exp_bits + h - 1) / h;
@@ -77,25 +55,13 @@ void ConsiderComb(int exp_bits, size_t expected_uses, Plan* best) {
           static_cast<double>(a) *
               (1.0 - 1.0 / static_cast<double>(1ull << h));
       const double cost = build + static_cast<double>(expected_uses) * per_use;
-      if (best->cost < 0.0 || cost < best->cost) {
-        best->kind = FixedBaseTable::Strategy::kComb;
-        best->w = h;
-        best->comb_b = b;
-        best->cost = cost;
+      if (best.cost < 0.0 || cost < best.cost) {
+        best.h = h;
+        best.b = b;
+        best.cost = cost;
       }
       if (b == 1) break;  // narrower sub-blocks are impossible
     }
-  }
-}
-
-Plan PickPlan(int exp_bits, size_t expected_uses,
-              FixedBaseTable::Strategy strategy) {
-  Plan best;
-  if (strategy != FixedBaseTable::Strategy::kComb) {
-    ConsiderRadix(exp_bits, expected_uses, &best);
-  }
-  if (strategy != FixedBaseTable::Strategy::kRadix) {
-    ConsiderComb(exp_bits, expected_uses, &best);
   }
   return best;
 }
@@ -103,46 +69,13 @@ Plan PickPlan(int exp_bits, size_t expected_uses,
 }  // namespace
 
 FixedBaseTable::FixedBaseTable(const Montgomery& mont, const BigInt& base,
-                               int max_exp_bits, size_t expected_uses,
-                               Strategy strategy)
+                               int max_exp_bits, size_t expected_uses)
     : mont_(&mont), max_bits_(max_exp_bits) {
   ULDP_CHECK_GE(max_bits_, 1);
-  const Plan plan = PickPlan(max_bits_, expected_uses, strategy);
-  kind_ = plan.kind;
-  w_ = plan.w;
-  comb_b_ = plan.comb_b;
-  if (kind_ == Strategy::kComb) {
-    BuildComb(base);
-  } else {
-    BuildRadix(base);
-  }
-}
-
-void FixedBaseTable::BuildRadix(const BigInt& base) {
-  const size_t levels = (static_cast<size_t>(max_bits_) + w_ - 1) / w_;
-  powers_.resize(levels);
-  // level_base = base^(2^(w*i)) in the Montgomery domain. Each level stores
-  // its first 2^w - 1 multiples; the next level's base is one further
-  // multiply (powers[i].back() * level_base = level_base^(2^w)), so the
-  // whole build is pure MontMuls — no squarings.
-  std::vector<uint64_t> level_base = mont_->ToMont(base);
-  for (size_t i = 0; i < levels; ++i) {
-    const int level_bits =
-        static_cast<int>(i) == static_cast<int>(levels) - 1
-            ? max_bits_ - static_cast<int>(i) * w_
-            : w_;
-    const size_t count = ((static_cast<size_t>(1) << level_bits)) - 1;
-    powers_[i].reserve(count);
-    powers_[i].push_back(level_base);
-    for (size_t j = 1; j < count; ++j) {
-      powers_[i].push_back(mont_->MontMul(powers_[i][j - 1], level_base));
-    }
-    if (i + 1 < levels) {
-      // Full-width levels always store 2^w - 1 entries, so the step to the
-      // next level base is a single multiply.
-      level_base = mont_->MontMul(powers_[i].back(), level_base);
-    }
-  }
+  const Plan plan = PickPlan(max_bits_, expected_uses);
+  w_ = plan.h;
+  comb_b_ = plan.b;
+  BuildComb(base);
 }
 
 void FixedBaseTable::BuildComb(const BigInt& base) {
@@ -189,34 +122,6 @@ BigInt FixedBaseTable::Exp(const BigInt& exp) const {
   ULDP_CHECK_MSG(!exp.IsNegative(), "fixed-base exponent must be >= 0");
   const int bits = exp.BitLength();
   ULDP_CHECK_LE(bits, max_bits_);
-  if (kind_ == Strategy::kComb) return ExpComb(exp, bits);
-  return ExpRadix(exp, bits);
-}
-
-BigInt FixedBaseTable::ExpRadix(const BigInt& exp, int bits) const {
-  std::vector<uint64_t> acc;
-  bool started = false;
-  const int levels = (bits + w_ - 1) / w_;
-  for (int i = 0; i < levels; ++i) {
-    uint32_t digit = 0;
-    for (int b = w_ - 1; b >= 0; --b) {
-      const int idx = i * w_ + b;
-      digit = (digit << 1) | (idx < bits && exp.Bit(idx) ? 1u : 0u);
-    }
-    if (digit == 0) continue;
-    const auto& entry = powers_[i][digit - 1];
-    if (started) {
-      acc = mont_->MontMul(acc, entry);
-    } else {
-      acc = entry;
-      started = true;
-    }
-  }
-  if (!started) return mont_->FromMont(mont_->one_mont_);  // exp == 0
-  return mont_->FromMont(acc);
-}
-
-BigInt FixedBaseTable::ExpComb(const BigInt& exp, int bits) const {
   const int h = w_;
   std::vector<uint64_t> acc;
   bool started = false;
@@ -248,13 +153,8 @@ BigInt FixedBaseTable::ExpComb(const BigInt& exp, int bits) const {
 
 size_t FixedBaseTable::entries() const {
   size_t total = 0;
-  for (const auto& level : powers_) total += level.size();
   for (const auto& block : comb_) total += block.size();
   return total;
-}
-
-BigInt FixedBaseExp(const FixedBaseTable& table, const BigInt& exponent) {
-  return table.Exp(exponent);
 }
 
 FoldPath ChooseFoldPath(size_t bases, size_t products, int exp_bits) {
@@ -263,8 +163,7 @@ FoldPath ChooseFoldPath(size_t bases, size_t products, int exp_bits) {
   const double u = static_cast<double>(bases);
   const double c = static_cast<double>(products);
   const double b = static_cast<double>(exp_bits);
-  const double tables =
-      u * PickPlan(exp_bits, products, FixedBaseTable::Strategy::kAuto).cost;
+  const double tables = u * PickPlan(exp_bits, products).cost;
   const int w = MultiExp::WindowBits(exp_bits, products);
   const double straus = u * static_cast<double>(1u << (w - 1)) +
                         c * (kSqrWeight * b + u * b / (w + 1));

@@ -107,11 +107,8 @@ Status AsyncRoundServer::RestoreSession(SessionState state) {
 }
 
 Status AsyncRoundServer::AddConnection(std::unique_ptr<Transport> transport) {
-  auto frame = transport->Recv();
+  auto frame = UnwrapErrorFrame(transport->Recv(), "joining silo");
   if (!frame.ok()) return frame.status();
-  if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-    return StatusFromErrorFrame(frame.value(), "joining silo");
-  }
   const uint64_t expected = AsyncRoundsWireDigest(config_, num_silos_, dim_);
 
   if (frame.value().type == static_cast<uint16_t>(MessageType::kJoinRequest)) {
@@ -449,15 +446,15 @@ Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
         std::min(ctx.resolved_buffer, session_.ActiveCount()));
   }
 
-  // All arrivals come through one receive front end (net/mux.h): over TCP
-  // a few epoll event-loop threads serve every connection; over channels
-  // one blocking reader per peer. That is what "deltas applied as they
-  // land" means. Frame accounting (`owed`) only matters at the clean
-  // finish, where the server drains every released silo's final ack so a
-  // straggler still sees Shutdown instead of an interrupted connection —
-  // departed silos owe nothing by construction (Depart zeroes their debt
-  // and retires their peer), so an evicted silo is never waited on. On
-  // the failure path the mux is torn down immediately.
+  // All arrivals come through one receive front end (net/mux.h): a few
+  // epoll event-loop threads serve every connection, whatever its
+  // transport. That is what "deltas applied as they land" means. Frame
+  // accounting (`owed`) only matters at the clean finish, where the
+  // server drains every released silo's final ack so a straggler still
+  // sees Shutdown instead of an interrupted connection — departed silos
+  // owe nothing by construction (Depart zeroes their debt and retires
+  // their peer), so an evicted silo is never waited on. On the failure
+  // path the mux is torn down immediately.
   {
     std::vector<Transport*> peers;
     for (int s = 0; s < num_silos_; ++s) {
@@ -466,7 +463,7 @@ Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
       ctx.peer_silo.push_back(s);
       peers.push_back(conns_[s].get());
     }
-    ctx.mux = MakeFrameMux(std::move(peers));
+    ctx.mux = std::make_unique<FrameMux>(std::move(peers));
     ULDP_RETURN_IF_ERROR(ctx.mux->Start());
   }
 
@@ -579,18 +576,16 @@ Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
       const int silo = ctx.peer_silo[event.peer];
       if (ctx.departed[silo]) continue;  // raced its retirement
       if (event.frame.ok() && ctx.owed[silo] > 0) --ctx.owed[silo];
+      if (!event.frame.ok()) ctx.owed[silo] = 0;
+      const Result<Frame> frame = UnwrapErrorFrame(
+          std::move(event.frame), "silo " + std::to_string(silo));
       Status verdict = Status::Ok();
       bool leaving = false;
-      if (!event.frame.ok()) {
-        ctx.owed[silo] = 0;
-        verdict = event.frame.status();
-      } else if (event.frame.value().type ==
-                 static_cast<uint16_t>(MessageType::kError)) {
-        verdict = StatusFromErrorFrame(event.frame.value(),
-                                       "silo " + std::to_string(silo));
-      } else if (event.frame.value().type ==
+      if (!frame.ok()) {
+        verdict = frame.status();
+      } else if (frame.value().type ==
                  static_cast<uint16_t>(MessageType::kLeave)) {
-        auto msg = FromFrame<LeaveMsg>(event.frame.value());
+        auto msg = FromFrame<LeaveMsg>(frame.value());
         if (!msg.ok()) {
           verdict = msg.status();
         } else if (msg.value().silo_id != static_cast<uint32_t>(silo)) {
@@ -602,7 +597,7 @@ Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
           leaving = true;
         }
       } else if (config_.masked) {
-        auto msg = FromFrame<MaskedVectorMsg>(event.frame.value());
+        auto msg = FromFrame<MaskedVectorMsg>(frame.value());
         if (!msg.ok()) {
           verdict = msg.status();
         } else if (MaskTagPhase(msg.value().phase_tag) !=
@@ -625,7 +620,7 @@ Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
           ctx.waiting[silo] = true;
         }
       } else {
-        auto msg = FromFrame<RoundAckMsg>(event.frame.value());
+        auto msg = FromFrame<RoundAckMsg>(frame.value());
         if (!msg.ok()) {
           verdict = msg.status();
         } else if (msg.value().silo_id != static_cast<uint32_t>(silo)) {
@@ -786,14 +781,11 @@ Status AsyncRoundClient::RunLoop(Transport& transport, const WorkFn& work,
   }
 
   for (;;) {
-    auto frame = transport.Recv();
+    auto frame = UnwrapErrorFrame(transport.Recv(), "server");
     if (!frame.ok()) return frame.status();
     const uint16_t type = frame.value().type;
     if (type == static_cast<uint16_t>(MessageType::kShutdown)) {
       return Status::Ok();
-    }
-    if (type == static_cast<uint16_t>(MessageType::kError)) {
-      return StatusFromErrorFrame(frame.value(), "server");
     }
     if (type == static_cast<uint16_t>(MessageType::kEvict)) {
       auto msg = FromFrame<EvictMsg>(frame.value());

@@ -26,7 +26,7 @@
 // then admitted with the current model snapshot (net/membership.h owns
 // the transition discipline). A silo whose transport dies, that sends an
 // Error frame, or that misses the receive deadline is EVICTED: its
-// buffered updates are dropped, its mux peer is retired (the reader is
+// buffered updates are dropped, its mux peer is retired (its transport is
 // interrupted immediately — never waited on at shutdown), it is told why
 // with an Evict frame, and the remaining population is reweighted +
 // recorded as a new membership epoch in the session (and the attached

@@ -73,6 +73,15 @@ Status StatusFromErrorFrame(const Frame& frame, const std::string& peer) {
   return Status(code, peer + " reported: " + msg.value().message);
 }
 
+Result<Frame> UnwrapErrorFrame(Result<Frame> received,
+                               const std::string& peer) {
+  if (received.ok() &&
+      received.value().type == static_cast<uint16_t>(MessageType::kError)) {
+    return StatusFromErrorFrame(received.value(), peer);
+  }
+  return received;
+}
+
 void JoinMsg::AppendTo(WireWriter& w) const {
   w.U32(silo_id);
   w.U32(num_silos);

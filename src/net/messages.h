@@ -90,6 +90,11 @@ Frame MakeErrorFrame(const Status& status);
 /// StatusCode addition cannot leave a stale range cap behind.
 Status StatusFromErrorFrame(const Frame& frame, const std::string& peer);
 
+/// The one Error-frame check for received frames: returns the transport
+/// failure, the Status an Error frame from `peer` carries, or the frame.
+Result<Frame> UnwrapErrorFrame(Result<Frame> received,
+                               const std::string& peer);
+
 // ---------------------------------------------------------------------------
 // Message structs. Convention: kType, AppendTo(WireWriter&), and
 // static Parse(WireReader&) returning Result<T>.

@@ -4,17 +4,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
+#include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace uldp {
@@ -24,513 +19,345 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
-/// Queueing and waiting logic shared by both backends. Subclasses deliver
-/// frames / terminal statuses from their receive threads; waiters block on
-/// one condition variable. `waiter_deadline` selects who enforces recv
-/// deadlines: the waiter (epoll backend — loop threads never block per
-/// peer) or the backend's own blocking Recv (threaded backend).
-class MuxBase : public FrameMux {
- public:
-  MuxBase(std::vector<Transport*> peers, bool waiter_deadline)
-      : peers_(std::move(peers)),
-        state_(peers_.size()),
-        waiter_deadline_(waiter_deadline) {}
+/// epoll data of the Shutdown eventfd; peer indices never reach it.
+constexpr uint64_t kWakeToken = ~uint64_t{0};
 
-  Result<Frame> RecvFrom(int peer) override {
-    if (peer < 0 || peer >= static_cast<int>(peers_.size())) {
-      return Status::InvalidArgument("mux: peer index out of range");
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!started_) return Status::FailedPrecondition("mux not started");
-    uint64_t seen_bytes = peers_[peer]->bytes_received();
-    auto wait_start = SteadyClock::now();
-    for (;;) {
-      PeerState& st = state_[peer];
-      if (!st.frames.empty()) {
-        Frame frame = std::move(st.frames.front());
-        st.frames.pop_front();
-        NoteDispatchLocked(st);
-        return frame;
-      }
-      if (st.is_terminal) return st.terminal;
-      if (stopped_) return Status::FailedPrecondition("mux shut down");
-      const int timeout_ms =
-          waiter_deadline_ ? peers_[peer]->recv_timeout_ms() : 0;
-      if (timeout_ms <= 0) {
-        cv_.wait(lock);
-        continue;
-      }
-      const auto deadline =
-          wait_start + std::chrono::milliseconds(timeout_ms);
-      if (cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
-        continue;
-      }
-      if (!state_[peer].frames.empty() || state_[peer].is_terminal ||
-          stopped_) {
-        continue;
-      }
-      const uint64_t now_bytes = peers_[peer]->bytes_received();
-      if (now_bytes != seen_bytes) {
-        // Mid-frame progress restarts the window — the same "no bytes for
-        // timeout_ms" rule SO_RCVTIMEO applies to a blocking Recv.
-        seen_bytes = now_bytes;
-        wait_start = SteadyClock::now();
-        continue;
-      }
-      MarkTerminalLocked(
-          peer, Status::DeadlineExceeded(
-                    "tcp: recv deadline exceeded waiting for a peer frame"));
-      peers_[peer]->Interrupt();
-    }
-  }
+Status DeadlineStatus() {
+  return Status::DeadlineExceeded(
+      "tcp: recv deadline exceeded waiting for a peer frame");
+}
 
-  Result<MuxEvent> RecvAny() override {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!started_) return Status::FailedPrecondition("mux not started");
-    uint64_t seen_bytes = TotalBytes();
-    auto wait_start = SteadyClock::now();
-    for (;;) {
-      for (size_t i = 0; i < state_.size(); ++i) {
-        if (state_[i].frames.empty()) continue;
-        MuxEvent event;
-        event.peer = static_cast<int>(i);
-        event.frame = std::move(state_[i].frames.front());
-        state_[i].frames.pop_front();
-        NoteDispatchLocked(state_[i]);
-        return event;
-      }
-      bool all_gone = true;
-      for (size_t i = 0; i < state_.size(); ++i) {
-        if (!state_[i].is_terminal) {
-          all_gone = false;
-          continue;
-        }
-        if (state_[i].terminal_reported) continue;
-        state_[i].terminal_reported = true;
-        MuxEvent event;
-        event.peer = static_cast<int>(i);
-        event.frame = state_[i].terminal;
-        return event;
-      }
-      if (stopped_) return Status::FailedPrecondition("mux shut down");
-      if (all_gone) {
-        return Status::FailedPrecondition("mux: every peer disconnected");
-      }
-      int timeout_ms = 0;
-      if (waiter_deadline_) {
-        for (size_t i = 0; i < state_.size(); ++i) {
-          if (state_[i].is_terminal) continue;
-          const int t = peers_[i]->recv_timeout_ms();
-          if (t > 0 && (timeout_ms == 0 || t < timeout_ms)) timeout_ms = t;
-        }
-      }
-      if (timeout_ms <= 0) {
-        cv_.wait(lock);
-        continue;
-      }
-      const auto deadline =
-          wait_start + std::chrono::milliseconds(timeout_ms);
-      if (cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
-        continue;
-      }
-      const uint64_t now_bytes = TotalBytes();
-      if (now_bytes != seen_bytes) {
-        seen_bytes = now_bytes;
-        wait_start = SteadyClock::now();
-        continue;
-      }
-      bool anything_queued = false;
-      for (const PeerState& st : state_) {
-        if (!st.frames.empty() ||
-            (st.is_terminal && !st.terminal_reported)) {
-          anything_queued = true;
-        }
-      }
-      if (anything_queued || stopped_) continue;
-      return Status::DeadlineExceeded(
-          "tcp: recv deadline exceeded waiting for a peer frame");
-    }
-  }
+Status EpollError(const char* op) {
+  return Status::Internal(std::string(op) + ": " + std::strerror(errno));
+}
 
-  void InterruptPeer(int peer, Status status) override {
-    Transport* t = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (peer < 0 || peer >= static_cast<int>(peers_.size())) return;
-      PeerState& st = state_[peer];
-      st.frames.clear();
-      st.enqueue_ns.clear();
-      MarkTerminalLocked(peer, std::move(status));
-      // Retired, not failed: RecvAny must never surface this peer again.
-      st.terminal_reported = true;
-      t = peers_[peer];
-    }
-    cv_.notify_all();
-    t->Interrupt();
-  }
+}  // namespace
 
- protected:
-  struct PeerState {
-    std::deque<Frame> frames;
-    /// Deliver timestamps parallel to `frames` (NoteDispatchLocked pops
-    /// one per frame) — the queue-residency half of dispatch latency.
-    std::deque<uint64_t> enqueue_ns;
-    Status terminal = Status::Ok();
-    bool is_terminal = false;
-    bool terminal_reported = false;
-  };
+FrameMux::FrameMux(std::vector<Transport*> peers)
+    : peers_(std::move(peers)), state_(peers_.size()) {}
 
-  /// Called with mu_ held right after a frame is popped: records how long
-  /// the frame sat queued between the receive thread's Deliver and the
-  /// waiter's pop.
-  void NoteDispatchLocked(PeerState& st) {
-    if (st.enqueue_ns.empty()) return;
-    dispatch_ns_.Record(obs::NowNs() - st.enqueue_ns.front());
-    st.enqueue_ns.pop_front();
-  }
+FrameMux::~FrameMux() { Shutdown(); }
 
-  /// Appends a peer on a running mux; the backend wires up its receive
-  /// path (reader thread / epoll registration) afterwards.
-  Result<int> RegisterPeerLocked(Transport* t) {
+Status FrameMux::Start() {
+  for (const Transport* t : peers_) {
     if (t == nullptr) return Status::InvalidArgument("mux: null transport");
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (started_) return Status::FailedPrecondition("mux already started");
+    started_ = true;
+  }
+  // Enough loops that a huge cohort shares the drain work, few enough
+  // that a small one costs a single thread.
+  const int num_loops =
+      static_cast<int>(std::min<size_t>(4, 1 + peers_.size() / 64));
+  epoll_fds_.assign(num_loops, -1);
+  Status status = Status::Ok();
+  for (int k = 0; k < num_loops && status.ok(); ++k) {
+    epoll_fds_[k] = ::epoll_create1(EPOLL_CLOEXEC);
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = kWakeToken;
+    if (epoll_fds_[k] < 0) {
+      status = EpollError("epoll_create1");
+    } else if (::epoll_ctl(epoll_fds_[k], EPOLL_CTL_ADD, wake_.fd(), &ev) !=
+               0) {
+      status = EpollError("epoll_ctl");
+    }
+  }
+  for (size_t i = 0; i < peers_.size() && status.ok(); ++i) {
+    epoll_event ev{};
+    ev.events = EPOLLIN | EPOLLRDHUP;
+    ev.data.u64 = static_cast<uint64_t>(i);
+    if (::epoll_ctl(epoll_fds_[i % num_loops], EPOLL_CTL_ADD,
+                    peers_[i]->NativeHandle(), &ev) != 0) {
+      status = EpollError("epoll_ctl");
+    }
+  }
+  if (!status.ok()) {
+    CloseEpollFds();
+    return status;
+  }
+  loops_.reserve(num_loops);
+  for (int k = 0; k < num_loops; ++k) {
+    loops_.emplace_back([this, k] { Loop(k); });
+  }
+  return Status::Ok();
+}
+
+Result<Frame> FrameMux::RecvFrom(int peer) {
+  std::unique_lock<std::mutex> lock(mu_);  // AddPeer may grow peers_
+  if (peer < 0 || peer >= static_cast<int>(peers_.size())) {
+    return Status::InvalidArgument("mux: peer index out of range");
+  }
+  if (!started_) return Status::FailedPrecondition("mux not started");
+  uint64_t seen_bytes = peers_[peer]->bytes_received();
+  auto wait_start = SteadyClock::now();
+  for (;;) {
+    PeerState& st = state_[peer];
+    if (!st.frames.empty()) {
+      Frame frame = std::move(st.frames.front());
+      st.frames.pop_front();
+      NoteDispatchLocked(st);
+      return frame;
+    }
+    if (st.is_terminal) return st.terminal;
+    if (stopped_) return Status::FailedPrecondition("mux shut down");
+    const int timeout_ms = peers_[peer]->recv_timeout_ms();
+    if (timeout_ms <= 0) {
+      cv_.wait(lock);
+      continue;
+    }
+    const auto deadline = wait_start + std::chrono::milliseconds(timeout_ms);
+    if (cv_.wait_until(lock, deadline) != std::cv_status::timeout) continue;
+    if (!state_[peer].frames.empty() || state_[peer].is_terminal ||
+        stopped_) {
+      continue;
+    }
+    const uint64_t now_bytes = peers_[peer]->bytes_received();
+    if (now_bytes != seen_bytes) {
+      // Mid-frame progress restarts the window — the same "no bytes for
+      // timeout_ms" rule SO_RCVTIMEO applies to a blocking Recv.
+      seen_bytes = now_bytes;
+      wait_start = SteadyClock::now();
+      continue;
+    }
+    MarkTerminalLocked(peer, DeadlineStatus());
+    peers_[peer]->Interrupt();
+  }
+}
+
+Result<MuxEvent> FrameMux::RecvAny() {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!started_) return Status::FailedPrecondition("mux not started");
+  uint64_t seen_bytes = TotalBytes();
+  auto wait_start = SteadyClock::now();
+  for (;;) {
+    for (size_t i = 0; i < state_.size(); ++i) {
+      if (state_[i].frames.empty()) continue;
+      MuxEvent event;
+      event.peer = static_cast<int>(i);
+      event.frame = std::move(state_[i].frames.front());
+      state_[i].frames.pop_front();
+      NoteDispatchLocked(state_[i]);
+      return event;
+    }
+    bool all_gone = true;
+    for (size_t i = 0; i < state_.size(); ++i) {
+      if (!state_[i].is_terminal) {
+        all_gone = false;
+        continue;
+      }
+      if (state_[i].terminal_reported) continue;
+      state_[i].terminal_reported = true;
+      MuxEvent event;
+      event.peer = static_cast<int>(i);
+      event.frame = state_[i].terminal;
+      return event;
+    }
+    if (stopped_) return Status::FailedPrecondition("mux shut down");
+    if (all_gone) {
+      return Status::FailedPrecondition("mux: every peer disconnected");
+    }
+    int timeout_ms = 0;
+    for (size_t i = 0; i < state_.size(); ++i) {
+      if (state_[i].is_terminal) continue;
+      const int t = peers_[i]->recv_timeout_ms();
+      if (t > 0 && (timeout_ms == 0 || t < timeout_ms)) timeout_ms = t;
+    }
+    if (timeout_ms <= 0) {
+      cv_.wait(lock);
+      continue;
+    }
+    const auto deadline = wait_start + std::chrono::milliseconds(timeout_ms);
+    if (cv_.wait_until(lock, deadline) != std::cv_status::timeout) continue;
+    const uint64_t now_bytes = TotalBytes();
+    if (now_bytes != seen_bytes) {
+      seen_bytes = now_bytes;
+      wait_start = SteadyClock::now();
+      continue;
+    }
+    bool anything_queued = false;
+    for (const PeerState& st : state_) {
+      if (!st.frames.empty() || (st.is_terminal && !st.terminal_reported)) {
+        anything_queued = true;
+      }
+    }
+    if (anything_queued || stopped_) continue;
+    return DeadlineStatus();
+  }
+}
+
+void FrameMux::Shutdown() {
+  std::vector<Transport*> peers;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const bool running = started_ && !stopped_;
+    stopped_ = true;
+    started_ = true;  // later Recv calls fail with "mux shut down"
+    if (running) peers = peers_;
+  }
+  cv_.notify_all();
+  wake_.Signal();
+  for (Transport* t : peers) t->Interrupt();
+  for (std::thread& t : loops_) {
+    if (t.joinable()) t.join();
+  }
+  CloseEpollFds();
+}
+
+Result<int> FrameMux::AddPeer(Transport* t) {
+  if (t == nullptr) return Status::InvalidArgument("mux: null transport");
+  int peer = -1;
+  int epfd = -1;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
     if (!started_ || stopped_) {
       return Status::FailedPrecondition(
           "mux: AddPeer needs a started, un-shutdown mux");
     }
     peers_.push_back(t);
     state_.emplace_back();
-    return static_cast<int>(peers_.size()) - 1;
+    peer = static_cast<int>(peers_.size()) - 1;
+    epfd = epoll_fds_[peer % epoll_fds_.size()];
   }
-
-  void Deliver(int peer, Frame frame) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // A frame racing an InterruptPeer retire is dropped, not queued —
-      // the caller already declared this peer gone.
-      if (state_[peer].is_terminal) return;
-      state_[peer].frames.push_back(std::move(frame));
-      state_[peer].enqueue_ns.push_back(obs::NowNs());
-      frames_.Add(1);
-      queue_depth_.Record(state_[peer].frames.size());
-    }
-    cv_.notify_all();
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLRDHUP;
+  ev.data.u64 = static_cast<uint64_t>(peer);
+  // Level-triggered: frames already queued on the transport wake the loop
+  // immediately, so nothing sent before registration is lost.
+  if (::epoll_ctl(epfd, EPOLL_CTL_ADD, t->NativeHandle(), &ev) != 0) {
+    MarkTerminal(peer, EpollError("epoll_ctl"));
   }
+  return peer;
+}
 
-  void MarkTerminal(int peer, Status status) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      MarkTerminalLocked(peer, std::move(status));
-    }
-    cv_.notify_all();
-  }
-
-  void MarkTerminalLocked(int peer, Status status) {
-    PeerState& st = state_[peer];
-    if (st.is_terminal) return;  // first failure wins
-    st.is_terminal = true;
-    st.terminal = std::move(status);
-  }
-
-  uint64_t TotalBytes() const {
-    uint64_t total = 0;
-    for (const Transport* t : peers_) total += t->bytes_received();
-    return total;
-  }
-
-  Status CheckPeers() const {
-    for (const Transport* t : peers_) {
-      if (t == nullptr) {
-        return Status::InvalidArgument("mux: null transport");
-      }
-    }
-    return Status::Ok();
-  }
-
-  std::vector<Transport*> peers_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<PeerState> state_;
-  bool started_ = false;
-  bool stopped_ = false;
-  const bool waiter_deadline_;
-  obs::Counter frames_{"net.mux.frames"};
-  obs::Histogram dispatch_ns_{"net.mux.dispatch_ns"};
-  obs::Histogram queue_depth_{"net.mux.queue_depth"};
-};
-
-/// One blocking reader thread per transport; the backend's Recv enforces
-/// its own deadline (SO_RCVTIMEO on TCP, none on channels).
-class ThreadedFrameMux final : public MuxBase {
- public:
-  explicit ThreadedFrameMux(std::vector<Transport*> peers)
-      : MuxBase(std::move(peers), /*waiter_deadline=*/false) {}
-
-  ~ThreadedFrameMux() override { Shutdown(); }
-
-  Status Start() override {
-    ULDP_RETURN_IF_ERROR(CheckPeers());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (started_) return Status::FailedPrecondition("mux already started");
-      started_ = true;
-    }
-    readers_.reserve(peers_.size());
-    for (size_t i = 0; i < peers_.size(); ++i) {
-      // Capture the Transport* itself: AddPeer may reallocate peers_
-      // while this thread runs, so indexing from here would race.
-      Transport* t = peers_[i];
-      readers_.emplace_back(
-          [this, i, t] { ReadLoop(static_cast<int>(i), t); });
-    }
-    return Status::Ok();
-  }
-
-  Result<int> AddPeer(Transport* t) override {
+void FrameMux::InterruptPeer(int peer, Status status) {
+  Transport* t = nullptr;
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    auto peer = RegisterPeerLocked(t);
-    if (!peer.ok()) return peer;
-    readers_.emplace_back(
-        [this, peer = peer.value(), t] { ReadLoop(peer, t); });
-    return peer;
+    if (peer < 0 || peer >= static_cast<int>(peers_.size())) return;
+    PeerState& st = state_[peer];
+    st.frames.clear();
+    st.enqueue_ns.clear();
+    MarkTerminalLocked(peer, std::move(status));
+    // Retired, not failed: RecvAny must never surface this peer again.
+    st.terminal_reported = true;
+    t = peers_[peer];
   }
+  cv_.notify_all();
+  t->Interrupt();
+}
 
-  void Shutdown() override {
-    std::vector<Transport*> peers;
-    std::vector<std::thread> readers;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopped_ || !started_) {
-        stopped_ = true;
-        started_ = true;  // future Recv calls fail with "mux shut down"
-        cv_.notify_all();
-        return;
-      }
-      stopped_ = true;
-      peers = peers_;
-      readers.swap(readers_);
-    }
-    cv_.notify_all();
-    for (Transport* t : peers) t->Interrupt();
-    for (std::thread& t : readers) {
-      if (t.joinable()) t.join();
-    }
+void FrameMux::NoteDispatchLocked(PeerState& st) {
+  // Records how long the frame sat queued between the loop's Deliver and
+  // the waiter's pop.
+  if (st.enqueue_ns.empty()) return;
+  dispatch_ns_.Record(obs::NowNs() - st.enqueue_ns.front());
+  st.enqueue_ns.pop_front();
+}
+
+void FrameMux::Deliver(int peer, Frame frame) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // A frame racing an InterruptPeer retire is dropped, not queued —
+    // the caller already declared this peer gone.
+    if (state_[peer].is_terminal) return;
+    state_[peer].frames.push_back(std::move(frame));
+    state_[peer].enqueue_ns.push_back(obs::NowNs());
+    frames_.Add(1);
+    queue_depth_.Record(state_[peer].frames.size());
   }
+  cv_.notify_all();
+}
 
- private:
-  void ReadLoop(int peer, Transport* t) {
-    for (;;) {
-      auto frame = t->Recv();
-      if (!frame.ok()) {
-        MarkTerminal(peer, frame.status());
-        return;
-      }
-      Deliver(peer, std::move(frame.value()));
-    }
+void FrameMux::MarkTerminal(int peer, Status status) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    MarkTerminalLocked(peer, std::move(status));
   }
+  cv_.notify_all();
+}
 
-  std::vector<std::thread> readers_;
-};
+void FrameMux::MarkTerminalLocked(int peer, Status status) {
+  PeerState& st = state_[peer];
+  if (st.is_terminal) return;  // first failure wins
+  st.is_terminal = true;
+  st.terminal = std::move(status);
+}
 
-/// A few event-loop threads over fd-partitioned epoll sets; sockets are
-/// drained with non-blocking TryReadFrame so no loop ever blocks on one
-/// peer, and waiters enforce recv deadlines themselves.
-class EpollFrameMux final : public MuxBase {
- public:
-  explicit EpollFrameMux(std::vector<Transport*> peers)
-      : MuxBase(std::move(peers), /*waiter_deadline=*/true) {}
+uint64_t FrameMux::TotalBytes() const {
+  uint64_t total = 0;
+  for (const Transport* t : peers_) total += t->bytes_received();
+  return total;
+}
 
-  ~EpollFrameMux() override { Shutdown(); }
-
-  Status Start() override {
-    ULDP_RETURN_IF_ERROR(CheckPeers());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (started_) return Status::FailedPrecondition("mux already started");
-      started_ = true;
-    }
-    // Enough loops that a huge cohort shares the drain work, few enough
-    // that a small one costs a single thread.
-    const int num_loops = static_cast<int>(
-        std::min<size_t>(4, 1 + peers_.size() / 64));
-    epoll_fds_.assign(num_loops, -1);
-    for (int k = 0; k < num_loops; ++k) {
-      epoll_fds_[k] = ::epoll_create1(0);
-      if (epoll_fds_[k] < 0) {
-        Status status = Status::Internal(
-            std::string("epoll_create1: ") + std::strerror(errno));
-        CloseEpollFds();
-        return status;
-      }
-    }
-    for (size_t i = 0; i < peers_.size(); ++i) {
-      const int fd = peers_[i]->NativeHandle();
-      if (fd < 0) {
-        CloseEpollFds();
-        return Status::InvalidArgument(
-            "epoll mux requires kernel-backed transports");
-      }
-      epoll_event ev{};
-      ev.events = EPOLLIN | EPOLLRDHUP;
-      ev.data.u64 = static_cast<uint64_t>(i);
-      if (::epoll_ctl(epoll_fds_[i % num_loops], EPOLL_CTL_ADD, fd, &ev) !=
-          0) {
-        Status status = Status::Internal(std::string("epoll_ctl: ") +
-                                         std::strerror(errno));
-        CloseEpollFds();
-        return status;
-      }
-    }
-    loop_stop_.store(false);
-    loops_.reserve(num_loops);
-    for (int k = 0; k < num_loops; ++k) {
-      loops_.emplace_back([this, k] { Loop(k); });
-    }
-    return Status::Ok();
+void FrameMux::CloseEpollFds() {
+  for (int& fd : epoll_fds_) {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
   }
+}
 
-  Result<int> AddPeer(Transport* t) override {
-    if (t != nullptr && t->NativeHandle() < 0) {
-      return Status::InvalidArgument(
-          "epoll mux requires kernel-backed transports");
-    }
-    int peer = -1;
-    int epfd = -1;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto registered = RegisterPeerLocked(t);
-      if (!registered.ok()) return registered;
-      peer = registered.value();
-      epfd = epoll_fds_[peer % epoll_fds_.size()];
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLRDHUP;
-    ev.data.u64 = static_cast<uint64_t>(peer);
-    // Level-triggered: bytes already queued on the socket wake the loop
-    // immediately, so nothing sent before registration is lost.
-    if (::epoll_ctl(epfd, EPOLL_CTL_ADD, t->NativeHandle(), &ev) != 0) {
-      MarkTerminal(peer, Status::Internal(std::string("epoll_ctl: ") +
-                                          std::strerror(errno)));
-    }
-    return peer;
-  }
-
-  void Shutdown() override {
-    std::vector<Transport*> peers;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopped_ || !started_) {
-        stopped_ = true;
-        started_ = true;
-        cv_.notify_all();
-        return;
+void FrameMux::Loop(int k) {
+  epoll_event events[64];
+  for (;;) {
+    const uint64_t wait_start = obs::NowNs();
+    const int n = ::epoll_wait(epoll_fds_[k], events, 64, -1);
+    epoll_wait_ns_.Record(obs::NowNs() - wait_start);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      // An unusable epoll set fails every peer of this loop rather than
+      // spinning.
+      const Status status = EpollError("epoll_wait");
+      size_t peer_count;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        peer_count = peers_.size();
       }
-      stopped_ = true;
-      peers = peers_;
-    }
-    cv_.notify_all();
-    loop_stop_.store(true);
-    for (Transport* t : peers) t->Interrupt();
-    for (std::thread& t : loops_) {
-      if (t.joinable()) t.join();
-    }
-    CloseEpollFds();
-  }
-
- private:
-  void CloseEpollFds() {
-    for (int& fd : epoll_fds_) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
-  }
-
-  void Loop(int k) {
-    epoll_event events[64];
-    while (!loop_stop_.load()) {
-      // The tick bounds how long a Shutdown waits for this thread when no
-      // socket ever becomes readable again.
-      const uint64_t wait_start = obs::NowNs();
-      const int n = ::epoll_wait(epoll_fds_[k], events, 64, 100);
-      epoll_wait_ns_.Record(obs::NowNs() - wait_start);
-      if (n > 0) wakeups_.Add(1);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        // An unusable epoll set fails every peer of this loop rather than
-        // spinning.
-        size_t peer_count;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          peer_count = peers_.size();
-        }
-        for (size_t i = static_cast<size_t>(k); i < peer_count;
-             i += epoll_fds_.size()) {
-          MarkTerminal(static_cast<int>(i),
-                       Status::Internal(std::string("epoll_wait: ") +
-                                        std::strerror(errno)));
-        }
-        return;
+      for (size_t i = static_cast<size_t>(k); i < peer_count;
+           i += epoll_fds_.size()) {
+        MarkTerminal(static_cast<int>(i), status);
       }
-      if (n > 0) {
-        obs::TraceSpan span("mux.drain", "ready_fds", n);
-        uint64_t delivered = 0;
-        for (int e = 0; e < n; ++e) {
-          delivered += DrainPeer(k, static_cast<int>(events[e].data.u64));
-        }
-        frames_per_wakeup_.Record(delivered);
-      }
+      return;
     }
-  }
-
-  /// Returns the number of frames delivered from this peer's socket.
-  uint64_t DrainPeer(int k, int peer) {
-    Transport* t;
-    {
-      // peers_ grows under mu_ (AddPeer); snapshot the pointer instead of
-      // holding a reference into a vector that may reallocate.
-      std::lock_guard<std::mutex> lock(mu_);
-      if (peer < 0 || peer >= static_cast<int>(peers_.size())) return 0;
-      t = peers_[peer];
+    for (int e = 0; e < n; ++e) {
+      if (events[e].data.u64 == kWakeToken) return;  // Shutdown
     }
+    wakeups_.Add(1);
+    obs::TraceSpan span("mux.drain", "ready_fds", n);
     uint64_t delivered = 0;
-    for (;;) {
-      Frame frame;
-      auto complete = t->TryReadFrame(&frame);
-      if (!complete.ok()) {
-        // Stop watching a dead socket, or level-triggered epoll would spin
-        // on its EOF.
-        ::epoll_ctl(epoll_fds_[k], EPOLL_CTL_DEL, t->NativeHandle(),
-                    nullptr);
-        MarkTerminal(peer, complete.status());
-        return delivered;
-      }
-      if (!complete.value()) return delivered;  // drained; next wakeup
-      Deliver(peer, std::move(frame));
-      ++delivered;
+    for (int e = 0; e < n; ++e) {
+      delivered += DrainPeer(k, static_cast<int>(events[e].data.u64));
     }
+    frames_per_wakeup_.Record(delivered);
   }
+}
 
-  std::vector<int> epoll_fds_;
-  std::vector<std::thread> loops_;
-  std::atomic<bool> loop_stop_{false};
-  obs::Counter wakeups_{"net.mux.epoll_wakeups"};
-  obs::Histogram epoll_wait_ns_{"net.mux.epoll_wait_ns"};
-  obs::Histogram frames_per_wakeup_{"net.mux.frames_per_wakeup"};
-};
-
-}  // namespace
-
-std::unique_ptr<FrameMux> MakeFrameMux(std::vector<Transport*> peers) {
-  bool all_native = !peers.empty();
-  for (const Transport* t : peers) {
-    if (t == nullptr || t->NativeHandle() < 0) {
-      all_native = false;
-      break;
+uint64_t FrameMux::DrainPeer(int k, int peer) {
+  Transport* t;
+  {
+    // peers_ grows under mu_ (AddPeer); snapshot the pointer instead of
+    // holding a reference into a vector that may reallocate.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (peer < 0 || peer >= static_cast<int>(peers_.size())) return 0;
+    t = peers_[peer];
+  }
+  uint64_t delivered = 0;
+  for (;;) {
+    Frame frame;
+    auto complete = t->TryReadFrame(&frame);
+    if (!complete.ok()) {
+      // Stop watching a finished transport, or level-triggered epoll
+      // would spin on its EOF.
+      ::epoll_ctl(epoll_fds_[k], EPOLL_CTL_DEL, t->NativeHandle(), nullptr);
+      MarkTerminal(peer, complete.status());
+      return delivered;
     }
+    if (!complete.value()) return delivered;  // drained; next wakeup
+    Deliver(peer, std::move(frame));
+    ++delivered;
   }
-  if (all_native) {
-    return std::unique_ptr<FrameMux>(new EpollFrameMux(std::move(peers)));
-  }
-  return std::unique_ptr<FrameMux>(new ThreadedFrameMux(std::move(peers)));
 }
 
 }  // namespace net

@@ -22,6 +22,12 @@ double NowSeconds() {
       .count();
 }
 
+/// The silo's receive: the server's next frame, with an Error frame
+/// turned into the Status it carries.
+Result<Frame> RecvFromServer(Transport& transport) {
+  return UnwrapErrorFrame(transport.Recv(), "server");
+}
+
 /// Static trace-span names for the server's wire phases (the trace buffer
 /// stores pointers, not copies).
 const char* PhaseSpanName(const std::string& name) {
@@ -64,13 +70,8 @@ Result<Frame> ProtocolServer::RecvFrom(int silo) {
   if (mux_ == nullptr) {
     return Status::FailedPrecondition("receive mux not started");
   }
-  auto frame = mux_->RecvFrom(silo);
-  if (!frame.ok()) return frame.status();
-  if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-    return StatusFromErrorFrame(frame.value(),
-                                "silo " + std::to_string(silo));
-  }
-  return frame;
+  return UnwrapErrorFrame(mux_->RecvFrom(silo),
+                          "silo " + std::to_string(silo));
 }
 
 Status ProtocolServer::Broadcast(const Frame& frame) {
@@ -143,11 +144,8 @@ void ProtocolServer::EndPhase(const std::string& name) {
 }
 
 Status ProtocolServer::AddConnection(std::unique_ptr<Transport> transport) {
-  auto frame = transport->Recv();
+  auto frame = UnwrapErrorFrame(transport->Recv(), "joining silo");
   if (!frame.ok()) return frame.status();
-  if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-    return StatusFromErrorFrame(frame.value(), "joining silo");
-  }
   auto join_or = FromFrame<JoinMsg>(frame.value());
   if (!join_or.ok()) return join_or.status();
   const JoinMsg& join = join_or.value();
@@ -209,7 +207,7 @@ Status ProtocolServer::RunSetupInternal() {
     std::vector<Transport*> peers;
     peers.reserve(conns_.size());
     for (const auto& c : conns_) peers.push_back(c.get());
-    mux_ = MakeFrameMux(std::move(peers));
+    mux_ = std::make_unique<FrameMux>(std::move(peers));
     ULDP_RETURN_IF_ERROR(mux_->Start());
   }
   BeginPhase();
@@ -606,11 +604,8 @@ Result<std::vector<BigInt>> SiloClient::HandleOtRound(
   receiver.bs = std::move(bs.value());
   ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(receiver)));
 
-  auto frame = transport.Recv();
+  auto frame = RecvFromServer(transport);
   if (!frame.ok()) return frame.status();
-  if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-    return StatusFromErrorFrame(frame.value(), "server");
-  }
   auto slots = FromFrame<OtSlotsMsg>(frame.value());
   if (!slots.ok()) return slots.status();
   ULDP_RETURN_IF_ERROR(CheckPhaseTag(slots.value().phase_tag,
@@ -691,11 +686,8 @@ Status SiloClient::HandleStreamedRound(Transport& transport,
 
   std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(cdim);
   while (!receiver.Done()) {
-    auto frame = transport.Recv();
+    auto frame = RecvFromServer(transport);
     if (!frame.ok()) return frame.status();
-    if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-      return StatusFromErrorFrame(frame.value(), "server");
-    }
     auto chunk = FromFrame<StreamChunkMsg>(frame.value());
     if (!chunk.ok()) return chunk.status();
     auto ack = receiver.Feed(
@@ -713,11 +705,8 @@ Status SiloClient::HandleStreamedRound(Transport& transport,
   ULDP_RETURN_IF_ERROR(
       UploadCipherStream(transport, round, dim, std::move(cipher)));
 
-  auto frame = transport.Recv();
+  auto frame = RecvFromServer(transport);
   if (!frame.ok()) return frame.status();
-  if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-    return StatusFromErrorFrame(frame.value(), "server");
-  }
   auto result = FromFrame<RoundResultMsg>(frame.value());
   if (!result.ok()) return result.status();
   ULDP_RETURN_IF_ERROR(CheckPhaseTag(result.value().phase_tag,
@@ -737,11 +726,8 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
   join.config_digest = ProtocolWireDigest(config_, num_silos_, num_users_);
   ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(join)));
 
-  auto frame = transport.Recv();
+  auto frame = RecvFromServer(transport);
   if (!frame.ok()) return frame.status();
-  if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-    return StatusFromErrorFrame(frame.value(), "server");
-  }
   auto setup = FromFrame<SetupParamsMsg>(frame.value());
   if (!setup.ok()) return setup.status();
 
@@ -762,11 +748,8 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
   dh.silo_id = static_cast<uint32_t>(silo_id_);
   dh.public_key = core_->dh_key().public_key;
   ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(dh)));
-  frame = transport.Recv();
+  frame = RecvFromServer(transport);
   if (!frame.ok()) return frame.status();
-  if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-    return StatusFromErrorFrame(frame.value(), "server");
-  }
   auto directory = FromFrame<DhDirectoryMsg>(frame.value());
   if (!directory.ok()) return directory.status();
   ULDP_RETURN_IF_ERROR(
@@ -791,11 +774,8 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
       ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(share)));
     }
   } else {
-    frame = transport.Recv();
+    frame = RecvFromServer(transport);
     if (!frame.ok()) return frame.status();
-    if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-      return StatusFromErrorFrame(frame.value(), "server");
-    }
     auto share = FromFrame<SeedShareMsg>(frame.value());
     if (!share.ok()) return share.status();
     if (share.value().from_silo != 0 ||
@@ -822,11 +802,8 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
   histogram.silo_id = static_cast<uint32_t>(silo_id_);
   histogram.values = std::move(blinded.value());
   ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(histogram)));
-  frame = transport.Recv();
+  frame = RecvFromServer(transport);
   if (!frame.ok()) return frame.status();
-  if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-    return StatusFromErrorFrame(frame.value(), "server");
-  }
   auto ack = FromFrame<SetupAckMsg>(frame.value());
   if (!ack.ok()) return ack.status();
   // The setup leg spans the whole straight-line section above, so it is
@@ -840,14 +817,11 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
 
   // -- Round loop ----------------------------------------------------------
   for (;;) {
-    frame = transport.Recv();
+    frame = RecvFromServer(transport);
     if (!frame.ok()) return frame.status();
     const uint16_t type = frame.value().type;
     if (type == static_cast<uint16_t>(MessageType::kShutdown)) {
       return Status::Ok();
-    }
-    if (type == static_cast<uint16_t>(MessageType::kError)) {
-      return StatusFromErrorFrame(frame.value(), "server");
     }
 
     if (type == static_cast<uint16_t>(MessageType::kStreamBegin)) {
@@ -946,11 +920,8 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
       ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(cipher_msg)));
     }
 
-    frame = transport.Recv();
+    frame = RecvFromServer(transport);
     if (!frame.ok()) return frame.status();
-    if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-      return StatusFromErrorFrame(frame.value(), "server");
-    }
     auto result = FromFrame<RoundResultMsg>(frame.value());
     if (!result.ok()) return result.status();
     ULDP_RETURN_IF_ERROR(CheckPhaseTag(result.value().phase_tag,

@@ -31,9 +31,9 @@
 // — so a round's peak resident ciphertexts are O(chunk), independent of
 // the user count, and bitwise identical to the materializing path.
 //
-// All server-side receives run through a FrameMux (net/mux.h): over TCP
-// a few epoll event-loop threads serve every connection, and mux
-// shutdown interrupts all transports and joins its threads, so a silo
+// All server-side receives run through a FrameMux (net/mux.h): a few
+// epoll event-loop threads serve every connection on any transport, and
+// mux shutdown interrupts all transports and joins its threads, so a silo
 // hanging mid-stream can never leave a reader blocked after FailAll.
 //
 // Fatal errors travel as Error frames in either direction, so the peer

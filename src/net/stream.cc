@@ -94,11 +94,8 @@ Status SendChunkedStream(
   int in_flight = 0;
   auto await_ack = [&]() -> Status {
     obs::ScopedTimerNs timer(&ack_wait_ns);
-    auto frame = recv();
+    auto frame = UnwrapErrorFrame(recv(), "stream peer");
     if (!frame.ok()) return frame.status();
-    if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
-      return StatusFromErrorFrame(frame.value(), "stream peer");
-    }
     auto ack = FromFrame<StreamAckMsg>(frame.value());
     if (!ack.ok()) return ack.status();
     if (ack.value().phase_tag != opts.phase_tag ||

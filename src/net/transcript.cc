@@ -548,6 +548,13 @@ size_t TranscriptLog::entry_count() const {
   return entries_.size();
 }
 
+ReplayTransport::ReplayTransport(std::shared_ptr<State> state)
+    : state_(std::move(state)) {
+  // The recorder's own cap already admitted every recorded frame.
+  set_max_frame_payload(kMaxFramePayload);
+  ready_.Signal();
+}
+
 Status ReplayTransport::Send(const Frame& frame) {
   std::vector<uint8_t> bytes = EncodeFrame(frame);
   std::lock_guard<std::mutex> lock(state_->mu);
@@ -590,8 +597,8 @@ Result<Frame> ReplayTransport::Recv() {
     std::lock_guard<std::mutex> lock(state_->mu);
     if (!state_->divergence.ok()) return state_->divergence;
     if (state_->inbound.empty()) {
-      // The normal end-of-stream for mux reader threads; a driver that
-      // genuinely needed another frame surfaces this as its failure.
+      // The normal end-of-stream for the mux; a driver that genuinely
+      // needed another frame surfaces this as its failure.
       return Status::FailedPrecondition(
           state_->closed ? "replay transport closed"
                          : "replay: recorded inbound traffic exhausted");
@@ -600,9 +607,14 @@ Result<Frame> ReplayTransport::Recv() {
     state_->inbound.pop_front();
     ++state_->fed;
   }
-  NoteReceived(bytes.size());
-  NoteFrame(bytes.size());
-  return DecodeFrame(bytes);
+  return AcceptWireFrame(bytes);
+}
+
+Result<bool> ReplayTransport::TryReadFrame(Frame* out) {
+  Result<Frame> frame = Recv();
+  if (!frame.ok()) return frame.status();
+  *out = std::move(frame.value());
+  return true;
 }
 
 void ReplayTransport::Close() {

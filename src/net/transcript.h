@@ -185,6 +185,12 @@ class TranscriptLog : public TranscriptSink {
 /// the real reason. State is shared out so the verifier can inspect
 /// completeness even after the driver destroys the transport (a rejected
 /// replayed join consumes its transport inside AddConnection).
+///
+/// The recorded inbound queue never grows, so running it dry is terminal
+/// like a close: every read returns a frame or the terminal status. The
+/// readiness eventfd is therefore signaled once, at construction, and
+/// stays readable; the mux stops watching the transport at its terminal
+/// status.
 class ReplayTransport final : public Transport {
  public:
   struct State {
@@ -197,15 +203,17 @@ class ReplayTransport final : public Transport {
     bool closed = false;
   };
 
-  explicit ReplayTransport(std::shared_ptr<State> state)
-      : state_(std::move(state)) {}
+  explicit ReplayTransport(std::shared_ptr<State> state);
 
   Status Send(const Frame& frame) override;
   Result<Frame> Recv() override;
   void Close() override;
+  int NativeHandle() const override { return ready_.fd(); }
+  Result<bool> TryReadFrame(Frame* out) override;
 
  private:
   std::shared_ptr<State> state_;
+  EventFd ready_;
 };
 
 struct ReplayReport {

@@ -1,12 +1,16 @@
 // Transport abstraction for the cross-silo protocol: a bidirectional,
-// blocking, frame-oriented channel between one silo and the server.
+// frame-oriented channel between one silo and the server, read either by
+// blocking Recv (clients, join handshakes) or by the server's epoll mux
+// (net/mux.h) through NativeHandle + non-blocking TryReadFrame.
 //
 // Two backends:
 //   * ChannelTransport — an in-process queue pair for tests and
 //     single-machine simulations. Frames are serialized to wire bytes and
 //     decoded on receive, so the codec path (and the byte counters) are
-//     exercised identically to a real network.
-//   * TcpTransport (net/tcp.h) — blocking POSIX sockets, loopback-tested.
+//     exercised identically to a real network. Each queue carries an
+//     eventfd, so the mux serves channels with the code it runs for
+//     sockets.
+//   * TcpTransport (net/tcp.h) — POSIX sockets, loopback-tested.
 //
 // Both endpoints count bytes sent/received (wire bytes, frame headers
 // included) so the bench can report bytes-on-the-wire per phase. The
@@ -25,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "net/wire.h"
@@ -32,6 +37,24 @@
 
 namespace uldp {
 namespace net {
+
+/// An eventfd used as a level-triggered readiness flag: readable from
+/// Signal() until Clear(). The queue-backed transports expose one as
+/// their NativeHandle, and the mux uses one to wake its loops.
+class EventFd {
+ public:
+  EventFd();
+  ~EventFd();
+  EventFd(const EventFd&) = delete;
+  EventFd& operator=(const EventFd&) = delete;
+
+  int fd() const { return fd_; }
+  void Signal();
+  void Clear();
+
+ private:
+  int fd_;
+};
 
 /// Observer of the exact wire bytes crossing a transport, in both
 /// directions — the recording hook behind tamper-evident run transcripts
@@ -59,23 +82,18 @@ class Transport {
   /// Closes both directions; pending and future Recv calls fail.
   virtual void Close() = 0;
   /// Unblocks any thread stuck in Recv without tearing the object down
-  /// (the event-loop shutdown path, net/mux.h). Backends where Close is
-  /// already safe against a concurrent Recv just close.
+  /// (the mux shutdown path, net/mux.h). Backends where Close is already
+  /// safe against a concurrent Recv just close.
   virtual void Interrupt() { Close(); }
 
-  /// Kernel handle for event-loop integration (net/mux.h); -1 when the
-  /// backend has none (ChannelTransport).
-  virtual int NativeHandle() const { return -1; }
+  /// Kernel handle the epoll mux (net/mux.h) waits on: level-triggered
+  /// readable whenever TryReadFrame can make progress.
+  virtual int NativeHandle() const = 0;
 
-  /// Non-blocking read step for event loops: consume whatever bytes are
-  /// available and return true with a complete frame, false when the read
-  /// would block mid-frame, or the same terminal errors Recv produces.
-  /// Only meaningful on backends with a NativeHandle; the default says so.
-  virtual Result<bool> TryReadFrame(Frame* out) {
-    (void)out;
-    return Status::Unimplemented(
-        "this transport has no non-blocking read path");
-  }
+  /// Non-blocking read step for the mux: consume whatever is available
+  /// and return true with a complete frame, false when no complete frame
+  /// is available yet, or the same terminal errors Recv produces.
+  virtual Result<bool> TryReadFrame(Frame* out) = 0;
 
   uint64_t bytes_sent() const { return sent_bytes_.value(); }
   uint64_t bytes_received() const { return received_bytes_.value(); }
@@ -94,8 +112,8 @@ class Transport {
   }
 
   /// Receive deadline in milliseconds (0 = none). Set by the TCP backend's
-  /// SetRecvTimeout; the event-loop mux reads it to enforce the same
-  /// deadline on its waiters.
+  /// SetRecvTimeout; the mux reads it to enforce the same deadline on its
+  /// waiters.
   int recv_timeout_ms() const {
     return recv_timeout_ms_.load(std::memory_order_relaxed);
   }
@@ -155,6 +173,11 @@ class Transport {
   void set_recv_timeout_ms(int ms) {
     recv_timeout_ms_.store(ms, std::memory_order_relaxed);
   }
+  /// The receive step of the queue-backed backends (channels, replay),
+  /// shared by their Recv and TryReadFrame: counts the bytes, enforces
+  /// the frame cap, decodes, and taps the frame into a bound transcript
+  /// once the wire layer accepted it.
+  Result<Frame> AcceptWireFrame(const std::vector<uint8_t>& bytes);
 
  private:
   std::shared_ptr<TranscriptSink> transcript_;  // atomic free-function access
@@ -169,7 +192,10 @@ class Transport {
 };
 
 /// In-process transport: a pair of endpoints connected by two one-way
-/// frame queues (mutex + condvar; senders never block on capacity).
+/// frame queues (mutex + condvar; senders never block on capacity). Each
+/// queue's eventfd is readable exactly while frames are queued or the pair
+/// is closed: Send and Close signal it, and TryReadFrame clears it when it
+/// empties the queue, so level-triggered epoll never spins.
 class ChannelTransport : public Transport {
  public:
   /// Creates a connected endpoint pair; either side may be handed to
@@ -181,6 +207,8 @@ class ChannelTransport : public Transport {
   Status Send(const Frame& frame) override;
   Result<Frame> Recv() override;
   void Close() override;
+  int NativeHandle() const override { return rx_->ready.fd(); }
+  Result<bool> TryReadFrame(Frame* out) override;
 
  private:
   struct Queue {
@@ -188,6 +216,7 @@ class ChannelTransport : public Transport {
     std::condition_variable cv;
     std::deque<std::vector<uint8_t>> frames;
     bool closed = false;
+    EventFd ready;
   };
 
   ChannelTransport(std::shared_ptr<Queue> tx, std::shared_ptr<Queue> rx)

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 #include "core/private_weighting.h"
@@ -11,6 +12,7 @@
 #include "net/protocol_node.h"
 #include "net/tcp.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 
 namespace uldp {
 namespace net {
@@ -131,6 +133,29 @@ TEST(NetProtocolTest, ChannelAndTcpRoundsBitwiseMatchInProcess) {
   // Exact double equality — bitwise-identical aggregates, not "close".
   EXPECT_EQ(channel, reference);
   EXPECT_EQ(tcp, reference);
+}
+
+uint64_t CounterValue(const std::string& name) {
+  for (const obs::MetricSnapshot& m :
+       obs::MetricsRegistry::Global().Snapshot()) {
+    if (m.kind == obs::MetricSnapshot::Kind::kCounter && m.name == name) {
+      return m.counter_value;
+    }
+  }
+  return 0;
+}
+
+TEST(NetProtocolTest, ChannelRoundsRunThroughTheEpollMux) {
+  // Channels expose an eventfd, so the server receives through the same
+  // epoll loops a TCP deployment runs.
+  const uint64_t wakeups = CounterValue("net.mux.epoll_wakeups");
+  const uint64_t frames = CounterValue("net.mux.frames");
+  ProtocolConfig config = TestConfig();
+  EXPECT_EQ(RunOverChannels(config), RunInProcess(config));
+  EXPECT_GT(CounterValue("net.mux.epoll_wakeups"), wakeups);
+  // At least the DH key, the histogram and one cipher per silo per round.
+  EXPECT_GE(CounterValue("net.mux.frames") - frames,
+            static_cast<uint64_t>(kSilos * (2 + kRounds)));
 }
 
 TEST(NetProtocolTest, OtModeOverChannelsBitwiseMatchesInProcess) {

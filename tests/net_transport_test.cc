@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -69,6 +70,45 @@ TEST(ChannelTransportTest, QueuedFramesSurviveUntilDrained) {
   ASSERT_TRUE(a->Send(TestFrame(6, 16)).ok());
   EXPECT_EQ(b->Recv().value().type, 5);
   EXPECT_EQ(b->Recv().value().type, 6);
+}
+
+bool Readable(const Transport& t) {
+  pollfd pfd{t.NativeHandle(), POLLIN, 0};
+  return ::poll(&pfd, 1, 0) == 1 && (pfd.revents & POLLIN) != 0;
+}
+
+TEST(ChannelTransportTest, HandleIsReadableExactlyWhileFramesQueuedOrClosed) {
+  auto [a, b] = ChannelTransport::CreatePair();
+  Frame frame;
+  EXPECT_FALSE(Readable(*b));
+  ASSERT_TRUE(a->Send(TestFrame(1, 8)).ok());
+  ASSERT_TRUE(a->Send(TestFrame(2, 8)).ok());
+  EXPECT_TRUE(Readable(*b));
+  ASSERT_TRUE(b->TryReadFrame(&frame).value());
+  EXPECT_EQ(frame.type, 1);
+  EXPECT_TRUE(Readable(*b));  // one frame still queued
+  ASSERT_TRUE(b->TryReadFrame(&frame).value());
+  EXPECT_EQ(frame.type, 2);
+  EXPECT_FALSE(Readable(*b));  // emptied: level-triggered epoll rests
+  EXPECT_FALSE(b->TryReadFrame(&frame).value());
+
+  // A blocking Recv takes the frame but leaves its count; the next
+  // TryReadFrame finds the queue empty and clears it.
+  ASSERT_TRUE(a->Send(TestFrame(3, 8)).ok());
+  EXPECT_EQ(b->Recv().value().type, 3);
+  EXPECT_FALSE(b->TryReadFrame(&frame).value());
+  EXPECT_FALSE(Readable(*b));
+
+  // Close keeps the handle readable so the mux reads the terminal status,
+  // after any frames still queued.
+  ASSERT_TRUE(a->Send(TestFrame(4, 8)).ok());
+  a->Close();
+  EXPECT_TRUE(Readable(*b));
+  ASSERT_TRUE(b->TryReadFrame(&frame).value());
+  EXPECT_EQ(frame.type, 4);
+  EXPECT_TRUE(Readable(*b));
+  EXPECT_FALSE(b->TryReadFrame(&frame).ok());
+  EXPECT_TRUE(Readable(*b));
 }
 
 TEST(TcpTransportTest, LoopbackSendRecv) {

@@ -1,15 +1,11 @@
-// Sharded silo sweeps (FlConfig::shard_users): splitting a silo's
-// per-user training sweep into bounded shards is a pure scheduling
-// change — every (silo, user) delta comes from its own Rng::Fork
-// substream and lands in its own slot, so any shard size at any thread
-// count must produce bitwise-identical traces to the unsharded run.
+// The private ULDP-AVG sweep over each silo's user shards: every
+// (silo, user) delta comes from its own Rng::Fork substream and lands in
+// its own slot, so the round engine's thread count is a pure scheduling
+// choice and every count must produce bitwise-identical traces.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
-#include <mutex>
-#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -18,7 +14,6 @@
 #include "data/allocation.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
-#include "fl/round_engine.h"
 #include "nn/model.h"
 
 namespace uldp {
@@ -56,10 +51,8 @@ FlConfig BaseConfig() {
 
 /// Runs the private-protocol ULDP-AVG trainer and returns the final
 /// per-round losses — exact doubles, so EXPECT_EQ means bitwise identity.
-std::vector<double> RunPrivate(const Fixture& f, int shard_users,
-                               int threads) {
+std::vector<double> RunPrivate(const Fixture& f, int threads) {
   FlConfig fl = BaseConfig();
-  fl.shard_users = shard_users;
   fl.num_threads = threads;
   ExperimentConfig cfg;
   cfg.rounds = 2;
@@ -85,57 +78,13 @@ std::vector<double> RunPrivate(const Fixture& f, int shard_users,
   return losses;
 }
 
-TEST(ShardRoundTest, ShardedSweepsBitwiseMatchUnshardedAtAnyThreadCount) {
+TEST(ShardRoundTest, PrivateSweepBitwiseMatchesAtAnyThreadCount) {
   Fixture f = MakeFixture();
-  // Unsharded single-threaded run is the reference.
-  std::vector<double> reference = RunPrivate(f, /*shard_users=*/0,
-                                             /*threads=*/1);
+  // The single-threaded run is the reference.
+  std::vector<double> reference = RunPrivate(f, /*threads=*/1);
   ASSERT_EQ(reference.size(), 2u);
-  for (int shard_users : {0, 1, 3}) {
-    for (int threads : {1, 2, 5}) {
-      if (shard_users == 0 && threads == 1) continue;
-      EXPECT_EQ(RunPrivate(f, shard_users, threads), reference)
-          << "shard_users=" << shard_users << " threads=" << threads;
-    }
-  }
-}
-
-TEST(ShardRoundTest, RunSiloShardsCoversEveryTaskExactlyOnce) {
-  // Engine-level contract: the (silo, shard) plan enumerates exactly the
-  // requested shard counts, each task sees a model at the broadcast
-  // params, and a failing task surfaces its error.
-  auto model = MakeMlp({3}, 2);  // 3-input logistic regression
-  const int silos = 3;
-  for (int threads : {1, 2, 5}) {
-    RoundEngineConfig engine_config;
-    engine_config.num_threads = threads;
-    RoundEngine engine(*model, silos, engine_config);
-    Vec global(model->NumParams(), 0.25);
-    std::vector<int> shard_counts = {1, 3, 2};
-    std::mutex mu;
-    std::vector<std::pair<int, int>> seen;
-    Status status = engine.RunSiloShards(
-        global, shard_counts, [&](int silo, int shard, Model& m) {
-          EXPECT_EQ(m.GetParams(), global);
-          std::lock_guard<std::mutex> lock(mu);
-          seen.emplace_back(silo, shard);
-          return Status::Ok();
-        });
-    ASSERT_TRUE(status.ok()) << status.ToString();
-    std::sort(seen.begin(), seen.end());
-    std::vector<std::pair<int, int>> want = {{0, 0}, {1, 0}, {1, 1},
-                                             {1, 2}, {2, 0}, {2, 1}};
-    EXPECT_EQ(seen, want) << threads << " threads";
-
-    Status failed = engine.RunSiloShards(
-        global, shard_counts, [&](int silo, int shard, Model&) {
-          if (silo == 1 && shard == 2) {
-            return Status::Internal("shard exploded");
-          }
-          return Status::Ok();
-        });
-    EXPECT_FALSE(failed.ok());
-    EXPECT_NE(failed.message().find("shard exploded"), std::string::npos);
+  for (int threads : {2, 5}) {
+    EXPECT_EQ(RunPrivate(f, threads), reference) << "threads=" << threads;
   }
 }
 

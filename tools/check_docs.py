@@ -8,6 +8,10 @@ Checks:
      it fails the build. Same for `enum class StreamKind`.
   2. Every relative markdown link in docs/*.md and README.md resolves
      to an existing file — renaming a doc cannot leave dangling links.
+  3. Every backticked source path `<module>/<file>.h|.cc` (optionally
+     `src/`-prefixed, `.{h,cc}` for both) in those files names an
+     existing file when <module> is a directory under src/ — moving or
+     deleting a source file cannot leave a stale reference.
 
 Usage: check_docs.py [--repo-root DIR]. Exits nonzero listing every
 violation.
@@ -71,6 +75,31 @@ def check_markdown_links(root, md_path, errors):
             errors.append("%s: dangling link -> %s" % (md_path, target))
 
 
+SOURCE_PATH = re.compile(r"(?:src/)?([a-z_]+)/(\w+)\.(h|cc|\{h,cc\})")
+
+
+def check_source_paths(root, md_path, errors):
+    """Backticked src/<module>/<file> paths in `md_path` must exist."""
+    src = os.path.join(root, "src")
+    try:
+        with open(os.path.join(root, md_path), "r", encoding="utf-8") as f:
+            text = f.read()
+        modules = {d for d in os.listdir(src)
+                   if os.path.isdir(os.path.join(src, d))}
+    except OSError as e:
+        errors.append(str(e))
+        return
+    for span in re.findall(r"`([^`\n]+)`", text):
+        match = SOURCE_PATH.fullmatch(span)
+        if not match or match.group(1) not in modules:
+            continue
+        module, name, ext = match.groups()
+        for e in (["h", "cc"] if ext == "{h,cc}" else [ext]):
+            if not os.path.exists(os.path.join(src, module, name + "." + e)):
+                errors.append("%s: stale source path `%s`" % (md_path, span))
+                break
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repo-root", default=".")
@@ -95,12 +124,14 @@ def main():
         ]
     for md in md_files:
         check_markdown_links(root, md, errors)
+        check_source_paths(root, md, errors)
 
     if errors:
         for e in errors:
             print("check_docs: %s" % e, file=sys.stderr)
         sys.exit(1)
-    print("check_docs: %d markdown files OK, enums documented" % len(md_files))
+    print("check_docs: %d markdown files OK, enums documented, source "
+          "paths resolve" % len(md_files))
 
 
 if __name__ == "__main__":

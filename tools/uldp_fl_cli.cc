@@ -70,7 +70,6 @@ struct Flags {
   uint64_t seed = 1;
   int num_seeds = 1;  // > 1 averages runs
   int threads = 0;    // round-engine threads (0 = auto)
-  int shard_users = 0;  // split silo sweeps into user shards (0 = off)
   // Asynchronous staleness-bounded rounds.
   bool async = false;      // local: async trainers; with --serve/--connect:
                            // async FL demo over the transport layer
@@ -136,11 +135,6 @@ void PrintHelp() {
       "  --seed=N --num-seeds=M      M > 1 reports mean±std over seeds\n"
       "  --threads=N                 silo-round threads (0 = auto;\n"
       "                              results are identical for any N)\n"
-      "  --shard-users=K             split each silo's private-protocol\n"
-      "                              user sweep into shards of K users so\n"
-      "                              one dominant silo no longer owns the\n"
-      "                              critical path (bitwise identical;\n"
-      "                              0 = one task per silo)\n"
       "  --async                     asynchronous staleness-bounded rounds:\n"
       "                              silo deltas apply as they land instead\n"
       "                              of barrier-waiting on the slowest silo\n"
@@ -220,9 +214,9 @@ void PrintHelp() {
       "  --min-silos=N               fail the run if the active population\n"
       "                              drops below N (default 1)\n"
       "  --masked                    silos upload pairwise-masked deltas\n"
-      "                              (core/masking.h); the server only sees\n"
-      "                              the unmasked sum, which is bitwise\n"
-      "                              identical to the plain reduce\n"
+      "                              (fl/local_trainer.h); the server only\n"
+      "                              sees the unmasked sum, which is\n"
+      "                              bitwise identical to the plain reduce\n"
       "  --straggler=SECONDS         async client: sleep this long per\n"
       "                              local step (slows the run so kill/\n"
       "                              resume drills can land mid-run)\n"
@@ -412,9 +406,6 @@ Result<Flags> ParseFlags(int argc, char** argv) {
     } else if (ParseFlag(arg, "threads", &value)) {
       ULDP_RETURN_IF_ERROR(
           ParseIntInto(value, "threads", 0, 1 << 14, &flags.threads));
-    } else if (ParseFlag(arg, "shard-users", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "shard-users", 0, 1 << 24,
-                                        &flags.shard_users));
     } else if (ParseFlag(arg, "serve", &value)) {
       ULDP_RETURN_IF_ERROR(
           ParseIntInto(value, "serve", 0, 65535, &flags.serve));
@@ -1155,7 +1146,6 @@ Result<std::unique_ptr<FlAlgorithm>> MakeAlgorithm(const Flags& flags,
   config.local_epochs = flags.local_epochs;
   config.seed = seed;
   config.num_threads = flags.threads;
-  config.shard_users = flags.shard_users;
   config.async_rounds = flags.async;
   config.max_staleness = flags.max_staleness;
   config.async_buffer = flags.async_buffer;
