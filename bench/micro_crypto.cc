@@ -346,18 +346,21 @@ int main() {
     for (int j = 0; j < parties; ++j) {
       keys[j] = ChaChaRng::DeriveKey("bench" + std::to_string(j));
     }
+    // Each op draws party 0's masks against its 4 peers and adds them in
+    // place to a flat vector.
+    FieldVector v64(64, agg.limbs()), v256(256, agg.limbs());
     RecordOp(table, json, rows, "secure_agg_mask_dim64", "-", 256,
-             SecondsPerOp([&] { agg.MaskVector(0, keys, 1, 64); }, window,
+             SecondsPerOp([&] { agg.AddMasks(0, keys, 1, v64); }, window,
                           min_iters));
     // Mask generation serial vs pooled (per-peer PRF streams on the global
     // pool; bitwise identical output).
     RecordOp(table, json, rows, "secure_agg_mask_dim256", "serial", 256,
-             SecondsPerOp([&] { agg.MaskVector(0, keys, 2, 256); }, window,
+             SecondsPerOp([&] { agg.AddMasks(0, keys, 2, v256); }, window,
                           min_iters));
     RecordOp(table, json, rows, "secure_agg_mask_dim256", "pooled", 256,
              SecondsPerOp(
                  [&] {
-                   agg.MaskVector(0, keys, 2, 256, &ThreadPool::Global());
+                   agg.AddMasks(0, keys, 2, v256, &ThreadPool::Global());
                  },
                  window, min_iters));
 

@@ -49,7 +49,7 @@ enum class MaskPhase : uint64_t {
   /// the nonce's stream slot carries the destination silo.
   kSeedRelay = 6,
   /// FL-layer secure aggregation: per-round pairwise masks over the silo
-  /// deltas (fl/local_trainer.h MaskSiloDelta, and the async transport's
+  /// deltas (fl/local_trainer.h MaskDelta, and the async transport's
   /// masked mode), indexed by coordinate.
   kFlAggregation = 7,
 };

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "crypto/sha256.h"
+#include "math/limbs.h"
 
 namespace uldp {
 
@@ -23,7 +24,7 @@ inline void QuarterRound(uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d) {
 }
 
 void ChaChaBlock(const std::array<uint32_t, 16>& in,
-                 std::array<uint8_t, 64>& out) {
+                 std::array<uint32_t, 16>& out) {
   std::array<uint32_t, 16> x = in;
   for (int round = 0; round < 10; ++round) {
     QuarterRound(x[0], x[4], x[8], x[12]);
@@ -35,13 +36,7 @@ void ChaChaBlock(const std::array<uint32_t, 16>& in,
     QuarterRound(x[2], x[7], x[8], x[13]);
     QuarterRound(x[3], x[4], x[9], x[14]);
   }
-  for (int i = 0; i < 16; ++i) {
-    uint32_t v = x[i] + in[i];
-    out[4 * i] = static_cast<uint8_t>(v);
-    out[4 * i + 1] = static_cast<uint8_t>(v >> 8);
-    out[4 * i + 2] = static_cast<uint8_t>(v >> 16);
-    out[4 * i + 3] = static_cast<uint8_t>(v >> 24);
-  }
+  for (int i = 0; i < 16; ++i) out[i] = x[i] + in[i];
 }
 
 }  // namespace
@@ -89,29 +84,32 @@ void ChaChaRng::RefillBlock() {
 }
 
 uint64_t ChaChaRng::NextUint64() {
-  if (offset_ + 8 > block_.size()) RefillBlock();
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(block_[offset_ + i]) << (8 * i);
-  }
-  offset_ += 8;
+  if (offset_ + 2 > block_.size()) RefillBlock();
+  // The next 8 keystream bytes read little-endian: RFC 8439 serializes
+  // each state word little-endian, so they are word w plus word w+1 << 32.
+  const uint64_t v = block_[offset_] |
+                     static_cast<uint64_t>(block_[offset_ + 1]) << 32;
+  offset_ += 2;
   return v;
+}
+
+void ChaChaRng::UniformBelow(const uint64_t* m, size_t k, uint64_t* out) {
+  ULDP_CHECK(k > 0 && m[k - 1] != 0);
+  const int top_bits = 64 - __builtin_clzll(m[k - 1]);
+  const uint64_t top_mask =
+      top_bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << top_bits) - 1;
+  do {
+    for (size_t i = 0; i < k; ++i) out[i] = NextUint64();
+    out[k - 1] &= top_mask;
+  } while (limbs::Compare(out, m, k) >= 0);
 }
 
 BigInt ChaChaRng::UniformBelow(const BigInt& modulus) {
   ULDP_CHECK(!modulus.IsZero() && !modulus.IsNegative());
-  int bits = modulus.BitLength();
-  size_t nlimbs = (bits + 63) / 64;
-  int top_bits = bits - static_cast<int>(nlimbs - 1) * 64;
-  uint64_t top_mask =
-      top_bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << top_bits) - 1;
-  for (;;) {
-    std::vector<uint64_t> limbs(nlimbs);
-    for (auto& l : limbs) l = NextUint64();
-    limbs.back() &= top_mask;
-    BigInt candidate = BigInt::FromLimbs(std::move(limbs));
-    if (candidate < modulus) return candidate;
-  }
+  const std::vector<uint64_t>& m = modulus.limbs();
+  std::vector<uint64_t> out(m.size());
+  UniformBelow(m.data(), m.size(), out.data());
+  return BigInt::FromLimbs(std::move(out));
 }
 
 }  // namespace uldp

@@ -36,15 +36,20 @@ class ChaChaRng {
   /// Next 64 uniform bits of keystream.
   uint64_t NextUint64();
 
-  /// Uniform element of [0, modulus) by rejection sampling.
+  /// Uniform element of [0, m) by rejection sampling, limb-level: `m` is k
+  /// little-endian limbs with a nonzero top limb, and the draw is written
+  /// to `out` as k limbs. Each attempt takes k words of keystream, masks
+  /// the top one to m's bit length, and is kept iff it is below m.
+  void UniformBelow(const uint64_t* m, size_t k, uint64_t* out);
+  /// The same draw as a BigInt; consumes the identical keystream.
   BigInt UniformBelow(const BigInt& modulus);
 
  private:
   void RefillBlock();
 
   std::array<uint32_t, 16> state_;
-  std::array<uint8_t, 64> block_;
-  size_t offset_ = 64;  // forces refill on first use
+  std::array<uint32_t, 16> block_;  // keystream block as state words
+  size_t offset_ = 16;  // next unread word; 16 forces a refill
 };
 
 }  // namespace uldp

@@ -1,8 +1,10 @@
 #include "crypto/fixed_point.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
+#include "math/limbs.h"
 
 namespace uldp {
 
@@ -25,9 +27,28 @@ FixedPointCodec::FixedPointCodec(BigInt modulus, double precision)
   ULDP_CHECK(modulus_ > BigInt(3));
   ULDP_CHECK_GT(precision_, 0.0);
   half_modulus_ = modulus_ >> 1;
+  half_limbs_ = half_modulus_.limbs();
+  half_limbs_.resize(limbs(), 0);
+  // Ambiguity bound: the signed value must survive centering, which maps
+  // field elements into (-n/2, n/2]. Magnitudes above n/2 alias; for an
+  // even modulus, -n/2 and +n/2 land on the same field element (Decode
+  // returns it as +n/2), so exactly -n/2 is rejected as well. |units|
+  // stays below 2^63, so a half-modulus of two or more limbs bounds
+  // nothing.
+  const uint64_t half = half_modulus_.limbs().size() > 1
+                            ? ~uint64_t{0}
+                            : half_modulus_.LowUint64();
+  max_units_nonneg_ = half;
+  max_units_neg_ = modulus_.IsEven() ? half - 1 : half;
 }
 
 Result<BigInt> FixedPointCodec::Encode(double x) const {
+  std::vector<uint64_t> out(limbs());
+  ULDP_RETURN_IF_ERROR(EncodeLimbs(x, out.data()));
+  return BigInt::FromLimbs(std::move(out));
+}
+
+Status FixedPointCodec::EncodeLimbs(double x, uint64_t* out) const {
   if (!std::isfinite(x)) {
     return Status::InvalidArgument("cannot encode non-finite value");
   }
@@ -35,18 +56,19 @@ Result<BigInt> FixedPointCodec::Encode(double x) const {
   if (std::fabs(scaled) >= kMaxUnits) {
     return Status::OutOfRange("value too large for fixed-point range");
   }
-  int64_t units = std::llround(scaled);
-  BigInt v(units);
-  // Ambiguity check: the signed value must survive centering, which maps
-  // field elements into (-n/2, n/2]. Magnitudes above n/2 alias; for an
-  // even modulus, -n/2 and +n/2 land on the same field element (Decode
-  // returns it as +n/2), so exactly -n/2 is rejected as well.
-  BigInt mag = v.Abs();
-  if (mag > half_modulus_ ||
-      (v.IsNegative() && modulus_.IsEven() && mag == half_modulus_)) {
+  const int64_t units = std::llround(scaled);
+  const bool negative = units < 0;
+  const uint64_t mag = negative ? uint64_t{0} - static_cast<uint64_t>(units)
+                                : static_cast<uint64_t>(units);
+  if (mag > (negative ? max_units_neg_ : max_units_nonneg_)) {
     return Status::OutOfRange("encoded magnitude exceeds modulus/2");
   }
-  return v.Mod(modulus_);
+  const size_t k = limbs();
+  std::fill(out, out + k, uint64_t{0});
+  out[0] = mag;
+  // A negative value maps to n - |units|.
+  if (negative) limbs::Sub(out, modulus_.limbs().data(), out, k);
+  return Status::Ok();
 }
 
 BigInt FixedPointCodec::Center(const BigInt& x) const {
@@ -56,7 +78,29 @@ BigInt FixedPointCodec::Center(const BigInt& x) const {
 }
 
 double FixedPointCodec::DecodePlain(const BigInt& x) const {
-  return Center(x).ToDouble() * precision_;
+  ULDP_CHECK(!x.IsNegative() && x < modulus_);
+  std::vector<uint64_t> padded = x.limbs();
+  padded.resize(limbs(), 0);
+  double out;
+  DecodePlainLimbs(padded.data(), 1, &out);
+  return out;
+}
+
+void FixedPointCodec::DecodePlainLimbs(const uint64_t* x, size_t count,
+                                       double* out) const {
+  const size_t k = limbs();
+  const uint64_t* n = modulus_.limbs().data();
+  std::vector<uint64_t> mag(k);
+  for (size_t i = 0; i < count; ++i, x += k) {
+    ULDP_CHECK(limbs::Compare(x, n, k) < 0);
+    // Center: an element above n/2 stands for -(n - x).
+    if (limbs::Compare(x, half_limbs_.data(), k) <= 0) {
+      out[i] = limbs::ToDouble(x, k) * precision_;
+    } else {
+      limbs::Sub(mag.data(), n, x, k);
+      out[i] = -limbs::ToDouble(mag.data(), k) * precision_;
+    }
+  }
 }
 
 double FixedPointCodec::Decode(const BigInt& x, const BigInt& c_lcm) const {

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/status.h"
 #include "math/bigint.h"
@@ -37,6 +38,19 @@ class FixedPointCodec {
   /// Decode for values carrying no C_LCM factor: center then scale by P.
   double DecodePlain(const BigInt& x) const;
 
+  /// n's limb count k: the width of every element the limb-level forms
+  /// below read and write.
+  size_t limbs() const { return modulus_.limbs().size(); }
+
+  /// Limb-level Encode: writes Encode(x) to `out` as k limbs, with the
+  /// same range checks and Status. Encode is this plus a BigInt.
+  Status EncodeLimbs(double x, uint64_t* out) const;
+
+  /// Limb-level DecodePlain over `count` consecutive k-limb elements, each
+  /// in [0, n) (checked): out[i] is DecodePlain of element i, bitwise.
+  /// DecodePlain is this at count 1.
+  void DecodePlainLimbs(const uint64_t* x, size_t count, double* out) const;
+
   /// Decode(x, P, C_LCM, n): center into (-n/2, n/2], divide by c_lcm
   /// (rounded), then scale by P.
   double Decode(const BigInt& x, const BigInt& c_lcm) const;
@@ -55,6 +69,11 @@ class FixedPointCodec {
 
   BigInt modulus_;
   BigInt half_modulus_;
+  /// half_modulus_ zero-padded to k limbs, for the limb-level forms.
+  std::vector<uint64_t> half_limbs_;
+  /// Largest |units| Encode accepts for a non-negative / negative value.
+  uint64_t max_units_nonneg_ = 0;
+  uint64_t max_units_neg_ = 0;
   double precision_;
 };
 

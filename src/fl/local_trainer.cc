@@ -38,16 +38,8 @@ void TrainLocalSgd(Model& model, const std::vector<Example>& examples,
 
 namespace {
 
-// Public 256-bit prime field for the secure-aggregation simulation. Fixed
-// (it is public anyway) so aggregation is deterministic across parties.
-const char* kAggFieldPrimeHex =
-    "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff";
-
-BigInt AggFieldPrime() {
-  auto prime = BigInt::FromHex(kAggFieldPrimeHex);
-  ULDP_CHECK(prime.ok());
-  return std::move(prime.value());
-}
+// One fixed-point unit of the secure-aggregation encoding.
+constexpr double kAggPrecision = 1e-10;
 
 // Pairwise keys for `party`: in production these come from the DH
 // exchange; the simulation derives them from the public pair id (masks
@@ -76,37 +68,47 @@ double AsyncNoiseMargin(const FlConfig& config, int num_silos) {
          std::sqrt(static_cast<double>(num_silos) / k);
 }
 
+Result<FieldVector> MaskDelta(const Vec& delta, int party, int num_parties,
+                              uint64_t round_tag, ThreadPool* pool) {
+  const BigInt& prime = AggregationPrime();
+  FixedPointCodec codec(prime, kAggPrecision);
+  FieldVector masked(delta.size(), codec.limbs());
+  for (size_t d = 0; d < delta.size(); ++d) {
+    Status encoded = codec.EncodeLimbs(delta[d], masked.element(d));
+    if (!encoded.ok()) {
+      return Status::InvalidArgument("delta coordinate " + std::to_string(d) +
+                                     ": " + encoded.message());
+    }
+  }
+  if (num_parties >= 2) {
+    SecureAggregator agg(prime, num_parties);
+    agg.AddMasks(party, PairwiseAggKeys(party, num_parties), round_tag,
+                 masked, pool);
+  }
+  return masked;
+}
+
+Vec UnmaskSum(const std::vector<FieldVector>& masked) {
+  ULDP_CHECK(!masked.empty());
+  const BigInt& prime = AggregationPrime();
+  SecureAggregator agg(prime, std::max(static_cast<int>(masked.size()), 2));
+  FixedPointCodec codec(prime, kAggPrecision);
+  const FieldVector total = agg.Sum(masked);
+  Vec out(total.size());
+  codec.DecodePlainLimbs(total.element(0), total.size(), out.data());
+  return out;
+}
+
 std::vector<BigInt> MaskSiloDelta(const Vec& delta, int party,
                                   int num_parties, uint64_t round_tag,
                                   ThreadPool* pool) {
-  const size_t dim = delta.size();
-  BigInt prime = AggFieldPrime();
-  SecureAggregator agg(prime, std::max(num_parties, 2));
-  FixedPointCodec codec(prime, 1e-10);
-  std::vector<BigInt> enc(dim);
-  for (size_t d = 0; d < dim; ++d) {
-    auto e = codec.Encode(delta[d]);
-    ULDP_CHECK_MSG(e.ok(), e.status().ToString());
-    enc[d] = std::move(e.value());
-  }
-  if (num_parties >= 2) {
-    auto keys = PairwiseAggKeys(party, num_parties);
-    auto mask = agg.MaskVector(party, keys, round_tag, dim, pool);
-    agg.AddMasks(enc, mask);
-  }
-  return enc;
+  auto masked = MaskDelta(delta, party, num_parties, round_tag, pool);
+  ULDP_CHECK_MSG(masked.ok(), masked.status().ToString());
+  return masked.value().ToBigInts();
 }
 
 Vec UnmaskMaskedSum(const std::vector<std::vector<BigInt>>& masked) {
-  ULDP_CHECK(!masked.empty());
-  const size_t dim = masked[0].size();
-  BigInt prime = AggFieldPrime();
-  SecureAggregator agg(prime, std::max(static_cast<int>(masked.size()), 2));
-  FixedPointCodec codec(prime, 1e-10);
-  std::vector<BigInt> total = agg.SumVectors(masked);
-  Vec out(dim);
-  for (size_t d = 0; d < dim; ++d) out[d] = codec.DecodePlain(total[d]);
-  return out;
+  return UnmaskSum(std::vector<FieldVector>(masked.begin(), masked.end()));
 }
 
 Vec AggregateDeltas(const std::vector<Vec>& silo_deltas, bool secure,
@@ -116,11 +118,14 @@ Vec AggregateDeltas(const std::vector<Vec>& silo_deltas, bool secure,
     return SumVecs(silo_deltas);
   }
   const int parties = static_cast<int>(silo_deltas.size());
-  std::vector<std::vector<BigInt>> masked(parties);
+  std::vector<FieldVector> masked;
+  masked.reserve(parties);
   for (int s = 0; s < parties; ++s) {
-    masked[s] = MaskSiloDelta(silo_deltas[s], s, parties, round_tag, pool);
+    auto vec = MaskDelta(silo_deltas[s], s, parties, round_tag, pool);
+    ULDP_CHECK_MSG(vec.ok(), vec.status().ToString());
+    masked.push_back(std::move(vec.value()));
   }
-  return UnmaskMaskedSum(masked);
+  return UnmaskSum(masked);
 }
 
 }  // namespace uldp

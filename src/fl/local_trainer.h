@@ -1,7 +1,8 @@
 // Shared FL machinery: the algorithm interface every trainer implements,
 // the common hyper-parameter block (Table 1 of the paper), plain local SGD
 // (the client-side optimizer), and the delta-aggregation helper with an
-// optional secure-aggregation simulation.
+// optional secure-aggregation simulation, whose masked vectors stay flat
+// FieldVectors (crypto/secure_agg.h) from mask to unmask.
 
 #ifndef ULDP_FL_LOCAL_TRAINER_H_
 #define ULDP_FL_LOCAL_TRAINER_H_
@@ -11,6 +12,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "crypto/secure_agg.h"
 #include "data/dataset.h"
 #include "math/bigint.h"
 #include "nn/model.h"
@@ -45,7 +47,7 @@ struct FlConfig {
   /// When true, silo deltas are routed through fixed-point encoding and
   /// pairwise-masked summation over a public prime field before the server
   /// sees them (functional secure-aggregation simulation; §3.1 assumes
-  /// aggregation is secure in all algorithms). Adds BigInt cost per
+  /// aggregation is secure in all algorithms). Adds field arithmetic per
   /// coordinate; identical result up to the fixed-point precision.
   bool secure_aggregation = false;
   /// Asynchronous staleness-bounded rounds: silo deltas are applied as
@@ -129,25 +131,37 @@ double AsyncNoiseMargin(const FlConfig& config, int num_silos);
 /// Sums per-silo delta vectors. With `secure` set, each delta is
 /// fixed-point-encoded, masked with pairwise ChaCha masks that cancel in
 /// the sum, and decoded after summation — so a curious server summing the
-/// transcripts learns only the total (Bonawitz-style aggregation).
-/// `pool` (optional) parallelizes mask generation; the result is bitwise
-/// identical at any thread count. Callers with a thread-count knob (the
-/// round engine) pass their own pool so the knob stays authoritative.
+/// transcripts learns only the total (Bonawitz-style aggregation). That is
+/// MaskDelta per silo, then UnmaskSum; a non-finite or out-of-range
+/// coordinate aborts. `pool` (optional) parallelizes mask
+/// generation; the result is bitwise identical at any thread count.
+/// Callers with a thread-count knob (the round engine) pass their own pool
+/// so the knob stays authoritative.
 Vec AggregateDeltas(const std::vector<Vec>& silo_deltas, bool secure,
                     uint64_t round_tag, ThreadPool* pool = nullptr);
 
 /// One party's side of the secure reduce, split out so a real transport
 /// can ship masked vectors instead of plain deltas (net/async_rounds.h
-/// masked mode): fixed-point-encodes `delta` and adds this party's
-/// pairwise masks for round `round_tag`. Masking every party and summing
-/// with UnmaskMaskedSum is bitwise identical to
+/// masked mode): fixed-point-encodes `delta` over AggregationPrime()
+/// (crypto/secure_agg.h) and adds this party's pairwise masks for round
+/// `round_tag`, as one flat vector. InvalidArgument names the first
+/// non-finite or out-of-range coordinate. Masking every party and summing
+/// with UnmaskSum is bitwise identical to
 /// AggregateDeltas(..., secure=true, ...) on the same inputs.
+Result<FieldVector> MaskDelta(const Vec& delta, int party, int num_parties,
+                              uint64_t round_tag, ThreadPool* pool = nullptr);
+
+/// The server's side: sums the masked vectors (masks cancel) and decodes
+/// the fixed-point total back to doubles. Every vector must have the same
+/// dimension, with elements in [0, AggregationPrime()).
+Vec UnmaskSum(const std::vector<FieldVector>& masked);
+
+/// BigInt forms of MaskDelta and UnmaskSum, kept as conversions over them
+/// for callers that hold masked vectors as BigInts (the performance
+/// ledger's replay). MaskSiloDelta aborts where MaskDelta returns an error.
 std::vector<BigInt> MaskSiloDelta(const Vec& delta, int party,
                                   int num_parties, uint64_t round_tag,
                                   ThreadPool* pool = nullptr);
-
-/// The server's side: sums the masked vectors (masks cancel) and decodes
-/// the fixed-point total back to doubles.
 Vec UnmaskMaskedSum(const std::vector<std::vector<BigInt>>& masked);
 
 }  // namespace uldp

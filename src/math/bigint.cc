@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "math/limbs.h"
 #include "math/montgomery.h"
 
 namespace uldp {
@@ -148,11 +149,7 @@ BigInt BigInt::RandomBelow(const BigInt& bound, Rng& rng) {
 }
 
 int BigInt::BitLength() const {
-  if (limbs_.empty()) return 0;
-  int bits = static_cast<int>(limbs_.size() - 1) * 64;
-  uint64_t top = limbs_.back();
-  bits += 64 - __builtin_clzll(top);
-  return bits;
+  return limbs::BitLength(limbs_.data(), limbs_.size());
 }
 
 bool BigInt::Bit(int i) const {
@@ -176,10 +173,7 @@ Result<int64_t> BigInt::ToInt64() const {
 }
 
 double BigInt::ToDouble() const {
-  double out = 0.0;
-  for (size_t i = limbs_.size(); i-- > 0;) {
-    out = out * 18446744073709551616.0 + static_cast<double>(limbs_[i]);
-  }
+  const double out = limbs::ToDouble(limbs_.data(), limbs_.size());
   return negative_ ? -out : out;
 }
 

@@ -537,7 +537,7 @@ Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
                              static_cast<int64_t>(step));
     // Masked mode collects one pairwise-masked vector per silo instead of
     // buffering plaintext deltas in the aggregator.
-    std::vector<std::vector<BigInt>> masked(
+    std::vector<FieldVector> masked(
         config_.masked ? static_cast<size_t>(num_silos_) : 0);
     std::vector<bool> masked_in(num_silos_, false);
     int masked_count = 0;
@@ -684,7 +684,7 @@ Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
       // All masks cancel over the full cohort; the silo-ordered unmask is
       // bitwise identical to the aggregator's secure Flush on the same
       // deltas (tests/membership_test.cc pins this).
-      sum = UnmaskMaskedSum(masked);
+      sum = UnmaskSum(masked);
       session_.stats.applied += num_silos_;
       session_.stats.steps += 1;
       session_.round = step + 1;
@@ -824,11 +824,12 @@ Status AsyncRoundClient::RunLoop(Transport& transport, const WorkFn& work,
       // Raw version as the mask round-tag — the same tag the in-process
       // secure reduce uses, so the server-side unmask is bitwise identical
       // to it. The wire-level phase tag carries the domain separation.
+      auto values = MaskDelta(delta, silo_id_, num_silos_, version, nullptr);
+      if (!values.ok()) return values.status();
       MaskedVectorMsg msg;
       msg.phase_tag = MakeMaskTag(MaskPhase::kFlAggregation, version);
       msg.party_id = static_cast<uint32_t>(silo_id_);
-      msg.values =
-          MaskSiloDelta(delta, silo_id_, num_silos_, version, nullptr);
+      msg.values = std::move(values.value());
       ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(msg)));
     } else {
       RoundAckMsg ack;

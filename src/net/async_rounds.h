@@ -42,6 +42,10 @@
 // the barrier configuration (max_staleness 0, full buffer, static
 // membership) — pairwise masks only cancel over the full cohort — and is
 // bitwise identical to the in-process secure reduce on the same work.
+// Each vector stays one flat FieldVector from MaskDelta through the frame
+// to UnmaskSum. A delta the fixed-point codec cannot encode fails its
+// client with InvalidArgument; a frame with an element outside the field
+// fails MaskedVectorMsg::Parse, and the server fails the run.
 //
 // Determinism: the server's reduce is AsyncAggregator's — buffered entries
 // sorted by (pull_version, silo) — so it is a pure function of the buffer

@@ -283,14 +283,14 @@ Result<ShutdownMsg> ShutdownMsg::Parse(WireReader&) { return ShutdownMsg{}; }
 void MaskedVectorMsg::AppendTo(WireWriter& w) const {
   w.U64(phase_tag);
   w.U32(party_id);
-  w.BigVec(values);
+  w.FieldVec(values);
 }
 
 Result<MaskedVectorMsg> MaskedVectorMsg::Parse(WireReader& r) {
   MaskedVectorMsg m;
   ULDP_RETURN_IF_ERROR(r.U64(&m.phase_tag));
   ULDP_RETURN_IF_ERROR(r.U32(&m.party_id));
-  ULDP_RETURN_IF_ERROR(r.BigVec(&m.values));
+  ULDP_RETURN_IF_ERROR(r.FieldVec(AggregationPrime(), &m.values));
   return m;
 }
 

@@ -249,12 +249,16 @@ struct ShutdownMsg {
 
 /// A pairwise-masked fixed-point vector (crypto/secure_agg.h) — the
 /// secure-aggregation payload of the FL layer, so asynchronous round
-/// transports can reuse this wire format.
+/// transports can reuse this wire format. `values` travels as a BigVec of
+/// elements over AggregationPrime() and stays flat from the sender's mask
+/// to the receiver's unmask. Parse rejects any element that is negative,
+/// longer than 32 bytes, or not below the prime, so a hostile vector
+/// fails here instead of reaching the decoder.
 struct MaskedVectorMsg {
   static constexpr MessageType kType = MessageType::kMaskedVector;
   uint64_t phase_tag = 0;
   uint32_t party_id = 0;
-  std::vector<BigInt> values;
+  FieldVector values;
   void AppendTo(WireWriter& w) const;
   static Result<MaskedVectorMsg> Parse(WireReader& r);
 };

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "math/limbs.h"
+
 namespace uldp {
 namespace net {
 
@@ -14,6 +16,33 @@ constexpr uint8_t kMagic[4] = {'U', 'L', 'D', 'P'};
 // length (5), bytes at least a length prefix (4), a double exactly 8.
 constexpr size_t kMinBigSize = 5;
 constexpr size_t kMinBytesSize = 4;
+
+inline void StoreLE32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+inline void StoreLE64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+inline uint32_t LoadLE32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
+  return v;
+}
+
+inline uint64_t LoadLE64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+/// The first n < 8 bytes at p as a little-endian integer.
+inline uint64_t LoadLE64Prefix(const uint8_t* p, size_t n) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < n; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  return v;
+}
 
 }  // namespace
 
@@ -55,9 +84,38 @@ void WireWriter::BigVec(const std::vector<BigInt>& v) {
   for (const BigInt& x : v) Big(x);
 }
 
+void WireWriter::FieldVec(const FieldVector& v) {
+  U32(static_cast<uint32_t>(v.size()));
+  const size_t k = v.limbs();
+  const size_t start = buf_.size();
+  buf_.resize(start + v.size() * (kMinBigSize + 8 * k));
+  uint8_t* p = buf_.data() + start;
+  for (size_t i = 0; i < v.size(); ++i) {
+    const uint64_t* x = v.element(i);
+    // Big()'s magnitude length: the significant bytes only.
+    const size_t len = static_cast<size_t>(limbs::BitLength(x, k) + 7) / 8;
+    p[0] = 0;  // sign byte: elements are non-negative
+    StoreLE32(p + 1, static_cast<uint32_t>(len));
+    p += kMinBigSize;
+    size_t b = 0;
+    for (; b + 8 <= len; b += 8) StoreLE64(p + b, x[b / 8]);
+    for (; b < len; ++b) p[b] = static_cast<uint8_t>(x[b / 8] >> (8 * (b % 8)));
+    p += len;
+  }
+  buf_.resize(static_cast<size_t>(p - buf_.data()));
+}
+
 void WireWriter::F64Vec(const std::vector<double>& v) {
   U32(static_cast<uint32_t>(v.size()));
-  for (double x : v) F64(x);
+  const size_t start = buf_.size();
+  buf_.resize(start + 8 * v.size());
+  uint8_t* p = buf_.data() + start;
+  for (double x : v) {
+    uint64_t bits;
+    std::memcpy(&bits, &x, sizeof(bits));
+    StoreLE64(p, bits);
+    p += 8;
+  }
 }
 
 void WireWriter::BytesVec(const std::vector<std::vector<uint8_t>>& v) {
@@ -91,19 +149,15 @@ Status WireReader::U16(uint16_t* v) {
 
 Status WireReader::U32(uint32_t* v) {
   ULDP_RETURN_IF_ERROR(Need(4));
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) out |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
+  *v = LoadLE32(data_ + pos_);
   pos_ += 4;
-  *v = out;
   return Status::Ok();
 }
 
 Status WireReader::U64(uint64_t* v) {
   ULDP_RETURN_IF_ERROR(Need(8));
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) out |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
+  *v = LoadLE64(data_ + pos_);
   pos_ += 8;
-  *v = out;
   return Status::Ok();
 }
 
@@ -156,6 +210,47 @@ Status WireReader::BigVec(std::vector<BigInt>* v) {
   return Status::Ok();
 }
 
+Status WireReader::FieldVec(const BigInt& modulus, FieldVector* v) {
+  uint32_t count;
+  ULDP_RETURN_IF_ERROR(U32(&count));
+  if (static_cast<size_t>(count) > remaining() / kMinBigSize) {
+    failed_ = true;
+    return Status::InvalidArgument("wire: BigInt vector count exceeds payload");
+  }
+  const size_t k = modulus.limbs().size();
+  const uint64_t* n = modulus.limbs().data();
+  FieldVector out(count, k);
+  for (uint32_t i = 0; i < count; ++i) {
+    // Big()'s layout: sign byte, u32 magnitude length, magnitude.
+    ULDP_RETURN_IF_ERROR(Need(kMinBigSize));
+    const uint8_t negative = data_[pos_];
+    const uint32_t len = LoadLE32(data_ + pos_ + 1);
+    pos_ += kMinBigSize;
+    if (negative != 0 || len > 8 * k) {
+      failed_ = true;
+      return Status::InvalidArgument(
+          "wire: field element " + std::to_string(i) +
+          (negative != 0 ? " is not a non-negative integer"
+                         : " is longer than the modulus"));
+    }
+    ULDP_RETURN_IF_ERROR(Need(len));
+    const uint8_t* p = data_ + pos_;
+    uint64_t* x = out.element(i);
+    size_t b = 0;
+    for (; b + 8 <= len; b += 8) x[b / 8] = LoadLE64(p + b);
+    if (b < len) x[b / 8] = LoadLE64Prefix(p + b, len - b);
+    pos_ += len;
+    if (limbs::Compare(x, n, k) >= 0) {
+      failed_ = true;
+      return Status::InvalidArgument("wire: field element " +
+                                     std::to_string(i) +
+                                     " is not below the modulus");
+    }
+  }
+  *v = std::move(out);
+  return Status::Ok();
+}
+
 Status WireReader::F64Vec(std::vector<double>* v) {
   uint32_t count;
   ULDP_RETURN_IF_ERROR(U32(&count));
@@ -163,8 +258,13 @@ Status WireReader::F64Vec(std::vector<double>* v) {
     failed_ = true;
     return Status::InvalidArgument("wire: double vector count exceeds payload");
   }
-  v->assign(count, 0.0);
-  for (uint32_t i = 0; i < count; ++i) ULDP_RETURN_IF_ERROR(F64(&(*v)[i]));
+  v->resize(count);
+  const uint8_t* p = data_ + pos_;
+  for (uint32_t i = 0; i < count; ++i, p += 8) {
+    const uint64_t bits = LoadLE64(p);
+    std::memcpy(&(*v)[i], &bits, sizeof(bits));
+  }
+  pos_ += 8 * static_cast<size_t>(count);
   return Status::Ok();
 }
 

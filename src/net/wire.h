@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "crypto/secure_agg.h"
 #include "math/bigint.h"
 
 namespace uldp {
@@ -65,6 +66,10 @@ class WireWriter {
   /// Sign byte + u32 magnitude length + little-endian magnitude.
   void Big(const BigInt& v);
   void BigVec(const std::vector<BigInt>& v);
+  /// Exactly BigVec's bytes for the same values, written straight from
+  /// the limbs in one pass.
+  void FieldVec(const FieldVector& v);
+  /// u32 count + each double's bit pattern as U64, in one pass.
   void F64Vec(const std::vector<double>& v);
   void BytesVec(const std::vector<std::vector<uint8_t>>& v);
 
@@ -92,6 +97,11 @@ class WireReader {
   Status Bytes(std::vector<uint8_t>* b);
   Status Big(BigInt* v);
   Status BigVec(std::vector<BigInt>* v);
+  /// Reads a BigVec whose elements must all lie in [0, modulus): a
+  /// negative element, one longer than the modulus's limbs, or one
+  /// >= modulus fails with InvalidArgument. Produces k-limb elements, k
+  /// being the modulus's limb count.
+  Status FieldVec(const BigInt& modulus, FieldVector* v);
   Status F64Vec(std::vector<double>* v);
   Status BytesVec(std::vector<std::vector<uint8_t>>* v);
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "net/async_rounds.h"
 #include "net/demo.h"
 #include "net/membership.h"
+#include "net/messages.h"
 #include "net/transport.h"
 
 namespace uldp {
@@ -367,7 +370,7 @@ TEST(MaskedTransportTest, MaskedRunMatchesSecureReduceBitwise) {
   // Serial reference over the SECURE reduce: fixed-point encode + pairwise
   // masks that cancel in the sum. The masked wire transport must land on
   // exactly these parameters (AggregateDeltas(..., secure=true, ...) ==
-  // sum of MaskSiloDelta vectors, unmasked).
+  // sum of MaskDelta vectors, unmasked).
   Vec ref(dim, 0.0);
   for (int step = 0; step < steps; ++step) {
     std::vector<Vec> deltas(silos);
@@ -383,6 +386,117 @@ TEST(MaskedTransportTest, MaskedRunMatchesSecureReduceBitwise) {
   EXPECT_EQ(out.value(), ref);
   EXPECT_EQ(server.session().stats.applied,
             static_cast<int64_t>(steps * silos));
+}
+
+net::AsyncRoundsConfig MaskedConfig() {
+  net::AsyncRoundsConfig config = ElasticConfig(false);
+  config.masked = true;
+  return config;
+}
+
+/// Runs a masked fixed cohort of `silos` over channels: silo 0 serves
+/// `silo0` (its own transport end), every other silo runs the demo client.
+/// Returns the server's Run result; silo statuses land in `silo_status`.
+Result<Vec> RunMaskedCohort(
+    int silos, int dim,
+    const std::function<Status(net::Transport&)>& silo0,
+    std::vector<Status>* silo_status) {
+  const net::AsyncRoundsConfig config = MaskedConfig();
+  std::vector<std::unique_ptr<net::Transport>> server_ends, silo_ends;
+  for (int s = 0; s < silos; ++s) {
+    auto [a, b] = net::ChannelTransport::CreatePair();
+    server_ends.push_back(std::move(a));
+    silo_ends.push_back(std::move(b));
+  }
+  silo_status->assign(silos, Status::Ok());
+  std::vector<std::thread> threads;
+  for (int s = 0; s < silos; ++s) {
+    threads.emplace_back([&, s] {
+      (*silo_status)[s] =
+          s == 0 ? silo0(*silo_ends[s])
+                 : net::RunAsyncDemoSilo(config, s, silos, dim, *silo_ends[s]);
+    });
+  }
+  Result<Vec> out = Status::Internal("connection rejected");
+  {
+    net::AsyncRoundServer server(config, silos, dim);
+    bool joined = true;
+    for (auto& end : server_ends) {
+      joined = joined && server.AddConnection(std::move(end)).ok();
+    }
+    if (joined) out = server.Run(/*num_steps=*/2, Vec(dim, 0.0));
+  }
+  for (auto& t : threads) t.join();
+  return out;
+}
+
+TEST(MaskedTransportTest, OutOfFieldElementFailsTheRunInsteadOfAborting) {
+  // A silo whose masked vector carries an element outside [0, p) used to
+  // reach the fixed-point decoder's range CHECK and abort the server.
+  const int silos = 2, dim = 4;
+  const net::AsyncRoundsConfig config = MaskedConfig();
+  for (const BigInt& bad : {BigInt(1) << 300, AggregationPrime()}) {
+    SCOPED_TRACE(bad.ToHex());
+    std::vector<Status> silo_status;
+    auto out = RunMaskedCohort(
+        silos, dim,
+        [&](net::Transport& t) -> Status {
+          net::JoinMsg join;
+          join.silo_id = 0;
+          join.num_silos = silos;
+          join.num_users = dim;
+          join.config_digest = net::AsyncRoundsWireDigest(config, silos, dim);
+          ULDP_RETURN_IF_ERROR(t.Send(net::ToFrame(join)));
+          auto release = t.Recv();
+          if (!release.ok()) return release.status();
+          // A well-formed MaskedVector frame but for one element.
+          net::WireWriter w;
+          w.U64(MakeMaskTag(MaskPhase::kFlAggregation, 0));
+          w.U32(0);
+          w.BigVec({BigInt(1), BigInt(2), bad, BigInt(3)});
+          net::Frame frame;
+          frame.type = static_cast<uint16_t>(net::MessageType::kMaskedVector);
+          frame.payload = w.Take();
+          ULDP_RETURN_IF_ERROR(t.Send(frame));
+          // Wait for the server's verdict (an Error frame or a close).
+          auto verdict = net::UnwrapErrorFrame(t.Recv(), "server");
+          return verdict.ok() ? Status::Ok() : verdict.status();
+        },
+        &silo_status);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+        << out.status().ToString();
+    EXPECT_EQ(silo_status[0].code(), StatusCode::kInvalidArgument)
+        << silo_status[0].ToString();
+  }
+}
+
+TEST(MaskedTransportTest, UnencodableDeltaFailsTheSiloWithAStatus) {
+  // A work function that yields a non-finite or out-of-range coordinate
+  // used to abort the masking silo; now its client returns
+  // InvalidArgument and the server fails the run.
+  const int silos = 2, dim = 4;
+  const net::AsyncRoundsConfig config = MaskedConfig();
+  for (double bad : {std::nan(""), HUGE_VAL, 1e9}) {
+    SCOPED_TRACE(bad);
+    std::vector<Status> silo_status;
+    auto out = RunMaskedCohort(
+        silos, dim,
+        [&](net::Transport& t) {
+          net::AsyncRoundClient client(config, 0, silos, dim);
+          return client.Run(t, [&](uint64_t, const Vec&, Vec* delta) {
+            *delta = Vec(dim, 0.5);
+            (*delta)[2] = bad;
+            return Status::Ok();
+          });
+        },
+        &silo_status);
+    EXPECT_EQ(silo_status[0].code(), StatusCode::kInvalidArgument)
+        << silo_status[0].ToString();
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+        << out.status().ToString();
+  }
 }
 
 }  // namespace

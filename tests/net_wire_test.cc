@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+
+#include "crypto/secure_agg.h"
 #include "net/messages.h"
 #include "net/wire.h"
 
@@ -79,6 +83,39 @@ TEST(WirePrimitiveTest, ScalarsAndVectorsRoundTrip) {
   EXPECT_EQ(chunks, (std::vector<std::vector<uint8_t>>{{}, {9}, {8, 7}}));
 }
 
+TEST(WirePrimitiveTest, F64VecWritesGoldenBytesForSpecialValues) {
+  // -0.0, +inf, -inf, a NaN with a payload, and the smallest denormal:
+  // each travels as its exact bit pattern, little-endian.
+  const std::vector<uint64_t> patterns = {
+      0x8000000000000000ull, 0x7FF0000000000000ull, 0xFFF0000000000000ull,
+      0x7FF8000000000123ull, 0x0000000000000001ull};
+  std::vector<double> values(patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    std::memcpy(&values[i], &patterns[i], sizeof(double));
+  }
+  WireWriter w;
+  w.F64Vec(values);
+  const std::vector<uint8_t> golden = {
+      0x05, 0x00, 0x00, 0x00,                          // count
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // -0.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x7F,  // +inf
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0xFF,  // -inf
+      0x23, 0x01, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x7F,  // NaN payload 0x123
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // denormal
+  };
+  EXPECT_EQ(w.buffer(), golden);
+  WireReader r(golden);
+  std::vector<double> back;
+  ASSERT_TRUE(r.F64Vec(&back).ok());
+  EXPECT_TRUE(r.AtEnd());
+  ASSERT_EQ(back.size(), patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    uint64_t bits;
+    std::memcpy(&bits, &back[i], sizeof(bits));
+    EXPECT_EQ(bits, patterns[i]) << "element " << i;
+  }
+}
+
 TEST(WirePrimitiveTest, TruncatedReadsFailAndPoisonTheReader) {
   WireWriter w;
   w.U32(7);
@@ -97,6 +134,9 @@ TEST(WirePrimitiveTest, HostileCountsAreRejectedBeforeAllocation) {
   WireReader r(w.buffer());
   std::vector<BigInt> bigs;
   EXPECT_FALSE(r.BigVec(&bigs).ok());
+  WireReader r_field(w.buffer());
+  FieldVector field;
+  EXPECT_FALSE(r_field.FieldVec(AggregationPrime(), &field).ok());
 
   WireWriter w2;
   w2.U32(0xFFFFFFFFu);
@@ -236,11 +276,17 @@ TEST(MessageRoundTripTest, HistogramAndCiphers) {
   EXPECT_EQ(cipher_back.dim, cipher.dim);
   EXPECT_EQ(cipher_back.cipher, cipher.cipher);
 
+  // Masked vectors hold canonical elements of the aggregation field.
   MaskedVectorMsg masked;
   masked.phase_tag = MakeMaskTag(MaskPhase::kHistogramBlind, 0);
   masked.party_id = 7;
-  masked.values = BoundaryBigInts();
-  EXPECT_EQ(RoundTrip(masked).values, masked.values);
+  const std::vector<BigInt> canonical = {
+      BigInt(0), BigInt(1), (BigInt(1) << 64) - BigInt(1), BigInt(1) << 64,
+      AggregationPrime() - BigInt(1)};
+  masked.values = canonical;
+  const MaskedVectorMsg masked_back = RoundTrip(masked);
+  EXPECT_EQ(masked_back.values, masked.values);
+  EXPECT_EQ(masked_back.values.ToBigInts(), canonical);
 }
 
 TEST(MessageRoundTripTest, RoundMessages) {
@@ -307,6 +353,46 @@ TEST(MessageDecodeTest, WrongTypeAndTrailingBytesRejected) {
   Frame short_frame = ToFrame(join);
   short_frame.payload.pop_back();
   EXPECT_FALSE(FromFrame<JoinMsg>(short_frame).ok());
+}
+
+TEST(MessageDecodeTest, MaskedVectorRejectsElementsOutsideTheField) {
+  // A valid element, then one hostile element: negative, equal to the
+  // prime, one byte too long, far too long, and a sign byte on a zero
+  // magnitude.
+  auto frame_with = [](const std::function<void(WireWriter&)>& bad) {
+    WireWriter w;
+    w.U64(MakeMaskTag(MaskPhase::kFlAggregation, 0));
+    w.U32(0);
+    w.U32(2);
+    w.Big(BigInt(5));
+    bad(w);
+    Frame frame;
+    frame.type = static_cast<uint16_t>(MessageType::kMaskedVector);
+    frame.payload = w.Take();
+    return frame;
+  };
+  const std::vector<BigInt> hostile = {
+      -BigInt(7), AggregationPrime(), BigInt(1) << 256,
+      (BigInt(1) << 2048) - BigInt(12345)};
+  for (const BigInt& v : hostile) {
+    auto msg = FromFrame<MaskedVectorMsg>(
+        frame_with([&](WireWriter& w) { w.Big(v); }));
+    ASSERT_FALSE(msg.ok()) << v.ToHex();
+    EXPECT_EQ(msg.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto negative_zero = FromFrame<MaskedVectorMsg>(frame_with([](WireWriter& w) {
+    w.U8(1);
+    w.U32(0);
+  }));
+  ASSERT_FALSE(negative_zero.ok());
+  EXPECT_EQ(negative_zero.status().code(), StatusCode::kInvalidArgument);
+  // The same frame with a canonical element parses; cut one byte short of
+  // that element's magnitude, it does not.
+  Frame good = frame_with(
+      [](WireWriter& w) { w.Big(AggregationPrime() - BigInt(1)); });
+  EXPECT_TRUE(FromFrame<MaskedVectorMsg>(good).ok());
+  good.payload.pop_back();
+  EXPECT_FALSE(FromFrame<MaskedVectorMsg>(good).ok());
 }
 
 TEST(MessageDecodeTest, CorruptedNestedCountsRejected) {

@@ -40,6 +40,22 @@ TEST(Sha256Test, ByteVectorOverloadMatchesString) {
   EXPECT_EQ(DigestToHex(Sha256(s)), DigestToHex(Sha256(v)));
 }
 
+TEST(ChaChaTest, MatchesRfc8439BlockVector) {
+  // RFC 8439 §2.3.2: key 00..1f, nonce 00:00:00:09:00:00:00:4a:00:00:00:00,
+  // block counter 1. The stream starts at counter 0, so block 1 is words
+  // 8..15; each word is the next 8 keystream bytes read little-endian.
+  ChaChaRng::Key key;
+  for (int i = 0; i < 32; ++i) key[i] = static_cast<uint8_t>(i);
+  const ChaChaRng::Nonce nonce = {0, 0, 0, 9, 0, 0, 0, 0x4a, 0, 0, 0, 0};
+  ChaChaRng rng(key, nonce);
+  for (int i = 0; i < 8; ++i) rng.NextUint64();
+  const uint64_t block1[8] = {
+      0x15593bd1e4e7f110ull, 0xc47120a31fdd0f50ull, 0x0368c033c7f4d1c7ull,
+      0x4e6cd4c39aaa2204ull, 0x09aa9f07466482d2ull, 0xa2028bd905d7c214ull,
+      0xb94e16ded19c12b5ull, 0x4e3c50a2e883d0cbull};
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(rng.NextUint64(), block1[i]) << i;
+}
+
 TEST(ChaChaTest, DeterministicForSameKeyNonce) {
   auto key = ChaChaRng::DeriveKey("seed material");
   auto nonce = ChaChaRng::MakeNonce(42);

@@ -144,47 +144,52 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
   fi
   echo "net smoke: loopback-TCP protocol round OK (port $PORT)"
 
-  # Async-rounds loopback smoke: the staleness-bounded FL server plus two
+  # Async-rounds loopback smokes: the staleness-bounded FL server plus two
   # silo clients over real TCP, --verify asserting bitwise identity to the
-  # synchronous engine at max_staleness=0.
-  ASYNC_LOG="$BUILD_DIR/net_async_smoke_server.log"
-  ASYNC_ARGS="--async --silos=2 --users=6 --dim=8 --seed=11 --net-timeout=120"
-  rm -f "$ASYNC_LOG"
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --serve=0 --rounds=3 --verify $ASYNC_ARGS \
-      > "$ASYNC_LOG" 2>&1 &
-  SERVER_PID=$!
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$ASYNC_LOG" \
-            2>/dev/null | head -n1)"
-    [ -n "$PORT" ] && break
-    sleep 0.1
-  done
-  if [ -z "$PORT" ]; then
-    echo "async smoke: server never reported its port" >&2
-    cat "$ASYNC_LOG" >&2 || true
-    kill "$SERVER_PID" 2>/dev/null || true
-    exit 1
-  fi
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=0 \
-      $ASYNC_ARGS &
-  C0=$!
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=1 \
-      $ASYNC_ARGS &
-  C1=$!
-  FAIL=0
-  wait "$SERVER_PID" || FAIL=1
-  wait "$C0" || FAIL=1
-  wait "$C1" || FAIL=1
-  cat "$ASYNC_LOG"
-  if [ "$FAIL" != "0" ]; then
-    echo "async smoke: loopback-TCP staleness-bounded rounds FAILED" >&2
-    exit 1
-  fi
-  echo "async smoke: loopback-TCP staleness-bounded rounds OK (port $PORT)"
+  # synchronous engine at max_staleness=0 — once with plaintext RoundAck
+  # uploads, once with pairwise-masked uploads (--masked), which --verify
+  # replays through the secure fixed-point reduce.
+  run_async_smoke() {  # $1=label $2=log $3=extra args for every party
+    local label="$1" log="$2" args port="" pid c0 c1 fail=0
+    args="--async --silos=2 --users=6 --dim=8 --seed=11 --net-timeout=120 $3"
+    rm -f "$log"
+    # shellcheck disable=SC2086
+    "$BUILD_DIR/uldp_fl_cli" --serve=0 --rounds=3 --verify $args \
+        > "$log" 2>&1 &
+    pid=$!
+    for _ in $(seq 1 100); do
+      port="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$log" \
+              2>/dev/null | head -n1)"
+      [ -n "$port" ] && break
+      sleep 0.1
+    done
+    if [ -z "$port" ]; then
+      echo "$label smoke: server never reported its port" >&2
+      cat "$log" >&2 || true
+      kill "$pid" 2>/dev/null || true
+      return 1
+    fi
+    # shellcheck disable=SC2086
+    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$port" --silo-id=0 \
+        $args &
+    c0=$!
+    # shellcheck disable=SC2086
+    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$port" --silo-id=1 \
+        $args &
+    c1=$!
+    wait "$pid" || fail=1
+    wait "$c0" || fail=1
+    wait "$c1" || fail=1
+    cat "$log"
+    if [ "$fail" != "0" ]; then
+      echo "$label smoke: loopback-TCP rounds FAILED" >&2
+      return 1
+    fi
+    echo "$label smoke: loopback-TCP rounds OK (port $port)"
+  }
+  run_async_smoke async "$BUILD_DIR/net_async_smoke_server.log" "" || exit 1
+  run_async_smoke masked "$BUILD_DIR/net_masked_smoke_server.log" \
+      --masked || exit 1
 
   # Elastic-churn loopback smoke: three silos over real TCP with dynamic
   # membership — silo 0 crashes once released with version >= 2 (evicted,

@@ -206,7 +206,8 @@ void PrintHelp() {
       "With --async, --serve/--connect run the asynchronous FL demo over\n"
       "TCP (StalenessInfo/RoundAck frames) instead of Protocol 1;\n"
       "--verify requires --max-staleness=0, where the distributed run is\n"
-      "bitwise-identical to the synchronous engine.\n"
+      "bitwise-identical to the synchronous engine (with --masked, to its\n"
+      "secure fixed-point reduce).\n"
       "Elastic membership (async demo only):\n"
       "  --elastic                   server: admit mid-run join requests at\n"
       "                              flush boundaries and evict dead silos\n"
@@ -216,7 +217,8 @@ void PrintHelp() {
       "  --masked                    silos upload pairwise-masked deltas\n"
       "                              (fl/local_trainer.h); the server only\n"
       "                              sees the unmasked sum, which is\n"
-      "                              bitwise identical to the plain reduce\n"
+      "                              bitwise identical to the in-process\n"
+      "                              secure reduce\n"
       "  --straggler=SECONDS         async client: sleep this long per\n"
       "                              local step (slows the run so kill/\n"
       "                              resume drills can land mid-run)\n"
@@ -527,10 +529,9 @@ Result<Flags> ParseFlags(int argc, char** argv) {
         "--max-staleness=0, full --async-buffer): pairwise masks only "
         "cancel when all silos contribute");
   }
-  if (flags.verify && (flags.elastic || flags.masked)) {
+  if (flags.verify && flags.elastic) {
     return Status::InvalidArgument(
-        "--verify replays the plain fixed-cohort schedule; drop --elastic/"
-        "--masked");
+        "--verify replays the fixed-cohort schedule; drop --elastic");
   }
   if (flags.resume && flags.checkpoint_dir.empty()) {
     return Status::InvalidArgument("--resume requires --checkpoint-dir");
@@ -810,7 +811,8 @@ int RunServeAsync(const Flags& flags) {
 
   if (flags.verify) {
     // Serial replay of the staleness-bounded update rule at tau = 0 (the
-    // barrier case): identical work, identical reduce — bitwise equal.
+    // barrier case): identical work, identical reduce — bitwise equal. A
+    // masked run replays the secure reduce its unmasked sum must equal.
     AsyncAggregator reference(flags.silos, 0, 0);
     Vec ref(flags.dim, 0.0);
     for (int r = 0; r < flags.rounds; ++r) {
@@ -824,7 +826,8 @@ int RunServeAsync(const Flags& flags) {
         }
         reference.Offer(s, r, std::move(delta));
       }
-      Vec sum = reference.Flush(false, static_cast<uint64_t>(r), nullptr);
+      Vec sum =
+          reference.Flush(flags.masked, static_cast<uint64_t>(r), nullptr);
       Axpy(config.step_scale, sum, ref);
     }
     if (ref != out.value()) {
@@ -833,7 +836,8 @@ int RunServeAsync(const Flags& flags) {
       return 1;
     }
     std::cout << "verify: distributed async run bitwise-matches the "
-                 "synchronous engine" << std::endl;
+                 "synchronous engine"
+              << (flags.masked ? " (secure reduce)" : "") << std::endl;
   }
   return 0;
 }
