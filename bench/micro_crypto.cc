@@ -8,8 +8,10 @@
 // Lim-Lee comb tables, math/fixed_base.h) against the sliding-window path
 // it amortizes away, Straus multi-exponentiation against the per-base
 // fold, the silo fold's two paths (Straus vs per-user tables) on a shape
-// on each side of the cost model's crossover, and a comb table at heavy
-// reuse checked against MontExp. Also measures fig11-style private
+// on each side of the cost model's crossover, a comb table at heavy
+// reuse checked against MontExp, and one MontExp per Montgomery kernel
+// (portable and ADX rows, AVX-512 IFMA) at 1024-6144 bits, checked
+// against each other. Also measures fig11-style private
 // weighting rounds at each ciphertext packing factor (median of
 // alternating round pairs), plus the remaining substrate unit costs behind
 // Figures 10/11
@@ -18,7 +20,8 @@
 //
 // Emits BENCH_micro_crypto.json via bench_common. Modes:
 //   default            — quick sweep (512/1024-bit keys), a few seconds
-//   ULDP_BENCH_SMOKE=1 — CI smoke: 512-bit only, short measurement windows
+//   ULDP_BENCH_SMOKE=1 — CI smoke: 512-bit keys (the kernel rows keep
+//                        their sizes), short measurement windows
 //   ULDP_BENCH_SCALE=full — adds the 2048-bit point
 
 #include <algorithm>
@@ -39,6 +42,7 @@
 #include "crypto/secure_agg.h"
 #include "crypto/sha256.h"
 #include "math/fixed_base.h"
+#include "math/mont_ifma.h"
 #include "math/multi_exp.h"
 #include "math/primes.h"
 
@@ -328,6 +332,56 @@ int main() {
                 {"bits", std::to_string(bits)}});
     }
   }
+  // -- Montgomery kernels --------------------------------------------------
+  // One MontExp per kernel on one modulus at the sizes Protocol 1 runs (n,
+  // p^2 and n^2 at 1024- to 3072-bit keys), the exponent half the modulus
+  // long like r^n mod n^2. Every kernel must return the same numbers, also
+  // for a base of all-ones limbs above the modulus; the IFMA speedup over
+  // the 64-bit rows is reported, not gated, because it is the host CPU's.
+  {
+    const std::vector<std::pair<MontKernel, std::string>> kernels = {
+        {MontKernel::kPortable, "portable"},
+        {MontKernel::kAdx, "adx"},
+        {MontKernel::kIfma, "ifma"}};
+    bool kernels_identical = true;
+    for (int bits : {1024, 2048, 3072, 4096, 6144}) {
+      Rng rng(1200 + bits);
+      BigInt m = BigInt::RandomBits(bits, rng);
+      if (m.IsEven()) m = m + BigInt(1);
+      const BigInt base = BigInt::RandomBelow(m, rng);
+      const BigInt exp = BigInt::RandomBits(bits / 2, rng);
+      const BigInt wide =
+          (BigInt(1) << static_cast<int>(64 * m.limbs().size())) - BigInt(1);
+      std::vector<BigInt> first;
+      std::string row_kernel;
+      for (const auto& [kernel, name] : kernels) {
+        if (!MontKernels::Available(kernel, bits)) continue;
+        const Montgomery mont = MontKernels::On(m, kernel);
+        const std::vector<BigInt> got = {mont.MontExp(base, exp),
+                                         mont.MontExp(wide, exp)};
+        if (first.empty()) first = got;
+        kernels_identical = kernels_identical && got == first;
+        RecordOp(table, json, rows, "mont_exp_kernel", name, bits,
+                 SecondsPerOp([&] { mont.MontExp(base, exp); }, window,
+                              min_iters));
+        if (kernel != MontKernel::kIfma) row_kernel = name;
+      }
+      const double ifma = Find(rows, "mont_exp_kernel", "ifma", bits);
+      if (ifma > 0.0) {
+        json.Add("mont_kernel_speedup",
+                 Find(rows, "mont_exp_kernel", row_kernel, bits) / ifma,
+                 {{"kernel", "ifma"},
+                  {"over", row_kernel},
+                  {"bits", std::to_string(bits)}});
+      }
+    }
+    json.Add("mont_kernel_bitwise_identical", kernels_identical ? 1.0 : 0.0);
+    if (!kernels_identical) {
+      std::cerr << "BUG: Montgomery kernels disagree on one modulus\n";
+      return 1;
+    }
+  }
+
   // -- Substrate unit costs (the non-Paillier pieces of Figures 10/11) ----
   {
     Rng rng(7);

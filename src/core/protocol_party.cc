@@ -643,9 +643,13 @@ Result<std::vector<BigInt>> SiloCore::OtReceiverDecrypt(
   std::vector<Status> user_status(num_users, Status::Ok());
   // Flat per-user sweep: the pad exponentiation K = A^k dominates.
   pool.ParallelFor(static_cast<size_t>(num_users), [&](size_t u) {
-    BigInt key = ot.ReceiverKeyElement(senders[u].a, ot_ks_[u]);
+    auto key = ot.ReceiverKeyElement(senders[u].a, ot_ks_[u]);
+    if (!key.ok()) {
+      user_status[u] = key.status();
+      return;
+    }
     std::vector<uint8_t> plain =
-        ot.ApplyPad(key, encrypted[u][ot_sigmas_[u]]);
+        ot.ApplyPad(key.value(), encrypted[u][ot_sigmas_[u]]);
     BigInt c = BigInt::FromBytesLE(plain);
     if (c >= params_.public_key.n_squared) {
       user_status[u] =

@@ -63,6 +63,9 @@ Result<ObliviousTransfer::ReceiverState> ObliviousTransfer::ReceiverCommit(
   if (sigma >= num_slots_) {
     return Status::InvalidArgument("OT choice index out of range");
   }
+  if (!InGroupRange(c_sigma)) {
+    return Status::InvalidArgument("sender OT slot element out of range");
+  }
   ReceiverState state;
   state.sigma = sigma;
   state.k = BigInt::RandomBelow(group_.p - BigInt(3), rng) + BigInt(2);
@@ -96,9 +99,13 @@ std::vector<uint8_t> ObliviousTransfer::Pad(const BigInt& key_element,
   return pad;
 }
 
+bool ObliviousTransfer::InGroupRange(const BigInt& x) const {
+  return x > BigInt(1) && x < group_.p - BigInt(1);
+}
+
 Result<BigInt> ObliviousTransfer::InvertReceiverMessage(
     const BigInt& receiver_b) const {
-  if (receiver_b <= BigInt(1) || receiver_b >= group_.p - BigInt(1)) {
+  if (!InGroupRange(receiver_b)) {
     return Status::InvalidArgument("receiver OT message out of range");
   }
   return receiver_b.ModInverse(group_.p);
@@ -143,8 +150,11 @@ Result<std::vector<std::vector<uint8_t>>> ObliviousTransfer::SenderEncrypt(
   return out;
 }
 
-BigInt ObliviousTransfer::ReceiverKeyElement(const BigInt& sender_a,
-                                             const BigInt& k) const {
+Result<BigInt> ObliviousTransfer::ReceiverKeyElement(const BigInt& sender_a,
+                                                     const BigInt& k) const {
+  if (!InGroupRange(sender_a)) {
+    return Status::InvalidArgument("sender OT element A out of range");
+  }
   // K_sigma = (C_sigma / B)^r = (g^k)^r = A^k.
   return group_.Exp(sender_a, k);
 }
@@ -155,8 +165,9 @@ Result<std::vector<uint8_t>> ObliviousTransfer::ReceiverDecrypt(
   if (encrypted.size() != num_slots_) {
     return Status::InvalidArgument("ciphertext count != slot count");
   }
-  BigInt key = ReceiverKeyElement(sender_public.a, receiver.k);
-  return ApplyPad(key, encrypted[receiver.sigma]);
+  auto key = ReceiverKeyElement(sender_public.a, receiver.k);
+  if (!key.ok()) return key.status();
+  return ApplyPad(key.value(), encrypted[receiver.sigma]);
 }
 
 }  // namespace uldp

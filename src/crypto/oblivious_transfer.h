@@ -77,7 +77,8 @@ class ObliviousTransfer {
 
   /// Receiver commitment from the chosen slot element alone — the unit of
   /// ReceiverChoose, for batched receivers that hold sender messages in a
-  /// different layout than SenderState.
+  /// different layout than SenderState. Rejects (InvalidArgument) a
+  /// c_sigma outside (1, p - 1), as ComputeSharedSecret rejects DH publics.
   Result<ReceiverState> ReceiverCommit(const BigInt& c_sigma, size_t sigma,
                                        Rng& rng) const;
 
@@ -107,8 +108,10 @@ class ObliviousTransfer {
       const std::vector<std::vector<uint8_t>>& encrypted) const;
 
   /// K_sigma = A^k — the one exponentiation of ReceiverDecrypt, exposed so
-  /// batched receivers can run it inside a flat parallel sweep.
-  BigInt ReceiverKeyElement(const BigInt& sender_a, const BigInt& k) const;
+  /// batched receivers can run it inside a flat parallel sweep. Rejects
+  /// (InvalidArgument) an A outside (1, p - 1): it comes off the wire.
+  Result<BigInt> ReceiverKeyElement(const BigInt& sender_a,
+                                    const BigInt& k) const;
 
   /// XOR-pads `data` with the stream derived from `key_element` — the
   /// symmetric-encryption half shared by SenderEncryptSlot (pad with K_i)
@@ -119,6 +122,9 @@ class ObliviousTransfer {
   size_t num_slots() const { return num_slots_; }
 
  private:
+  /// The range every peer-supplied group element must fall in: (1, p - 1).
+  bool InGroupRange(const BigInt& x) const;
+
   /// XOR pad of `len` bytes derived from a group element via SHA-256 in
   /// counter mode.
   std::vector<uint8_t> Pad(const BigInt& key_element, size_t len) const;

@@ -1,7 +1,9 @@
 #include "math/montgomery.h"
 
 #include "common/check.h"
+#include "math/mont_ifma.h"
 #include "math/mont_row.h"
+#include "obs/metrics.h"
 
 namespace uldp {
 
@@ -46,15 +48,92 @@ int WindowBits(int exp_bits) {
   return 2;
 }
 
+// The kernel a new context runs on. CPUID is read once per process.
+MontKernel PickKernel(int bits) {
+  static const bool has_ifma = mont_ifma::CpuHasIfma();
+  if (has_ifma && mont_ifma::Covers(bits)) return MontKernel::kIfma;
+  return mont_row::ActiveAddMulRow() == &mont_row::AddMulRowPortable
+             ? MontKernel::kPortable
+             : MontKernel::kAdx;
+}
+
+// Contexts built per kernel, so a metrics snapshot says which arithmetic
+// a run's timings come from. All three register with the first context,
+// so a kernel no context ran reads 0 instead of going missing.
+void CountContext(MontKernel kernel) {
+  struct Counters {
+    obs::Counter portable{"math.mont.portable_contexts"};
+    obs::Counter adx{"math.mont.adx_contexts"};
+    obs::Counter ifma{"math.mont.ifma_contexts"};
+  };
+  static Counters counters;
+  switch (kernel) {
+    case MontKernel::kPortable:
+      counters.portable.Add(1);
+      break;
+    case MontKernel::kAdx:
+      counters.adx.Add(1);
+      break;
+    case MontKernel::kIfma:
+      counters.ifma.Add(1);
+      break;
+  }
+}
+
 }  // namespace
 
-Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
+bool MontKernels::Available(MontKernel kernel, int bits) {
+  switch (kernel) {
+    case MontKernel::kPortable:
+      return true;
+    case MontKernel::kAdx:
+      return mont_row::CpuHasBmi2Adx();
+    case MontKernel::kIfma:
+      return mont_ifma::CpuHasIfma() && mont_ifma::Covers(bits);
+  }
+  return false;
+}
+
+Montgomery MontKernels::On(const BigInt& modulus, MontKernel kernel) {
+  ULDP_CHECK_MSG(Available(kernel, modulus.BitLength()),
+                 "Montgomery kernel unavailable for this CPU or modulus");
+  return Montgomery(modulus, kernel);
+}
+
+Montgomery::Montgomery(const BigInt& modulus)
+    : Montgomery(modulus, PickKernel(modulus.BitLength())) {}
+
+Montgomery::Montgomery(const BigInt& modulus, MontKernel kernel)
+    : modulus_(modulus), kernel_(kernel) {
   ULDP_CHECK_MSG(modulus.IsOdd() && modulus > BigInt(1),
                  "Montgomery modulus must be odd and > 1");
   n_limbs_ = modulus.limbs();
   k_ = n_limbs_.size();
   n_prime_ = ~InverseMod2_64(n_limbs_[0]) + 1;  // -n^{-1} mod 2^64
+  CountContext(kernel);
 
+  if (kernel == MontKernel::kIfma) {
+    // R = 2^(52 digits); R^2 mod n computed once with plain division, and
+    // R mod n as the product of R^2 and 1.
+    const int bits = modulus.BitLength();
+    const int vectors = mont_ifma::VectorsFor(bits);
+    const size_t width = static_cast<size_t>(mont_ifma::kLanes * vectors);
+    amm_ = mont_ifma::AmmFor(vectors);
+    digits_ = mont_ifma::DigitsFor(bits);
+    n_digits_ = mont_ifma::ToDigits(n_limbs_, width);
+    const BigInt r2 =
+        (BigInt(1) << static_cast<int>(2 * mont_ifma::kDigitBits * digits_))
+            .Mod(modulus);
+    r2_ = mont_ifma::ToDigits(r2.limbs(), width);
+    Limbs one(width, 0);
+    one[0] = 1;
+    one_mont_ = MontMul(r2_, one);
+    return;
+  }
+
+  add_mul_row_ = kernel == MontKernel::kPortable
+                     ? &mont_row::AddMulRowPortable
+                     : mont_row::ActiveAddMulRow();
   // R^2 mod n with R = 2^(64 k), computed once with plain division.
   BigInt r2 = (BigInt(1) << static_cast<int>(128 * k_)).Mod(modulus);
   r2_ = r2.limbs();
@@ -66,7 +145,6 @@ Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
 }
 
 Montgomery::Limbs Montgomery::Redc(uint64_t* t) const {
-  const mont_row::AddMulRowFn add_mul_row = mont_row::ActiveAddMulRow();
   // Row i adds m * n at limb i, which zeroes t[i]; its carry lands on
   // t[i + k]. The carry out of that addition belongs one limb higher,
   // where row i + 1 lands its own carry, so it waits in `top` until then.
@@ -74,7 +152,7 @@ Montgomery::Limbs Montgomery::Redc(uint64_t* t) const {
   uint64_t top = 0;
   for (size_t i = 0; i < k_; ++i) {
     uint64_t m = t[i] * n_prime_;
-    uint64_t carry = add_mul_row(t + i, n_limbs_.data(), k_, m);
+    uint64_t carry = add_mul_row_(t + i, n_limbs_.data(), k_, m);
     uint128 cur = static_cast<uint128>(t[i + k_]) + carry + top;
     t[i + k_] = static_cast<uint64_t>(cur);
     top = static_cast<uint64_t>(cur >> 64);
@@ -90,29 +168,34 @@ Montgomery::Limbs Montgomery::Redc(uint64_t* t) const {
 }
 
 Montgomery::Limbs Montgomery::MontMul(const Limbs& a, const Limbs& b) const {
+  if (amm_ != nullptr) {
+    Limbs out(n_digits_.size());
+    amm_(out.data(), a.data(), b.data(), n_digits_.data(),
+         n_prime_ & mont_ifma::kDigitMask, digits_);
+    return out;
+  }
   // Full product then REDC. Schoolbook is optimal at Paillier limb counts.
   // Row i covers t[i, i + k); no earlier row reaches t[i + k], so its
   // carry is stored there.
-  const mont_row::AddMulRowFn add_mul_row = mont_row::ActiveAddMulRow();
   std::vector<uint64_t> t(2 * k_, 0);
   for (size_t i = 0; i < k_; ++i) {
     if (a[i] == 0) continue;
-    t[i + k_] = add_mul_row(t.data() + i, b.data(), k_, a[i]);
+    t[i + k_] = add_mul_row_(t.data() + i, b.data(), k_, a[i]);
   }
   return Redc(t.data());
 }
 
 Montgomery::Limbs Montgomery::MontSqrLimbs(const Limbs& a) const {
+  if (amm_ != nullptr) return MontMul(a, a);
   // a^2 = 2 * sum_{i<j} a_i a_j B^{i+j} + sum_i a_i^2 B^{2i}: the cross
   // products are computed once and doubled, roughly halving the inner-loop
   // work of a generic MontMul. Cross row i covers t[2i + 1, i + k); no
   // earlier row reaches t[i + k], so its carry is stored there.
-  const mont_row::AddMulRowFn add_mul_row = mont_row::ActiveAddMulRow();
   std::vector<uint64_t> t(2 * k_, 0);
   for (size_t i = 0; i + 1 < k_; ++i) {
     if (a[i] == 0) continue;
     t[i + k_] =
-        add_mul_row(t.data() + 2 * i + 1, a.data() + i + 1, k_ - i - 1, a[i]);
+        add_mul_row_(t.data() + 2 * i + 1, a.data() + i + 1, k_ - i - 1, a[i]);
   }
   // Double the cross-product sum (cannot overflow 2k limbs: 2*cross <= a^2
   // < R^2).
@@ -140,13 +223,28 @@ Montgomery::Limbs Montgomery::MontSqrLimbs(const Limbs& a) const {
 
 Montgomery::Limbs Montgomery::ToMont(const BigInt& x) const {
   ULDP_CHECK(!x.IsNegative());
+  ULDP_CHECK_LE(x.limbs().size(), k_);
+  if (amm_ != nullptr) {
+    // The product needs x < n, and a k-limb x >= n may not even fit the
+    // digits, so it is reduced first (callers on hot paths pass x < n).
+    const size_t width = n_digits_.size();
+    const Limbs xd = x < modulus_
+                         ? mont_ifma::ToDigits(x.limbs(), width)
+                         : mont_ifma::ToDigits(x.Mod(modulus_).limbs(), width);
+    return MontMul(xd, r2_);
+  }
+  // REDC reduces any k-limb x: x * R^2 < R * n.
   Limbs xl = x.limbs();
-  ULDP_CHECK_LE(xl.size(), k_);
   xl.resize(k_, 0);
   return MontMul(xl, r2_);
 }
 
 BigInt Montgomery::FromMont(const Limbs& x) const {
+  if (amm_ != nullptr) {
+    Limbs one(x.size(), 0);
+    one[0] = 1;
+    return BigInt::FromLimbs(mont_ifma::FromDigits(MontMul(x, one)));
+  }
   std::vector<uint64_t> t(x);
   t.resize(2 * k_, 0);
   return BigInt::FromLimbs(Redc(t.data()));

@@ -70,8 +70,12 @@ Result<Frame> ProtocolServer::RecvFrom(int silo) {
   if (mux_ == nullptr) {
     return Status::FailedPrecondition("receive mux not started");
   }
-  return UnwrapErrorFrame(mux_->RecvFrom(silo),
-                          "silo " + std::to_string(silo));
+  Result<Frame> frame = mux_->RecvFrom(silo);
+  if (frame.ok()) {
+    consumed_bytes_.fetch_add(kFrameHeaderSize + frame.value().payload.size(),
+                              std::memory_order_relaxed);
+  }
+  return UnwrapErrorFrame(std::move(frame), "silo " + std::to_string(silo));
 }
 
 Status ProtocolServer::Broadcast(const Frame& frame) {
@@ -111,7 +115,7 @@ uint64_t ProtocolServer::total_bytes_received() const {
 
 void ProtocolServer::BeginPhase() {
   phase_sent_start_ = total_bytes_sent();
-  phase_received_start_ = total_bytes_received();
+  phase_received_start_ = consumed_bytes_.load(std::memory_order_relaxed);
   phase_time_start_ = NowSeconds();
 }
 
@@ -128,7 +132,8 @@ void ProtocolServer::EndPhase(const std::string& name) {
     entry = &stats_.back();
   }
   entry->bytes_sent += total_bytes_sent() - phase_sent_start_;
-  entry->bytes_received += total_bytes_received() - phase_received_start_;
+  entry->bytes_received +=
+      consumed_bytes_.load(std::memory_order_relaxed) - phase_received_start_;
   const double seconds = NowSeconds() - phase_time_start_;
   entry->seconds += seconds;
   // Mirror each phase into the telemetry layer: a latency histogram in the

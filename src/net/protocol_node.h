@@ -42,6 +42,7 @@
 #ifndef ULDP_NET_PROTOCOL_NODE_H_
 #define ULDP_NET_PROTOCOL_NODE_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -62,6 +63,8 @@ namespace net {
 
 /// Wire traffic and wall time of one server-side protocol phase,
 /// accumulated across rounds (the bench's bytes-on-the-wire source).
+/// Received bytes are the frames the phase consumed, header included: the
+/// receive threads may read a fast silo's reply before its phase opens.
 struct NetPhaseStats {
   std::string phase;
   uint64_t bytes_sent = 0;
@@ -150,6 +153,8 @@ class ProtocolServer {
   std::unique_ptr<FrameMux> mux_;
   bool setup_done_ = false;
   std::vector<NetPhaseStats> stats_;
+  // Wire bytes of every frame RecvFrom has returned (pool threads call it).
+  std::atomic<uint64_t> consumed_bytes_{0};
   uint64_t phase_sent_start_ = 0;
   uint64_t phase_received_start_ = 0;
   double phase_time_start_ = 0.0;

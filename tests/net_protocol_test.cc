@@ -91,6 +91,19 @@ std::vector<Vec> RunDistributed(
   // Every phase moved real bytes.
   EXPECT_GT(server.total_bytes_sent(), 0u);
   EXPECT_GT(server.total_bytes_received(), 0u);
+  // Received bytes count toward the phase that consumes them, however
+  // early a fast silo's cipher reaches the receive threads. Without OT or
+  // streaming, no silo sends anything while the weights go out.
+  const bool plain_round =
+      config.ot_slots == 0 && StreamChunkUsers(config) == 0;
+  for (const NetPhaseStats& phase : server.phase_stats()) {
+    if (phase.phase == "silo_ciphers") {
+      EXPECT_GT(phase.bytes_received, 0u);
+    }
+    if (phase.phase == "enc_weights" && plain_round) {
+      EXPECT_EQ(phase.bytes_received, 0u);
+    }
+  }
   return outs;
 }
 

@@ -55,6 +55,28 @@ TEST_F(OtFixture, NonChosenSlotsAreNotRecoverable) {
   }
 }
 
+TEST_F(OtFixture, HostileSenderElementsAreRejected) {
+  // A and the chosen C_sigma come off the wire. Outside (1, p - 1) they
+  // are refused before any exponentiation, as DH publics are.
+  const size_t slots = 3;
+  ObliviousTransfer ot(group_, slots);
+  const auto sender = ot.SenderInit(rng_);
+  const auto receiver = ot.ReceiverChoose(sender, 1, rng_).value();
+  const std::vector<std::vector<uint8_t>> enc(slots,
+                                              std::vector<uint8_t>(16, 0));
+  for (const BigInt& bad : {BigInt(-5), BigInt(1) << 5000, BigInt(0),
+                            BigInt(1), group_.p - BigInt(1), group_.p}) {
+    EXPECT_EQ(ot.ReceiverKeyElement(bad, receiver.k).status().code(),
+              StatusCode::kInvalidArgument);
+    auto hostile = sender;
+    hostile.a = bad;
+    EXPECT_EQ(ot.ReceiverDecrypt(receiver, hostile, enc).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(ot.ReceiverCommit(bad, 1, rng_).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST_F(OtFixture, ChoiceMessageIndependentOfSigma) {
   // Receiver privacy: B is a uniformly random group element whatever sigma
   // is; sanity-check that repeated choices of different sigma produce

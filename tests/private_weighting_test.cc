@@ -6,6 +6,7 @@
 #include "core/mask_tags.h"
 #include "core/private_weighting.h"
 #include "core/uldp_avg.h"
+#include "crypto/oblivious_transfer.h"
 #include "data/allocation.h"
 #include "data/synthetic.h"
 #include "math/fixed_base.h"
@@ -354,6 +355,51 @@ TEST(ProtocolOtTest, PrivateSubsamplingHonorsHiddenMask) {
   ASSERT_EQ(mask.size(), static_cast<size_t>(users));
   Vec expect = PlaintextReference(in, mask, dim);
   for (int d = 0; d < dim; ++d) EXPECT_NEAR(out.value()[d], expect[d], 1e-7);
+}
+
+// The server's per-user OT element A, or the slot element C_sigma the
+// receiver commits to, arrives off the wire with a sign byte and any
+// length. Outside (1, p - 1) it fails the silo's OT step with
+// InvalidArgument, where the distributed silo ends its run, instead of
+// aborting in the Montgomery context.
+TEST(ProtocolOtTest, HostileSenderElementsFailTheSiloStep) {
+  Rng rng(41);
+  ProtocolParams params;
+  params.config.paillier_bits = 512;
+  params.config.n_max = 30;
+  params.config.ot_slots = 4;
+  params.config.ot_group_bits = 192;
+  params.num_silos = 2;
+  params.num_users = 3;
+  PaillierSecretKey sk;
+  ASSERT_TRUE(
+      Paillier::GenerateKeyPair(512, rng, &params.public_key, &sk).ok());
+  params.ot_group = DhGroup::GenerateSafePrimeGroup(192, rng);
+  ASSERT_TRUE(params.Derive().ok());
+  SiloCore silo(params, 0, std::vector<int>(3, 1));
+  silo.SetSharedSeed(BigInt::RandomBits(256, rng));
+  const ObliviousTransfer ot(params.ot_group, 4);
+  std::vector<OtSenderPublic> honest;
+  for (int u = 0; u < 3; ++u) {
+    ObliviousTransfer::SenderState state = ot.SenderInit(rng);
+    honest.push_back({state.c, state.a});
+  }
+  const std::vector<std::vector<std::vector<uint8_t>>> slots(
+      3, std::vector<std::vector<uint8_t>>(4, std::vector<uint8_t>(8, 0)));
+  ThreadPool pool(2);
+  for (const BigInt& bad : {BigInt(-5), BigInt(1) << 5000}) {
+    std::vector<OtSenderPublic> senders = honest;
+    senders[1].a = bad;
+    ASSERT_TRUE(silo.OtReceiverChoose(1, senders, pool).ok());
+    EXPECT_EQ(silo.OtReceiverDecrypt(1, senders, slots, pool).status().code(),
+              StatusCode::kInvalidArgument)
+        << "A = " << bad.ToHex().substr(0, 8);
+    senders = honest;
+    for (BigInt& c : senders[1].c) c = bad;
+    EXPECT_EQ(silo.OtReceiverChoose(2, senders, pool).status().code(),
+              StatusCode::kInvalidArgument)
+        << "C = " << bad.ToHex().substr(0, 8);
+  }
 }
 
 TEST(ProtocolChunkTest, ChunkSizeNeverChangesABit) {

@@ -6,7 +6,7 @@
 # SANITIZE=1 tools/ci.sh [build-dir] instead builds with ASan+UBSan
 # (-DULDP_SANITIZE=ON) and runs the fast unit-test subset sanitized —
 # the substrate suites where boundary off-by-ones live (BigInt,
-# Montgomery/fixed-base, fixed point, CSV, masks, Paillier, DH/OT).
+# Montgomery kernels/fixed-base, fixed point, CSV, masks, Paillier, DH/OT).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
@@ -15,7 +15,7 @@ if [ "${SANITIZE:-0}" = "1" ]; then
   # Separate default build dir: writing ULDP_SANITIZE=ON into the plain
   # build/ cache would leave later non-sanitized runs silently sanitized.
   BUILD_DIR="${1:-build-asan}"
-  FAST_TESTS='^(bigint_test|montgomery_primes_test|fixed_base_test|fixed_point_test|csv_loader_test|mask_tags_test|secure_agg_test|sha_chacha_test|common_test|parallel_test|paillier_test|paillier_ctx_test|dh_test|oblivious_transfer_test|net_wire_test|net_transport_test|parse_test|async_rounds_test|multi_exp_test|packed_codec_test|net_stream_test|shard_round_test|session_test|membership_test|obs_test|mux_test)$'
+  FAST_TESTS='^(bigint_test|montgomery_primes_test|mont_kernel_test|fixed_base_test|fixed_point_test|csv_loader_test|mask_tags_test|secure_agg_test|sha_chacha_test|common_test|parallel_test|paillier_test|paillier_ctx_test|dh_test|oblivious_transfer_test|net_wire_test|net_transport_test|parse_test|async_rounds_test|multi_exp_test|packed_codec_test|net_stream_test|shard_round_test|session_test|membership_test|obs_test|mux_test)$'
   cmake -B "$BUILD_DIR" -S . -DULDP_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD_DIR" -j"$JOBS"
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
@@ -396,7 +396,9 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
     exit 1
   fi
   # Server side: migrated transport/core counters, mux
-  # histograms, and one complete span per protocol phase per round.
+  # histograms, and one complete span per protocol phase per round. Both
+  # sides also name the Montgomery kernels their contexts ran on; the
+  # runner's CPU decides which counts are nonzero, so each floor is 0.
   python3 tools/check_metrics.py \
       --metrics "$BUILD_DIR/obs_smoke_server_metrics.json" \
       --trace "$BUILD_DIR/obs_smoke_server_trace.json" \
@@ -405,6 +407,9 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
       --require-metric net.mux.frames \
       --require-metric net.mux.epoll_wakeups \
       --require-metric core.weight_table_cache_hits:0 \
+      --require-metric math.mont.portable_contexts:0 \
+      --require-metric math.mont.adx_contexts:0 \
+      --require-metric math.mont.ifma_contexts:0 \
       --require-hist net.mux.dispatch_ns \
       --require-hist net.mux.epoll_wait_ns \
       --require-hist net.transport.frame_bytes \
@@ -426,6 +431,9 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
       --require-metric net.stream.silo-cipher.chunks_sent:2 \
       --require-metric core.fold.straus_batches \
       --require-metric net.stream.silo-cipher.chunk_bytes \
+      --require-metric math.mont.portable_contexts:0 \
+      --require-metric math.mont.adx_contexts:0 \
+      --require-metric math.mont.ifma_contexts:0 \
       --require-hist net.stream.silo-cipher.ack_wait_ns \
       --require-span silo.setup \
       --require-span silo.round:2 \
