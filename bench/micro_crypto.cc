@@ -11,11 +11,12 @@
 // on each side of the cost model's crossover, a comb table at heavy
 // reuse checked against MontExp, and one MontExp per Montgomery kernel
 // (portable and ADX rows, AVX-512 IFMA) at 1024-6144 bits, checked
-// against each other. Also measures fig11-style private
-// weighting rounds at each ciphertext packing factor (median of
-// alternating round pairs), plus the remaining substrate unit costs behind
-// Figures 10/11
-// (BigInt mul/div, secure-aggregation masking serial vs pooled, SHA-256,
+// against each other, and the keystream throughput of each ChaCha20
+// kernel (scalar, AVX2, AVX-512F) checked against the scalar block. Also
+// measures fig11-style private weighting rounds at each ciphertext packing
+// factor (median of alternating round pairs), plus the remaining substrate
+// unit costs behind Figures 10/11 (BigInt mul/div, secure-aggregation
+// masking serial vs pooled and at the async silo's dim 100 000, SHA-256,
 // the ChaCha stream, C_LCM).
 //
 // Emits BENCH_micro_crypto.json via bench_common. Modes:
@@ -382,6 +383,50 @@ int main() {
     }
   }
 
+  // -- ChaCha20 kernels ----------------------------------------------------
+  // Keystream throughput per kernel the CPU runs (MB/s through NextUint64)
+  // and every kernel's words against the scalar block, from counters that
+  // straddle a 16-block batch and from 40 blocks before the 2^32 wrap.
+  // Throughput is the host CPU's, so it is reported, not gated.
+  {
+    const std::vector<std::pair<ChaChaKernel, std::string>> kernels = {
+        {ChaChaKernel::kScalar, "scalar"},
+        {ChaChaKernel::kAvx2, "avx2"},
+        {ChaChaKernel::kAvx512, "avx512"}};
+    const ChaChaRng::Key key = ChaChaRng::DeriveKey("bench-chacha");
+    const ChaChaRng::Nonce nonce = ChaChaRng::MakeNonce(9, 1);
+    auto words = [&](ChaChaKernel kernel, uint32_t first_block) {
+      ChaChaRng stream = ChaChaKernels::On(key, nonce, kernel, first_block);
+      std::vector<uint64_t> out(8 * 40);
+      for (uint64_t& w : out) w = stream.NextUint64();
+      return out;
+    };
+    bool chacha_identical = true;
+    std::vector<uint64_t> buffer(1024);  // 8 KiB of keystream per op
+    for (const auto& [kernel, name] : kernels) {
+      if (!ChaChaKernels::Available(kernel)) continue;
+      for (uint32_t first_block : {0u, 15u, 0xFFFFFFFFu - 40}) {
+        chacha_identical =
+            chacha_identical && words(kernel, first_block) ==
+                                    words(ChaChaKernel::kScalar, first_block);
+      }
+      ChaChaRng stream = ChaChaKernels::On(key, nonce, kernel);
+      const double s = SecondsPerOp(
+          [&] {
+            for (uint64_t& w : buffer) w = stream.NextUint64();
+          },
+          window, min_iters);
+      RecordOp(table, json, rows, "chacha_keystream_8KiB", name, 0, s);
+      json.Add("chacha_keystream_mb_per_s", 8.0 * buffer.size() / s / 1e6,
+               {{"kernel", name}});
+    }
+    json.Add("chacha_kernel_bitwise_identical", chacha_identical ? 1.0 : 0.0);
+    if (!chacha_identical) {
+      std::cerr << "BUG: ChaCha kernels disagree with the scalar block\n";
+      return 1;
+    }
+  }
+
   // -- Substrate unit costs (the non-Paillier pieces of Figures 10/11) ----
   {
     Rng rng(7);
@@ -417,6 +462,14 @@ int main() {
                    agg.AddMasks(0, keys, 2, v256, &ThreadPool::Global());
                  },
                  window, min_iters));
+    // The async silo's shape: one party's masks against its 2 peers over
+    // the aggregation field at dim 100 000, serial as MaskDelta runs it.
+    SecureAggregator agg3(AggregationPrime(), 3);
+    const std::vector<ChaChaRng::Key> keys3(keys.begin(), keys.begin() + 3);
+    FieldVector v100k(100000, agg3.limbs());
+    RecordOp(table, json, rows, "secure_agg_mask_dim100000", "serial", 256,
+             SecondsPerOp([&] { agg3.AddMasks(0, keys3, 3, v100k); }, window,
+                          min_iters));
 
     std::string data(4096, 'x');
     RecordOp(table, json, rows, "sha256_4096B", "-", 0,

@@ -79,10 +79,15 @@ class SecureAggregator {
   /// [0, n). `pairwise_keys[j]` is the ChaCha key shared between `me` and
   /// party j (entry for j == me is ignored). Both parties of a pair must
   /// have derived identical keys (see DeriveSharedSeedMaterial).
-  /// With a `pool`, the per-peer PRF streams are generated concurrently
-  /// (each peer's stream is an independent ChaCha evaluation) and added
-  /// in fixed peer order; the result is the same residue either way, so it
-  /// is bitwise identical to the serial path at any thread count.
+  /// Without a `pool`, each peer's stream is drawn and added one element
+  /// at a time. With one, each peer's stream is drawn on its own task into
+  /// a dim x limbs() buffer (8 dim limbs() bytes per peer) and the buffers
+  /// are added in fixed peer order afterwards. The result is the same
+  /// residue either way, bitwise identical at any thread count. A stream
+  /// refills 16 ChaCha20 blocks at a time on a SIMD kernel
+  /// (crypto/chacha.h), so against two peers at dim 100 000 the draws are
+  /// only about half of the serial path's time, and the buffered pool path
+  /// can run slower than the serial one there.
   void AddMasks(int me, const std::vector<ChaChaRng::Key>& pairwise_keys,
                 uint64_t tag, FieldVector& values,
                 ThreadPool* pool = nullptr) const;

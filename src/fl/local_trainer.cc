@@ -41,9 +41,10 @@ namespace {
 // One fixed-point unit of the secure-aggregation encoding.
 constexpr double kAggPrecision = 1e-10;
 
-// Pairwise keys for `party`: in production these come from the DH
-// exchange; the simulation derives them from the public pair id (masks
-// still cancel and the code path is identical).
+// Pairwise keys for `party`, derived from the public pair id: the masks
+// cancel and cost what real ones do, but anyone can derive these keys, so
+// they hide nothing from the server. Protocol 1's DH-derived pair keys
+// (SiloCore::ComputePairKeys) are not wired into this path.
 std::vector<ChaChaRng::Key> PairwiseAggKeys(int party, int num_parties) {
   std::vector<ChaChaRng::Key> keys(std::max(num_parties, 2));
   for (int j = 0; j < num_parties; ++j) {

@@ -130,8 +130,10 @@ double AsyncNoiseMargin(const FlConfig& config, int num_silos);
 
 /// Sums per-silo delta vectors. With `secure` set, each delta is
 /// fixed-point-encoded, masked with pairwise ChaCha masks that cancel in
-/// the sum, and decoded after summation — so a curious server summing the
-/// transcripts learns only the total (Bonawitz-style aggregation). That is
+/// the sum, and decoded after summation (Bonawitz-style aggregation). The
+/// pair keys are derived from public strings, so this reproduces the
+/// masks' cost, not their secrecy: a curious server that derives the same
+/// keys can unmask each delta. That is
 /// MaskDelta per silo, then UnmaskSum; a non-finite or out-of-range
 /// coordinate aborts. `pool` (optional) parallelizes mask
 /// generation; the result is bitwise identical at any thread count.

@@ -12,6 +12,9 @@ namespace {
 /// Session checkpoint format version; bump on any layout change.
 constexpr uint16_t kSessionFormatVersion = 1;
 constexpr uint8_t kMagic[4] = {'U', 'L', 'S', 'S'};
+/// Encoded sizes of one SiloMember and one MembershipEpochRecord.
+constexpr size_t kMemberBytes = 4 + 1 + 8 + 8 + 8 + 4 + 8;
+constexpr size_t kEpochBytes = 8 + 8 + 4 + 8;
 
 }  // namespace
 
@@ -188,6 +191,12 @@ Result<SessionState> SessionState::Deserialize(
   }
   uint32_t member_count = 0;
   ULDP_RETURN_IF_ERROR(r.U32(&member_count));
+  // The digest is unkeyed, so a crafted file passes it: reject counts the
+  // remaining payload cannot hold before reserving anything.
+  if (member_count > r.remaining() / kMemberBytes) {
+    return Status::InvalidArgument(
+        "session checkpoint member count exceeds what the file could hold");
+  }
   state.members.reserve(member_count);
   for (uint32_t i = 0; i < member_count; ++i) {
     SiloMember m;
@@ -208,6 +217,10 @@ Result<SessionState> SessionState::Deserialize(
   }
   uint32_t epoch_count = 0;
   ULDP_RETURN_IF_ERROR(r.U32(&epoch_count));
+  if (epoch_count > r.remaining() / kEpochBytes) {
+    return Status::InvalidArgument(
+        "session checkpoint epoch count exceeds what the file could hold");
+  }
   state.epochs.reserve(epoch_count);
   for (uint32_t i = 0; i < epoch_count; ++i) {
     MembershipEpochRecord e;

@@ -37,9 +37,14 @@
 // identical to the fixed-membership behaviour.
 //
 // Masked mode (config.masked): silos submit pairwise-masked fixed-point
-// deltas (MaskedVectorMsg over the crypto/secure_agg.h simulation) instead
-// of plaintext RoundAcks; the server can only recover the SUM. Requires
-// the barrier configuration (max_staleness 0, full buffer, static
+// deltas (MaskedVectorMsg over crypto/secure_agg.h) instead of plaintext
+// RoundAcks. The masks cancel in the sum and their cost (keystream, frame
+// bytes, unmask) is real, but the pair keys are a simulation:
+// PairwiseAggKeys (fl/local_trainer.cc) derives each one from the public
+// string "agg-sim|lo,hi", so a server running the same derivation can strip
+// every silo's mask and read its delta. The DH-derived pair keys Protocol 1
+// uses (SiloCore::ComputePairKeys) are not wired into async rounds.
+// Requires the barrier configuration (max_staleness 0, full buffer, static
 // membership) — pairwise masks only cancel over the full cohort — and is
 // bitwise identical to the in-process secure reduce on the same work.
 // Each vector stays one flat FieldVector from MaskDelta through the frame
@@ -110,8 +115,10 @@ struct AsyncRoundsConfig {
   /// Elastic runs fail when the active population drops below this.
   int min_silos = 1;
   /// Secure-aggregation transport: deltas arrive pairwise-masked and the
-  /// server recovers only their sum. Requires the barrier configuration
-  /// and static membership.
+  /// masks cancel in their sum. The pair keys are derived from public
+  /// strings (a simulation), so this hides nothing from a server that
+  /// derives them too. Requires the barrier configuration and static
+  /// membership.
   bool masked = false;
 };
 

@@ -128,6 +128,32 @@ TEST(SessionSerializeTest, UnknownFormatVersionIsRejectedEvenWithValidDigest) {
       << back.status().ToString();
 }
 
+TEST(SessionSerializeTest, CraftedCountsAreRejectedEvenWithValidDigest) {
+  // An empty model, then a member or epoch count no file could hold, then
+  // the recomputed (public, unkeyed) digest. Both counts come before any
+  // element they count, so they must be checked before anything is
+  // reserved.
+  for (bool epochs : {false, true}) {
+    net::WireWriter w;
+    for (char c : {'U', 'L', 'S', 'S'}) w.U8(static_cast<uint8_t>(c));
+    w.U16(1);   // format version
+    w.U64(42);  // seed
+    w.U32(0);   // dim
+    w.U64(0);   // round
+    w.U64(0);   // membership epoch
+    w.F64Vec({});
+    if (epochs) w.U32(0);  // no members
+    w.U32(0xFFFFFFFFu);
+    w.U64(net::WireDigest(w.buffer()));
+    auto back = SessionState::Deserialize(w.buffer());
+    ASSERT_FALSE(back.ok()) << (epochs ? "epoch" : "member") << " count";
+    EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(back.status().message().find(epochs ? "epoch" : "member"),
+              std::string::npos)
+        << back.status().ToString();
+  }
+}
+
 TEST(SessionFileTest, WriteReadRoundTripsAndMissingFileIsNotFound) {
   std::string dir = MakeTempDir();
   ASSERT_FALSE(dir.empty());

@@ -215,10 +215,12 @@ void PrintHelp() {
       "  --min-silos=N               fail the run if the active population\n"
       "                              drops below N (default 1)\n"
       "  --masked                    silos upload pairwise-masked deltas\n"
-      "                              (fl/local_trainer.h); the server only\n"
-      "                              sees the unmasked sum, which is\n"
-      "                              bitwise identical to the in-process\n"
-      "                              secure reduce\n"
+      "                              (fl/local_trainer.h) whose masks\n"
+      "                              cancel in a sum bitwise identical to\n"
+      "                              the in-process secure reduce. The pair\n"
+      "                              keys come from public strings (a\n"
+      "                              simulation), so a server deriving\n"
+      "                              them can unmask each silo's delta\n"
       "  --straggler=SECONDS         async client: sleep this long per\n"
       "                              local step (slows the run so kill/\n"
       "                              resume drills can land mid-run)\n"
