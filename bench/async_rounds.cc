@@ -48,8 +48,8 @@ constexpr uint64_t kWorkSeed = 4242;
 
 /// Engine-side adapter of the shared deterministic demo work with an
 /// injected per-silo compute time (the straggler).
-RoundEngine::AsyncLocalWork MakeEngineWork(int dim, double unit_seconds,
-                                           int straggler_silo) {
+RoundEngine::SiloWork MakeEngineWork(int dim, double unit_seconds,
+                                     int straggler_silo) {
   return [dim, unit_seconds, straggler_silo](int version, int silo,
                                              const Vec& snapshot, Model&,
                                              Vec& delta) {
@@ -69,16 +69,12 @@ Vec RunSyncEngine(const Model& arch, int silos, int dim, int steps,
                   double* seconds_per_step) {
   RoundEngineConfig config;
   config.num_threads = silos;  // sleeps must overlap, as real silos would
-  RoundEngine engine(arch, silos, config);
-  RoundEngine::AsyncLocalWork work =
-      MakeEngineWork(dim, unit_seconds, straggler);
+  RoundEngine engine(arch, silos, config,
+                     MakeEngineWork(dim, unit_seconds, straggler));
   Vec global(dim, 0.0);
   auto t0 = Clock::now();
   for (int r = 0; r < steps; ++r) {
-    auto total = engine.RunRound(
-        r, global, [&](int s, Model& model, Vec& delta) {
-          return work(r, s, global, model, delta);
-        });
+    auto total = engine.Step(r, global);
     if (!total.ok()) {
       std::cerr << total.status().ToString() << "\n";
       std::exit(1);
@@ -94,21 +90,16 @@ Vec RunSyncEngine(const Model& arch, int silos, int dim, int steps,
 /// Async engine run (threaded unless a schedule is injected).
 Vec RunAsyncEngine(const Model& arch, int silos, int dim, int steps,
                    double unit_seconds, int straggler, double step_scale,
-                   AsyncOptions options, double* seconds_per_step,
+                   RoundEngineConfig config, double* seconds_per_step,
                    AsyncStats* stats) {
-  RoundEngineConfig config;
   config.num_threads = silos;
-  RoundEngine engine(arch, silos, config);
-  Status started = engine.StartAsync(
-      MakeEngineWork(dim, unit_seconds, straggler), options);
-  if (!started.ok()) {
-    std::cerr << started.ToString() << "\n";
-    std::exit(1);
-  }
+  config.async_rounds = true;
+  RoundEngine engine(arch, silos, config,
+                     MakeEngineWork(dim, unit_seconds, straggler));
   Vec global(dim, 0.0);
   auto t0 = Clock::now();
   for (int r = 0; r < steps; ++r) {
-    auto total = engine.StepAsync(r, global);
+    auto total = engine.Step(r, global);
     if (!total.ok()) {
       std::cerr << total.status().ToString() << "\n";
       std::exit(1);
@@ -119,7 +110,6 @@ Vec RunAsyncEngine(const Model& arch, int silos, int dim, int steps,
     *seconds_per_step = SecondsSince(t0) / steps;
   }
   if (stats != nullptr) *stats = engine.async_stats();
-  engine.StopAsync();
   return global;
 }
 
@@ -193,9 +183,9 @@ int Run() {
   double sync_s = 0.0, async_s = 0.0;
   Vec sync_straggler = RunSyncEngine(*arch, silos, dim, steps, unit_seconds,
                                      straggler, step_scale, &sync_s);
-  AsyncOptions fast;
+  RoundEngineConfig fast;
   fast.max_staleness = 2;
-  fast.buffer_size = silos - 1;  // flush on the fast silos' cadence
+  fast.async_buffer = silos - 1;  // flush on the fast silos' cadence
   AsyncStats stats;
   RunAsyncEngine(*arch, silos, dim, steps, unit_seconds, straggler,
                  step_scale, fast, &async_s, &stats);
@@ -218,10 +208,10 @@ int Run() {
   // No injected sleep: this section is about bit equality, not latency.
   Vec reference = RunSyncEngine(*arch, silos, dim, steps, 0.0, -1,
                                 step_scale, nullptr);
-  AsyncOptions barrier;  // max_staleness 0, full buffer
+  RoundEngineConfig barrier;  // max_staleness 0, full buffer
   Vec threaded = RunAsyncEngine(*arch, silos, dim, steps, 0.0, -1,
                                 step_scale, barrier, nullptr, nullptr);
-  AsyncOptions scheduled = barrier;
+  RoundEngineConfig scheduled = barrier;
   for (int r = 0; r < steps; ++r) {
     for (int s = silos - 1; s >= 0; --s) {  // reversed arrivals
       scheduled.arrival_schedule.push_back(s);

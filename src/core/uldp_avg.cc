@@ -16,14 +16,23 @@ UldpAvgTrainer::UldpAvgTrainer(const FederatedDataset& data,
       config_(config),
       options_(options),
       rng_(config.seed),
-      engine_(model, data.num_silos(), EngineConfigFrom(config)),
       tracker_(options.user_sample_rate < 1.0
                    ? PrivacyTracker::ForSubsampledGaussian(
                          config.sigma, options.user_sample_rate)
-                   : PrivacyTracker::ForGaussian(config.sigma)) {
+                   : PrivacyTracker::ForGaussian(config.sigma)),
+      engine_(model, data.num_silos(), EngineConfigFrom(config),
+              [this](int version, int silo, const Vec& snapshot,
+                     Model& model, Vec& delta) {
+                return LocalSiloWork(static_cast<uint64_t>(version), snapshot,
+                                     silo, model, delta);
+              }) {
   ULDP_CHECK_GT(config_.clip, 0.0);
   ULDP_CHECK_GT(options_.user_sample_rate, 0.0);
   ULDP_CHECK_LE(options_.user_sample_rate, 1.0);
+  // The private-protocol reduce is a lockstep multi-party computation —
+  // the weighting encryption has no staleness-bounded analogue (yet).
+  ULDP_CHECK_MSG(!config_.async_rounds || options_.private_protocol == nullptr,
+                 "async_rounds is incompatible with the private protocol");
   WeightingStrategy strategy = options_.weighting;
   if (options_.private_protocol != nullptr) {
     // The protocol computes n_{s,u}/N_u weights inside the encryption.
@@ -47,23 +56,7 @@ UldpAvgTrainer::UldpAvgTrainer(const FederatedDataset& data,
       silo_shards_[s].push_back(UserShard{u, data_.MakeExamples(idx)});
     }
   }
-  if (config_.async_rounds) {
-    // The private-protocol reduce is a lockstep multi-party computation —
-    // the weighting encryption has no staleness-bounded analogue (yet).
-    ULDP_CHECK_MSG(options_.private_protocol == nullptr,
-                   "async_rounds is incompatible with the private protocol");
-    Status started = engine_.StartAsync(
-        [this](int version, int silo, const Vec& snapshot, Model& model,
-               Vec& delta) {
-          return LocalSiloWork(static_cast<uint64_t>(version), snapshot, silo,
-                               model, delta);
-        },
-        AsyncOptionsFrom(config_));
-    ULDP_CHECK_MSG(started.ok(), started.ToString());
-  }
 }
-
-UldpAvgTrainer::~UldpAvgTrainer() { engine_.StopAsync(); }
 
 std::vector<bool> UldpAvgTrainer::SampledMask(uint64_t version) {
   std::lock_guard<std::mutex> lock(mask_mu_);
@@ -148,7 +141,7 @@ Status UldpAvgTrainer::RunRound(int round, Vec& global_params) {
     std::vector<std::vector<Vec>> protocol_deltas(s_count,
                                                   std::vector<Vec>(u_count));
     std::vector<Vec> silo_noise(s_count, Vec());
-    auto silo_work = [&](int s, Model& model, Vec&) {
+    auto silo_work = [&](int, int s, const Vec&, Model& model, Vec&) {
       for (const UserShard& user_shard : silo_shards_[s]) {
         if (!sampled[user_shard.user]) continue;
         model.SetParams(global_params);
@@ -166,21 +159,14 @@ Status UldpAvgTrainer::RunRound(int round, Vec& global_params) {
       AddGaussianNoise(silo_noise[s], noise_std, noise);
       return Status::Ok();
     };
-    ULDP_RETURN_IF_ERROR(
-        engine_.RunSilos(global_params, silo_work, /*silo_deltas=*/nullptr));
+    ULDP_RETURN_IF_ERROR(engine_.RunSilos(round, global_params, silo_work,
+                                          /*silo_deltas=*/nullptr));
     auto agg = options_.private_protocol->WeightingRound(
         r, protocol_deltas, silo_noise, sampled);
     if (!agg.ok()) return agg.status();
     total = std::move(agg.value());
   } else {
-    auto agg =
-        config_.async_rounds
-            ? engine_.StepAsync(round, global_params)
-            : engine_.RunRound(round, global_params,
-                               [&](int s, Model& model, Vec& delta) {
-                                 return LocalSiloWork(r, global_params, s,
-                                                      model, delta);
-                               });
+    auto agg = engine_.Step(round, global_params);
     if (!agg.ok()) return agg.status();
     total = std::move(agg.value());
   }

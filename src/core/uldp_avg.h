@@ -41,7 +41,6 @@ class UldpAvgTrainer final : public FlAlgorithm {
  public:
   UldpAvgTrainer(const FederatedDataset& data, const Model& model,
                  FlConfig config, UldpAvgOptions options = {});
-  ~UldpAvgTrainer() override;
 
   Status RunRound(int round, Vec& global_params) override;
   Result<double> EpsilonSpent(double delta) const override;
@@ -64,7 +63,6 @@ class UldpAvgTrainer final : public FlAlgorithm {
   FlConfig config_;
   UldpAvgOptions options_;
   Rng rng_;
-  RoundEngine engine_;
   PrivacyTracker tracker_;
   std::string name_;
   std::vector<std::vector<double>> weights_;  // [silo][user]
@@ -78,6 +76,9 @@ class UldpAvgTrainer final : public FlAlgorithm {
   std::mutex mask_mu_;
   uint64_t mask_version_ = ~0ull;
   std::vector<bool> mask_;
+  // Last: destroyed first, so async workers stop before the state their
+  // work reads.
+  RoundEngine engine_;
 };
 
 }  // namespace uldp

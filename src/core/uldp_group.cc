@@ -16,11 +16,16 @@ UldpGroupTrainer::UldpGroupTrainer(const FederatedDataset& data,
     : data_(data),
       config_(config),
       rng_(config.seed),
-      engine_(model, data.num_silos(), EngineConfigFrom(config)),
       group_k_(0),
       dp_sample_rate_(dp_sample_rate),
       dp_steps_per_round_(dp_steps_per_round),
-      tracker_(PrivacyTracker::NonPrivate()) {
+      tracker_(PrivacyTracker::NonPrivate()),
+      engine_(model, data.num_silos(), EngineConfigFrom(config),
+              [this](int version, int silo, const Vec& snapshot,
+                     Model& model, Vec& delta) {
+                return LocalSiloWork(static_cast<uint64_t>(version), snapshot,
+                                     silo, model, delta);
+              }) {
   switch (group_size.kind) {
     case GroupSizeSpec::Kind::kFixed:
       group_k_ = group_size.fixed_k;
@@ -63,19 +68,7 @@ UldpGroupTrainer::UldpGroupTrainer(const FederatedDataset& data,
     }
     silo_examples_[s] = data_.MakeExamples(indices);
   }
-  if (config_.async_rounds) {
-    Status started = engine_.StartAsync(
-        [this](int version, int silo, const Vec& snapshot, Model& model,
-               Vec& delta) {
-          return LocalSiloWork(static_cast<uint64_t>(version), snapshot, silo,
-                               model, delta);
-        },
-        AsyncOptionsFrom(config_));
-    ULDP_CHECK_MSG(started.ok(), started.ToString());
-  }
 }
-
-UldpGroupTrainer::~UldpGroupTrainer() { engine_.StopAsync(); }
 
 Status UldpGroupTrainer::LocalSiloWork(uint64_t version, const Vec& snapshot,
                                        int silo, Model& model, Vec& delta) {
@@ -99,15 +92,7 @@ size_t UldpGroupTrainer::num_kept_records() const {
 }
 
 Status UldpGroupTrainer::RunRound(int round, Vec& global_params) {
-  auto total =
-      config_.async_rounds
-          ? engine_.StepAsync(round, global_params)
-          : engine_.RunRound(round, global_params,
-                             [&](int s, Model& model, Vec& delta) {
-                               return LocalSiloWork(
-                                   static_cast<uint64_t>(round),
-                                   global_params, s, model, delta);
-                             });
+  auto total = engine_.Step(round, global_params);
   if (!total.ok()) return total.status();
   Axpy(config_.global_lr / data_.num_silos(), total.value(), global_params);
   tracker_.AdvanceRounds(1);

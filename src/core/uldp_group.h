@@ -35,7 +35,6 @@ class UldpGroupTrainer final : public FlAlgorithm {
                    FlConfig config, GroupSizeSpec group_size,
                    double dp_sample_rate, int dp_steps_per_round,
                    GroupConversionRoute route = GroupConversionRoute::kRdp);
-  ~UldpGroupTrainer() override;
 
   Status RunRound(int round, Vec& global_params) override;
   Result<double> EpsilonSpent(double delta) const override;
@@ -55,7 +54,6 @@ class UldpGroupTrainer final : public FlAlgorithm {
   const FederatedDataset& data_;
   FlConfig config_;
   Rng rng_;
-  RoundEngine engine_;
   int group_k_;
   double dp_sample_rate_;
   int dp_steps_per_round_;
@@ -63,6 +61,9 @@ class UldpGroupTrainer final : public FlAlgorithm {
   std::string name_;
   // Filtered per-silo training sets (records kept by the flags B).
   std::vector<std::vector<Example>> silo_examples_;
+  // Last: destroyed first, so async workers stop before the state their
+  // work reads.
+  RoundEngine engine_;
 };
 
 }  // namespace uldp

@@ -11,26 +11,19 @@ UldpNaiveTrainer::UldpNaiveTrainer(const FederatedDataset& data,
     : data_(data),
       config_(config),
       rng_(config.seed),
-      engine_(model, data.num_silos(), EngineConfigFrom(config)),
-      tracker_(PrivacyTracker::ForGaussian(config.sigma)) {
+      tracker_(PrivacyTracker::ForGaussian(config.sigma)),
+      engine_(model, data.num_silos(), EngineConfigFrom(config),
+              [this](int version, int silo, const Vec& snapshot,
+                     Model& model, Vec& delta) {
+                return LocalSiloWork(static_cast<uint64_t>(version), snapshot,
+                                     silo, model, delta);
+              }) {
   ULDP_CHECK_GT(config_.clip, 0.0);
   silo_examples_.resize(data_.num_silos());
   for (int s = 0; s < data_.num_silos(); ++s) {
     silo_examples_[s] = data_.MakeExamples(data_.RecordsOfSilo(s));
   }
-  if (config_.async_rounds) {
-    Status started = engine_.StartAsync(
-        [this](int version, int silo, const Vec& snapshot, Model& model,
-               Vec& delta) {
-          return LocalSiloWork(static_cast<uint64_t>(version), snapshot, silo,
-                               model, delta);
-        },
-        AsyncOptionsFrom(config_));
-    ULDP_CHECK_MSG(started.ok(), started.ToString());
-  }
 }
-
-UldpNaiveTrainer::~UldpNaiveTrainer() { engine_.StopAsync(); }
 
 Status UldpNaiveTrainer::LocalSiloWork(uint64_t version, const Vec& snapshot,
                                        int silo, Model& model, Vec& delta) {
@@ -64,14 +57,7 @@ Status UldpNaiveTrainer::RunRound(int round, Vec& global_params) {
   const int s_count = data_.num_silos();
   const bool central = config_.noise_placement == NoisePlacement::kCentral;
   const uint64_t r = static_cast<uint64_t>(round);
-  auto total =
-      config_.async_rounds
-          ? engine_.StepAsync(round, global_params)
-          : engine_.RunRound(round, global_params,
-                             [&](int s, Model& model, Vec& delta) {
-                               return LocalSiloWork(r, global_params, s,
-                                                    model, delta);
-                             });
+  auto total = engine_.Step(round, global_params);
   if (!total.ok()) return total.status();
   if (central) {
     Rng server = rng_.Fork(r, 0, kRngStreamServer);

@@ -17,7 +17,6 @@ class UldpNaiveTrainer final : public FlAlgorithm {
  public:
   UldpNaiveTrainer(const FederatedDataset& data, const Model& model,
                    FlConfig config);
-  ~UldpNaiveTrainer() override;
 
   Status RunRound(int round, Vec& global_params) override;
   Result<double> EpsilonSpent(double delta) const override;
@@ -32,9 +31,11 @@ class UldpNaiveTrainer final : public FlAlgorithm {
   const FederatedDataset& data_;
   FlConfig config_;
   Rng rng_;
-  RoundEngine engine_;
   PrivacyTracker tracker_;
   std::vector<std::vector<Example>> silo_examples_;
+  // Last: destroyed first, so async workers stop before the state their
+  // work reads.
+  RoundEngine engine_;
 };
 
 }  // namespace uldp

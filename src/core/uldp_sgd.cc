@@ -14,11 +14,16 @@ UldpSgdTrainer::UldpSgdTrainer(const FederatedDataset& data,
       config_(config),
       user_sample_rate_(user_sample_rate),
       rng_(config.seed),
-      engine_(model, data.num_silos(), EngineConfigFrom(config)),
       tracker_(user_sample_rate < 1.0
                    ? PrivacyTracker::ForSubsampledGaussian(config.sigma,
                                                            user_sample_rate)
-                   : PrivacyTracker::ForGaussian(config.sigma)) {
+                   : PrivacyTracker::ForGaussian(config.sigma)),
+      engine_(model, data.num_silos(), EngineConfigFrom(config),
+              [this](int version, int silo, const Vec& snapshot,
+                     Model& model, Vec& delta) {
+                return LocalSiloWork(static_cast<uint64_t>(version), snapshot,
+                                     silo, model, delta);
+              }) {
   ULDP_CHECK_GT(config_.clip, 0.0);
   weights_ = ComputeWeights(data_, weighting);
   ULDP_CHECK(WeightsSatisfyUldpConstraint(weights_));
@@ -32,19 +37,7 @@ UldpSgdTrainer::UldpSgdTrainer(const FederatedDataset& data,
       silo_shards_[s].push_back(UserShard{u, data_.MakeExamples(idx)});
     }
   }
-  if (config_.async_rounds) {
-    Status started = engine_.StartAsync(
-        [this](int version, int silo, const Vec& snapshot, Model& model,
-               Vec& delta) {
-          return LocalSiloWork(static_cast<uint64_t>(version), snapshot, silo,
-                               model, delta);
-        },
-        AsyncOptionsFrom(config_));
-    ULDP_CHECK_MSG(started.ok(), started.ToString());
-  }
 }
-
-UldpSgdTrainer::~UldpSgdTrainer() { engine_.StopAsync(); }
 
 std::vector<bool> UldpSgdTrainer::SampledMask(uint64_t version) {
   std::lock_guard<std::mutex> lock(mask_mu_);
@@ -107,14 +100,7 @@ Status UldpSgdTrainer::RunRound(int round, Vec& global_params) {
   const double q = user_sample_rate_;
   const uint64_t r = static_cast<uint64_t>(round);
   const bool central = config_.noise_placement == NoisePlacement::kCentral;
-  auto total =
-      config_.async_rounds
-          ? engine_.StepAsync(round, global_params)
-          : engine_.RunRound(round, global_params,
-                             [&](int s, Model& model, Vec& grad) {
-                               return LocalSiloWork(r, global_params, s,
-                                                    model, grad);
-                             });
+  auto total = engine_.Step(round, global_params);
   if (!total.ok()) return total.status();
   if (central) {
     Rng server = rng_.Fork(r, 0, kRngStreamServer);

@@ -21,7 +21,6 @@ class UldpSgdTrainer final : public FlAlgorithm {
                  FlConfig config,
                  WeightingStrategy weighting = WeightingStrategy::kUniform,
                  double user_sample_rate = 1.0);
-  ~UldpSgdTrainer() override;
 
   Status RunRound(int round, Vec& global_params) override;
   Result<double> EpsilonSpent(double delta) const override;
@@ -43,7 +42,6 @@ class UldpSgdTrainer final : public FlAlgorithm {
   FlConfig config_;
   double user_sample_rate_;
   Rng rng_;
-  RoundEngine engine_;
   PrivacyTracker tracker_;
   std::string name_;
   std::vector<std::vector<double>> weights_;
@@ -57,6 +55,9 @@ class UldpSgdTrainer final : public FlAlgorithm {
   std::mutex mask_mu_;
   uint64_t mask_version_ = ~0ull;
   std::vector<bool> mask_;
+  // Last: destroyed first, so async workers stop before the state their
+  // work reads.
+  RoundEngine engine_;
 };
 
 }  // namespace uldp

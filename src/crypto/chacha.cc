@@ -3,13 +3,10 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/cpu.h"
 #include "crypto/sha256.h"
 #include "math/limbs.h"
 #include "obs/metrics.h"
-
-#if defined(__x86_64__)
-#include <cpuid.h>
-#endif
 
 namespace uldp {
 
@@ -122,21 +119,6 @@ __attribute__((target("avx2"))) void BatchAvx2(const uint32_t* state,
   Blocks<U32x8>(state, state[12], out);
   Blocks<U32x8>(state, state[12] + 8, out + 8);
 }
-
-// CPUID leaf 1 OSXSAVE, XGETBV's XCR0 holding every bit of `xcr0_state`,
-// and CPUID leaf 7 EBX holding `leaf7_ebx`.
-bool CpuHas(uint64_t xcr0_state, unsigned leaf7_ebx) {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-  constexpr unsigned kOsxsave = 1u << 27;
-  if ((ecx & kOsxsave) == 0) return false;
-  uint32_t xcr0_lo = 0, xcr0_hi = 0;
-  __asm__("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
-  const uint64_t xcr0 = static_cast<uint64_t>(xcr0_hi) << 32 | xcr0_lo;
-  if ((xcr0 & xcr0_state) != xcr0_state) return false;
-  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
-  return (ebx & leaf7_ebx) == leaf7_ebx;
-}
 #endif
 
 // Keystream blocks per kernel, so a metrics snapshot says which kernel a
@@ -157,21 +139,17 @@ void CountBlocks(ChaChaKernel kernel, uint64_t batch, uint64_t scalar) {
 }  // namespace
 
 bool ChaChaKernels::Available(ChaChaKernel kernel) {
-#if defined(__x86_64__)
   // XCR0 bits 1 and 2 are SSE and AVX state; 5, 6 and 7 add the opmask
   // and all 32 zmm registers. Leaf 7 EBX bit 5 is AVX2, bit 16 AVX512F.
   switch (kernel) {
     case ChaChaKernel::kScalar:
       return true;
     case ChaChaKernel::kAvx2:
-      return CpuHas(0x06, 1u << 5);
+      return CpuHasLeaf7(1u << 5, 0x06);
     case ChaChaKernel::kAvx512:
-      return CpuHas(0xE6, 1u << 16);
+      return CpuHasLeaf7(1u << 16, 0xE6);
   }
   return false;
-#else
-  return kernel == ChaChaKernel::kScalar;
-#endif
 }
 
 ChaChaKernel ChaChaKernels::Picked() {

@@ -11,24 +11,17 @@ FedAvgTrainer::FedAvgTrainer(const FederatedDataset& data, const Model& model,
     : data_(data),
       config_(config),
       rng_(config.seed),
-      engine_(model, data.num_silos(), EngineConfigFrom(config)) {
+      engine_(model, data.num_silos(), EngineConfigFrom(config),
+              [this](int version, int silo, const Vec& snapshot,
+                     Model& model, Vec& delta) {
+                return LocalSiloWork(static_cast<uint64_t>(version), snapshot,
+                                     silo, model, delta);
+              }) {
   silo_examples_.resize(data_.num_silos());
   for (int s = 0; s < data_.num_silos(); ++s) {
     silo_examples_[s] = data_.MakeExamples(data_.RecordsOfSilo(s));
   }
-  if (config_.async_rounds) {
-    Status started = engine_.StartAsync(
-        [this](int version, int silo, const Vec& snapshot, Model& model,
-               Vec& delta) {
-          return LocalSiloWork(static_cast<uint64_t>(version), snapshot, silo,
-                               model, delta);
-        },
-        AsyncOptionsFrom(config_));
-    ULDP_CHECK_MSG(started.ok(), started.ToString());
-  }
 }
-
-FedAvgTrainer::~FedAvgTrainer() { engine_.StopAsync(); }
 
 Status FedAvgTrainer::LocalSiloWork(uint64_t version, const Vec& snapshot,
                                     int silo, Model& model, Vec& delta) {
@@ -41,15 +34,7 @@ Status FedAvgTrainer::LocalSiloWork(uint64_t version, const Vec& snapshot,
 }
 
 Status FedAvgTrainer::RunRound(int round, Vec& global_params) {
-  auto total =
-      config_.async_rounds
-          ? engine_.StepAsync(round, global_params)
-          : engine_.RunRound(round, global_params,
-                             [&](int s, Model& model, Vec& delta) {
-                               return LocalSiloWork(
-                                   static_cast<uint64_t>(round),
-                                   global_params, s, model, delta);
-                             });
+  auto total = engine_.Step(round, global_params);
   if (!total.ok()) return total.status();
   Axpy(config_.global_lr / data_.num_silos(), total.value(), global_params);
   return Status::Ok();

@@ -15,7 +15,6 @@ class FedAvgTrainer final : public FlAlgorithm {
   /// `model` provides the architecture (cloned per silo for local work).
   FedAvgTrainer(const FederatedDataset& data, const Model& model,
                 FlConfig config);
-  ~FedAvgTrainer() override;
 
   Status RunRound(int round, Vec& global_params) override;
   Result<double> EpsilonSpent(double delta) const override;
@@ -31,8 +30,10 @@ class FedAvgTrainer final : public FlAlgorithm {
   const FederatedDataset& data_;
   FlConfig config_;
   Rng rng_;
-  RoundEngine engine_;
   std::vector<std::vector<Example>> silo_examples_;
+  // Last: destroyed first, so async workers stop before the state their
+  // work reads.
+  RoundEngine engine_;
 };
 
 }  // namespace uldp

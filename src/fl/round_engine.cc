@@ -14,14 +14,10 @@ RoundEngineConfig EngineConfigFrom(const FlConfig& config) {
   RoundEngineConfig ec;
   ec.num_threads = config.num_threads;
   ec.secure_aggregation = config.secure_aggregation;
+  ec.async_rounds = config.async_rounds;
+  ec.max_staleness = config.max_staleness;
+  ec.async_buffer = config.async_buffer;
   return ec;
-}
-
-AsyncOptions AsyncOptionsFrom(const FlConfig& config) {
-  AsyncOptions opt;
-  opt.max_staleness = config.max_staleness;
-  opt.buffer_size = config.async_buffer;
-  return opt;
 }
 
 double StalenessDiscount(int staleness) {
@@ -32,10 +28,11 @@ double StalenessDiscount(int staleness) {
 // AsyncAggregator
 
 AsyncAggregator::AsyncAggregator(int num_silos, int max_staleness,
-                                 int buffer_size)
+                                 int buffer_size, int version)
     : num_silos_(num_silos),
       max_staleness_(max_staleness),
-      buffer_size_(buffer_size <= 0 ? num_silos : buffer_size) {
+      buffer_size_(buffer_size <= 0 ? num_silos : buffer_size),
+      version_(version) {
   ULDP_CHECK_GE(num_silos_, 1);
   ULDP_CHECK_GE(max_staleness_, 0);
   ULDP_CHECK_GE(buffer_size_, 1);
@@ -152,16 +149,13 @@ Vec AsyncAggregator::Flush(bool secure, uint64_t round_tag, ThreadPool* pool) {
 // on `ready_cv` for dispatchable silos, the stepping thread blocks on
 // `arrivals_cv` for completed tasks.
 struct RoundEngine::AsyncState {
-  AsyncLocalWork work;
-  AsyncOptions options;
   AsyncAggregator aggregator;
-  bool secure = false;
 
   std::mutex mu;
   std::condition_variable ready_cv;
   std::condition_variable arrivals_cv;
   bool done = false;
-  /// Version-`snapshot_version` global parameters, valid from the StepAsync
+  /// Version-`snapshot_version` global parameters, valid from the Step
   /// call that published them until the next one.
   Vec snapshot;
   int snapshot_version = -1;
@@ -184,9 +178,9 @@ struct RoundEngine::AsyncState {
   std::vector<Vec> pull_snapshot;  // per silo, valid while busy
   std::vector<bool> busy;
 
-  AsyncState(int num_silos, const AsyncOptions& opt)
-      : options(opt),
-        aggregator(num_silos, opt.max_staleness, opt.buffer_size),
+  AsyncState(int num_silos, const RoundEngineConfig& config, int version)
+      : aggregator(num_silos, config.max_staleness, config.async_buffer,
+                   version),
         waiting(num_silos, true),
         pull_version(num_silos, -1),
         pull_snapshot(num_silos),
@@ -194,10 +188,11 @@ struct RoundEngine::AsyncState {
 };
 
 RoundEngine::RoundEngine(const Model& model, int num_silos,
-                         RoundEngineConfig config)
+                         RoundEngineConfig config, SiloWork work)
     : num_silos_(num_silos),
-      config_(config),
-      pool_(config.num_threads) {
+      config_(std::move(config)),
+      work_(std::move(work)),
+      pool_(config_.num_threads) {
   ULDP_CHECK_GE(num_silos_, 1);
   // At most min(silos, threads) silo tasks run concurrently, so that many
   // clones suffice — memory stays bounded by parallelism, not silo count.
@@ -209,7 +204,15 @@ RoundEngine::RoundEngine(const Model& model, int num_silos,
   }
 }
 
-RoundEngine::~RoundEngine() { StopAsync(); }
+RoundEngine::~RoundEngine() {
+  if (async_ == nullptr) return;
+  {
+    std::lock_guard<std::mutex> lock(async_->mu);
+    async_->done = true;
+  }
+  async_->ready_cv.notify_all();
+  for (std::thread& t : async_->workers) t.join();
+}
 
 Model* RoundEngine::AcquireModel() {
   std::unique_lock<std::mutex> lock(model_mu_);
@@ -227,7 +230,8 @@ void RoundEngine::ReleaseModel(Model* model) {
   model_cv_.notify_one();
 }
 
-Status RoundEngine::RunSilos(const Vec& global, const LocalWork& work,
+Status RoundEngine::RunSilos(int round, const Vec& global,
+                             const SiloWork& work,
                              std::vector<Vec>* silo_deltas) {
   ULDP_CHECK_EQ(global.size(), model_clones_[0]->NumParams());
   std::vector<Vec> scratch(silo_deltas == nullptr ? num_silos_ : 0);
@@ -240,52 +244,62 @@ Status RoundEngine::RunSilos(const Vec& global, const LocalWork& work,
     model->SetParams(global);
     Vec& delta = silo_deltas != nullptr ? (*silo_deltas)[s] : scratch[s];
     if (silo_deltas != nullptr) delta.assign(global.size(), 0.0);
-    statuses[s] = work(static_cast<int>(s), *model, delta);
+    statuses[s] = work(round, static_cast<int>(s), global, *model, delta);
     ReleaseModel(model);
   });
   return FirstError(statuses);
 }
 
-Result<Vec> RoundEngine::RunRound(int round, const Vec& global,
-                                  const LocalWork& work) {
-  obs::TraceSpan span("engine.round", "round", round);
-  std::vector<Vec> deltas;
-  ULDP_RETURN_IF_ERROR(RunSilos(global, work, &deltas));
-  // The engine's pool (sized by the num_threads knob) also drives mask
-  // generation, so the knob bounds every thread this round spawns.
-  return AggregateDeltas(deltas, config_.secure_aggregation,
-                         static_cast<uint64_t>(round), &*pool_);
+Result<Vec> RoundEngine::Step(int round, const Vec& global) {
+  if (!config_.async_rounds) {
+    obs::TraceSpan span("engine.round", "round", round);
+    std::vector<Vec> deltas;
+    ULDP_RETURN_IF_ERROR(RunSilos(round, global, work_, &deltas));
+    // The engine's pool (sized by the num_threads knob) also drives mask
+    // generation, so the knob bounds every thread this round spawns.
+    return AggregateDeltas(deltas, config_.secure_aggregation,
+                           static_cast<uint64_t>(round), &*pool_);
+  }
+  obs::TraceSpan span("engine.async_step", "round", round);
+  if (async_ == nullptr) ULDP_RETURN_IF_ERROR(CreateAsync(round));
+  AsyncState& st = *async_;
+  {
+    std::lock_guard<std::mutex> lock(st.mu);
+    if (round != st.aggregator.version()) {
+      return Status::FailedPrecondition(
+          "async step round " + std::to_string(round) +
+          " does not match the engine version " +
+          std::to_string(st.aggregator.version()));
+    }
+    ULDP_CHECK_EQ(global.size(), model_clones_[0]->NumParams());
+    st.snapshot = global;
+    st.snapshot_version = round;
+  }
+  return config_.arrival_schedule.empty() ? ThreadedStep(round)
+                                          : ScheduledStep(round);
 }
 
 // ---------------------------------------------------------------------------
 // Async mode
 
-Status RoundEngine::StartAsync(AsyncLocalWork work, AsyncOptions options) {
-  if (async_ != nullptr) {
-    return Status::FailedPrecondition("async mode already started");
-  }
-  if (options.max_staleness < 0) {
+Status RoundEngine::CreateAsync(int version) {
+  if (config_.max_staleness < 0) {
     return Status::InvalidArgument("max_staleness must be >= 0");
   }
-  const int k = options.buffer_size <= 0 ? num_silos_ : options.buffer_size;
+  const int k = config_.async_buffer <= 0 ? num_silos_ : config_.async_buffer;
   if (k < 1 || k > num_silos_) {
     return Status::InvalidArgument(
         "async_buffer must be in [1, num_silos]; got " + std::to_string(k));
   }
-  for (int s : options.arrival_schedule) {
+  for (int s : config_.arrival_schedule) {
     if (s < 0 || s >= num_silos_) {
       return Status::InvalidArgument("arrival schedule names silo " +
                                      std::to_string(s) + " of " +
                                      std::to_string(num_silos_));
     }
   }
-  async_ = std::make_unique<AsyncState>(num_silos_, options);
-  async_->work = std::move(work);
-  async_->secure = config_.secure_aggregation;
-  // Binding adopts the session's round counter, so a resumed engine's
-  // first StepAsync call must pass session->round, not 0.
-  async_->aggregator.BindSession(options.session);
-  if (options.arrival_schedule.empty()) {
+  async_ = std::make_unique<AsyncState>(num_silos_, config_, version);
+  if (config_.arrival_schedule.empty()) {
     const int workers = std::min(num_silos_, pool_->num_threads());
     async_->workers.reserve(workers);
     for (int i = 0; i < workers; ++i) {
@@ -293,17 +307,6 @@ Status RoundEngine::StartAsync(AsyncLocalWork work, AsyncOptions options) {
     }
   }
   return Status::Ok();
-}
-
-void RoundEngine::StopAsync() {
-  if (async_ == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(async_->mu);
-    async_->done = true;
-  }
-  async_->ready_cv.notify_all();
-  for (std::thread& t : async_->workers) t.join();
-  async_->workers.clear();
 }
 
 AsyncStats RoundEngine::async_stats() const {
@@ -332,7 +335,7 @@ void RoundEngine::AsyncWorkerLoop() {
     Status status;
     {
       obs::TraceSpan span("engine.async_task", "silo", silo);
-      status = st.work(pull_version, silo, snapshot, *model, delta);
+      status = work_(pull_version, silo, snapshot, *model, delta);
     }
     ReleaseModel(model);
 
@@ -344,29 +347,7 @@ void RoundEngine::AsyncWorkerLoop() {
   }
 }
 
-Result<Vec> RoundEngine::StepAsync(int round, const Vec& global) {
-  obs::TraceSpan span("engine.async_step", "round", round);
-  if (async_ == nullptr) {
-    return Status::FailedPrecondition("StartAsync() has not run");
-  }
-  AsyncState& st = *async_;
-  {
-    std::lock_guard<std::mutex> lock(st.mu);
-    if (round != st.aggregator.version()) {
-      return Status::FailedPrecondition(
-          "StepAsync round " + std::to_string(round) +
-          " does not match the engine version " +
-          std::to_string(st.aggregator.version()));
-    }
-    ULDP_CHECK_EQ(global.size(), model_clones_[0]->NumParams());
-    st.snapshot = global;
-    st.snapshot_version = round;
-  }
-  return st.options.arrival_schedule.empty() ? StepAsyncThreaded(round)
-                                             : StepAsyncScheduled(round);
-}
-
-Result<Vec> RoundEngine::StepAsyncThreaded(int round) {
+Result<Vec> RoundEngine::ThreadedStep(int round) {
   AsyncState& st = *async_;
   std::unique_lock<std::mutex> lock(st.mu);
   // Release every silo that was waiting for this snapshot, in silo order.
@@ -397,12 +378,12 @@ Result<Vec> RoundEngine::StepAsyncThreaded(int round) {
   // version advance atomically inside the aggregator call below, which is
   // only reached by this (single) stepping thread.
   AsyncAggregator& agg = st.aggregator;
-  const bool secure = st.secure;
   lock.unlock();
-  return agg.Flush(secure, static_cast<uint64_t>(round), &*pool_);
+  return agg.Flush(config_.secure_aggregation, static_cast<uint64_t>(round),
+                   &*pool_);
 }
 
-Result<Vec> RoundEngine::StepAsyncScheduled(int round) {
+Result<Vec> RoundEngine::ScheduledStep(int round) {
   AsyncState& st = *async_;
   // Serial deterministic mode: no locking — everything runs on the caller.
   for (int s = 0; s < num_silos_; ++s) {
@@ -413,12 +394,12 @@ Result<Vec> RoundEngine::StepAsyncScheduled(int round) {
     st.pull_snapshot[s] = st.snapshot;
   }
   while (!st.aggregator.ReadyToFlush()) {
-    if (st.schedule_pos >= st.options.arrival_schedule.size()) {
+    if (st.schedule_pos >= config_.arrival_schedule.size()) {
       return Status::InvalidArgument(
           "arrival schedule exhausted before step " + std::to_string(round) +
           " flushed");
     }
-    const int silo = st.options.arrival_schedule[st.schedule_pos++];
+    const int silo = config_.arrival_schedule[st.schedule_pos++];
     if (!st.busy[silo]) {
       return Status::InvalidArgument(
           "arrival schedule names silo " + std::to_string(silo) +
@@ -427,8 +408,8 @@ Result<Vec> RoundEngine::StepAsyncScheduled(int round) {
     Model* model = AcquireModel();
     model->SetParams(st.pull_snapshot[silo]);
     Vec delta(st.pull_snapshot[silo].size(), 0.0);
-    Status status = st.work(st.pull_version[silo], silo,
-                            st.pull_snapshot[silo], *model, delta);
+    Status status = work_(st.pull_version[silo], silo,
+                          st.pull_snapshot[silo], *model, delta);
     ReleaseModel(model);
     if (!status.ok()) return status;
     st.busy[silo] = false;
@@ -443,8 +424,8 @@ Result<Vec> RoundEngine::StepAsyncScheduled(int round) {
       st.waiting[silo] = true;
     }
   }
-  return st.aggregator.Flush(st.secure, static_cast<uint64_t>(round),
-                             &*pool_);
+  return st.aggregator.Flush(config_.secure_aggregation,
+                             static_cast<uint64_t>(round), &*pool_);
 }
 
 }  // namespace uldp

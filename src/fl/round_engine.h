@@ -2,7 +2,8 @@
 // cross-silo round: silos compute local contributions independently, and
 // the server reduces them. The engine owns that structure once — a silo-
 // actor scheduler on a work-stealing pool plus the deterministic reduce —
-// so trainers only register their per-silo LocalWork callback.
+// so a trainer registers one per-silo work callback at construction and
+// calls Step once per round; the engine alone decides how a round runs.
 //
 // Determinism contract: the engine never hands callbacks a shared RNG.
 // Algorithms draw all randomness from Rng::Fork(round, silo, user)
@@ -11,13 +12,15 @@
 // identical to a serial run. Thread count is purely a performance knob
 // (FlConfig::num_threads / ULDP_THREADS).
 //
-// The engine also owns the asynchronous staleness-bounded round mode
-// (FlConfig::async_rounds): silo deltas are applied as they land, bounded
-// by FlConfig::max_staleness and discounted by 1/(1 + staleness), instead
-// of barrier-waiting on the slowest silo. With max_staleness = 0 and a
-// full buffer the async path degenerates to the synchronous barrier and
-// is bitwise identical to RunRound; with an injected arrival schedule any
-// async configuration is fully deterministic (tests rely on both).
+// With RoundEngineConfig::async_rounds set, Step is instead one server
+// step of the staleness-bounded round mode: silo deltas are applied as
+// they land, bounded by max_staleness and discounted by 1/(1 + staleness),
+// instead of barrier-waiting on the slowest silo. The first Step creates
+// the async state at its round's version, so a run restored from a
+// checkpoint continues at the restored round. With max_staleness = 0 and
+// a full buffer every step is the synchronous barrier, bitwise identical
+// to a sync Step; with an injected arrival schedule any async
+// configuration is fully deterministic (tests rely on both).
 
 #ifndef ULDP_FL_ROUND_ENGINE_H_
 #define ULDP_FL_ROUND_ENGINE_H_
@@ -46,32 +49,23 @@ struct RoundEngineConfig {
   /// Route the silo-delta reduce through the secure-aggregation simulation
   /// (pairwise-masked fixed-point sums) instead of a plain sum.
   bool secure_aggregation = false;
+  /// Staleness-bounded async rounds (see FlConfig::async_rounds); the
+  /// fields below apply only when this is set.
+  bool async_rounds = false;
+  /// Maximum accepted staleness.
+  int max_staleness = 0;
+  /// Arrivals per server step; <= 0 resolves to num_silos.
+  int async_buffer = 0;
+  /// Test hook: when non-empty, silo tasks "arrive" in exactly this order
+  /// (each entry names the silo whose in-flight task completes next) and
+  /// everything runs serially on the caller — a fixed arrival schedule
+  /// makes an async run fully deterministic. Empty = real completion order
+  /// on worker threads.
+  std::vector<int> arrival_schedule;
 };
 
 /// Engine settings carried by the shared FL hyper-parameter block.
 RoundEngineConfig EngineConfigFrom(const FlConfig& config);
-
-/// Async-mode knobs (see FlConfig::async_rounds for semantics).
-struct AsyncOptions {
-  int max_staleness = 0;
-  /// Arrivals per server step; <= 0 resolves to num_silos.
-  int buffer_size = 0;
-  /// Test hook: when non-empty, silo tasks "arrive" in exactly this order
-  /// (each entry names the silo whose in-flight task completes next) and
-  /// everything runs serially on the caller — a fixed arrival schedule
-  /// makes an async run fully deterministic. Empty = real completion
-  /// order on worker threads.
-  std::vector<int> arrival_schedule;
-  /// When set, the engine's aggregator binds to this session (fl/session.h):
-  /// it adopts the session's round counter and cumulative stats at
-  /// StartAsync and mirrors them back after every flush — StepAsync then
-  /// resumes at session->round, which is how checkpoint-resume continues a
-  /// run bitwise-identically. Not owned; must outlive async mode.
-  SessionState* session = nullptr;
-};
-
-/// Async-mode settings carried by the shared FL hyper-parameter block.
-AsyncOptions AsyncOptionsFrom(const FlConfig& config);
 
 struct AsyncStats {
   /// Updates applied (after discounting), dropped for staleness, and
@@ -96,9 +90,11 @@ double StalenessDiscount(int staleness);
 /// arrivals into one of these. Not thread-safe — callers serialize access.
 class AsyncAggregator {
  public:
-  AsyncAggregator(int num_silos, int max_staleness, int buffer_size);
+  /// Starts at server version `version` (a resumed run's restored round).
+  AsyncAggregator(int num_silos, int max_staleness, int buffer_size,
+                  int version = 0);
 
-  /// Server version = flushed steps so far.
+  /// Server version = the start version plus flushed steps so far.
   int version() const { return version_; }
   int buffer_size() const { return buffer_size_; }
   int max_staleness() const { return max_staleness_; }
@@ -174,66 +170,48 @@ class AsyncAggregator {
 /// parameters before use, so clones are reusable across silos and rounds).
 class RoundEngine {
  public:
-  /// Per-silo local work for one round. `model`'s parameters are set to
-  /// the round's global parameters before the call; the callback fills
-  /// `delta` (preallocated to the global size, zeroed) with the silo's
-  /// already-weighted, already-noised contribution. Runs concurrently
-  /// across silos — touch only silo-local state and forked RNGs.
-  using LocalWork = std::function<Status(int silo, Model& model, Vec& delta)>;
-
-  /// Async local work for one pulled model version. `snapshot` holds the
-  /// version-`version` global parameters; `model`'s parameters are set to
-  /// the snapshot before the call; the callback fills `delta` (preallocated
-  /// to the global size, zeroed) with the silo's clipped, weighted, noised
-  /// contribution. All randomness must come from Rng::Fork(version, silo,
-  /// user) substreams so a task's content depends only on (version, silo),
-  /// never on scheduling.
-  using AsyncLocalWork = std::function<Status(
+  /// Per-silo local work against one pulled model version. `snapshot`
+  /// holds the version-`version` global parameters; `model`'s parameters
+  /// are set to the snapshot before the call; the callback fills `delta`
+  /// (preallocated to the global size, zeroed) with the silo's clipped,
+  /// weighted, noised contribution. Runs concurrently across silos — touch
+  /// only silo-local state, and draw all randomness from
+  /// Rng::Fork(version, silo, user) substreams so a task's content depends
+  /// only on (version, silo), never on scheduling.
+  using SiloWork = std::function<Status(
       int version, int silo, const Vec& snapshot, Model& model, Vec& delta)>;
 
-  RoundEngine(const Model& model, int num_silos, RoundEngineConfig config);
+  /// `work` runs for every Step and must stay valid until the engine is
+  /// destroyed. Async workers run it on their own threads until then, so
+  /// an owner whose `work` reads its members declares the engine after
+  /// them (members are destroyed in reverse order).
+  RoundEngine(const Model& model, int num_silos, RoundEngineConfig config,
+              SiloWork work);
   ~RoundEngine();
 
-  /// Runs `work` for every silo on the pool and returns the reduced total
-  /// (plain or secure-aggregated sum over silos, keyed by `round`).
-  Result<Vec> RunRound(int round, const Vec& global, const LocalWork& work);
+  /// One server round against `global`, the version-`round` parameters;
+  /// returns the reduced silo-delta total (plain or secure-aggregated,
+  /// keyed by `round`). Sync: every silo runs `work` on the pool and the
+  /// deltas are reduced in silo order. Async: one staleness-bounded server
+  /// step — `global` is published as the version-`round` snapshot, every
+  /// idle silo is released to train against it, and arrivals are consumed
+  /// (applying the staleness rule) until the buffer flushes; the sum is
+  /// already discounted. Stragglers keep computing across steps. The first
+  /// async Step validates the async settings and starts at `round`; each
+  /// later one must pass the next version.
+  Result<Vec> Step(int round, const Vec& global);
 
-  /// Runs `work` for every silo without the reduce step — for algorithms
-  /// with a custom server-side reduce (e.g. Protocol 1's encrypted
-  /// weighting). Deltas land in `silo_deltas` (resized to num_silos);
-  /// pass nullptr when the algorithm stores its results elsewhere — the
-  /// callback then receives an empty scratch Vec it may ignore.
-  Status RunSilos(const Vec& global, const LocalWork& work,
+  /// Runs `work` for every silo against `global` (version `round`) without
+  /// the reduce step — for algorithms with a custom server-side reduce
+  /// (e.g. Protocol 1's encrypted weighting). Deltas land in `silo_deltas`
+  /// (resized to num_silos); pass nullptr when the algorithm stores its
+  /// results elsewhere — the callback then receives an empty scratch Vec
+  /// it may ignore.
+  Status RunSilos(int round, const Vec& global, const SiloWork& work,
                   std::vector<Vec>* silo_deltas);
 
-  // -- Asynchronous staleness-bounded rounds --------------------------------
-  //
-  // StartAsync installs the per-silo work callback and (unless an arrival
-  // schedule is injected) spins up min(num_silos, num_threads) worker
-  // threads. Each StepAsync(r, global) call then performs exactly one
-  // staleness-bounded server step: it publishes `global` as the version-r
-  // snapshot, releases every idle silo to train against it, consumes
-  // arrivals (applying the staleness rule) until the buffer flushes, and
-  // returns the discounted silo-delta sum — the trainer applies its usual
-  // server update and calls StepAsync(r + 1, ...) next. Stragglers keep
-  // computing across steps; their updates land late with a discount (or
-  // are rejected and retrained) instead of stalling every round.
-
-  /// Enters async mode. `work` must stay valid until StopAsync()/dtor.
-  Status StartAsync(AsyncLocalWork work, AsyncOptions options);
-  /// One server step; `round` must equal the engine's current version.
-  Result<Vec> StepAsync(int round, const Vec& global);
-  /// Joins the async workers (idempotent; also run by the destructor).
-  /// Owners whose work callback touches members declared after the engine
-  /// must call this in their own destructor.
-  void StopAsync();
-  bool async_active() const { return async_ != nullptr; }
-  /// Snapshot of the async counters (valid while async mode is active).
+  /// Snapshot of the async counters (valid after the first async Step).
   AsyncStats async_stats() const;
-
-  int num_silos() const { return num_silos_; }
-  int num_threads() const { return pool_->num_threads(); }
-  ThreadPool& pool() { return *pool_; }
 
  private:
   struct AsyncState;
@@ -243,14 +221,19 @@ class RoundEngine {
   Model* AcquireModel();
   void ReleaseModel(Model* model);
 
+  /// Validates the async settings and creates the async state (and,
+  /// unless an arrival schedule is injected, the worker threads) at
+  /// server version `version`.
+  Status CreateAsync(int version);
   void AsyncWorkerLoop();
   /// Serial-mode step: consumes injected arrival-schedule events.
-  Result<Vec> StepAsyncScheduled(int round);
+  Result<Vec> ScheduledStep(int round);
   /// Threaded-mode step: waits on real worker arrivals.
-  Result<Vec> StepAsyncThreaded(int round);
+  Result<Vec> ThreadedStep(int round);
 
   int num_silos_;
   RoundEngineConfig config_;
+  SiloWork work_;
   PoolHandle pool_;
   std::vector<std::unique_ptr<Model>> model_clones_;
   std::vector<Model*> free_models_;

@@ -1,8 +1,8 @@
 #include "fl/session.h"
 
-#include <cstdio>
 #include <cstring>
 
+#include "common/file_io.h"
 #include "net/messages.h"  // WireDigest
 #include "net/wire.h"
 
@@ -250,44 +250,15 @@ Result<SessionState> SessionState::Deserialize(
 }
 
 Status SessionState::WriteFile(const std::string& path) const {
-  std::vector<uint8_t> bytes = Serialize();
-  std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open checkpoint file " + tmp);
-  }
-  size_t wrote = bytes.empty() ? 0 : std::fwrite(bytes.data(), 1,
-                                                 bytes.size(), f);
-  bool flushed = std::fflush(f) == 0;
-  bool closed = std::fclose(f) == 0;
-  if (wrote != bytes.size() || !flushed || !closed) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to checkpoint file " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename checkpoint into place at " + path);
-  }
-  return Status::Ok();
+  const std::vector<uint8_t> bytes = Serialize();
+  return WriteFileAtomic(path, bytes.data(), bytes.size(),
+                         "session checkpoint");
 }
 
 Result<SessionState> SessionState::ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("no session checkpoint at " + path);
-  }
-  std::vector<uint8_t> bytes;
-  uint8_t buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + got);
-  }
-  bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::Internal("error reading session checkpoint " + path);
-  }
-  return Deserialize(bytes);
+  auto bytes = ReadFileBytes(path, "session checkpoint");
+  if (!bytes.ok()) return bytes.status();
+  return Deserialize(bytes.value());
 }
 
 }  // namespace uldp

@@ -6,9 +6,10 @@
 // counts, the membership-epoch log feeding reweighting + DP accounting,
 // and the aggregation counters.
 //
-// SessionState is a plain value type. The engines BIND to one (see
-// AsyncOptions::session, AsyncRoundServer) and mirror their progress into
-// it, so Checkpoint = Serialize(state) and Restore = Deserialize + rebind:
+// SessionState is a plain value type. The async round server's aggregator
+// BINDS to one (AsyncAggregator::BindSession) and mirrors its progress
+// into it; a local experiment writes one per checkpoint. Checkpoint =
+// Serialize(state) and Restore = Deserialize + resume at its round:
 // a resumed run continues bitwise-identically to the uninterrupted run on
 // the same seed, because every trainer derives its randomness from
 // Rng::Fork(round, silo, ...) counters that the state carries.

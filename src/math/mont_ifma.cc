@@ -1,9 +1,9 @@
 #include "math/mont_ifma.h"
 
 #include "common/check.h"
+#include "common/cpu.h"
 
 #if defined(__x86_64__)
-#include <cpuid.h>
 #include <immintrin.h>
 #endif
 
@@ -207,24 +207,11 @@ AmmFn AmmFor(int vectors) {
 }
 
 bool CpuHasIfma() {
-#if defined(__x86_64__)
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
-  constexpr unsigned kOsxsave = 1u << 27;
-  if ((ecx & kOsxsave) == 0) return false;
   // XCR0 bits 1, 2, 5, 6, 7: SSE, AVX, opmask, ZMM_Hi256, Hi16_ZMM.
   constexpr uint64_t kZmmState = 0xE6;
-  uint32_t xcr0_lo = 0, xcr0_hi = 0;
-  __asm__("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
-  const uint64_t xcr0 = static_cast<uint64_t>(xcr0_hi) << 32 | xcr0_lo;
-  if ((xcr0 & kZmmState) != kZmmState) return false;
-  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
   constexpr unsigned kAvx512f = 1u << 16;
   constexpr unsigned kAvx512Ifma = 1u << 21;
-  return (ebx & kAvx512f) != 0 && (ebx & kAvx512Ifma) != 0;
-#else
-  return false;
-#endif
+  return CpuHasLeaf7(kAvx512f | kAvx512Ifma, kZmmState);
 }
 
 }  // namespace mont_ifma

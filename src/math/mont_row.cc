@@ -1,8 +1,6 @@
 #include "math/mont_row.h"
 
-#if defined(__x86_64__)
-#include <cpuid.h>
-#endif
+#include "common/cpu.h"
 
 namespace uldp {
 namespace mont_row {
@@ -80,15 +78,9 @@ __attribute__((target("bmi2,adx"))) uint64_t AddMulRowAdx(
 #endif
 
 bool CpuHasBmi2Adx() {
-#if defined(__x86_64__)
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
   constexpr unsigned kBmi2 = 1u << 8;
   constexpr unsigned kAdx = 1u << 19;
-  return (ebx & kBmi2) != 0 && (ebx & kAdx) != 0;
-#else
-  return false;
-#endif
+  return CpuHasLeaf7(kBmi2 | kAdx);
 }
 
 AddMulRowFn ActiveAddMulRow() {

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <utility>
 
+#include "common/file_io.h"
+
 namespace uldp {
 namespace obs {
 
@@ -312,23 +314,7 @@ std::string MetricsRegistry::ToPrometheus() const {
 
 Status MetricsRegistry::WriteJsonFile(const std::string& path) const {
   const std::string json = ToJson();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("metrics: cannot open " + tmp + " for writing");
-  }
-  const bool wrote =
-      std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return Status::Internal("metrics: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("metrics: cannot rename " + tmp + " to " + path);
-  }
-  return Status::Ok();
+  return WriteFileAtomic(path, json.data(), json.size(), "metrics snapshot");
 }
 
 }  // namespace obs

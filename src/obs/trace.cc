@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/file_io.h"
+
 namespace uldp {
 namespace obs {
 
@@ -99,23 +101,7 @@ std::string TraceBuffer::ToJson() const {
 
 Status TraceBuffer::WriteJson(const std::string& path) const {
   const std::string json = ToJson();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("trace: cannot open " + tmp + " for writing");
-  }
-  const bool wrote =
-      std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return Status::Internal("trace: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("trace: cannot rename " + tmp + " to " + path);
-  }
-  return Status::Ok();
+  return WriteFileAtomic(path, json.data(), json.size(), "trace");
 }
 
 }  // namespace obs

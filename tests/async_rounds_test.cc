@@ -42,7 +42,7 @@ FederatedDataset MakeFederated(int n_train, int users, int silos,
 }
 
 /// Deterministic, model-free silo work shared by every driver under test.
-RoundEngine::AsyncLocalWork DemoEngineWork(int dim) {
+RoundEngine::SiloWork DemoEngineWork(int dim) {
   return [dim](int version, int silo, const Vec& snapshot, Model&,
                Vec& delta) {
     auto work = net::MakeAsyncDemoWork(kWorkSeed, silo, dim);
@@ -57,37 +57,30 @@ RoundEngine::AsyncLocalWork DemoEngineWork(int dim) {
 Vec SyncReference(const Model& arch, int silos, int dim, int steps) {
   RoundEngineConfig config;
   config.num_threads = 2;
-  RoundEngine engine(arch, silos, config);
-  auto work = DemoEngineWork(dim);
+  RoundEngine engine(arch, silos, config, DemoEngineWork(dim));
   Vec global(dim, 0.0);
   for (int r = 0; r < steps; ++r) {
-    auto total = engine.RunRound(r, global,
-                                 [&](int s, Model& model, Vec& delta) {
-                                   return work(r, s, global, model, delta);
-                                 });
+    auto total = engine.Step(r, global);
     EXPECT_TRUE(total.ok());
     Axpy(kStepScale, total.value(), global);
   }
   return global;
 }
 
-/// Async engine run over the demo work with the given options.
+/// Async engine run over the demo work with the given async settings.
 Result<Vec> AsyncEngineRun(const Model& arch, int silos, int dim, int steps,
-                           AsyncOptions options, int threads,
+                           RoundEngineConfig config, int threads,
                            AsyncStats* stats = nullptr) {
-  RoundEngineConfig config;
   config.num_threads = threads;
-  RoundEngine engine(arch, silos, config);
-  Status started = engine.StartAsync(DemoEngineWork(dim), options);
-  if (!started.ok()) return started;
+  config.async_rounds = true;
+  RoundEngine engine(arch, silos, config, DemoEngineWork(dim));
   Vec global(dim, 0.0);
   for (int r = 0; r < steps; ++r) {
-    auto total = engine.StepAsync(r, global);
+    auto total = engine.Step(r, global);
     if (!total.ok()) return total.status();
     Axpy(kStepScale, total.value(), global);
   }
   if (stats != nullptr) *stats = engine.async_stats();
-  engine.StopAsync();
   return global;
 }
 
@@ -162,7 +155,7 @@ TEST(AsyncEngineTest, InOrderScheduleAtZeroStalenessMatchesSync) {
   const int silos = 3, steps = 3;
   const int dim = static_cast<int>(arch->NumParams());
   Vec reference = SyncReference(*arch, silos, dim, steps);
-  AsyncOptions options;
+  RoundEngineConfig options;
   for (int r = 0; r < steps; ++r) {
     for (int s = 0; s < silos; ++s) options.arrival_schedule.push_back(s);
   }
@@ -176,7 +169,7 @@ TEST(AsyncEngineTest, ReversedScheduleAtZeroStalenessMatchesSync) {
   const int silos = 3, steps = 3;
   const int dim = static_cast<int>(arch->NumParams());
   Vec reference = SyncReference(*arch, silos, dim, steps);
-  AsyncOptions options;
+  RoundEngineConfig options;
   for (int r = 0; r < steps; ++r) {
     for (int s = silos - 1; s >= 0; --s) options.arrival_schedule.push_back(s);
   }
@@ -191,9 +184,9 @@ TEST(AsyncEngineTest, BoundedStaleScheduleDiscountsAndIsDeterministic) {
   const int dim = static_cast<int>(arch->NumParams());
   // Fast silos 1,2 fill each step's buffer of 2; silo 0's task from the
   // previous version lands one step late each time (staleness 1).
-  AsyncOptions options;
+  RoundEngineConfig options;
   options.max_staleness = 1;
-  options.buffer_size = 2;
+  options.async_buffer = 2;
   options.arrival_schedule = {1, 2, /*step 1:*/ 0, 1, /*step 2:*/ 2, 0};
   AsyncStats stats;
   auto out = AsyncEngineRun(*arch, silos, dim, steps, options, 1, &stats);
@@ -217,9 +210,9 @@ TEST(AsyncEngineTest, OverLimitArrivalIsRejectedAndRetrained) {
   // max_staleness = 0 with a buffer of 2: silo 0's version-0 task arrives
   // after the version already advanced — rejected, retrained at version 1,
   // and its fresh task fills step 1's buffer.
-  AsyncOptions options;
+  RoundEngineConfig options;
   options.max_staleness = 0;
-  options.buffer_size = 2;
+  options.async_buffer = 2;
   options.arrival_schedule = {1, 2, /*stale:*/ 0, /*retrained:*/ 0, 1};
   AsyncStats stats;
   auto out = AsyncEngineRun(*arch, silos, dim, steps, options, 1, &stats);
@@ -229,17 +222,30 @@ TEST(AsyncEngineTest, OverLimitArrivalIsRejectedAndRetrained) {
   EXPECT_EQ(stats.max_staleness_seen, 0);
 }
 
-TEST(AsyncEngineTest, InvalidSchedulesAreClearErrors) {
+TEST(AsyncEngineTest, InvalidAsyncSettingsAreClearErrors) {
   auto arch = MakeMlp({5}, 2);
   const int dim = static_cast<int>(arch->NumParams());
   // Silo 0 cannot arrive twice without a re-release in between.
-  AsyncOptions options;
+  RoundEngineConfig options;
   options.arrival_schedule = {0, 0, 1};
   EXPECT_FALSE(AsyncEngineRun(*arch, 3, dim, 1, options, 1).ok());
   // A schedule that runs dry is an error, not a hang.
-  AsyncOptions dry;
+  RoundEngineConfig dry;
   dry.arrival_schedule = {0};
   EXPECT_FALSE(AsyncEngineRun(*arch, 3, dim, 1, dry, 1).ok());
+  // Out-of-range settings fail the first step with a Status.
+  RoundEngineConfig wide;
+  wide.async_buffer = 4;
+  EXPECT_EQ(AsyncEngineRun(*arch, 3, dim, 1, wide, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  RoundEngineConfig negative;
+  negative.max_staleness = -1;
+  EXPECT_EQ(AsyncEngineRun(*arch, 3, dim, 1, negative, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  RoundEngineConfig unknown_silo;
+  unknown_silo.arrival_schedule = {3};
+  EXPECT_EQ(AsyncEngineRun(*arch, 3, dim, 1, unknown_silo, 1).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +257,7 @@ TEST(AsyncEngineTest, ThreadedBarrierMatchesSyncAcrossThreadCounts) {
   const int dim = static_cast<int>(arch->NumParams());
   Vec reference = SyncReference(*arch, silos, dim, steps);
   for (int threads : {1, 2, 5}) {
-    auto out = AsyncEngineRun(*arch, silos, dim, steps, AsyncOptions{},
+    auto out = AsyncEngineRun(*arch, silos, dim, steps, RoundEngineConfig{},
                               threads);
     ASSERT_TRUE(out.ok());
     EXPECT_EQ(out.value(), reference) << threads << " threads";
@@ -332,6 +338,17 @@ TEST(AsyncTrainerTest, StalenessBoundedTrainerIsDeterministicPerConfig) {
       [&] { return std::make_unique<FedAvgTrainer>(fd, *arch, async); },
       *arch, 2);
   EXPECT_EQ(sync_run, async_run);
+}
+
+TEST(AsyncTrainerTest, InvalidAsyncSettingsFailTheFirstRound) {
+  auto fd = MakeFederated(300, 6, 3, 42);
+  auto arch = MakeMlp({30}, 2);
+  FlConfig config;
+  config.async_rounds = true;
+  config.async_buffer = 4;  // more than the 3 silos
+  UldpAvgTrainer trainer(fd, *arch, config);
+  Vec global(arch->NumParams(), 0.0);
+  EXPECT_EQ(trainer.RunRound(0, global).code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -297,6 +297,44 @@ TEST(ElasticMembershipTest, StaticCohortRejectsJoinRequestsAndLeaves) {
   client_thread.join();
 }
 
+TEST(ElasticMembershipTest, ClientReportsEvictionAndRejectsTruncatedEvict) {
+  // A fake server over a channel answers the client's join with an Evict
+  // frame, whole or cut short.
+  const int dim = 4;
+  net::AsyncRoundsConfig config = ElasticConfig(false);
+  net::EvictMsg evict;
+  evict.silo_id = 0;
+  evict.version = 7;
+  evict.code = static_cast<uint16_t>(StatusCode::kDeadlineExceeded);
+  evict.reason = "missed the step deadline";
+  for (bool truncated : {false, true}) {
+    SCOPED_TRACE(truncated ? "truncated" : "whole");
+    auto [server_end, client_end] = net::ChannelTransport::CreatePair();
+    Status client_status;
+    std::thread client_thread([&, end = client_end.get()] {
+      net::AsyncRoundClient client(config, 0, 1, dim);
+      client_status =
+          client.Run(*end, net::MakeAsyncDemoWork(kWorkSeed, 0, dim));
+    });
+    auto join = server_end->Recv();
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    net::Frame frame = net::ToFrame(evict);
+    if (truncated) frame.payload.resize(frame.payload.size() - 3);
+    ASSERT_TRUE(server_end->Send(frame).ok());
+    client_thread.join();
+    if (truncated) {
+      EXPECT_EQ(client_status.code(), StatusCode::kInvalidArgument)
+          << client_status.ToString();
+    } else {
+      EXPECT_EQ(client_status.code(), StatusCode::kFailedPrecondition);
+      EXPECT_NE(client_status.message().find("version 7"), std::string::npos)
+          << client_status.ToString();
+      EXPECT_NE(client_status.message().find(evict.reason), std::string::npos)
+          << client_status.ToString();
+    }
+  }
+}
+
 TEST(ElasticMembershipTest, StaticServerPopulatesSessionIdentically) {
   // The fixed-membership path, driven through the session layer, must be
   // bitwise identical to the serial schedule where everyone participates

@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "crypto/secure_agg.h"
+#include "net/membership.h"
 #include "net/messages.h"
 #include "net/wire.h"
 
@@ -338,6 +339,44 @@ TEST(MessageRoundTripTest, Error) {
   auto back = RoundTrip(m);
   EXPECT_EQ(back.code, m.code);
   EXPECT_EQ(back.message, m.message);
+}
+
+TEST(MessageRoundTripTest, EvictAndMalformedEvictPayloads) {
+  for (const std::string& reason : {std::string(), std::string(3000, 'r')}) {
+    SCOPED_TRACE(reason.size());
+    EvictMsg m;
+    m.silo_id = 4;
+    m.version = 0x0123456789ABCDEFull;
+    m.code = static_cast<uint16_t>(StatusCode::kDeadlineExceeded);
+    m.reason = reason;
+    auto back = RoundTrip(m);
+    EXPECT_EQ(back.silo_id, m.silo_id);
+    EXPECT_EQ(back.version, m.version);
+    EXPECT_EQ(back.code, m.code);
+    EXPECT_EQ(back.reason, m.reason);
+
+    const Frame frame = ToFrame(m);
+    for (size_t n = 0; n < frame.payload.size(); ++n) {
+      Frame cut = frame;
+      cut.payload.resize(n);
+      EXPECT_FALSE(FromFrame<EvictMsg>(cut).ok()) << n << "-byte prefix";
+    }
+    Frame trailing = frame;
+    trailing.payload.push_back(0);
+    EXPECT_FALSE(FromFrame<EvictMsg>(trailing).ok());
+
+    // A reason length one byte past the payload.
+    WireWriter w;
+    w.U32(m.silo_id);
+    w.U64(m.version);
+    w.U16(m.code);
+    w.U32(static_cast<uint32_t>(reason.size() + 1));
+    Frame lying = frame;
+    lying.payload = w.Take();
+    lying.payload.insert(lying.payload.end(), reason.begin(), reason.end());
+    EXPECT_EQ(FromFrame<EvictMsg>(lying).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(MessageDecodeTest, WrongTypeAndTrailingBytesRejected) {

@@ -53,27 +53,30 @@ Vec RunTrajectory(const MakeTrainer& make, const Model& arch, int threads,
   return global;
 }
 
-TEST(RoundEngineTest, RunRoundSumsSiloDeltas) {
+TEST(RoundEngineTest, StepSumsSiloDeltas) {
   auto arch = MakeMlp({4}, 2);
   RoundEngineConfig config;
   config.num_threads = 2;
-  RoundEngine engine(*arch, 3, config);
+  RoundEngine engine(*arch, 3, config,
+                     [](int, int s, const Vec&, Model&, Vec& delta) {
+                       for (double& v : delta) v = s + 1.0;
+                       return Status::Ok();
+                     });
   Vec global(arch->NumParams(), 0.0);
-  auto total = engine.RunRound(0, global, [](int s, Model&, Vec& delta) {
-    for (double& v : delta) v = s + 1.0;
-    return Status::Ok();
-  });
+  auto total = engine.Step(0, global);
   ASSERT_TRUE(total.ok());
   for (double v : total.value()) EXPECT_DOUBLE_EQ(v, 6.0);  // 1 + 2 + 3
 }
 
-TEST(RoundEngineTest, PropagatesLocalWorkErrors) {
+TEST(RoundEngineTest, PropagatesSiloWorkErrors) {
   auto arch = MakeMlp({4}, 2);
-  RoundEngine engine(*arch, 3, RoundEngineConfig{});
+  RoundEngine engine(*arch, 3, RoundEngineConfig{},
+                     [](int, int s, const Vec&, Model&, Vec&) {
+                       return s == 1 ? Status::Internal("silo 1 failed")
+                                     : Status::Ok();
+                     });
   Vec global(arch->NumParams(), 0.0);
-  auto total = engine.RunRound(0, global, [](int s, Model&, Vec&) {
-    return s == 1 ? Status::Internal("silo 1 failed") : Status::Ok();
-  });
+  auto total = engine.Step(0, global);
   EXPECT_FALSE(total.ok());
   EXPECT_EQ(total.status().message(), "silo 1 failed");
 }

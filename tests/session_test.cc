@@ -1,22 +1,30 @@
 // The serializable session layer (fl/session.h): canonical round-trips,
 // strict rejection of corrupted/truncated/version-mismatched checkpoints,
 // atomic file round-trips, and checkpoint/resume bitwise identity — for
-// the local experiment runner (at several thread counts; the thread knob
-// is a pure perf knob) and for the transport-backed async round server.
+// every trainer under the local experiment runner (sync and async rounds,
+// at several thread counts; the thread knob is a pure perf knob) and for
+// the transport-backed async round server.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/uldp_avg.h"
+#include "core/uldp_group.h"
+#include "core/uldp_naive.h"
+#include "core/uldp_sgd.h"
 #include "data/allocation.h"
 #include "data/synthetic.h"
+#include "fl/fedavg.h"
 #include "fl/session.h"
 #include "net/async_rounds.h"
 #include "net/demo.h"
@@ -188,6 +196,46 @@ FederatedDataset MakeFederated(int n_train, int users, int silos,
   return FederatedDataset(data.train, data.test, users, silos);
 }
 
+using TrainerFactory =
+    std::function<std::unique_ptr<FlAlgorithm>(const FlConfig&)>;
+
+struct ResumeTraces {
+  std::vector<RoundRecord> full;  // the uninterrupted run
+  std::vector<RoundRecord> tail;  // the resumed run's rounds
+};
+
+/// Runs `rounds` rounds uninterrupted; then runs the first `interrupt_at`
+/// rounds, checkpointing into `dir` on the way out, and resumes a FRESH
+/// trainer from that checkpoint up to `rounds`.
+ResumeTraces RunAndResume(const TrainerFactory& make, const FlConfig& fl,
+                          Model& arch, const FederatedDataset& fd,
+                          const std::string& dir, int rounds,
+                          int interrupt_at) {
+  ResumeTraces out;
+  ExperimentConfig direct;
+  direct.rounds = rounds;
+  direct.eval_every = 1;
+  auto full = RunExperiment(*make(fl), arch, fd, direct);
+  EXPECT_TRUE(full.ok()) << full.status().ToString();
+  if (!full.ok()) return out;
+  out.full = std::move(full.value());
+
+  ExperimentConfig first = direct;
+  first.rounds = interrupt_at;
+  first.checkpoint_dir = dir;
+  first.checkpoint_every = interrupt_at;
+  auto head = RunExperiment(*make(fl), arch, fd, first);
+  EXPECT_TRUE(head.ok()) << head.status().ToString();
+
+  ExperimentConfig second = direct;
+  second.checkpoint_dir = dir;
+  second.resume = true;
+  auto tail = RunExperiment(*make(fl), arch, fd, second);
+  EXPECT_TRUE(tail.ok()) << tail.status().ToString();
+  if (tail.ok()) out.tail = std::move(tail.value());
+  return out;
+}
+
 TEST(SessionResumeTest, ExperimentResumeIsBitwiseIdenticalAcrossThreads) {
   auto fd = MakeFederated(300, 8, 3, 41);
   auto arch = MakeMlp({30}, 2);
@@ -195,48 +243,78 @@ TEST(SessionResumeTest, ExperimentResumeIsBitwiseIdenticalAcrossThreads) {
   std::string dir = MakeTempDir();
   ASSERT_FALSE(dir.empty());
 
-  for (int threads : {1, 2, 5}) {
-    FlConfig fl;
-    fl.seed = 91;
-    fl.sigma = 2.0;
-    fl.num_threads = threads;
-    auto make_trainer = [&] {
-      return std::make_unique<UldpAvgTrainer>(fd, *arch, fl,
-                                              UldpAvgOptions{});
-    };
-    ExperimentConfig direct;
-    direct.rounds = rounds;
-    direct.eval_every = 1;
-    auto full = RunExperiment(*make_trainer(), *arch, fd, direct);
-    ASSERT_TRUE(full.ok()) << full.status().ToString();
-    ASSERT_EQ(full.value().size(), static_cast<size_t>(rounds));
-
-    // Phase 1: run the first rounds, checkpointing on the way out.
-    ExperimentConfig first = direct;
-    first.rounds = interrupt_at;
-    first.checkpoint_dir = dir;
-    first.checkpoint_every = interrupt_at;
-    auto head = RunExperiment(*make_trainer(), *arch, fd, first);
-    ASSERT_TRUE(head.ok()) << head.status().ToString();
-
-    // Phase 2: a FRESH trainer resumes from the checkpoint. The trace of
-    // the remaining rounds — loss, utility, and accounted epsilon (via
-    // AccountRestoredRounds) — must be bitwise identical to the
-    // uninterrupted run's tail.
-    ExperimentConfig second = direct;
-    second.checkpoint_dir = dir;
-    second.resume = true;
-    auto tail = RunExperiment(*make_trainer(), *arch, fd, second);
-    ASSERT_TRUE(tail.ok()) << tail.status().ToString();
-    ASSERT_EQ(tail.value().size(), static_cast<size_t>(rounds - interrupt_at));
-    for (size_t i = 0; i < tail.value().size(); ++i) {
-      const RoundRecord& got = tail.value()[i];
-      const RoundRecord& want = full.value()[interrupt_at + i];
-      EXPECT_EQ(got.round, want.round) << threads << " threads";
-      EXPECT_EQ(got.test_loss, want.test_loss) << threads << " threads";
-      EXPECT_EQ(got.utility, want.utility) << threads << " threads";
-      EXPECT_EQ(got.epsilon, want.epsilon) << threads << " threads";
+  const std::vector<std::pair<std::string, TrainerFactory>> trainers = {
+      {"FedAvg",
+       [&](const FlConfig& c) {
+         return std::make_unique<FedAvgTrainer>(fd, *arch, c);
+       }},
+      {"ULDP-NAIVE",
+       [&](const FlConfig& c) {
+         return std::make_unique<UldpNaiveTrainer>(fd, *arch, c);
+       }},
+      {"ULDP-GROUP",
+       [&](const FlConfig& c) {
+         return std::make_unique<UldpGroupTrainer>(
+             fd, *arch, c, GroupSizeSpec::Fixed(4), 0.3, 3);
+       }},
+      {"ULDP-SGD",
+       [&](const FlConfig& c) {
+         return std::make_unique<UldpSgdTrainer>(
+             fd, *arch, c, WeightingStrategy::kEnhanced, /*q=*/0.7);
+       }},
+      {"ULDP-AVG",
+       [&](const FlConfig& c) {
+         return std::make_unique<UldpAvgTrainer>(fd, *arch, c,
+                                                 UldpAvgOptions{});
+       }},
+  };
+  for (const auto& [name, make] : trainers) {
+    // Async at the barrier defaults (max_staleness 0, full buffer) is as
+    // deterministic as sync, so its resumed tail must match bit for bit.
+    for (bool async : {false, true}) {
+      for (int threads : {1, 2, 5}) {
+        SCOPED_TRACE(name + (async ? " async, " : " sync, ") +
+                     std::to_string(threads) + " threads");
+        FlConfig fl;
+        fl.seed = 91;
+        fl.sigma = 2.0;
+        fl.num_threads = threads;
+        fl.async_rounds = async;
+        // The tail's loss, utility, and accounted epsilon (replayed via
+        // AccountRestoredRounds) must equal the uninterrupted run's.
+        ResumeTraces t =
+            RunAndResume(make, fl, *arch, fd, dir, rounds, interrupt_at);
+        ASSERT_EQ(t.full.size(), static_cast<size_t>(rounds));
+        ASSERT_EQ(t.tail.size(), static_cast<size_t>(rounds - interrupt_at));
+        for (size_t i = 0; i < t.tail.size(); ++i) {
+          const RoundRecord& got = t.tail[i];
+          const RoundRecord& want = t.full[interrupt_at + i];
+          EXPECT_EQ(got.round, want.round);
+          EXPECT_EQ(got.test_loss, want.test_loss);
+          EXPECT_EQ(got.utility, want.utility);
+          EXPECT_EQ(got.epsilon, want.epsilon);
+        }
+      }
     }
+  }
+
+  // Staleness-bounded async rounds apply updates in real arrival order,
+  // so the model is timing-dependent; the run must still resume and
+  // account the same budget as the uninterrupted one.
+  FlConfig stale;
+  stale.seed = 91;
+  stale.sigma = 2.0;
+  stale.num_threads = 2;
+  stale.async_rounds = true;
+  stale.max_staleness = 1;
+  stale.async_buffer = 1;
+  ResumeTraces t = RunAndResume(trainers.back().second, stale, *arch, fd, dir,
+                                rounds, interrupt_at);
+  ASSERT_EQ(t.full.size(), static_cast<size_t>(rounds));
+  ASSERT_EQ(t.tail.size(), static_cast<size_t>(rounds - interrupt_at));
+  for (size_t i = 0; i < t.tail.size(); ++i) {
+    EXPECT_EQ(t.tail[i].round, t.full[interrupt_at + i].round);
+    EXPECT_EQ(t.tail[i].epsilon, t.full[interrupt_at + i].epsilon);
   }
   std::remove((dir + "/session.ckpt").c_str());
   std::remove(dir.c_str());

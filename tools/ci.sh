@@ -341,6 +341,32 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
   echo "resume smoke: kill-and-resume run bitwise-identical" \
       "(digest $REF_DIGEST)"
 
+  # Local async resume smoke: an in-process --async experiment cut at
+  # round 4 with a checkpoint, then resumed in a fresh process, must print
+  # the uninterrupted run's round-6 trace row (loss, utility, epsilon).
+  LOCAL_ARGS="--dataset=heart --method=uldp-avg --async --eval-every=2"
+  LOCAL_CKPT="$BUILD_DIR/local_resume_ckpt"
+  rm -rf "$LOCAL_CKPT" && mkdir -p "$LOCAL_CKPT"
+  # shellcheck disable=SC2086
+  if ! "$BUILD_DIR/uldp_fl_cli" $LOCAL_ARGS --rounds=6 \
+          > "$BUILD_DIR/local_resume_ref.log" ||
+     ! "$BUILD_DIR/uldp_fl_cli" $LOCAL_ARGS --rounds=4 \
+          --checkpoint-dir="$LOCAL_CKPT" --checkpoint-every=2 > /dev/null ||
+     ! "$BUILD_DIR/uldp_fl_cli" $LOCAL_ARGS --rounds=6 --resume \
+          --checkpoint-dir="$LOCAL_CKPT" --checkpoint-every=2 \
+          > "$BUILD_DIR/local_resume_res.log"; then
+    echo "local resume smoke: an --async experiment run FAILED" >&2
+    exit 1
+  fi
+  REF_ROW="$(grep -E '^ULDP-AVG +6 ' "$BUILD_DIR/local_resume_ref.log" || true)"
+  RES_ROW="$(grep -E '^ULDP-AVG +6 ' "$BUILD_DIR/local_resume_res.log" || true)"
+  if [ -z "$REF_ROW" ] || [ "$REF_ROW" != "$RES_ROW" ]; then
+    echo "local resume smoke: round-6 rows differ (ref='$REF_ROW'" \
+        "res='$RES_ROW')" >&2
+    exit 1
+  fi
+  echo "local resume smoke: resumed --async experiment matches ($REF_ROW)"
+
   # Telemetry loopback smoke: a fully instrumented distributed round with
   # OT weight distribution, ciphertext packing, and chunked streaming all
   # on (--verify asserts the instrumented run still bitwise-matches the
