@@ -467,7 +467,8 @@ int main() {
     SecureAggregator agg3(AggregationPrime(), 3);
     const std::vector<ChaChaRng::Key> keys3(keys.begin(), keys.begin() + 3);
     FieldVector v100k(100000, agg3.limbs());
-    RecordOp(table, json, rows, "secure_agg_mask_dim100000", "serial", 256,
+    RecordOp(table, json, rows, "secure_agg_mask_dim100000", "serial",
+             AggregationPrime().BitLength(),
              SecondsPerOp([&] { agg3.AddMasks(0, keys3, 3, v100k); }, window,
                           min_iters));
 

@@ -10,6 +10,26 @@
 
 namespace uldp {
 
+namespace {
+
+/// Binds `algorithm` to `session` (FlAlgorithm::BindSession) and unbinds
+/// it on every return, since the session lives in the caller's frame.
+class SessionBinding {
+ public:
+  SessionBinding(FlAlgorithm& algorithm, SessionState* session)
+      : algorithm_(algorithm) {
+    algorithm_.BindSession(session);
+  }
+  ~SessionBinding() { algorithm_.BindSession(nullptr); }
+  SessionBinding(const SessionBinding&) = delete;
+  SessionBinding& operator=(const SessionBinding&) = delete;
+
+ private:
+  FlAlgorithm& algorithm_;
+};
+
+}  // namespace
+
 Result<std::vector<RoundRecord>> RunExperiment(
     FlAlgorithm& algorithm, Model& eval_model, const FederatedDataset& data,
     const ExperimentConfig& config) {
@@ -29,6 +49,11 @@ Result<std::vector<RoundRecord>> RunExperiment(
   const std::string ckpt_path =
       config.checkpoint_dir.empty() ? std::string()
                                     : config.checkpoint_dir + "/session.ckpt";
+  // What checkpoints write: seed, dim, round and model from here, and the
+  // async counters, which the trainer's engine mirrors in while bound.
+  SessionState session;
+  session.seed = config.init_seed;
+  session.dim = static_cast<uint32_t>(global.size());
   int start_round = 0;
   if (config.resume) {
     auto state = SessionState::ReadFile(ckpt_path);
@@ -43,12 +68,16 @@ Result<std::vector<RoundRecord>> RunExperiment(
       return Status::InvalidArgument(
           "checkpoint model dimension does not match this experiment");
     }
-    global = std::move(state.value().model);
-    start_round = static_cast<int>(state.value().round);
+    session = std::move(state.value());
+    global = session.model;
+    start_round = static_cast<int>(session.round);
     // The restored model already paid for its rounds; replay them into the
     // trainer's accountant so reported epsilon stays cumulative.
     algorithm.AccountRestoredRounds(start_round);
   }
+  // Async rounds adopt the restored counters before their first step, so
+  // a resumed run reports the uninterrupted run's totals.
+  SessionBinding binding(algorithm, &session);
 
   std::vector<RoundRecord> trace;
   trace.reserve(config.rounds / std::max(1, config.eval_every) + 1);
@@ -57,12 +86,9 @@ Result<std::vector<RoundRecord>> RunExperiment(
     if (!config.checkpoint_dir.empty() && config.checkpoint_every > 0 &&
         ((round + 1) % config.checkpoint_every == 0 ||
          round + 1 == config.rounds)) {
-      SessionState state;
-      state.seed = config.init_seed;
-      state.dim = static_cast<uint32_t>(global.size());
-      state.round = static_cast<uint64_t>(round + 1);
-      state.model = global;
-      ULDP_RETURN_IF_ERROR(state.WriteFile(ckpt_path));
+      session.round = static_cast<uint64_t>(round + 1);
+      session.model = global;
+      ULDP_RETURN_IF_ERROR(session.WriteFile(ckpt_path));
     }
     if ((round + 1) % std::max(1, config.eval_every) != 0 &&
         round + 1 != config.rounds) {

@@ -33,7 +33,8 @@ struct ExperimentConfig {
   /// comes from Fork(round, silo, ...) substreams, a resumed run is
   /// bitwise identical to the uninterrupted one on the same seed (the
   /// trainer's already-spent privacy budget is replayed through
-  /// FlAlgorithm::AccountRestoredRounds).
+  /// FlAlgorithm::AccountRestoredRounds, and async rounds continue the
+  /// checkpointed fl.async.* counters through FlAlgorithm::BindSession).
   std::string checkpoint_dir;
   int checkpoint_every = 0;  // <= 0 disables checkpointing
   bool resume = false;

@@ -45,6 +45,9 @@ class UldpAvgTrainer final : public FlAlgorithm {
   Status RunRound(int round, Vec& global_params) override;
   Result<double> EpsilonSpent(double delta) const override;
   void AccountRestoredRounds(int64_t rounds) override;
+  void BindSession(SessionState* session) override {
+    engine_.BindSession(session);
+  }
   std::string name() const override { return name_; }
 
   const std::vector<std::vector<double>>& weights() const { return weights_; }

@@ -39,6 +39,9 @@ class UldpGroupTrainer final : public FlAlgorithm {
   Status RunRound(int round, Vec& global_params) override;
   Result<double> EpsilonSpent(double delta) const override;
   void AccountRestoredRounds(int64_t rounds) override;
+  void BindSession(SessionState* session) override {
+    engine_.BindSession(session);
+  }
   std::string name() const override { return name_; }
 
   /// Resolved group size k (after median/max evaluation on the dataset).

@@ -21,6 +21,9 @@ class UldpNaiveTrainer final : public FlAlgorithm {
   Status RunRound(int round, Vec& global_params) override;
   Result<double> EpsilonSpent(double delta) const override;
   void AccountRestoredRounds(int64_t rounds) override;
+  void BindSession(SessionState* session) override {
+    engine_.BindSession(session);
+  }
   std::string name() const override { return "ULDP-NAIVE"; }
 
  private:

@@ -25,6 +25,9 @@ class UldpSgdTrainer final : public FlAlgorithm {
   Status RunRound(int round, Vec& global_params) override;
   Result<double> EpsilonSpent(double delta) const override;
   void AccountRestoredRounds(int64_t rounds) override;
+  void BindSession(SessionState* session) override {
+    engine_.BindSession(session);
+  }
   std::string name() const override { return name_; }
 
  private:

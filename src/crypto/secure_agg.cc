@@ -1,6 +1,7 @@
 #include "crypto/secure_agg.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -10,11 +11,14 @@ namespace uldp {
 
 const BigInt& AggregationPrime() {
   static const BigInt prime = [] {
-    auto p = BigInt::FromHex(
-        "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff");
-    ULDP_CHECK(p.ok());
-    ULDP_CHECK_EQ(p.value().limbs().size(), kAggregationLimbs);
-    return std::move(p.value());
+    BigInt p = (BigInt(1) << 127) - BigInt(1);
+    ULDP_CHECK_EQ(p.limbs().size(), kAggregationLimbs);
+    // FixedPointCodec admits |x/P| < 2^63 per party, so a sum over any
+    // party count an int can hold stays below INT_MAX * 2^63 in
+    // magnitude. With n/2 above that, no such sum of encodable values
+    // wraps, centering recovers it exactly, and no per-run check is needed.
+    ULDP_CHECK((p >> 1) > (BigInt(std::numeric_limits<int>::max()) << 63));
+    return p;
   }();
   return prime;
 }

@@ -8,7 +8,7 @@
 // first step). Mask streams are ChaCha20 keyed by pairwise DH secrets.
 //
 // Masked vectors are FieldVectors: one contiguous array of k-limb elements,
-// k being the modulus's limb count (4 for the 256-bit aggregation prime).
+// k being the modulus's limb count (2 for the aggregation prime 2^127 - 1).
 // Masks are drawn and added in place, so masking, summing, the wire codec
 // (net/wire.h) and the fixed-point codec (crypto/fixed_point.h) allocate
 // per vector, never per element. Every element is canonical in [0, n).
@@ -27,11 +27,15 @@ namespace uldp {
 
 class ThreadPool;
 
-/// The public 256-bit prime field the FL layer aggregates over (fixed: it
-/// is public anyway, so aggregation is deterministic across parties).
+/// The public prime field the FL layer aggregates over: the Mersenne
+/// prime 2^127 - 1 (fixed: it is public anyway, so aggregation is
+/// deterministic across parties). Its half exceeds INT_MAX * 2^63, so a
+/// sum of fixed-point values (|x/P| < 2^63 each, crypto/fixed_point.h)
+/// over any int-sized party count cannot wrap. A uniform mask hides any
+/// field element whatever the field's size, so only that range matters.
 const BigInt& AggregationPrime();
 /// AggregationPrime()'s limb count.
-constexpr size_t kAggregationLimbs = 4;
+constexpr size_t kAggregationLimbs = 2;
 
 /// A vector of field elements stored as size() * limbs() little-endian
 /// limbs, element i at element(i).

@@ -18,6 +18,9 @@ class FedAvgTrainer final : public FlAlgorithm {
 
   Status RunRound(int round, Vec& global_params) override;
   Result<double> EpsilonSpent(double delta) const override;
+  void BindSession(SessionState* session) override {
+    engine_.BindSession(session);
+  }
   std::string name() const override { return "DEFAULT"; }
 
  private:

@@ -2,7 +2,8 @@
 // the common hyper-parameter block (Table 1 of the paper), plain local SGD
 // (the client-side optimizer), and the delta-aggregation helper with an
 // optional secure-aggregation simulation, whose masked vectors stay flat
-// FieldVectors (crypto/secure_agg.h) from mask to unmask.
+// FieldVectors of two-limb elements over 2^127 - 1 (crypto/secure_agg.h)
+// from mask to unmask.
 
 #ifndef ULDP_FL_LOCAL_TRAINER_H_
 #define ULDP_FL_LOCAL_TRAINER_H_
@@ -18,6 +19,8 @@
 #include "nn/model.h"
 
 namespace uldp {
+
+struct SessionState;
 
 /// Where the DP noise is injected. The paper's protocol is distributed
 /// (each silo adds its share so no party ever sees a low-noise aggregate,
@@ -110,6 +113,12 @@ class FlAlgorithm {
   /// — correct for non-private baselines.
   virtual void AccountRestoredRounds(int64_t rounds) { (void)rounds; }
 
+  /// Binds the trainer's round engine to the session a checkpointed run
+  /// writes (RoundEngine::BindSession): async rounds adopt its counters
+  /// before their first step and mirror them back after every step.
+  /// nullptr unbinds. Default no-op.
+  virtual void BindSession(SessionState* session) { (void)session; }
+
   virtual std::string name() const = 0;
 };
 
@@ -145,8 +154,9 @@ Vec AggregateDeltas(const std::vector<Vec>& silo_deltas, bool secure,
 /// One party's side of the secure reduce, split out so a real transport
 /// can ship masked vectors instead of plain deltas (net/async_rounds.h
 /// masked mode): fixed-point-encodes `delta` over AggregationPrime()
-/// (crypto/secure_agg.h) and adds this party's pairwise masks for round
-/// `round_tag`, as one flat vector. InvalidArgument names the first
+/// (2^127 - 1, crypto/secure_agg.h) and adds this party's pairwise masks
+/// for round `round_tag`, as one flat vector of two-limb elements (16
+/// bytes each in a MaskedVector frame). InvalidArgument names the first
 /// non-finite or out-of-range coordinate. Masking every party and summing
 /// with UnmaskSum is bitwise identical to
 /// AggregateDeltas(..., secure=true, ...) on the same inputs.
@@ -155,7 +165,9 @@ Result<FieldVector> MaskDelta(const Vec& delta, int party, int num_parties,
 
 /// The server's side: sums the masked vectors (masks cancel) and decodes
 /// the fixed-point total back to doubles. Every vector must have the same
-/// dimension, with elements in [0, AggregationPrime()).
+/// dimension, with elements in [0, AggregationPrime()). The unmasked total
+/// is an exact integer far below half the prime, so it decodes to the
+/// same doubles it would in any wider field.
 Vec UnmaskSum(const std::vector<FieldVector>& masked);
 
 /// BigInt forms of MaskDelta and UnmaskSum, kept as conversions over them

@@ -299,6 +299,7 @@ Status RoundEngine::CreateAsync(int version) {
     }
   }
   async_ = std::make_unique<AsyncState>(num_silos_, config_, version);
+  if (session_ != nullptr) async_->aggregator.BindSession(session_);
   if (config_.arrival_schedule.empty()) {
     const int workers = std::min(num_silos_, pool_->num_threads());
     async_->workers.reserve(workers);
@@ -313,6 +314,11 @@ AsyncStats RoundEngine::async_stats() const {
   ULDP_CHECK(async_ != nullptr);
   std::lock_guard<std::mutex> lock(async_->mu);
   return async_->aggregator.stats();
+}
+
+void RoundEngine::BindSession(SessionState* session) {
+  session_ = session;
+  if (async_ != nullptr) async_->aggregator.BindSession(session);
 }
 
 void RoundEngine::AsyncWorkerLoop() {

@@ -213,6 +213,13 @@ class RoundEngine {
   /// Snapshot of the async counters (valid after the first async Step).
   AsyncStats async_stats() const;
 
+  /// Binds the async rounds to a checkpointed session, as the async server
+  /// does (AsyncAggregator::BindSession): the first async Step adopts the
+  /// session's version and counters, so a resumed run continues the
+  /// interrupted run's counts, and every flush mirrors them back for the
+  /// next checkpoint. nullptr unbinds. Sync rounds leave the session alone.
+  void BindSession(SessionState* session);
+
  private:
   struct AsyncState;
 
@@ -240,6 +247,7 @@ class RoundEngine {
   std::mutex model_mu_;
   std::condition_variable model_cv_;
   std::unique_ptr<AsyncState> async_;
+  SessionState* session_ = nullptr;
 };
 
 }  // namespace uldp

@@ -61,9 +61,6 @@ enum class StreamKind : uint8_t {
   /// Silo -> server: the masked cipher in coordinate chunks (replaces
   /// SiloCipherMsg).
   kSiloCipher = 1,
-  /// A pairwise-masked vector in coordinate chunks (replaces
-  /// MaskedVectorMsg; for the FL-layer secure-aggregation path).
-  kMaskedVector = 2,
 };
 
 /// FNV-1a over a canonical wire serialization — the digest primitive
@@ -249,11 +246,12 @@ struct ShutdownMsg {
 
 /// A pairwise-masked fixed-point vector (crypto/secure_agg.h) — the
 /// secure-aggregation payload of the FL layer, so asynchronous round
-/// transports can reuse this wire format. `values` travels as a BigVec of
-/// elements over AggregationPrime() and stays flat from the sender's mask
-/// to the receiver's unmask. Parse rejects any element that is negative,
-/// longer than 32 bytes, or not below the prime, so a hostile vector
-/// fails here instead of reaching the decoder.
+/// transports can reuse this wire format. `values` travels as a FieldVec
+/// over AggregationPrime() (2^127 - 1): a count, then two little-endian
+/// u64 limbs (16 B) per element, flat from the sender's mask to the
+/// receiver's unmask. Parse rejects a count the payload cannot hold and
+/// any element not below the prime, so a hostile vector fails here
+/// instead of reaching the decoder.
 struct MaskedVectorMsg {
   static constexpr MessageType kType = MessageType::kMaskedVector;
   uint64_t phase_tag = 0;
@@ -294,8 +292,7 @@ struct RoundAckMsg {
 /// will carry, `chunk_elems` the per-chunk element ceiling (the last chunk
 /// may be short), `dim` the model dimension (the receiver's decode/fold
 /// context — user count for kEncWeights, unpacked model dim for
-/// kSiloCipher/kMaskedVector). phase_tag matches the message the stream
-/// replaces.
+/// kSiloCipher). phase_tag matches the message the stream replaces.
 struct StreamBeginMsg {
   static constexpr MessageType kType = MessageType::kStreamBegin;
   uint64_t phase_tag = 0;

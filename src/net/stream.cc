@@ -23,8 +23,6 @@ std::string KindName(uint8_t kind) {
       return "enc-weights";
     case StreamKind::kSiloCipher:
       return "silo-cipher";
-    case StreamKind::kMaskedVector:
-      return "masked-vector";
   }
   return "kind-" + std::to_string(static_cast<int>(kind));
 }
@@ -36,8 +34,6 @@ const char* ChunkSpanName(StreamKind kind) {
       return "stream.chunk.enc_weights";
     case StreamKind::kSiloCipher:
       return "stream.chunk.silo_cipher";
-    case StreamKind::kMaskedVector:
-      return "stream.chunk.masked_vector";
   }
   return "stream.chunk";
 }
@@ -48,8 +44,6 @@ const char* FoldSpanName(StreamKind kind) {
       return "stream.fold.enc_weights";
     case StreamKind::kSiloCipher:
       return "stream.fold.silo_cipher";
-    case StreamKind::kMaskedVector:
-      return "stream.fold.masked_vector";
   }
   return "stream.fold";
 }

@@ -2,8 +2,8 @@
 // wire discipline behind memory-bounded streaming rounds
 // (ProtocolConfig::stream_chunk_users).
 //
-// A stream replaces one monolithic frame (RoundBegin's enc-weight vector,
-// SiloCipher's masked cipher, a MaskedVector payload) with:
+// A stream replaces one monolithic frame (RoundBegin's enc-weight vector
+// or SiloCipher's masked cipher) with:
 //
 //   sender                                receiver
 //   ------                                --------

@@ -16,7 +16,7 @@ namespace net {
 namespace {
 
 /// Transcript format version; bump on any layout change.
-constexpr uint16_t kTranscriptFormatVersion = 2;
+constexpr uint16_t kTranscriptFormatVersion = 3;
 constexpr uint8_t kMagic[4] = {'U', 'L', 'T', 'R'};
 
 void AppendDigest(WireWriter& w, const Sha256Digest& d) {

@@ -17,10 +17,6 @@ constexpr uint8_t kMagic[4] = {'U', 'L', 'D', 'P'};
 constexpr size_t kMinBigSize = 5;
 constexpr size_t kMinBytesSize = 4;
 
-inline void StoreLE32(uint8_t* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
 inline void StoreLE64(uint8_t* p, uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
@@ -34,13 +30,6 @@ inline uint32_t LoadLE32(const uint8_t* p) {
 inline uint64_t LoadLE64(const uint8_t* p) {
   uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-/// The first n < 8 bytes at p as a little-endian integer.
-inline uint64_t LoadLE64Prefix(const uint8_t* p, size_t n) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < n; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
   return v;
 }
 
@@ -86,23 +75,12 @@ void WireWriter::BigVec(const std::vector<BigInt>& v) {
 
 void WireWriter::FieldVec(const FieldVector& v) {
   U32(static_cast<uint32_t>(v.size()));
-  const size_t k = v.limbs();
+  const size_t words = v.size() * v.limbs();
   const size_t start = buf_.size();
-  buf_.resize(start + v.size() * (kMinBigSize + 8 * k));
+  buf_.resize(start + 8 * words);
   uint8_t* p = buf_.data() + start;
-  for (size_t i = 0; i < v.size(); ++i) {
-    const uint64_t* x = v.element(i);
-    // Big()'s magnitude length: the significant bytes only.
-    const size_t len = static_cast<size_t>(limbs::BitLength(x, k) + 7) / 8;
-    p[0] = 0;  // sign byte: elements are non-negative
-    StoreLE32(p + 1, static_cast<uint32_t>(len));
-    p += kMinBigSize;
-    size_t b = 0;
-    for (; b + 8 <= len; b += 8) StoreLE64(p + b, x[b / 8]);
-    for (; b < len; ++b) p[b] = static_cast<uint8_t>(x[b / 8] >> (8 * (b % 8)));
-    p += len;
-  }
-  buf_.resize(static_cast<size_t>(p - buf_.data()));
+  const uint64_t* x = v.element(0);  // elements are contiguous
+  for (size_t i = 0; i < words; ++i, p += 8) StoreLE64(p, x[i]);
 }
 
 void WireWriter::F64Vec(const std::vector<double>& v) {
@@ -213,33 +191,17 @@ Status WireReader::BigVec(std::vector<BigInt>* v) {
 Status WireReader::FieldVec(const BigInt& modulus, FieldVector* v) {
   uint32_t count;
   ULDP_RETURN_IF_ERROR(U32(&count));
-  if (static_cast<size_t>(count) > remaining() / kMinBigSize) {
-    failed_ = true;
-    return Status::InvalidArgument("wire: BigInt vector count exceeds payload");
-  }
   const size_t k = modulus.limbs().size();
+  if (static_cast<size_t>(count) > remaining() / (8 * k)) {
+    failed_ = true;
+    return Status::InvalidArgument("wire: field vector count exceeds payload");
+  }
   const uint64_t* n = modulus.limbs().data();
   FieldVector out(count, k);
+  const uint8_t* p = data_ + pos_;
   for (uint32_t i = 0; i < count; ++i) {
-    // Big()'s layout: sign byte, u32 magnitude length, magnitude.
-    ULDP_RETURN_IF_ERROR(Need(kMinBigSize));
-    const uint8_t negative = data_[pos_];
-    const uint32_t len = LoadLE32(data_ + pos_ + 1);
-    pos_ += kMinBigSize;
-    if (negative != 0 || len > 8 * k) {
-      failed_ = true;
-      return Status::InvalidArgument(
-          "wire: field element " + std::to_string(i) +
-          (negative != 0 ? " is not a non-negative integer"
-                         : " is longer than the modulus"));
-    }
-    ULDP_RETURN_IF_ERROR(Need(len));
-    const uint8_t* p = data_ + pos_;
     uint64_t* x = out.element(i);
-    size_t b = 0;
-    for (; b + 8 <= len; b += 8) x[b / 8] = LoadLE64(p + b);
-    if (b < len) x[b / 8] = LoadLE64Prefix(p + b, len - b);
-    pos_ += len;
+    for (size_t j = 0; j < k; ++j, p += 8) x[j] = LoadLE64(p);
     if (limbs::Compare(x, n, k) >= 0) {
       failed_ = true;
       return Status::InvalidArgument("wire: field element " +
@@ -247,6 +209,7 @@ Status WireReader::FieldVec(const BigInt& modulus, FieldVector* v) {
                                      " is not below the modulus");
     }
   }
+  pos_ += 8 * k * static_cast<size_t>(count);
   *v = std::move(out);
   return Status::Ok();
 }

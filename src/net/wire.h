@@ -5,15 +5,16 @@
 //   offset  size  field
 //   ------  ----  -----------------------------------------------
 //   0       4     magic "ULDP"
-//   4       2     wire version (little-endian, currently 1)
+//   4       2     wire version (little-endian, currently 2)
 //   6       2     message type (net/messages.h MessageType)
 //   8       4     payload length in bytes (<= kMaxFramePayload)
 //   12      len   payload (message-specific, see WireWriter/WireReader)
 //
 // All integers are little-endian fixed-width; BigInts are serialized as a
 // sign byte plus a length-prefixed little-endian magnitude (the exact
-// ToBytesLE/FromBytesLE round trip); doubles travel as their IEEE-754 bit
-// pattern. Decoders never trust peer-supplied lengths: every read is
+// ToBytesLE/FromBytesLE round trip); field vectors as a count plus k
+// little-endian u64 limbs per element, k being the modulus's limb count;
+// doubles travel as their IEEE-754 bit pattern. Decoders never trust peer-supplied lengths: every read is
 // bounds-checked against the actual buffer and element counts are validated
 // against the minimum encoded size, so a malformed or truncated frame
 // yields a clear Status instead of an allocation bomb or an abort.
@@ -33,7 +34,7 @@ namespace uldp {
 namespace net {
 
 /// Wire protocol version; bump on any incompatible framing/codec change.
-constexpr uint16_t kWireVersion = 1;
+constexpr uint16_t kWireVersion = 2;
 /// Frame header size in bytes (magic + version + type + payload length).
 constexpr size_t kFrameHeaderSize = 12;
 /// Hard upper bound on a single frame's payload. Large enough for a full
@@ -66,8 +67,9 @@ class WireWriter {
   /// Sign byte + u32 magnitude length + little-endian magnitude.
   void Big(const BigInt& v);
   void BigVec(const std::vector<BigInt>& v);
-  /// Exactly BigVec's bytes for the same values, written straight from
-  /// the limbs in one pass.
+  /// u32 count + v.limbs() little-endian u64 limbs per element, written
+  /// straight from the limbs in one pass (16 B per element over the
+  /// two-limb aggregation prime).
   void FieldVec(const FieldVector& v);
   /// u32 count + each double's bit pattern as U64, in one pass.
   void F64Vec(const std::vector<double>& v);
@@ -97,10 +99,10 @@ class WireReader {
   Status Bytes(std::vector<uint8_t>* b);
   Status Big(BigInt* v);
   Status BigVec(std::vector<BigInt>* v);
-  /// Reads a BigVec whose elements must all lie in [0, modulus): a
-  /// negative element, one longer than the modulus's limbs, or one
-  /// >= modulus fails with InvalidArgument. Produces k-limb elements, k
-  /// being the modulus's limb count.
+  /// Reads FieldVec's layout with k = the modulus's limb count: a count
+  /// the remaining payload cannot hold at 8k bytes per element fails
+  /// before anything is allocated, and an element >= modulus fails with
+  /// InvalidArgument naming its index.
   Status FieldVec(const BigInt& modulus, FieldVector* v);
   Status F64Vec(std::vector<double>* v);
   Status BytesVec(std::vector<std::vector<uint8_t>>* v);

@@ -432,14 +432,33 @@ net::AsyncRoundsConfig MaskedConfig() {
   return config;
 }
 
+/// Joins the masked cohort as `silo` and waits for its step-0 release.
+Status JoinMaskedCohort(net::Transport& t, int silo, int silos, int dim) {
+  net::JoinMsg join;
+  join.silo_id = static_cast<uint32_t>(silo);
+  join.num_silos = static_cast<uint32_t>(silos);
+  join.num_users = static_cast<uint32_t>(dim);
+  join.config_digest =
+      net::AsyncRoundsWireDigest(MaskedConfig(), silos, dim);
+  ULDP_RETURN_IF_ERROR(t.Send(net::ToFrame(join)));
+  return t.Recv().status();
+}
+
+/// The server's verdict on this silo: an Error frame or a close.
+Status AwaitVerdict(net::Transport& t) {
+  auto verdict = net::UnwrapErrorFrame(t.Recv(), "server");
+  return verdict.ok() ? Status::Ok() : verdict.status();
+}
+
 /// Runs a masked fixed cohort of `silos` over channels: silo 0 serves
-/// `silo0` (its own transport end), every other silo runs the demo client.
-/// Returns the server's Run result; silo statuses land in `silo_status`.
+/// `silo0` (its own transport end). Every other silo joins and then only
+/// awaits the server's verdict, so no step can flush before the server has
+/// judged every frame silo 0 sent. Returns the server's Run result; silo
+/// statuses land in `silo_status`.
 Result<Vec> RunMaskedCohort(
     int silos, int dim,
     const std::function<Status(net::Transport&)>& silo0,
     std::vector<Status>* silo_status) {
-  const net::AsyncRoundsConfig config = MaskedConfig();
   std::vector<std::unique_ptr<net::Transport>> server_ends, silo_ends;
   for (int s = 0; s < silos; ++s) {
     auto [a, b] = net::ChannelTransport::CreatePair();
@@ -450,14 +469,18 @@ Result<Vec> RunMaskedCohort(
   std::vector<std::thread> threads;
   for (int s = 0; s < silos; ++s) {
     threads.emplace_back([&, s] {
-      (*silo_status)[s] =
-          s == 0 ? silo0(*silo_ends[s])
-                 : net::RunAsyncDemoSilo(config, s, silos, dim, *silo_ends[s]);
+      net::Transport& t = *silo_ends[s];
+      if (s == 0) {
+        (*silo_status)[s] = silo0(t);
+      } else {
+        Status joined = JoinMaskedCohort(t, s, silos, dim);
+        (*silo_status)[s] = joined.ok() ? AwaitVerdict(t) : joined;
+      }
     });
   }
   Result<Vec> out = Status::Internal("connection rejected");
   {
-    net::AsyncRoundServer server(config, silos, dim);
+    net::AsyncRoundServer server(MaskedConfig(), silos, dim);
     bool joined = true;
     for (auto& end : server_ends) {
       joined = joined && server.AddConnection(std::move(end)).ok();
@@ -468,45 +491,93 @@ Result<Vec> RunMaskedCohort(
   return out;
 }
 
+/// Silo 0 of a 2-silo masked cohort at dim 4 sends `frames` as its step-0
+/// uploads. The run must fail with InvalidArgument carrying `text` on the
+/// server and on silo 0, without aborting.
+void ExpectMaskedVerdict(const std::vector<net::Frame>& frames,
+                         const std::string& text) {
+  const int silos = 2, dim = 4;
+  std::vector<Status> silo_status;
+  auto out = RunMaskedCohort(
+      silos, dim,
+      [&](net::Transport& t) -> Status {
+        ULDP_RETURN_IF_ERROR(JoinMaskedCohort(t, 0, silos, dim));
+        for (const net::Frame& frame : frames) {
+          ULDP_RETURN_IF_ERROR(t.Send(frame));
+        }
+        return AwaitVerdict(t);
+      },
+      &silo_status);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+      << out.status().ToString();
+  EXPECT_NE(out.status().message().find(text), std::string::npos)
+      << out.status().ToString();
+  EXPECT_EQ(silo_status[0].code(), StatusCode::kInvalidArgument)
+      << silo_status[0].ToString();
+  EXPECT_NE(silo_status[0].message().find(text), std::string::npos)
+      << silo_status[0].ToString();
+}
+
+/// A well-formed step-0 masked vector from silo 0 at dim 4 (zeros).
+net::MaskedVectorMsg StepZeroVector() {
+  net::MaskedVectorMsg msg;
+  msg.phase_tag = MakeMaskTag(MaskPhase::kFlAggregation, 0);
+  msg.party_id = 0;
+  msg.values = FieldVector(4, kAggregationLimbs);
+  return msg;
+}
+
 TEST(MaskedTransportTest, OutOfFieldElementFailsTheRunInsteadOfAborting) {
   // A silo whose masked vector carries an element outside [0, p) used to
   // reach the fixed-point decoder's range CHECK and abort the server.
-  const int silos = 2, dim = 4;
-  const net::AsyncRoundsConfig config = MaskedConfig();
-  for (const BigInt& bad : {BigInt(1) << 300, AggregationPrime()}) {
-    SCOPED_TRACE(bad.ToHex());
-    std::vector<Status> silo_status;
-    auto out = RunMaskedCohort(
-        silos, dim,
-        [&](net::Transport& t) -> Status {
-          net::JoinMsg join;
-          join.silo_id = 0;
-          join.num_silos = silos;
-          join.num_users = dim;
-          join.config_digest = net::AsyncRoundsWireDigest(config, silos, dim);
-          ULDP_RETURN_IF_ERROR(t.Send(net::ToFrame(join)));
-          auto release = t.Recv();
-          if (!release.ok()) return release.status();
-          // A well-formed MaskedVector frame but for one element.
-          net::WireWriter w;
-          w.U64(MakeMaskTag(MaskPhase::kFlAggregation, 0));
-          w.U32(0);
-          w.BigVec({BigInt(1), BigInt(2), bad, BigInt(3)});
-          net::Frame frame;
-          frame.type = static_cast<uint16_t>(net::MessageType::kMaskedVector);
-          frame.payload = w.Take();
-          ULDP_RETURN_IF_ERROR(t.Send(frame));
-          // Wait for the server's verdict (an Error frame or a close).
-          auto verdict = net::UnwrapErrorFrame(t.Recv(), "server");
-          return verdict.ok() ? Status::Ok() : verdict.status();
-        },
-        &silo_status);
-    ASSERT_FALSE(out.ok());
-    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
-        << out.status().ToString();
-    EXPECT_EQ(silo_status[0].code(), StatusCode::kInvalidArgument)
-        << silo_status[0].ToString();
+  // Element 2 of four is p, 2^127 or 2^128 - 1, written as raw limbs.
+  const uint64_t ones = ~uint64_t{0};
+  const std::pair<uint64_t, uint64_t> hostile[] = {
+      {ones, ones >> 1}, {0, uint64_t{1} << 63}, {ones, ones}};
+  for (const auto& [lo, hi] : hostile) {
+    SCOPED_TRACE(std::to_string(hi) + ":" + std::to_string(lo));
+    net::WireWriter w;
+    w.U64(MakeMaskTag(MaskPhase::kFlAggregation, 0));
+    w.U32(0);
+    w.U32(4);
+    for (uint64_t limb : {uint64_t{1}, uint64_t{0}, uint64_t{2}, uint64_t{0},
+                          lo, hi, uint64_t{3}, uint64_t{0}}) {
+      w.U64(limb);
+    }
+    net::Frame frame;
+    frame.type = static_cast<uint16_t>(net::MessageType::kMaskedVector);
+    frame.payload = w.Take();
+    ExpectMaskedVerdict({frame}, "field element 2 is not below the modulus");
   }
+}
+
+TEST(MaskedTransportTest, MisaddressedVectorsFailTheRunWithTheirVerdict) {
+  // Each branch of the server's masked-vector check, reached by a fake
+  // silo over a channel: a wrong phase, a wrong round, a wrong party id, a
+  // short vector, and a second vector in one step.
+  net::MaskedVectorMsg wrong_phase = StepZeroVector();
+  wrong_phase.phase_tag = MakeMaskTag(MaskPhase::kHistogramBlind, 0);
+  ExpectMaskedVerdict({net::ToFrame(wrong_phase)},
+                      "masked vector with a wrong phase tag");
+
+  net::MaskedVectorMsg wrong_round = StepZeroVector();
+  wrong_round.phase_tag = MakeMaskTag(MaskPhase::kFlAggregation, 1);
+  ExpectMaskedVerdict({net::ToFrame(wrong_round)},
+                      "masked vector with a wrong phase tag");
+
+  net::MaskedVectorMsg wrong_party = StepZeroVector();
+  wrong_party.party_id = 1;
+  ExpectMaskedVerdict({net::ToFrame(wrong_party)},
+                      "masked vector from wrong silo");
+
+  net::MaskedVectorMsg short_vector = StepZeroVector();
+  short_vector.values = FieldVector(3, kAggregationLimbs);
+  ExpectMaskedVerdict({net::ToFrame(short_vector)},
+                      "masked vector dimension mismatch");
+
+  const net::Frame valid = net::ToFrame(StepZeroVector());
+  ExpectMaskedVerdict({valid, valid}, "duplicate masked vector for this step");
 }
 
 TEST(MaskedTransportTest, UnencodableDeltaFailsTheSiloWithAStatus) {

@@ -331,7 +331,7 @@ TEST(NetStreamTest, SenderHonorsWindowAndReassemblesWithTail) {
 
   StreamSendOptions opts;
   opts.phase_tag = 42;
-  opts.kind = StreamKind::kMaskedVector;
+  opts.kind = StreamKind::kSiloCipher;
   opts.chunk_elems = chunk;
   opts.window = window;
 
@@ -344,7 +344,7 @@ TEST(NetStreamTest, SenderHonorsWindowAndReassemblesWithTail) {
       auto begin = FromFrame<StreamBeginMsg>(frame);
       EXPECT_TRUE(begin.ok());
       auto r = ChunkStreamReceiver::Create(begin.value(),
-                                           StreamKind::kMaskedVector, 42,
+                                           StreamKind::kSiloCipher, 42,
                                            total, chunk);
       EXPECT_TRUE(r.ok());
       receiver = std::make_unique<ChunkStreamReceiver>(std::move(r.value()));

@@ -117,6 +117,39 @@ TEST(WirePrimitiveTest, F64VecWritesGoldenBytesForSpecialValues) {
   }
 }
 
+/// Three elements over 2^127 - 1: zero, one with a distinct byte in every
+/// position, and p - 1.
+FieldVector GoldenFieldElements() {
+  FieldVector v(3, kAggregationLimbs);
+  v.element(1)[0] = 0x0807060504030201ull;
+  v.element(1)[1] = 0x100F0E0D0C0B0A09ull;
+  v.element(2)[0] = 0xFFFFFFFFFFFFFFFEull;
+  v.element(2)[1] = 0x7FFFFFFFFFFFFFFFull;
+  return v;
+}
+
+TEST(WirePrimitiveTest, FieldVecWritesGoldenBytes) {
+  // A u32 count, then each element's two limbs little-endian: 16 bytes
+  // per element, no sign byte and no length field.
+  WireWriter w;
+  w.FieldVec(GoldenFieldElements());
+  const std::vector<uint8_t> golden = {
+      0x03, 0x00, 0x00, 0x00,                          // count
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  // low limb
+      0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x0E, 0x0F, 0x10,  // high limb
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // p - 1
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F,
+  };
+  EXPECT_EQ(w.buffer(), golden);
+  WireReader r(golden);
+  FieldVector back;
+  ASSERT_TRUE(r.FieldVec(AggregationPrime(), &back).ok());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(back, GoldenFieldElements());
+}
+
 TEST(WirePrimitiveTest, TruncatedReadsFailAndPoisonTheReader) {
   WireWriter w;
   w.U32(7);
@@ -394,44 +427,84 @@ TEST(MessageDecodeTest, WrongTypeAndTrailingBytesRejected) {
   EXPECT_FALSE(FromFrame<JoinMsg>(short_frame).ok());
 }
 
-TEST(MessageDecodeTest, MaskedVectorRejectsElementsOutsideTheField) {
-  // A valid element, then one hostile element: negative, equal to the
-  // prime, one byte too long, far too long, and a sign byte on a zero
-  // magnitude.
-  auto frame_with = [](const std::function<void(WireWriter&)>& bad) {
+TEST(MessageDecodeTest, MaskedVectorWritesGoldenBytes) {
+  MaskedVectorMsg msg;
+  msg.phase_tag = 0x1122334455667788ull;
+  msg.party_id = 3;
+  msg.values = GoldenFieldElements();
+  const std::vector<uint8_t> payload = {
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // phase_tag
+      0x03, 0x00, 0x00, 0x00,                          // party_id
+      0x03, 0x00, 0x00, 0x00,                          // count
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,
+      0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x0E, 0x0F, 0x10,
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // p - 1
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F,
+  };
+  const Frame frame = ToFrame(msg);
+  EXPECT_EQ(frame.payload, payload);
+  // Header: magic, wire version 2, type 16, payload length 64.
+  const std::vector<uint8_t> wire = EncodeFrame(frame);
+  const std::vector<uint8_t> header = {'U',  'L',  'D',  'P',  0x02, 0x00,
+                                       0x10, 0x00, 0x40, 0x00, 0x00, 0x00};
+  ASSERT_GE(wire.size(), header.size());
+  EXPECT_EQ(std::vector<uint8_t>(wire.begin(), wire.begin() + 12), header);
+  auto back = FromFrame<MaskedVectorMsg>(frame);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.value().phase_tag, msg.phase_tag);
+  EXPECT_EQ(back.value().party_id, msg.party_id);
+  EXPECT_EQ(back.value().values, msg.values);
+}
+
+TEST(MessageDecodeTest, MaskedVectorRejectsMalformedPayloads) {
+  // Two elements: a valid 5, then the element under test, as raw limbs.
+  auto frame_with = [](uint64_t lo, uint64_t hi) {
     WireWriter w;
     w.U64(MakeMaskTag(MaskPhase::kFlAggregation, 0));
     w.U32(0);
     w.U32(2);
-    w.Big(BigInt(5));
-    bad(w);
+    w.U64(5);
+    w.U64(0);
+    w.U64(lo);
+    w.U64(hi);
     Frame frame;
     frame.type = static_cast<uint16_t>(MessageType::kMaskedVector);
     frame.payload = w.Take();
     return frame;
   };
-  const std::vector<BigInt> hostile = {
-      -BigInt(7), AggregationPrime(), BigInt(1) << 256,
-      (BigInt(1) << 2048) - BigInt(12345)};
-  for (const BigInt& v : hostile) {
-    auto msg = FromFrame<MaskedVectorMsg>(
-        frame_with([&](WireWriter& w) { w.Big(v); }));
-    ASSERT_FALSE(msg.ok()) << v.ToHex();
+  auto expect_invalid = [](const Frame& frame, const std::string& text) {
+    auto msg = FromFrame<MaskedVectorMsg>(frame);
+    ASSERT_FALSE(msg.ok());
     EXPECT_EQ(msg.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(msg.status().message().find(text), std::string::npos)
+        << msg.status().ToString();
+  };
+  // p, 2^127 and all-ones: each is the second element, named by index.
+  const uint64_t ones = ~uint64_t{0};
+  const std::pair<uint64_t, uint64_t> hostile[] = {
+      {ones, ones >> 1}, {0, uint64_t{1} << 63}, {ones, ones}};
+  for (const auto& [lo, hi] : hostile) {
+    SCOPED_TRACE(std::to_string(hi) + ":" + std::to_string(lo));
+    expect_invalid(frame_with(lo, hi),
+                   "field element 1 is not below the modulus");
   }
-  auto negative_zero = FromFrame<MaskedVectorMsg>(frame_with([](WireWriter& w) {
-    w.U8(1);
-    w.U32(0);
-  }));
-  ASSERT_FALSE(negative_zero.ok());
-  EXPECT_EQ(negative_zero.status().code(), StatusCode::kInvalidArgument);
-  // The same frame with a canonical element parses; cut one byte short of
-  // that element's magnitude, it does not.
-  Frame good = frame_with(
-      [](WireWriter& w) { w.Big(AggregationPrime() - BigInt(1)); });
-  EXPECT_TRUE(FromFrame<MaskedVectorMsg>(good).ok());
-  good.payload.pop_back();
-  EXPECT_FALSE(FromFrame<MaskedVectorMsg>(good).ok());
+  // p - 1 parses.
+  const Frame good = frame_with(ones - 1, ones >> 1);
+  ASSERT_TRUE(FromFrame<MaskedVectorMsg>(good).ok());
+  // A count one past the payload fails before anything is allocated.
+  Frame over = good;
+  over.payload[12] = 3;
+  expect_invalid(over, "field vector count exceeds payload");
+  // So does a payload one byte short of its count.
+  Frame short_frame = good;
+  short_frame.payload.pop_back();
+  expect_invalid(short_frame, "field vector count exceeds payload");
+  // A trailing byte after the last element is rejected too.
+  Frame trailing = good;
+  trailing.payload.push_back(0);
+  expect_invalid(trailing, "trailing bytes");
 }
 
 TEST(MessageDecodeTest, CorruptedNestedCountsRejected) {

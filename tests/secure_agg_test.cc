@@ -7,6 +7,7 @@
 #include "crypto/fixed_point.h"
 #include "crypto/secure_agg.h"
 #include "fl/local_trainer.h"
+#include "math/limbs.h"
 #include "math/primes.h"
 #include "net/messages.h"
 #include "net/wire.h"
@@ -135,11 +136,20 @@ TEST(SecureAggTest, DifferentTagsGiveDifferentMasks) {
 
 // ---------------------------------------------------------------------------
 // The flat core against the BigInt formulation it replaced: the per-draw
-// BigInt loop, encode and decode inlined below, BigInt::ModAdd/ModSub,
-// FixedPointCodec::Encode/DecodePlain and WireWriter::BigVec. Limbs, frame
-// bytes and decoded doubles must all be identical.
+// BigInt loop, encode and decode inlined below, BigInt::ModAdd/ModSub and
+// FixedPointCodec::Encode/DecodePlain. Limbs and decoded doubles must be
+// identical, and the frame codec must carry the limbs unchanged.
 
 constexpr double kPrecision = 1e-10;
+
+/// The 256-bit P-256 prime: the aggregation field before 2^127 - 1, kept
+/// as the wide reference the narrow field must decode identically to.
+BigInt P256() {
+  auto p = BigInt::FromHex(
+      "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff");
+  EXPECT_TRUE(p.ok());
+  return p.value();
+}
 
 /// One draw as the BigInt rejection loop made it: k keystream words, the
 /// top one masked to the modulus's bit length, kept iff below it.
@@ -216,7 +226,8 @@ uint64_t Bits(double x) {
 }
 
 struct FlatCase {
-  int prime_bits;  // 256: AggregationPrime(); 96: the first prime past 2^95
+  // 256: P-256; 127: AggregationPrime(); 96: the first prime past 2^95.
+  int prime_bits;
   bool pooled;
 };
 
@@ -233,8 +244,10 @@ class FlatCoreReferenceTest : public ::testing::TestWithParam<FlatCase> {};
 
 TEST_P(FlatCoreReferenceTest, LimbsFrameBytesAndDecodedDoublesMatch) {
   const FlatCase c = GetParam();
-  const BigInt q =
-      c.prime_bits == 256 ? AggregationPrime() : SmallestPrimeAbove2To95();
+  const bool production = c.prime_bits == 127;
+  const BigInt q = c.prime_bits == 256 ? P256()
+                   : production        ? AggregationPrime()
+                                       : SmallestPrimeAbove2To95();
   FixedPointCodec codec(q, kPrecision);
   ThreadPool pool(3);
   ThreadPool* maybe_pool = c.pooled ? &pool : nullptr;
@@ -262,17 +275,16 @@ TEST_P(FlatCoreReferenceTest, LimbsFrameBytesAndDecodedDoublesMatch) {
         // Limbs: the flat vector holds exactly the reference values.
         EXPECT_EQ(v, FieldVector(reference[p], codec.limbs()));
         EXPECT_EQ(v.ToBigInts(), reference[p]);
-        // Frame bytes: FieldVec writes BigVec's bytes.
-        net::WireWriter big_bytes, flat_bytes;
-        big_bytes.BigVec(reference[p]);
+        // Frame bytes: a count, then 8 bytes per limb, read back exactly.
+        net::WireWriter flat_bytes;
         flat_bytes.FieldVec(v);
-        EXPECT_EQ(flat_bytes.buffer(), big_bytes.buffer());
+        EXPECT_EQ(flat_bytes.buffer().size(), 4 + 8 * codec.limbs() * dim);
         net::WireReader reader(flat_bytes.buffer());
         FieldVector parsed;
         ASSERT_TRUE(reader.FieldVec(q, &parsed).ok());
         EXPECT_TRUE(reader.AtEnd());
         EXPECT_EQ(parsed, v);
-        if (c.prime_bits == 256) {
+        if (production) {
           auto produced = MaskDelta(delta, p, parties, tag, maybe_pool);
           ASSERT_TRUE(produced.ok()) << produced.status().ToString();
           EXPECT_EQ(produced.value(), v);
@@ -287,7 +299,7 @@ TEST_P(FlatCoreReferenceTest, LimbsFrameBytesAndDecodedDoublesMatch) {
           net::WireWriter payload;
           payload.U64(msg.phase_tag);
           payload.U32(msg.party_id);
-          payload.BigVec(reference[p]);
+          payload.FieldVec(v);
           const net::Frame frame = net::ToFrame(msg);
           EXPECT_EQ(frame.payload, payload.buffer());
           auto back = net::FromFrame<net::MaskedVectorMsg>(frame);
@@ -305,9 +317,9 @@ TEST_P(FlatCoreReferenceTest, LimbsFrameBytesAndDecodedDoublesMatch) {
       EXPECT_EQ(flat_total.ToBigInts(), total);
       Vec decoded(dim);
       codec.DecodePlainLimbs(flat_total.element(0), dim, decoded.data());
-      const Vec unmasked = c.prime_bits == 256 ? UnmaskSum(flat) : decoded;
+      const Vec unmasked = production ? UnmaskSum(flat) : decoded;
       const Vec unmasked_big =
-          c.prime_bits == 256 ? UnmaskMaskedSum(reference) : decoded;
+          production ? UnmaskMaskedSum(reference) : decoded;
       for (size_t d = 0; d < dim; ++d) {
         const double expect = ReferenceDecode(total[d], q);
         EXPECT_EQ(Bits(codec.DecodePlain(total[d])), Bits(expect));
@@ -319,7 +331,7 @@ TEST_P(FlatCoreReferenceTest, LimbsFrameBytesAndDecodedDoublesMatch) {
   }
   // Only the small prime rejects often enough to exercise the retry
   // (about 40k draws per case).
-  if (c.prime_bits < 256) {
+  if (c.prime_bits == 96) {
     EXPECT_GT(rejected, 10000);
   }
 }
@@ -327,11 +339,91 @@ TEST_P(FlatCoreReferenceTest, LimbsFrameBytesAndDecodedDoublesMatch) {
 INSTANTIATE_TEST_SUITE_P(
     PrimesAndPools, FlatCoreReferenceTest,
     ::testing::Values(FlatCase{256, false}, FlatCase{256, true},
+                      FlatCase{127, false}, FlatCase{127, true},
                       FlatCase{96, false}, FlatCase{96, true}),
     [](const ::testing::TestParamInfo<FlatCase>& info) {
       return "Prime" + std::to_string(info.param.prime_bits) +
              (info.param.pooled ? "Pooled" : "Serial");
     });
+
+// ---------------------------------------------------------------------------
+// Cross-width reference: the aggregation field shrank from P-256 to
+// 2^127 - 1. The unmasked total is the same exact integer below n/2 in
+// either field, so the same deltas must decode to bitwise-identical
+// doubles, including sums whose magnitude passes 2^64.
+
+/// N(0, 1) coordinates, every 97th one up to +-4e8, and +-4.5999999e18
+/// units (just inside the encode range) at coordinates 1 and 2, so five
+/// parties' sums there pass 2^64 in magnitude.
+Vec CrossWidthDeltas(size_t dim, uint64_t seed) {
+  Rng rng(seed);
+  Vec delta(dim);
+  for (size_t d = 0; d < dim; ++d) {
+    delta[d] = d % 97 == 0 ? rng.Uniform(-4e8, 4e8) : rng.Gaussian();
+  }
+  delta[1] = 4.5999999e18 * kPrecision;
+  delta[2] = -4.5999999e18 * kPrecision;
+  return delta;
+}
+
+TEST(SecureAggCrossWidthTest, P256AndAggregationPrimeDecodeIdentically) {
+  const BigInt wide_prime = P256();
+  FixedPointCodec wide_codec(wide_prime, kPrecision);
+  ASSERT_EQ(wide_codec.limbs(), 4u);
+  ASSERT_EQ(AggregationPrime().limbs().size(), kAggregationLimbs);
+  ASSERT_EQ(kAggregationLimbs, 2u);
+  const size_t dim = 2000;
+  for (int parties = 2; parties <= 5; ++parties) {
+    SCOPED_TRACE("parties " + std::to_string(parties));
+    const uint64_t tag = 40 + parties;
+    SecureAggregator wide(wide_prime, parties);
+    const auto keys = MakePairKeys(parties, "agg-sim");
+    std::vector<Vec> deltas;
+    std::vector<FieldVector> wide_masked, narrow_masked;
+    for (int p = 0; p < parties; ++p) {
+      deltas.push_back(CrossWidthDeltas(dim, 977 * parties + p));
+      FieldVector v(dim, wide_codec.limbs());
+      for (size_t d = 0; d < dim; ++d) {
+        ASSERT_TRUE(wide_codec.EncodeLimbs(deltas[p][d], v.element(d)).ok());
+      }
+      wide.AddMasks(p, keys[p], tag, v);
+      wide_masked.push_back(std::move(v));
+      auto narrow = MaskDelta(deltas[p], p, parties, tag);
+      ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+      ASSERT_EQ(narrow.value().limbs(), kAggregationLimbs);
+      narrow_masked.push_back(std::move(narrow.value()));
+    }
+    const FieldVector wide_total = wide.Sum(wide_masked);
+    Vec wide_decoded(dim);
+    wide_codec.DecodePlainLimbs(wide_total.element(0), dim,
+                                wide_decoded.data());
+    const Vec narrow_decoded = UnmaskSum(narrow_masked);
+    const Vec reduced = AggregateDeltas(deltas, /*secure=*/true, tag);
+    for (size_t d = 0; d < dim; ++d) {
+      // The exact total in units, decoded the way DecodePlainLimbs does.
+      __int128 units = 0;
+      for (const Vec& delta : deltas) {
+        units += std::llround(delta[d] / kPrecision);
+      }
+      const unsigned __int128 mag = static_cast<unsigned __int128>(
+          units < 0 ? -units : units);
+      const uint64_t mag_limbs[2] = {static_cast<uint64_t>(mag),
+                                     static_cast<uint64_t>(mag >> 64)};
+      const double magnitude = limbs::ToDouble(mag_limbs, 2) * kPrecision;
+      const double expect = units < 0 ? -magnitude : magnitude;
+      ASSERT_EQ(Bits(wide_decoded[d]), Bits(expect)) << "coordinate " << d;
+      ASSERT_EQ(Bits(narrow_decoded[d]), Bits(expect)) << "coordinate " << d;
+      ASSERT_EQ(Bits(reduced[d]), Bits(expect)) << "coordinate " << d;
+    }
+    if (parties == 5) {
+      // Five parties at +-4.5999999e18 units each: both totals pass 2^64
+      // units, so they need a second limb in either field.
+      const double two_to_64 = 18446744073709551616.0 * kPrecision;
+      EXPECT_GT(narrow_decoded[1], two_to_64);
+      EXPECT_LT(narrow_decoded[2], -two_to_64);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace uldp

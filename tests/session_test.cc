@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,6 +32,7 @@
 #include "net/messages.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 
 namespace uldp {
 namespace {
@@ -199,40 +201,91 @@ FederatedDataset MakeFederated(int n_train, int users, int silos,
 using TrainerFactory =
     std::function<std::unique_ptr<FlAlgorithm>(const FlConfig&)>;
 
+using CounterMap = std::map<std::string, uint64_t>;
+
+/// The registry's fl.async.* counters, as a --metrics-out snapshot
+/// reports them.
+CounterMap AsyncCounters() {
+  CounterMap out;
+  for (const auto& m : obs::MetricsRegistry::Global().Snapshot()) {
+    if (m.kind == obs::MetricSnapshot::Kind::kCounter &&
+        m.name.rfind("fl.async.", 0) == 0) {
+      out[m.name] = m.counter_value;
+    }
+  }
+  return out;
+}
+
+/// The counters that grew since `before`, by how much.
+CounterMap CountersSince(const CounterMap& before) {
+  CounterMap out;
+  for (const auto& [name, value] : AsyncCounters()) {
+    auto it = before.find(name);
+    const uint64_t gained = value - (it == before.end() ? 0 : it->second);
+    if (gained != 0) out[name] = gained;
+  }
+  return out;
+}
+
+uint64_t CounterIn(const CounterMap& counters, const std::string& name) {
+  auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
 struct ResumeTraces {
   std::vector<RoundRecord> full;  // the uninterrupted run
   std::vector<RoundRecord> tail;  // the resumed run's rounds
+  /// The async counters each run checkpointed at its last round: its
+  /// engine's AsyncStats, mirrored into the bound session.
+  SessionStats full_stats;
+  SessionStats tail_stats;
+  /// The fl.async.* registry counters each run reported.
+  CounterMap full_counters;
+  CounterMap tail_counters;
 };
 
 /// Runs `rounds` rounds uninterrupted; then runs the first `interrupt_at`
 /// rounds, checkpointing into `dir` on the way out, and resumes a FRESH
-/// trainer from that checkpoint up to `rounds`.
+/// trainer from that checkpoint up to `rounds`. The uninterrupted and the
+/// resumed run each checkpoint their last round too.
 ResumeTraces RunAndResume(const TrainerFactory& make, const FlConfig& fl,
                           Model& arch, const FederatedDataset& fd,
                           const std::string& dir, int rounds,
                           int interrupt_at) {
   ResumeTraces out;
+  const std::string ckpt = dir + "/session.ckpt";
+  auto last_stats = [&] {
+    auto state = SessionState::ReadFile(ckpt);
+    EXPECT_TRUE(state.ok()) << state.status().ToString();
+    return state.ok() ? state.value().stats : SessionStats{};
+  };
   ExperimentConfig direct;
   direct.rounds = rounds;
   direct.eval_every = 1;
+  direct.checkpoint_dir = dir;
+  direct.checkpoint_every = rounds;
+  CounterMap before = AsyncCounters();
   auto full = RunExperiment(*make(fl), arch, fd, direct);
   EXPECT_TRUE(full.ok()) << full.status().ToString();
   if (!full.ok()) return out;
   out.full = std::move(full.value());
+  out.full_counters = CountersSince(before);
+  out.full_stats = last_stats();
 
   ExperimentConfig first = direct;
   first.rounds = interrupt_at;
-  first.checkpoint_dir = dir;
   first.checkpoint_every = interrupt_at;
   auto head = RunExperiment(*make(fl), arch, fd, first);
   EXPECT_TRUE(head.ok()) << head.status().ToString();
 
   ExperimentConfig second = direct;
-  second.checkpoint_dir = dir;
   second.resume = true;
+  before = AsyncCounters();
   auto tail = RunExperiment(*make(fl), arch, fd, second);
   EXPECT_TRUE(tail.ok()) << tail.status().ToString();
   if (tail.ok()) out.tail = std::move(tail.value());
+  out.tail_counters = CountersSince(before);
+  out.tail_stats = last_stats();
   return out;
 }
 
@@ -294,6 +347,16 @@ TEST(SessionResumeTest, ExperimentResumeIsBitwiseIdenticalAcrossThreads) {
           EXPECT_EQ(got.utility, want.utility);
           EXPECT_EQ(got.epsilon, want.epsilon);
         }
+        // The resumed run continues the interrupted run's async counters:
+        // its engine's stats and its registry counters end where the
+        // uninterrupted run's do (all zero for sync rounds).
+        const int64_t steps = async ? rounds : 0;
+        EXPECT_EQ(t.full_stats.steps, steps);
+        EXPECT_EQ(t.full_stats.applied, steps * fd.num_silos());
+        EXPECT_EQ(t.tail_stats, t.full_stats);
+        EXPECT_EQ(CounterIn(t.full_counters, "fl.async.steps"),
+                  static_cast<uint64_t>(steps));
+        EXPECT_EQ(t.tail_counters, t.full_counters);
       }
     }
   }
@@ -316,6 +379,13 @@ TEST(SessionResumeTest, ExperimentResumeIsBitwiseIdenticalAcrossThreads) {
     EXPECT_EQ(t.tail[i].round, t.full[interrupt_at + i].round);
     EXPECT_EQ(t.tail[i].epsilon, t.full[interrupt_at + i].epsilon);
   }
+  // One accepted update per step at buffer 1; rejections depend on timing.
+  EXPECT_EQ(t.tail_stats.steps, rounds);
+  EXPECT_EQ(t.tail_stats.applied, rounds);
+  EXPECT_EQ(CounterIn(t.tail_counters, "fl.async.steps"),
+            static_cast<uint64_t>(rounds));
+  EXPECT_EQ(CounterIn(t.tail_counters, "fl.async.applied"),
+            static_cast<uint64_t>(rounds));
   std::remove((dir + "/session.ckpt").c_str());
   std::remove(dir.c_str());
 }

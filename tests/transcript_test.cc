@@ -316,20 +316,26 @@ TEST(TranscriptTest, DigestFixedFlipsAreRejectedByChainOrHmac) {
   }
 }
 
-TEST(TranscriptTest, FormatV1FilesAreRejectedAsVersionSkew) {
-  // Version 2 dropped the cache_enc_weights meta byte; a version-1 file
-  // (here: the version field patched, digest fixed up) must be refused by
-  // name rather than misparsed.
-  std::vector<uint8_t> bytes = PlainRun().silos[1].Serialize();
-  ASSERT_EQ(bytes[4] | bytes[5] << 8, 2);
-  bytes[4] = 1;
-  bytes[5] = 0;
-  FixTrailingDigest(&bytes);
-  auto file = TranscriptFile::Deserialize(bytes);
-  ASSERT_FALSE(file.ok());
-  EXPECT_NE(file.status().message().find("format version 1"),
-            std::string::npos)
-      << file.status().ToString();
+TEST(TranscriptTest, OlderFormatVersionsAreRejectedAsVersionSkew) {
+  // Version 2 dropped the cache_enc_weights meta byte; version 3 records
+  // wire-version-2 frames (fixed-width MaskedVector elements). An older
+  // file (here: the version field patched, digest fixed up) must be
+  // refused by name rather than misparsed or replayed.
+  const std::vector<uint8_t> clean = PlainRun().silos[1].Serialize();
+  ASSERT_EQ(clean[4] | clean[5] << 8, 3);
+  for (uint8_t version : {1, 2}) {
+    std::vector<uint8_t> bytes = clean;
+    bytes[4] = version;
+    bytes[5] = 0;
+    FixTrailingDigest(&bytes);
+    auto file = TranscriptFile::Deserialize(bytes);
+    ASSERT_FALSE(file.ok());
+    EXPECT_NE(file.status().message().find(
+                  "unsupported transcript format version " +
+                  std::to_string(version)),
+              std::string::npos)
+        << file.status().ToString();
+  }
 }
 
 TEST(TranscriptTest, ReorderedEntriesAreRejected) {

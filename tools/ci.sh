@@ -343,17 +343,20 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
 
   # Local async resume smoke: an in-process --async experiment cut at
   # round 4 with a checkpoint, then resumed in a fresh process, must print
-  # the uninterrupted run's round-6 trace row (loss, utility, epsilon).
+  # the uninterrupted run's round-6 trace row (loss, utility, epsilon) and
+  # report its fl.async.steps / fl.async.applied totals in --metrics-out.
   LOCAL_ARGS="--dataset=heart --method=uldp-avg --async --eval-every=2"
   LOCAL_CKPT="$BUILD_DIR/local_resume_ckpt"
   rm -rf "$LOCAL_CKPT" && mkdir -p "$LOCAL_CKPT"
   # shellcheck disable=SC2086
   if ! "$BUILD_DIR/uldp_fl_cli" $LOCAL_ARGS --rounds=6 \
+          --metrics-out="$BUILD_DIR/local_resume_ref_metrics.json" \
           > "$BUILD_DIR/local_resume_ref.log" ||
      ! "$BUILD_DIR/uldp_fl_cli" $LOCAL_ARGS --rounds=4 \
           --checkpoint-dir="$LOCAL_CKPT" --checkpoint-every=2 > /dev/null ||
      ! "$BUILD_DIR/uldp_fl_cli" $LOCAL_ARGS --rounds=6 --resume \
           --checkpoint-dir="$LOCAL_CKPT" --checkpoint-every=2 \
+          --metrics-out="$BUILD_DIR/local_resume_res_metrics.json" \
           > "$BUILD_DIR/local_resume_res.log"; then
     echo "local resume smoke: an --async experiment run FAILED" >&2
     exit 1
@@ -365,7 +368,20 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
         "res='$RES_ROW')" >&2
     exit 1
   fi
-  echo "local resume smoke: resumed --async experiment matches ($REF_ROW)"
+  async_counts() {  # $1=metrics file: "steps applied"
+    python3 -c 'import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
+  }
+  REF_ASYNC="$(async_counts "$BUILD_DIR/local_resume_ref_metrics.json")"
+  RES_ASYNC="$(async_counts "$BUILD_DIR/local_resume_res_metrics.json")"
+  if [ "$REF_ASYNC" = "None None" ] || [ "$REF_ASYNC" != "$RES_ASYNC" ]; then
+    echo "local resume smoke: fl.async steps/applied differ" \
+        "(ref='$REF_ASYNC' res='$RES_ASYNC')" >&2
+    exit 1
+  fi
+  echo "local resume smoke: resumed --async experiment matches ($REF_ROW;" \
+      "fl.async steps/applied $RES_ASYNC)"
 
   # Telemetry loopback smoke: a fully instrumented distributed round with
   # OT weight distribution, ciphertext packing, and chunked streaming all
