@@ -66,10 +66,6 @@ int StreamChunkCoords(const ProtocolConfig& config) {
   return config.stream_chunk_coords > 0 ? config.stream_chunk_coords : 256;
 }
 
-int StreamWindow(const ProtocolConfig& config) {
-  return config.stream_window > 0 ? config.stream_window : 4;
-}
-
 Status ProtocolParams::Derive() {
   if (num_silos < 2 || num_users < 1) {
     return Status::InvalidArgument("protocol needs >= 2 silos and >= 1 user");

@@ -109,11 +109,6 @@ struct ProtocolConfig {
   /// of dim * ciphertext_bytes. <= 0 picks a default (256). Part of the
   /// wire digest (both endpoints must frame identically).
   int stream_chunk_coords = 0;
-  /// Flow-control credit window for chunked streams: a sender keeps at
-  /// most this many unacknowledged chunks in flight before blocking on a
-  /// StreamAck. Sender-local pacing (receivers ack every chunk), so peers
-  /// need not agree and it stays out of the wire digest. <= 0 -> 4.
-  int stream_window = 0;
 };
 
 /// Users per weighting batch when streaming is off: each batch builds and
@@ -126,7 +121,6 @@ inline constexpr int kWeightingBatchUsers = 128;
 /// both return 0 when streaming is off.
 int StreamChunkUsers(const ProtocolConfig& config);
 int StreamChunkCoords(const ProtocolConfig& config);
-int StreamWindow(const ProtocolConfig& config);
 
 /// Derived slot count of real (non-dummy) ciphertexts in OT mode.
 int OtRealSlots(const ProtocolConfig& config);

@@ -93,14 +93,5 @@ Status RunAsyncDemoSilo(const AsyncRoundsConfig& config, int silo_id,
   return client.Run(transport, work, client_options);
 }
 
-Status RunAsyncDemoSilo(const AsyncRoundsConfig& config, int silo_id,
-                        int num_silos, int dim, Transport& transport,
-                        double sleep_seconds) {
-  AsyncDemoOptions options;
-  options.sleep_seconds = sleep_seconds;
-  return RunAsyncDemoSilo(config, silo_id, num_silos, dim, transport,
-                          options);
-}
-
 }  // namespace net
 }  // namespace uldp

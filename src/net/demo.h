@@ -71,11 +71,6 @@ Status RunAsyncDemoSilo(const AsyncRoundsConfig& config, int silo_id,
                         int num_silos, int dim, Transport& transport,
                         const AsyncDemoOptions& options = {});
 
-/// Back-compat overload taking just the straggler knob.
-Status RunAsyncDemoSilo(const AsyncRoundsConfig& config, int silo_id,
-                        int num_silos, int dim, Transport& transport,
-                        double sleep_seconds);
-
 }  // namespace net
 }  // namespace uldp
 

@@ -17,10 +17,7 @@ uint64_t WireDigest(const std::vector<uint8_t>& bytes) {
   return WireDigest(bytes.data(), bytes.size());
 }
 
-uint64_t ProtocolWireDigest(const ProtocolConfig& config, int num_silos,
-                            int num_users) {
-  WireWriter w;
-  w.U16(kWireVersion);
+void AppendProtocolConfig(WireWriter& w, const ProtocolConfig& config) {
   w.U32(static_cast<uint32_t>(config.paillier_bits));
   w.U32(static_cast<uint32_t>(config.n_max));
   w.F64(config.precision);
@@ -32,14 +29,50 @@ uint64_t ProtocolWireDigest(const ProtocolConfig& config, int num_silos,
   // agree on the slot layout or packed aggregates decode as garbage.
   w.U32(static_cast<uint32_t>(config.pack_slots));
   w.F64(config.pack_clip);
-  w.U32(static_cast<uint32_t>(num_silos));
-  w.U32(static_cast<uint32_t>(num_users));
   // Streaming changes the round's message flow (chunked frames instead of
-  // monolithic RoundBegin/SiloCipher), so both chunk knobs are part of the
-  // contract. stream_window stays out: receivers ack every chunk, so the
-  // sender's in-flight window is party-local pacing.
+  // monolithic RoundBegin/SiloCipher), so both chunk sizes are part of the
+  // contract.
   w.U32(static_cast<uint32_t>(StreamChunkUsers(config)));
   w.U32(static_cast<uint32_t>(StreamChunkCoords(config)));
+}
+
+Result<ProtocolConfig> ParseProtocolConfig(WireReader& r) {
+  ProtocolConfig config;
+  auto int_field = [&r](int* out) -> Status {
+    uint32_t v = 0;
+    ULDP_RETURN_IF_ERROR(r.U32(&v));
+    *out = static_cast<int>(v);
+    return Status::Ok();
+  };
+  ULDP_RETURN_IF_ERROR(int_field(&config.paillier_bits));
+  ULDP_RETURN_IF_ERROR(int_field(&config.n_max));
+  ULDP_RETURN_IF_ERROR(r.F64(&config.precision));
+  ULDP_RETURN_IF_ERROR(r.U64(&config.seed));
+  ULDP_RETURN_IF_ERROR(int_field(&config.ot_slots));
+  ULDP_RETURN_IF_ERROR(r.F64(&config.ot_sample_rate));
+  ULDP_RETURN_IF_ERROR(int_field(&config.ot_group_bits));
+  ULDP_RETURN_IF_ERROR(int_field(&config.pack_slots));
+  ULDP_RETURN_IF_ERROR(r.F64(&config.pack_clip));
+  ULDP_RETURN_IF_ERROR(int_field(&config.stream_chunk_users));
+  ULDP_RETURN_IF_ERROR(int_field(&config.stream_chunk_coords));
+  // Chunk sizes travel resolved. Accepting any other encoding would give
+  // one config a second byte string, and a transcript's hash chain (which
+  // re-serializes its meta) could then not bind the stored bytes.
+  if (config.stream_chunk_users != StreamChunkUsers(config) ||
+      config.stream_chunk_coords != StreamChunkCoords(config)) {
+    return Status::InvalidArgument(
+        "protocol config: stream chunk sizes are not in resolved form");
+  }
+  return config;
+}
+
+uint64_t ProtocolWireDigest(const ProtocolConfig& config, int num_silos,
+                            int num_users) {
+  WireWriter w;
+  w.U16(kWireVersion);
+  AppendProtocolConfig(w, config);
+  w.U32(static_cast<uint32_t>(num_silos));
+  w.U32(static_cast<uint32_t>(num_users));
   return WireDigest(w.buffer());
 }
 
@@ -364,7 +397,6 @@ void StreamAckMsg::AppendTo(WireWriter& w) const {
   w.U64(phase_tag);
   w.U8(kind);
   w.U32(index);
-  w.U32(credits);
 }
 
 Result<StreamAckMsg> StreamAckMsg::Parse(WireReader& r) {
@@ -372,7 +404,6 @@ Result<StreamAckMsg> StreamAckMsg::Parse(WireReader& r) {
   ULDP_RETURN_IF_ERROR(r.U64(&m.phase_tag));
   ULDP_RETURN_IF_ERROR(r.U8(&m.kind));
   ULDP_RETURN_IF_ERROR(r.U32(&m.index));
-  ULDP_RETURN_IF_ERROR(r.U32(&m.credits));
   return m;
 }
 

@@ -68,6 +68,15 @@ enum class StreamKind : uint8_t {
 uint64_t WireDigest(const std::vector<uint8_t>& bytes);
 uint64_t WireDigest(const uint8_t* data, size_t size);
 
+/// The one canonical layout of a ProtocolConfig's wire-relevant fields,
+/// shared by the join digest and transcript metas (docs/wire.md lists it).
+/// Chunk sizes are written resolved (StreamChunkUsers/Coords), so configs
+/// that run identically serialize identically. num_threads is party-local
+/// (outputs are bitwise independent of it), so it stays out and parses
+/// back at its default.
+void AppendProtocolConfig(WireWriter& w, const ProtocolConfig& config);
+Result<ProtocolConfig> ParseProtocolConfig(WireReader& r);
+
 /// Digest of the public protocol configuration plus the cohort shape.
 /// Join handshakes compare digests so a silo started with mismatched
 /// parameters (different modulus bits, N_max, seed, OT settings, counts)
@@ -319,15 +328,14 @@ struct StreamChunkMsg {
   static Result<StreamChunkMsg> Parse(WireReader& r);
 };
 
-/// Receiver -> sender: chunk `index` has been folded; `credits` more
-/// chunks may be sent beyond it (windowed flow control — the sender keeps
-/// at most `credits` unacknowledged chunks in flight).
+/// Receiver -> sender: chunk `index` has been folded. Each ack returns
+/// one send permit and names the sender's oldest unacknowledged chunk
+/// (windowed flow control, net/stream.h).
 struct StreamAckMsg {
   static constexpr MessageType kType = MessageType::kStreamAck;
   uint64_t phase_tag = 0;
   uint8_t kind = 0;  // StreamKind
   uint32_t index = 0;
-  uint32_t credits = 0;
   void AppendTo(WireWriter& w) const;
   static Result<StreamAckMsg> Parse(WireReader& r);
 };

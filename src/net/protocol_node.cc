@@ -1,7 +1,7 @@
 #include "net/protocol_node.h"
 
-#include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <mutex>
 #include <utility>
 
@@ -457,63 +457,22 @@ Status ProtocolServer::StreamEncWeights(
     uint64_t round, const std::vector<bool>& user_sampled) {
   obs::TraceSpan span("proto.stream_enc_weights", "round",
                       static_cast<int64_t>(round));
-  const uint64_t tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
-  const int chunk_users = StreamChunkUsers(config_);
-  const int window = StreamWindow(config_);
-
-  StreamBeginMsg begin;
-  begin.phase_tag = tag;
-  begin.kind = static_cast<uint8_t>(StreamKind::kEncWeights);
-  begin.sender_id = 0;
-  begin.total_count = static_cast<uint32_t>(num_users_);
-  begin.chunk_elems = static_cast<uint32_t>(chunk_users);
-  begin.dim = 0;  // silos size the fold from their own round inputs
-  ULDP_RETURN_IF_ERROR(Broadcast(ToFrame(begin)));
-
-  std::vector<int> in_flight(num_silos_, 0);
-  auto drain_ack = [&](int s) -> Status {
-    auto frame = RecvFrom(s);
-    if (!frame.ok()) return frame.status();
-    auto ack = FromFrame<StreamAckMsg>(frame.value());
-    if (!ack.ok()) return ack.status();
-    if (ack.value().phase_tag != tag ||
-        ack.value().kind != static_cast<uint8_t>(StreamKind::kEncWeights)) {
-      return Status::InvalidArgument(
-          "stream: enc-weight ack for a different stream");
-    }
-    const int credits =
-        static_cast<int>(std::max(1u, ack.value().credits));
-    in_flight[s] -= std::min(in_flight[s], credits);
-    return Status::Ok();
-  };
-
-  uint32_t index = 0;
-  for (int u0 = 0; u0 < num_users_; u0 += chunk_users, ++index) {
-    const int u1 = std::min(num_users_, u0 + chunk_users);
-    for (int s = 0; s < num_silos_; ++s) {
-      while (in_flight[s] >= window) {
-        ULDP_RETURN_IF_ERROR(drain_ack(s));
-      }
-    }
-    auto enc = core_.EncryptWeightsRange(round, user_sampled, u0, u1,
-                                         *pool_);
-    if (!enc.ok()) return enc.status();
-    StreamChunkMsg chunk;
-    chunk.phase_tag = tag;
-    chunk.kind = static_cast<uint8_t>(StreamKind::kEncWeights);
-    chunk.index = index;
-    chunk.values = std::move(enc.value());
-    ULDP_RETURN_IF_ERROR(Broadcast(ToFrame(chunk)));
-    // `chunk` (the only copy of these ciphertexts) dies here: peak
-    // resident enc weights are one chunk regardless of num_users.
-    for (int s = 0; s < num_silos_; ++s) ++in_flight[s];
-  }
-  for (int s = 0; s < num_silos_; ++s) {
-    while (in_flight[s] > 0) {
-      ULDP_RETURN_IF_ERROR(drain_ack(s));
-    }
-  }
-  return Status::Ok();
+  StreamSendOptions opts;
+  opts.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
+  opts.kind = StreamKind::kEncWeights;
+  opts.chunk_elems = StreamChunkUsers(config_);
+  // Each chunk is encrypted on demand and dropped once broadcast: peak
+  // resident enc weights are one chunk regardless of num_users. Silos size
+  // the fold from their own round inputs, so the stream announces dim 0.
+  return SendChunkedStream(
+      static_cast<size_t>(num_users_), opts, num_silos_,
+      [&](size_t u0, size_t u1) {
+        return core_.EncryptWeightsRange(round, user_sampled,
+                                         static_cast<int>(u0),
+                                         static_cast<int>(u1), *pool_);
+      },
+      [&](const Frame& frame) { return Broadcast(frame); },
+      [&](int silo) { return RecvFrom(silo); });
 }
 
 Status ProtocolServer::GatherSiloCipherStream(int silo, uint64_t round,
@@ -540,27 +499,25 @@ Status ProtocolServer::GatherSiloCipherStream(int silo, uint64_t round,
         "silo cipher count inconsistent with model dimension");
   }
   *dim_out = begin.dim;
-  auto receiver_or = ChunkStreamReceiver::Create(
+  auto receiver = ChunkStreamReceiver::Create(
       begin, StreamKind::kSiloCipher, tag, cdim,
       static_cast<uint32_t>(StreamChunkCoords(config_)));
-  if (!receiver_or.ok()) return receiver_or.status();
-  ChunkStreamReceiver receiver = std::move(receiver_or.value());
-  while (!receiver.Done()) {
-    frame = RecvFrom(silo);
-    if (!frame.ok()) return frame.status();
-    auto chunk = FromFrame<StreamChunkMsg>(frame.value());
-    if (!chunk.ok()) return chunk.status();
-    auto ack = receiver.Feed(
-        std::move(chunk.value()),
-        [&](std::vector<BigInt>&& values, size_t offset) -> Status {
-          std::lock_guard<std::mutex> lock(*fold_mu);
-          if (product->empty()) product->assign(cdim, BigInt(1));
-          return core_.AccumulateSiloCipherRange(values, offset, product);
-        });
-    if (!ack.ok()) return ack.status();
-    ULDP_RETURN_IF_ERROR(SendTo(silo, ToFrame(ack.value())));
-  }
-  return Status::Ok();
+  if (!receiver.ok()) return receiver.status();
+  return ReceiveChunkedStream(
+      std::move(receiver.value()),
+      [&](std::vector<BigInt>&& values, size_t offset) -> Status {
+        std::lock_guard<std::mutex> lock(*fold_mu);
+        // The aggregate grows only over coordinates that have arrived: the
+        // announced count is the peer's claim, and sizing from it would
+        // let one StreamBegin allocate without bound. Entries no silo has
+        // shipped yet are the identity 1, so the product's bits are those
+        // of an aggregate sized up front.
+        const size_t end = offset + values.size();
+        if (product->size() < end) product->resize(end, BigInt(1));
+        return core_.AccumulateSiloCipherRange(values, offset, product);
+      },
+      [&](const Frame& ack) { return SendTo(silo, ack); },
+      [&] { return RecvFrom(silo); });
 }
 
 Status ProtocolServer::Shutdown() {
@@ -650,10 +607,15 @@ Status SiloClient::UploadCipherStream(Transport& transport, uint64_t round,
   opts.sender_id = static_cast<uint32_t>(silo_id_);
   opts.dim = static_cast<uint32_t>(model_dim);
   opts.chunk_elems = StreamChunkCoords(config_);
-  opts.window = StreamWindow(config_);
-  return SendChunkedBigVec(
-      cipher, opts, [&](const Frame& f) { return transport.Send(f); },
-      [&]() { return transport.Recv(); });
+  return SendChunkedStream(
+      cipher.size(), opts, /*receivers=*/1,
+      [&](size_t c0, size_t c1) -> Result<std::vector<BigInt>> {
+        return std::vector<BigInt>(
+            std::make_move_iterator(cipher.begin() + static_cast<long>(c0)),
+            std::make_move_iterator(cipher.begin() + static_cast<long>(c1)));
+      },
+      [&](const Frame& f) { return transport.Send(f); },
+      [&](int) { return transport.Recv(); });
 }
 
 Status SiloClient::HandleStreamedRound(Transport& transport,
@@ -682,30 +644,22 @@ Status SiloClient::HandleStreamedRound(Transport& transport,
   const size_t dim = noise.size();
   const size_t cdim = core_->params().packed.PackedDim(dim);
 
-  auto receiver_or = ChunkStreamReceiver::Create(
+  auto receiver = ChunkStreamReceiver::Create(
       begin, StreamKind::kEncWeights, begin.phase_tag,
       static_cast<size_t>(num_users_),
       static_cast<uint32_t>(StreamChunkUsers(config_)));
-  if (!receiver_or.ok()) return receiver_or.status();
-  ChunkStreamReceiver receiver = std::move(receiver_or.value());
-
+  if (!receiver.ok()) return receiver.status();
   std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(cdim);
-  while (!receiver.Done()) {
-    auto frame = RecvFromServer(transport);
-    if (!frame.ok()) return frame.status();
-    auto chunk = FromFrame<StreamChunkMsg>(frame.value());
-    if (!chunk.ok()) return chunk.status();
-    auto ack = receiver.Feed(
-        std::move(chunk.value()),
-        [&](std::vector<BigInt>&& values, size_t offset) -> Status {
-          return core_->AccumulateUsersChunk(
-              values, static_cast<int>(offset),
-              static_cast<int>(offset + values.size()), deltas, dim,
-              &cipher, *pool_);
-        });
-    if (!ack.ok()) return ack.status();
-    ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(ack.value())));
-  }
+  ULDP_RETURN_IF_ERROR(ReceiveChunkedStream(
+      std::move(receiver.value()),
+      [&](std::vector<BigInt>&& values, size_t offset) -> Status {
+        return core_->AccumulateUsersChunk(
+            values, static_cast<int>(offset),
+            static_cast<int>(offset + values.size()), deltas, dim, &cipher,
+            *pool_);
+      },
+      [&](const Frame& ack) { return transport.Send(ack); },
+      [&] { return RecvFromServer(transport); }));
   ULDP_RETURN_IF_ERROR(core_->FinishRound(round, noise, &cipher, *pool_));
   ULDP_RETURN_IF_ERROR(
       UploadCipherStream(transport, round, dim, std::move(cipher)));

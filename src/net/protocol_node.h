@@ -23,7 +23,8 @@
 //
 // Streaming mode (config.stream_chunk_users > 0): the monolithic
 // RoundBegin and SiloCipher frames are replaced by chunked streams with
-// windowed-credit flow control (net/stream.h). The server encrypts
+// windowed flow control, one sender and one receive loop for both
+// directions (net/stream.h). The server encrypts
 // weights one user-chunk at a time and discards each chunk once acked;
 // silos fold each chunk into their cipher accumulator on arrival
 // (SiloCore::AccumulateUsersChunk) and upload the masked cipher in
@@ -118,13 +119,14 @@ class ProtocolServer {
   Result<Vec> RunRoundInternal(uint64_t round,
                                const std::vector<bool>& user_sampled);
   /// Streaming enc-weight distribution: encrypts one user chunk at a
-  /// time, broadcasts it, and keeps at most StreamWindow(config) chunks
-  /// unacknowledged per silo before the chunk buffer is dropped.
+  /// time and broadcasts it through SendChunkedStream, which keeps at most
+  /// kStreamWindow chunks unacknowledged per silo.
   Status StreamEncWeights(uint64_t round,
                           const std::vector<bool>& user_sampled);
   /// Streaming cipher gather for one silo: folds arriving coordinate
-  /// chunks straight into the shared aggregate `product` (lazily sized
-  /// under `fold_mu`) and acks each chunk.
+  /// chunks straight into the shared aggregate `product` (grown under
+  /// `fold_mu` over the coordinates that have arrived) and acks each
+  /// chunk.
   Status GatherSiloCipherStream(int silo, uint64_t round,
                                 std::mutex* fold_mu,
                                 std::vector<BigInt>* product,

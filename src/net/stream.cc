@@ -51,16 +51,16 @@ const char* FoldSpanName(StreamKind kind) {
 }  // namespace
 
 Status SendChunkedStream(
-    size_t total_count, const StreamSendOptions& opts,
+    size_t total_count, const StreamSendOptions& opts, int receivers,
     const std::function<Result<std::vector<BigInt>>(size_t c0, size_t c1)>&
         make_chunk,
     const std::function<Status(const Frame&)>& send,
-    const std::function<Result<Frame>()>& recv) {
+    const std::function<Result<Frame>(int peer)>& recv) {
   if (opts.chunk_elems <= 0) {
     return Status::InvalidArgument("stream: chunk_elems must be > 0");
   }
-  if (opts.window <= 0) {
-    return Status::InvalidArgument("stream: window must be > 0");
+  if (receivers <= 0) {
+    return Status::InvalidArgument("stream: receivers must be > 0");
   }
   const uint32_t chunk_elems = static_cast<uint32_t>(opts.chunk_elems);
   const uint32_t chunk_count = ChunkCountFor(total_count, chunk_elems);
@@ -82,13 +82,14 @@ Status SendChunkedStream(
   begin.dim = opts.dim;
   ULDP_RETURN_IF_ERROR(send(ToFrame(begin)));
 
-  // One ack returns `credits` send permits; drain acks whenever the window
-  // is full, and once more per outstanding chunk at the end so the
-  // receiver's completion is confirmed before the caller moves on.
-  int in_flight = 0;
-  auto await_ack = [&]() -> Status {
+  // acked[peer] counts the chunks `peer` has acknowledged, so its next ack
+  // must name chunk acked[peer]. Acks are drained whenever a peer's window
+  // is full, and to the last chunk at the end so every receiver's
+  // completion is confirmed before the caller moves on.
+  std::vector<uint32_t> acked(static_cast<size_t>(receivers), 0);
+  auto await_ack = [&](int peer) -> Status {
     obs::ScopedTimerNs timer(&ack_wait_ns);
-    auto frame = UnwrapErrorFrame(recv(), "stream peer");
+    auto frame = UnwrapErrorFrame(recv(peer), "stream peer");
     if (!frame.ok()) return frame.status();
     auto ack = FromFrame<StreamAckMsg>(frame.value());
     if (!ack.ok()) return ack.status();
@@ -98,14 +99,20 @@ Status SendChunkedStream(
           "stream: ack for a different stream (kind " +
           KindName(ack.value().kind) + ")");
     }
-    const int credits = static_cast<int>(std::max(1u, ack.value().credits));
-    in_flight -= std::min(in_flight, credits);
+    if (ack.value().index != acked[peer]) {
+      return Status::InvalidArgument(
+          "stream: ack for chunk " + std::to_string(ack.value().index) +
+          ", expected chunk " + std::to_string(acked[peer]));
+    }
+    ++acked[peer];
     return Status::Ok();
   };
 
   for (uint32_t index = 0; index < chunk_count; ++index) {
-    while (in_flight >= opts.window) {
-      ULDP_RETURN_IF_ERROR(await_ack());
+    for (int peer = 0; peer < receivers; ++peer) {
+      while (index - acked[peer] >= static_cast<uint32_t>(kStreamWindow)) {
+        ULDP_RETURN_IF_ERROR(await_ack(peer));
+      }
     }
     obs::TraceSpan span(ChunkSpanName(opts.kind), "index",
                         static_cast<int64_t>(index));
@@ -128,25 +135,13 @@ Status SendChunkedStream(
     chunks_sent.Add(1);
     chunk_bytes.Add(kFrameHeaderSize + frame.payload.size());
     ULDP_RETURN_IF_ERROR(send(frame));
-    ++in_flight;
   }
-  while (in_flight > 0) {
-    ULDP_RETURN_IF_ERROR(await_ack());
+  for (int peer = 0; peer < receivers; ++peer) {
+    while (acked[peer] < chunk_count) {
+      ULDP_RETURN_IF_ERROR(await_ack(peer));
+    }
   }
   return Status::Ok();
-}
-
-Status SendChunkedBigVec(const std::vector<BigInt>& values,
-                         const StreamSendOptions& opts,
-                         const std::function<Status(const Frame&)>& send,
-                         const std::function<Result<Frame>()>& recv) {
-  return SendChunkedStream(
-      values.size(), opts,
-      [&values](size_t c0, size_t c1) -> Result<std::vector<BigInt>> {
-        return std::vector<BigInt>(values.begin() + static_cast<long>(c0),
-                                   values.begin() + static_cast<long>(c1));
-      },
-      send, recv);
 }
 
 Result<ChunkStreamReceiver> ChunkStreamReceiver::Create(
@@ -227,9 +222,25 @@ Result<StreamAckMsg> ChunkStreamReceiver::Feed(
   ack.phase_tag = phase_tag_;
   ack.kind = static_cast<uint8_t>(kind_);
   ack.index = next_index_;
-  ack.credits = 1;
   ++next_index_;
   return ack;
+}
+
+Status ReceiveChunkedStream(
+    ChunkStreamReceiver receiver,
+    const std::function<Status(std::vector<BigInt>&&, size_t offset)>& fold,
+    const std::function<Status(const Frame&)>& send,
+    const std::function<Result<Frame>()>& recv) {
+  while (!receiver.Done()) {
+    auto frame = UnwrapErrorFrame(recv(), "stream peer");
+    if (!frame.ok()) return frame.status();
+    auto chunk = FromFrame<StreamChunkMsg>(frame.value());
+    if (!chunk.ok()) return chunk.status();
+    auto ack = receiver.Feed(std::move(chunk.value()), fold);
+    if (!ack.ok()) return ack.status();
+    ULDP_RETURN_IF_ERROR(send(ToFrame(ack.value())));
+  }
+  return Status::Ok();
 }
 
 }  // namespace net

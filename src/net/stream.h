@@ -1,5 +1,5 @@
-// Chunked BigInt-vector streams with windowed-credit flow control — the
-// wire discipline behind memory-bounded streaming rounds
+// Chunked BigInt-vector streams with windowed flow control — the wire
+// discipline behind memory-bounded streaming rounds
 // (ProtocolConfig::stream_chunk_users).
 //
 // A stream replaces one monolithic frame (RoundBegin's enc-weight vector
@@ -9,20 +9,25 @@
 //   ------                                --------
 //   StreamBegin{kind, total, chunk, dim}
 //   StreamChunk{index=0, values}    -->   validate, fold, discard
-//                                   <--   StreamAck{index=0, credits=1}
+//                                   <--   StreamAck{index=0}
 //   StreamChunk{index=1, values}    -->   ...
 //
-// The sender keeps at most `window` chunks unacknowledged, so neither
-// side ever buffers more than O(window * chunk) elements and no frame
-// approaches the transport's size cap. Chunks travel over a reliable
-// ordered transport and carry explicit indices; the receiver enforces
-// strictly sequential arrival, so any gap, duplicate, or reordering —
-// however it was introduced — fails loudly instead of corrupting a fold.
+// Each ack is one send permit and names the sender's oldest
+// unacknowledged chunk. The sender keeps at most kStreamWindow chunks
+// unacknowledged per receiver, so neither side ever buffers more than
+// O(kStreamWindow * chunk) elements and no frame approaches the
+// transport's size cap. Chunks travel over a reliable ordered transport
+// and carry explicit indices; the receiver enforces strictly sequential
+// arrival, so any gap, duplicate, or reordering — however it was
+// introduced — fails loudly instead of corrupting a fold.
 //
-// Both halves are transport-agnostic: the sender takes send/recv
-// callbacks (drivers route recv through their demultiplexer so acks
-// coexist with other traffic), and the receiver is a pure state machine
-// fed parsed frames.
+// One implementation serves both directions of a streamed Protocol 1
+// round: SendChunkedStream runs the sender for any number of receivers
+// (the server's enc weights to every silo, a silo's cipher to the
+// server), and ReceiveChunkedStream runs the receive loop. Both take
+// send/recv callbacks (drivers route recv through their demultiplexer so
+// acks coexist with other traffic); ChunkStreamReceiver is the pure state
+// machine underneath the receive loop.
 
 #ifndef ULDP_NET_STREAM_H_
 #define ULDP_NET_STREAM_H_
@@ -38,6 +43,11 @@
 namespace uldp {
 namespace net {
 
+/// Maximum unacknowledged chunks a sender keeps in flight per receiver.
+/// Receivers ack every chunk whatever the window, so it is sender pacing,
+/// not part of the wire contract.
+inline constexpr int kStreamWindow = 4;
+
 struct StreamSendOptions {
   uint64_t phase_tag = 0;
   StreamKind kind = StreamKind::kEncWeights;
@@ -47,29 +57,24 @@ struct StreamSendOptions {
   uint32_t dim = 0;
   /// Elements per chunk (> 0); the last chunk may be short.
   int chunk_elems = 0;
-  /// Maximum unacknowledged chunks in flight (> 0).
-  int window = 0;
 };
 
 /// Streams `total_count` elements produced on demand by `make_chunk(c0,
 /// c1)` (returning elements [c0, c1) — called in order, each chunk
-/// discarded after its frame is handed to `send`). `recv` must block until
-/// the receiver's next frame arrives; a StreamAck for this stream returns
-/// credits, an Error frame aborts with its carried Status, anything else
-/// is a protocol error. This is how a sender ships O(total) elements while
-/// holding O(window * chunk) of them.
+/// discarded after its frame is handed to `send`) to `receivers` peers.
+/// `send` delivers a frame to every receiver; `recv(peer)` must block
+/// until receiver `peer`'s (0-based) next frame arrives: a StreamAck for
+/// this stream naming that peer's oldest unacknowledged chunk returns one
+/// permit, an Error frame aborts with its carried Status, anything else
+/// is a protocol error. Returns once every receiver acked every chunk.
+/// This is how a sender ships O(total) elements while holding
+/// O(kStreamWindow * chunk) of them.
 Status SendChunkedStream(
-    size_t total_count, const StreamSendOptions& opts,
+    size_t total_count, const StreamSendOptions& opts, int receivers,
     const std::function<Result<std::vector<BigInt>>(size_t c0, size_t c1)>&
         make_chunk,
     const std::function<Status(const Frame&)>& send,
-    const std::function<Result<Frame>()>& recv);
-
-/// Convenience wrapper streaming an already-materialized vector.
-Status SendChunkedBigVec(const std::vector<BigInt>& values,
-                         const StreamSendOptions& opts,
-                         const std::function<Status(const Frame&)>& send,
-                         const std::function<Result<Frame>()>& recv);
+    const std::function<Result<Frame>(int peer)>& recv);
 
 /// Receiver state machine for one stream. Construct from the validated
 /// StreamBegin, Feed each StreamChunk (in arrival order) to fold-and-ack,
@@ -90,7 +95,7 @@ class ChunkStreamReceiver {
 
   /// Validates one chunk and hands its values (with their absolute element
   /// offset) to `fold`; the values are moved in, so the receiver retains
-  /// nothing. On success returns the ack to send back (credits = 1).
+  /// nothing. On success returns the ack to send back.
   Result<StreamAckMsg> Feed(
       StreamChunkMsg chunk,
       const std::function<Status(std::vector<BigInt>&&, size_t offset)>&
@@ -109,6 +114,16 @@ class ChunkStreamReceiver {
   uint32_t chunk_count_ = 0;
   uint32_t next_index_ = 0;
 };
+
+/// The receive loop for one stream: reads each chunk with `recv`, Feeds
+/// it to `receiver` (which hands the values to `fold`), and acks it with
+/// `send`, until every chunk has been folded. An Error frame from `recv`
+/// aborts with the Status it carries.
+Status ReceiveChunkedStream(
+    ChunkStreamReceiver receiver,
+    const std::function<Status(std::vector<BigInt>&&, size_t offset)>& fold,
+    const std::function<Status(const Frame&)>& send,
+    const std::function<Result<Frame>()>& recv);
 
 }  // namespace net
 }  // namespace uldp

@@ -16,7 +16,7 @@ namespace net {
 namespace {
 
 /// Transcript format version; bump on any layout change.
-constexpr uint16_t kTranscriptFormatVersion = 3;
+constexpr uint16_t kTranscriptFormatVersion = 4;
 constexpr uint8_t kMagic[4] = {'U', 'L', 'T', 'R'};
 
 void AppendDigest(WireWriter& w, const Sha256Digest& d) {
@@ -35,19 +35,8 @@ void AppendMeta(WireWriter& w, const TranscriptMeta& m) {
   w.U32(m.num_users);
   w.U32(m.dim);
   w.U64(m.rounds);
-  w.U64(m.seed);
   w.U64(m.config_digest);
-  w.U32(m.paillier_bits);
-  w.U32(m.n_max);
-  w.F64(m.precision);
-  w.U32(m.ot_slots);
-  w.F64(m.ot_sample_rate);
-  w.U32(m.ot_group_bits);
-  w.U32(m.pack_slots);
-  w.F64(m.pack_clip);
-  w.U32(m.stream_chunk_users);
-  w.U32(m.stream_chunk_coords);
-  w.U32(m.stream_window);
+  AppendProtocolConfig(w, m.config);
 }
 
 Status ParseMeta(WireReader& r, TranscriptMeta* m) {
@@ -63,19 +52,10 @@ Status ParseMeta(WireReader& r, TranscriptMeta* m) {
   ULDP_RETURN_IF_ERROR(r.U32(&m->num_users));
   ULDP_RETURN_IF_ERROR(r.U32(&m->dim));
   ULDP_RETURN_IF_ERROR(r.U64(&m->rounds));
-  ULDP_RETURN_IF_ERROR(r.U64(&m->seed));
   ULDP_RETURN_IF_ERROR(r.U64(&m->config_digest));
-  ULDP_RETURN_IF_ERROR(r.U32(&m->paillier_bits));
-  ULDP_RETURN_IF_ERROR(r.U32(&m->n_max));
-  ULDP_RETURN_IF_ERROR(r.F64(&m->precision));
-  ULDP_RETURN_IF_ERROR(r.U32(&m->ot_slots));
-  ULDP_RETURN_IF_ERROR(r.F64(&m->ot_sample_rate));
-  ULDP_RETURN_IF_ERROR(r.U32(&m->ot_group_bits));
-  ULDP_RETURN_IF_ERROR(r.U32(&m->pack_slots));
-  ULDP_RETURN_IF_ERROR(r.F64(&m->pack_clip));
-  ULDP_RETURN_IF_ERROR(r.U32(&m->stream_chunk_users));
-  ULDP_RETURN_IF_ERROR(r.U32(&m->stream_chunk_coords));
-  ULDP_RETURN_IF_ERROR(r.U32(&m->stream_window));
+  auto config = ParseProtocolConfig(r);
+  if (!config.ok()) return config.status();
+  m->config = config.value();
   return Status::Ok();
 }
 
@@ -154,8 +134,7 @@ std::map<uint32_t, std::shared_ptr<ReplayTransport::State>> GroupByPeer(
 Status CheckConfigDigest(const TranscriptFile& file) {
   const TranscriptMeta& m = file.meta;
   uint64_t digest = ProtocolWireDigest(
-      m.ToProtocolConfig(), static_cast<int>(m.num_silos),
-      static_cast<int>(m.num_users));
+      m.config, static_cast<int>(m.num_silos), static_cast<int>(m.num_users));
   if (digest != m.config_digest) {
     return Status::InvalidArgument(
         "transcript config digest mismatch: the reconstructed protocol "
@@ -171,7 +150,7 @@ Status ReplayProtocolServer(const TranscriptFile& file,
   ULDP_RETURN_IF_ERROR(CheckConfigDigest(file));
   const TranscriptMeta& m = file.meta;
   auto peers = GroupByPeer(file);
-  ProtocolServer server(m.ToProtocolConfig(), static_cast<int>(m.num_silos),
+  ProtocolServer server(m.config, static_cast<int>(m.num_silos),
                         static_cast<int>(m.num_users));
   // Feed connections in recorded accept order (peer ids are the server's
   // accept counter). A recorded rejected join replays as a rejected join
@@ -230,11 +209,10 @@ Status ReplayProtocolSilo(const TranscriptFile& file, ReplayReport* report) {
   }
   auto state = peers.begin()->second;
   ReplayTransport transport(state);
-  Status ran = RunDemoSilo(m.ToProtocolConfig(),
-                           static_cast<int>(m.silo_id),
+  Status ran = RunDemoSilo(m.config, static_cast<int>(m.silo_id),
                            static_cast<int>(m.num_silos),
                            static_cast<int>(m.num_users),
-                           static_cast<int>(m.dim), m.seed, transport);
+                           static_cast<int>(m.dim), m.config.seed, transport);
   if (!ran.ok()) return ReplayFailure(peers, "silo run", ran);
   ULDP_RETURN_IF_ERROR(CheckDrained(peers));
   FillReport(peers, report);
@@ -257,23 +235,6 @@ const char* TranscriptRoleName(TranscriptRole role) {
   return "unknown";
 }
 
-ProtocolConfig TranscriptMeta::ToProtocolConfig() const {
-  ProtocolConfig config;
-  config.paillier_bits = static_cast<int>(paillier_bits);
-  config.n_max = static_cast<int>(n_max);
-  config.precision = precision;
-  config.seed = seed;
-  config.ot_slots = static_cast<int>(ot_slots);
-  config.ot_sample_rate = ot_sample_rate;
-  config.ot_group_bits = static_cast<int>(ot_group_bits);
-  config.pack_slots = static_cast<int>(pack_slots);
-  config.pack_clip = pack_clip;
-  config.stream_chunk_users = static_cast<int>(stream_chunk_users);
-  config.stream_chunk_coords = static_cast<int>(stream_chunk_coords);
-  config.stream_window = static_cast<int>(stream_window);
-  return config;
-}
-
 TranscriptMeta TranscriptMeta::FromProtocolConfig(
     const ProtocolConfig& config, TranscriptRole role, uint32_t silo_id,
     int num_silos, int num_users, int dim, uint64_t rounds) {
@@ -284,19 +245,8 @@ TranscriptMeta TranscriptMeta::FromProtocolConfig(
   m.num_users = static_cast<uint32_t>(num_users);
   m.dim = static_cast<uint32_t>(dim);
   m.rounds = rounds;
-  m.seed = config.seed;
   m.config_digest = ProtocolWireDigest(config, num_silos, num_users);
-  m.paillier_bits = static_cast<uint32_t>(config.paillier_bits);
-  m.n_max = static_cast<uint32_t>(config.n_max);
-  m.precision = config.precision;
-  m.ot_slots = static_cast<uint32_t>(config.ot_slots);
-  m.ot_sample_rate = config.ot_sample_rate;
-  m.ot_group_bits = static_cast<uint32_t>(config.ot_group_bits);
-  m.pack_slots = static_cast<uint32_t>(config.pack_slots);
-  m.pack_clip = config.pack_clip;
-  m.stream_chunk_users = static_cast<uint32_t>(config.stream_chunk_users);
-  m.stream_chunk_coords = static_cast<uint32_t>(config.stream_chunk_coords);
-  m.stream_window = static_cast<uint32_t>(config.stream_window);
+  m.config = config;
   return m;
 }
 

@@ -60,11 +60,11 @@ enum class TranscriptRole : uint8_t {
 const char* TranscriptRoleName(TranscriptRole role);
 
 /// Everything a verifier needs to re-run the recorded party: the cohort
-/// shape, the round count, and the wire-relevant protocol knobs (the
-/// same fields ProtocolWireDigest covers, so the stored config_digest
-/// cross-checks the reconstruction against default drift), plus the
-/// sender-local stream_window. num_threads, a party-local knob with
-/// bitwise-identical outputs, is deliberately absent.
+/// shape, the round count, and the protocol config. The config is stored
+/// in the one wire layout the join digest covers (AppendProtocolConfig,
+/// net/messages.h), so the stored config_digest cross-checks the
+/// reconstruction against default drift; num_threads, a party-local knob
+/// with bitwise-identical outputs, is not stored.
 struct TranscriptMeta {
   TranscriptRole role = TranscriptRole::kProtocolServer;
   uint32_t silo_id = 0;  // recording party's silo id; 0 for servers
@@ -72,24 +72,12 @@ struct TranscriptMeta {
   uint32_t num_users = 0;
   uint32_t dim = 0;
   uint64_t rounds = 0;  // rounds the server drove; 0 for silo roles
-  uint64_t seed = 0;    // protocol seed; also the demo-input seed
   /// ProtocolWireDigest(config, num_silos, num_users) at record time.
   uint64_t config_digest = 0;
-  uint32_t paillier_bits = 1024;
-  uint32_t n_max = 100;
-  double precision = 1e-10;
-  uint32_t ot_slots = 0;
-  double ot_sample_rate = 1.0;
-  uint32_t ot_group_bits = 384;
-  uint32_t pack_slots = 1;
-  double pack_clip = 64.0;
-  uint32_t stream_chunk_users = 0;
-  uint32_t stream_chunk_coords = 0;
-  uint32_t stream_window = 0;
+  /// The recorded party's config; config.seed is also the demo-input
+  /// seed. Async roles record only the seed.
+  ProtocolConfig config;
 
-  /// Rebuilds the config the recorded party ran with (wire-relevant
-  /// fields from this meta, party-local fields at their defaults).
-  ProtocolConfig ToProtocolConfig() const;
   static TranscriptMeta FromProtocolConfig(const ProtocolConfig& config,
                                            TranscriptRole role,
                                            uint32_t silo_id, int num_silos,

@@ -34,7 +34,7 @@ namespace uldp {
 namespace net {
 
 /// Wire protocol version; bump on any incompatible framing/codec change.
-constexpr uint16_t kWireVersion = 2;
+constexpr uint16_t kWireVersion = 3;
 /// Frame header size in bytes (magic + version + type + payload length).
 constexpr size_t kFrameHeaderSize = 12;
 /// Hard upper bound on a single frame's payload. Large enough for a full

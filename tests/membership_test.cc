@@ -10,7 +10,9 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dp/accountant.h"
@@ -432,31 +434,40 @@ net::AsyncRoundsConfig MaskedConfig() {
   return config;
 }
 
-/// Joins the masked cohort as `silo` and waits for its step-0 release.
-Status JoinMaskedCohort(net::Transport& t, int silo, int silos, int dim) {
+/// Joins a fixed cohort run under `config` as `silo` and waits for its
+/// step-0 release.
+Status JoinCohort(net::Transport& t, const net::AsyncRoundsConfig& config,
+                  int silo, int silos, int dim) {
   net::JoinMsg join;
   join.silo_id = static_cast<uint32_t>(silo);
   join.num_silos = static_cast<uint32_t>(silos);
   join.num_users = static_cast<uint32_t>(dim);
-  join.config_digest =
-      net::AsyncRoundsWireDigest(MaskedConfig(), silos, dim);
+  join.config_digest = net::AsyncRoundsWireDigest(config, silos, dim);
   ULDP_RETURN_IF_ERROR(t.Send(net::ToFrame(join)));
   return t.Recv().status();
 }
 
-/// The server's verdict on this silo: an Error frame or a close.
+/// The server's verdict on this silo: an Error frame, an Evict frame (its
+/// code and reason), or a close.
 Status AwaitVerdict(net::Transport& t) {
-  auto verdict = net::UnwrapErrorFrame(t.Recv(), "server");
-  return verdict.ok() ? Status::Ok() : verdict.status();
+  auto frame = net::UnwrapErrorFrame(t.Recv(), "server");
+  if (!frame.ok()) return frame.status();
+  if (frame.value().type != static_cast<uint16_t>(net::MessageType::kEvict)) {
+    return Status::Ok();
+  }
+  auto evict = net::FromFrame<net::EvictMsg>(frame.value());
+  if (!evict.ok()) return evict.status();
+  return Status(static_cast<StatusCode>(evict.value().code),
+                evict.value().reason);
 }
 
-/// Runs a masked fixed cohort of `silos` over channels: silo 0 serves
+/// Runs a cohort of `silos` over channels under `config`: silo 0 serves
 /// `silo0` (its own transport end). Every other silo joins and then only
 /// awaits the server's verdict, so no step can flush before the server has
 /// judged every frame silo 0 sent. Returns the server's Run result; silo
 /// statuses land in `silo_status`.
-Result<Vec> RunMaskedCohort(
-    int silos, int dim,
+Result<Vec> RunFakeSiloCohort(
+    const net::AsyncRoundsConfig& config, int silos, int dim,
     const std::function<Status(net::Transport&)>& silo0,
     std::vector<Status>* silo_status) {
   std::vector<std::unique_ptr<net::Transport>> server_ends, silo_ends;
@@ -473,14 +484,14 @@ Result<Vec> RunMaskedCohort(
       if (s == 0) {
         (*silo_status)[s] = silo0(t);
       } else {
-        Status joined = JoinMaskedCohort(t, s, silos, dim);
+        Status joined = JoinCohort(t, config, s, silos, dim);
         (*silo_status)[s] = joined.ok() ? AwaitVerdict(t) : joined;
       }
     });
   }
   Result<Vec> out = Status::Internal("connection rejected");
   {
-    net::AsyncRoundServer server(MaskedConfig(), silos, dim);
+    net::AsyncRoundServer server(config, silos, dim);
     bool joined = true;
     for (auto& end : server_ends) {
       joined = joined && server.AddConnection(std::move(end)).ok();
@@ -491,17 +502,18 @@ Result<Vec> RunMaskedCohort(
   return out;
 }
 
-/// Silo 0 of a 2-silo masked cohort at dim 4 sends `frames` as its step-0
-/// uploads. The run must fail with InvalidArgument carrying `text` on the
-/// server and on silo 0, without aborting.
-void ExpectMaskedVerdict(const std::vector<net::Frame>& frames,
-                         const std::string& text) {
+/// Silo 0 of a 2-silo fixed cohort at dim 4, run under `config`, sends
+/// `frames` as its step-0 uploads. The run must fail with InvalidArgument
+/// carrying `text` on the server and on silo 0, without aborting.
+void ExpectVerdict(const net::AsyncRoundsConfig& config,
+                   const std::vector<net::Frame>& frames,
+                   const std::string& text) {
   const int silos = 2, dim = 4;
   std::vector<Status> silo_status;
-  auto out = RunMaskedCohort(
-      silos, dim,
+  auto out = RunFakeSiloCohort(
+      config, silos, dim,
       [&](net::Transport& t) -> Status {
-        ULDP_RETURN_IF_ERROR(JoinMaskedCohort(t, 0, silos, dim));
+        ULDP_RETURN_IF_ERROR(JoinCohort(t, config, 0, silos, dim));
         for (const net::Frame& frame : frames) {
           ULDP_RETURN_IF_ERROR(t.Send(frame));
         }
@@ -548,7 +560,8 @@ TEST(MaskedTransportTest, OutOfFieldElementFailsTheRunInsteadOfAborting) {
     net::Frame frame;
     frame.type = static_cast<uint16_t>(net::MessageType::kMaskedVector);
     frame.payload = w.Take();
-    ExpectMaskedVerdict({frame}, "field element 2 is not below the modulus");
+    ExpectVerdict(MaskedConfig(), {frame},
+                  "field element 2 is not below the modulus");
   }
 }
 
@@ -558,26 +571,27 @@ TEST(MaskedTransportTest, MisaddressedVectorsFailTheRunWithTheirVerdict) {
   // short vector, and a second vector in one step.
   net::MaskedVectorMsg wrong_phase = StepZeroVector();
   wrong_phase.phase_tag = MakeMaskTag(MaskPhase::kHistogramBlind, 0);
-  ExpectMaskedVerdict({net::ToFrame(wrong_phase)},
+  ExpectVerdict(MaskedConfig(), {net::ToFrame(wrong_phase)},
                       "masked vector with a wrong phase tag");
 
   net::MaskedVectorMsg wrong_round = StepZeroVector();
   wrong_round.phase_tag = MakeMaskTag(MaskPhase::kFlAggregation, 1);
-  ExpectMaskedVerdict({net::ToFrame(wrong_round)},
+  ExpectVerdict(MaskedConfig(), {net::ToFrame(wrong_round)},
                       "masked vector with a wrong phase tag");
 
   net::MaskedVectorMsg wrong_party = StepZeroVector();
   wrong_party.party_id = 1;
-  ExpectMaskedVerdict({net::ToFrame(wrong_party)},
+  ExpectVerdict(MaskedConfig(), {net::ToFrame(wrong_party)},
                       "masked vector from wrong silo");
 
   net::MaskedVectorMsg short_vector = StepZeroVector();
   short_vector.values = FieldVector(3, kAggregationLimbs);
-  ExpectMaskedVerdict({net::ToFrame(short_vector)},
+  ExpectVerdict(MaskedConfig(), {net::ToFrame(short_vector)},
                       "masked vector dimension mismatch");
 
   const net::Frame valid = net::ToFrame(StepZeroVector());
-  ExpectMaskedVerdict({valid, valid}, "duplicate masked vector for this step");
+  ExpectVerdict(MaskedConfig(), {valid, valid},
+                "duplicate masked vector for this step");
 }
 
 TEST(MaskedTransportTest, UnencodableDeltaFailsTheSiloWithAStatus) {
@@ -589,8 +603,8 @@ TEST(MaskedTransportTest, UnencodableDeltaFailsTheSiloWithAStatus) {
   for (double bad : {std::nan(""), HUGE_VAL, 1e9}) {
     SCOPED_TRACE(bad);
     std::vector<Status> silo_status;
-    auto out = RunMaskedCohort(
-        silos, dim,
+    auto out = RunFakeSiloCohort(
+        config, silos, dim,
         [&](net::Transport& t) {
           net::AsyncRoundClient client(config, 0, silos, dim);
           return client.Run(t, [&](uint64_t, const Vec&, Vec* delta) {
@@ -605,6 +619,85 @@ TEST(MaskedTransportTest, UnencodableDeltaFailsTheSiloWithAStatus) {
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
         << out.status().ToString();
+  }
+}
+
+/// A well-formed step-0 RoundAck from silo 0 at dim 4 (zeros).
+net::RoundAckMsg StepZeroAck() {
+  net::RoundAckMsg msg;
+  msg.version = 0;
+  msg.silo_id = 0;
+  msg.delta = Vec(4, 0.0);
+  return msg;
+}
+
+/// The three RoundAck verdicts of the plaintext server, with their text.
+std::vector<std::pair<net::RoundAckMsg, std::string>> MisaddressedAcks() {
+  net::RoundAckMsg wrong_silo = StepZeroAck();
+  wrong_silo.silo_id = 1;
+  net::RoundAckMsg short_delta = StepZeroAck();
+  short_delta.delta = Vec(3, 0.0);
+  net::RoundAckMsg future = StepZeroAck();
+  future.version = 1;
+  return {{wrong_silo, "round ack from wrong silo id"},
+          {short_delta, "round ack dimension mismatch"},
+          {future, "round ack from the future"}};
+}
+
+TEST(PlainTransportTest, MisaddressedAcksFailTheStaticRunWithTheirVerdict) {
+  // Each branch of the plaintext server's RoundAck check, reached by a
+  // fake silo over a channel, fails a fixed cohort's run.
+  for (const auto& [ack, text] : MisaddressedAcks()) {
+    SCOPED_TRACE(text);
+    ExpectVerdict(ElasticConfig(false), {net::ToFrame(ack)}, text);
+  }
+}
+
+TEST(PlainTransportTest, MisaddressedAckEvictsTheSiloFromAnElasticRun) {
+  // The same verdicts on an elastic cohort evict the sender (it hears the
+  // verdict in its Evict frame) and the run finishes with the others:
+  // every flush then holds silos {1, 2}, rescaled by 3/2.
+  const int silos = 3, dim = 4, steps = 2;
+  const net::AsyncRoundsConfig config = ElasticConfig(true);
+  for (const auto& [ack, text] : MisaddressedAcks()) {
+    SCOPED_TRACE(text);
+    std::vector<std::unique_ptr<net::Transport>> server_ends, silo_ends;
+    for (int s = 0; s < silos; ++s) {
+      auto [a, b] = net::ChannelTransport::CreatePair();
+      server_ends.push_back(std::move(a));
+      silo_ends.push_back(std::move(b));
+    }
+    std::vector<Status> silo_status(silos, Status::Ok());
+    std::vector<std::thread> threads;
+    threads.emplace_back([&, &ack = ack] {
+      net::Transport& t = *silo_ends[0];
+      Status joined = JoinCohort(t, config, 0, silos, dim);
+      if (joined.ok()) joined = t.Send(net::ToFrame(ack));
+      silo_status[0] = joined.ok() ? AwaitVerdict(t) : joined;
+    });
+    for (int s = 1; s < silos; ++s) {
+      threads.emplace_back([&, s] {
+        silo_status[s] =
+            net::RunAsyncDemoSilo(config, s, silos, dim, *silo_ends[s]);
+      });
+    }
+    net::AsyncRoundServer server(config, silos, dim);
+    for (auto& end : server_ends) {
+      ASSERT_TRUE(server.AddConnection(std::move(end)).ok());
+    }
+    auto out = server.Run(steps, Vec(dim, 0.0));
+    for (auto& t : threads) t.join();
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out.value(), ScheduleReference(silos, dim, {{1, 2}, {1, 2}}));
+    EXPECT_EQ(server.evictions(), 1);
+    ASSERT_NE(server.session().Find(0), nullptr);
+    EXPECT_EQ(server.session().Find(0)->status, SiloStatus::kEvicted);
+    EXPECT_EQ(silo_status[0].code(), StatusCode::kInvalidArgument)
+        << silo_status[0].ToString();
+    EXPECT_NE(silo_status[0].message().find(text), std::string::npos)
+        << silo_status[0].ToString();
+    EXPECT_TRUE(silo_status[1].ok()) << silo_status[1].ToString();
+    EXPECT_TRUE(silo_status[2].ok()) << silo_status[2].ToString();
   }
 }
 

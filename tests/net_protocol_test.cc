@@ -220,11 +220,10 @@ TEST(NetProtocolTest, PackedConfigsAreDigestSeparated) {
   clip.pack_clip = 32.0;
   EXPECT_NE(ProtocolWireDigest(config, kSilos, kUsers),
             ProtocolWireDigest(clip, kSilos, kUsers));
-  // num_threads and stream_window are party-local (bitwise-identical
-  // outputs, sender-local pacing), so they must NOT split the wire digest.
+  // num_threads is party-local (bitwise-identical outputs), so it must
+  // NOT split the wire digest.
   ProtocolConfig local = TestConfig();
   local.num_threads = 3;
-  local.stream_window = 7;
   EXPECT_EQ(ProtocolWireDigest(config, kSilos, kUsers),
             ProtocolWireDigest(local, kSilos, kUsers));
 }

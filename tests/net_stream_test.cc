@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <future>
+#include <memory>
 #include <thread>
 
 #include "core/private_weighting.h"
@@ -43,7 +46,6 @@ ProtocolConfig StreamTestConfig() {
   ProtocolConfig config = TestConfig();
   config.stream_chunk_users = 2;
   config.stream_chunk_coords = 3;
-  config.stream_window = 2;
   return config;
 }
 
@@ -171,8 +173,7 @@ TEST(NetStreamTest, StreamedPackedRoundsBitwiseMatchUnpacked) {
 
 TEST(NetStreamTest, StreamKnobsDigestSeparation) {
   // Chunk geometry is part of the wire contract (both sides validate
-  // chunk sizes against it), so it must split the digest; the send window
-  // is sender-local flow control and must NOT.
+  // chunk sizes against it), so it must split the digest.
   ProtocolConfig config = TestConfig();
   ProtocolConfig chunked = StreamTestConfig();
   EXPECT_NE(ProtocolWireDigest(config, kSilos, kUsers),
@@ -181,10 +182,6 @@ TEST(NetStreamTest, StreamKnobsDigestSeparation) {
   coords.stream_chunk_coords = 2;
   EXPECT_NE(ProtocolWireDigest(chunked, kSilos, kUsers),
             ProtocolWireDigest(coords, kSilos, kUsers));
-  ProtocolConfig window = StreamTestConfig();
-  window.stream_window = 7;
-  EXPECT_EQ(ProtocolWireDigest(chunked, kSilos, kUsers),
-            ProtocolWireDigest(window, kSilos, kUsers));
 }
 
 StreamBeginMsg TestBegin() {
@@ -318,71 +315,145 @@ TEST(NetStreamTest, ReceiverRejectsCorruptedChunks) {
   }
 }
 
+/// SendChunkedStream's make_chunk over an in-memory vector.
+std::function<Result<std::vector<BigInt>>(size_t, size_t)> ChunksOf(
+    const std::vector<BigInt>& values) {
+  return [&values](size_t c0, size_t c1) -> Result<std::vector<BigInt>> {
+    return std::vector<BigInt>(values.begin() + static_cast<long>(c0),
+                               values.begin() + static_cast<long>(c1));
+  };
+}
+
+/// In-memory receivers for SendChunkedStream: each receiver folds the
+/// chunks `send` hands it into its own copy and queues its ack, and
+/// `recv(peer)` pops that peer's oldest queued ack. Tracks the most
+/// chunks any receiver ever had unacknowledged.
+struct LoopbackReceivers {
+  LoopbackReceivers(int receivers, size_t total, int chunk)
+      : total(total), chunk(chunk), states(receivers) {}
+
+  struct State {
+    std::unique_ptr<ChunkStreamReceiver> receiver;
+    std::vector<BigInt> folded;
+    std::vector<StreamAckMsg> acks;
+    int in_flight = 0;
+  };
+
+  Status Send(const Frame& frame) {
+    for (State& st : states) {
+      if (frame.type == static_cast<uint16_t>(MessageType::kStreamBegin)) {
+        auto begin = FromFrame<StreamBeginMsg>(frame);
+        EXPECT_TRUE(begin.ok());
+        auto r = ChunkStreamReceiver::Create(
+            begin.value(), StreamKind::kSiloCipher, 42, total,
+            static_cast<uint32_t>(chunk));
+        EXPECT_TRUE(r.ok());
+        st.receiver =
+            std::make_unique<ChunkStreamReceiver>(std::move(r.value()));
+        st.folded.assign(total, BigInt(0));
+        continue;
+      }
+      max_in_flight = std::max(max_in_flight, ++st.in_flight);
+      auto msg = FromFrame<StreamChunkMsg>(frame);
+      EXPECT_TRUE(msg.ok());
+      auto ack = st.receiver->Feed(
+          std::move(msg.value()), [&](std::vector<BigInt>&& vals, size_t off) {
+            for (size_t i = 0; i < vals.size(); ++i) {
+              st.folded[off + i] = vals[i];
+            }
+            return Status::Ok();
+          });
+      EXPECT_TRUE(ack.ok()) << ack.status().ToString();
+      st.acks.push_back(ack.value());
+    }
+    return Status::Ok();
+  }
+
+  Result<Frame> Recv(int peer) {
+    State& st = states[peer];
+    if (st.acks.empty()) {
+      return Status::Internal("sender awaited an ack with none pending");
+    }
+    StreamAckMsg ack = st.acks.front();
+    st.acks.erase(st.acks.begin());
+    --st.in_flight;
+    return ToFrame(ack);
+  }
+
+  size_t total;
+  int chunk;
+  std::vector<State> states;
+  int max_in_flight = 0;
+};
+
 TEST(NetStreamTest, SenderHonorsWindowAndReassemblesWithTail) {
-  // Drive SendChunkedBigVec against an in-memory receiver: the sender
-  // must never exceed the credit window, and the folded elements must
-  // reassemble the input exactly — including the short final chunk.
-  const size_t total = 11;
-  const int chunk = 3, window = 2;
+  // Drive SendChunkedStream against in-memory receivers, one and several:
+  // the sender must never exceed kStreamWindow unacked chunks per
+  // receiver, and every receiver's folded elements must reassemble the
+  // input exactly — including the short final chunk.
+  const int chunk = 3;
+  const size_t total = static_cast<size_t>(chunk) * 2 * kStreamWindow + 2;
   std::vector<BigInt> values;
   for (size_t i = 0; i < total; ++i) {
     values.push_back(BigInt(static_cast<int64_t>(1000 + i)));
   }
-
   StreamSendOptions opts;
   opts.phase_tag = 42;
   opts.kind = StreamKind::kSiloCipher;
   opts.chunk_elems = chunk;
-  opts.window = window;
 
-  std::unique_ptr<ChunkStreamReceiver> receiver;
-  std::vector<BigInt> folded(total);
-  std::vector<StreamAckMsg> pending_acks;
-  int in_flight = 0, max_in_flight = 0;
-  auto send = [&](const Frame& frame) -> Status {
-    if (frame.type == static_cast<uint16_t>(MessageType::kStreamBegin)) {
-      auto begin = FromFrame<StreamBeginMsg>(frame);
-      EXPECT_TRUE(begin.ok());
-      auto r = ChunkStreamReceiver::Create(begin.value(),
-                                           StreamKind::kSiloCipher, 42,
-                                           total, chunk);
-      EXPECT_TRUE(r.ok());
-      receiver = std::make_unique<ChunkStreamReceiver>(std::move(r.value()));
-      return Status::Ok();
+  for (int receivers : {1, 3}) {
+    SCOPED_TRACE(std::to_string(receivers) + " receivers");
+    LoopbackReceivers peers(receivers, total, chunk);
+    int chunks_made = 0;
+    Status sent = SendChunkedStream(
+        total, opts, receivers,
+        [&](size_t c0, size_t c1) {
+          ++chunks_made;
+          return ChunksOf(values)(c0, c1);
+        },
+        [&](const Frame& frame) { return peers.Send(frame); },
+        [&](int peer) { return peers.Recv(peer); });
+    ASSERT_TRUE(sent.ok()) << sent.ToString();
+    // 2 * kStreamWindow full chunks + the 2-element tail, made once each
+    // however many receivers there are.
+    EXPECT_EQ(chunks_made, 2 * kStreamWindow + 1);
+    for (const auto& st : peers.states) {
+      ASSERT_TRUE(st.receiver != nullptr);
+      EXPECT_TRUE(st.receiver->Done());
+      EXPECT_EQ(st.receiver->chunk_count(),
+                static_cast<uint32_t>(chunks_made));
+      EXPECT_EQ(st.folded, values);
+      EXPECT_EQ(st.in_flight, 0);  // every ack consumed before returning
     }
-    ++in_flight;
-    max_in_flight = std::max(max_in_flight, in_flight);
-    auto msg = FromFrame<StreamChunkMsg>(frame);
-    EXPECT_TRUE(msg.ok());
-    auto ack = receiver->Feed(std::move(msg.value()),
-                              [&](std::vector<BigInt>&& vals, size_t off) {
-                                for (size_t i = 0; i < vals.size(); ++i) {
-                                  folded[off + i] = vals[i];
-                                }
-                                return Status::Ok();
-                              });
-    EXPECT_TRUE(ack.ok()) << ack.status().ToString();
-    pending_acks.push_back(ack.value());
-    return Status::Ok();
-  };
-  auto recv = [&]() -> Result<Frame> {
-    if (pending_acks.empty()) {
-      return Status::Internal("sender awaited an ack with none pending");
-    }
-    StreamAckMsg ack = pending_acks.front();
-    pending_acks.erase(pending_acks.begin());
-    --in_flight;
+    // Never more than the window out, and the full window used.
+    EXPECT_EQ(peers.max_in_flight, kStreamWindow);
+  }
+}
+
+TEST(NetStreamTest, SenderRejectsAnAckForTheWrongChunk) {
+  // An ack must name the oldest unacknowledged chunk: one that skips
+  // ahead (or repeats) is a protocol error, not a permit.
+  StreamSendOptions opts;
+  opts.phase_tag = 7;
+  opts.kind = StreamKind::kSiloCipher;
+  opts.chunk_elems = 2;
+  std::vector<BigInt> values(4, BigInt(3));
+  auto recv = [&](int) -> Result<Frame> {
+    StreamAckMsg ack;
+    ack.phase_tag = 7;
+    ack.kind = static_cast<uint8_t>(StreamKind::kSiloCipher);
+    ack.index = 1;  // chunk 0 is still outstanding
     return ToFrame(ack);
   };
-
-  ASSERT_TRUE(SendChunkedBigVec(values, opts, send, recv).ok());
-  ASSERT_TRUE(receiver != nullptr);
-  EXPECT_TRUE(receiver->Done());
-  EXPECT_EQ(receiver->chunk_count(), 4u);  // 3 + 3 + 3 + 2-tail
-  EXPECT_EQ(folded, values);
-  // With window 2 the sender may have at most 2 unacked chunks out.
-  EXPECT_LE(max_in_flight, window);
-  EXPECT_GE(max_in_flight, window);  // and it does use the full window
+  Status status = SendChunkedStream(
+      values.size(), opts, 1,
+      ChunksOf(values),
+      [](const Frame&) { return Status::Ok(); }, recv);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("ack for chunk 1, expected chunk 0"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST(NetStreamTest, SenderAbortsOnPeerErrorFrame) {
@@ -390,8 +461,9 @@ TEST(NetStreamTest, SenderAbortsOnPeerErrorFrame) {
   opts.phase_tag = 7;
   opts.kind = StreamKind::kSiloCipher;
   opts.chunk_elems = 2;
-  opts.window = 1;
-  std::vector<BigInt> values(6, BigInt(3));
+  // Two chunks more than the window, so the sender must await an ack
+  // before it may send them all.
+  std::vector<BigInt> values(2 * (kStreamWindow + 2), BigInt(3));
   int chunks_sent = 0;
   auto send = [&](const Frame& frame) -> Status {
     if (frame.type == static_cast<uint16_t>(MessageType::kStreamChunk)) {
@@ -399,17 +471,104 @@ TEST(NetStreamTest, SenderAbortsOnPeerErrorFrame) {
     }
     return Status::Ok();
   };
-  auto recv = [&]() -> Result<Frame> {
+  auto recv = [&](int) -> Result<Frame> {
     ErrorMsg error;
     error.code = static_cast<uint16_t>(StatusCode::kInvalidArgument);
     error.message = "fold rejected the chunk";
     return ToFrame(error);
   };
-  Status status = SendChunkedBigVec(values, opts, send, recv);
+  Status status = SendChunkedStream(
+      values.size(), opts, 1,
+      ChunksOf(values),
+      send, recv);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("fold rejected"), std::string::npos);
-  // window=1: the error ack after chunk 0 stops the stream immediately.
-  EXPECT_EQ(chunks_sent, 1);
+  // The error in place of the first awaited ack stops the stream with a
+  // full window sent and nothing beyond it.
+  EXPECT_EQ(chunks_sent, kStreamWindow);
+}
+
+/// Forwards a real silo's frames, except that its cipher stream announces
+/// dim = total_count = 2^32 - 1 and its chunk 0 becomes a full chunk of
+/// BigInt(1)s. The real silo's short tail chunk follows.
+class HostileBeginTransport : public Transport {
+ public:
+  HostileBeginTransport(std::unique_ptr<Transport> inner, int chunk_coords)
+      : inner_(std::move(inner)), chunk_coords_(chunk_coords) {}
+
+  Status Send(const Frame& frame) override {
+    const auto cipher = static_cast<uint8_t>(StreamKind::kSiloCipher);
+    if (frame.type == static_cast<uint16_t>(MessageType::kStreamBegin)) {
+      auto begin = FromFrame<StreamBeginMsg>(frame);
+      if (begin.ok() && begin.value().kind == cipher) {
+        begin.value().dim = begin.value().total_count = UINT32_MAX;
+        return inner_->Send(ToFrame(begin.value()));
+      }
+    }
+    if (frame.type == static_cast<uint16_t>(MessageType::kStreamChunk)) {
+      auto chunk = FromFrame<StreamChunkMsg>(frame);
+      if (chunk.ok() && chunk.value().kind == cipher &&
+          chunk.value().index == 0) {
+        chunk.value().values.assign(chunk_coords_, BigInt(1));
+        return inner_->Send(ToFrame(chunk.value()));
+      }
+    }
+    return inner_->Send(frame);
+  }
+  Result<Frame> Recv() override { return inner_->Recv(); }
+  void Close() override { inner_->Close(); }
+  int NativeHandle() const override { return inner_->NativeHandle(); }
+  Result<bool> TryReadFrame(Frame* out) override {
+    return inner_->TryReadFrame(out);
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  size_t chunk_coords_;
+};
+
+TEST(NetStreamTest, HostileCipherStreamBeginFailsTheRoundInsteadOfAborting) {
+  // A silo announcing a 2^32 - 1 coordinate cipher used to make the
+  // server size the aggregate from that claim on the first chunk and die
+  // in std::bad_alloc. The aggregate now grows only over coordinates that
+  // arrived, so the round fails on the silo's real tail chunk (dim 4 in
+  // chunks of 3: its second chunk carries 1 element, not 3).
+  const ProtocolConfig config = StreamTestConfig();
+  std::vector<std::unique_ptr<Transport>> server_ends, silo_ends;
+  for (int s = 0; s < kSilos; ++s) {
+    auto [a, b] = ChannelTransport::CreatePair();
+    server_ends.push_back(std::move(a));
+    silo_ends.push_back(std::move(b));
+  }
+  silo_ends[0] = std::make_unique<HostileBeginTransport>(
+      std::move(silo_ends[0]), StreamChunkCoords(config));
+  std::vector<std::thread> silo_threads;
+  std::vector<Status> silo_status(kSilos, Status::Ok());
+  for (int s = 0; s < kSilos; ++s) {
+    silo_threads.emplace_back([&, s] {
+      silo_status[s] = RunDemoSilo(config, s, kSilos, kUsers, kDim,
+                                   kInputSeed, *silo_ends[s]);
+    });
+  }
+  Result<Vec> out = Status::Internal("setup failed");
+  {
+    ProtocolServer server(config, kSilos, kUsers);
+    for (auto& end : server_ends) {
+      EXPECT_TRUE(server.AddConnection(std::move(end)).ok());
+    }
+    if (server.RunSetup().ok()) {
+      out = server.RunRound(0, std::vector<bool>(kUsers, true));
+    }
+  }
+  for (auto& t : silo_threads) t.join();
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+      << out.status().ToString();
+  EXPECT_NE(out.status().message().find(
+                "stream: chunk 1 carries 1 elements, expected 3"),
+            std::string::npos)
+      << out.status().ToString();
+  EXPECT_FALSE(silo_status[0].ok());
 }
 
 TEST(NetStreamTest, SiloHangingMidStreamHitsRecvDeadline) {

@@ -445,9 +445,9 @@ TEST(MessageDecodeTest, MaskedVectorWritesGoldenBytes) {
   };
   const Frame frame = ToFrame(msg);
   EXPECT_EQ(frame.payload, payload);
-  // Header: magic, wire version 2, type 16, payload length 64.
+  // Header: magic, wire version 3, type 16, payload length 64.
   const std::vector<uint8_t> wire = EncodeFrame(frame);
-  const std::vector<uint8_t> header = {'U',  'L',  'D',  'P',  0x02, 0x00,
+  const std::vector<uint8_t> header = {'U',  'L',  'D',  'P',  0x03, 0x00,
                                        0x10, 0x00, 0x40, 0x00, 0x00, 0x00};
   ASSERT_GE(wire.size(), header.size());
   EXPECT_EQ(std::vector<uint8_t>(wire.begin(), wire.begin() + 12), header);
@@ -569,6 +569,72 @@ TEST(MessageDigestTest, DigestSeparatesConfigs) {
   ProtocolConfig e = a;
   e.pack_clip = a.pack_clip * 2;
   EXPECT_NE(base, ProtocolWireDigest(e, 3, 10));
+}
+
+TEST(MessageDigestTest, ConfigCodecRoundTripsTheWireFields) {
+  // One layout serves the join digest and transcript metas: every
+  // wire-relevant field survives, chunk sizes come back resolved, and the
+  // party-local thread count is not stored.
+  ProtocolConfig config;
+  config.paillier_bits = 768;
+  config.n_max = 9;
+  config.precision = 1e-8;
+  config.seed = 0x0123456789ABCDEFull;
+  config.ot_slots = 4;
+  config.ot_sample_rate = 0.25;
+  config.ot_group_bits = 192;
+  config.num_threads = 3;
+  config.pack_slots = 2;
+  config.pack_clip = 16.0;
+  config.stream_chunk_users = 5;
+  WireWriter w;
+  AppendProtocolConfig(w, config);
+  WireReader r(w.buffer());
+  auto back = ParseProtocolConfig(r);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  const ProtocolConfig& b = back.value();
+  EXPECT_EQ(b.paillier_bits, 768);
+  EXPECT_EQ(b.n_max, 9);
+  EXPECT_EQ(b.precision, 1e-8);
+  EXPECT_EQ(b.seed, config.seed);
+  EXPECT_EQ(b.ot_slots, 4);
+  EXPECT_EQ(b.ot_sample_rate, 0.25);
+  EXPECT_EQ(b.ot_group_bits, 192);
+  EXPECT_EQ(b.num_threads, ProtocolConfig{}.num_threads);
+  EXPECT_EQ(b.pack_slots, 2);
+  EXPECT_EQ(b.pack_clip, 16.0);
+  EXPECT_EQ(b.stream_chunk_users, 5);
+  EXPECT_EQ(b.stream_chunk_coords, StreamChunkCoords(config));
+  EXPECT_EQ(ProtocolWireDigest(b, 3, 10), ProtocolWireDigest(config, 3, 10));
+
+  std::vector<uint8_t> cut = w.buffer();
+  cut.pop_back();
+  WireReader short_reader(cut);
+  EXPECT_FALSE(ParseProtocolConfig(short_reader).ok());
+
+  // Chunk sizes must arrive resolved, so each config has one encoding:
+  // a coordinate chunk with streaming off, none with streaming on, or a
+  // chunk count past INT_MAX is refused.
+  ProtocolConfig off;
+  WireWriter off_writer;
+  AppendProtocolConfig(off_writer, off);
+  const size_t coords_at = off_writer.buffer().size() - 4;
+  const size_t users_at = coords_at - 4;
+  auto patched = [&](size_t at, uint32_t value) {
+    std::vector<uint8_t> bytes = off_writer.buffer();
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+    return bytes;
+  };
+  for (const auto& bytes :
+       {patched(coords_at, 5), patched(users_at, 0x80000000u)}) {
+    WireReader reader(bytes);
+    auto parsed = ParseProtocolConfig(reader);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::vector<uint8_t> no_coords = patched(users_at, 2);
+  WireReader reader(no_coords);
+  EXPECT_FALSE(ParseProtocolConfig(reader).ok());
 }
 
 TEST(MessageTagTest, CheckPhaseTagValidatesPhaseAndRound) {

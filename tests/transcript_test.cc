@@ -159,7 +159,7 @@ TranscriptFile SyntheticTranscript(uint64_t tag, size_t frames) {
   meta.role = TranscriptRole::kProtocolServer;
   meta.num_silos = 2;
   meta.num_users = 4;
-  meta.seed = tag;
+  meta.config.seed = tag;
   TranscriptLog log(meta);
   for (size_t i = 0; i < frames; ++i) {
     std::vector<uint8_t> frame(16 + i);
@@ -318,12 +318,14 @@ TEST(TranscriptTest, DigestFixedFlipsAreRejectedByChainOrHmac) {
 
 TEST(TranscriptTest, OlderFormatVersionsAreRejectedAsVersionSkew) {
   // Version 2 dropped the cache_enc_weights meta byte; version 3 records
-  // wire-version-2 frames (fixed-width MaskedVector elements). An older
-  // file (here: the version field patched, digest fixed up) must be
-  // refused by name rather than misparsed or replayed.
+  // wire-version-2 frames (fixed-width MaskedVector elements); version 4
+  // stores the meta's config in the join digest's layout and records
+  // wire-version-3 frames (StreamAck without credits). An older file
+  // (here: the version field patched, digest fixed up) must be refused by
+  // name rather than misparsed or replayed.
   const std::vector<uint8_t> clean = PlainRun().silos[1].Serialize();
-  ASSERT_EQ(clean[4] | clean[5] << 8, 3);
-  for (uint8_t version : {1, 2}) {
+  ASSERT_EQ(clean[4] | clean[5] << 8, 4);
+  for (uint8_t version : {1, 2, 3}) {
     std::vector<uint8_t> bytes = clean;
     bytes[4] = version;
     bytes[5] = 0;
@@ -437,7 +439,7 @@ TEST(TranscriptTest, TamperedMetaIsRejected) {
   // no longer matches the reconstruction.
   {
     TranscriptFile forged = PlainRun().server;
-    forged.meta.seed += 1;
+    forged.meta.config.seed += 1;
     forged.has_hmac = 0;
     Rechain(&forged);
     EXPECT_TRUE(forged.VerifyChain().ok());

@@ -102,48 +102,67 @@ python3 tools/check_bench.py --bench-dir "$BUILD_DIR" \
 # ephemeral port plus two silo client processes, with --verify asserting
 # the distributed aggregates bitwise-match the in-process run.
 if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
-  SMOKE_LOG="$BUILD_DIR/net_smoke_server.log"
+  # One Protocol 1 loopback run: a --rounds=2 --verify server and two silo
+  # clients, every party given $3, the server also $4 and silo 0 also $5.
+  # The server's output goes to $2 and is printed.
+  run_protocol_smoke() {  # $1=label $2=log $3=args $4=server $5=silo 0
+    local label="$1" log="$2" port="" pid c0 c1 fail=0
+    rm -f "$log"
+    # shellcheck disable=SC2086
+    "$BUILD_DIR/uldp_fl_cli" --serve=0 --rounds=2 --verify $3 $4 \
+        > "$log" 2>&1 &
+    pid=$!
+    for _ in $(seq 1 100); do
+      port="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$log" \
+              2>/dev/null | head -n1)"
+      [ -n "$port" ] && break
+      sleep 0.1
+    done
+    if [ -z "$port" ]; then
+      echo "$label smoke: server never reported its port" >&2
+      cat "$log" >&2 || true
+      kill "$pid" 2>/dev/null || true
+      return 1
+    fi
+    # shellcheck disable=SC2086
+    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$port" --silo-id=0 $3 $5 &
+    c0=$!
+    # shellcheck disable=SC2086
+    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$port" --silo-id=1 $3 &
+    c1=$!
+    wait "$pid" || fail=1
+    wait "$c0" || fail=1
+    wait "$c1" || fail=1
+    cat "$log"
+    if [ "$fail" != "0" ]; then
+      echo "$label smoke: loopback-TCP protocol round FAILED" >&2
+      return 1
+    fi
+    echo "$label smoke: loopback-TCP protocol round OK (port $port)"
+  }
   # --net-timeout: every TCP recv (handshake included) gets a deadline, so
   # a hung or never-connecting client fails this step in ~2 minutes
   # instead of hanging the workflow until the job timeout.
   SMOKE_ARGS="--silos=2 --users=6 --dim=8 --paillier-bits=512 --seed=11 \
 --net-timeout=120"
-  rm -f "$SMOKE_LOG"
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --serve=0 --rounds=2 --verify $SMOKE_ARGS \
-      > "$SMOKE_LOG" 2>&1 &
-  SERVER_PID=$!
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$SMOKE_LOG" \
-            2>/dev/null | head -n1)"
-    [ -n "$PORT" ] && break
-    sleep 0.1
-  done
-  if [ -z "$PORT" ]; then
-    echo "net smoke: server never reported its port" >&2
-    cat "$SMOKE_LOG" >&2 || true
-    kill "$SERVER_PID" 2>/dev/null || true
-    exit 1
-  fi
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=0 \
-      $SMOKE_ARGS &
-  C0=$!
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=1 \
-      $SMOKE_ARGS &
-  C1=$!
-  FAIL=0
-  wait "$SERVER_PID" || FAIL=1
-  wait "$C0" || FAIL=1
-  wait "$C1" || FAIL=1
-  cat "$SMOKE_LOG"
-  if [ "$FAIL" != "0" ]; then
-    echo "net smoke: loopback-TCP protocol round FAILED" >&2
-    exit 1
-  fi
-  echo "net smoke: loopback-TCP protocol round OK (port $PORT)"
+  run_protocol_smoke net "$BUILD_DIR/net_smoke_server.log" "$SMOKE_ARGS" \
+      "" "" || exit 1
+
+  # Enc-weight stream smoke: streaming without OT, so the server streams
+  # the encrypted weights (3 chunks of 2 users a round) and the silos
+  # stream their ciphers back. Only the shared chunk-stream sender emits
+  # the per-chunk telemetry check_metrics.py requires of the server.
+  EW_OUT="$BUILD_DIR/enc_weights_smoke_server"
+  rm -f "${EW_OUT}_metrics.json" "${EW_OUT}_trace.json"
+  run_protocol_smoke enc-weights "$EW_OUT.log" \
+      "$SMOKE_ARGS --stream-chunk-users=2" \
+      "--metrics-out=${EW_OUT}_metrics.json --trace-out=${EW_OUT}_trace.json" \
+      "" || exit 1
+  python3 tools/check_metrics.py \
+      --metrics "${EW_OUT}_metrics.json" --trace "${EW_OUT}_trace.json" \
+      --require-metric net.stream.enc-weights.chunks_sent:6 \
+      --require-hist net.stream.enc-weights.ack_wait_ns \
+      --require-span stream.chunk.enc_weights:6
 
   # Async-rounds loopback smokes: the staleness-bounded FL server plus two
   # silo clients over real TCP, --verify asserting bitwise identity to the
@@ -392,52 +411,16 @@ print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
   # epoll-mux histograms, per-chunk stream telemetry on the sender side,
   # and a trace covering every Protocol 1 phase plus the OT round, the
   # streamed cipher folds, and mux dispatch.
-  OBS_LOG="$BUILD_DIR/obs_smoke_server.log"
-  OBS_ARGS="--silos=2 --users=6 --dim=8 --paillier-bits=512 --seed=11 \
---net-timeout=120 --ot-slots=4 --pack-slots=2 --stream-chunk-users=4"
+  OBS_ARGS="$SMOKE_ARGS --ot-slots=4 --pack-slots=2 --stream-chunk-users=4"
   rm -f "$BUILD_DIR"/obs_smoke_server_metrics.json \
       "$BUILD_DIR"/obs_smoke_server_trace.json \
       "$BUILD_DIR"/obs_smoke_silo0_metrics.json \
-      "$BUILD_DIR"/obs_smoke_silo0_trace.json \
-      "$OBS_LOG"
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --serve=0 --rounds=2 --verify $OBS_ARGS \
-      --metrics-out="$BUILD_DIR/obs_smoke_server_metrics.json" \
-      --trace-out="$BUILD_DIR/obs_smoke_server_trace.json" \
-      > "$OBS_LOG" 2>&1 &
-  SERVER_PID=$!
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$OBS_LOG" \
-            2>/dev/null | head -n1)"
-    [ -n "$PORT" ] && break
-    sleep 0.1
-  done
-  if [ -z "$PORT" ]; then
-    echo "obs smoke: server never reported its port" >&2
-    cat "$OBS_LOG" >&2 || true
-    kill "$SERVER_PID" 2>/dev/null || true
-    exit 1
-  fi
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=0 \
-      $OBS_ARGS \
-      --metrics-out="$BUILD_DIR/obs_smoke_silo0_metrics.json" \
-      --trace-out="$BUILD_DIR/obs_smoke_silo0_trace.json" &
-  C0=$!
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=1 \
-      $OBS_ARGS &
-  C1=$!
-  FAIL=0
-  wait "$SERVER_PID" || FAIL=1
-  wait "$C0" || FAIL=1
-  wait "$C1" || FAIL=1
-  cat "$OBS_LOG"
-  if [ "$FAIL" != "0" ]; then
-    echo "obs smoke: instrumented loopback round FAILED" >&2
-    exit 1
-  fi
+      "$BUILD_DIR"/obs_smoke_silo0_trace.json
+  run_protocol_smoke obs "$BUILD_DIR/obs_smoke_server.log" "$OBS_ARGS" \
+      "--metrics-out=$BUILD_DIR/obs_smoke_server_metrics.json \
+--trace-out=$BUILD_DIR/obs_smoke_server_trace.json" \
+      "--metrics-out=$BUILD_DIR/obs_smoke_silo0_metrics.json \
+--trace-out=$BUILD_DIR/obs_smoke_silo0_trace.json" || exit 1
   # Server side: migrated transport/core counters, mux
   # histograms, and one complete span per protocol phase per round. Both
   # sides also name the Montgomery kernels their contexts ran on; the
@@ -490,7 +473,6 @@ print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
       --require-span silo.upload_cipher:2 \
       --require-span core.accumulate_users \
       --require-span stream.chunk.silo_cipher:2
-  echo "obs smoke: instrumented loopback round OK (port $PORT)"
 
   # Transcript smoke: record a 2-silo loopback run with OT weight
   # distribution, ciphertext packing, and chunked streaming all on, then
@@ -498,48 +480,13 @@ print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
   # byte-exact deterministic replay through the real party drivers), and
   # finally corrupt one byte of the server transcript and assert the
   # verifier rejects it with a nonzero exit.
-  TR_LOG="$BUILD_DIR/transcript_smoke_server.log"
   TR_DIR="$BUILD_DIR/transcript_smoke"
   TR_KEY="00112233aabbcc"
-  TR_ARGS="--silos=2 --users=6 --dim=8 --paillier-bits=512 --n-max=8 \
---seed=11 --net-timeout=120 --ot-slots=4 --pack-slots=2 \
+  TR_ARGS="$SMOKE_ARGS --n-max=8 --ot-slots=4 --pack-slots=2 \
 --stream-chunk-users=4 --record-transcript=$TR_DIR --hmac-key=$TR_KEY"
   rm -rf "$TR_DIR" && mkdir -p "$TR_DIR"
-  rm -f "$TR_LOG"
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --serve=0 --rounds=2 --verify $TR_ARGS \
-      > "$TR_LOG" 2>&1 &
-  SERVER_PID=$!
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$TR_LOG" \
-            2>/dev/null | head -n1)"
-    [ -n "$PORT" ] && break
-    sleep 0.1
-  done
-  if [ -z "$PORT" ]; then
-    echo "transcript smoke: server never reported its port" >&2
-    cat "$TR_LOG" >&2 || true
-    kill "$SERVER_PID" 2>/dev/null || true
-    exit 1
-  fi
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=0 \
-      $TR_ARGS &
-  C0=$!
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=1 \
-      $TR_ARGS &
-  C1=$!
-  FAIL=0
-  wait "$SERVER_PID" || FAIL=1
-  wait "$C0" || FAIL=1
-  wait "$C1" || FAIL=1
-  cat "$TR_LOG"
-  if [ "$FAIL" != "0" ]; then
-    echo "transcript smoke: recorded loopback round FAILED" >&2
-    exit 1
-  fi
+  run_protocol_smoke transcript "$BUILD_DIR/transcript_smoke_server.log" \
+      "$TR_ARGS" "" "" || exit 1
   for t in server silo0 silo1; do
     if [ ! -f "$TR_DIR/$t.ult" ]; then
       echo "transcript smoke: $TR_DIR/$t.ult was not written" >&2
@@ -561,6 +508,5 @@ print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
     echo "transcript smoke: corrupted transcript was ACCEPTED" >&2
     exit 1
   fi
-  echo "transcript smoke: record + verify + corruption-reject OK" \
-      "(port $PORT)"
+  echo "transcript smoke: record + verify + corruption-reject OK"
 fi

@@ -104,7 +104,6 @@ struct Flags {
   // Streaming rounds (bounded peak RSS; must match on every party).
   int stream_chunk_users = 0;   // > 0: stream enc weights in user chunks
   int stream_chunk_coords = 0;  // cipher-upload chunk size (0 = default)
-  int stream_window = 0;        // unacked chunks in flight (0 = default)
   int max_frame_bytes = 0;      // wire frame payload cap (0 = default)
   // Tamper-evident transcripts (src/net/transcript.h).
   std::string record_transcript;  // dir: write this party's transcript
@@ -176,8 +175,6 @@ void PrintHelp() {
       "                              (0 = materialize whole rounds)\n"
       "  --stream-chunk-coords=C     cipher-upload coordinates per chunk\n"
       "                              (0 = default 256)\n"
-      "  --stream-window=W           unacknowledged chunks in flight per\n"
-      "                              peer (0 = default 4)\n"
       "  --max-frame-bytes=B         reject any wire frame whose payload\n"
       "                              exceeds B bytes before allocating it\n"
       "                              (0 = default cap)\n"
@@ -344,9 +341,6 @@ Result<Flags> ParseFlags(int argc, char** argv) {
     } else if (ParseFlag(arg, "stream-chunk-coords", &value)) {
       ULDP_RETURN_IF_ERROR(ParseIntInto(value, "stream-chunk-coords", 0,
                                         1 << 20, &flags.stream_chunk_coords));
-    } else if (ParseFlag(arg, "stream-window", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "stream-window", 0, 1 << 16,
-                                        &flags.stream_window));
     } else if (ParseFlag(arg, "max-frame-bytes", &value)) {
       ULDP_RETURN_IF_ERROR(ParseIntInto(value, "max-frame-bytes", 0,
                                         1 << 30, &flags.max_frame_bytes));
@@ -476,10 +470,9 @@ Result<Flags> ParseFlags(int argc, char** argv) {
     return Status::InvalidArgument(
         "--stats-port runs on the servers; it requires --serve");
   }
-  if ((flags.stream_chunk_coords > 0 || flags.stream_window > 0) &&
-      flags.stream_chunk_users <= 0) {
+  if (flags.stream_chunk_coords > 0 && flags.stream_chunk_users <= 0) {
     return Status::InvalidArgument(
-        "--stream-chunk-coords/--stream-window require --stream-chunk-users");
+        "--stream-chunk-coords requires --stream-chunk-users");
   }
   if (flags.async_buffer > flags.silos) {
     return Status::InvalidArgument("--async-buffer must be <= --silos");
@@ -583,7 +576,6 @@ ProtocolConfig NetProtocolConfig(const Flags& flags) {
   config.num_threads = flags.threads;
   config.stream_chunk_users = flags.stream_chunk_users;
   config.stream_chunk_coords = flags.stream_chunk_coords;
-  config.stream_window = flags.stream_window;
   config.ot_slots = flags.ot_slots;
   config.pack_slots = flags.pack_slots;
   return config;
@@ -661,7 +653,7 @@ Result<TranscriptFlusher> MakeTranscriptRecorder(const Flags& flags) {
     meta.num_silos = static_cast<uint32_t>(flags.silos);
     meta.dim = static_cast<uint32_t>(flags.dim);
     meta.rounds = serving ? static_cast<uint64_t>(flags.rounds) : 0;
-    meta.seed = flags.seed;
+    meta.config.seed = flags.seed;
     name = serving ? "async-server.ult"
                    : "async-silo" + std::to_string(flags.silo_id) + ".ult";
   } else {
