@@ -132,6 +132,9 @@ bool SetupPackedRound(int pack_slots, int users, int dim, PackedRound* r) {
   pc.pack_clip = 8.0;
   pc.seed = 909;
   pc.pack_slots = pack_slots;
+  // One thread: a 5-10 ms round that waits on the global pool times the
+  // host's other load, not packing.
+  pc.num_threads = 1;
   r->protocol = std::make_unique<PrivateWeightingProtocol>(pc, silos, users);
   Rng rng(23);
   std::vector<std::vector<int>> hist(silos, std::vector<int>(users, 0));

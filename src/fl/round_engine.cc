@@ -40,6 +40,19 @@ AsyncAggregator::AsyncAggregator(int num_silos, int max_staleness,
 }
 
 int AsyncAggregator::Offer(int silo, int pull_version, Vec delta) {
+  const int staleness = Admit(pull_version);
+  if (staleness < 0) return -1;
+  // Discount in place (skip the exact no-op multiply at staleness 0 so the
+  // synchronous-equivalence argument never leans on 1.0 * x == x).
+  if (staleness > 0) {
+    const double alpha = StalenessDiscount(staleness);
+    for (double& v : delta) v *= alpha;
+  }
+  entries_.push_back(Entry{pull_version, silo, std::move(delta)});
+  return staleness;
+}
+
+int AsyncAggregator::Admit(int pull_version) {
   ULDP_CHECK_GE(pull_version, 0);
   ULDP_CHECK_LE(pull_version, version_);
   const int staleness = version_ - pull_version;
@@ -48,13 +61,7 @@ int AsyncAggregator::Offer(int silo, int pull_version, Vec delta) {
     rejected_metric_.Add(1);
     return -1;
   }
-  // Discount in place (skip the exact no-op multiply at staleness 0 so the
-  // synchronous-equivalence argument never leans on 1.0 * x == x).
-  if (staleness > 0) {
-    const double alpha = StalenessDiscount(staleness);
-    for (double& v : delta) v *= alpha;
-  }
-  entries_.push_back(Entry{pull_version, silo, std::move(delta)});
+  ++arrivals_;
   ++stats_.applied;
   stats_.max_staleness_seen = std::max(stats_.max_staleness_seen, staleness);
   applied_metric_.Add(1);
@@ -109,8 +116,10 @@ void AsyncAggregator::DropSilo(int silo) {
   auto removed = std::remove_if(
       entries_.begin(), entries_.end(),
       [silo](const Entry& e) { return e.silo == silo; });
-  stats_.dropped += entries_.end() - removed;
-  dropped_metric_.Add(static_cast<uint64_t>(entries_.end() - removed));
+  const int dropped = static_cast<int>(entries_.end() - removed);
+  arrivals_ -= dropped;
+  stats_.dropped += dropped;
+  dropped_metric_.Add(static_cast<uint64_t>(dropped));
   entries_.erase(removed, entries_.end());
   SyncSession();
 }
@@ -123,7 +132,6 @@ Vec AsyncAggregator::Flush(bool secure, uint64_t round_tag, ThreadPool* pool) {
   ULDP_CHECK(!entries_.empty());
   obs::TraceSpan span("engine.async_flush", "entries",
                       static_cast<int64_t>(entries_.size()));
-  steps_metric_.Add(1);
   // Deterministic reduce order: a silo contributes at most once per pulled
   // version, so (pull_version, silo) is a unique key and the sorted order
   // is independent of arrival interleaving.
@@ -137,12 +145,18 @@ Vec AsyncAggregator::Flush(bool secure, uint64_t round_tag, ThreadPool* pool) {
   deltas.reserve(entries_.size());
   for (Entry& e : entries_) deltas.push_back(std::move(e.delta));
   entries_.clear();
+  CloseStep();
+  return AggregateDeltas(deltas, secure, round_tag, pool);
+}
+
+void AsyncAggregator::CloseStep() {
+  steps_metric_.Add(1);
+  arrivals_ = 0;
   ++version_;
   ++stats_.steps;
-  // Offers since the last flush updated stats_ too, so one mirror per
+  // Admissions since the last step updated stats_ too, so one mirror per
   // step keeps the bound session exactly current at checkpoint time.
   SyncSession();
-  return AggregateDeltas(deltas, secure, round_tag, pool);
 }
 
 // Async-mode shared state. `mu` guards everything below it; workers block

@@ -98,7 +98,6 @@ class AsyncAggregator {
   int version() const { return version_; }
   int buffer_size() const { return buffer_size_; }
   int max_staleness() const { return max_staleness_; }
-  int buffered() const { return static_cast<int>(entries_.size()); }
 
   /// Offers one silo update computed against version `pull_version`.
   /// Returns the staleness it was accepted at, or -1 when rejected for
@@ -106,17 +105,28 @@ class AsyncAggregator {
   /// the current model). Accepted deltas are discounted in place.
   int Offer(int silo, int pull_version, Vec delta);
 
-  bool ReadyToFlush() const {
-    return static_cast<int>(entries_.size()) >= buffer_size_;
-  }
+  /// Books one arrival computed against `pull_version` without buffering
+  /// its upload: returns the staleness, or -1 when rejected, and moves
+  /// the same counters and metrics as Offer, which books through it. A
+  /// caller that reduces a step's uploads itself (the masked server step:
+  /// its vectors only sum over the full cohort) admits them here.
+  int Admit(int pull_version);
+
+  /// True once the step holds buffer_size admitted arrivals.
+  bool ReadyToFlush() const { return arrivals_ >= buffer_size_; }
 
   /// Applies one server step: reduces the buffered (already discounted)
   /// deltas in (pull_version, silo) order — so the reduce is a pure
   /// function of the buffer contents, never of arrival order — and
-  /// advances the version. With max_staleness = 0 and buffer = num_silos
-  /// the entry order is exactly silo order and the reduce is bitwise
+  /// closes the step. With max_staleness = 0 and buffer = num_silos the
+  /// entry order is exactly silo order and the reduce is bitwise
   /// identical to the synchronous engine's AggregateDeltas call.
   Vec Flush(bool secure, uint64_t round_tag, ThreadPool* pool);
+
+  /// Closes one server step: advances the version and books the step in
+  /// the counters, metrics and bound session. Flush closes through it; so
+  /// does a caller that reduced the step's admitted uploads itself.
+  void CloseStep();
 
   const AsyncStats& stats() const { return stats_; }
 
@@ -148,6 +158,8 @@ class AsyncAggregator {
   int max_staleness_;
   int buffer_size_;
   int version_ = 0;
+  /// Arrivals admitted since the last step, buffered or not.
+  int arrivals_ = 0;
   std::vector<Entry> entries_;
   /// Authoritative counters (serialized into sessions). The registry
   /// metrics below mirror them so one snapshot reports async health next

@@ -38,11 +38,20 @@ uint64_t AsyncRoundsWireDigest(const AsyncRoundsConfig& config, int num_silos,
 // ---------------------------------------------------------------------------
 // AsyncRoundServer
 
-/// Everything the collection loop threads through its helpers: the mux and
+namespace {
+
+/// Active silos a run needs: the whole cohort when it is static, else
+/// min_silos (at least one).
+int NeededSilos(const AsyncRoundsConfig& config, int num_silos) {
+  return config.elastic ? std::max(1, config.min_silos) : num_silos;
+}
+
+}  // namespace
+
+/// Everything one run threads through the server's rules: the mux and
 /// aggregator, the membership manager bound to the server's session, the
-/// evolving global model, and the per-silo bookkeeping (frames owed, whose
-/// update the next flush consumes, who departed). Lives on RunInternal's
-/// stack — one per run.
+/// evolving global model, and the per-silo bookkeeping. Lives on
+/// RunInternal's stack — one per run.
 struct AsyncRoundServer::RunCtx {
   explicit RunCtx(AsyncRoundServer* server)
       : aggregator(server->num_silos_, server->config_.max_staleness,
@@ -50,19 +59,27 @@ struct AsyncRoundServer::RunCtx {
         manager(&server->session_, server->tracker_),
         owed(server->num_silos_, 0),
         waiting(server->num_silos_, false),
+        due(server->num_silos_, false),
         departed(server->num_silos_, false),
-        silo_peer(server->num_silos_, -1) {}
+        silo_peer(server->num_silos_, -1),
+        masked(server->config_.masked ? server->num_silos_ : 0),
+        resolved_buffer(server->config_.buffer_size <= 0
+                            ? server->num_silos_
+                            : server->config_.buffer_size) {}
 
   std::unique_ptr<FrameMux> mux;
   AsyncAggregator aggregator;
   MembershipManager manager;
   Vec global;
   std::vector<int> owed;        // [silo] released frames not yet answered
-  std::vector<bool> waiting;    // [silo] update consumed by the next flush
+  std::vector<bool> waiting;    // [silo] update consumed by this step
+  std::vector<bool> due;        // [silo] to be released at this version
   std::vector<bool> departed;   // [silo] left/evicted during this run
   std::vector<int> peer_silo;   // [mux peer] -> silo id
   std::vector<int> silo_peer;   // [silo id] -> mux peer, -1 unregistered
-  int resolved_buffer = 0;
+  std::vector<FieldVector> masked;  // [silo] this step's masked vector
+  bool unsealed = false;        // membership transitions not yet sealed
+  int resolved_buffer;
 };
 
 AsyncRoundServer::AsyncRoundServer(const AsyncRoundsConfig& config,
@@ -101,6 +118,14 @@ Status AsyncRoundServer::RestoreSession(SessionState state) {
   if (state.model.size() != static_cast<size_t>(state.dim)) {
     return Status::InvalidArgument(
         "checkpoint model size disagrees with its dimension");
+  }
+  for (const SiloMember& m : state.members) {
+    // The run's membership bootstrap indexes the connections by silo id.
+    if (m.silo_id >= static_cast<uint32_t>(num_silos_)) {
+      return Status::InvalidArgument(
+          "checkpoint lists silo " + std::to_string(m.silo_id) +
+          " outside the cohort of " + std::to_string(num_silos_));
+    }
   }
   session_ = std::move(state);
   return Status::Ok();
@@ -189,23 +214,6 @@ Status AsyncRoundServer::AddConnection(std::unique_ptr<Transport> transport) {
   return verdict;
 }
 
-Status AsyncRoundServer::Release(int silo, uint64_t version,
-                                 const Vec& global) {
-  StalenessInfoMsg info;
-  info.version = version;
-  info.max_staleness = static_cast<uint32_t>(config_.max_staleness);
-  info.buffer_size = static_cast<uint32_t>(
-      config_.buffer_size <= 0 ? num_silos_ : config_.buffer_size);
-  info.params = global;
-  Status sent = conns_[silo]->Send(ToFrame(info));
-  if (sent.ok()) {
-    if (SiloMember* row = session_.Find(static_cast<uint32_t>(silo))) {
-      row->last_version = version;
-    }
-  }
-  return sent;
-}
-
 void AsyncRoundServer::FailAll(const Status& status) {
   obs::MetricsRegistry::Global().AddCounter("net.async.fail_all", 1);
   Frame frame = MakeErrorFrame(status);
@@ -216,9 +224,34 @@ void AsyncRoundServer::FailAll(const Status& status) {
   for (const auto& join : pending_) join.transport->Send(frame);
 }
 
+// The release rule: sends `silo` the model at `version` and counts the
+// frame it now owes. A failed send is a rejection.
+Status AsyncRoundServer::Release(RunCtx& ctx, int silo, uint64_t version) {
+  StalenessInfoMsg info;
+  info.version = version;
+  info.max_staleness = static_cast<uint32_t>(config_.max_staleness);
+  info.buffer_size = static_cast<uint32_t>(ctx.resolved_buffer);
+  info.params = ctx.global;
+  Status sent = conns_[silo]->Send(ToFrame(info));
+  if (!sent.ok()) return Reject(ctx, silo, version, sent);
+  ++ctx.owed[silo];
+  if (SiloMember* row = session_.Find(static_cast<uint32_t>(silo))) {
+    row->last_version = version;
+  }
+  return Status::Ok();
+}
+
+// The rejection rule for a bad frame, a dead peer, a missed deadline or a
+// failed send: a static cohort fails the run with `cause`, an elastic one
+// evicts the silo.
+Status AsyncRoundServer::Reject(RunCtx& ctx, int silo, uint64_t version,
+                                const Status& cause) {
+  if (!config_.elastic) return cause;
+  return Depart(ctx, silo, version, /*evict=*/true, cause);
+}
+
 Status AsyncRoundServer::Depart(RunCtx& ctx, int silo, uint64_t version,
                                 bool evict, const Status& cause) {
-  if (ctx.departed[silo]) return Status::Ok();
   ctx.departed[silo] = true;
   ctx.owed[silo] = 0;  // its frames will never arrive — never wait on them
   ctx.waiting[silo] = false;
@@ -243,14 +276,25 @@ Status AsyncRoundServer::Depart(RunCtx& ctx, int silo, uint64_t version,
   if (ctx.silo_peer[silo] >= 0) {
     ctx.mux->InterruptPeer(ctx.silo_peer[silo], cause);
   }
-  ctx.manager.SealEpoch(version);
+  ctx.unsealed = true;
+  return ChangeMembership(ctx, version, cause);
+}
+
+// The membership-change rule, run after each batch of transitions that
+// takes effect at `version`: seals the epoch, holds the active population
+// to min_silos, and sizes the flush threshold to it. `cause` names the
+// departure that prompted the change, if one did.
+Status AsyncRoundServer::ChangeMembership(RunCtx& ctx, uint64_t version,
+                                          const Status& cause) {
+  if (ctx.unsealed) ctx.manager.SealEpoch(version);
+  ctx.unsealed = false;
   const int active = session_.ActiveCount();
-  const int needed = std::max(1, config_.min_silos);
+  const int needed = NeededSilos(config_, num_silos_);
   if (active < needed) {
     return Status::FailedPrecondition(
         "active population fell to " + std::to_string(active) +
         " silo(s), below min_silos = " + std::to_string(needed) +
-        " (last departure: " + cause.ToString() + ")");
+        (cause.ok() ? "" : " (last departure: " + cause.ToString() + ")"));
   }
   ctx.aggregator.SetBufferSize(std::min(ctx.resolved_buffer, active));
   return Status::Ok();
@@ -272,7 +316,6 @@ Status AsyncRoundServer::AdmitDueJoins(RunCtx& ctx, uint64_t next_version) {
   if (due.empty()) return Status::Ok();
   obs::TraceSpan span("async.admit", "due",
                       static_cast<int64_t>(due.size()));
-  bool changed = false;
   for (auto& join : due) {
     const int silo = static_cast<int>(join.silo_id);
     const SiloMember* row = session_.Find(join.silo_id);
@@ -299,26 +342,12 @@ Status AsyncRoundServer::AdmitDueJoins(RunCtx& ctx, uint64_t next_version) {
     ctx.peer_silo.push_back(silo);
     ctx.silo_peer[silo] = peer.value();
     ctx.departed[silo] = false;
-    ctx.owed[silo] = 0;
-    ctx.waiting[silo] = false;
+    ctx.due[silo] = true;  // the joiner starts from the current model
+    ctx.unsealed = true;
     ++admissions_;
     obs::MetricsRegistry::Global().AddCounter("net.async.admissions", 1);
-    changed = true;
-    // The joiner starts from the current model snapshot.
-    Status sent = Release(silo, next_version, ctx.global);
-    if (sent.ok()) {
-      ++ctx.owed[silo];
-    } else {
-      ULDP_RETURN_IF_ERROR(Depart(ctx, silo, next_version, /*evict=*/true,
-                                  sent));
-    }
   }
-  if (changed) {
-    ctx.manager.SealEpoch(next_version);
-    ctx.aggregator.SetBufferSize(
-        std::min(ctx.resolved_buffer, session_.ActiveCount()));
-  }
-  return Status::Ok();
+  return ChangeMembership(ctx, next_version, Status::Ok());
 }
 
 Status AsyncRoundServer::MaybeCheckpoint(uint64_t completed_steps,
@@ -341,9 +370,7 @@ Result<Vec> AsyncRoundServer::Run(int num_steps, Vec global) {
   session_ = SessionState{};
   session_.seed = config_.seed;
   session_.dim = static_cast<uint32_t>(dim_);
-  auto out = RunInternal(num_steps, std::move(global));
-  if (!out.ok()) FailAll(out.status());
-  return out;
+  return RunInternal(num_steps, std::move(global));
 }
 
 Result<Vec> AsyncRoundServer::Resume(int total_steps) {
@@ -353,20 +380,65 @@ Result<Vec> AsyncRoundServer::Resume(int total_steps) {
   if (session_.round >= static_cast<uint64_t>(total_steps)) {
     return session_.model;  // the checkpoint already covers the whole run
   }
-  auto out = RunInternal(total_steps, session_.model);
-  if (!out.ok()) FailAll(out.status());
-  return out;
+  return RunInternal(total_steps, session_.model);
 }
 
 Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
+  evictions_ = 0;
+  admissions_ = 0;
+  RunCtx ctx(this);
+  ctx.global = std::move(global);
+  Status status = StartRun(ctx, total_steps);
+  if (status.ok()) status = RunSteps(ctx, total_steps);
+
+  // The one end of every run. On success, members still in the run and
+  // parked joiners get Shutdown, and the frames released silos still owe
+  // are drained, so a straggler reads Shutdown instead of an interrupted
+  // connection (a departed silo owes nothing). On failure every silo and
+  // parked joiner is told the run's status in an Error frame. Only then
+  // does the mux interrupt every transport.
+  if (status.ok()) {
+    const Frame shutdown = ToFrame(ShutdownMsg{});
+    for (int s = 0; s < num_silos_; ++s) {
+      if (conns_[s] != nullptr && !ctx.departed[s]) conns_[s]->Send(shutdown);
+    }
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      for (const auto& join : pending_) join.transport->Send(shutdown);
+    }
+    int outstanding = 0;
+    for (int n : ctx.owed) outstanding += n;
+    while (outstanding > 0) {
+      auto event = ctx.mux->RecvAny();
+      if (!event.ok()) break;  // mux-level failure: nothing left to drain
+      int& owed = ctx.owed[ctx.peer_silo[event.value().peer]];
+      // A frame settles one release; a dead peer settles all it owed.
+      const int settled =
+          event.value().frame.ok() ? std::min(owed, 1) : owed;
+      owed -= settled;
+      outstanding -= settled;
+    }
+  } else {
+    FailAll(status);
+  }
+  if (ctx.mux != nullptr) ctx.mux->Shutdown();
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    running_ = false;
+  }
+  stats_ = ctx.aggregator.stats();
+  if (!status.ok()) return status;
+  return std::move(ctx.global);
+}
+
+Status AsyncRoundServer::StartRun(RunCtx& ctx, int total_steps) {
   if (total_steps < 1) {
     return Status::InvalidArgument("num_steps must be >= 1");
   }
-  if (global.size() != static_cast<size_t>(dim_)) {
+  if (ctx.global.size() != static_cast<size_t>(dim_)) {
     return Status::InvalidArgument("initial parameter dimension mismatch");
   }
-  const int needed =
-      config_.elastic ? std::max(1, config_.min_silos) : num_silos_;
+  const int needed = NeededSilos(config_, num_silos_);
   if (connected_silos() < needed) {
     return Status::FailedPrecondition(
         std::to_string(connected_silos()) + " of the required " +
@@ -384,21 +456,12 @@ Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
     std::lock_guard<std::mutex> lock(conn_mu_);
     running_ = true;
   }
-  stats_ = AsyncStats{};
-  evictions_ = 0;
-  admissions_ = 0;
-
-  RunCtx ctx(this);
-  ctx.resolved_buffer =
-      config_.buffer_size <= 0 ? num_silos_ : config_.buffer_size;
-  ctx.global = std::move(global);
-  const uint64_t start_step = session_.round;
 
   // Membership bootstrap. Connected silos already active in a restored
   // session stay put — no spurious epoch on a clean resume; new ones
   // join + activate now. Restored-active silos that did not reconnect
   // are evicted (elastic) or fatal (static: the cohort must be whole).
-  bool changed = false;
+  const uint64_t start_step = session_.round;
   for (int s = 0; s < num_silos_; ++s) {
     if (conns_[s] == nullptr) continue;
     const SiloMember* row = session_.Find(static_cast<uint32_t>(s));
@@ -411,7 +474,7 @@ Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
     }
     ULDP_RETURN_IF_ERROR(
         ctx.manager.Activate(static_cast<uint32_t>(s), start_step));
-    changed = true;
+    ctx.unsealed = true;
   }
   std::vector<uint32_t> missing;
   for (const SiloMember& m : session_.members) {
@@ -427,256 +490,44 @@ Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
     }
     ULDP_RETURN_IF_ERROR(ctx.manager.Evict(id, start_step));
     ++evictions_;
-    changed = true;
+    ctx.unsealed = true;
   }
-  if (changed) ctx.manager.SealEpoch(start_step);
-  if (session_.ActiveCount() < needed) {
-    return Status::FailedPrecondition(
-        "only " + std::to_string(session_.ActiveCount()) +
-        " active silo(s) after the membership bootstrap, need " +
-        std::to_string(needed));
-  }
-
+  ULDP_RETURN_IF_ERROR(ChangeMembership(ctx, start_step, Status::Ok()));
   // The aggregator adopts the session's round/stats (resume) and mirrors
-  // them back after every flush; elastic runs size the flush threshold to
-  // the active population.
+  // them back after every step.
   ctx.aggregator.BindSession(&session_);
-  if (config_.elastic) {
-    ctx.aggregator.SetBufferSize(
-        std::min(ctx.resolved_buffer, session_.ActiveCount()));
-  }
 
   // All arrivals come through one receive front end (net/mux.h): a few
   // epoll event-loop threads serve every connection, whatever its
-  // transport. That is what "deltas applied as they land" means. Frame
-  // accounting (`owed`) only matters at the clean finish, where the
-  // server drains every released silo's final ack so a straggler still
-  // sees Shutdown instead of an interrupted connection — departed silos
-  // owe nothing by construction (Depart zeroes their debt and retires
-  // their peer), so an evicted silo is never waited on. On the failure
-  // path the mux is torn down immediately.
-  {
-    std::vector<Transport*> peers;
-    for (int s = 0; s < num_silos_; ++s) {
-      if (conns_[s] == nullptr) continue;
-      ctx.silo_peer[s] = static_cast<int>(ctx.peer_silo.size());
-      ctx.peer_silo.push_back(s);
-      peers.push_back(conns_[s].get());
-    }
-    ctx.mux = std::make_unique<FrameMux>(std::move(peers));
-    ULDP_RETURN_IF_ERROR(ctx.mux->Start());
-  }
-
-  auto finish = [&](bool send_shutdown) {
-    if (send_shutdown) {
-      Frame shutdown = ToFrame(ShutdownMsg{});
-      for (int s = 0; s < num_silos_; ++s) {
-        if (conns_[s] != nullptr && !ctx.departed[s]) {
-          conns_[s]->Send(shutdown);
-        }
-      }
-      {
-        // Parked joiners whose admission version never arrived still get
-        // a clean end-of-run instead of a hung Recv.
-        std::lock_guard<std::mutex> lock(conn_mu_);
-        for (const auto& join : pending_) join.transport->Send(shutdown);
-      }
-      int outstanding = 0;
-      for (int s = 0; s < num_silos_; ++s) outstanding += ctx.owed[s];
-      while (outstanding > 0) {
-        auto event = ctx.mux->RecvAny();
-        if (!event.ok()) break;  // mux-level failure: nothing left to drain
-        const int silo = ctx.peer_silo[event.value().peer];
-        if (event.value().frame.ok()) {
-          if (ctx.owed[silo] > 0) {
-            --ctx.owed[silo];
-            --outstanding;
-          }
-        } else {
-          // Dead peer: whatever it owed will never arrive.
-          outstanding -= ctx.owed[silo];
-          ctx.owed[silo] = 0;
-        }
-      }
-    }
-    ctx.mux->Shutdown();
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      running_ = false;
-    }
-    stats_.applied = session_.stats.applied;
-    stats_.rejected = session_.stats.rejected;
-    stats_.dropped = session_.stats.dropped;
-    stats_.steps = session_.stats.steps;
-    stats_.max_staleness_seen = session_.stats.max_staleness_seen;
-  };
-
-  // Every active silo starts on the session's current version.
+  // transport. That is what "deltas applied as they land" means.
+  std::vector<Transport*> peers;
   for (int s = 0; s < num_silos_; ++s) {
-    if (conns_[s] == nullptr || ctx.departed[s]) continue;
-    Status sent = Release(s, start_step, ctx.global);
-    if (sent.ok()) {
-      ++ctx.owed[s];
-      continue;
-    }
-    if (!config_.elastic) {
-      finish(/*send_shutdown=*/true);
-      return sent;
-    }
-    Status dep = Depart(ctx, s, start_step, /*evict=*/true, sent);
-    if (!dep.ok()) {
-      finish(/*send_shutdown=*/false);
-      return dep;
-    }
+    if (conns_[s] == nullptr) continue;
+    ctx.silo_peer[s] = static_cast<int>(ctx.peer_silo.size());
+    ctx.peer_silo.push_back(s);
+    peers.push_back(conns_[s].get());
   }
+  ctx.mux = std::make_unique<FrameMux>(std::move(peers));
+  return ctx.mux->Start();
+}
 
-  for (int step_i = static_cast<int>(start_step); step_i < total_steps;
-       ++step_i) {
-    const uint64_t step = static_cast<uint64_t>(step_i);
+Status AsyncRoundServer::RunSteps(RunCtx& ctx, int total_steps) {
+  // Every active silo starts on the session's current version.
+  for (int s = 0; s < num_silos_; ++s) ctx.due[s] = conns_[s] != nullptr;
+  for (uint64_t step = session_.round;
+       step < static_cast<uint64_t>(total_steps); ++step) {
     obs::TraceSpan step_span("async.server_step", "step",
                              static_cast<int64_t>(step));
-    // Masked mode collects one pairwise-masked vector per silo instead of
-    // buffering plaintext deltas in the aggregator.
-    std::vector<FieldVector> masked(
-        config_.masked ? static_cast<size_t>(num_silos_) : 0);
-    std::vector<bool> masked_in(num_silos_, false);
-    int masked_count = 0;
-    auto ready = [&]() {
-      return config_.masked ? masked_count >= num_silos_
-                            : ctx.aggregator.ReadyToFlush();
-    };
-    while (!ready()) {
-      auto event_or = ctx.mux->RecvAny();
-      if (!event_or.ok()) {
-        if (config_.elastic &&
-            event_or.status().code() == StatusCode::kDeadlineExceeded) {
-          // The waiter deadline expired: every silo still owing a frame is
-          // declared dead. If nothing was owed there is no progress to be
-          // made — fall through to the fatal path.
-          bool evicted_any = false;
-          for (int s = 0; s < num_silos_; ++s) {
-            if (ctx.owed[s] <= 0 || ctx.departed[s]) continue;
-            evicted_any = true;
-            Status dep = Depart(
-                ctx, s, step, /*evict=*/true,
-                Status::DeadlineExceeded("silo " + std::to_string(s) +
-                                         " missed the receive deadline"));
-            if (!dep.ok()) {
-              finish(/*send_shutdown=*/false);
-              return dep;
-            }
-          }
-          if (evicted_any) continue;
-        }
-        FailAll(event_or.status());
-        finish(/*send_shutdown=*/false);
-        return event_or.status();
+    // Release every due silo in silo order, then take arrivals until the
+    // step holds its buffer.
+    for (;;) {
+      for (int s = 0; s < num_silos_; ++s) {
+        if (!ctx.due[s]) continue;
+        ctx.due[s] = false;
+        ULDP_RETURN_IF_ERROR(Release(ctx, s, step));
       }
-      MuxEvent event = std::move(event_or.value());
-      const int silo = ctx.peer_silo[event.peer];
-      if (ctx.departed[silo]) continue;  // raced its retirement
-      if (event.frame.ok() && ctx.owed[silo] > 0) --ctx.owed[silo];
-      if (!event.frame.ok()) ctx.owed[silo] = 0;
-      const Result<Frame> frame = UnwrapErrorFrame(
-          std::move(event.frame), "silo " + std::to_string(silo));
-      Status verdict = Status::Ok();
-      bool leaving = false;
-      if (!frame.ok()) {
-        verdict = frame.status();
-      } else if (frame.value().type ==
-                 static_cast<uint16_t>(MessageType::kLeave)) {
-        auto msg = FromFrame<LeaveMsg>(frame.value());
-        if (!msg.ok()) {
-          verdict = msg.status();
-        } else if (msg.value().silo_id != static_cast<uint32_t>(silo)) {
-          verdict = Status::InvalidArgument("leave from wrong silo id");
-        } else if (!config_.elastic) {
-          verdict =
-              Status::FailedPrecondition("voluntary leave on a fixed cohort");
-        } else {
-          leaving = true;
-        }
-      } else if (config_.masked) {
-        auto msg = FromFrame<MaskedVectorMsg>(frame.value());
-        if (!msg.ok()) {
-          verdict = msg.status();
-        } else if (MaskTagPhase(msg.value().phase_tag) !=
-                       MaskPhase::kFlAggregation ||
-                   MaskTagRound(msg.value().phase_tag) != step) {
-          verdict =
-              Status::InvalidArgument("masked vector with a wrong phase tag");
-        } else if (msg.value().party_id != static_cast<uint32_t>(silo)) {
-          verdict = Status::InvalidArgument("masked vector from wrong silo");
-        } else if (msg.value().values.size() != static_cast<size_t>(dim_)) {
-          verdict =
-              Status::InvalidArgument("masked vector dimension mismatch");
-        } else if (masked_in[silo]) {
-          verdict = Status::InvalidArgument(
-              "duplicate masked vector for this step");
-        } else {
-          masked[silo] = std::move(msg.value().values);
-          masked_in[silo] = true;
-          ++masked_count;
-          ctx.waiting[silo] = true;
-        }
-      } else {
-        auto msg = FromFrame<RoundAckMsg>(frame.value());
-        if (!msg.ok()) {
-          verdict = msg.status();
-        } else if (msg.value().silo_id != static_cast<uint32_t>(silo)) {
-          verdict = Status::InvalidArgument("round ack from wrong silo id");
-        } else if (msg.value().delta.size() != static_cast<size_t>(dim_)) {
-          verdict = Status::InvalidArgument("round ack dimension mismatch");
-        } else if (msg.value().version > step) {
-          verdict = Status::InvalidArgument("round ack from the future");
-        } else {
-          const int staleness =
-              ctx.aggregator.Offer(silo, static_cast<int>(msg.value().version),
-                                   std::move(msg.value().delta));
-          if (staleness < 0) {
-            // Over the bound: drop and retrain against the current model.
-            Status sent = Release(silo, step, ctx.global);
-            if (sent.ok()) {
-              ++ctx.owed[silo];
-            } else if (!config_.elastic) {
-              finish(/*send_shutdown=*/true);
-              return sent;
-            } else {
-              Status dep = Depart(ctx, silo, step, /*evict=*/true, sent);
-              if (!dep.ok()) {
-                finish(/*send_shutdown=*/false);
-                return dep;
-              }
-            }
-          } else {
-            ctx.waiting[silo] = true;
-          }
-        }
-      }
-      if (leaving) {
-        Status dep =
-            Depart(ctx, silo, step, /*evict=*/false,
-                   Status::FailedPrecondition("silo " + std::to_string(silo) +
-                                              " left at version " +
-                                              std::to_string(step)));
-        if (!dep.ok()) {
-          finish(/*send_shutdown=*/false);
-          return dep;
-        }
-        continue;
-      }
-      if (!verdict.ok()) {
-        if (!config_.elastic) {
-          FailAll(verdict);
-          finish(/*send_shutdown=*/false);
-          return verdict;
-        }
-        Status dep = Depart(ctx, silo, step, /*evict=*/true, verdict);
-        if (!dep.ok()) {
-          finish(/*send_shutdown=*/false);
-          return dep;
-        }
-      }
+      if (ctx.aggregator.ReadyToFlush()) break;
+      ULDP_RETURN_IF_ERROR(Receive(ctx, step));
     }
 
     Vec sum;
@@ -684,10 +535,8 @@ Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
       // All masks cancel over the full cohort; the silo-ordered unmask is
       // bitwise identical to the aggregator's secure Flush on the same
       // deltas (tests/membership_test.cc pins this).
-      sum = UnmaskSum(masked);
-      session_.stats.applied += num_silos_;
-      session_.stats.steps += 1;
-      session_.round = step + 1;
+      sum = UnmaskSum(ctx.masked);
+      ctx.aggregator.CloseStep();
     } else {
       sum = ctx.aggregator.Flush(/*secure=*/false, step, nullptr);
     }
@@ -700,47 +549,144 @@ Result<Vec> AsyncRoundServer::RunInternal(int total_steps, Vec global) {
     }
     Axpy(scale, sum, ctx.global);
     session_.model = ctx.global;
-    Status ck = MaybeCheckpoint(step + 1, total_steps);
-    if (!ck.ok()) {
-      FailAll(ck);
-      finish(/*send_shutdown=*/false);
-      return ck;
-    }
-    // Release every silo whose update was consumed, in silo order.
-    for (int s = 0; s < num_silos_; ++s) {
-      if (!ctx.waiting[s]) continue;
-      ctx.waiting[s] = false;
-      if (ctx.departed[s]) continue;
-      if (step_i + 1 == total_steps) continue;  // shutdown follows
-      Status sent = Release(s, step + 1, ctx.global);
-      if (sent.ok()) {
-        ++ctx.owed[s];
-        continue;
-      }
-      if (!config_.elastic) {
-        finish(/*send_shutdown=*/true);
-        return sent;
-      }
-      Status dep = Depart(ctx, s, step + 1, /*evict=*/true, sent);
-      if (!dep.ok()) {
-        finish(/*send_shutdown=*/false);
-        return dep;
-      }
-    }
-    if (config_.elastic && step_i + 1 < total_steps) {
-      Status adm = AdmitDueJoins(ctx, step + 1);
-      if (!adm.ok()) {
-        finish(/*send_shutdown=*/false);
-        return adm;
-      }
-    }
+    ULDP_RETURN_IF_ERROR(MaybeCheckpoint(step + 1, total_steps));
+    if (step + 1 == static_cast<uint64_t>(total_steps)) break;  // Shutdown
+    // Every silo the step consumed is due the next version (`due` is all
+    // false here: the loop above released it), and so is every joiner
+    // admitted at it.
+    ctx.due.swap(ctx.waiting);
+    if (config_.elastic) ULDP_RETURN_IF_ERROR(AdmitDueJoins(ctx, step + 1));
   }
-  finish(/*send_shutdown=*/true);
-  return ctx.global;
+  return Status::Ok();
+}
+
+Status AsyncRoundServer::Receive(RunCtx& ctx, uint64_t step) {
+  auto event = ctx.mux->RecvAny();
+  if (!event.ok()) {
+    // A waiter deadline: every silo still owing a frame missed it. With
+    // nothing owed there is no progress to wait for, so the run fails.
+    if (event.status().code() != StatusCode::kDeadlineExceeded) {
+      return event.status();
+    }
+    bool owing = false;
+    for (int s = 0; s < num_silos_; ++s) {
+      if (ctx.owed[s] == 0) continue;
+      owing = true;
+      ULDP_RETURN_IF_ERROR(Reject(
+          ctx, s, step,
+          Status::DeadlineExceeded("silo " + std::to_string(s) +
+                                   " missed the receive deadline")));
+    }
+    return owing ? Status::Ok() : event.status();
+  }
+  const int silo = ctx.peer_silo[event.value().peer];
+  if (ctx.departed[silo]) return Status::Ok();  // raced its retirement
+  const Result<Frame> frame = UnwrapErrorFrame(
+      std::move(event.value().frame), "silo " + std::to_string(silo));
+  Status verdict = frame.ok() ? Judge(ctx, silo, step, frame.value())
+                              : frame.status();
+  if (!verdict.ok()) return Reject(ctx, silo, step, verdict);
+  if (ctx.owed[silo] > 0) --ctx.owed[silo];
+  if (frame.value().type != static_cast<uint16_t>(MessageType::kLeave)) {
+    return Status::Ok();
+  }
+  return Depart(ctx, silo, step, /*evict=*/false,
+                Status::FailedPrecondition("silo " + std::to_string(silo) +
+                                           " left at version " +
+                                           std::to_string(step)));
+}
+
+Status AsyncRoundServer::Judge(RunCtx& ctx, int silo, uint64_t step,
+                               const Frame& frame) {
+  const auto id = static_cast<uint32_t>(silo);
+  if (frame.type == static_cast<uint16_t>(MessageType::kLeave)) {
+    auto msg = FromFrame<LeaveMsg>(frame);
+    if (!msg.ok()) return msg.status();
+    if (msg.value().silo_id != id) {
+      return Status::InvalidArgument("leave from wrong silo id");
+    }
+    if (!config_.elastic) {
+      return Status::FailedPrecondition("voluntary leave on a fixed cohort");
+    }
+    return Status::Ok();
+  }
+  if (config_.masked) {
+    auto msg = FromFrame<MaskedVectorMsg>(frame);
+    if (!msg.ok()) return msg.status();
+    if (MaskTagPhase(msg.value().phase_tag) != MaskPhase::kFlAggregation ||
+        MaskTagRound(msg.value().phase_tag) != step) {
+      return Status::InvalidArgument("masked vector with a wrong phase tag");
+    }
+    if (msg.value().party_id != id) {
+      return Status::InvalidArgument("masked vector from wrong silo");
+    }
+    if (msg.value().values.size() != static_cast<size_t>(dim_)) {
+      return Status::InvalidArgument("masked vector dimension mismatch");
+    }
+    if (ctx.waiting[silo]) {
+      return Status::InvalidArgument("duplicate masked vector for this step");
+    }
+    ctx.masked[silo] = std::move(msg.value().values);
+    ctx.aggregator.Admit(static_cast<int>(step));
+    ctx.waiting[silo] = true;
+    return Status::Ok();
+  }
+  auto msg = FromFrame<RoundAckMsg>(frame);
+  if (!msg.ok()) return msg.status();
+  if (msg.value().silo_id != id) {
+    return Status::InvalidArgument("round ack from wrong silo id");
+  }
+  if (msg.value().delta.size() != static_cast<size_t>(dim_)) {
+    return Status::InvalidArgument("round ack dimension mismatch");
+  }
+  if (msg.value().version > step) {
+    return Status::InvalidArgument("round ack from the future");
+  }
+  if (ctx.owed[silo] == 0) {
+    return Status::InvalidArgument("round ack with no release outstanding");
+  }
+  // An ack over the staleness bound is dropped, and its silo retrains
+  // against the current model.
+  const int staleness = ctx.aggregator.Offer(
+      silo, static_cast<int>(msg.value().version), std::move(msg.value().delta));
+  if (staleness < 0) {
+    ctx.due[silo] = true;
+  } else {
+    ctx.waiting[silo] = true;
+  }
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
 // AsyncRoundClient
+
+namespace {
+
+/// The reason an Evict frame gives this silo.
+Status EvictedStatus(const Frame& frame) {
+  auto msg = FromFrame<EvictMsg>(frame);
+  if (!msg.ok()) return msg.status();
+  return Status::FailedPrecondition(
+      "server evicted this silo at version " +
+      std::to_string(msg.value().version) + ": " + msg.value().reason);
+}
+
+/// A send fails only on a closing connection, and a server that ends a
+/// run queues its verdict (an Error or Evict frame) before it closes one.
+/// Returns that verdict when it is there, else the send's `failure`.
+Status VerdictAfterFailedSend(Transport& transport, const Status& failure) {
+  Result<Frame> frame = transport.Recv();
+  if (!frame.ok()) return failure;
+  if (frame.value().type == static_cast<uint16_t>(MessageType::kError)) {
+    return StatusFromErrorFrame(frame.value(), "server");
+  }
+  if (frame.value().type == static_cast<uint16_t>(MessageType::kEvict)) {
+    return EvictedStatus(frame.value());
+  }
+  return failure;
+}
+
+}  // namespace
 
 AsyncRoundClient::AsyncRoundClient(const AsyncRoundsConfig& config,
                                    int silo_id, int num_silos, int dim)
@@ -788,11 +734,7 @@ Status AsyncRoundClient::RunLoop(Transport& transport, const WorkFn& work,
       return Status::Ok();
     }
     if (type == static_cast<uint16_t>(MessageType::kEvict)) {
-      auto msg = FromFrame<EvictMsg>(frame.value());
-      if (!msg.ok()) return msg.status();
-      return Status::FailedPrecondition(
-          "server evicted this silo at version " +
-          std::to_string(msg.value().version) + ": " + msg.value().reason);
+      return EvictedStatus(frame.value());
     }
     auto info = FromFrame<StalenessInfoMsg>(frame.value());
     if (!info.ok()) return info.status();
@@ -820,6 +762,7 @@ Status AsyncRoundClient::RunLoop(Transport& transport, const WorkFn& work,
     if (delta.size() != static_cast<size_t>(dim_)) {
       return Status::Internal("local work produced a wrong-sized delta");
     }
+    Frame upload;
     if (config_.masked) {
       // Raw version as the mask round-tag — the same tag the in-process
       // secure reduce uses, so the server-side unmask is bitwise identical
@@ -830,14 +773,16 @@ Status AsyncRoundClient::RunLoop(Transport& transport, const WorkFn& work,
       msg.phase_tag = MakeMaskTag(MaskPhase::kFlAggregation, version);
       msg.party_id = static_cast<uint32_t>(silo_id_);
       msg.values = std::move(values.value());
-      ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(msg)));
+      upload = ToFrame(msg);
     } else {
       RoundAckMsg ack;
       ack.version = version;
       ack.silo_id = static_cast<uint32_t>(silo_id_);
       ack.delta = std::move(delta);
-      ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(ack)));
+      upload = ToFrame(ack);
     }
+    Status sent = transport.Send(upload);
+    if (!sent.ok()) return VerdictAfterFailedSend(transport, sent);
   }
 }
 

@@ -25,16 +25,25 @@
 // until the first flush boundary whose version satisfies its min_version,
 // then admitted with the current model snapshot (net/membership.h owns
 // the transition discipline). A silo whose transport dies, that sends an
-// Error frame, or that misses the receive deadline is EVICTED: its
-// buffered updates are dropped, its mux peer is retired (its transport is
-// interrupted immediately — never waited on at shutdown), it is told why
-// with an Evict frame, and the remaining population is reweighted +
-// recorded as a new membership epoch in the session (and the attached
-// PrivacyTracker). A silo may also Leave voluntarily. The flush threshold
-// tracks the active population; the elastic server update rescales by
-// num_silos/active so the expected step magnitude is population-invariant.
-// With elastic off, all of this is inert and the server is bitwise
-// identical to the fixed-membership behaviour.
+// Error frame, that sends a bad frame, that misses the receive deadline,
+// or whose release cannot be sent is EVICTED: its buffered updates are
+// dropped, its mux peer is retired (its transport is interrupted
+// immediately — never waited on at shutdown), it is told why with an Evict
+// frame, and the remaining population is reweighted + recorded as a new
+// membership epoch in the session (and the attached PrivacyTracker). A
+// silo may also Leave voluntarily. The flush threshold tracks the active
+// population; the elastic server update rescales by num_silos/active so
+// the expected step magnitude is population-invariant. With elastic off,
+// all of this is inert and the server is bitwise identical to the
+// fixed-membership behaviour: the same causes fail the run instead.
+//
+// Teardown: every run ends in one place. On success, members and parked
+// joiners get Shutdown, and the server drains the acks released silos
+// still owe. On failure (a static cohort's rejected silo, an elastic
+// population below min_silos, a failed checkpoint), every silo and parked
+// joiner gets the run's status in an Error frame. Only then does the mux
+// interrupt the transports, so no silo has to guess the verdict from a
+// closed connection.
 //
 // Masked mode (config.masked): silos submit pairwise-masked fixed-point
 // deltas (MaskedVectorMsg over crypto/secure_agg.h) instead of plaintext
@@ -154,20 +163,24 @@ class AsyncRoundServer {
 
   /// Adopts a deserialized session (fl/session.h) so Resume() continues
   /// it. Rejects a state whose seed or dimension disagrees with this
-  /// server's configuration.
+  /// server's configuration, or that lists a silo outside its cohort.
   Status RestoreSession(SessionState state);
 
   /// Drives `num_steps` staleness-bounded server steps starting from
   /// `global` and returns the final parameters. Requires a fresh session;
   /// static runs require every silo connected, elastic runs at least
-  /// min_silos. On failure every silo is told (Error frame) so no client
-  /// is left blocked in Recv.
+  /// min_silos. A static run fails when any silo is rejected, a release
+  /// that cannot be sent included. The run ends by the teardown rule
+  /// above: on failure every silo and parked joiner is told the status in
+  /// an Error frame before any transport is interrupted, so no client is
+  /// left blocked in Recv.
   Result<Vec> Run(int num_steps, Vec global);
 
   /// Continues a restored session until `total_steps` steps have run in
   /// TOTAL (a session restored at round r runs total_steps - r more).
   /// Returns the restored model untouched when the session already
-  /// reached total_steps. Bitwise identical to the uninterrupted run.
+  /// reached total_steps. Bitwise identical to the uninterrupted run, and
+  /// ends by the same teardown rule as Run.
   Result<Vec> Resume(int total_steps);
 
   /// Applied/rejected/step counters of the last Run.
@@ -185,13 +198,22 @@ class AsyncRoundServer {
     uint64_t min_version = 0;
     std::unique_ptr<Transport> transport;
   };
-  struct RunCtx;  // per-run collection-loop state (defined in the .cc)
+  struct RunCtx;  // per-run state (defined in the .cc)
 
+  /// One run: StartRun, then the RunSteps loop, then the one teardown.
   Result<Vec> RunInternal(int total_steps, Vec global);
-  Status AdmitDueJoins(RunCtx& ctx, uint64_t next_version);
+  Status StartRun(RunCtx& ctx, int total_steps);
+  Status RunSteps(RunCtx& ctx, int total_steps);
+  /// Takes one arrival and routes its verdict (Judge) to the rules below.
+  Status Receive(RunCtx& ctx, uint64_t step);
+  Status Judge(RunCtx& ctx, int silo, uint64_t step, const Frame& frame);
+  /// The decision rules, each applied in one place (see the .cc).
+  Status Release(RunCtx& ctx, int silo, uint64_t version);
+  Status Reject(RunCtx& ctx, int silo, uint64_t version, const Status& cause);
   Status Depart(RunCtx& ctx, int silo, uint64_t version, bool evict,
                 const Status& cause);
-  Status Release(int silo, uint64_t version, const Vec& global);
+  Status ChangeMembership(RunCtx& ctx, uint64_t version, const Status& cause);
+  Status AdmitDueJoins(RunCtx& ctx, uint64_t next_version);
   Status MaybeCheckpoint(uint64_t completed_steps, int total_steps);
   void FailAll(const Status& status);
 
@@ -247,6 +269,8 @@ class AsyncRoundClient {
   /// Serves async rounds over `transport` until Shutdown or a voluntary
   /// Leave (returns Ok), an Evict frame (returns FailedPrecondition), or
   /// a fatal error (returned; also reported to the server best-effort).
+  /// When an upload cannot be sent, the server's Error or Evict frame
+  /// queued ahead of the close is returned in place of the send failure.
   Status Run(Transport& transport, const WorkFn& work,
              const AsyncClientOptions& options = {});
 

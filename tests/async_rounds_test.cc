@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,9 +23,11 @@
 #include "fl/round_engine.h"
 #include "net/async_rounds.h"
 #include "net/demo.h"
+#include "net/messages.h"
 #include "net/protocol_node.h"
 #include "net/tcp.h"
 #include "net/transport.h"
+#include "obs/metrics.h"
 
 namespace uldp {
 namespace {
@@ -413,6 +417,119 @@ TEST(AsyncNetTest, LoopbackTcpBarrierMatchesSyncEngine) {
   Vec out = RunTransportAsync(silos, dim, steps, std::move(server_ends),
                               std::move(silo_ends));
   EXPECT_EQ(out, SyncReference(*arch, silos, dim, steps));
+}
+
+/// Current value of a counter in the global metrics registry.
+uint64_t GlobalCounter(const std::string& name) {
+  for (const obs::MetricSnapshot& m :
+       obs::MetricsRegistry::Global().Snapshot()) {
+    if (m.kind == obs::MetricSnapshot::Kind::kCounter && m.name == name) {
+      return m.counter_value;
+    }
+  }
+  return 0;
+}
+
+TEST(AsyncNetTest, AckPastTheStalenessBoundIsRejectedAndReleasedAgain) {
+  // 2 silos, max_staleness 0, a buffer of 1, 2 steps. Silo 0's version-0
+  // ack flushes step 0. Fake silo 1 answers its version-0 release only once
+  // silo 0 has pulled version 1, so the server rejects that ack and
+  // releases silo 1 again at version 1; its version-1 ack flushes the last
+  // step. Silo 0's version-1 task is held until silo 1 reads its Shutdown,
+  // so the server drains that task's ack at the end of the run.
+  const int silos = 2, dim = 4, steps = 2;
+  net::AsyncRoundsConfig config;
+  config.step_scale = kStepScale;
+  config.seed = kWorkSeed;
+  config.max_staleness = 0;
+  config.buffer_size = 1;
+  std::vector<std::unique_ptr<net::Transport>> server_ends, silo_ends;
+  for (int s = 0; s < silos; ++s) {
+    auto [a, b] = net::ChannelTransport::CreatePair();
+    server_ends.push_back(std::move(a));
+    silo_ends.push_back(std::move(b));
+  }
+  std::promise<void> pulled_v1, shutdown_seen;
+  std::future<void> pulled = pulled_v1.get_future();
+  std::future<void> freed = shutdown_seen.get_future();
+  Status silo0_status, silo1_status;
+  std::thread silo0([&] {
+    net::AsyncRoundClient client(config, 0, silos, dim);
+    auto work = net::MakeAsyncDemoWork(kWorkSeed, 0, dim);
+    bool signalled = false;
+    silo0_status = client.Run(
+        *silo_ends[0], [&](uint64_t version, const Vec& params, Vec* delta) {
+          if (version == 1) {
+            signalled = true;
+            pulled_v1.set_value();
+            freed.wait();
+          }
+          return work(version, params, delta);
+        });
+    if (!signalled) pulled_v1.set_value();  // never leave silo 1 waiting
+  });
+  std::thread silo1([&] {
+    net::Transport& t = *silo_ends[1];
+    auto work = net::MakeAsyncDemoWork(kWorkSeed, 1, dim);
+    silo1_status = [&]() -> Status {
+      net::JoinMsg join;
+      join.silo_id = 1;
+      join.num_silos = silos;
+      join.num_users = dim;
+      join.config_digest = net::AsyncRoundsWireDigest(config, silos, dim);
+      ULDP_RETURN_IF_ERROR(t.Send(net::ToFrame(join)));
+      bool waited = false;
+      for (;;) {
+        auto frame = net::UnwrapErrorFrame(t.Recv(), "server");
+        if (!frame.ok()) return frame.status();
+        if (frame.value().type ==
+            static_cast<uint16_t>(net::MessageType::kShutdown)) {
+          return Status::Ok();
+        }
+        auto info = net::FromFrame<net::StalenessInfoMsg>(frame.value());
+        if (!info.ok()) return info.status();
+        if (!waited) pulled.wait();
+        waited = true;
+        net::RoundAckMsg ack;
+        ack.version = info.value().version;
+        ack.silo_id = 1;
+        ULDP_RETURN_IF_ERROR(
+            work(ack.version, info.value().params, &ack.delta));
+        ULDP_RETURN_IF_ERROR(t.Send(net::ToFrame(ack)));
+      }
+    }();
+    shutdown_seen.set_value();
+  });
+
+  const uint64_t rejected_before = GlobalCounter("fl.async.rejected");
+  net::AsyncRoundServer server(config, silos, dim);
+  for (auto& end : server_ends) {
+    ASSERT_TRUE(server.AddConnection(std::move(end)).ok());
+  }
+  auto out = server.Run(steps, Vec(dim, 0.0));
+  silo0.join();
+  silo1.join();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(silo0_status.ok()) << silo0_status.ToString();
+  EXPECT_TRUE(silo1_status.ok()) << silo1_status.ToString();
+  EXPECT_EQ(server.stats().rejected, 1);
+  EXPECT_EQ(server.stats().applied, 2);
+  EXPECT_EQ(server.stats().steps, steps);
+  EXPECT_EQ(GlobalCounter("fl.async.rejected") - rejected_before, 1u);
+
+  // Serial replay of that arrival order: silo 0 at version 0, silo 1's
+  // version-0 ack (rejected), then silo 1 at version 1.
+  AsyncAggregator agg(silos, /*max_staleness=*/0, /*buffer_size=*/1);
+  Vec ref(dim, 0.0);
+  Vec delta;
+  ASSERT_TRUE(net::MakeAsyncDemoWork(kWorkSeed, 0, dim)(0, ref, &delta).ok());
+  ASSERT_EQ(agg.Offer(0, 0, delta), 0);
+  Axpy(kStepScale, agg.Flush(false, 0, nullptr), ref);
+  EXPECT_EQ(agg.Offer(1, 0, delta), -1);
+  ASSERT_TRUE(net::MakeAsyncDemoWork(kWorkSeed, 1, dim)(1, ref, &delta).ok());
+  ASSERT_EQ(agg.Offer(1, 1, delta), 0);
+  Axpy(kStepScale, agg.Flush(false, 1, nullptr), ref);
+  EXPECT_EQ(out.value(), ref);
 }
 
 TEST(AsyncNetTest, MismatchedConfigDigestIsRejectedAtJoin) {

@@ -3,12 +3,14 @@
 // mirroring, and deterministic churn schedules over channels — eviction
 // of a crashed silo, mid-run admission of a late joiner, voluntary
 // leaves, and the masked (secure-aggregation) transport — each compared
-// bitwise against a hand-driven serial reference of the same schedule.
+// bitwise against a hand-driven serial reference of the same schedule —
+// and every way a run ends early, each of which must tell the silos why.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "net/demo.h"
 #include "net/membership.h"
 #include "net/messages.h"
+#include "net/tcp.h"
 #include "net/transport.h"
 
 namespace uldp {
@@ -334,6 +337,47 @@ TEST(ElasticMembershipTest, ClientReportsEvictionAndRejectsTruncatedEvict) {
       EXPECT_NE(client_status.message().find(evict.reason), std::string::npos)
           << client_status.ToString();
     }
+  }
+}
+
+TEST(ElasticMembershipTest, RefusedUploadReportsTheQueuedServerVerdict) {
+  // A fake server releases version 0, then queues its verdict (an Error or
+  // an Evict frame) and closes the channel while the silo works. The
+  // silo's upload is refused, and it returns the verdict, not the refusal.
+  const int dim = 4;
+  const net::AsyncRoundsConfig config = ElasticConfig(false);
+  net::EvictMsg evict;
+  evict.version = 0;
+  evict.code = static_cast<uint16_t>(StatusCode::kDeadlineExceeded);
+  evict.reason = "missed the step deadline";
+  const std::pair<net::Frame, std::string> verdicts[] = {
+      {net::MakeErrorFrame(Status::Internal("server failed the run")),
+       "server failed the run"},
+      {net::ToFrame(evict), evict.reason}};
+  for (const auto& [verdict, text] : verdicts) {
+    SCOPED_TRACE(text);
+    auto [server_end, client_end] = net::ChannelTransport::CreatePair();
+    std::promise<void> closed;
+    std::future<void> server_closed = closed.get_future();
+    Status client_status;
+    std::thread client_thread([&, end = client_end.get()] {
+      net::AsyncRoundClient client(config, 0, 1, dim);
+      client_status = client.Run(*end, [&](uint64_t, const Vec&, Vec* delta) {
+        server_closed.wait();
+        *delta = Vec(dim, 0.0);
+        return Status::Ok();
+      });
+    });
+    EXPECT_TRUE(server_end->Recv().ok());  // the join
+    net::StalenessInfoMsg info;
+    info.params = Vec(dim, 0.0);
+    EXPECT_TRUE(server_end->Send(net::ToFrame(info)).ok());
+    EXPECT_TRUE(server_end->Send(verdict).ok());
+    server_end->Close();
+    closed.set_value();
+    client_thread.join();
+    EXPECT_NE(client_status.message().find(text), std::string::npos)
+        << client_status.ToString();
   }
 }
 
@@ -651,6 +695,11 @@ TEST(PlainTransportTest, MisaddressedAcksFailTheStaticRunWithTheirVerdict) {
     SCOPED_TRACE(text);
     ExpectVerdict(ElasticConfig(false), {net::ToFrame(ack)}, text);
   }
+  // A second ack for one release would fill the step with one silo's
+  // delta twice.
+  const net::Frame valid = net::ToFrame(StepZeroAck());
+  ExpectVerdict(ElasticConfig(false), {valid, valid},
+                "round ack with no release outstanding");
 }
 
 TEST(PlainTransportTest, MisaddressedAckEvictsTheSiloFromAnElasticRun) {
@@ -699,6 +748,189 @@ TEST(PlainTransportTest, MisaddressedAckEvictsTheSiloFromAnElasticRun) {
     EXPECT_TRUE(silo_status[1].ok()) << silo_status[1].ToString();
     EXPECT_TRUE(silo_status[2].ok()) << silo_status[2].ToString();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fatal paths: every way a run ends early tells each silo why
+
+/// Fails the server's `fail_at`-th StalenessInfo to one silo (1 = the
+/// first) with Internal "injected send failure"; every other frame,
+/// Evict and Error included, goes through.
+class FailingReleaseTransport : public net::Transport {
+ public:
+  FailingReleaseTransport(std::unique_ptr<net::Transport> inner, int fail_at)
+      : inner_(std::move(inner)), fail_at_(fail_at) {}
+
+  Status Send(const net::Frame& frame) override {
+    if (frame.type ==
+            static_cast<uint16_t>(net::MessageType::kStalenessInfo) &&
+        ++releases_ == fail_at_) {
+      return Status::Internal("injected send failure");
+    }
+    return inner_->Send(frame);
+  }
+  Result<net::Frame> Recv() override { return inner_->Recv(); }
+  void Close() override { inner_->Close(); }
+  void Interrupt() override { inner_->Interrupt(); }
+  int NativeHandle() const override { return inner_->NativeHandle(); }
+  Result<bool> TryReadFrame(net::Frame* out) override {
+    return inner_->TryReadFrame(out);
+  }
+
+ private:
+  std::unique_ptr<net::Transport> inner_;
+  int fail_at_;
+  int releases_ = 0;
+};
+
+struct CohortRun {
+  Result<Vec> out = Status::Internal("not run");
+  std::vector<Status> silo_status;
+  int64_t evictions = 0;
+};
+
+/// Runs `options.size()` demo silos over channels for `steps` steps under
+/// `config`, silo s with options[s]. With `fail_release_at` > 0, silo 1's
+/// server end fails that StalenessInfo (FailingReleaseTransport).
+CohortRun RunDemoCohort(const net::AsyncRoundsConfig& config, int dim,
+                        int steps,
+                        const std::vector<net::AsyncDemoOptions>& options,
+                        int fail_release_at = 0) {
+  const int silos = static_cast<int>(options.size());
+  std::vector<std::unique_ptr<net::Transport>> server_ends, silo_ends;
+  for (int s = 0; s < silos; ++s) {
+    auto [a, b] = net::ChannelTransport::CreatePair();
+    server_ends.push_back(std::move(a));
+    silo_ends.push_back(std::move(b));
+  }
+  if (fail_release_at > 0) {
+    server_ends[1] = std::make_unique<FailingReleaseTransport>(
+        std::move(server_ends[1]), fail_release_at);
+  }
+  CohortRun run;
+  run.silo_status.assign(silos, Status::Ok());
+  std::vector<std::thread> threads;
+  for (int s = 0; s < silos; ++s) {
+    threads.emplace_back([&, s] {
+      run.silo_status[s] = net::RunAsyncDemoSilo(config, s, silos, dim,
+                                                 *silo_ends[s], options[s]);
+    });
+  }
+  {
+    net::AsyncRoundServer server(config, silos, dim);
+    bool joined = true;
+    for (auto& end : server_ends) {
+      joined = joined && server.AddConnection(std::move(end)).ok();
+    }
+    if (joined) run.out = server.Run(steps, Vec(dim, 0.0));
+    run.evictions = server.evictions();
+  }
+  for (auto& t : threads) t.join();
+  return run;
+}
+
+TEST(FatalPathTest, MinSilosBreachReachesTheSurvivorAsAnErrorFrame) {
+  // Silo 1 leaves at version 2, which drops an elastic cohort with
+  // min_silos = 2 to one silo. The run fails, and silo 0 hears the
+  // server's verdict instead of a closed connection.
+  net::AsyncRoundsConfig config = ElasticConfig(true);
+  config.min_silos = 2;
+  std::vector<net::AsyncDemoOptions> options(2);
+  options[1].leave_at_version = 2;
+  CohortRun run = RunDemoCohort(config, /*dim=*/4, /*steps=*/4, options);
+  ASSERT_FALSE(run.out.ok());
+  EXPECT_EQ(run.out.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(run.out.status().message().find("below min_silos"),
+            std::string::npos)
+      << run.out.status().ToString();
+  EXPECT_NE(run.silo_status[0].message().find("below min_silos"),
+            std::string::npos)
+      << run.silo_status[0].ToString();
+  EXPECT_TRUE(run.silo_status[1].ok()) << run.silo_status[1].ToString();
+}
+
+TEST(FatalPathTest, FailedReleaseFailsAStaticRunOnEverySilo) {
+  // The server's second StalenessInfo to silo 1 cannot be sent. A static
+  // cohort fails the run with that status, and every silo hears it.
+  CohortRun run = RunDemoCohort(ElasticConfig(false), /*dim=*/4,
+                                /*steps=*/3, std::vector<net::AsyncDemoOptions>(2),
+                                /*fail_release_at=*/2);
+  ASSERT_FALSE(run.out.ok());
+  EXPECT_EQ(run.out.status().code(), StatusCode::kInternal);
+  EXPECT_NE(run.out.status().message().find("injected send failure"),
+            std::string::npos)
+      << run.out.status().ToString();
+  for (const Status& s : run.silo_status) {
+    EXPECT_NE(s.message().find("injected send failure"), std::string::npos)
+        << s.ToString();
+  }
+}
+
+TEST(FatalPathTest, FailedReleaseEvictsTheSiloFromAnElasticRun) {
+  // The same failed send on an elastic cohort evicts silo 1 at version 1
+  // (its Evict frame carries the send's status), and silo 0 finishes the
+  // run alone, rescaled by 2.
+  const int dim = 4;
+  CohortRun run = RunDemoCohort(ElasticConfig(true), dim, /*steps=*/3,
+                                std::vector<net::AsyncDemoOptions>(2),
+                                /*fail_release_at=*/2);
+  ASSERT_TRUE(run.out.ok()) << run.out.status().ToString();
+  EXPECT_EQ(run.out.value(), ScheduleReference(2, dim, {{0, 1}, {0}, {0}}));
+  EXPECT_EQ(run.evictions, 1);
+  EXPECT_TRUE(run.silo_status[0].ok()) << run.silo_status[0].ToString();
+  EXPECT_EQ(run.silo_status[1].code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(run.silo_status[1].message().find("injected send failure"),
+            std::string::npos)
+      << run.silo_status[1].ToString();
+}
+
+TEST(FatalPathTest, SiloThatNeverAnswersIsEvictedAtTheReceiveDeadline) {
+  // Loopback TCP, elastic, with a 1 s receive deadline on the server ends.
+  // Silo 2 joins and never answers its release: the deadline evicts it
+  // with DeadlineExceeded, and silos 0 and 1 finish the run (rescaled by
+  // 3/2).
+  const int silos = 3, dim = 4, steps = 2;
+  const net::AsyncRoundsConfig config = ElasticConfig(true);
+  auto listener = net::TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  std::vector<std::unique_ptr<net::Transport>> server_ends, silo_ends;
+  for (int s = 0; s < silos; ++s) {
+    auto client =
+        net::TcpTransport::Connect("127.0.0.1", listener.value().port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    silo_ends.push_back(std::move(client.value()));
+    auto accepted = listener.value().Accept();
+    ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+    ASSERT_TRUE(accepted.value()->SetRecvTimeout(1000).ok());
+    server_ends.push_back(std::move(accepted.value()));
+  }
+  std::vector<Status> silo_status(silos, Status::Ok());
+  std::vector<std::thread> threads;
+  for (int s = 0; s < silos; ++s) {
+    threads.emplace_back([&, s] {
+      net::Transport& t = *silo_ends[s];
+      if (s < 2) {
+        silo_status[s] = net::RunAsyncDemoSilo(config, s, silos, dim, t);
+        return;
+      }
+      Status joined = JoinCohort(t, config, s, silos, dim);
+      silo_status[s] = joined.ok() ? AwaitVerdict(t) : joined;
+    });
+  }
+  net::AsyncRoundServer server(config, silos, dim);
+  for (auto& end : server_ends) {
+    ASSERT_TRUE(server.AddConnection(std::move(end)).ok());
+  }
+  auto out = server.Run(steps, Vec(dim, 0.0));
+  for (auto& t : threads) t.join();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out.value(), ScheduleReference(silos, dim, {{0, 1}, {0, 1}}));
+  EXPECT_EQ(server.evictions(), 1);
+  EXPECT_EQ(server.session().Find(2)->status, SiloStatus::kEvicted);
+  EXPECT_TRUE(silo_status[0].ok()) << silo_status[0].ToString();
+  EXPECT_TRUE(silo_status[1].ok()) << silo_status[1].ToString();
+  EXPECT_EQ(silo_status[2].code(), StatusCode::kDeadlineExceeded)
+      << silo_status[2].ToString();
 }
 
 }  // namespace

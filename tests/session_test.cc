@@ -498,6 +498,12 @@ TEST(SessionResumeTest, AsyncServerResumeIsBitwiseIdentical) {
     other.seed = kWorkSeed + 1;
     net::AsyncRoundServer wrong_seed(other, silos, dim);
     EXPECT_FALSE(wrong_seed.RestoreSession(state.value()).ok());
+    // So is a state that lists a member outside the cohort.
+    SessionState outside = state.value();
+    outside.Upsert(silos).status = SiloStatus::kActive;
+    net::AsyncRoundServer cohort(config, silos, dim);
+    EXPECT_EQ(cohort.RestoreSession(outside).code(),
+              StatusCode::kInvalidArgument);
   }
   std::remove((dir + "/session.ckpt").c_str());
   std::remove(dir.c_str());

@@ -102,35 +102,47 @@ python3 tools/check_bench.py --bench-dir "$BUILD_DIR" \
 # ephemeral port plus two silo client processes, with --verify asserting
 # the distributed aggregates bitwise-match the in-process run.
 if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
+  # Waits up to 10 s for a line matching $2 in log $1.
+  await_log() {  # $1=log $2=grep pattern
+    for _ in $(seq 1 100); do
+      grep -q "$2" "$1" 2>/dev/null && return 0
+      sleep 0.1
+    done
+    return 1
+  }
+  # Starts a uldp_fl_cli server with the remaining arguments, its output
+  # in $2, and waits for the port it reports: sets SERVER_PID and PORT.
+  start_server() {  # $1=label $2=log, then the server's arguments
+    local label="$1" log="$2"
+    shift 2
+    rm -f "$log"
+    "$BUILD_DIR/uldp_fl_cli" "$@" > "$log" 2>&1 &
+    SERVER_PID=$!
+    if ! await_log "$log" "listening on port"; then
+      echo "$label smoke: server never reported its port" >&2
+      cat "$log" >&2 || true
+      kill "$SERVER_PID" 2>/dev/null || true
+      return 1
+    fi
+    PORT="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$log" |
+            head -n1)"
+  }
+
   # One Protocol 1 loopback run: a --rounds=2 --verify server and two silo
   # clients, every party given $3, the server also $4 and silo 0 also $5.
   # The server's output goes to $2 and is printed.
   run_protocol_smoke() {  # $1=label $2=log $3=args $4=server $5=silo 0
-    local label="$1" log="$2" port="" pid c0 c1 fail=0
-    rm -f "$log"
+    local label="$1" log="$2" c0 c1 fail=0
     # shellcheck disable=SC2086
-    "$BUILD_DIR/uldp_fl_cli" --serve=0 --rounds=2 --verify $3 $4 \
-        > "$log" 2>&1 &
-    pid=$!
-    for _ in $(seq 1 100); do
-      port="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$log" \
-              2>/dev/null | head -n1)"
-      [ -n "$port" ] && break
-      sleep 0.1
-    done
-    if [ -z "$port" ]; then
-      echo "$label smoke: server never reported its port" >&2
-      cat "$log" >&2 || true
-      kill "$pid" 2>/dev/null || true
-      return 1
-    fi
+    start_server "$label" "$log" --serve=0 --rounds=2 --verify $3 $4 ||
+        return 1
     # shellcheck disable=SC2086
-    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$port" --silo-id=0 $3 $5 &
+    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=0 $3 $5 &
     c0=$!
     # shellcheck disable=SC2086
-    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$port" --silo-id=1 $3 &
+    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=1 $3 &
     c1=$!
-    wait "$pid" || fail=1
+    wait "$SERVER_PID" || fail=1
     wait "$c0" || fail=1
     wait "$c1" || fail=1
     cat "$log"
@@ -138,7 +150,7 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
       echo "$label smoke: loopback-TCP protocol round FAILED" >&2
       return 1
     fi
-    echo "$label smoke: loopback-TCP protocol round OK (port $port)"
+    echo "$label smoke: loopback-TCP protocol round OK (port $PORT)"
   }
   # --net-timeout: every TCP recv (handshake included) gets a deadline, so
   # a hung or never-connecting client fails this step in ~2 minutes
@@ -169,35 +181,21 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
   # synchronous engine at max_staleness=0 — once with plaintext RoundAck
   # uploads, once with pairwise-masked uploads (--masked), which --verify
   # replays through the secure fixed-point reduce.
-  run_async_smoke() {  # $1=label $2=log $3=extra args for every party
-    local label="$1" log="$2" args port="" pid c0 c1 fail=0
+  run_async_smoke() {  # $1=label $2=log $3=args for every party $4=server
+    local label="$1" log="$2" args c0 c1 fail=0
     args="--async --silos=2 --users=6 --dim=8 --seed=11 --net-timeout=120 $3"
-    rm -f "$log"
     # shellcheck disable=SC2086
-    "$BUILD_DIR/uldp_fl_cli" --serve=0 --rounds=3 --verify $args \
-        > "$log" 2>&1 &
-    pid=$!
-    for _ in $(seq 1 100); do
-      port="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$log" \
-              2>/dev/null | head -n1)"
-      [ -n "$port" ] && break
-      sleep 0.1
-    done
-    if [ -z "$port" ]; then
-      echo "$label smoke: server never reported its port" >&2
-      cat "$log" >&2 || true
-      kill "$pid" 2>/dev/null || true
-      return 1
-    fi
+    start_server "$label" "$log" --serve=0 --rounds=3 --verify $args \
+        ${4:-} || return 1
     # shellcheck disable=SC2086
-    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$port" --silo-id=0 \
+    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=0 \
         $args &
     c0=$!
     # shellcheck disable=SC2086
-    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$port" --silo-id=1 \
+    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=1 \
         $args &
     c1=$!
-    wait "$pid" || fail=1
+    wait "$SERVER_PID" || fail=1
     wait "$c0" || fail=1
     wait "$c1" || fail=1
     cat "$log"
@@ -205,36 +203,55 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
       echo "$label smoke: loopback-TCP rounds FAILED" >&2
       return 1
     fi
-    echo "$label smoke: loopback-TCP rounds OK (port $port)"
+    echo "$label smoke: loopback-TCP rounds OK (port $PORT)"
   }
-  run_async_smoke async "$BUILD_DIR/net_async_smoke_server.log" "" || exit 1
+  async_counts() {  # $1=metrics file: "steps applied"
+    python3 -c 'import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
+  }
+  # Each server writes --metrics-out. A masked step books its 2 unmasked
+  # vectors and the step in the fl.async counters, as a plaintext step
+  # does, so both files read 3 steps and 6 applied updates.
+  ASYNC_METRICS="$BUILD_DIR/net_async_smoke_server_metrics.json"
+  MASKED_METRICS="$BUILD_DIR/net_masked_smoke_server_metrics.json"
+  rm -f "$ASYNC_METRICS" "$MASKED_METRICS"
+  run_async_smoke async "$BUILD_DIR/net_async_smoke_server.log" "" \
+      "--metrics-out=$ASYNC_METRICS" || exit 1
   run_async_smoke masked "$BUILD_DIR/net_masked_smoke_server.log" \
-      --masked || exit 1
+      --masked "--metrics-out=$MASKED_METRICS" || exit 1
+  python3 tools/check_metrics.py --metrics "$MASKED_METRICS" \
+      --require-metric fl.async.steps:3 \
+      --require-metric fl.async.applied:6
+  PLAIN_ASYNC="$(async_counts "$ASYNC_METRICS")"
+  MASKED_ASYNC="$(async_counts "$MASKED_METRICS")"
+  if [ "$PLAIN_ASYNC" != "$MASKED_ASYNC" ]; then
+    echo "masked smoke: fl.async steps/applied differ from the plaintext" \
+        "run (plaintext='$PLAIN_ASYNC' masked='$MASKED_ASYNC')" >&2
+    exit 1
+  fi
 
   # Elastic-churn loopback smoke: three silos over real TCP with dynamic
   # membership — silo 0 crashes once released with version >= 2 (evicted,
   # its buffered update dropped), silo 2 joins mid-run at version >= 3
   # (admitted at the next flush). The crashing client exits 0 ("crashed
-  # as scheduled"); the server must still finish all rounds.
+  # as scheduled"); the server must still finish all rounds. Silo 2 starts
+  # first, and silos 0 and 1 only once the server has parked its join
+  # request ("silo connected (0/2)"), so the request cannot arrive after
+  # the 6 steps have run.
   CHURN_LOG="$BUILD_DIR/net_churn_smoke_server.log"
   CHURN_ARGS="--async --elastic --min-silos=1 --silos=3 --users=6 --dim=8 \
 --seed=11 --net-timeout=120 --fail-silo=0:2 --join-silo=2:3"
-  rm -f "$CHURN_LOG"
   # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --serve=0 --rounds=6 $CHURN_ARGS \
-      > "$CHURN_LOG" 2>&1 &
-  SERVER_PID=$!
-  PORT=""
-  for _ in $(seq 1 100); do
-    PORT="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$CHURN_LOG" \
-            2>/dev/null | head -n1)"
-    [ -n "$PORT" ] && break
-    sleep 0.1
-  done
-  if [ -z "$PORT" ]; then
-    echo "churn smoke: server never reported its port" >&2
+  start_server churn "$CHURN_LOG" --serve=0 --rounds=6 $CHURN_ARGS || exit 1
+  # shellcheck disable=SC2086
+  "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=2 \
+      $CHURN_ARGS &
+  C2=$!
+  if ! await_log "$CHURN_LOG" "silo connected (0/2)"; then
+    echo "churn smoke: the server never parked silo 2's join request" >&2
     cat "$CHURN_LOG" >&2 || true
-    kill "$SERVER_PID" 2>/dev/null || true
+    kill "$SERVER_PID" "$C2" 2>/dev/null || true
     exit 1
   fi
   # shellcheck disable=SC2086
@@ -245,10 +262,6 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
   "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=1 \
       $CHURN_ARGS &
   C1=$!
-  # shellcheck disable=SC2086
-  "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=2 \
-      $CHURN_ARGS &
-  C2=$!
   FAIL=0
   wait "$SERVER_PID" || FAIL=1
   wait "$C0" || FAIL=1
@@ -276,33 +289,19 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
   CKPT_DIR="$BUILD_DIR/resume_smoke_ckpt"
   rm -rf "$CKPT_DIR" && mkdir -p "$CKPT_DIR"
   run_async_pair() {  # $1=log $2=extra server args $3=extra client args
-    local log="$1" server_args="$2" client_args="$3" port="" pid c0 c1
-    rm -f "$log"
+    local log="$1" server_args="$2" client_args="$3" c0 c1
     # shellcheck disable=SC2086
-    "$BUILD_DIR/uldp_fl_cli" --serve=0 --rounds=6 $RESUME_ARGS \
-        $server_args > "$log" 2>&1 &
-    pid=$!
-    for _ in $(seq 1 100); do
-      port="$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$log" \
-              2>/dev/null | head -n1)"
-      [ -n "$port" ] && break
-      sleep 0.1
-    done
-    if [ -z "$port" ]; then
-      echo "resume smoke: server never reported its port" >&2
-      cat "$log" >&2 || true
-      kill "$pid" 2>/dev/null || true
-      return 1
-    fi
+    start_server resume "$log" --serve=0 --rounds=6 $RESUME_ARGS \
+        $server_args || return 1
     # shellcheck disable=SC2086
-    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$port" --silo-id=0 \
+    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=0 \
         $RESUME_ARGS $client_args > /dev/null 2>&1 &
     c0=$!
     # shellcheck disable=SC2086
-    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$port" --silo-id=1 \
+    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=1 \
         $RESUME_ARGS $client_args > /dev/null 2>&1 &
     c1=$!
-    SMOKE_SERVER_PID=$pid
+    SMOKE_SERVER_PID=$SERVER_PID
     SMOKE_CLIENT_PIDS="$c0 $c1"
     return 0
   }
@@ -387,11 +386,6 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
         "res='$RES_ROW')" >&2
     exit 1
   fi
-  async_counts() {  # $1=metrics file: "steps applied"
-    python3 -c 'import json, sys
-c = json.load(open(sys.argv[1]))["counters"]
-print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
-  }
   REF_ASYNC="$(async_counts "$BUILD_DIR/local_resume_ref_metrics.json")"
   RES_ASYNC="$(async_counts "$BUILD_DIR/local_resume_res_metrics.json")"
   if [ "$REF_ASYNC" = "None None" ] || [ "$REF_ASYNC" != "$RES_ASYNC" ]; then

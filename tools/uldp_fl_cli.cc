@@ -804,25 +804,27 @@ int RunServeAsync(const Flags& flags) {
   }
 
   if (flags.verify) {
-    // Serial replay of the staleness-bounded update rule at tau = 0 (the
-    // barrier case): identical work, identical reduce — bitwise equal. A
-    // masked run replays the secure reduce its unmasked sum must equal.
-    AsyncAggregator reference(flags.silos, 0, 0);
+    // Serial replay of the barrier case (tau = 0, full buffer), whose
+    // async reduce is the synchronous engine's silo-ordered AggregateDeltas:
+    // identical work, identical reduce — bitwise equal. A masked run
+    // replays the secure reduce its unmasked sum must equal. The replay
+    // skips the async aggregator, so it books nothing into the fl.async
+    // counters --metrics-out reports for the server.
     Vec ref(flags.dim, 0.0);
     for (int r = 0; r < flags.rounds; ++r) {
+      std::vector<Vec> deltas(flags.silos);
       for (int s = 0; s < flags.silos; ++s) {
-        Vec delta;
         Status worked = net::MakeAsyncDemoWork(flags.seed, s, flags.dim)(
-            static_cast<uint64_t>(r), ref, &delta);
+            static_cast<uint64_t>(r), ref, &deltas[s]);
         if (!worked.ok()) {
           std::cerr << "verify work: " << worked.ToString() << "\n";
           return 1;
         }
-        reference.Offer(s, r, std::move(delta));
       }
-      Vec sum =
-          reference.Flush(flags.masked, static_cast<uint64_t>(r), nullptr);
-      Axpy(config.step_scale, sum, ref);
+      Axpy(config.step_scale,
+           AggregateDeltas(deltas, flags.masked, static_cast<uint64_t>(r),
+                           nullptr),
+           ref);
     }
     if (ref != out.value()) {
       std::cerr << "VERIFY FAILED: distributed async parameters differ from "
