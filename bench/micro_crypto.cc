@@ -16,8 +16,9 @@
 // measures fig11-style private weighting rounds at each ciphertext packing
 // factor (median of alternating round pairs), plus the remaining substrate
 // unit costs behind Figures 10/11 (BigInt mul/div, secure-aggregation
-// masking serial vs pooled and at the async silo's dim 100 000, SHA-256,
-// the ChaCha stream, C_LCM).
+// masking serial vs pooled and at the async silo's dim 100 000, the async
+// masked step's MaskDelta and UnmaskSum at dim 100 000, SHA-256, the
+// ChaCha stream, C_LCM).
 //
 // Emits BENCH_micro_crypto.json via bench_common. Modes:
 //   default            — quick sweep (512/1024-bit keys), a few seconds
@@ -42,6 +43,7 @@
 #include "crypto/paillier_ctx.h"
 #include "crypto/secure_agg.h"
 #include "crypto/sha256.h"
+#include "fl/local_trainer.h"
 #include "math/fixed_base.h"
 #include "math/mont_ifma.h"
 #include "math/multi_exp.h"
@@ -474,6 +476,27 @@ int main() {
              AggregationPrime().BitLength(),
              SecondsPerOp([&] { agg3.AddMasks(0, keys3, 3, v100k); }, window,
                           min_iters));
+    // The async masked step through its production entry points: one silo
+    // of three encodes and masks a delta of N(0, 0.01) coordinates, and
+    // the server unmasks the three silos' vectors.
+    std::vector<Vec> deltas(3, Vec(100000));
+    for (Vec& delta : deltas) {
+      for (double& x : delta) x = rng.Gaussian(0.0, 0.01);
+    }
+    RecordOp(table, json, rows, "mask_delta_dim100000", "serial",
+             AggregationPrime().BitLength(),
+             SecondsPerOp(
+                 [&] {
+                   if (!MaskDelta(deltas[0], 0, 3, 3).ok()) std::abort();
+                 },
+                 window, min_iters));
+    std::vector<FieldVector> masked;
+    for (int s = 0; s < 3; ++s) {
+      masked.push_back(MaskDelta(deltas[s], s, 3, 3).value());
+    }
+    RecordOp(table, json, rows, "unmask_sum_dim100000", "-",
+             AggregationPrime().BitLength(),
+             SecondsPerOp([&] { UnmaskSum(masked); }, window, min_iters));
 
     std::string data(4096, 'x');
     RecordOp(table, json, rows, "sha256_4096B", "-", 0,

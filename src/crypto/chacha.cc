@@ -240,15 +240,36 @@ void ChaChaRng::Refill() {
   offset_ = 0;
 }
 
-void ChaChaRng::UniformBelow(const uint64_t* m, size_t k, uint64_t* out) {
+void ChaChaRng::UniformBelow(const uint64_t* m, size_t k, uint64_t* out,
+                             size_t count) {
   ULDP_CHECK(k > 0 && m[k - 1] != 0);
   const int top_bits = 64 - __builtin_clzll(m[k - 1]);
   const uint64_t top_mask =
       top_bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << top_bits) - 1;
-  do {
-    for (size_t i = 0; i < k; ++i) out[i] = NextUint64();
-    out[k - 1] &= top_mask;
-  } while (limbs::Compare(out, m, k) >= 0);
+  limbs::WithWidth(k, [&](auto k) {
+    // Masks an attempt's top limb; 1 iff it is below m and so kept. A
+    // rejected attempt is overwritten by the next one.
+    auto kept = [&](uint64_t* attempt) {
+      attempt[k - 1] &= top_mask;
+      return limbs::Borrow(attempt, m, k);
+    };
+    const uint64_t* const end = out + count * k;
+    while (out != end) {
+      // Attempts whose words all sit in this refill read them in place,
+      // through locals the draws cannot alias.
+      size_t offset = offset_;
+      const size_t filled = end_;
+      while (out != end && filled - offset >= 2 * k) {
+        for (size_t i = 0; i < k; ++i, offset += 2) out[i] = WordsAt(offset);
+        out += k * kept(out);
+      }
+      offset_ = offset;
+      if (out == end) break;
+      // This attempt straddles a refill.
+      for (size_t i = 0; i < k; ++i) out[i] = NextUint64();
+      out += k * kept(out);
+    }
+  });
 }
 
 BigInt ChaChaRng::UniformBelow(const BigInt& modulus) {

@@ -63,19 +63,20 @@ class ChaChaRng {
   /// they are word w plus word w+1 << 32.
   uint64_t NextUint64() {
     if (offset_ == end_) Refill();
-    // Word w of block b is at words_[16 w + b], and w + 1 is 16 further.
-    const size_t i = offset_ % 16 * 16 + offset_ / 16;
-    const uint64_t v =
-        words_[i] | static_cast<uint64_t>(words_[i + 16]) << 32;
+    const uint64_t v = WordsAt(offset_);
     offset_ += 2;
     return v;
   }
 
-  /// Uniform element of [0, m) by rejection sampling, limb-level: `m` is k
-  /// little-endian limbs with a nonzero top limb, and the draw is written
-  /// to `out` as k limbs. Each attempt takes k words of keystream, masks
-  /// the top one to m's bit length, and is kept iff it is below m.
-  void UniformBelow(const uint64_t* m, size_t k, uint64_t* out);
+  /// Uniform elements of [0, m) by rejection sampling, limb-level: `m` is
+  /// k little-endian limbs with a nonzero top limb, and `count` draws are
+  /// written to `out` one after another, k limbs each. Each attempt takes
+  /// k words of keystream, masks the top one to m's bit length, and is kept
+  /// iff it is below m. An attempt whose words all sit in the current
+  /// refill reads them in place, so a bulk draw costs little more than its
+  /// keystream; the words and draws are those of `count` single draws.
+  void UniformBelow(const uint64_t* m, size_t k, uint64_t* out,
+                    size_t count = 1);
   /// The same draw as a BigInt; consumes the identical keystream.
   BigInt UniformBelow(const BigInt& modulus);
 
@@ -86,6 +87,13 @@ class ChaChaRng {
   ChaChaRng(const Key& key, const Nonce& nonce, ChaChaKernel kernel,
             uint32_t first_block);
   void Refill();
+  /// Words `offset` and `offset` + 1 of the last refill (counted block
+  /// after block, as offset_ is), the second one high. Word w of block b
+  /// is at words_[16 w + b], and w + 1 is 16 further.
+  uint64_t WordsAt(size_t offset) const {
+    const size_t i = offset % 16 * 16 + offset / 16;
+    return words_[i] | static_cast<uint64_t>(words_[i + 16]) << 32;
+  }
 
   std::array<uint32_t, 16> state_;
   ChaChaKernel kernel_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "common/check.h"
 #include "math/limbs.h"
@@ -49,26 +51,56 @@ Result<BigInt> FixedPointCodec::Encode(double x) const {
 }
 
 Status FixedPointCodec::EncodeLimbs(double x, uint64_t* out) const {
+  if (EncodeRun(&x, 1, out) == 1) return Status::Ok();
   if (!std::isfinite(x)) {
     return Status::InvalidArgument("cannot encode non-finite value");
   }
-  double scaled = x / precision_;
-  if (std::fabs(scaled) >= kMaxUnits) {
+  if (std::fabs(x / precision_) >= kMaxUnits) {
     return Status::OutOfRange("value too large for fixed-point range");
   }
-  const int64_t units = std::llround(scaled);
-  const bool negative = units < 0;
-  const uint64_t mag = negative ? uint64_t{0} - static_cast<uint64_t>(units)
-                                : static_cast<uint64_t>(units);
-  if (mag > (negative ? max_units_neg_ : max_units_nonneg_)) {
-    return Status::OutOfRange("encoded magnitude exceeds modulus/2");
-  }
-  const size_t k = limbs();
-  std::fill(out, out + k, uint64_t{0});
-  out[0] = mag;
-  // A negative value maps to n - |units|.
-  if (negative) limbs::Sub(out, modulus_.limbs().data(), out, k);
-  return Status::Ok();
+  return Status::OutOfRange("encoded magnitude exceeds modulus/2");
+}
+
+Status FixedPointCodec::EncodeLimbs(const double* x, size_t count,
+                                    uint64_t* out) const {
+  const size_t done = EncodeRun(x, count, out);
+  if (done == count) return Status::Ok();
+  const Status error = EncodeLimbs(x[done], out + done * limbs());
+  return Status(error.code(), "coordinate " + std::to_string(done) + ": " +
+                                  error.message());
+}
+
+size_t FixedPointCodec::EncodeRun(const double* x, size_t count,
+                                  uint64_t* out) const {
+  const uint64_t* n = modulus_.limbs().data();
+  size_t done = 0;
+  limbs::WithWidth(limbs(), [&](auto k) {
+    for (; done < count; ++done, out += k) {
+      const double scaled = x[done] / precision_;
+      // Also false for NaN and infinities.
+      if (!(std::fabs(scaled) < kMaxUnits)) return;
+      // std::llround inline: truncation is exact below 2^63 in magnitude,
+      // and the fraction it leaves is exact too; a half or more steps away
+      // from zero.
+      int64_t units = static_cast<int64_t>(scaled);
+      const double fraction = scaled - static_cast<double>(units);
+      units += static_cast<int64_t>(fraction >= 0.5) -
+               static_cast<int64_t>(fraction <= -0.5);
+      const uint64_t negative = uint64_t{0} - (units < 0);  // all ones or 0
+      const uint64_t mag = (static_cast<uint64_t>(units) ^ negative) -
+                           negative;
+      if (mag > (negative ? max_units_neg_ : max_units_nonneg_)) return;
+      // A negative value maps to n - |units|: n plus units sign-extended,
+      // whose carry out of the top limb drops.
+      uint64_t carry = 0;
+      for (size_t i = 0; i < k; ++i) {
+        carry = limbs::AddCarry(
+            n[i] & negative, i == 0 ? static_cast<uint64_t>(units) : negative,
+            carry, &out[i]);
+      }
+    }
+  });
+  return done;
 }
 
 BigInt FixedPointCodec::Center(const BigInt& x) const {
@@ -88,19 +120,27 @@ double FixedPointCodec::DecodePlain(const BigInt& x) const {
 
 void FixedPointCodec::DecodePlainLimbs(const uint64_t* x, size_t count,
                                        double* out) const {
-  const size_t k = limbs();
   const uint64_t* n = modulus_.limbs().data();
-  std::vector<uint64_t> mag(k);
-  for (size_t i = 0; i < count; ++i, x += k) {
-    ULDP_CHECK(limbs::Compare(x, n, k) < 0);
-    // Center: an element above n/2 stands for -(n - x).
-    if (limbs::Compare(x, half_limbs_.data(), k) <= 0) {
-      out[i] = limbs::ToDouble(x, k) * precision_;
-    } else {
+  const uint64_t* half = half_limbs_.data();
+  std::vector<uint64_t> mag(limbs());
+  limbs::WithWidth(limbs(), [&](auto k) {
+    for (size_t i = 0; i < count; ++i, x += k) {
+      ULDP_CHECK(limbs::Borrow(x, n, k) == 1);  // x < n
+      // Center: an element above n/2 stands for -(n - x). Both magnitudes
+      // are formed and one is kept, so random signs cost no mispredicts.
+      const uint64_t negative = uint64_t{0} - limbs::Borrow(half, x, k);
       limbs::Sub(mag.data(), n, x, k);
-      out[i] = -limbs::ToDouble(mag.data(), k) * precision_;
+      for (size_t j = 0; j < k; ++j) {
+        mag[j] = (mag[j] & negative) | (x[j] & ~negative);
+      }
+      // -a * P is -(a * P) bitwise, so the sign goes on last.
+      double value = limbs::ToDouble(mag.data(), k) * precision_;
+      uint64_t bits;
+      std::memcpy(&bits, &value, sizeof(bits));
+      bits ^= negative & (uint64_t{1} << 63);
+      std::memcpy(&out[i], &bits, sizeof(bits));
     }
-  }
+  });
 }
 
 double FixedPointCodec::Decode(const BigInt& x, const BigInt& c_lcm) const {

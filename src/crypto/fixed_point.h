@@ -46,6 +46,12 @@ class FixedPointCodec {
   /// same range checks and Status. Encode is this plus a BigInt.
   Status EncodeLimbs(double x, uint64_t* out) const;
 
+  /// EncodeLimbs over `count` values into consecutive k-limb elements, in
+  /// one branch-free pass while every value encodes. On the first value
+  /// that does not, returns its Status with the message prefixed by
+  /// "coordinate i: "; the elements before it are written.
+  Status EncodeLimbs(const double* x, size_t count, uint64_t* out) const;
+
   /// Limb-level DecodePlain over `count` consecutive k-limb elements, each
   /// in [0, n) (checked): out[i] is DecodePlain of element i, bitwise.
   /// DecodePlain is this at count 1.
@@ -66,6 +72,9 @@ class FixedPointCodec {
  private:
   /// Maps field element to signed representative in (-n/2, n/2].
   BigInt Center(const BigInt& x) const;
+  /// Encodes x[0, count) into `out` up to the first value Encode rejects;
+  /// returns how many it encoded.
+  size_t EncodeRun(const double* x, size_t count, uint64_t* out) const;
 
   BigInt modulus_;
   BigInt half_modulus_;

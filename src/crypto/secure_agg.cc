@@ -9,6 +9,30 @@
 
 namespace uldp {
 
+namespace {
+
+// Elements per chunk of a serial mask draw: 4 KiB of two-limb draws.
+constexpr size_t kMaskChunk = 256;
+
+// a[i] = a[i] + b[i] mod n (a[i] - b[i] when `subtract`) over `count`
+// k-limb elements in [0, n): the one add loop under AddMasks and Sum.
+void AddElements(uint64_t* a, const uint64_t* b, size_t count,
+                 const uint64_t* n, size_t k, bool subtract) {
+  limbs::WithWidth(k, [&](auto k) {
+    if (subtract) {
+      for (size_t i = 0; i < count * k; i += k) {
+        limbs::ModSub(a + i, b + i, n, k);
+      }
+    } else {
+      for (size_t i = 0; i < count * k; i += k) {
+        limbs::ModAdd(a + i, b + i, n, k);
+      }
+    }
+  });
+}
+
+}  // namespace
+
 const BigInt& AggregationPrime() {
   static const BigInt prime = [] {
     BigInt p = (BigInt(1) << 127) - BigInt(1);
@@ -65,12 +89,9 @@ void SecureAggregator::AddMasks(
   const size_t dim = values.size();
   // Both parties of a pair seed the identical stream; the smaller index
   // adds the mask, the larger subtracts, so the pair cancels in the sum.
-  auto apply = [&](int other, size_t d, const uint64_t* mask) {
-    if (me < other) {
-      limbs::ModAdd(values.element(d), mask, n, k);
-    } else {
-      limbs::ModSub(values.element(d), mask, n, k);
-    }
+  auto fold = [&](int other, size_t first, size_t count,
+                  const uint64_t* masks) {
+    AddElements(values.element(first), masks, count, n, k, other < me);
   };
   if (pool != nullptr) {
     // Each peer's stream is one sequential ChaCha evaluation, so generation
@@ -80,27 +101,24 @@ void SecureAggregator::AddMasks(
     pool->ParallelFor(static_cast<size_t>(num_parties_), [&](size_t other) {
       if (static_cast<int>(other) == me) return;
       ChaChaRng stream(pairwise_keys[other], ChaChaRng::MakeNonce(tag));
-      std::vector<uint64_t>& masks = streams[other];
-      masks.resize(dim * k);
-      for (size_t d = 0; d < dim; ++d) {
-        stream.UniformBelow(n, k, masks.data() + d * k);
-      }
+      streams[other].resize(dim * k);
+      stream.UniformBelow(n, k, streams[other].data(), dim);
     });
     for (int other = 0; other < num_parties_; ++other) {
-      if (other == me) continue;
-      for (size_t d = 0; d < dim; ++d) {
-        apply(other, d, streams[other].data() + d * k);
-      }
+      if (other != me) fold(other, 0, dim, streams[other].data());
     }
     return;
   }
-  std::vector<uint64_t> mask(k);
+  // One peer's stream at a time, drawn a chunk at a time into a buffer
+  // that stays in L1 and folded in before the next chunk is drawn.
+  std::vector<uint64_t> chunk(std::min(dim, kMaskChunk) * k);
   for (int other = 0; other < num_parties_; ++other) {
     if (other == me) continue;
     ChaChaRng stream(pairwise_keys[other], ChaChaRng::MakeNonce(tag));
-    for (size_t d = 0; d < dim; ++d) {
-      stream.UniformBelow(n, k, mask.data());
-      apply(other, d, mask.data());
+    for (size_t d = 0; d < dim; d += kMaskChunk) {
+      const size_t count = std::min(kMaskChunk, dim - d);
+      stream.UniformBelow(n, k, chunk.data(), count);
+      fold(other, d, count, chunk.data());
     }
   }
 }
@@ -115,9 +133,8 @@ FieldVector SecureAggregator::Sum(
   for (size_t v = 1; v < vectors.size(); ++v) {
     ULDP_CHECK_EQ(vectors[v].limbs(), k);
     ULDP_CHECK_EQ(vectors[v].size(), out.size());
-    for (size_t d = 0; d < out.size(); ++d) {
-      limbs::ModAdd(out.element(d), vectors[v].element(d), n, k);
-    }
+    AddElements(out.element(0), vectors[v].element(0), out.size(), n, k,
+                /*subtract=*/false);
   }
   return out;
 }

@@ -74,12 +74,10 @@ Result<FieldVector> MaskDelta(const Vec& delta, int party, int num_parties,
   const BigInt& prime = AggregationPrime();
   FixedPointCodec codec(prime, kAggPrecision);
   FieldVector masked(delta.size(), codec.limbs());
-  for (size_t d = 0; d < delta.size(); ++d) {
-    Status encoded = codec.EncodeLimbs(delta[d], masked.element(d));
-    if (!encoded.ok()) {
-      return Status::InvalidArgument("delta coordinate " + std::to_string(d) +
-                                     ": " + encoded.message());
-    }
+  Status encoded =
+      codec.EncodeLimbs(delta.data(), delta.size(), masked.element(0));
+  if (!encoded.ok()) {
+    return Status::InvalidArgument("delta " + encoded.message());
   }
   if (num_parties >= 2) {
     SecureAggregator agg(prime, num_parties);

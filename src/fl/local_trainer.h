@@ -154,20 +154,27 @@ Vec AggregateDeltas(const std::vector<Vec>& silo_deltas, bool secure,
 /// One party's side of the secure reduce, split out so a real transport
 /// can ship masked vectors instead of plain deltas (net/async_rounds.h
 /// masked mode): fixed-point-encodes `delta` over AggregationPrime()
-/// (2^127 - 1, crypto/secure_agg.h) and adds this party's pairwise masks
-/// for round `round_tag`, as one flat vector of two-limb elements (16
-/// bytes each in a MaskedVector frame). InvalidArgument names the first
-/// non-finite or out-of-range coordinate. Masking every party and summing
-/// with UnmaskSum is bitwise identical to
-/// AggregateDeltas(..., secure=true, ...) on the same inputs.
+/// (2^127 - 1, crypto/secure_agg.h) in one bulk pass and adds this
+/// party's pairwise masks for round `round_tag`, as one flat vector of
+/// two-limb elements (16 bytes each in a MaskedVector frame).
+/// InvalidArgument names the first non-finite or out-of-range coordinate
+/// and why it cannot be encoded ("delta coordinate 2: cannot encode
+/// non-finite value"). Masking every party and summing with UnmaskSum is
+/// bitwise identical to AggregateDeltas(..., secure=true, ...) on the same
+/// inputs. One silo of three at dim 100 000 takes about 3.5 ms on a
+/// 2.1 GHz AVX-512 Xeon, half of it ChaCha keystream (bench_micro_crypto's
+/// mask_delta_dim100000).
 Result<FieldVector> MaskDelta(const Vec& delta, int party, int num_parties,
                               uint64_t round_tag, ThreadPool* pool = nullptr);
 
 /// The server's side: sums the masked vectors (masks cancel) and decodes
-/// the fixed-point total back to doubles. Every vector must have the same
-/// dimension, with elements in [0, AggregationPrime()). The unmasked total
-/// is an exact integer far below half the prime, so it decodes to the
-/// same doubles it would in any wider field.
+/// the fixed-point total back to doubles, on the same branch-free add as
+/// the masks and a branch-free centering decode. Every vector must have
+/// the same dimension, with elements in [0, AggregationPrime()). The
+/// unmasked total is an exact integer far below half the prime, so it
+/// decodes to the same doubles it would in any wider field. Three vectors
+/// at dim 100 000 take about 2 ms on the host above
+/// (unmask_sum_dim100000).
 Vec UnmaskSum(const std::vector<FieldVector>& masked);
 
 /// BigInt forms of MaskDelta and UnmaskSum, kept as conversions over them

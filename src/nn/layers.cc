@@ -111,11 +111,6 @@ Conv3x3Layer::Conv3x3Layer(size_t in_channels, size_t out_channels,
       kernel_grad_(kernel_.size(), 0.0),
       bias_grad_(out_channels, 0.0) {}
 
-double& Conv3x3Layer::KernelAt(Vec& k, size_t oc, size_t ic, size_t kr,
-                               size_t kc) const {
-  return k[((oc * in_channels_ + ic) * 3 + kr) * 3 + kc];
-}
-
 size_t Conv3x3Layer::ReadParams(Vec& params, size_t offset) const {
   ULDP_CHECK_LE(offset + num_params(), params.size());
   std::copy(kernel_.begin(), kernel_.end(), params.begin() + offset);

@@ -109,8 +109,6 @@ class Conv3x3Layer final : public Layer {
   void Backward(const Vec& dout, Vec* din) override;
 
  private:
-  double& KernelAt(Vec& k, size_t oc, size_t ic, size_t kr, size_t kc) const;
-
   size_t in_channels_, out_channels_, height_, width_;
   Vec kernel_;       // oc x ic x 3 x 3
   Vec bias_;         // oc

@@ -124,23 +124,6 @@ void MetricsRegistry::RecordHistogram(const std::string& name, uint64_t v) {
   fold.count += 1;
 }
 
-void MetricsRegistry::MaxGauge(const std::string& name, int64_t v) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = retained_gauges_.find(name);
-  if (it == retained_gauges_.end()) {
-    retained_gauges_[name] = {Gauge::Agg::kMax, v};
-  } else {
-    it->second.second = std::max(it->second.second, v);
-  }
-}
-
-void MetricsRegistry::ResetRetained() {
-  std::lock_guard<std::mutex> lock(mu_);
-  retained_counters_.clear();
-  retained_gauges_.clear();
-  retained_histograms_.clear();
-}
-
 std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<MetricSnapshot> out;

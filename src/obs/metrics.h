@@ -188,7 +188,6 @@ class MetricsRegistry {
   /// retained aggregate directly under the registry mutex.
   void AddCounter(const std::string& name, uint64_t n);
   void RecordHistogram(const std::string& name, uint64_t v);
-  void MaxGauge(const std::string& name, int64_t v);
 
   /// Merged (live + retained) view of every metric, sorted by name within
   /// each kind.
@@ -206,10 +205,6 @@ class MetricsRegistry {
   /// Writes ToJson() via tmp + rename so a crash mid-write never leaves a
   /// truncated file behind.
   Status WriteJsonFile(const std::string& path) const;
-
-  /// Drops all retained aggregates (live metrics are untouched) — test
-  /// isolation for registry-convenience counters.
-  void ResetRetained();
 
  private:
   friend class Counter;

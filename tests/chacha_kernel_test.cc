@@ -196,37 +196,77 @@ TEST(ChaChaKernelTest, KernelsMatchScalarBlockAcrossBatchesAndTheWrap) {
   }
 }
 
+/// One draw of [0, m) as the rejection loop defines it, word by word
+/// through NextUint64: k words, the top one masked to m's bit length, kept
+/// iff below m.
+void ReferenceDraw(ChaChaRng& stream, const std::vector<uint64_t>& m,
+                   uint64_t* out) {
+  const size_t k = m.size();
+  const int top_bits = 64 - __builtin_clzll(m[k - 1]);
+  const uint64_t top_mask =
+      top_bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << top_bits) - 1;
+  do {
+    for (size_t i = 0; i < k; ++i) out[i] = stream.NextUint64();
+    out[k - 1] &= top_mask;
+  } while (limbs::Compare(out, m.data(), k) >= 0);
+}
+
 TEST(ChaChaKernelTest, UniformBelowDrawsMatchScalarAcrossRefills) {
-  const std::vector<ChaChaKernel> kernels = SimdKernels();
-  if (kernels.empty()) GTEST_SKIP() << "no SIMD ChaCha kernel on this CPU";
   const ChaChaRng::Key key = ChaChaRng::DeriveKey("draws");
-  for (size_t k : {1, 4, 16, 32}) {
-    // Top limb 2^63 + 1 keeps every bit of the top word, so about half of
-    // all attempts are rejected and refills land mid-attempt.
-    std::vector<uint64_t> m(k, 0x9e3779b97f4a7c15ull);
-    m[k - 1] = (uint64_t{1} << 63) + 1;
-    const int draws = static_cast<int>(4096 / k);
-    for (ChaChaKernel kernel : kernels) {
-      ChaChaRng scalar = ChaChaKernels::On(key, ChaChaRng::MakeNonce(k),
-                                           ChaChaKernel::kScalar);
-      ChaChaRng simd =
-          ChaChaKernels::On(key, ChaChaRng::MakeNonce(k), kernel);
-      std::vector<uint64_t> want(k), got(k);
-      for (int i = 0; i < draws; ++i) {
-        scalar.UniformBelow(m.data(), k, want.data());
-        simd.UniformBelow(m.data(), k, got.data());
-        ASSERT_EQ(got, want) << Name(kernel) << " k=" << k << " draw " << i;
-        ASSERT_LT(limbs::Compare(got.data(), m.data(), k), 0);
+  // From block 0, and from 40 blocks before the 2^32 wrap, where a SIMD
+  // stream takes two batches and then falls back to scalar blocks. Near
+  // the wrap the draws use about half of the 39 usable blocks' words.
+  for (const uint32_t start : {0u, 0xFFFFFFFFu - 40}) {
+    const size_t words = start == 0 ? 8192 : 312;
+    for (size_t k : {1, 2, 4, 16, 32}) {
+      // Top limb 2^63 + 1 keeps every bit of the top word, so about half
+      // of all attempts are rejected and refills land mid-attempt.
+      std::vector<uint64_t> m(k, 0x9e3779b97f4a7c15ull);
+      m[k - 1] = (uint64_t{1} << 63) + 1;
+      const size_t draws = words / (4 * k);
+      const ChaChaRng::Nonce nonce = ChaChaRng::MakeNonce(k);
+      ChaChaRng reference =
+          ChaChaKernels::On(key, nonce, ChaChaKernel::kScalar, start);
+      std::vector<uint64_t> want(draws * k);
+      for (size_t i = 0; i < draws; ++i) {
+        ReferenceDraw(reference, m, want.data() + i * k);
+        ASSERT_LT(limbs::Compare(want.data() + i * k, m.data(), k), 0);
       }
-      // Both consumed the same words, rejections included.
-      EXPECT_EQ(simd.NextUint64(), scalar.NextUint64())
-          << Name(kernel) << " k=" << k;
+      const uint64_t next = reference.NextUint64();
+      for (ChaChaKernel kernel : kAllKernels) {
+        if (!ChaChaKernels::Available(kernel)) continue;
+        SCOPED_TRACE(std::string(Name(kernel)) + " k=" + std::to_string(k) +
+                     " start " + std::to_string(start));
+        // One draw per call, all draws in one call, and two calls that
+        // split the draws mid-refill.
+        ChaChaRng single = ChaChaKernels::On(key, nonce, kernel, start);
+        ChaChaRng bulk = ChaChaKernels::On(key, nonce, kernel, start);
+        ChaChaRng split = ChaChaKernels::On(key, nonce, kernel, start);
+        std::vector<uint64_t> got_single(draws * k), got_bulk(draws * k),
+            got_split(draws * k);
+        for (size_t i = 0; i < draws; ++i) {
+          single.UniformBelow(m.data(), k, got_single.data() + i * k);
+        }
+        bulk.UniformBelow(m.data(), k, got_bulk.data(), draws);
+        const size_t first = draws / 3;
+        split.UniformBelow(m.data(), k, got_split.data(), first);
+        split.UniformBelow(m.data(), k, got_split.data() + first * k,
+                           draws - first);
+        EXPECT_EQ(got_single, want);
+        EXPECT_EQ(got_bulk, want);
+        EXPECT_EQ(got_split, want);
+        // Each consumed the same words, rejections included.
+        EXPECT_EQ(single.NextUint64(), next);
+        EXPECT_EQ(bulk.NextUint64(), next);
+        EXPECT_EQ(split.NextUint64(), next);
+      }
     }
   }
 }
 
 TEST(ChaChaKernelTest, AddMasksSerialAndPooledMatchScalarStreams) {
-  // 1001 four-limb elements: 4004 words, not a multiple of a 256-word batch.
+  // 1001 two-limb elements: 4004 keystream words, not a multiple of a
+  // 256-word batch, and a serial draw ends mid-chunk.
   const size_t dim = 1001;
   const int parties = 3;
   SecureAggregator agg(AggregationPrime(), parties);

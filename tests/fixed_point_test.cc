@@ -146,6 +146,57 @@ TEST(FixedPointSmallFieldTest, CenteringBoundary) {
   EXPECT_DOUBLE_EQ(codec.DecodePlain(BigInt(0)), 0.0);
 }
 
+TEST(FixedPointBulkTest, BulkEncodeMatchesLlroundAndNamesTheFirstBadValue) {
+  // The bulk form rounds inline; it must give std::llround's units at
+  // halves, just below a half, past 2^52 and near the 4.6e18 guard, in
+  // every field width, and stop at the first value Encode rejects.
+  Rng rng(6);
+  const BigInt one(1);
+  const std::vector<double> values = {
+      0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994,
+      -0.49999999999999994, 4503599627370495.5, -4503599627370495.5,
+      4503599627370497.0, 9007199254740993.0, -9007199254740993.0,
+      4.5999999e18, -4.5999999e18, 123456.789, -99999.5};
+  for (const BigInt& n : {(one << 127) - one, GeneratePrime(160, rng),
+                          (one << 64) - BigInt(59)}) {
+    SCOPED_TRACE(n.ToHex());
+    FixedPointCodec codec(n, 1.0);
+    const size_t k = codec.limbs();
+    std::vector<uint64_t> bulk(values.size() * k);
+    ASSERT_TRUE(codec.EncodeLimbs(values.data(), values.size(), bulk.data())
+                    .ok());
+    for (size_t i = 0; i < values.size(); ++i) {
+      const BigInt want =
+          BigInt(static_cast<int64_t>(std::llround(values[i]))).Mod(n);
+      std::vector<uint64_t> want_limbs = want.limbs();
+      want_limbs.resize(k, 0);
+      EXPECT_EQ(std::vector<uint64_t>(bulk.begin() + i * k,
+                                      bulk.begin() + (i + 1) * k),
+                want_limbs)
+          << values[i];
+      EXPECT_EQ(codec.Encode(values[i]).value(), want) << values[i];
+    }
+  }
+  FixedPointCodec codec(BigInt(101), 1.0);
+  std::vector<uint64_t> out(4);
+  const double nan_then_large[] = {1.0, -2.0, std::nan(""), 51.0};
+  Status status = codec.EncodeLimbs(nan_then_large, 4, out.data());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "coordinate 2: cannot encode non-finite value");
+  // The values before the bad one are written.
+  EXPECT_EQ(out[0], 1u);
+  EXPECT_EQ(out[1], 99u);
+  const double beyond_half[] = {50.0, -51.0};
+  status = codec.EncodeLimbs(beyond_half, 2, out.data());
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(status.message(),
+            "coordinate 1: encoded magnitude exceeds modulus/2");
+  const double huge[] = {5e18};
+  status = codec.EncodeLimbs(huge, 1, out.data());
+  EXPECT_EQ(status.message(),
+            "coordinate 0: value too large for fixed-point range");
+}
+
 class PrecisionSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(PrecisionSweep, RoundTripAtPrecision) {

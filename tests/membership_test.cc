@@ -641,11 +641,26 @@ TEST(MaskedTransportTest, MisaddressedVectorsFailTheRunWithTheirVerdict) {
 TEST(MaskedTransportTest, UnencodableDeltaFailsTheSiloWithAStatus) {
   // A work function that yields a non-finite or out-of-range coordinate
   // used to abort the masking silo; now its client returns
-  // InvalidArgument and the server fails the run.
+  // InvalidArgument naming the first bad coordinate and why it is bad,
+  // and the server fails the run.
   const int silos = 2, dim = 4;
   const net::AsyncRoundsConfig config = MaskedConfig();
-  for (double bad : {std::nan(""), HUGE_VAL, 1e9}) {
-    SCOPED_TRACE(bad);
+  const std::string non_finite =
+      "delta coordinate 2: cannot encode non-finite value";
+  const std::string too_large =
+      "delta coordinate 2: value too large for fixed-point range";
+  const struct {
+    double at2, at3;
+    std::string verdict;
+  } cases[] = {
+      {std::nan(""), 0.5, non_finite},
+      {HUGE_VAL, 0.5, non_finite},
+      {1e9, 0.5, too_large},
+      // Two bad coordinates: the first one decides.
+      {std::nan(""), 1e9, non_finite},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.verdict);
     std::vector<Status> silo_status;
     auto out = RunFakeSiloCohort(
         config, silos, dim,
@@ -653,12 +668,15 @@ TEST(MaskedTransportTest, UnencodableDeltaFailsTheSiloWithAStatus) {
           net::AsyncRoundClient client(config, 0, silos, dim);
           return client.Run(t, [&](uint64_t, const Vec&, Vec* delta) {
             *delta = Vec(dim, 0.5);
-            (*delta)[2] = bad;
+            (*delta)[2] = c.at2;
+            (*delta)[3] = c.at3;
             return Status::Ok();
           });
         },
         &silo_status);
     EXPECT_EQ(silo_status[0].code(), StatusCode::kInvalidArgument)
+        << silo_status[0].ToString();
+    EXPECT_NE(silo_status[0].message().find(c.verdict), std::string::npos)
         << silo_status[0].ToString();
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)

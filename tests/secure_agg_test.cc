@@ -425,5 +425,75 @@ TEST(SecureAggCrossWidthTest, P256AndAggregationPrimeDecodeIdentically) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The branch-free limb ModAdd/ModSub under AddMasks and Sum, against
+// BigInt::ModAdd/ModSub, at the widths production runs them: two limbs
+// as a compile-time constant (limbs::WithWidth), any other width as a
+// runtime loop.
+
+/// `x` as exactly `k` limbs.
+std::vector<uint64_t> LimbsOf(const BigInt& x, size_t k) {
+  std::vector<uint64_t> out = x.limbs();
+  EXPECT_LE(out.size(), k);
+  out.resize(k, 0);
+  return out;
+}
+
+TEST(LimbModArithmeticTest, ModAddAndModSubMatchBigIntAtEveryWidth) {
+  const BigInt one(1);
+  const struct {
+    BigInt m;
+    size_t k;
+  } cases[] = {
+      // 2^64 - 59: a + b carries out of the only limb.
+      {(one << 64) - BigInt(59), 1},
+      {AggregationPrime(), 2},
+      // a + b carries out of the top limb.
+      {(one << 128) - BigInt(159), 2},
+      {P256(), 4},
+      // The two-limb moduli zero-padded: the runtime loop on their values.
+      {AggregationPrime(), 4},
+      {(one << 128) - BigInt(159), 4},
+  };
+  Rng rng(2027);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.m.ToHex() + " at " + std::to_string(c.k) + " limbs");
+    const BigInt& m = c.m;
+    const BigInt top = m - one;
+    const BigInt half = m >> 1;
+    std::vector<std::pair<BigInt, BigInt>> operands = {
+        {BigInt(0), BigInt(0)},
+        {BigInt(0), top},
+        {top, BigInt(0)},
+        {one, top},             // a + b = m
+        {top, one},             // a + b = m
+        {half, m - half},       // a + b = m
+        {m - half, half},       // a + b = m
+        {top, top},             // a + b = 2m - 2, and a = b
+        {half, half},           // a = b
+        {top, top - one},
+    };
+    for (int i = 0; i < 64; ++i) {
+      const BigInt a = BigInt::RandomBelow(m, rng);
+      operands.push_back({a, BigInt::RandomBelow(m, rng)});
+      operands.push_back({a, a});
+    }
+    const std::vector<uint64_t> mod = LimbsOf(m, c.k);
+    for (const auto& [a, b] : operands) {
+      std::vector<uint64_t> sum = LimbsOf(a, c.k);
+      std::vector<uint64_t> diff = LimbsOf(a, c.k);
+      const std::vector<uint64_t> rhs = LimbsOf(b, c.k);
+      limbs::WithWidth(c.k, [&](auto k) {
+        limbs::ModAdd(sum.data(), rhs.data(), mod.data(), k);
+        limbs::ModSub(diff.data(), rhs.data(), mod.data(), k);
+      });
+      EXPECT_EQ(sum, LimbsOf(a.ModAdd(b, m), c.k))
+          << a.ToHex() << " + " << b.ToHex();
+      EXPECT_EQ(diff, LimbsOf(a.ModSub(b, m), c.k))
+          << a.ToHex() << " - " << b.ToHex();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace uldp
