@@ -16,7 +16,7 @@
 // measures fig11-style private weighting rounds at each ciphertext packing
 // factor (median of alternating round pairs), plus the remaining substrate
 // unit costs behind Figures 10/11 (BigInt mul/div, secure-aggregation
-// masking serial vs pooled and at the async silo's dim 100 000, the async
+// masking at dim 64 and 256 and at the async silo's dim 100 000, the async
 // masked step's MaskDelta and UnmaskSum at dim 100 000, SHA-256, the
 // ChaCha stream, C_LCM).
 //
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/parallel.h"
 #include "common/table.h"
 #include "core/private_weighting.h"
 #include "crypto/chacha.h"
@@ -456,17 +455,9 @@ int main() {
     RecordOp(table, json, rows, "secure_agg_mask_dim64", "-", 256,
              SecondsPerOp([&] { agg.AddMasks(0, keys, 1, v64); }, window,
                           min_iters));
-    // Mask generation serial vs pooled (per-peer PRF streams on the global
-    // pool; bitwise identical output).
     RecordOp(table, json, rows, "secure_agg_mask_dim256", "serial", 256,
              SecondsPerOp([&] { agg.AddMasks(0, keys, 2, v256); }, window,
                           min_iters));
-    RecordOp(table, json, rows, "secure_agg_mask_dim256", "pooled", 256,
-             SecondsPerOp(
-                 [&] {
-                   agg.AddMasks(0, keys, 2, v256, &ThreadPool::Global());
-                 },
-                 window, min_iters));
     // The async silo's shape: one party's masks against its 2 peers over
     // the aggregation field at dim 100 000, serial as MaskDelta runs it.
     SecureAggregator agg3(AggregationPrime(), 3);

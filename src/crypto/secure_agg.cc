@@ -4,14 +4,13 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "math/limbs.h"
 
 namespace uldp {
 
 namespace {
 
-// Elements per chunk of a serial mask draw: 4 KiB of two-limb draws.
+// Elements per chunk of a mask draw: 4 KiB of two-limb draws.
 constexpr size_t kMaskChunk = 256;
 
 // a[i] = a[i] + b[i] mod n (a[i] - b[i] when `subtract`) over `count`
@@ -79,7 +78,7 @@ SecureAggregator::SecureAggregator(BigInt modulus, int num_parties)
 
 void SecureAggregator::AddMasks(
     int me, const std::vector<ChaChaRng::Key>& pairwise_keys, uint64_t tag,
-    FieldVector& values, ThreadPool* pool) const {
+    FieldVector& values) const {
   ULDP_CHECK_GE(me, 0);
   ULDP_CHECK_LT(me, num_parties_);
   ULDP_CHECK_EQ(static_cast<int>(pairwise_keys.size()), num_parties_);
@@ -87,30 +86,10 @@ void SecureAggregator::AddMasks(
   ULDP_CHECK_EQ(values.limbs(), k);
   const uint64_t* n = modulus_.limbs().data();
   const size_t dim = values.size();
-  // Both parties of a pair seed the identical stream; the smaller index
-  // adds the mask, the larger subtracts, so the pair cancels in the sum.
-  auto fold = [&](int other, size_t first, size_t count,
-                  const uint64_t* masks) {
-    AddElements(values.element(first), masks, count, n, k, other < me);
-  };
-  if (pool != nullptr) {
-    // Each peer's stream is one sequential ChaCha evaluation, so generation
-    // parallelizes across peers; the combine afterwards walks peers in
-    // index order.
-    std::vector<std::vector<uint64_t>> streams(num_parties_);
-    pool->ParallelFor(static_cast<size_t>(num_parties_), [&](size_t other) {
-      if (static_cast<int>(other) == me) return;
-      ChaChaRng stream(pairwise_keys[other], ChaChaRng::MakeNonce(tag));
-      streams[other].resize(dim * k);
-      stream.UniformBelow(n, k, streams[other].data(), dim);
-    });
-    for (int other = 0; other < num_parties_; ++other) {
-      if (other != me) fold(other, 0, dim, streams[other].data());
-    }
-    return;
-  }
   // One peer's stream at a time, drawn a chunk at a time into a buffer
-  // that stays in L1 and folded in before the next chunk is drawn.
+  // that stays in L1 and folded in before the next chunk is drawn. Both
+  // parties of a pair seed the identical stream; the smaller index adds
+  // the mask, the larger subtracts, so the pair cancels in the sum.
   std::vector<uint64_t> chunk(std::min(dim, kMaskChunk) * k);
   for (int other = 0; other < num_parties_; ++other) {
     if (other == me) continue;
@@ -118,7 +97,7 @@ void SecureAggregator::AddMasks(
     for (size_t d = 0; d < dim; d += kMaskChunk) {
       const size_t count = std::min(kMaskChunk, dim - d);
       stream.UniformBelow(n, k, chunk.data(), count);
-      fold(other, d, count, chunk.data());
+      AddElements(values.element(d), chunk.data(), count, n, k, other < me);
     }
   }
 }

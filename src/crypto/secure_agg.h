@@ -25,8 +25,6 @@
 
 namespace uldp {
 
-class ThreadPool;
-
 /// The public prime field the FL layer aggregates over: the Mersenne
 /// prime 2^127 - 1 (fixed: it is public anyway, so aggregation is
 /// deterministic across parties). Its half exceeds INT_MAX * 2^63, so a
@@ -83,21 +81,16 @@ class SecureAggregator {
   /// [0, n). `pairwise_keys[j]` is the ChaCha key shared between `me` and
   /// party j (entry for j == me is ignored). Both parties of a pair must
   /// have derived identical keys (see DeriveSharedSeedMaterial).
-  /// Both paths run one draw loop (ChaChaRng's bulk UniformBelow) and one
-  /// add loop (branch-free limbs::ModAdd/ModSub, unrolled for two limbs).
-  /// Without a `pool`, each peer's stream is drawn 256 elements at a time
-  /// into a buffer that stays in L1 and folded in before the next chunk.
-  /// With one, each peer's stream is drawn on its own task into a
-  /// dim x limbs() buffer (8 dim limbs() bytes per peer) and the buffers
-  /// are added in fixed peer order afterwards. The result is the same
-  /// residue either way, bitwise identical at any thread count. Against
-  /// two peers at dim 100 000 over the aggregation field, the serial path
-  /// takes about 3 ms on a 2.1 GHz AVX-512 Xeon: the keystream about
-  /// 1.6 ms, reading draws out of it 0.3 ms and the adds about 1 ms. The
-  /// buffered pool path runs no faster there.
+  /// Each peer's stream is drawn (ChaChaRng's bulk UniformBelow) 256
+  /// elements at a time into a buffer that stays in L1 and folded in
+  /// (branch-free limbs::ModAdd/ModSub, unrolled for two limbs) before the
+  /// next chunk is drawn. Against two peers at dim 100 000 over the
+  /// aggregation field this takes about 3 ms on a 2.1 GHz AVX-512 Xeon:
+  /// the keystream about 1.6 ms, reading draws out of it 0.3 ms and the
+  /// adds about 1 ms. Callers that mask many parties at once parallelize
+  /// across parties (fl/local_trainer.h AggregateDeltas).
   void AddMasks(int me, const std::vector<ChaChaRng::Key>& pairwise_keys,
-                uint64_t tag, FieldVector& values,
-                ThreadPool* pool = nullptr) const;
+                uint64_t tag, FieldVector& values) const;
 
   /// Element-wise sum of all parties' vectors mod n (the server-side
   /// reduce; masks cancel if every party masked its vector).

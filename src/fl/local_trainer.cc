@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "crypto/fixed_point.h"
 #include "crypto/secure_agg.h"
 
@@ -70,7 +71,7 @@ double AsyncNoiseMargin(const FlConfig& config, int num_silos) {
 }
 
 Result<FieldVector> MaskDelta(const Vec& delta, int party, int num_parties,
-                              uint64_t round_tag, ThreadPool* pool) {
+                              uint64_t round_tag) {
   const BigInt& prime = AggregationPrime();
   FixedPointCodec codec(prime, kAggPrecision);
   FieldVector masked(delta.size(), codec.limbs());
@@ -82,7 +83,7 @@ Result<FieldVector> MaskDelta(const Vec& delta, int party, int num_parties,
   if (num_parties >= 2) {
     SecureAggregator agg(prime, num_parties);
     agg.AddMasks(party, PairwiseAggKeys(party, num_parties), round_tag,
-                 masked, pool);
+                 masked);
   }
   return masked;
 }
@@ -100,8 +101,8 @@ Vec UnmaskSum(const std::vector<FieldVector>& masked) {
 
 std::vector<BigInt> MaskSiloDelta(const Vec& delta, int party,
                                   int num_parties, uint64_t round_tag,
-                                  ThreadPool* pool) {
-  auto masked = MaskDelta(delta, party, num_parties, round_tag, pool);
+                                  ThreadPool* /*pool*/) {
+  auto masked = MaskDelta(delta, party, num_parties, round_tag);
   ULDP_CHECK_MSG(masked.ok(), masked.status().ToString());
   return masked.value().ToBigInts();
 }
@@ -117,12 +118,17 @@ Vec AggregateDeltas(const std::vector<Vec>& silo_deltas, bool secure,
     return SumVecs(silo_deltas);
   }
   const int parties = static_cast<int>(silo_deltas.size());
-  std::vector<FieldVector> masked;
-  masked.reserve(parties);
-  for (int s = 0; s < parties; ++s) {
-    auto vec = MaskDelta(silo_deltas[s], s, parties, round_tag, pool);
+  std::vector<FieldVector> masked(parties);
+  auto mask = [&](size_t s) {
+    auto vec = MaskDelta(silo_deltas[s], static_cast<int>(s), parties,
+                         round_tag);
     ULDP_CHECK_MSG(vec.ok(), vec.status().ToString());
-    masked.push_back(std::move(vec.value()));
+    masked[s] = std::move(vec.value());
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(masked.size(), mask);
+  } else {
+    for (size_t s = 0; s < masked.size(); ++s) mask(s);
   }
   return UnmaskSum(masked);
 }

@@ -144,10 +144,11 @@ double AsyncNoiseMargin(const FlConfig& config, int num_silos);
 /// masks' cost, not their secrecy: a curious server that derives the same
 /// keys can unmask each delta. That is
 /// MaskDelta per silo, then UnmaskSum; a non-finite or out-of-range
-/// coordinate aborts. `pool` (optional) parallelizes mask
-/// generation; the result is bitwise identical at any thread count.
-/// Callers with a thread-count knob (the round engine) pass their own pool
-/// so the knob stays authoritative.
+/// coordinate aborts. `pool` (optional) runs one MaskDelta task per silo;
+/// UnmaskSum then adds the vectors in silo order, so the result is
+/// bitwise identical at any thread count. Callers with a thread-count
+/// knob (the round engine) pass their own pool so the knob stays
+/// authoritative.
 Vec AggregateDeltas(const std::vector<Vec>& silo_deltas, bool secure,
                     uint64_t round_tag, ThreadPool* pool = nullptr);
 
@@ -165,7 +166,7 @@ Vec AggregateDeltas(const std::vector<Vec>& silo_deltas, bool secure,
 /// 2.1 GHz AVX-512 Xeon, half of it ChaCha keystream (bench_micro_crypto's
 /// mask_delta_dim100000).
 Result<FieldVector> MaskDelta(const Vec& delta, int party, int num_parties,
-                              uint64_t round_tag, ThreadPool* pool = nullptr);
+                              uint64_t round_tag);
 
 /// The server's side: sums the masked vectors (masks cancel) and decodes
 /// the fixed-point total back to doubles, on the same branch-free add as
@@ -179,7 +180,8 @@ Vec UnmaskSum(const std::vector<FieldVector>& masked);
 
 /// BigInt forms of MaskDelta and UnmaskSum, kept as conversions over them
 /// for callers that hold masked vectors as BigInts (the performance
-/// ledger's replay). MaskSiloDelta aborts where MaskDelta returns an error.
+/// ledger's replay). MaskSiloDelta aborts where MaskDelta returns an error
+/// and ignores `pool`, which it keeps for those callers.
 std::vector<BigInt> MaskSiloDelta(const Vec& delta, int party,
                                   int num_parties, uint64_t round_tag,
                                   ThreadPool* pool = nullptr);

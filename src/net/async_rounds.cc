@@ -767,7 +767,7 @@ Status AsyncRoundClient::RunLoop(Transport& transport, const WorkFn& work,
       // Raw version as the mask round-tag — the same tag the in-process
       // secure reduce uses, so the server-side unmask is bitwise identical
       // to it. The wire-level phase tag carries the domain separation.
-      auto values = MaskDelta(delta, silo_id_, num_silos_, version, nullptr);
+      auto values = MaskDelta(delta, silo_id_, num_silos_, version);
       if (!values.ok()) return values.status();
       MaskedVectorMsg msg;
       msg.phase_tag = MakeMaskTag(MaskPhase::kFlAggregation, version);

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "crypto/chacha.h"
 #include "crypto/secure_agg.h"
 #include "math/limbs.h"
@@ -264,7 +263,7 @@ TEST(ChaChaKernelTest, UniformBelowDrawsMatchScalarAcrossRefills) {
   }
 }
 
-TEST(ChaChaKernelTest, AddMasksSerialAndPooledMatchScalarStreams) {
+TEST(ChaChaKernelTest, AddMasksMatchesScalarStreams) {
   // 1001 two-limb elements: 4004 keystream words, not a multiple of a
   // 256-word batch, and a serial draw ends mid-chunk.
   const size_t dim = 1001;
@@ -293,13 +292,9 @@ TEST(ChaChaKernelTest, AddMasksSerialAndPooledMatchScalarStreams) {
         }
       }
     }
-    FieldVector serial(dim, k);
-    agg.AddMasks(me, keys, 42, serial);
-    EXPECT_TRUE(serial == want) << "me=" << me;
-    ThreadPool pool(3);
-    FieldVector pooled(dim, k);
-    agg.AddMasks(me, keys, 42, pooled, &pool);
-    EXPECT_TRUE(pooled == want) << "me=" << me;
+    FieldVector got(dim, k);
+    agg.AddMasks(me, keys, 42, got);
+    EXPECT_TRUE(got == want) << "me=" << me;
   }
 }
 

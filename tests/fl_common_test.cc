@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/parallel.h"
+#include "crypto/secure_agg.h"
 #include "fl/fedavg.h"
 #include "fl/local_trainer.h"
 #include "data/allocation.h"
@@ -54,6 +56,37 @@ TEST(AggregateDeltasTest, SecureMatchesPlainWithinPrecision) {
     Vec secure = AggregateDeltas(deltas, true, 7);
     for (size_t i = 0; i < plain.size(); ++i) {
       EXPECT_NEAR(secure[i], plain[i], 1e-8);
+    }
+  }
+}
+
+TEST(AggregateDeltasTest, SecureReduceIsBitwiseEqualAtAnyThreadCount) {
+  // The secure reduce masks each silo on its own pool task and adds the
+  // vectors in silo order, so for random shapes it must equal the serial
+  // MaskDelta-then-UnmaskSum pipeline bit for bit at every thread count.
+  Rng rng(7341);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int parties = 2 + static_cast<int>(rng.UniformInt(9));
+    const size_t dim = 1 + rng.UniformInt(600);
+    const uint64_t tag = rng.NextUint64();
+    std::vector<Vec> deltas(parties, Vec(dim));
+    for (auto& d : deltas) {
+      for (double& v : d) v = rng.Gaussian(0.0, 3.0);
+    }
+    std::vector<FieldVector> masked;
+    for (int s = 0; s < parties; ++s) {
+      auto vec = MaskDelta(deltas[s], s, parties, tag);
+      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+      masked.push_back(std::move(vec.value()));
+    }
+    const Vec serial = UnmaskSum(masked);
+    EXPECT_EQ(AggregateDeltas(deltas, /*secure=*/true, tag), serial)
+        << "trial " << trial;
+    for (int threads : {1, 2, 5}) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(AggregateDeltas(deltas, /*secure=*/true, tag, &pool), serial)
+          << "thread count " << threads << " changed the reduce (trial "
+          << trial << ", " << parties << " silos, dim " << dim << ")";
     }
   }
 }

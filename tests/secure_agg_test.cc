@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/parallel.h"
 #include "crypto/fixed_point.h"
 #include "crypto/secure_agg.h"
 #include "fl/local_trainer.h"
@@ -33,9 +32,9 @@ std::vector<std::vector<ChaChaRng::Key>> MakePairKeys(int parties,
 /// Party `p`'s mask vector alone: its masks added to zeros.
 FieldVector MaskOf(const SecureAggregator& agg,
                    const std::vector<ChaChaRng::Key>& keys, int p,
-                   uint64_t tag, size_t dim, ThreadPool* pool = nullptr) {
+                   uint64_t tag, size_t dim) {
   FieldVector mask(dim, agg.limbs());
-  agg.AddMasks(p, keys, tag, mask, pool);
+  agg.AddMasks(p, keys, tag, mask);
   return mask;
 }
 
@@ -92,12 +91,10 @@ TEST(SecureAggTest, MasksSumToZeroAcrossParties) {
   EXPECT_EQ(agg.Sum(masks), FieldVector(3, agg.limbs()));
 }
 
-TEST(SecureAggTest, PooledMaskGenerationCancelsAtAnyThreadCount) {
-  // Property test guarding the parallel mask pipeline: for random shapes,
-  // the per-party masks must sum to zero across all parties, and the
-  // pooled path must be bitwise identical to the serial one at every
-  // thread count (the mask streams come from Fork-style independent PRF
-  // evaluations combined in fixed peer order).
+TEST(SecureAggTest, MasksCancelForRandomShapes) {
+  // Property test: for random shapes, the per-party masks must sum to
+  // zero across all parties. (fl_common_test checks the secure reduce's
+  // thread-count independence through AggregateDeltas.)
   Rng shape_rng(7341);
   for (int trial = 0; trial < 6; ++trial) {
     const int parties = 2 + static_cast<int>(shape_rng.UniformInt(9));
@@ -108,21 +105,12 @@ TEST(SecureAggTest, PooledMaskGenerationCancelsAtAnyThreadCount) {
     SecureAggregator agg(q, parties);
     auto keys = MakePairKeys(parties, "pool" + std::to_string(trial));
 
-    std::vector<FieldVector> serial;
+    std::vector<FieldVector> masks;
     for (int p = 0; p < parties; ++p) {
-      serial.push_back(MaskOf(agg, keys[p], p, tag, dim));
+      masks.push_back(MaskOf(agg, keys[p], p, tag, dim));
     }
-    EXPECT_EQ(agg.Sum(serial), FieldVector(dim, agg.limbs()))
+    EXPECT_EQ(agg.Sum(masks), FieldVector(dim, agg.limbs()))
         << "masks leak at trial " << trial;
-
-    for (int threads : {1, 2, 5}) {
-      ThreadPool pool(threads);
-      for (int p = 0; p < parties; ++p) {
-        EXPECT_EQ(MaskOf(agg, keys[p], p, tag, dim, &pool), serial[p])
-            << "thread count " << threads << " changed party " << p
-            << "'s masks (trial " << trial << ")";
-      }
-    }
   }
 }
 
@@ -225,11 +213,6 @@ uint64_t Bits(double x) {
   return bits;
 }
 
-struct FlatCase {
-  // 256: P-256; 127: AggregationPrime(); 96: the first prime past 2^95.
-  int prime_bits;
-  bool pooled;
-};
 
 /// The smallest prime above 2^95: a draw masked to 96 bits lands at or
 /// above it about half the time, so the rejection retry runs constantly.
@@ -240,17 +223,17 @@ BigInt SmallestPrimeAbove2To95() {
   return q;
 }
 
-class FlatCoreReferenceTest : public ::testing::TestWithParam<FlatCase> {};
+// The parameter is the prime's bit length. 256: P-256; 127:
+// AggregationPrime(); 96: the first prime past 2^95.
+class FlatCoreReferenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FlatCoreReferenceTest, LimbsFrameBytesAndDecodedDoublesMatch) {
-  const FlatCase c = GetParam();
-  const bool production = c.prime_bits == 127;
-  const BigInt q = c.prime_bits == 256 ? P256()
-                   : production        ? AggregationPrime()
-                                       : SmallestPrimeAbove2To95();
+  const int prime_bits = GetParam();
+  const bool production = prime_bits == 127;
+  const BigInt q = prime_bits == 256 ? P256()
+                   : production      ? AggregationPrime()
+                                     : SmallestPrimeAbove2To95();
   FixedPointCodec codec(q, kPrecision);
-  ThreadPool pool(3);
-  ThreadPool* maybe_pool = c.pooled ? &pool : nullptr;
   int rejected = 0;
   for (int parties = 2; parties <= 5; ++parties) {
     SecureAggregator agg(q, parties);
@@ -271,7 +254,7 @@ TEST_P(FlatCoreReferenceTest, LimbsFrameBytesAndDecodedDoublesMatch) {
         for (size_t d = 0; d < dim; ++d) {
           ASSERT_TRUE(codec.EncodeLimbs(delta[d], v.element(d)).ok());
         }
-        agg.AddMasks(p, keys[p], tag, v, maybe_pool);
+        agg.AddMasks(p, keys[p], tag, v);
         // Limbs: the flat vector holds exactly the reference values.
         EXPECT_EQ(v, FieldVector(reference[p], codec.limbs()));
         EXPECT_EQ(v.ToBigInts(), reference[p]);
@@ -285,13 +268,12 @@ TEST_P(FlatCoreReferenceTest, LimbsFrameBytesAndDecodedDoublesMatch) {
         EXPECT_TRUE(reader.AtEnd());
         EXPECT_EQ(parsed, v);
         if (production) {
-          auto produced = MaskDelta(delta, p, parties, tag, maybe_pool);
+          auto produced = MaskDelta(delta, p, parties, tag);
           ASSERT_TRUE(produced.ok()) << produced.status().ToString();
           EXPECT_EQ(produced.value(), v);
           // The BigInt API: MaskSiloDelta, assigned to the message as
           // BigInts.
-          EXPECT_EQ(MaskSiloDelta(delta, p, parties, tag, maybe_pool),
-                    reference[p]);
+          EXPECT_EQ(MaskSiloDelta(delta, p, parties, tag), reference[p]);
           net::MaskedVectorMsg msg;
           msg.phase_tag = MakeMaskTag(MaskPhase::kFlAggregation, tag);
           msg.party_id = static_cast<uint32_t>(p);
@@ -331,19 +313,15 @@ TEST_P(FlatCoreReferenceTest, LimbsFrameBytesAndDecodedDoublesMatch) {
   }
   // Only the small prime rejects often enough to exercise the retry
   // (about 40k draws per case).
-  if (c.prime_bits == 96) {
+  if (prime_bits == 96) {
     EXPECT_GT(rejected, 10000);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PrimesAndPools, FlatCoreReferenceTest,
-    ::testing::Values(FlatCase{256, false}, FlatCase{256, true},
-                      FlatCase{127, false}, FlatCase{127, true},
-                      FlatCase{96, false}, FlatCase{96, true}),
-    [](const ::testing::TestParamInfo<FlatCase>& info) {
-      return "Prime" + std::to_string(info.param.prime_bits) +
-             (info.param.pooled ? "Pooled" : "Serial");
+    Primes, FlatCoreReferenceTest, ::testing::Values(256, 127, 96),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return "Prime" + std::to_string(info.param);
     });
 
 // ---------------------------------------------------------------------------

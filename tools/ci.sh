@@ -16,7 +16,7 @@ if [ "${SANITIZE:-0}" = "1" ]; then
   # Separate default build dir: writing ULDP_SANITIZE=ON into the plain
   # build/ cache would leave later non-sanitized runs silently sanitized.
   BUILD_DIR="${1:-build-asan}"
-  FAST_TESTS='^(bigint_test|montgomery_primes_test|mont_kernel_test|chacha_kernel_test|fixed_base_test|fixed_point_test|csv_loader_test|mask_tags_test|secure_agg_test|sha_chacha_test|common_test|parallel_test|paillier_test|paillier_ctx_test|dh_test|oblivious_transfer_test|net_wire_test|net_transport_test|parse_test|async_rounds_test|multi_exp_test|packed_codec_test|net_stream_test|shard_round_test|session_test|membership_test|obs_test|mux_test)$'
+  FAST_TESTS='^(bigint_test|montgomery_primes_test|mont_kernel_test|chacha_kernel_test|fixed_base_test|fixed_point_test|csv_loader_test|mask_tags_test|secure_agg_test|sha_chacha_test|common_test|parallel_test|paillier_test|paillier_ctx_test|dh_test|oblivious_transfer_test|net_wire_test|net_transport_test|parse_test|async_rounds_test|multi_exp_test|packed_codec_test|net_stream_test|shard_round_test|session_test|membership_test|obs_test|mux_test|transcript_test|fl_common_test)$'
   cmake -B "$BUILD_DIR" -S . -DULDP_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD_DIR" -j"$JOBS"
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
@@ -183,7 +183,7 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
   # replays through the secure fixed-point reduce.
   run_async_smoke() {  # $1=label $2=log $3=args for every party $4=server
     local label="$1" log="$2" args c0 c1 fail=0
-    args="--async --silos=2 --users=6 --dim=8 --seed=11 --net-timeout=120 $3"
+    args="--async --silos=2 --dim=8 --seed=11 --net-timeout=120 $3"
     # shellcheck disable=SC2086
     start_server "$label" "$log" --serve=0 --rounds=3 --verify $args \
         ${4:-} || return 1
@@ -240,8 +240,8 @@ print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
   # request ("silo connected (0/2)"), so the request cannot arrive after
   # the 6 steps have run.
   CHURN_LOG="$BUILD_DIR/net_churn_smoke_server.log"
-  CHURN_ARGS="--async --elastic --min-silos=1 --silos=3 --users=6 --dim=8 \
---seed=11 --net-timeout=120 --fail-silo=0:2 --join-silo=2:3"
+  CHURN_ARGS="--async --elastic --min-silos=1 --silos=3 --dim=8 --seed=11 \
+--net-timeout=120 --fail-silo=0:2 --join-silo=2:3"
   # shellcheck disable=SC2086
   start_server churn "$CHURN_LOG" --serve=0 --rounds=6 $CHURN_ARGS || exit 1
   # shellcheck disable=SC2086
@@ -284,8 +284,7 @@ print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
   # between rounds), then a fresh server --resumes from the surviving
   # session.ckpt with new clients; its final params digest must match an
   # uninterrupted run's bit for bit.
-  RESUME_ARGS="--async --silos=2 --users=6 --dim=8 --seed=11 \
---net-timeout=120"
+  RESUME_ARGS="--async --silos=2 --dim=8 --seed=11 --net-timeout=120"
   CKPT_DIR="$BUILD_DIR/resume_smoke_ckpt"
   rm -rf "$CKPT_DIR" && mkdir -p "$CKPT_DIR"
   run_async_pair() {  # $1=log $2=extra server args $3=extra client args

@@ -12,13 +12,18 @@
 //   uldp_fl_cli --connect=127.0.0.1:7100 --silo-id=0 --silos=2 --users=8
 //               --dim=16
 //
-// Run with --help for the full flag list.
+// Every flag is one entry of FlagTable(): its name, the Flags field it
+// sets and how its value parses, its help text, and the runs that read
+// it. Parsing, --help and the check that refuses a flag the run does not
+// read all come from that table. Run with --help for the full flag list.
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
-#include <map>
+#include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -46,408 +51,438 @@
 namespace uldp {
 namespace {
 
+/// Every value the command line sets. FlagTable() holds each field's
+/// default, parser and help.
 struct Flags {
-  std::string dataset = "creditcard";  // creditcard|mnist|heart|tcga
-  std::string csv;                     // overrides dataset when set
-  int label_column = -1;
-  std::string method = "uldp-avg";  // default|uldp-naive|uldp-group|
-                                    // uldp-avg|uldp-avg-w|uldp-sgd
-  std::string allocation = "zipf";  // uniform|zipf
-  int users = 100;
-  int silos = 5;
-  int rounds = 20;
-  int eval_every = 5;
-  int records = 6000;
-  int group_k = 8;
-  double sigma = 5.0;
-  double clip = 1.0;
-  double local_lr = 0.1;
-  double global_lr = 0.0;  // 0 = method default
-  double delta = 1e-5;
-  double user_sample_rate = 1.0;
-  double target_epsilon = 0.0;  // > 0: calibrate sigma instead of --sigma
-  int local_epochs = 2;
-  uint64_t seed = 1;
-  int num_seeds = 1;  // > 1 averages runs
-  int threads = 0;    // round-engine threads (0 = auto)
-  // Asynchronous staleness-bounded rounds.
-  bool async = false;      // local: async trainers; with --serve/--connect:
-                           // async FL demo over the transport layer
-  int max_staleness = 0;   // staleness bound tau
-  int async_buffer = 0;    // arrivals per server step (0 = silos)
-  // Elastic membership (async server/clients).
-  bool elastic = false;    // dynamic membership: mid-run joins + eviction
-  int min_silos = 0;       // fail below this active population (0 = 1)
-  bool masked = false;     // submit pairwise-masked deltas (secure agg)
-  // Checkpoint/resume (local experiments and the async server).
-  std::string checkpoint_dir;  // write <dir>/session.ckpt
-  int checkpoint_every = 0;    // every K rounds (0 = off)
-  bool resume = false;         // load the checkpoint and continue
-  // Fault injection (--fail-silo=ID:ROUND / --join-silo=ID:ROUND).
-  double straggler = 0.0;  // async client: seconds of compute per step
-  int fail_silo = -1;  // this silo crashes when released with ROUND
-  int fail_round = -1;
-  int join_silo = -1;  // this silo joins mid-run at version >= ROUND
-  int join_round = -1;
-  // Distributed Protocol 1 modes.
-  int serve = -1;           // >= 0: run a protocol server on this port
-                            // (0 picks an ephemeral port and prints it)
-  std::string connect;      // host:port: run a silo client
-  int silo_id = -1;         // required with --connect
-  int dim = 16;             // demo model dimension
-  int paillier_bits = 512;  // protocol modulus (demo scale)
-  int n_max = 30;           // protocol N_max
-  int ot_slots = 0;         // > 0: OT-based private sub-sampling, P slots
-  int pack_slots = 1;       // ciphertext packing slots (1 = unpacked)
-  bool verify = false;      // server: compare against the in-process run
-  int net_timeout = 0;      // seconds; recv/handshake deadline on TCP (0=off)
-  // Streaming rounds (bounded peak RSS; must match on every party).
-  int stream_chunk_users = 0;   // > 0: stream enc weights in user chunks
-  int stream_chunk_coords = 0;  // cipher-upload chunk size (0 = default)
-  int max_frame_bytes = 0;      // wire frame payload cap (0 = default)
-  // Tamper-evident transcripts (src/net/transcript.h).
-  std::string record_transcript;  // dir: write this party's transcript
-  std::string verify_transcript;  // file: verify chain/HMAC + replay
-  std::string hmac_key;           // hex key for the keyed chain finalizer
-  // Telemetry (src/obs/) — strictly passive: results are bitwise
-  // identical with or without these.
-  std::string metrics_out;  // write the metrics registry JSON on exit
-  std::string trace_out;    // record spans, write Chrome trace JSON on exit
-  int stats_port = -1;      // >= 0: live Prometheus endpoint (servers;
-                            // 0 picks an ephemeral port and prints it)
+  // Data and method (local runs).
+  std::string dataset, csv, method, allocation;
+  int label_column, users, silos, records, num_seeds;
+  uint64_t seed;
+  // Training and privacy.
+  int rounds, eval_every, local_epochs, group_k, threads;
+  double local_lr, global_lr, sigma, clip, delta, target_epsilon,
+      user_sample_rate;
+  // Asynchronous rounds and checkpoints.
+  bool async, resume;
+  int max_staleness, async_buffer, checkpoint_every;
+  std::string checkpoint_dir;
+  // Distributed modes: serve < 0 and an empty connect mean neither.
+  int serve, silo_id, dim, paillier_bits, n_max, ot_slots, pack_slots,
+      stream_chunk_users, stream_chunk_coords, net_timeout, max_frame_bytes;
+  std::string connect;
+  bool verify;
+  // Async server and silos; a silo of -1 is no drill.
+  bool elastic, masked;
+  int min_silos, fail_silo, fail_round, join_silo, join_round;
+  double straggler;
+  // Transcripts and telemetry; stats_port < 0 is off.
+  std::string record_transcript, verify_transcript, hmac_key, metrics_out,
+      trace_out;
+  int stats_port;
 };
 
-void PrintHelp() {
-  std::cout <<
-      "uldp_fl_cli — run a cross-silo user-level-DP FL experiment\n\n"
-      "  --dataset=creditcard|mnist|heart|tcga   built-in synthetic data\n"
-      "  --csv=PATH --label-column=N             or load a CSV instead\n"
-      "  --method=default|uldp-naive|uldp-group|uldp-avg|uldp-avg-w|"
-      "uldp-sgd\n"
-      "  --allocation=uniform|zipf   user/silo record allocation\n"
-      "  --users=N --silos=N --records=N\n"
-      "  --rounds=T --eval-every=K --local-epochs=Q\n"
-      "  --sigma=S --clip=C --local-lr=LR --global-lr=LR --delta=D\n"
-      "  --target-epsilon=E          calibrate sigma for this budget\n"
-      "  --user-sample-rate=Q        user-level sub-sampling (Alg. 4)\n"
-      "  --group-k=K                 group size for uldp-group\n"
-      "  --seed=N --num-seeds=M      M > 1 reports mean±std over seeds\n"
-      "  --threads=N                 silo-round threads (0 = auto;\n"
-      "                              results are identical for any N)\n"
-      "  --async                     asynchronous staleness-bounded rounds:\n"
-      "                              silo deltas apply as they land instead\n"
-      "                              of barrier-waiting on the slowest silo\n"
-      "  --max-staleness=T           accept updates up to T versions stale\n"
-      "                              (discounted 1/(1+tau); 0 = barrier,\n"
-      "                              bitwise-identical to sync)\n"
-      "  --async-buffer=K            arrivals per server step (0 = silos)\n"
-      "  --checkpoint-dir=PATH       write PATH/session.ckpt (local runs\n"
-      "                              and the async server)\n"
-      "  --checkpoint-every=K        checkpoint every K rounds and on the\n"
-      "                              final round (required with\n"
-      "                              --checkpoint-dir)\n"
-      "  --resume                    load the checkpoint and continue; the\n"
-      "                              resumed run is bitwise identical to an\n"
-      "                              uninterrupted one on the same seed\n\n"
-      "Distributed Protocol 1 (src/net/): a server plus one client per\n"
-      "silo exchange every phase as wire frames over TCP and produce\n"
-      "bitwise-identical aggregates to the in-process simulation.\n"
-      "  --serve=PORT                run the protocol server (0 = pick an\n"
-      "                              ephemeral port and print it)\n"
-      "  --connect=HOST:PORT --silo-id=K   run silo K's client\n"
-      "  --dim=D --paillier-bits=B --n-max=N   demo protocol shape\n"
-      "  --ot-slots=P                OT-based private user sub-sampling\n"
-      "                              with P slots (0 = off); all parties\n"
-      "                              must agree\n"
-      "  --pack-slots=K              pack K fixed-point coordinates per\n"
-      "                              Paillier ciphertext (1 = unpacked);\n"
-      "                              all parties must agree\n"
-      "  --verify                    server: also run the in-process\n"
-      "                              protocol and require bitwise equality\n"
-      "  --net-timeout=SECONDS       TCP recv/handshake deadline — a hung\n"
-      "                              peer fails fast instead of blocking\n"
-      "                              forever (0 = off)\n"
-      "  --stream-chunk-users=K      stream encrypted weights K users at a\n"
-      "                              time and fold silo ciphers chunk by\n"
-      "                              chunk: peak resident ciphertexts are\n"
-      "                              O(K), independent of --users, and the\n"
-      "                              aggregates stay bitwise identical\n"
-      "                              (0 = materialize whole rounds)\n"
-      "  --stream-chunk-coords=C     cipher-upload coordinates per chunk\n"
-      "                              (0 = default 256)\n"
-      "  --max-frame-bytes=B         reject any wire frame whose payload\n"
-      "                              exceeds B bytes before allocating it\n"
-      "                              (0 = default cap)\n"
-      "Tamper-evident transcripts (src/net/transcript.h; see\n"
-      "docs/transcripts.md):\n"
-      "  --record-transcript=DIR     record every frame this party sends or\n"
-      "                              receives as a hash-chained transcript\n"
-      "                              in DIR (server.ult / siloK.ult /\n"
-      "                              async-*.ult), written on every exit\n"
-      "                              path including failures; recording is\n"
-      "                              passive — the run's bytes and results\n"
-      "                              are unchanged\n"
-      "  --verify-transcript=FILE    verify a recorded transcript: trailing\n"
-      "                              digest, SHA-256 hash chain, optional\n"
-      "                              HMAC, then a deterministic replay\n"
-      "                              through the real protocol drivers that\n"
-      "                              must reproduce every recorded outbound\n"
-      "                              frame byte-for-byte (protocol roles;\n"
-      "                              async roles verify chain + HMAC only)\n"
-      "  --hmac-key=HEX              keyed chain finalizer: with\n"
-      "                              --record-transcript, bind the chain\n"
-      "                              head to this key; with\n"
-      "                              --verify-transcript, require and check\n"
-      "                              the binding (a forger who re-hashes a\n"
-      "                              doctored chain fails without the key)\n"
-      "With --async, --serve/--connect run the asynchronous FL demo over\n"
-      "TCP (StalenessInfo/RoundAck frames) instead of Protocol 1;\n"
-      "--verify requires --max-staleness=0, where the distributed run is\n"
-      "bitwise-identical to the synchronous engine (with --masked, to its\n"
-      "secure fixed-point reduce).\n"
-      "Elastic membership (async demo only):\n"
-      "  --elastic                   server: admit mid-run join requests at\n"
-      "                              flush boundaries and evict dead silos\n"
-      "                              instead of failing the run\n"
-      "  --min-silos=N               fail the run if the active population\n"
-      "                              drops below N (default 1)\n"
-      "  --masked                    silos upload pairwise-masked deltas\n"
-      "                              (fl/local_trainer.h) whose masks\n"
-      "                              cancel in a sum bitwise identical to\n"
-      "                              the in-process secure reduce. The pair\n"
-      "                              keys come from public strings (a\n"
-      "                              simulation), so a server deriving\n"
-      "                              them can unmask each silo's delta\n"
-      "  --straggler=SECONDS         async client: sleep this long per\n"
-      "                              local step (slows the run so kill/\n"
-      "                              resume drills can land mid-run)\n"
-      "  --fail-silo=ID:ROUND        the client running silo ID crashes\n"
-      "                              (closes its socket mid-round) once\n"
-      "                              released with version >= ROUND\n"
-      "  --join-silo=ID:ROUND        silo ID joins mid-run: its client\n"
-      "                              sends a join request admitted at the\n"
-      "                              first flush with version >= ROUND;\n"
-      "                              the server waits for one fewer silo\n"
-      "                              before starting\n"
-      "All parties must be started with the same --silos/--users/--seed\n"
-      "and protocol shape flags (enforced by a config digest at join\n"
-      "time); --dim must match too, but a mismatch only surfaces as a\n"
-      "dimension error at round time. --rounds/--threads are\n"
-      "server-/party-local.\n"
-      "Observability (src/obs/; passive — results are bitwise identical\n"
-      "with or without these, in every mode):\n"
-      "  --metrics-out=PATH          write the metrics registry snapshot\n"
-      "                              (counters, gauges, histograms) as JSON\n"
-      "                              on exit — including failed runs\n"
-      "  --trace-out=PATH            record phase/chunk trace spans and\n"
-      "                              write Chrome trace-event JSON on exit\n"
-      "                              (load in about://tracing or Perfetto)\n"
-      "  --stats-port=PORT           servers: live Prometheus text endpoint\n"
-      "                              on 127.0.0.1:PORT (0 = pick an\n"
-      "                              ephemeral port and print it)\n";
+/// The runs a flag can apply to, one bit each; a flag's entry holds the
+/// set that reads it.
+enum Run : unsigned {
+  kLocal = 1u << 0,
+  kProtocolServer = 1u << 1,
+  kProtocolSilo = 1u << 2,
+  kAsyncServer = 1u << 3,
+  kAsyncSilo = 1u << 4,
+  kTranscriptCheck = 1u << 5,
+};
+constexpr const char* kRunNames[] = {"local run",    "Protocol 1 server",
+                                     "Protocol 1 silo", "async server",
+                                     "async silo",   "transcript check"};
+constexpr unsigned kProtocol = kProtocolServer | kProtocolSilo;
+constexpr unsigned kAsyncParties = kAsyncServer | kAsyncSilo;
+constexpr unsigned kParties = kProtocol | kAsyncParties;
+constexpr unsigned kServers = kProtocolServer | kAsyncServer;
+constexpr unsigned kSilos = kProtocolSilo | kAsyncSilo;
+constexpr unsigned kAllRuns = kLocal | kParties | kTranscriptCheck;
+
+Run RunOf(const Flags& flags) {
+  if (!flags.verify_transcript.empty()) return kTranscriptCheck;
+  if (flags.serve >= 0) return flags.async ? kAsyncServer : kProtocolServer;
+  if (!flags.connect.empty()) return flags.async ? kAsyncSilo : kProtocolSilo;
+  return kLocal;
 }
 
-bool ParseFlag(const std::string& arg, const std::string& name,
-               std::string* out) {
-  std::string prefix = "--" + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
+/// How a flag's text becomes its Flags field: the placeholder --help
+/// shows (nullptr for a switch, which takes no value), the default as
+/// --help shows it ("" when it means "off"), the reset to that default,
+/// and the parser with its range and message.
+struct Value {
+  const char* meta;
+  std::string shown;
+  std::function<void(Flags&)> reset;
+  std::function<Status(const std::string& flag, const std::string& text,
+                       Flags&)>
+      parse;
+};
+
+Value Switch(bool Flags::*field) {
+  return {nullptr, "", [=](Flags& f) { f.*field = false; },
+          [=](const std::string&, const std::string&, Flags& f) {
+            f.*field = true;
+            return Status::Ok();
+          }};
 }
 
-/// Strict numeric flag parsing: any malformed or out-of-range value is a
-/// clear error instead of atoi's silent 0.
-Status ParseIntInto(const std::string& value, const std::string& name,
-                    int64_t min, int64_t max, int* out) {
-  auto v = ParseInt(value, min, max, "--" + name);
-  if (!v.ok()) return v.status();
-  *out = static_cast<int>(v.value());
-  return Status::Ok();
+/// A number read by `parse` (common/parse.h, given the text and the flag).
+template <typename T, typename Parse>
+Value Number(const char* meta, T Flags::*field, T def, Parse parse) {
+  std::ostringstream shown;
+  shown << def;
+  return {meta, shown.str(), [=](Flags& f) { f.*field = def; },
+          [=](const std::string& flag, const std::string& text,
+              Flags& f) -> Status {
+            auto v = parse(text, flag);
+            if (!v.ok()) return v.status();
+            f.*field = static_cast<T>(v.value());
+            return Status::Ok();
+          }};
 }
 
-Status ParseDoubleInto(const std::string& value, const std::string& name,
-                       double* out) {
-  auto v = ParseDouble(value, "--" + name);
-  if (!v.ok()) return v.status();
-  *out = v.value();
-  return Status::Ok();
+/// An integer in [min, max]; a default below `min` means "off".
+Value Int(const char* meta, int Flags::*field, int def, int64_t min,
+          int64_t max) {
+  Value v = Number(meta, field, def, [=](const std::string& text,
+                                         const std::string& flag) {
+    return ParseInt(text, min, max, flag);
+  });
+  if (def < min) v.shown.clear();
+  return v;
 }
 
-/// Parses the fault-injection flags' "ID:ROUND" form.
-Status ParseSiloRound(const std::string& value, const std::string& name,
-                      int* silo, int* round) {
-  size_t colon = value.find(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == value.size()) {
-    return Status::InvalidArgument("--" + name + " expects ID:ROUND, got \"" +
-                                   value + "\"");
+Value Double(const char* meta, double Flags::*field, double def) {
+  return Number(meta, field, def, ParseDouble);
+}
+
+/// Free text; `check`, when set, refuses a malformed value with its own
+/// message.
+Value Text(const char* meta, std::string Flags::*field, const char* def = "",
+           Status (*check)(const std::string&) = nullptr) {
+  return {meta, def, [=](Flags& f) { f.*field = def; },
+          [=](const std::string&, const std::string& text,
+              Flags& f) -> Status {
+            if (check != nullptr) ULDP_RETURN_IF_ERROR(check(text));
+            f.*field = text;
+            return Status::Ok();
+          }};
+}
+
+/// The fault drills' "ID:ROUND" form.
+Value SiloRound(int Flags::*silo, int Flags::*round) {
+  const Value id = Int("", silo, -1, 0, (1 << 16) - 1);
+  const Value at = Int("", round, -1, 0, 1 << 24);
+  return {"ID:ROUND", "",
+          [=](Flags& f) {
+            id.reset(f);
+            at.reset(f);
+          },
+          [=](const std::string& flag, const std::string& text,
+              Flags& f) -> Status {
+            const size_t colon = text.find(':');
+            if (colon == std::string::npos || colon == 0 ||
+                colon + 1 == text.size()) {
+              return Status::InvalidArgument(
+                  flag + " expects ID:ROUND, got \"" + text + "\"");
+            }
+            ULDP_RETURN_IF_ERROR(id.parse(flag, text.substr(0, colon), f));
+            return at.parse(flag, text.substr(colon + 1), f);
+          }};
+}
+
+/// One flag: its name, the runs that read it, its value and help, and,
+/// for flags only some local runs read, that condition.
+struct FlagSpec {
+  const char* name;
+  unsigned runs;
+  Value value;
+  const char* help;
+  const char* only = nullptr;
+  bool (*holds)(const Flags&) = nullptr;
+};
+
+struct FlagGroup {
+  const char* title;
+  std::vector<FlagSpec> flags;
+};
+
+bool WithCsv(const Flags& f) { return !f.csv.empty(); }
+bool WithAsync(const Flags& f) { return f.async; }
+bool PrivateMethod(const Flags& f) { return f.method != "default"; }
+// creditcard and mnist take their silo and record counts from the flags;
+// heart and tcga fix both, and a CSV brings its own records.
+bool SizedByFlags(const Flags& f) {
+  return f.csv.empty() && f.dataset != "heart" && f.dataset != "tcga";
+}
+
+const std::vector<FlagGroup>& FlagTable() {
+  static const std::vector<FlagGroup> table = {
+      {"Data and method:",
+       {{"dataset", kLocal, Text("NAME", &Flags::dataset, "creditcard"),
+         "built-in synthetic data: creditcard, mnist, heart (4 silos) or "
+         "tcga (6 silos)",
+         "local runs only without --csv",
+         [](const Flags& f) { return !WithCsv(f); }},
+        {"csv", kLocal, Text("PATH", &Flags::csv),
+         "load this CSV instead (80/20 train/test split)"},
+        {"label-column", kLocal,
+         Int("N", &Flags::label_column, -1, -1, 1 << 20),
+         "the CSV's 0-based label column (-1 = none)",
+         "local runs only with --csv", WithCsv},
+        {"method", kLocal, Text("NAME", &Flags::method, "uldp-avg"),
+         "default (non-private FedAvg), uldp-naive, uldp-group, uldp-avg, "
+         "uldp-avg-w or uldp-sgd"},
+        {"allocation", kLocal, Text("KIND", &Flags::allocation, "zipf"),
+         "user/silo record allocation: uniform or zipf"},
+        {"users", kLocal | kProtocol, Int("N", &Flags::users, 100, 1, 1 << 24),
+         "users across all silos"},
+        {"silos", kLocal | kParties, Int("N", &Flags::silos, 5, 1, 1 << 16),
+         "silos in the federation",
+         "local runs only with --csv, --dataset=creditcard or "
+         "--dataset=mnist (heart has 4 silos, tcga 6)",
+         [](const Flags& f) { return WithCsv(f) || SizedByFlags(f); }},
+        {"records", kLocal, Int("N", &Flags::records, 6000, 1, 1 << 28),
+         "synthetic training records",
+         "local runs only with --dataset=creditcard or --dataset=mnist "
+         "(heart and tcga have fixed records, a CSV its own)",
+         SizedByFlags},
+        {"num-seeds", kLocal, Int("M", &Flags::num_seeds, 1, 1, 1 << 16),
+         "M > 1 reports mean±std over M seeds"},
+        {"seed", kLocal | kParties,
+         Number("N", &Flags::seed, uint64_t{1},
+                [](const std::string& text, const std::string& flag) {
+                  return ParseUint(text, ~0ull, flag);
+                }),
+         "seed of every random draw"}}},
+      {"Training and privacy:",
+       {{"rounds", kLocal | kServers, Int("T", &Flags::rounds, 20, 1, 1 << 24),
+         "training rounds (async server: server steps)"},
+        {"eval-every", kLocal, Int("K", &Flags::eval_every, 5, 1, 1 << 24),
+         "evaluate every K rounds"},
+        {"local-epochs", kLocal,
+         Int("Q", &Flags::local_epochs, 2, 1, 1 << 20),
+         "local epochs per round"},
+        {"local-lr", kLocal, Double("LR", &Flags::local_lr, 0.1),
+         "local learning rate"},
+        {"global-lr", kLocal, Double("LR", &Flags::global_lr, 0.0),
+         "server learning rate (0 = the method's default)"},
+        {"sigma", kLocal, Double("S", &Flags::sigma, 5.0), "noise multiplier",
+         "local runs only with a private --method and no --target-epsilon",
+         [](const Flags& f) {
+           return PrivateMethod(f) && f.target_epsilon <= 0.0;
+         }},
+        {"clip", kLocal, Double("C", &Flags::clip, 1.0),
+         "per-user clipping bound",
+         "local runs only with a private --method (not default)",
+         PrivateMethod},
+        {"delta", kLocal, Double("D", &Flags::delta, 1e-5),
+         "the delta of the reported (epsilon, delta)-ULDP",
+         "local runs only with a private --method (not default)",
+         PrivateMethod},
+        {"target-epsilon", kLocal, Double("E", &Flags::target_epsilon, 0.0),
+         "calibrate sigma so the run ends at (E, --delta)-ULDP (0 = use "
+         "--sigma)",
+         "local runs only with --method=uldp-naive, uldp-avg, uldp-avg-w or "
+         "uldp-sgd, the methods whose Gaussian mechanism it calibrates",
+         [](const Flags& f) {
+           return PrivateMethod(f) && f.method != "uldp-group";
+         }},
+        {"user-sample-rate", kLocal,
+         Double("Q", &Flags::user_sample_rate, 1.0),
+         "user-level sub-sampling rate (Alg. 4)",
+         "local runs only with --method=uldp-avg, uldp-avg-w or uldp-sgd, "
+         "the methods that sample users",
+         [](const Flags& f) {
+           return f.method == "uldp-avg" || f.method == "uldp-avg-w" ||
+                  f.method == "uldp-sgd";
+         }},
+        {"group-k", kLocal, Int("K", &Flags::group_k, 8, 1, 1 << 24),
+         "group size", "local runs only with --method=uldp-group",
+         [](const Flags& f) { return f.method == "uldp-group"; }},
+        {"threads", kLocal | kProtocol,
+         Int("N", &Flags::threads, 0, 0, 1 << 14),
+         "silo-round threads (0 = auto; results are identical for any N)"}}},
+      {"Asynchronous rounds and checkpoints:",
+       {{"async", kLocal | kAsyncParties, Switch(&Flags::async),
+         "asynchronous staleness-bounded rounds: silo deltas apply as they "
+         "land instead of barrier-waiting on the slowest silo; with "
+         "--serve/--connect, the async FL demo instead of Protocol 1"},
+        {"max-staleness", kLocal | kAsyncParties,
+         Int("T", &Flags::max_staleness, 0, 0, 1 << 20),
+         "accept updates up to T versions stale (discounted 1/(1+tau); 0 = "
+         "barrier, bitwise-identical to sync)",
+         "local runs only with --async", WithAsync},
+        {"async-buffer", kLocal | kAsyncParties,
+         Int("K", &Flags::async_buffer, 0, 0, 1 << 16),
+         "arrivals per server step (0 = silos)",
+         "local runs only with --async", WithAsync},
+        {"checkpoint-dir", kLocal | kAsyncServer,
+         Text("PATH", &Flags::checkpoint_dir), "write PATH/session.ckpt"},
+        {"checkpoint-every", kLocal | kAsyncServer,
+         Int("K", &Flags::checkpoint_every, 0, 1, 1 << 24),
+         "checkpoint every K rounds and on the final round (required with "
+         "--checkpoint-dir)"},
+        {"resume", kLocal | kAsyncServer, Switch(&Flags::resume),
+         "load the checkpoint and continue, bitwise identical to an "
+         "uninterrupted run on the same seed"}}},
+      {"Distributed runs (src/net/): a server plus one client per silo "
+       "exchange every phase as wire frames over TCP; Protocol 1's "
+       "aggregates are bitwise identical to the in-process simulation. All "
+       "parties must share --silos/--users/--seed and the protocol shape "
+       "flags (a config digest checks them at join time); --dim must match "
+       "too, but a mismatch only surfaces at round time.",
+       {{"serve", kServers, Int("PORT", &Flags::serve, -1, 0, 65535),
+         "run the server on this port (0 = pick an ephemeral port and print "
+         "it)"},
+        {"connect", kSilos,
+         Text("HOST:PORT", &Flags::connect, "",
+              [](const std::string& text) {
+                return ParseHostPort(text, "--connect").status();
+              }),
+         "run a silo client against this server"},
+        {"silo-id", kSilos, Int("K", &Flags::silo_id, -1, 0, (1 << 16) - 1),
+         "this client's silo (required with --connect)"},
+        {"dim", kParties, Int("D", &Flags::dim, 16, 1, 1 << 20),
+         "demo model dimension"},
+        {"paillier-bits", kProtocol,
+         Int("B", &Flags::paillier_bits, 512, 64, 8192),
+         "Paillier modulus bits (demo scale)"},
+        {"n-max", kProtocol, Int("N", &Flags::n_max, 30, 1, 1 << 16),
+         "protocol N_max"},
+        {"ot-slots", kProtocol, Int("P", &Flags::ot_slots, 0, 0, 1 << 16),
+         "OT-based private user sub-sampling with P slots (0 = off)"},
+        {"pack-slots", kProtocol, Int("K", &Flags::pack_slots, 1, 1, 1 << 10),
+         "fixed-point coordinates per Paillier ciphertext (1 = unpacked)"},
+        {"stream-chunk-users", kProtocol,
+         Int("K", &Flags::stream_chunk_users, 0, 0, 1 << 24),
+         "stream encrypted weights and silo ciphers K users at a time, so "
+         "peak resident ciphertexts are O(K) and the aggregates stay "
+         "bitwise identical (0 = materialize whole rounds)"},
+        {"stream-chunk-coords", kProtocol,
+         Int("C", &Flags::stream_chunk_coords, 0, 0, 1 << 20),
+         "cipher-upload coordinates per chunk (0 = default 256)"},
+        {"verify", kServers, Switch(&Flags::verify),
+         "also run the rounds in process (async: the synchronous engine, "
+         "with --masked its secure reduce) and require bitwise equality"},
+        {"net-timeout", kParties,
+         Int("SECONDS", &Flags::net_timeout, 0, 0, 1 << 20),
+         "TCP recv/handshake deadline, so a hung peer fails fast (0 = off)"},
+        {"max-frame-bytes", kParties,
+         Int("B", &Flags::max_frame_bytes, 0, 0, 1 << 30),
+         "reject any wire frame whose payload exceeds B bytes before "
+         "allocating it (0 = default cap)"}}},
+      {"Async server and silos (--async with --serve or --connect):",
+       {{"elastic", kAsyncParties, Switch(&Flags::elastic),
+         "admit mid-run joins at flush boundaries and evict dead silos "
+         "instead of failing the run"},
+        {"min-silos", kAsyncParties, Int("N", &Flags::min_silos, 0, 1, 1 << 16),
+         "fail the run if the active population drops below N (default 1)"},
+        {"masked", kAsyncParties, Switch(&Flags::masked),
+         "upload pairwise-masked deltas that cancel in the sum; the pair "
+         "keys come from public strings (a simulation), so a server "
+         "deriving them can unmask each delta"},
+        {"straggler", kAsyncSilo, Double("SECONDS", &Flags::straggler, 0.0),
+         "sleep this long per local step, so kill/resume drills land "
+         "mid-run"},
+        {"fail-silo", kAsyncParties,
+         SiloRound(&Flags::fail_silo, &Flags::fail_round),
+         "silo ID's client crashes once released with version >= ROUND"},
+        {"join-silo", kAsyncParties,
+         SiloRound(&Flags::join_silo, &Flags::join_round),
+         "silo ID joins mid-run, admitted at the first flush with version "
+         ">= ROUND; the server starts with one fewer silo"}}},
+      {"Tamper-evident transcripts (docs/transcripts.md):",
+       {{"record-transcript", kParties, Text("DIR", &Flags::record_transcript),
+         "record every frame this party sends or receives as a hash-chained "
+         "transcript in DIR, written on every exit path; recording is "
+         "passive"},
+        {"verify-transcript", kTranscriptCheck,
+         Text("FILE", &Flags::verify_transcript),
+         "check a transcript's digest, hash chain and HMAC, then replay it "
+         "through the real drivers byte for byte (async roles: chain and "
+         "HMAC only)"},
+        {"hmac-key", kParties | kTranscriptCheck,
+         Text("HEX", &Flags::hmac_key, "",
+              [](const std::string& text) {
+                return net::ParseHexKey(text).status();
+              }),
+         "keyed chain finalizer: bind the chain head to this key when "
+         "recording, require and check the binding when verifying"}}},
+      {"Observability (src/obs/; passive: results are bitwise identical):",
+       {{"metrics-out", kAllRuns, Text("PATH", &Flags::metrics_out),
+         "write the metrics snapshot as JSON on exit, including failed runs"},
+        {"trace-out", kAllRuns, Text("PATH", &Flags::trace_out),
+         "write the run's trace spans as Chrome trace-event JSON on exit"},
+        {"stats-port", kServers, Int("PORT", &Flags::stats_port, -1, 0, 65535),
+         "live Prometheus text endpoint on 127.0.0.1:PORT (0 = ephemeral, "
+         "printed)"}}},
+  };
+  return table;
+}
+
+/// The runs that read a flag, as --help and the refusal name them.
+std::string ReadBy(const FlagSpec& spec) {
+  std::string out;
+  for (size_t i = 0; i < std::size(kRunNames); ++i) {
+    if ((spec.runs & (1u << i)) == 0) continue;
+    out += (out.empty() ? "" : ", ") + std::string(kRunNames[i]);
   }
-  ULDP_RETURN_IF_ERROR(
-      ParseIntInto(value.substr(0, colon), name, 0, (1 << 16) - 1, silo));
-  ULDP_RETURN_IF_ERROR(
-      ParseIntInto(value.substr(colon + 1), name, 0, 1 << 24, round));
-  return Status::Ok();
+  return spec.only == nullptr ? out : out + "; " + spec.only;
 }
 
-Result<Flags> ParseFlags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    if (arg == "--help" || arg == "-h") {
-      PrintHelp();
-      std::exit(0);
-    } else if (arg == "--verify") {
-      flags.verify = true;
-    } else if (arg == "--async") {
-      flags.async = true;
-    } else if (arg == "--elastic") {
-      flags.elastic = true;
-    } else if (arg == "--masked") {
-      flags.masked = true;
-    } else if (arg == "--resume") {
-      flags.resume = true;
-    } else if (ParseFlag(arg, "min-silos", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "min-silos", 1, 1 << 16, &flags.min_silos));
-    } else if (ParseFlag(arg, "checkpoint-dir", &value)) {
-      flags.checkpoint_dir = value;
-    } else if (ParseFlag(arg, "checkpoint-every", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "checkpoint-every", 1, 1 << 24,
-                                        &flags.checkpoint_every));
-    } else if (ParseFlag(arg, "straggler", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseDoubleInto(value, "straggler", &flags.straggler));
-    } else if (ParseFlag(arg, "fail-silo", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseSiloRound(value, "fail-silo",
-                                          &flags.fail_silo,
-                                          &flags.fail_round));
-    } else if (ParseFlag(arg, "join-silo", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseSiloRound(value, "join-silo",
-                                          &flags.join_silo,
-                                          &flags.join_round));
-    } else if (ParseFlag(arg, "max-staleness", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "max-staleness", 0, 1 << 20,
-                                        &flags.max_staleness));
-    } else if (ParseFlag(arg, "async-buffer", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "async-buffer", 0, 1 << 16,
-                                        &flags.async_buffer));
-    } else if (ParseFlag(arg, "net-timeout", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "net-timeout", 0, 1 << 20,
-                                        &flags.net_timeout));
-    } else if (ParseFlag(arg, "stream-chunk-users", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "stream-chunk-users", 0,
-                                        1 << 24, &flags.stream_chunk_users));
-    } else if (ParseFlag(arg, "stream-chunk-coords", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "stream-chunk-coords", 0,
-                                        1 << 20, &flags.stream_chunk_coords));
-    } else if (ParseFlag(arg, "max-frame-bytes", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "max-frame-bytes", 0,
-                                        1 << 30, &flags.max_frame_bytes));
-    } else if (ParseFlag(arg, "dataset", &value)) {
-      flags.dataset = value;
-    } else if (ParseFlag(arg, "csv", &value)) {
-      flags.csv = value;
-    } else if (ParseFlag(arg, "label-column", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "label-column", -1, 1 << 20,
-                                        &flags.label_column));
-    } else if (ParseFlag(arg, "method", &value)) {
-      flags.method = value;
-    } else if (ParseFlag(arg, "allocation", &value)) {
-      flags.allocation = value;
-    } else if (ParseFlag(arg, "users", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "users", 1, 1 << 24, &flags.users));
-    } else if (ParseFlag(arg, "silos", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "silos", 1, 1 << 16, &flags.silos));
-    } else if (ParseFlag(arg, "rounds", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "rounds", 1, 1 << 24, &flags.rounds));
-    } else if (ParseFlag(arg, "eval-every", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "eval-every", 1, 1 << 24, &flags.eval_every));
-    } else if (ParseFlag(arg, "records", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "records", 1, 1 << 28, &flags.records));
-    } else if (ParseFlag(arg, "group-k", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "group-k", 1, 1 << 24, &flags.group_k));
-    } else if (ParseFlag(arg, "sigma", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseDoubleInto(value, "sigma", &flags.sigma));
-    } else if (ParseFlag(arg, "clip", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseDoubleInto(value, "clip", &flags.clip));
-    } else if (ParseFlag(arg, "local-lr", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseDoubleInto(value, "local-lr", &flags.local_lr));
-    } else if (ParseFlag(arg, "global-lr", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseDoubleInto(value, "global-lr", &flags.global_lr));
-    } else if (ParseFlag(arg, "delta", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseDoubleInto(value, "delta", &flags.delta));
-    } else if (ParseFlag(arg, "user-sample-rate", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseDoubleInto(value, "user-sample-rate",
-                                           &flags.user_sample_rate));
-    } else if (ParseFlag(arg, "target-epsilon", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseDoubleInto(value, "target-epsilon",
-                                           &flags.target_epsilon));
-    } else if (ParseFlag(arg, "local-epochs", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "local-epochs", 1, 1 << 20,
-                                        &flags.local_epochs));
-    } else if (ParseFlag(arg, "seed", &value)) {
-      auto seed = ParseUint(value, ~0ull, "--seed");
-      if (!seed.ok()) return seed.status();
-      flags.seed = seed.value();
-    } else if (ParseFlag(arg, "num-seeds", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "num-seeds", 1, 1 << 16, &flags.num_seeds));
-    } else if (ParseFlag(arg, "threads", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "threads", 0, 1 << 14, &flags.threads));
-    } else if (ParseFlag(arg, "serve", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "serve", 0, 65535, &flags.serve));
-    } else if (ParseFlag(arg, "connect", &value)) {
-      flags.connect = value;
-    } else if (ParseFlag(arg, "silo-id", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "silo-id", 0, (1 << 16) - 1, &flags.silo_id));
-    } else if (ParseFlag(arg, "dim", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "dim", 1, 1 << 20, &flags.dim));
-    } else if (ParseFlag(arg, "paillier-bits", &value)) {
-      ULDP_RETURN_IF_ERROR(ParseIntInto(value, "paillier-bits", 64, 8192,
-                                        &flags.paillier_bits));
-    } else if (ParseFlag(arg, "n-max", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "n-max", 1, 1 << 16, &flags.n_max));
-    } else if (ParseFlag(arg, "ot-slots", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "ot-slots", 0, 1 << 16, &flags.ot_slots));
-    } else if (ParseFlag(arg, "pack-slots", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "pack-slots", 1, 1 << 10, &flags.pack_slots));
-    } else if (ParseFlag(arg, "record-transcript", &value)) {
-      flags.record_transcript = value;
-    } else if (ParseFlag(arg, "verify-transcript", &value)) {
-      flags.verify_transcript = value;
-    } else if (ParseFlag(arg, "hmac-key", &value)) {
-      flags.hmac_key = value;
-    } else if (ParseFlag(arg, "metrics-out", &value)) {
-      flags.metrics_out = value;
-    } else if (ParseFlag(arg, "trace-out", &value)) {
-      flags.trace_out = value;
-    } else if (ParseFlag(arg, "stats-port", &value)) {
-      ULDP_RETURN_IF_ERROR(
-          ParseIntInto(value, "stats-port", 0, 65535, &flags.stats_port));
-    } else {
-      return Status::InvalidArgument("unknown flag: " + arg +
-                                     " (try --help)");
+/// Prints `text` word-wrapped to 78 columns, each line indented `indent`.
+void PrintWrapped(const std::string& text, size_t indent) {
+  std::istringstream words(text);
+  std::string word, line;
+  while (words >> word) {
+    if (!line.empty() && indent + line.size() + 1 + word.size() > 78) {
+      std::cout << std::string(indent, ' ') << line << "\n";
+      line.clear();
+    }
+    line += (line.empty() ? "" : " ") + word;
+  }
+  if (!line.empty()) std::cout << std::string(indent, ' ') << line << "\n";
+}
+
+void PrintHelp() {
+  std::cout << "uldp_fl_cli — run a cross-silo user-level-DP FL experiment\n\n";
+  PrintWrapped(
+      "A run is local (the default), a Protocol 1 server (--serve) or silo "
+      "(--connect), an async server or silo (--serve or --connect with "
+      "--async), or a transcript check (--verify-transcript). Each flag "
+      "names the runs that read it; a flag given to any other run is an "
+      "error. Every party of a protocol reads the flags that describe the "
+      "whole cohort, so one argument list starts every party.",
+      0);
+  for (const FlagGroup& group : FlagTable()) {
+    std::cout << "\n";
+    PrintWrapped(group.title, 0);
+    for (const FlagSpec& spec : group.flags) {
+      std::cout << "  --" << spec.name
+                << (spec.value.meta ? std::string("=") + spec.value.meta : "")
+                << "\n";
+      const std::string shown =
+          spec.value.shown.empty() ? "" : " (default " + spec.value.shown + ")";
+      PrintWrapped(spec.help + shown + ". Read by: " + ReadBy(spec) + ".", 6);
     }
   }
-  if (flags.serve >= 0 && !flags.connect.empty()) {
-    return Status::InvalidArgument(
-        "--serve and --connect are mutually exclusive");
+}
+
+const FlagSpec* FindFlag(const std::string& name) {
+  for (const FlagGroup& group : FlagTable()) {
+    for (const FlagSpec& spec : group.flags) {
+      if (name == spec.name) return &spec;
+    }
   }
+  return nullptr;
+}
+
+/// The checks between flag values, each with its own message.
+Status CheckValues(const Flags& flags) {
   if (!flags.connect.empty() && flags.silo_id < 0) {
     return Status::InvalidArgument("--connect requires --silo-id");
   }
@@ -458,28 +493,12 @@ Result<Flags> ParseFlags(int argc, char** argv) {
   if (!flags.connect.empty() && flags.silo_id >= flags.silos) {
     return Status::OutOfRange("--silo-id must be < --silos");
   }
-  if (flags.stream_chunk_users > 0 && flags.async) {
-    return Status::InvalidArgument(
-        "--stream-chunk-users applies to Protocol 1, not the async FL demo");
-  }
-  if ((flags.ot_slots > 0 || flags.pack_slots > 1) && flags.async) {
-    return Status::InvalidArgument(
-        "--ot-slots/--pack-slots apply to Protocol 1, not the async FL demo");
-  }
-  if (flags.stats_port >= 0 && flags.serve < 0) {
-    return Status::InvalidArgument(
-        "--stats-port runs on the servers; it requires --serve");
-  }
   if (flags.stream_chunk_coords > 0 && flags.stream_chunk_users <= 0) {
     return Status::InvalidArgument(
         "--stream-chunk-coords requires --stream-chunk-users");
   }
   if (flags.async_buffer > flags.silos) {
     return Status::InvalidArgument("--async-buffer must be <= --silos");
-  }
-  if ((flags.max_staleness > 0 || flags.async_buffer > 0) && !flags.async) {
-    return Status::InvalidArgument(
-        "--max-staleness/--async-buffer require --async");
   }
   if (flags.async && flags.verify &&
       (flags.max_staleness != 0 ||
@@ -489,13 +508,6 @@ Result<Flags> ParseFlags(int argc, char** argv) {
         "barrier case); a staleness-bounded or partial-buffer run over a "
         "real network has no deterministic reference)");
   }
-  const bool distributed_async =
-      flags.async && (flags.serve >= 0 || !flags.connect.empty());
-  if ((flags.elastic || flags.masked) && !distributed_async) {
-    return Status::InvalidArgument(
-        "--elastic/--masked apply to the distributed async demo "
-        "(--async with --serve or --connect)");
-  }
   if (flags.min_silos > 0 && !flags.elastic) {
     return Status::InvalidArgument("--min-silos requires --elastic");
   }
@@ -504,9 +516,6 @@ Result<Flags> ParseFlags(int argc, char** argv) {
   }
   if (flags.straggler < 0) {
     return Status::InvalidArgument("--straggler must be >= 0");
-  }
-  if (flags.straggler > 0 && !flags.async) {
-    return Status::InvalidArgument("--straggler requires --async");
   }
   if ((flags.fail_silo >= 0 || flags.join_silo >= 0) && !flags.elastic) {
     return Status::InvalidArgument(
@@ -531,19 +540,6 @@ Result<Flags> ParseFlags(int argc, char** argv) {
   if (flags.resume && flags.checkpoint_dir.empty()) {
     return Status::InvalidArgument("--resume requires --checkpoint-dir");
   }
-  if (!flags.verify_transcript.empty() &&
-      (flags.serve >= 0 || !flags.connect.empty() ||
-       !flags.record_transcript.empty())) {
-    return Status::InvalidArgument(
-        "--verify-transcript is its own mode; drop --serve/--connect/"
-        "--record-transcript");
-  }
-  if (!flags.record_transcript.empty() && flags.serve < 0 &&
-      flags.connect.empty()) {
-    return Status::InvalidArgument(
-        "--record-transcript applies to the distributed modes "
-        "(--serve/--connect); local runs have no wire traffic to record");
-  }
   if (!flags.hmac_key.empty() && flags.record_transcript.empty() &&
       flags.verify_transcript.empty()) {
     return Status::InvalidArgument(
@@ -554,17 +550,59 @@ Result<Flags> ParseFlags(int argc, char** argv) {
     return Status::InvalidArgument(
         "--checkpoint-dir requires --checkpoint-every=K (K >= 1)");
   }
-  if (!flags.checkpoint_dir.empty() &&
-      (!flags.connect.empty() || (flags.serve >= 0 && !flags.async))) {
-    return Status::InvalidArgument(
-        "checkpointing applies to local experiments and the async server, "
-        "not silo clients or the Protocol 1 server");
-  }
   if (!flags.checkpoint_dir.empty() && flags.num_seeds > 1) {
     return Status::InvalidArgument(
         "checkpointing a multi-seed averaged run is not supported (the "
         "seeds would overwrite each other's session.ckpt)");
   }
+  return Status::Ok();
+}
+
+Result<Flags> ParseFlags(int argc, char** argv) {
+  Flags flags{};
+  for (const FlagGroup& group : FlagTable()) {
+    for (const FlagSpec& spec : group.flags) spec.value.reset(flags);
+  }
+  std::vector<const FlagSpec*> given;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      PrintHelp();
+      std::exit(0);
+    }
+    // "--name=value", or a bare "--name" for a switch.
+    const size_t eq = arg.find('=');
+    const FlagSpec* spec =
+        arg.rfind("--", 0) == 0 ? FindFlag(arg.substr(2, eq - 2)) : nullptr;
+    if (spec == nullptr ||
+        (spec->value.meta == nullptr) != (eq == std::string::npos)) {
+      return Status::InvalidArgument("unknown flag: " + arg +
+                                     " (try --help)");
+    }
+    ULDP_RETURN_IF_ERROR(spec->value.parse(
+        "--" + std::string(spec->name),
+        eq == std::string::npos ? "" : arg.substr(eq + 1), flags));
+    given.push_back(spec);
+  }
+  if (flags.serve >= 0 && !flags.connect.empty()) {
+    return Status::InvalidArgument(
+        "--serve and --connect are mutually exclusive");
+  }
+  const Run run = RunOf(flags);
+  auto refuse = [run](const FlagSpec& spec) {
+    return Status::InvalidArgument(
+        "--" + std::string(spec.name) + " does not apply to this " +
+        kRunNames[__builtin_ctz(run)] + "; it is read by: " + ReadBy(spec));
+  };
+  for (const FlagSpec* spec : given) {
+    if ((spec->runs & run) == 0) return refuse(*spec);
+  }
+  // The local runs' narrower conditions come second, so a flag from the
+  // wrong run is named as such.
+  for (const FlagSpec* spec : given) {
+    if (spec->holds != nullptr && !spec->holds(flags)) return refuse(*spec);
+  }
+  ULDP_RETURN_IF_ERROR(CheckValues(flags));
   return flags;
 }
 
@@ -605,6 +643,12 @@ Status ApplyNetTimeout(net::TcpTransport& transport, const Flags& flags) {
   return transport.SetRecvTimeout(flags.net_timeout * 1000);
 }
 
+/// --hmac-key's bytes (the hex was checked when parsed); empty if unset.
+std::vector<uint8_t> HmacKey(const Flags& flags) {
+  if (flags.hmac_key.empty()) return {};
+  return net::ParseHexKey(flags.hmac_key).value();
+}
+
 /// Holds a party's live transcript recorder and writes the file when it
 /// goes out of scope — every exit path of a Run* function, success or
 /// failure, leaves a chain-valid (possibly partial) transcript behind,
@@ -632,15 +676,9 @@ struct TranscriptFlusher {
 /// Builds this party's transcript recorder (--record-transcript), or a
 /// null flusher when recording is off. The file name encodes the role so
 /// one directory collects a whole cohort's transcripts.
-Result<TranscriptFlusher> MakeTranscriptRecorder(const Flags& flags) {
+TranscriptFlusher MakeTranscriptRecorder(const Flags& flags) {
   TranscriptFlusher out;
   if (flags.record_transcript.empty()) return out;
-  std::vector<uint8_t> key;
-  if (!flags.hmac_key.empty()) {
-    auto parsed = net::ParseHexKey(flags.hmac_key);
-    if (!parsed.ok()) return parsed.status();
-    key = std::move(parsed.value());
-  }
   const bool serving = flags.serve >= 0;
   net::TranscriptMeta meta;
   std::string name;
@@ -667,33 +705,103 @@ Result<TranscriptFlusher> MakeTranscriptRecorder(const Flags& flags) {
     name = serving ? "server.ult"
                    : "silo" + std::to_string(flags.silo_id) + ".ult";
   }
-  out.log = std::make_shared<net::TranscriptLog>(meta, std::move(key));
+  out.log = std::make_shared<net::TranscriptLog>(meta, HmacKey(flags));
   out.path = flags.record_transcript + "/" + name;
   return out;
 }
 
-int RunServeAsync(const Flags& flags) {
+/// What both servers open before their server object: the listener on
+/// --serve and this party's transcript. Declared before the server, so a
+/// failure path flushes the transcript only after the server (and its
+/// receive threads) are torn down.
+struct ServerSocket {
+  net::TcpListener listener;
+  TranscriptFlusher transcript;
+  // Transcript peer ids are the accept counter (shared with the async
+  // server's elastic acceptor thread, hence atomic). A rejected join
+  // still consumes an id, so its recorded Join/Error exchange replays as
+  // a rejected join instead of polluting the next peer's stream.
+  std::atomic<uint32_t> accepted{0};
+
+  /// Applies the transport flags to an accepted connection and binds it
+  /// to the transcript.
+  Status Prepare(net::TcpTransport& conn, const Flags& flags) {
+    ULDP_RETURN_IF_ERROR(ApplyNetTimeout(conn, flags));
+    if (transcript.log != nullptr) {
+      conn.BindTranscript(transcript.log, accepted.fetch_add(1));
+    }
+    return Status::Ok();
+  }
+
+  /// Accepts silos until `server` holds `cohort` of them. A rejected join
+  /// (bad id, mismatched config) is the client's problem; the server
+  /// keeps serving the cohort.
+  template <typename Server>
+  Status AcceptCohort(Server& server, int cohort, const Flags& flags) {
+    while (server.connected_silos() < cohort) {
+      auto conn = listener.Accept();
+      if (!conn.ok()) return conn.status();
+      ULDP_RETURN_IF_ERROR(Prepare(*conn.value(), flags));
+      Status added = server.AddConnection(std::move(conn.value()));
+      if (!added.ok()) {
+        std::cerr << "rejected join: " << added.ToString() << std::endl;
+        continue;
+      }
+      std::cout << "silo connected (" << server.connected_silos() << "/"
+                << cohort << ")" << std::endl;
+    }
+    return Status::Ok();
+  }
+};
+
+/// Listens on --serve, announces "uldp_fl_cli: <what> listening on port P
+/// (<shape>)" and starts the transcript; null (error printed) on failure.
+std::unique_ptr<ServerSocket> OpenServerSocket(const Flags& flags,
+                                               const std::string& what,
+                                               const std::string& shape) {
   auto listener = net::TcpListener::Listen(flags.serve);
   if (!listener.ok()) {
     std::cerr << listener.status().ToString() << "\n";
-    return 1;
+    return nullptr;
   }
-  std::cout << "uldp_fl_cli: async round server listening on port "
-            << listener.value().port() << " (" << flags.silos << " silos, dim "
-            << flags.dim << ", " << flags.rounds << " steps, max staleness "
-            << flags.max_staleness << ")" << std::endl;
+  std::cout << "uldp_fl_cli: " << what << " listening on port "
+            << listener.value().port() << " (" << shape << ")" << std::endl;
+  auto socket = std::make_unique<ServerSocket>();
+  socket->listener = std::move(listener.value());
+  socket->transcript = MakeTranscriptRecorder(flags);
+  return socket;
+}
 
-  auto recorder = MakeTranscriptRecorder(flags);
-  if (!recorder.ok()) {
-    std::cerr << recorder.status().ToString() << "\n";
-    return 2;
+/// A silo client's connection to --connect with the transport flags
+/// applied and this party's transcript bound. The transcript is declared
+/// first, so it is written after the transport closes.
+struct SiloConnection {
+  TranscriptFlusher transcript;
+  std::unique_ptr<net::TcpTransport> transport;
+};
+
+Result<SiloConnection> ConnectSilo(const Flags& flags) {
+  // The address was checked when parsed.
+  const HostPort hp = ParseHostPort(flags.connect, "--connect").value();
+  auto transport = net::TcpTransport::Connect(hp.host, hp.port);
+  if (!transport.ok()) return transport.status();
+  ULDP_RETURN_IF_ERROR(ApplyNetTimeout(*transport.value(), flags));
+  SiloConnection out;
+  out.transcript = MakeTranscriptRecorder(flags);
+  if (out.transcript.log != nullptr) {
+    transport.value()->BindTranscript(out.transcript.log, 0);
   }
-  // Declared before the server so a failure path flushes the transcript
-  // only after the server (and its receive threads) are torn down.
-  TranscriptFlusher transcript = std::move(recorder.value());
-  // Transcript peer ids are the accept counter (shared with the elastic
-  // acceptor thread below, hence atomic).
-  std::atomic<uint32_t> accept_count{0};
+  out.transport = std::move(transport.value());
+  return Result<SiloConnection>(std::move(out));
+}
+
+int RunServeAsync(const Flags& flags) {
+  auto socket = OpenServerSocket(
+      flags, "async round server",
+      std::to_string(flags.silos) + " silos, dim " +
+          std::to_string(flags.dim) + ", " + std::to_string(flags.rounds) +
+          " steps, max staleness " + std::to_string(flags.max_staleness));
+  if (socket == nullptr) return 1;
 
   net::AsyncRoundsConfig config = NetAsyncConfig(flags);
   net::AsyncRoundServer server(config, flags.silos, flags.dim);
@@ -721,44 +829,21 @@ int RunServeAsync(const Flags& flags) {
   // initial barrier waits for one fewer silo; the elastic accept thread
   // below picks up the late joiner.
   const int initial_cohort = flags.silos - (flags.join_silo >= 0 ? 1 : 0);
-  while (server.connected_silos() < initial_cohort) {
-    auto conn = listener.value().Accept();
-    if (!conn.ok()) {
-      std::cerr << conn.status().ToString() << "\n";
-      return 1;
-    }
-    Status limited = ApplyNetTimeout(*conn.value(), flags);
-    if (!limited.ok()) {
-      std::cerr << limited.ToString() << "\n";
-      return 1;
-    }
-    if (transcript.log != nullptr) {
-      conn.value()->BindTranscript(transcript.log,
-                                   accept_count.fetch_add(1));
-    }
-    Status added = server.AddConnection(std::move(conn.value()));
-    if (!added.ok()) {
-      std::cerr << "rejected join: " << added.ToString() << std::endl;
-      continue;
-    }
-    std::cout << "silo connected (" << server.connected_silos() << "/"
-              << initial_cohort << ")" << std::endl;
+  Status joined = socket->AcceptCohort(server, initial_cohort, flags);
+  if (!joined.ok()) {
+    std::cerr << joined.ToString() << "\n";
+    return 1;
   }
 
   // Elastic runs keep accepting mid-run join requests while the round
   // loop executes; closing the listener after the run unblocks Accept.
   std::thread acceptor;
   if (flags.elastic) {
-    acceptor = std::thread([&listener, &server, &flags, &transcript,
-                            &accept_count]() {
+    acceptor = std::thread([&socket, &server, &flags]() {
       for (;;) {
-        auto conn = listener.value().Accept();
+        auto conn = socket->listener.Accept();
         if (!conn.ok()) return;  // listener closed: the run is over
-        if (!ApplyNetTimeout(*conn.value(), flags).ok()) continue;
-        if (transcript.log != nullptr) {
-          conn.value()->BindTranscript(transcript.log,
-                                       accept_count.fetch_add(1));
-        }
+        if (!socket->Prepare(*conn.value(), flags).ok()) continue;
         Status added = server.AddConnection(std::move(conn.value()));
         if (!added.ok()) {
           std::cerr << "rejected join: " << added.ToString() << std::endl;
@@ -773,7 +858,7 @@ int RunServeAsync(const Flags& flags) {
     return server.Run(flags.rounds, global);
   }();
   if (acceptor.joinable()) {
-    listener.value().Close();
+    socket->listener.Close();
     acceptor.join();
   }
   if (!out.ok()) {
@@ -839,30 +924,10 @@ int RunServeAsync(const Flags& flags) {
 }
 
 int RunConnectAsync(const Flags& flags) {
-  auto hp = ParseHostPort(flags.connect, "--connect");
-  if (!hp.ok()) {
-    std::cerr << hp.status().ToString() << "\n";
-    return 2;
-  }
-  auto transport = net::TcpTransport::Connect(hp.value().host,
-                                              hp.value().port);
-  if (!transport.ok()) {
-    std::cerr << transport.status().ToString() << "\n";
+  auto conn = ConnectSilo(flags);
+  if (!conn.ok()) {
+    std::cerr << conn.status().ToString() << "\n";
     return 1;
-  }
-  Status limited = ApplyNetTimeout(*transport.value(), flags);
-  if (!limited.ok()) {
-    std::cerr << limited.ToString() << "\n";
-    return 1;
-  }
-  auto recorder = MakeTranscriptRecorder(flags);
-  if (!recorder.ok()) {
-    std::cerr << recorder.status().ToString() << "\n";
-    return 2;
-  }
-  TranscriptFlusher transcript = std::move(recorder.value());
-  if (transcript.log != nullptr) {
-    transport.value()->BindTranscript(transcript.log, 0);
   }
   std::cout << "async silo " << flags.silo_id << " connected to "
             << flags.connect << std::endl;
@@ -876,7 +941,7 @@ int RunConnectAsync(const Flags& flags) {
   }
   Status status = net::RunAsyncDemoSilo(NetAsyncConfig(flags), flags.silo_id,
                                         flags.silos, flags.dim,
-                                        *transport.value(), options);
+                                        *conn.value().transport, options);
   if (!status.ok()) {
     if (options.fail_at_version >= 0 &&
         status.message().find("injected silo failure") != std::string::npos) {
@@ -896,53 +961,19 @@ int RunConnectAsync(const Flags& flags) {
 }
 
 int RunServe(const Flags& flags) {
-  auto listener = net::TcpListener::Listen(flags.serve);
-  if (!listener.ok()) {
-    std::cerr << listener.status().ToString() << "\n";
-    return 1;
-  }
-  std::cout << "uldp_fl_cli: protocol server listening on port "
-            << listener.value().port() << " (" << flags.silos << " silos, "
-            << flags.users << " users, dim " << flags.dim << ", "
-            << flags.rounds << " rounds)" << std::endl;
-
-  auto recorder = MakeTranscriptRecorder(flags);
-  if (!recorder.ok()) {
-    std::cerr << recorder.status().ToString() << "\n";
-    return 2;
-  }
-  // Declared before the server so a failure path flushes the transcript
-  // only after the server (and its receive threads) are torn down.
-  TranscriptFlusher transcript = std::move(recorder.value());
+  auto socket = OpenServerSocket(
+      flags, "protocol server",
+      std::to_string(flags.silos) + " silos, " +
+          std::to_string(flags.users) + " users, dim " +
+          std::to_string(flags.dim) + ", " + std::to_string(flags.rounds) +
+          " rounds");
+  if (socket == nullptr) return 1;
   ProtocolConfig config = NetProtocolConfig(flags);
   net::ProtocolServer server(config, flags.silos, flags.users);
-  // Transcript peer ids are the accept counter — a rejected join still
-  // consumes an id, so its recorded Join/Error exchange replays as a
-  // rejected join instead of polluting the next peer's stream.
-  uint32_t accept_count = 0;
-  while (server.connected_silos() < flags.silos) {
-    auto conn = listener.value().Accept();
-    if (!conn.ok()) {
-      std::cerr << conn.status().ToString() << "\n";
-      return 1;
-    }
-    Status limited = ApplyNetTimeout(*conn.value(), flags);
-    if (!limited.ok()) {
-      std::cerr << limited.ToString() << "\n";
-      return 1;
-    }
-    if (transcript.log != nullptr) {
-      conn.value()->BindTranscript(transcript.log, accept_count++);
-    }
-    Status added = server.AddConnection(std::move(conn.value()));
-    if (!added.ok()) {
-      // A rejected join (bad id, mismatched config) is the client's
-      // problem; keep serving the cohort.
-      std::cerr << "rejected join: " << added.ToString() << std::endl;
-      continue;
-    }
-    std::cout << "silo connected (" << server.connected_silos() << "/"
-              << flags.silos << ")" << std::endl;
+  Status joined = socket->AcceptCohort(server, flags.silos, flags);
+  if (!joined.ok()) {
+    std::cerr << joined.ToString() << "\n";
+    return 1;
   }
 
   Status setup = server.RunSetup();
@@ -1011,36 +1042,16 @@ int RunServe(const Flags& flags) {
 }
 
 int RunConnect(const Flags& flags) {
-  auto hp = ParseHostPort(flags.connect, "--connect");
-  if (!hp.ok()) {
-    std::cerr << hp.status().ToString() << "\n";
-    return 2;
-  }
-  auto transport = net::TcpTransport::Connect(hp.value().host,
-                                              hp.value().port);
-  if (!transport.ok()) {
-    std::cerr << transport.status().ToString() << "\n";
+  auto conn = ConnectSilo(flags);
+  if (!conn.ok()) {
+    std::cerr << conn.status().ToString() << "\n";
     return 1;
-  }
-  Status limited = ApplyNetTimeout(*transport.value(), flags);
-  if (!limited.ok()) {
-    std::cerr << limited.ToString() << "\n";
-    return 1;
-  }
-  auto recorder = MakeTranscriptRecorder(flags);
-  if (!recorder.ok()) {
-    std::cerr << recorder.status().ToString() << "\n";
-    return 2;
-  }
-  TranscriptFlusher transcript = std::move(recorder.value());
-  if (transcript.log != nullptr) {
-    transport.value()->BindTranscript(transcript.log, 0);
   }
   std::cout << "silo " << flags.silo_id << " connected to " << flags.connect
             << std::endl;
   Status status = net::RunDemoSilo(NetProtocolConfig(flags), flags.silo_id,
                                    flags.silos, flags.users, flags.dim,
-                                   flags.seed, *transport.value());
+                                   flags.seed, *conn.value().transport);
   if (!status.ok()) {
     std::cerr << "silo " << flags.silo_id << ": " << status.ToString()
               << "\n";
@@ -1093,41 +1104,31 @@ Result<LoadedData> LoadData(const Flags& flags) {
     return out;
   }
 
-  if (flags.dataset == "creditcard") {
-    auto data = MakeCreditcardLike(flags.records, flags.records / 4, rng);
+  if (flags.dataset == "creditcard" || flags.dataset == "mnist") {
+    const bool card = flags.dataset == "creditcard";
+    auto data = card ? MakeCreditcardLike(flags.records, flags.records / 4, rng)
+                     : MakeMnistLike(flags.records, flags.records / 5, rng);
     ULDP_RETURN_IF_ERROR(AllocateUsersAndSilos(data.train, flags.users,
                                                flags.silos, alloc, rng));
     out.dataset = std::make_unique<FederatedDataset>(
         std::move(data.train), std::move(data.test), flags.users,
         flags.silos);
-    out.model = MakeMlp({30, 16}, 2);
-  } else if (flags.dataset == "mnist") {
-    auto data = MakeMnistLike(flags.records, flags.records / 5, rng);
-    ULDP_RETURN_IF_ERROR(AllocateUsersAndSilos(data.train, flags.users,
-                                               flags.silos, alloc, rng));
-    out.dataset = std::make_unique<FederatedDataset>(
-        std::move(data.train), std::move(data.test), flags.users,
-        flags.silos);
-    out.model = MakeMlp({196, 48}, 10);
-  } else if (flags.dataset == "heart") {
-    auto data = MakeHeartDiseaseLike(rng);
+    out.model = card ? MakeMlp({30, 16}, 2) : MakeMlp({196, 48}, 10);
+  } else if (flags.dataset == "heart" || flags.dataset == "tcga") {
+    const bool heart = flags.dataset == "heart";
+    if (!heart) alloc.min_records_per_pair = 2;
+    auto data = heart ? MakeHeartDiseaseLike(rng) : MakeTcgaBrcaLike(rng);
     ULDP_RETURN_IF_ERROR(AllocateUsersWithinSilos(
         data.train, flags.users, data.num_silos, alloc, rng));
     out.dataset = std::make_unique<FederatedDataset>(
         std::move(data.train), std::move(data.test), flags.users,
         data.num_silos);
-    out.model = MakeMlp({13}, 2);
-  } else if (flags.dataset == "tcga") {
-    AllocationOptions cox_alloc = alloc;
-    cox_alloc.min_records_per_pair = 2;
-    auto data = MakeTcgaBrcaLike(rng);
-    ULDP_RETURN_IF_ERROR(AllocateUsersWithinSilos(
-        data.train, flags.users, data.num_silos, cox_alloc, rng));
-    out.dataset = std::make_unique<FederatedDataset>(
-        std::move(data.train), std::move(data.test), flags.users,
-        data.num_silos);
-    out.model = std::make_unique<CoxRegression>(39);
-    out.metric = UtilityMetric::kCIndex;
+    if (heart) {
+      out.model = MakeMlp({13}, 2);
+    } else {
+      out.model = std::make_unique<CoxRegression>(39);
+      out.metric = UtilityMetric::kCIndex;
+    }
   } else {
     return Status::InvalidArgument("unknown dataset: " + flags.dataset);
   }
@@ -1186,7 +1187,7 @@ Result<std::unique_ptr<FlAlgorithm>> MakeAlgorithm(const Flags& flags,
 
 int RunLocal(const Flags& flags) {
   double sigma = flags.sigma;
-  if (flags.target_epsilon > 0.0 && flags.method != "default") {
+  if (flags.target_epsilon > 0.0) {
     auto calibrated = SigmaForTargetEpsilon(flags.target_epsilon, flags.delta,
                                             flags.rounds,
                                             flags.user_sample_rate);
@@ -1269,15 +1270,7 @@ int RunVerifyTranscript(const Flags& flags) {
             << meta.num_users << " users, dim " << meta.dim << ", "
             << meta.rounds << " rounds, " << file.value().entries.size()
             << " frames" << std::endl;
-  std::vector<uint8_t> key;
-  if (!flags.hmac_key.empty()) {
-    auto parsed = net::ParseHexKey(flags.hmac_key);
-    if (!parsed.ok()) {
-      std::cerr << parsed.status().ToString() << "\n";
-      return 2;
-    }
-    key = std::move(parsed.value());
-  }
+  const std::vector<uint8_t> key = HmacKey(flags);
   net::ReplayReport report;
   Status verified = net::VerifyTranscript(
       file.value(), flags.hmac_key.empty() ? nullptr : &key, &report);
@@ -1308,15 +1301,12 @@ int RunVerifyTranscript(const Flags& flags) {
 }
 
 int Dispatch(const Flags& flags) {
-  if (!flags.verify_transcript.empty()) {
-    return RunVerifyTranscript(flags);
-  }
-  if (flags.serve >= 0) {
-    return flags.async ? RunServeAsync(flags) : RunServe(flags);
-  }
-  if (!flags.connect.empty()) {
-    return flags.async ? RunConnectAsync(flags) : RunConnect(flags);
-  }
+  const Run run = RunOf(flags);
+  if (run == kTranscriptCheck) return RunVerifyTranscript(flags);
+  if (run == kProtocolServer) return RunServe(flags);
+  if (run == kAsyncServer) return RunServeAsync(flags);
+  if (run == kProtocolSilo) return RunConnect(flags);
+  if (run == kAsyncSilo) return RunConnectAsync(flags);
   return RunLocal(flags);
 }
 
