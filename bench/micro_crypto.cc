@@ -2,9 +2,9 @@
 // focused on the Paillier fast path: cold-context operations (the static
 // Paillier shim, which rebuilds Montgomery state per call) against the
 // cached PaillierContext (long-lived contexts, sliding-window MontExp with
-// a dedicated squaring path, CRT decryption, CRT randomizers on the key
-// holder against the eval-only n^2 path, and the one-multiply
-// randomizer-pipeline encryption), plus fixed-base exponentiation (per-base
+// a dedicated squaring path, CRT decryption, and the key holder's comb
+// randomizer h_s^a against the eval-only r^n, also at 2048 and 3072 bits
+// outside smoke mode), plus fixed-base exponentiation (per-base
 // Lim-Lee comb tables, math/fixed_base.h) against the sliding-window path
 // it amortizes away, Straus multi-exponentiation against the per-base
 // fold, the silo fold's two paths (Straus vs per-user tables) on a shape
@@ -21,10 +21,11 @@
 // ChaCha stream, C_LCM).
 //
 // Emits BENCH_micro_crypto.json via bench_common. Modes:
-//   default            — quick sweep (512/1024-bit keys), a few seconds
+//   default            — quick sweep (512/1024-bit keys) plus the comb
+//                        randomizer rows at 2048 and 3072 bits, ~25 s
 //   ULDP_BENCH_SMOKE=1 — CI smoke: 512-bit keys (the kernel rows keep
 //                        their sizes), short measurement windows
-//   ULDP_BENCH_SCALE=full — adds the 2048-bit point
+//   ULDP_BENCH_SCALE=full — adds the 2048-bit point to the sweep
 
 #include <algorithm>
 #include <chrono>
@@ -112,6 +113,48 @@ double Find(const std::vector<OpRow>& rows, const std::string& op,
     }
   }
   return 0.0;
+}
+
+/// The key holder's comb randomizer against the eval-only r^n on one key.
+/// On 8 fixed draws the comb must equal h_s^a from one MontExp mod n^2 and
+/// decrypt to 0 (randomizer_comb_bitwise_identical); then both are timed,
+/// and speedup_comb_randomizer reports their ratio. False on a mismatch.
+bool RandomizerRows(int bits, const PaillierContext& holder,
+                    const PaillierContext& eval, double window,
+                    int min_iters, Table& table, BenchJson& json,
+                    std::vector<OpRow>& rows) {
+  const BigInt& n = holder.public_key().n;
+  bool identical = true;
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    Rng a(9000 + seed), b(9000 + seed);
+    const BigInt rho = holder.ComputeRandomizer(a);
+    const BigInt exp = BigInt::RandomBits(
+        n.BitLength() + PaillierContext::kExponentSlackBits, b);
+    const auto zero = holder.Decrypt(rho);
+    identical = identical &&
+                rho == holder.mont_n_squared().MontExp(
+                           holder.randomizer_base(), exp) &&
+                zero.ok() && zero.value().IsZero();
+  }
+  json.Add("randomizer_comb_bitwise_identical", identical ? 1.0 : 0.0,
+           {{"bits", std::to_string(bits)}});
+  if (!identical) {
+    std::cerr << "BUG: comb randomizer differs from h_s^a mod n^2 at "
+              << bits << " bits\n";
+    return false;
+  }
+  Rng rng(9100 + bits);
+  RecordOp(table, json, rows, "randomizer", "comb", bits,
+           SecondsPerOp([&] { holder.ComputeRandomizer(rng); }, window,
+                        min_iters));
+  RecordOp(table, json, rows, "randomizer", "eval_only", bits,
+           SecondsPerOp([&] { eval.ComputeRandomizer(rng); }, window,
+                        min_iters));
+  json.Add("speedup_comb_randomizer",
+           Find(rows, "randomizer", "eval_only", bits) /
+               Find(rows, "randomizer", "comb", bits),
+           {{"bits", std::to_string(bits)}});
+  return true;
 }
 
 /// One packing factor's set-up protocol on a pack-feasible configuration
@@ -235,7 +278,8 @@ int main() {
       std::cerr << "keygen failed at " << bits << " bits\n";
       return 1;
     }
-    PaillierContext ctx(pk, sk);
+    Rng holder_base(43);
+    PaillierContext ctx(pk, sk, holder_base);
     BigInt msg = BigInt::RandomBelow(pk.n, rng);
     BigInt cipher = ctx.Encrypt(msg, rng).value();
     if (ctx.Decrypt(cipher).value() != Paillier::Decrypt(pk, sk, cipher).value()) {
@@ -249,38 +293,11 @@ int main() {
     RecordOp(table, json, rows, "encrypt", "cached", bits,
            SecondsPerOp([&] { ctx.Encrypt(msg, rng).value(); }, window,
                         min_iters));
-    // Randomizer pipeline: the plaintext-independent r^n precompute, and
-    // the one-multiply hot path that consumes it. The key holder builds
-    // r^n from its CRT halves; an eval-only context (every silo) runs the
-    // n^2 exponentiation, and both must return the same number on the
-    // same draws.
-    PaillierContext eval_ctx(pk);
-    bool crt_identical = true;
-    for (uint64_t seed = 0; seed < 8; ++seed) {
-      Rng a(9000 + seed), b(9000 + seed);
-      crt_identical = crt_identical &&
-                      ctx.ComputeRandomizer(a) == eval_ctx.ComputeRandomizer(b);
-    }
-    json.Add("randomizer_crt_bitwise_identical", crt_identical ? 1.0 : 0.0,
-             {{"bits", std::to_string(bits)}});
-    if (!crt_identical) {
-      std::cerr << "BUG: CRT randomizers disagree with the n^2 path\n";
+    const PaillierContext eval_ctx(pk);
+    if (!RandomizerRows(bits, ctx, eval_ctx, window, min_iters, table, json,
+                        rows)) {
       return 1;
     }
-    RecordOp(table, json, rows, "randomizer_precompute", "cached", bits,
-           SecondsPerOp([&] { ctx.ComputeRandomizer(rng); }, window,
-                        min_iters));
-    RecordOp(table, json, rows, "randomizer_precompute", "eval_only", bits,
-           SecondsPerOp([&] { eval_ctx.ComputeRandomizer(rng); }, window,
-                        min_iters));
-    json.Add("speedup_crt_randomizer",
-             Find(rows, "randomizer_precompute", "eval_only", bits) /
-                 Find(rows, "randomizer_precompute", "cached", bits),
-             {{"bits", std::to_string(bits)}});
-    BigInt r_n = ctx.ComputeRandomizer(rng);
-    RecordOp(table, json, rows, "encrypt", "cached_pipeline", bits,
-           SecondsPerOp([&] { ctx.EncryptWithRandomizer(msg, r_n).value(); },
-                        window, min_iters));
 
     RecordOp(table, json, rows, "decrypt", "cold", bits,
            SecondsPerOp([&] { Paillier::Decrypt(pk, sk, cipher).value(); },
@@ -310,31 +327,40 @@ int main() {
       }
     }
 
-    // Headline speedups. Encryption is reported both ways: the consume
-    // path (the one-multiply hot path Protocol 1 runs after the
-    // randomizer pipeline fills, which overlaps other work on the pool)
-    // and the amortized cost including the mandatory r^n precompute.
-    for (const auto& [op, cached_mode] :
-         std::vector<std::pair<std::string, std::string>>{
-             {"modexp", "cached"},
-             {"decrypt", "cached"},
-             {"mul_plaintext", "cached"}}) {
+    // Headline speedups, encryption included: the key holder's comb
+    // encryption against the static shim's fresh r^n.
+    for (const auto& op : {"modexp", "encrypt", "decrypt", "mul_plaintext"}) {
       double cold = Find(rows, op, "cold", bits);
-      double cached = Find(rows, op, cached_mode, bits);
+      double cached = Find(rows, op, "cached", bits);
       if (cold > 0.0 && cached > 0.0) {
         json.Add("speedup_cached_vs_cold", cold / cached,
                  {{"op", op}, {"bits", std::to_string(bits)}});
       }
     }
-    double cold_enc = Find(rows, "encrypt", "cold", bits);
-    double consume = Find(rows, "encrypt", "cached_pipeline", bits);
-    double precompute = Find(rows, "randomizer_precompute", "cached", bits);
-    if (cold_enc > 0.0 && consume > 0.0 && precompute > 0.0) {
-      json.Add("speedup_cached_vs_cold", cold_enc / consume,
-               {{"op", "encrypt_consume"}, {"bits", std::to_string(bits)}});
-      json.Add("speedup_cached_vs_cold", cold_enc / (consume + precompute),
-               {{"op", "encrypt_amortized"},
-                {"bits", std::to_string(bits)}});
+  }
+  // The comb randomizer at the deployed key sizes the sweep above skips,
+  // on keys whose prime searches end quickly.
+  if (!smoke) {
+    for (const auto& [bits, seed] :
+         std::vector<std::pair<int, uint64_t>>{{2048, 14048}, {3072, 13072}}) {
+      if (std::find(key_bits.begin(), key_bits.end(), bits) !=
+          key_bits.end()) {
+        continue;
+      }
+      PaillierPublicKey pk;
+      PaillierSecretKey sk;
+      Rng keyrng(seed);
+      if (!Paillier::GenerateKeyPair(bits, keyrng, &pk, &sk).ok()) {
+        std::cerr << "keygen failed at " << bits << " bits\n";
+        return 1;
+      }
+      Rng holder_base(43);
+      const PaillierContext holder(pk, sk, holder_base);
+      const PaillierContext eval(pk);
+      if (!RandomizerRows(bits, holder, eval, window, min_iters, table, json,
+                          rows)) {
+        return 1;
+      }
     }
   }
   // -- Montgomery kernels --------------------------------------------------
@@ -726,8 +752,10 @@ int main() {
   }
 
   std::cout << "\nThe fast path reuses per-key Montgomery contexts, "
-               "decrypts via CRT, consumes precomputed randomizers, and "
-               "amortizes per-user fixed-base tables across the weighting "
-               "loop; outputs are bitwise identical to the cold path.\n";
+               "decrypts via CRT, draws the key holder's randomizers from "
+               "two fixed-base combs, and amortizes per-user fixed-base "
+               "tables across the weighting loop; decryption and the "
+               "homomorphic operations are bitwise identical to the cold "
+               "path.\n";
   return 0;
 }

@@ -127,8 +127,12 @@ Status ServerCore::GenerateKeys(ThreadPool& pool) {
                                                  keygen_rng,
                                                  &params_.public_key,
                                                  &secret_key_, &pool));
-  paillier_ =
-      std::make_unique<PaillierContext>(params_.public_key, secret_key_);
+  // The randomizer base h_s is a pure function of the seed too, so every
+  // server holding the seed encrypts identically; it never goes on the
+  // wire.
+  Rng base_rng = root_.Fork(0, 0, kRngStreamRandomizerBase);
+  paillier_ = std::make_unique<PaillierContext>(params_.public_key,
+                                                secret_key_, base_rng);
   if (config.ot_slots > 0) {
     Rng ot_rng = root_.Fork(0, 0, kRngStreamOtGroup);
     params_.ot_group =
@@ -225,11 +229,9 @@ Result<std::vector<BigInt>> ServerCore::EncryptWeightsRange(
     return Status::InvalidArgument("user range out of bounds");
   }
   const int count = u1 - u0;
-  // Randomizer pipeline: r^n mod n^2 is plaintext-independent, so
-  // EncryptBatch batch-computes one randomizer per user on the pool, then
-  // encryption itself is a single modular multiply per user. The Fork
-  // substream is addressed by the absolute user index u0 + i, so per-user
-  // randomness is independent of how the round is chunked.
+  // One comb randomizer per user on the pool. The Fork substream is
+  // addressed by the absolute user index u0 + i, so per-user randomness is
+  // independent of how the round is chunked.
   std::vector<BigInt> plains(count);
   for (int i = 0; i < count; ++i) {
     if (user_sampled[u0 + i]) plains[i] = b_inv_[u0 + i];

@@ -39,10 +39,12 @@ struct PaillierSecretKey {
 
 /// Static one-shot Paillier operations. These rebuild the modular-arithmetic
 /// contexts on every call; hot paths (Protocol 1, the benches) should hold a
-/// PaillierContext (crypto/paillier_ctx.h) instead, which produces
-/// bitwise-identical results while caching the Montgomery state and
-/// decrypting via CRT. This API is kept as the simple compatibility surface
-/// and as the cold-path baseline the micro benchmarks compare against.
+/// PaillierContext (crypto/paillier_ctx.h) instead, which caches the
+/// Montgomery state and decrypts via CRT with bitwise-identical results
+/// (encryption too, on an eval-only context; the key holder's fixed-base
+/// randomizers differ). This API is kept as the simple compatibility
+/// surface and as the cold-path baseline the micro benchmarks compare
+/// against.
 class Paillier {
  public:
   /// Generates a key pair with an `modulus_bits`-bit modulus n = p*q
@@ -63,12 +65,14 @@ class Paillier {
 
   /// Draws the encryption randomizer base: r uniform in [1, n) with
   /// gcd(r, n) = 1 (holds w.h.p.; retries otherwise). Shared by Encrypt
-  /// and PaillierContext so both consume identical draw sequences — the
-  /// bitwise fast/cold parity contract depends on this being the single
-  /// implementation.
+  /// and eval-only PaillierContexts so both consume identical draw
+  /// sequences — the bitwise fast/cold parity contract depends on this
+  /// being the single implementation. The key holder's context draws its
+  /// fixed randomizer base x with it too.
   static BigInt DrawUnit(const PaillierPublicKey& pk, Rng& rng);
 
-  /// (1 + m*n) * r_n mod n^2 for a precomputed r_n = r^n mod n^2. The
+  /// (1 + m*n) * r_n mod n^2 for a randomizer r_n, an n-th power mod n^2
+  /// (r^n, or the key holder's h_s^a in PaillierContext). The
   /// plaintext-dependent half of encryption, shared with PaillierContext.
   /// No range checks: m must be in [0, n).
   static BigInt ComposeCiphertext(const PaillierPublicKey& pk, const BigInt& m,

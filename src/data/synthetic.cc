@@ -104,12 +104,12 @@ SyntheticData MakeHeartDiseaseLike(Rng& rng, int scale) {
   ULDP_CHECK_GE(scale, 1);
   constexpr int kDim = 13;
   // FLamby heart-disease centers: Cleveland, Hungary, Switzerland, VA.
-  const int kCounts[4] = {303, 261, 46, 130};
+  const int kCounts[kHeartDiseaseSilos] = {303, 261, 46, 130};
   SyntheticData out;
   out.num_classes = 2;
   out.feature_dim = kDim;
   out.fixed_silos = true;
-  out.num_silos = 4;
+  out.num_silos = kHeartDiseaseSilos;
 
   // Ground-truth linear separator shared by all silos; each silo has its
   // own covariate mean (the cross-center distribution shift FLamby
@@ -148,12 +148,12 @@ SyntheticData MakeTcgaBrcaLike(Rng& rng, int scale) {
   ULDP_CHECK_GE(scale, 1);
   constexpr int kDim = 39;
   // FLamby TCGA-BRCA: 1088 patients over 6 centers.
-  const int kCounts[6] = {311, 196, 206, 79, 125, 171};
+  const int kCounts[kTcgaBrcaSilos] = {311, 196, 206, 79, 125, 171};
   SyntheticData out;
   out.num_classes = 0;
   out.feature_dim = kDim;
   out.fixed_silos = true;
-  out.num_silos = 6;
+  out.num_silos = kTcgaBrcaSilos;
 
   Vec theta(kDim);
   for (double& t : theta) t = rng.Gaussian(0.0, 0.5);

@@ -41,6 +41,11 @@ SyntheticData MakeCreditcardLike(int n_train, int n_test, Rng& rng,
 SyntheticData MakeMnistLike(int n_train, int n_test, Rng& rng, int side = 14,
                             double noise = 0.35);
 
+/// Silo counts of the two FLamby stand-ins, whose records come with their
+/// silo pre-assigned.
+constexpr int kHeartDiseaseSilos = 4;
+constexpr int kTcgaBrcaSilos = 6;
+
 /// HeartDisease-like (FLamby): 13 features, binary label, 4 silos with
 /// fixed per-silo record counts and per-silo covariate shift. silo_id is
 /// pre-assigned; pass through AllocateUsersWithinSilos.

@@ -9,10 +9,6 @@ namespace uldp {
 
 namespace {
 
-// Memory guard: at most this many table entries regardless of how much
-// reuse is promised (8192 entries of a 2048-bit modulus ≈ 2 MB).
-constexpr size_t kMaxTableEntries = 8192;
-
 // A Montgomery squaring through the dedicated path costs roughly this
 // fraction of a generic multiply; the comb cost model below weighs its
 // squarings with it, and ChooseFoldPath uses it as the Straus chain's σ.
@@ -32,8 +28,9 @@ struct Plan {
 //   build    = chain squarings + v * (2^h - 1 - h) multiplies
 //   per use  = (b - 1) squarings + a * (1 - 2^-h) expected multiplies
 // v is capped at 4: beyond that each doubling trades a large table-size
-// increase for a shrinking per-use saving.
-Plan PickPlan(int exp_bits, size_t expected_uses) {
+// increase for a shrinking per-use saving. Shapes storing more than
+// max_entries entries are skipped, except the one-entry h = 1, v = 1 comb.
+Plan PickPlan(int exp_bits, size_t expected_uses, size_t max_entries) {
   Plan best;
   const int max_h = std::min(8, std::max(1, exp_bits));
   for (int h = 1; h <= max_h; ++h) {
@@ -43,7 +40,7 @@ Plan PickPlan(int exp_bits, size_t expected_uses) {
       const int v_used = (a + b - 1) / b;
       const size_t entries = static_cast<size_t>(v_used) *
                              ((static_cast<size_t>(1) << h) - 1);
-      if (entries > kMaxTableEntries && !(h == 1 && v == 1)) continue;
+      if (entries > max_entries && !(h == 1 && v == 1)) continue;
       const double chain =
           static_cast<double>((h - 1) * a + (v_used - 1) * b);
       const double build =
@@ -69,10 +66,11 @@ Plan PickPlan(int exp_bits, size_t expected_uses) {
 }  // namespace
 
 FixedBaseTable::FixedBaseTable(const Montgomery& mont, const BigInt& base,
-                               int max_exp_bits, size_t expected_uses)
+                               int max_exp_bits, size_t expected_uses,
+                               size_t max_entries)
     : mont_(&mont), max_bits_(max_exp_bits) {
   ULDP_CHECK_GE(max_bits_, 1);
-  const Plan plan = PickPlan(max_bits_, expected_uses);
+  const Plan plan = PickPlan(max_bits_, expected_uses, max_entries);
   w_ = plan.h;
   comb_b_ = plan.b;
   BuildComb(base);
@@ -163,7 +161,8 @@ FoldPath ChooseFoldPath(size_t bases, size_t products, int exp_bits) {
   const double u = static_cast<double>(bases);
   const double c = static_cast<double>(products);
   const double b = static_cast<double>(exp_bits);
-  const double tables = u * PickPlan(exp_bits, products).cost;
+  const double tables =
+      u * PickPlan(exp_bits, products, FixedBaseTable::kMaxEntries).cost;
   const int w = MultiExp::WindowBits(exp_bits, products);
   const double straus = u * static_cast<double>(1u << (w - 1)) +
                         c * (kSqrWeight * b + u * b / (w + 1));

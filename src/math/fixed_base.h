@@ -25,13 +25,19 @@ namespace uldp {
 /// table is safe to share across pool threads.
 class FixedBaseTable {
  public:
+  /// Default cap on stored entries: 8192 entries of a 2048-bit modulus
+  /// hold 2 MB.
+  static constexpr size_t kMaxEntries = 8192;
+
   /// Builds the table for exponents of at most `max_exp_bits` bits.
   /// `base` must be non-negative with bit length at most the modulus's limb
   /// capacity (any value MontExp accepts). `expected_uses` sizes the
   /// teeth and sub-blocks: small reuse counts get cheap builds, large ones
-  /// fast per-use costs (capped so a table never exceeds a few MB).
+  /// fast per-use costs, within at most `max_entries` stored entries (a
+  /// one-entry table when the cap is below every comb shape).
   FixedBaseTable(const Montgomery& mont, const BigInt& base, int max_exp_bits,
-                 size_t expected_uses = 256);
+                 size_t expected_uses = 256,
+                 size_t max_entries = kMaxEntries);
 
   FixedBaseTable(FixedBaseTable&&) = default;
   FixedBaseTable& operator=(FixedBaseTable&&) = default;

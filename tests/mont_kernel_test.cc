@@ -173,11 +173,13 @@ TEST_P(IfmaKeySweep, PaillierMatchesRowReference) {
   PaillierPublicKey pk;
   PaillierSecretKey sk;
   ASSERT_TRUE(Paillier::GenerateKeyPair(key_bits, keyrng, &pk, &sk).ok());
-  const PaillierContext holder(pk, sk);
+  Rng base(965 + key_bits);
+  const PaillierContext holder(pk, sk, base);
   const PaillierContext eval(pk);
   ASSERT_EQ(eval.mont_n_squared().kernel(), MontKernel::kIfma);
-  // The reference recomputes both directions on the 64-bit rows mod n^2:
-  // (1 + m n) r^n for the same draw r, and L(c^lambda) mu.
+  // The reference recomputes every direction on the 64-bit rows mod n^2:
+  // the eval-only (1 + m n) r^n for the same draw r, the key holder's comb
+  // randomizer h_s^a for the same draw a, and L(c^lambda) mu.
   const Montgomery rows = MontKernels::On(pk.n_squared, RowKernel());
   Rng rng(970 + key_bits);
   for (int i = 0; i < 2; ++i) {
@@ -188,8 +190,12 @@ TEST_P(IfmaKeySweep, PaillierMatchesRowReference) {
         Paillier::ComposeCiphertext(pk, msg, rows.MontExp(r, pk.n));
     Rng eval_rng = rng;
     EXPECT_EQ(eval.Encrypt(msg, eval_rng).value(), want);
+    Rng exp_rng = rng;
+    const BigInt a = BigInt::RandomBits(
+        pk.n.BitLength() + PaillierContext::kExponentSlackBits, exp_rng);
     const BigInt c = holder.Encrypt(msg, rng).value();
-    EXPECT_EQ(c, want);
+    EXPECT_EQ(c, Paillier::ComposeCiphertext(
+                     pk, msg, rows.MontExp(holder.randomizer_base(), a)));
     const BigInt l = (rows.MontExp(c, sk.lambda) - BigInt(1)) / pk.n;
     EXPECT_EQ(holder.Decrypt(c).value(), l.ModMul(sk.mu, pk.n));
     EXPECT_EQ(holder.Decrypt(c).value(), msg);

@@ -1,9 +1,9 @@
 // Tests for the cached-context Paillier fast path: CRT decryption must be
-// bitwise-identical to the classic path, the randomizer pipeline must be
-// bitwise-identical to direct encryption at any thread count, the key
-// holder's CRT randomizers must equal the eval-only n^2 exponentiation on
-// the same draws, and the parallel key generation must be
-// thread-count-invariant.
+// bitwise-identical to the classic path, eval-only encryption must be
+// bitwise the static shim's, the key holder's comb randomizer must equal
+// h_s^a mod n^2 computed directly and decrypt to 0, batch encryption must
+// equal serial encryption at any thread count, and the parallel key
+// generation must be thread-count-invariant.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,8 @@ class PaillierCtxFixture : public ::testing::Test {
     pk_ = new PaillierPublicKey();
     sk_ = new PaillierSecretKey();
     ASSERT_TRUE(Paillier::GenerateKeyPair(512, *rng_, pk_, sk_).ok());
-    ctx_ = new PaillierContext(*pk_, *sk_);
+    Rng base(4712);
+    ctx_ = new PaillierContext(*pk_, *sk_, base);
   }
   static void TearDownTestSuite() {
     delete ctx_;
@@ -76,12 +77,15 @@ TEST_F(PaillierCtxFixture, CrtDecryptionOnHomomorphicResults) {
 }
 
 TEST_F(PaillierCtxFixture, ContextEncryptBitwiseEqualsStatic) {
+  // Eval-only contexts keep r^n, so they match the static shim; the key
+  // holder's comb randomizer is pinned by the tests further down.
+  const PaillierContext eval(*pk_);
   Rng base(2026);
   for (int i = 0; i < 5; ++i) {
     BigInt m = BigInt::RandomBelow(pk_->n, *rng_);
     Rng r1 = base.Fork(1, i, 0);
     Rng r2 = base.Fork(1, i, 0);
-    EXPECT_EQ(ctx_->Encrypt(m, r1).value(),
+    EXPECT_EQ(eval.Encrypt(m, r1).value(),
               Paillier::Encrypt(*pk_, m, r2).value());
   }
 }
@@ -94,31 +98,31 @@ TEST_F(PaillierCtxFixture, HomomorphicOpsBitwiseEqualStatic) {
             Paillier::AddCiphertexts(*pk_, c, c));
   EXPECT_EQ(ctx_->AddPlaintext(c, k), Paillier::AddPlaintext(*pk_, c, k));
   EXPECT_EQ(ctx_->MulPlaintext(c, k), Paillier::MulPlaintext(*pk_, c, k));
-  Rng r1(99), r2(99);
-  EXPECT_EQ(ctx_->Rerandomize(c, r1).value(),
+  const PaillierContext eval(*pk_);
+  Rng r1(99), r2(99), r3(99);
+  EXPECT_EQ(eval.Rerandomize(c, r1).value(),
             Paillier::Rerandomize(*pk_, c, r2).value());
+  const BigInt fresh = ctx_->Rerandomize(c, r3).value();
+  EXPECT_NE(fresh, c);
+  EXPECT_EQ(ctx_->Decrypt(fresh).value(), m);
 }
 
-TEST_F(PaillierCtxFixture, RandomizerPipelineBitwiseEqualsDirectEncrypt) {
+TEST_F(PaillierCtxFixture, EncryptComposesComputeRandomizer) {
+  // Encrypt consumes exactly ComputeRandomizer's draws, on both kinds of
+  // context, so timing ComputeRandomizer times encryption's exponentiation.
+  const PaillierContext eval(*pk_);
   Rng base(555);
-  const size_t count = 9;
-  auto fork = [&](size_t i) { return base.Fork(7, i, kRngStreamEncrypt); };
-  std::vector<BigInt> ms(count);
-  for (size_t i = 0; i < count; ++i) {
-    ms[i] = BigInt::RandomBelow(pk_->n, *rng_);
-  }
-  // Direct sequential encryption from the same substreams.
-  std::vector<BigInt> expected(count);
-  for (size_t i = 0; i < count; ++i) {
-    Rng r = fork(i);
-    expected[i] = ctx_->Encrypt(ms[i], r).value();
-  }
-  // Pipeline: precompute randomizers, then one-multiply encryptions.
-  ThreadPool serial(1);
-  std::vector<BigInt> rand = ctx_->PrecomputeRandomizers(count, fork, serial);
-  for (size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(ctx_->EncryptWithRandomizer(ms[i], rand[i]).value(),
-              expected[i]);
+  const PaillierContext* contexts[] = {ctx_, &eval};
+  for (const PaillierContext* ctx : contexts) {
+    for (uint64_t i = 0; i < 6; ++i) {
+      const BigInt m = BigInt::RandomBelow(pk_->n, *rng_);
+      Rng a = base.Fork(7, i, kRngStreamEncrypt);
+      Rng b = base.Fork(7, i, kRngStreamEncrypt);
+      EXPECT_EQ(ctx->Encrypt(m, a).value(),
+                Paillier::ComposeCiphertext(*pk_, m, ctx->ComputeRandomizer(b)))
+          << "holder=" << ctx->has_secret_key() << " i=" << i;
+      EXPECT_EQ(a.NextUint64(), b.NextUint64());
+    }
   }
 }
 
@@ -133,7 +137,7 @@ TEST_F(PaillierCtxFixture, EncryptBatchThreadCountInvariant) {
   std::vector<BigInt> expected(count);
   for (size_t i = 0; i < count; ++i) {
     Rng r = fork(i);
-    expected[i] = Paillier::Encrypt(*pk_, ms[i], r).value();
+    expected[i] = ctx_->Encrypt(ms[i], r).value();
   }
   for (int threads : {1, 2, 5}) {
     ThreadPool pool(threads);
@@ -203,8 +207,9 @@ TEST_F(PaillierCtxFixture, DecryptRejectsNonUnitsLikeClassic) {
 }
 
 // Hand-built keys with p = 11, q = 13: 23 of the 143 values below n are
-// non-units, so about one first draw in six is rejected and DrawUnit's
-// retry loop runs under both the CRT and the n^2 exponentiation.
+// non-units, so about one first draw in six is rejected — by DrawUnit's
+// retry loop on an eval-only randomizer, and by the redraw of the key
+// holder's randomizer base x.
 void MakeTinyKey(int p, int q, PaillierPublicKey* pk, PaillierSecretKey* sk) {
   sk->p = BigInt(p);
   sk->q = BigInt(q);
@@ -215,33 +220,53 @@ void MakeTinyKey(int p, int q, PaillierPublicKey* pk, PaillierSecretKey* sk) {
   sk->mu = sk->lambda.ModInverse(pk->n).value();
 }
 
+// The key holder's exponent a, drawn as ComputeRandomizer draws it.
+BigInt DrawExponent(const PaillierPublicKey& pk, Rng& rng) {
+  return BigInt::RandomBits(
+      pk.n.BitLength() + PaillierContext::kExponentSlackBits, rng);
+}
+
 TEST(PaillierCtxTinyKeyTest, KeyHolderRandomizerBitwiseEqualsEvalOnly) {
   for (const auto& [p, q] : {std::pair{11, 13}, std::pair{13, 11}}) {
     PaillierPublicKey pk;
     PaillierSecretKey sk;
     MakeTinyKey(p, q, &pk, &sk);
-    const PaillierContext holder(pk, sk);
     const PaillierContext eval(pk);
+    // Every base stream yields a unit h_s, although about one first draw
+    // of x in six is a non-unit.
     int non_unit_first_draws = 0;
     for (uint64_t seed = 1; seed <= 2000; ++seed) {
       Rng probe(seed);
       const BigInt first = BigInt::RandomBelow(pk.n, probe);
       if (BigInt::Gcd(first, pk.n) != BigInt(1)) ++non_unit_first_draws;
+      Rng base(seed);
+      const PaillierContext holder(pk, sk, base);
+      ASSERT_EQ(BigInt::Gcd(holder.randomizer_base(), pk.n), BigInt(1))
+          << "p=" << p << " seed=" << seed;
+    }
+    EXPECT_GT(non_unit_first_draws, 200) << "p=" << p;
 
+    Rng base(7);
+    const PaillierContext holder(pk, sk, base);
+    const Montgomery& mont = holder.mont_n_squared();
+    for (uint64_t seed = 1; seed <= 2000; ++seed) {
       Rng a(seed), b(seed);
-      EXPECT_EQ(holder.ComputeRandomizer(a), eval.ComputeRandomizer(b))
+      const BigInt rho = holder.ComputeRandomizer(a);
+      EXPECT_EQ(rho, mont.MontExp(holder.randomizer_base(),
+                                  DrawExponent(pk, b)))
           << "p=" << p << " seed=" << seed;
       // Same number of draws consumed, so later draws stay aligned.
       EXPECT_EQ(a.NextUint64(), b.NextUint64()) << "seed=" << seed;
+      EXPECT_EQ(holder.Decrypt(rho).value(), BigInt(0)) << "seed=" << seed;
 
       const BigInt m(seed % 143);
       Rng c(seed), d(seed), e(seed);
-      const BigInt want = Paillier::Encrypt(pk, m, c).value();
-      EXPECT_EQ(holder.Encrypt(m, d).value(), want) << "seed=" << seed;
-      EXPECT_EQ(eval.Encrypt(m, e).value(), want) << "seed=" << seed;
-      EXPECT_EQ(holder.Decrypt(want).value(), m) << "seed=" << seed;
+      EXPECT_EQ(eval.Encrypt(m, e).value(),
+                Paillier::Encrypt(pk, m, c).value())
+          << "seed=" << seed;
+      EXPECT_EQ(holder.Decrypt(holder.Encrypt(m, d).value()).value(), m)
+          << "seed=" << seed;
     }
-    EXPECT_GT(non_unit_first_draws, 200) << "p=" << p;
   }
 }
 
@@ -263,7 +288,8 @@ TEST_P(PaillierDeployedKeyTest, CrtDecryptTableFoldAndRoundTrip) {
   PaillierSecretKey sk;
   ASSERT_TRUE(Paillier::GenerateKeyPair(param.bits, rng, &pk, &sk).ok());
   ASSERT_EQ(pk.n.BitLength(), param.bits);
-  const PaillierContext ctx(pk, sk);
+  Rng base(param.seed + 2);
+  const PaillierContext ctx(pk, sk, base);
 
   for (const BigInt& m :
        {BigInt(0), pk.n - BigInt(1), BigInt::RandomBelow(pk.n, rng)}) {
@@ -287,9 +313,11 @@ TEST_P(PaillierDeployedKeyTest, KeyHolderRandomizersAndBatchMatchEvalOnly) {
   PaillierPublicKey pk;
   PaillierSecretKey sk;
   ASSERT_TRUE(Paillier::GenerateKeyPair(param.bits, rng, &pk, &sk).ok());
-  const PaillierContext holder(pk, sk);
+  Rng holder_base(param.seed + 2);
+  const PaillierContext holder(pk, sk, holder_base);
   const PaillierContext eval(pk);
 
+  // The combs over p^2 and q^2 give h_s^a mod n^2, an encryption of 0.
   Rng base(param.seed + 1);
   auto fork = [&](size_t i) { return base.Fork(9, i, kRngStreamEncrypt); };
   const size_t count = 4;
@@ -297,10 +325,14 @@ TEST_P(PaillierDeployedKeyTest, KeyHolderRandomizersAndBatchMatchEvalOnly) {
   std::vector<BigInt> expected(count);
   for (size_t i = 0; i < count; ++i) {
     ms[i] = BigInt::RandomBelow(pk.n, rng);
-    Rng a = fork(i), b = fork(i);
-    const BigInt r_eval = eval.ComputeRandomizer(a);
-    EXPECT_EQ(holder.ComputeRandomizer(b), r_eval) << "i=" << i;
-    expected[i] = eval.EncryptWithRandomizer(ms[i], r_eval).value();
+    Rng a = fork(i), b = fork(i), c = fork(i);
+    const BigInt rho = holder.ComputeRandomizer(a);
+    EXPECT_EQ(rho, eval.mont_n_squared().MontExp(holder.randomizer_base(),
+                                                 DrawExponent(pk, b)))
+        << "i=" << i;
+    EXPECT_EQ(holder.Decrypt(rho).value(), BigInt(0)) << "i=" << i;
+    expected[i] = holder.Encrypt(ms[i], c).value();
+    EXPECT_EQ(holder.Decrypt(expected[i]).value(), ms[i]) << "i=" << i;
   }
   for (int threads : {1, 2, 5}) {
     ThreadPool pool(threads);

@@ -98,6 +98,14 @@ python3 tools/check_docs.py
 python3 tools/check_bench.py --bench-dir "$BUILD_DIR" \
     --baselines bench/baselines
 
+# Ledger smokes: every ledger workload for a few rounds, from the ledger's
+# own Release build in .bench_build. run.py exits nonzero when the decoded
+# Protocol 1 aggregates differ from an in-process reference computed at
+# run time, and the traced run also replays each round through the public
+# party API, which must match the real run bitwise.
+python3 bench/ledger/run.py --smoke
+python3 bench/ledger/run.py --smoke --trace 1
+
 # Loopback-TCP smoke round: a real uldp_fl_cli protocol server on an
 # ephemeral port plus two silo client processes, with --verify asserting
 # the distributed aggregates bitwise-match the in-process run.

@@ -101,6 +101,8 @@ VALUE_CHECKS = [
      "--stream-chunk-coords requires --stream-chunk-users"),
     (["--serve=0", "--async", "--silos=2", "--async-buffer=3"],
      "--async-buffer must be <= --silos"),
+    (HEART + ["--method=uldp-avg", "--async", "--async-buffer=5"],
+     "--async-buffer must be <= 4, the silo count of --dataset=heart"),
     (["--serve=0", "--async", "--silos=2", "--verify", "--max-staleness=1"],
      "--verify needs --max-staleness=0"),
     (["--serve=0", "--async", "--silos=2", "--min-silos=1"],
@@ -161,6 +163,13 @@ class CliTest(unittest.TestCase):
                 rc, _, err = run(args)
                 self.assertEqual(rc, 2, err)
                 self.assertIn(message, err)
+
+    def test_async_buffer_up_to_the_dataset_silo_count_runs(self):
+        # tcga has 6 silos whatever --silos says, so a buffer of 6 is full.
+        rc, out, err = run(["--dataset=tcga", "--method=uldp-avg", "--async",
+                            "--async-buffer=6", "--rounds=1"], timeout=120)
+        self.assertEqual(rc, 0, err)
+        self.assertIn("6 silos", out)
 
     def test_target_epsilon_runs_end_within_the_target(self):
         # Every run that accepts --target-epsilon must end at epsilon <= E.

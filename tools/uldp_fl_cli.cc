@@ -219,6 +219,12 @@ bool SizedByFlags(const Flags& f) {
   return f.csv.empty() && f.dataset != "heart" && f.dataset != "tcga";
 }
 
+/// A local heart or tcga run has the dataset's silo count; every other
+/// run reads --silos.
+bool DatasetFixesSilos(const Flags& f) {
+  return RunOf(f) == kLocal && !WithCsv(f) && !SizedByFlags(f);
+}
+
 const std::vector<FlagGroup>& FlagTable() {
   static const std::vector<FlagGroup> table = {
       {"Data and method:",
@@ -497,7 +503,15 @@ Status CheckValues(const Flags& flags) {
     return Status::InvalidArgument(
         "--stream-chunk-coords requires --stream-chunk-users");
   }
-  if (flags.async_buffer > flags.silos) {
+  if (DatasetFixesSilos(flags)) {
+    const int silos =
+        flags.dataset == "heart" ? kHeartDiseaseSilos : kTcgaBrcaSilos;
+    if (flags.async_buffer > silos) {
+      return Status::InvalidArgument(
+          "--async-buffer must be <= " + std::to_string(silos) +
+          ", the silo count of --dataset=" + flags.dataset);
+    }
+  } else if (flags.async_buffer > flags.silos) {
     return Status::InvalidArgument("--async-buffer must be <= --silos");
   }
   if (flags.async && flags.verify &&
