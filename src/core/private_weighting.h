@@ -90,6 +90,9 @@ class PrivateWeightingProtocol {
   /// the hidden mask.
   const std::vector<bool>& last_ot_mask() const { return last_ot_mask_; }
 
+  /// The configuration the protocol runs; a trainer reads its OT
+  /// sub-sampling rate from here.
+  const ProtocolConfig& config() const { return config_; }
   const ProtocolTimings& timings() const { return timings_; }
   const ServerProtocolView& server_view() const { return server_->view(); }
   const SiloProtocolView& silo_view(int s) const { return silo_views_[s]; }

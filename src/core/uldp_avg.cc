@@ -1,6 +1,5 @@
 #include "core/uldp_avg.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -9,22 +8,50 @@
 
 namespace uldp {
 
+namespace {
+
+/// The sampling rate q the server steps and accounts at. With Protocol 1's
+/// OT sub-sampling on, the protocol keeps each user with probability
+/// OtRealSlots / ot_slots whatever the trainer's mask says (§4.1), so that
+/// is the rate, and the trainer must not sample a second time.
+double StepSampleRate(const UldpAvgOptions& options) {
+  if (options.private_protocol == nullptr ||
+      options.private_protocol->config().ot_slots <= 0) {
+    return options.user_sample_rate;
+  }
+  const ProtocolConfig& protocol = options.private_protocol->config();
+  ULDP_CHECK_MSG(options.user_sample_rate == 1.0,
+                 "user_sample_rate < 1 with OT sub-sampling samples twice");
+  const int real_slots = OtRealSlots(protocol);
+  ULDP_CHECK_MSG(real_slots > 0, "ot_sample_rate leaves no real OT slot");
+  return static_cast<double>(real_slots) / protocol.ot_slots;
+}
+
+}  // namespace
+
 UldpAvgTrainer::UldpAvgTrainer(const FederatedDataset& data,
                                const Model& model, FlConfig config,
                                UldpAvgOptions options)
+    : UldpAvgTrainer(data, model, config, options, LocalRule::kEpochs) {}
+
+UldpAvgTrainer::UldpAvgTrainer(const FederatedDataset& data,
+                               const Model& model, FlConfig config,
+                               UldpAvgOptions options, LocalRule rule)
     : data_(data),
       config_(config),
       options_(options),
+      rule_(rule),
+      q_(StepSampleRate(options)),
       rng_(config.seed),
-      tracker_(options.user_sample_rate < 1.0
-                   ? PrivacyTracker::ForSubsampledGaussian(
-                         config.sigma, options.user_sample_rate)
+      tracker_(q_ < 1.0
+                   ? PrivacyTracker::ForSubsampledGaussian(config.sigma, q_)
                    : PrivacyTracker::ForGaussian(config.sigma)),
       engine_(model, data.num_silos(), EngineConfigFrom(config),
               [this](int version, int silo, const Vec& snapshot,
                      Model& model, Vec& delta) {
-                return LocalSiloWork(static_cast<uint64_t>(version), snapshot,
-                                     silo, model, delta);
+                return SiloHalf(static_cast<uint64_t>(version), silo,
+                                snapshot, model, delta,
+                                /*unweighted=*/nullptr);
               }) {
   ULDP_CHECK_GT(config_.clip, 0.0);
   ULDP_CHECK_GT(options_.user_sample_rate, 0.0);
@@ -41,11 +68,12 @@ UldpAvgTrainer::UldpAvgTrainer(const FederatedDataset& data,
   weights_ = ComputeWeights(data_, strategy);
   ULDP_CHECK(WeightsSatisfyUldpConstraint(weights_));
 
-  name_ = strategy == WeightingStrategy::kEnhanced ? "ULDP-AVG-w"
-                                                   : "ULDP-AVG";
+  name_ = rule_ == LocalRule::kGradient ? "ULDP-SGD" : "ULDP-AVG";
+  if (strategy == WeightingStrategy::kEnhanced) name_ += "-w";
   if (options_.private_protocol != nullptr) name_ += "(private)";
-  if (options_.user_sample_rate < 1.0) {
-    name_ += "(q=" + FormatG(options_.user_sample_rate, 3) + ")";
+  // ULDP-SGD's name does not carry its rate.
+  if (rule_ == LocalRule::kEpochs && q_ < 1.0) {
+    name_ += "(q=" + FormatG(q_, 3) + ")";
   }
 
   silo_shards_.resize(data_.num_silos());
@@ -77,107 +105,107 @@ std::vector<bool> UldpAvgTrainer::SampledMask(uint64_t version) {
   return mask_;
 }
 
-Status UldpAvgTrainer::LocalSiloWork(uint64_t version, const Vec& snapshot,
-                                     int silo, Model& model, Vec& silo_delta) {
+void UldpAvgTrainer::UserUpdate(uint64_t version, int silo,
+                                const UserShard& shard, const Vec& snapshot,
+                                Model& model, Vec& update) const {
+  model.SetParams(snapshot);
+  if (rule_ == LocalRule::kEpochs) {
+    // Q epochs of local SGD on a Fork(version, silo, user) substream.
+    Rng local = rng_.Fork(version, static_cast<uint64_t>(silo),
+                          static_cast<uint64_t>(shard.user));
+    TrainLocalSgd(model, shard.examples, config_.local_epochs,
+                  config_.batch_size, config_.local_lr, local);
+    update = model.GetParams();
+    Axpy(-1.0, snapshot, update);
+  } else {
+    // The full-batch gradient at the pulled global model.
+    std::vector<const Example*> batch;
+    batch.reserve(shard.examples.size());
+    for (const Example& ex : shard.examples) batch.push_back(&ex);
+    update.assign(snapshot.size(), 0.0);
+    model.LossAndGrad(batch, &update);
+  }
+  ClipToL2Ball(update, config_.clip);
+}
+
+Status UldpAvgTrainer::SiloHalf(uint64_t version, int silo,
+                                const Vec& snapshot, Model& model, Vec& out,
+                                std::vector<Vec>* unweighted) {
   const int s_count = data_.num_silos();
   const std::vector<bool> sampled = SampledMask(version);
+  Vec update;
+  for (const UserShard& shard : silo_shards_[silo]) {
+    const double w = weights_[silo][shard.user];
+    if (!sampled[shard.user] || w == 0.0) continue;
+    UserUpdate(version, silo, shard, snapshot, model, update);
+    if (unweighted != nullptr) {
+      (*unweighted)[shard.user] = std::move(update);
+    } else {
+      Axpy(w, update, out);  // line 16: clip then weight
+    }
+  }
 
   // Line 17: every silo adds N(0, sigma^2 C^2 / |S|) so the aggregate noise
   // matches user-level sensitivity C with multiplier sigma. In central
   // mode the server adds the equivalent N(0, sigma^2 C^2) once instead.
   // Under async rounds with a partial buffer or a positive staleness
   // bound, each share is inflated by AsyncNoiseMargin so even the worst
-  // flush carries the charged noise (see the FlConfig DP note).
+  // flush carries the charged noise (see the FlConfig DP note); the
+  // margin is exactly 1.0 otherwise, and always under Protocol 1.
   const bool central = config_.noise_placement == NoisePlacement::kCentral;
   const double noise_std =
       central ? 0.0
               : config_.sigma * config_.clip *
                     AsyncNoiseMargin(config_, s_count) /
                     std::sqrt(static_cast<double>(s_count));
-
-  // Per-user training on a Fork(version, silo, user) substream, clip, then
-  // weight (Algorithm 3, lines 9-16).
-  for (const UserShard& shard : silo_shards_[silo]) {
-    if (!sampled[shard.user]) continue;
-    double w = weights_[silo][shard.user];
-    if (w == 0.0) continue;
-    model.SetParams(snapshot);
-    Rng local = rng_.Fork(version, static_cast<uint64_t>(silo),
-                          static_cast<uint64_t>(shard.user));
-    TrainLocalSgd(model, shard.examples, config_.local_epochs,
-                  config_.batch_size, config_.local_lr, local);
-    Vec delta = model.GetParams();
-    Axpy(-1.0, snapshot, delta);
-    ClipToL2Ball(delta, config_.clip);  // line 16: clip then weight
-    Axpy(w, delta, silo_delta);
-  }
   Rng noise = rng_.Fork(version, static_cast<uint64_t>(silo),
                         kRngStreamNoise);
-  AddGaussianNoise(silo_delta, noise_std, noise);
+  AddGaussianNoise(out, noise_std, noise);
   return Status::Ok();
 }
 
-Status UldpAvgTrainer::RunRound(int round, Vec& global_params) {
-  const int s_count = data_.num_silos();
-  const int u_count = data_.num_users();
-  const double q = options_.user_sample_rate;
+Result<Vec> UldpAvgTrainer::ProtocolRound(int round,
+                                          const Vec& global_params) {
+  // Each user's update fills its own slot and each silo's noise share its
+  // own vector, so one task per silo gives the same bits at any thread
+  // count.
+  std::vector<std::vector<Vec>> unweighted(
+      data_.num_silos(), std::vector<Vec>(data_.num_users()));
+  std::vector<Vec> silo_noise;
+  ULDP_RETURN_IF_ERROR(engine_.RunSilos(
+      round, global_params,
+      [&](int version, int silo, const Vec& snapshot, Model& model,
+          Vec& noise) {
+        return SiloHalf(static_cast<uint64_t>(version), silo, snapshot, model,
+                        noise, &unweighted[silo]);
+      },
+      &silo_noise));
   const uint64_t r = static_cast<uint64_t>(round);
-  const bool central = config_.noise_placement == NoisePlacement::kCentral;
-  const bool use_protocol = options_.private_protocol != nullptr;
+  return options_.private_protocol->WeightingRound(r, unweighted, silo_noise,
+                                                   SampledMask(r));
+}
 
-  Vec total;
-  if (use_protocol) {
-    // Algorithm 4 mask, computed once at the server for the protocol call.
-    std::vector<bool> sampled = SampledMask(r);
-    const double noise_std =
-        central ? 0.0
-                : config_.sigma * config_.clip /
-                      std::sqrt(static_cast<double>(s_count));
-    // The protocol path keeps per-user clipped (unweighted) deltas since
-    // the weighting happens inside the encryption. Each user's training
-    // draws from its own Fork(round, silo, user) substream and fills its
-    // own delta slot, so one task per silo gives the same bits at any
-    // thread count.
-    std::vector<std::vector<Vec>> protocol_deltas(s_count,
-                                                  std::vector<Vec>(u_count));
-    std::vector<Vec> silo_noise(s_count, Vec());
-    auto silo_work = [&](int, int s, const Vec&, Model& model, Vec&) {
-      for (const UserShard& user_shard : silo_shards_[s]) {
-        if (!sampled[user_shard.user]) continue;
-        model.SetParams(global_params);
-        Rng local = rng_.Fork(r, static_cast<uint64_t>(s),
-                              static_cast<uint64_t>(user_shard.user));
-        TrainLocalSgd(model, user_shard.examples, config_.local_epochs,
-                      config_.batch_size, config_.local_lr, local);
-        Vec delta = model.GetParams();
-        Axpy(-1.0, global_params, delta);
-        ClipToL2Ball(delta, config_.clip);
-        protocol_deltas[s][user_shard.user] = std::move(delta);
-      }
-      Rng noise = rng_.Fork(r, static_cast<uint64_t>(s), kRngStreamNoise);
-      silo_noise[s].assign(global_params.size(), 0.0);
-      AddGaussianNoise(silo_noise[s], noise_std, noise);
-      return Status::Ok();
-    };
-    ULDP_RETURN_IF_ERROR(engine_.RunSilos(round, global_params, silo_work,
-                                          /*silo_deltas=*/nullptr));
-    auto agg = options_.private_protocol->WeightingRound(
-        r, protocol_deltas, silo_noise, sampled);
-    if (!agg.ok()) return agg.status();
-    total = std::move(agg.value());
-  } else {
-    auto agg = engine_.Step(round, global_params);
-    if (!agg.ok()) return agg.status();
-    total = std::move(agg.value());
-  }
-  if (central) {
-    Rng server = rng_.Fork(r, 0, kRngStreamServer);
+void UldpAvgTrainer::ServerStep(int round, Vec& total, Vec& global_params) {
+  if (config_.noise_placement == NoisePlacement::kCentral) {
+    Rng server = rng_.Fork(static_cast<uint64_t>(round), 0, kRngStreamServer);
     AddGaussianNoise(total, config_.sigma * config_.clip, server);
   }
-
-  // Server update (Algorithm 3 line 6 / Algorithm 4 line 10).
-  Axpy(config_.global_lr / (q * u_count * s_count), total, global_params);
+  // Algorithm 3 writes the update additively on the delta; under the
+  // gradient rule the aggregate is a gradient, so the server steps
+  // against it.
+  const double lr = rule_ == LocalRule::kGradient ? -config_.global_lr
+                                                  : config_.global_lr;
+  Axpy(lr / (q_ * data_.num_users() * data_.num_silos()), total,
+       global_params);
   tracker_.AdvanceRounds(1);
+}
+
+Status UldpAvgTrainer::RunRound(int round, Vec& global_params) {
+  auto total = options_.private_protocol == nullptr
+                   ? engine_.Step(round, global_params)
+                   : ProtocolRound(round, global_params);
+  if (!total.ok()) return total.status();
+  ServerStep(round, total.value(), global_params);
   return Status::Ok();
 }
 

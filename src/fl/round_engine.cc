@@ -248,16 +248,15 @@ Status RoundEngine::RunSilos(int round, const Vec& global,
                              const SiloWork& work,
                              std::vector<Vec>* silo_deltas) {
   ULDP_CHECK_EQ(global.size(), model_clones_[0]->NumParams());
-  std::vector<Vec> scratch(silo_deltas == nullptr ? num_silos_ : 0);
-  if (silo_deltas != nullptr) silo_deltas->assign(num_silos_, Vec());
+  silo_deltas->assign(num_silos_, Vec());
   std::vector<Status> statuses(num_silos_, Status::Ok());
   pool_->ParallelFor(static_cast<size_t>(num_silos_), [&](size_t s) {
     obs::TraceSpan span("engine.silo_task", "silo",
                         static_cast<int64_t>(s));
     Model* model = AcquireModel();
     model->SetParams(global);
-    Vec& delta = silo_deltas != nullptr ? (*silo_deltas)[s] : scratch[s];
-    if (silo_deltas != nullptr) delta.assign(global.size(), 0.0);
+    Vec& delta = (*silo_deltas)[s];
+    delta.assign(global.size(), 0.0);
     statuses[s] = work(round, static_cast<int>(s), global, *model, delta);
     ReleaseModel(model);
   });

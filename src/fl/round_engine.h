@@ -216,9 +216,7 @@ class RoundEngine {
   /// Runs `work` for every silo against `global` (version `round`) without
   /// the reduce step — for algorithms with a custom server-side reduce
   /// (e.g. Protocol 1's encrypted weighting). Deltas land in `silo_deltas`
-  /// (resized to num_silos); pass nullptr when the algorithm stores its
-  /// results elsewhere — the callback then receives an empty scratch Vec
-  /// it may ignore.
+  /// (resized to num_silos).
   Status RunSilos(int round, const Vec& global, const SiloWork& work,
                   std::vector<Vec>* silo_deltas);
 

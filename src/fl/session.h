@@ -1,10 +1,10 @@
 // Explicit serializable session state: the single owned home for the
-// server-side training state that used to live scattered across
-// RoundEngine/AsyncAggregator (src/fl), AsyncRoundServer (src/net), and
-// ProtocolServer (src/net/protocol_node) — the global model, the
-// round/version counter, the silo membership table with per-silo user
-// counts, the membership-epoch log feeding reweighting + DP accounting,
-// and the aggregation counters.
+// server-side training state of async rounds, whether the in-process
+// RoundEngine/AsyncAggregator (src/fl) or the AsyncRoundServer (src/net)
+// runs them — the global model, the round/version counter, the silo
+// membership table with per-silo user counts, the membership-epoch log
+// feeding reweighting + DP accounting, and the aggregation counters.
+// Protocol 1's lockstep server keeps a fixed cohort and holds none.
 //
 // SessionState is a plain value type. The async round server's aggregator
 // BINDS to one (AsyncAggregator::BindSession) and mirrors its progress

@@ -183,12 +183,6 @@ Status ProtocolServer::AddConnection(std::unique_ptr<Transport> transport) {
     return verdict;
   }
   conns_[join.silo_id] = std::move(transport);
-  // Mirror the registration into the session's membership table (Protocol 1
-  // keeps a fixed cohort, so members activate immediately).
-  SiloMember& row = session_.Upsert(join.silo_id);
-  row.status = SiloStatus::kActive;
-  row.join_round = 0;
-  row.user_count = join.num_users;
   return Status::Ok();
 }
 
@@ -303,10 +297,6 @@ Result<Vec> ProtocolServer::RunRound(uint64_t round,
                                      const std::vector<bool>& user_sampled) {
   auto out = RunRoundInternal(round, user_sampled);
   if (!out.ok()) FailAll(out.status());
-  if (out.ok()) {
-    session_.round = round + 1;
-    session_.stats.steps += 1;
-  }
   return out;
 }
 

@@ -53,7 +53,6 @@
 #include "common/parallel.h"
 #include "common/status.h"
 #include "core/protocol_party.h"
-#include "fl/session.h"
 #include "net/messages.h"
 #include "net/mux.h"
 #include "net/transport.h"
@@ -109,11 +108,6 @@ class ProtocolServer {
   uint64_t total_bytes_sent() const;
   uint64_t total_bytes_received() const;
 
-  /// The server's session view (fl/session.h): the fixed cohort's
-  /// membership rows and the weighting-round counter. Protocol 1 keeps a
-  /// static membership, so rows activate at registration and never churn.
-  const SessionState& session() const { return session_; }
-
  private:
   Status RunSetupInternal();
   Result<Vec> RunRoundInternal(uint64_t round,
@@ -145,7 +139,6 @@ class ProtocolServer {
   int num_silos_;
   int num_users_;
   ServerCore core_;
-  SessionState session_;
   PoolHandle pool_;
   std::vector<std::unique_ptr<Transport>> conns_;  // [silo id]
   /// Receive front end over all connections, created when RunSetup first

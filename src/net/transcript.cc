@@ -59,17 +59,27 @@ Status ParseMeta(WireReader& r, TranscriptMeta* m) {
   return Status::Ok();
 }
 
-/// The first latched divergence across a replay's peer transports, if
-/// any — preferred over the driver's surface error, which is usually a
-/// downstream symptom ("recorded inbound exhausted") of the divergence.
+/// The earliest latched divergence in transcript order across a replay's
+/// peer transports, if any — preferred over the driver's surface error,
+/// which is usually a downstream symptom ("recorded inbound exhausted") of
+/// the divergence. Later divergences are symptoms too: once one peer's
+/// frame diverges, the replayed server fails the run, and the Error
+/// frames it sends the other peers diverge from their recorded traffic.
 Status FirstDivergence(
     const std::map<uint32_t, std::shared_ptr<ReplayTransport::State>>&
         peers) {
+  Status first = Status::Ok();
+  uint64_t first_seq = 0;
   for (const auto& entry : peers) {
     std::lock_guard<std::mutex> lock(entry.second->mu);
-    if (!entry.second->divergence.ok()) return entry.second->divergence;
+    const ReplayTransport::State& state = *entry.second;
+    if (!state.divergence.ok() &&
+        (first.ok() || state.divergence_seq < first_seq)) {
+      first = state.divergence;
+      first_seq = state.divergence_seq;
+    }
   }
-  return Status::Ok();
+  return first;
 }
 
 Status ReplayFailure(
@@ -88,9 +98,9 @@ Status ReplayFailure(
 Status CheckDrained(
     const std::map<uint32_t, std::shared_ptr<ReplayTransport::State>>&
         peers) {
+  ULDP_RETURN_IF_ERROR(FirstDivergence(peers));
   for (const auto& entry : peers) {
     std::lock_guard<std::mutex> lock(entry.second->mu);
-    if (!entry.second->divergence.ok()) return entry.second->divergence;
     if (!entry.second->outbound.empty()) {
       return Status::InvalidArgument(
           "replay: " + std::to_string(entry.second->outbound.size()) +
@@ -125,8 +135,15 @@ std::map<uint32_t, std::shared_ptr<ReplayTransport::State>> GroupByPeer(
   std::map<uint32_t, std::shared_ptr<ReplayTransport::State>> peers;
   for (const TranscriptEntry& e : file.entries) {
     auto& state = peers[e.peer];
-    if (state == nullptr) state = std::make_shared<ReplayTransport::State>();
-    (e.sent != 0 ? state->outbound : state->inbound).push_back(e.frame);
+    if (state == nullptr) {
+      state = std::make_shared<ReplayTransport::State>();
+      state->peer = e.peer;
+    }
+    if (e.sent != 0) {
+      state->outbound.push_back({e.seq, e.frame});
+    } else {
+      state->inbound.push_back(e.frame);
+    }
   }
   return peers;
 }
@@ -482,26 +499,30 @@ Status ReplayTransport::Send(const Frame& frame) {
   if (state_->closed) {
     return Status::FailedPrecondition("replay transport closed");
   }
+  const std::string peer = std::to_string(state_->peer);
   if (state_->outbound.empty()) {
     state_->divergence = Status::InvalidArgument(
-        "replay divergence: the party sent a frame (type " +
-        std::to_string(static_cast<int>(frame.type)) + ", " +
+        "replay divergence on peer " + peer + ": the party sent a frame "
+        "(type " + std::to_string(static_cast<int>(frame.type)) + ", " +
         std::to_string(bytes.size()) +
         " B) beyond the end of the recorded outbound traffic");
+    state_->divergence_seq = UINT64_MAX;
     return state_->divergence;
   }
-  const std::vector<uint8_t>& expect = state_->outbound.front();
-  if (bytes != expect) {
+  const Sent& expect = state_->outbound.front();
+  if (bytes != expect.bytes) {
     size_t at = 0;
-    size_t common = std::min(bytes.size(), expect.size());
-    while (at < common && bytes[at] == expect[at]) ++at;
+    size_t common = std::min(bytes.size(), expect.bytes.size());
+    while (at < common && bytes[at] == expect.bytes[at]) ++at;
     state_->divergence = Status::InvalidArgument(
-        "replay divergence at outbound frame " +
-        std::to_string(state_->matched) + ": reproduced " +
+        "replay divergence at transcript entry " + std::to_string(expect.seq) +
+        " (peer " + peer + ", outbound frame " +
+        std::to_string(state_->matched) + "): reproduced " +
         std::to_string(bytes.size()) + " B (type " +
         std::to_string(static_cast<int>(frame.type)) + "), recorded " +
-        std::to_string(expect.size()) + " B; first difference at byte " +
-        std::to_string(at));
+        std::to_string(expect.bytes.size()) +
+        " B; first difference at byte " + std::to_string(at));
+    state_->divergence_seq = expect.seq;
     return state_->divergence;
   }
   state_->outbound.pop_front();

@@ -169,10 +169,11 @@ class TranscriptLog : public TranscriptSink {
 /// A Transport whose traffic is a recorded transcript: Recv feeds the
 /// recorded inbound frames in order, Send byte-compares the party's
 /// output against the recorded outbound frames. The first mismatch is
-/// latched as `divergence` and fails the send, so the driver aborts with
-/// the real reason. State is shared out so the verifier can inspect
-/// completeness even after the driver destroys the transport (a rejected
-/// replayed join consumes its transport inside AddConnection).
+/// latched as `divergence`, naming the peer and the transcript entry, and
+/// fails the send, so the driver aborts with the real reason. State is
+/// shared out so the verifier can inspect completeness even after the
+/// driver destroys the transport (a rejected replayed join consumes its
+/// transport inside AddConnection).
 ///
 /// The recorded inbound queue never grows, so running it dry is terminal
 /// like a close: every read returns a frame or the terminal status. The
@@ -181,11 +182,20 @@ class TranscriptLog : public TranscriptSink {
 /// status.
 class ReplayTransport final : public Transport {
  public:
+  /// A frame the recorded party sent, with its transcript entry seq.
+  struct Sent {
+    uint64_t seq = 0;
+    std::vector<uint8_t> bytes;
+  };
   struct State {
     std::mutex mu;
+    uint32_t peer = 0;                          // the connection's peer id
     std::deque<std::vector<uint8_t>> inbound;   // frames the party received
-    std::deque<std::vector<uint8_t>> outbound;  // frames the party sent
+    std::deque<Sent> outbound;                  // frames the party sent
     Status divergence = Status::Ok();
+    /// The entry seq `divergence` latched at; UINT64_MAX when the party
+    /// sent past the end of its recorded outbound traffic.
+    uint64_t divergence_seq = 0;
     uint64_t fed = 0;      // inbound frames consumed
     uint64_t matched = 0;  // outbound frames reproduced byte-for-byte
     bool closed = false;

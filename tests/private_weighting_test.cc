@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "core/experiment.h"
 #include "core/mask_tags.h"
@@ -9,6 +11,7 @@
 #include "crypto/oblivious_transfer.h"
 #include "data/allocation.h"
 #include "data/synthetic.h"
+#include "dp/accountant.h"
 #include "math/fixed_base.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -746,6 +749,112 @@ TEST(ProtocolTrainerTest, PrivatePathMatchesPlaintextEnhancedWeighting) {
               plain_trace.value().back().utility, 1e-9);
   EXPECT_NE(private_trainer.name().find("private"), std::string::npos);
 }
+
+// ULDP-AVG-w over Protocol 1 with OT sub-sampling (4 slots, rate 0.5): the
+// protocol keeps each user with probability 2/4 whatever the trainer's
+// mask says, so the trainer steps and accounts at that rate.
+struct OtTrainerFixture {
+  static constexpr int kSilos = 3;
+  static constexpr int kUsers = 6;
+
+  OtTrainerFixture() {
+    Rng rng(31);
+    auto cd = MakeCreditcardLike(120, 30, rng);
+    AllocationOptions alloc;
+    EXPECT_TRUE(
+        AllocateUsersAndSilos(cd.train, kUsers, kSilos, alloc, rng).ok());
+    data = std::make_unique<FederatedDataset>(cd.train, cd.test, kUsers,
+                                              kSilos);
+    pc.paillier_bits = 512;
+    pc.seed = 6;
+    pc.ot_slots = 4;
+    pc.ot_sample_rate = 0.5;
+    pc.ot_group_bits = 256;
+    pc.n_max = 1;
+    hist.assign(kSilos, std::vector<int>(kUsers, 0));
+    for (int u = 0; u < kUsers; ++u) {
+      pc.n_max = std::max(pc.n_max, data->TotalCountOf(u));
+      for (int s = 0; s < kSilos; ++s) hist[s][u] = data->CountOf(s, u);
+    }
+    fl.local_lr = 0.0;  // every user's delta is exactly 0
+    fl.global_lr = 3.0;
+    fl.sigma = 2.0;
+    fl.clip = 0.5;
+    fl.seed = 41;
+  }
+
+  std::unique_ptr<FederatedDataset> data;
+  std::unique_ptr<Model> model = MakeMlp({30}, 2);
+  ProtocolConfig pc;
+  std::vector<std::vector<int>> hist;
+  FlConfig fl;
+};
+
+TEST(ProtocolTrainerTest, OtSubsamplingStepsAndAccountsAtTheOtRate) {
+  OtTrainerFixture f;
+  const int silos = OtTrainerFixture::kSilos;
+  const int users = OtTrainerFixture::kUsers;
+  PrivateWeightingProtocol protocol(f.pc, silos, users);
+  ASSERT_TRUE(protocol.Setup(f.hist).ok());
+  UldpAvgOptions opt;
+  opt.private_protocol = &protocol;
+  UldpAvgTrainer trainer(*f.data, *f.model, f.fl, opt);
+  EXPECT_EQ(trainer.name(), "ULDP-AVG-w(private)(q=0.5)");
+
+  Rng init(5);
+  f.model->InitParams(init);
+  Vec global = f.model->GetParams();
+  const double step = f.fl.global_lr / (0.5 * users * silos);
+  const double share = f.fl.sigma * f.fl.clip / std::sqrt(1.0 * silos);
+  const Rng seed(f.fl.seed);
+  for (int r = 0; r < 2; ++r) {
+    const Vec before = global;
+    ASSERT_TRUE(trainer.RunRound(r, global).ok());
+    // With zero deltas the decoded aggregate is the silos' noise shares.
+    Vec noise_sum(global.size(), 0.0);
+    for (int s = 0; s < silos; ++s) {
+      Vec z(global.size(), 0.0);
+      Rng noise = seed.Fork(static_cast<uint64_t>(r),
+                            static_cast<uint64_t>(s), kRngStreamNoise);
+      AddGaussianNoise(z, share, noise);
+      Axpy(1.0, z, noise_sum);
+    }
+    // Each silo's share is encoded at the codec's precision.
+    const double tol = step * silos * f.pc.precision;
+    for (size_t i = 0; i < global.size(); ++i) {
+      ASSERT_NEAR(global[i] - before[i], step * noise_sum[i], tol)
+          << "round " << r << " coordinate " << i;
+    }
+  }
+  auto spent = trainer.EpsilonSpent(1e-5);
+  auto expected = UldpSubsampledEpsilon(f.fl.sigma, 0.5, 2, 1e-5);
+  ASSERT_TRUE(spent.ok());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_DOUBLE_EQ(spent.value(), expected.value());
+}
+
+#ifdef GTEST_HAS_DEATH_TEST
+TEST(ProtocolTrainerDeathTest, OtSubsamplingRefusesASecondSampler) {
+  OtTrainerFixture f;
+  PrivateWeightingProtocol protocol(f.pc, OtTrainerFixture::kSilos,
+                                    OtTrainerFixture::kUsers);
+  UldpAvgOptions opt;
+  opt.private_protocol = &protocol;
+  opt.user_sample_rate = 0.5;
+  EXPECT_DEATH(UldpAvgTrainer(*f.data, *f.model, f.fl, opt), "samples twice");
+}
+
+TEST(ProtocolTrainerDeathTest, OtRateWithoutARealSlotIsRefused) {
+  OtTrainerFixture f;
+  f.pc.ot_sample_rate = 0.1;  // 0.1 * 4 slots rounds to 0 real slots
+  PrivateWeightingProtocol protocol(f.pc, OtTrainerFixture::kSilos,
+                                    OtTrainerFixture::kUsers);
+  UldpAvgOptions opt;
+  opt.private_protocol = &protocol;
+  EXPECT_DEATH(UldpAvgTrainer(*f.data, *f.model, f.fl, opt),
+               "no real OT slot");
+}
+#endif
 
 }  // namespace
 }  // namespace uldp

@@ -426,6 +426,34 @@ TEST(TranscriptTest, ReplayDetectsSubstitutedInboundFrame) {
   EXPECT_FALSE(replayed.ok());
 }
 
+TEST(TranscriptTest, ReplayNamesTheFirstDivergenceNotItsSymptom) {
+  // Alter the server's round-0 RoundBegin to peer 1. Its replayed frame
+  // diverges there first; the replayed server then fails the run, and
+  // the Error frame it sends peer 0 diverges too. The report must name
+  // peer 1 and the altered entry, not that symptom.
+  TranscriptFile forged = PlainRun().server;
+  size_t victim = forged.entries.size();
+  for (size_t i = 0; i < forged.entries.size(); ++i) {
+    const TranscriptEntry& e = forged.entries[i];
+    auto frame = DecodeFrame(e.frame);
+    if (e.sent != 0 && e.peer == 1 && frame.ok() &&
+        frame.value().type ==
+            static_cast<uint16_t>(MessageType::kRoundBegin)) {
+      victim = i;
+      break;
+    }
+  }
+  ASSERT_LT(victim, forged.entries.size());
+  forged.entries[victim].frame.back() ^= 0x01;
+  Status replayed = ReplayTranscript(forged, nullptr);
+  ASSERT_FALSE(replayed.ok());
+  const std::string named = "transcript entry " +
+                            std::to_string(forged.entries[victim].seq) +
+                            " (peer 1,";
+  EXPECT_NE(replayed.ToString().find(named), std::string::npos)
+      << replayed.ToString();
+}
+
 TEST(TranscriptTest, TamperedMetaIsRejected) {
   std::vector<uint8_t> key = TestKey();
   // Editing the meta without re-chaining breaks every entry hash (the

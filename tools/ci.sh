@@ -7,7 +7,8 @@
 # (-DULDP_SANITIZE=ON) and runs the fast unit-test subset sanitized —
 # the substrate suites where boundary off-by-ones live (BigInt,
 # Montgomery and ChaCha kernels, fixed-base, fixed point, CSV, masks,
-# Paillier, DH/OT).
+# Paillier, DH/OT) — plus the trainers' golden digests, which must hold
+# in the sanitized RelWithDebInfo build too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
@@ -16,7 +17,7 @@ if [ "${SANITIZE:-0}" = "1" ]; then
   # Separate default build dir: writing ULDP_SANITIZE=ON into the plain
   # build/ cache would leave later non-sanitized runs silently sanitized.
   BUILD_DIR="${1:-build-asan}"
-  FAST_TESTS='^(bigint_test|montgomery_primes_test|mont_kernel_test|chacha_kernel_test|fixed_base_test|fixed_point_test|csv_loader_test|mask_tags_test|secure_agg_test|sha_chacha_test|common_test|parallel_test|paillier_test|paillier_ctx_test|dh_test|oblivious_transfer_test|net_wire_test|net_transport_test|parse_test|async_rounds_test|multi_exp_test|packed_codec_test|net_stream_test|shard_round_test|session_test|membership_test|obs_test|mux_test|transcript_test|fl_common_test)$'
+  FAST_TESTS='^(bigint_test|montgomery_primes_test|mont_kernel_test|chacha_kernel_test|fixed_base_test|fixed_point_test|csv_loader_test|mask_tags_test|secure_agg_test|sha_chacha_test|common_test|parallel_test|paillier_test|paillier_ctx_test|dh_test|oblivious_transfer_test|net_wire_test|net_transport_test|parse_test|async_rounds_test|multi_exp_test|packed_codec_test|net_stream_test|shard_round_test|session_test|membership_test|obs_test|mux_test|transcript_test|fl_common_test|trainer_golden_test)$'
   cmake -B "$BUILD_DIR" -S . -DULDP_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD_DIR" -j"$JOBS"
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \

@@ -117,6 +117,32 @@ VALUE_CHECKS = [
      "checkpointing a multi-seed averaged run is not supported"),
     (["--serve=0", "--silos=2", "--hmac-key=00"],
      "--hmac-key requires --record-transcript or --verify-transcript"),
+    # Trainer values the privacy analysis has no meaning for: refused at
+    # parse time, before any data loads.
+    (HEART + ["--method=uldp-avg", "--user-sample-rate=0"],
+     '--user-sample-rate: "0" out of range (0, 1]'),
+    (HEART + ["--method=uldp-avg", "--user-sample-rate=1.5"],
+     '--user-sample-rate: "1.5" out of range (0, 1]'),
+    (HEART + ["--method=uldp-sgd", "--user-sample-rate=0"],
+     '--user-sample-rate: "0" out of range (0, 1]'),
+    (HEART + ["--method=uldp-sgd", "--user-sample-rate=1.5"],
+     '--user-sample-rate: "1.5" out of range (0, 1]'),
+    (HEART + ["--method=uldp-avg", "--clip=0"],
+     '--clip: "0" out of range (0, inf)'),
+    (HEART + ["--method=uldp-sgd", "--clip=0"],
+     '--clip: "0" out of range (0, inf)'),
+    (HEART + ["--method=uldp-naive", "--clip=0"],
+     '--clip: "0" out of range (0, inf)'),
+    (HEART + ["--method=uldp-avg", "--sigma=0"],
+     '--sigma: "0" out of range (0, inf)'),
+    (HEART + ["--method=uldp-avg", "--sigma=-1"],
+     '--sigma: "-1" out of range (0, inf)'),
+    (HEART + ["--method=uldp-avg", "--delta=0"],
+     '--delta: "0" out of range (0, 1)'),
+    (HEART + ["--method=uldp-avg", "--target-epsilon=-1"],
+     '--target-epsilon: "-1" out of range [0, inf)'),
+    (SILO + ["--async", "--straggler=-1"],
+     '--straggler: "-1" out of range [0, inf)'),
     (["--bogus=1"], "unknown flag: --bogus=1 (try --help)"),
     (["--verify=1"], "unknown flag: --verify=1 (try --help)"),
 ]

@@ -155,8 +155,29 @@ Value Int(const char* meta, int Flags::*field, int def, int64_t min,
   return v;
 }
 
-Value Double(const char* meta, double Flags::*field, double def) {
-  return Number(meta, field, def, ParseDouble);
+/// The reals a Double flag admits: `holds` decides, and `text` names the
+/// range in a refusal, as interval notation.
+struct Range {
+  const char* text;
+  bool (*holds)(double);
+};
+const Range kAnyReal{"", [](double) { return true; }};
+const Range kPositive{"(0, inf)", [](double v) { return v > 0.0; }};
+const Range kNonNegative{"[0, inf)", [](double v) { return v >= 0.0; }};
+
+/// A finite real in `range`.
+Value Double(const char* meta, double Flags::*field, double def,
+             Range range = kAnyReal) {
+  return Number(meta, field, def, [=](const std::string& text,
+                                      const std::string& flag)
+                                      -> Result<double> {
+    auto v = ParseDouble(text, flag);
+    if (v.ok() && !range.holds(v.value())) {
+      return Status::OutOfRange(flag + ": \"" + text + "\" out of range " +
+                                range.text);
+    }
+    return v;
+  });
 }
 
 /// Free text; `check`, when set, refuses a malformed value with its own
@@ -276,20 +297,24 @@ const std::vector<FlagGroup>& FlagTable() {
          "local learning rate"},
         {"global-lr", kLocal, Double("LR", &Flags::global_lr, 0.0),
          "server learning rate (0 = the method's default)"},
-        {"sigma", kLocal, Double("S", &Flags::sigma, 5.0), "noise multiplier",
+        {"sigma", kLocal, Double("S", &Flags::sigma, 5.0, kPositive),
+         "noise multiplier",
          "local runs only with a private --method and no --target-epsilon",
          [](const Flags& f) {
            return PrivateMethod(f) && f.target_epsilon <= 0.0;
          }},
-        {"clip", kLocal, Double("C", &Flags::clip, 1.0),
+        {"clip", kLocal, Double("C", &Flags::clip, 1.0, kPositive),
          "per-user clipping bound",
          "local runs only with a private --method (not default)",
          PrivateMethod},
-        {"delta", kLocal, Double("D", &Flags::delta, 1e-5),
+        {"delta", kLocal,
+         Double("D", &Flags::delta, 1e-5,
+                {"(0, 1)", [](double d) { return d > 0.0 && d < 1.0; }}),
          "the delta of the reported (epsilon, delta)-ULDP",
          "local runs only with a private --method (not default)",
          PrivateMethod},
-        {"target-epsilon", kLocal, Double("E", &Flags::target_epsilon, 0.0),
+        {"target-epsilon", kLocal,
+         Double("E", &Flags::target_epsilon, 0.0, kNonNegative),
          "calibrate sigma so the run ends at (E, --delta)-ULDP (0 = use "
          "--sigma)",
          "local runs only with --method=uldp-naive, uldp-avg, uldp-avg-w or "
@@ -298,7 +323,8 @@ const std::vector<FlagGroup>& FlagTable() {
            return PrivateMethod(f) && f.method != "uldp-group";
          }},
         {"user-sample-rate", kLocal,
-         Double("Q", &Flags::user_sample_rate, 1.0),
+         Double("Q", &Flags::user_sample_rate, 1.0,
+                {"(0, 1]", [](double q) { return q > 0.0 && q <= 1.0; }}),
          "user-level sub-sampling rate (Alg. 4)",
          "local runs only with --method=uldp-avg, uldp-avg-w or uldp-sgd, "
          "the methods that sample users",
@@ -391,7 +417,8 @@ const std::vector<FlagGroup>& FlagTable() {
          "upload pairwise-masked deltas that cancel in the sum; the pair "
          "keys come from public strings (a simulation), so a server "
          "deriving them can unmask each delta"},
-        {"straggler", kAsyncSilo, Double("SECONDS", &Flags::straggler, 0.0),
+        {"straggler", kAsyncSilo,
+         Double("SECONDS", &Flags::straggler, 0.0, kNonNegative),
          "sleep this long per local step, so kill/resume drills land "
          "mid-run"},
         {"fail-silo", kAsyncParties,
@@ -527,9 +554,6 @@ Status CheckValues(const Flags& flags) {
   }
   if (flags.min_silos > flags.silos) {
     return Status::InvalidArgument("--min-silos must be <= --silos");
-  }
-  if (flags.straggler < 0) {
-    return Status::InvalidArgument("--straggler must be >= 0");
   }
   if ((flags.fail_silo >= 0 || flags.join_silo >= 0) && !flags.elastic) {
     return Status::InvalidArgument(
