@@ -535,18 +535,23 @@ Result<std::vector<BigInt>> SiloCore::BlindHistogram(ThreadPool& pool) const {
     return Status::FailedPrecondition(
         "histogram blinding requires pair keys and the shared seed");
   }
+  // Protocol 1 decodes exactly only if every N_u <= N_max, and a silo can
+  // check its own share of that. The refusal crosses to the server in an
+  // Error frame, so it names neither the user nor the count.
+  for (int count : histogram_) {
+    if (count < 0) return Status::InvalidArgument("negative histogram entry");
+    if (count > params_.config.n_max) {
+      return Status::InvalidArgument(
+          "this silo holds more than N_max records of a user");
+    }
+  }
   const BigInt& n = params_.public_key.n;
   const int num_users = params_.num_users;
   const uint64_t histogram_tag =
       MakeMaskTag(MaskPhase::kHistogramBlind, /*round=*/0);
   std::vector<BigInt> blinded(num_users);
-  std::vector<Status> user_status(num_users, Status::Ok());
   pool.ParallelFor(static_cast<size_t>(num_users), [&](size_t ui) {
     const int u = static_cast<int>(ui);
-    if (histogram_[u] < 0) {
-      user_status[u] = Status::InvalidArgument("negative histogram entry");
-      return;
-    }
     BigInt b = BlindOf(u).ModMul(
         BigInt(static_cast<int64_t>(histogram_[u])), n);
     // Pairwise additive masks (setup e): +mask toward larger peers,
@@ -558,7 +563,6 @@ Result<std::vector<BigInt>> SiloCore::BlindHistogram(ThreadPool& pool) const {
     }
     blinded[u] = std::move(b);
   });
-  ULDP_RETURN_IF_ERROR(FirstError(user_status));
   return blinded;
 }
 
@@ -816,31 +820,6 @@ Status SiloCore::AccumulateUsers(
   return FirstError(dim_status);
 }
 
-Status SiloCore::AccumulateUsersChunk(const std::vector<BigInt>& enc_chunk,
-                                      int u0, int u1,
-                                      const std::vector<Vec>& deltas,
-                                      size_t model_dim,
-                                      std::vector<BigInt>* cipher,
-                                      ThreadPool& pool) {
-  obs::TraceSpan span("core.accumulate_users_chunk", "u0",
-                      static_cast<int64_t>(u0));
-  const int num_users = params_.num_users;
-  if (u0 < 0 || u1 > num_users || u0 > u1) {
-    return Status::InvalidArgument("user chunk out of range");
-  }
-  if (enc_chunk.size() != static_cast<size_t>(u1 - u0)) {
-    return Status::InvalidArgument("encrypted weight chunk size mismatch");
-  }
-  if (static_cast<int>(enc_scratch_.size()) != num_users) {
-    enc_scratch_.assign(static_cast<size_t>(num_users), BigInt());
-  }
-  for (int u = u0; u < u1; ++u) enc_scratch_[u] = enc_chunk[u - u0];
-  Status status =
-      FoldUsers(u0, u1, enc_scratch_, deltas, model_dim, cipher, pool);
-  for (int u = u0; u < u1; ++u) enc_scratch_[u] = BigInt();
-  return status;
-}
-
 Status SiloCore::FoldUsers(int u0, int u1,
                            const std::vector<BigInt>& enc_weights,
                            const std::vector<Vec>& deltas, size_t model_dim,
@@ -924,29 +903,6 @@ Status SiloCore::FinishRound(uint64_t round, const Vec& noise,
     (*cipher)[g] = Paillier::AddPlaintext(pk, (*cipher)[g], mask);
   });
   return FirstError(dim_status);
-}
-
-Result<std::vector<BigInt>> SiloCore::WeightMaskRound(
-    uint64_t round, const std::vector<BigInt>& enc_weights,
-    const std::vector<Vec>& deltas, const Vec& noise, ThreadPool& pool) {
-  if (!pair_keys_done_ || !seed_set_) {
-    return Status::FailedPrecondition(
-        "weighting requires pair keys and the shared seed");
-  }
-  const int num_users = params_.num_users;
-  const size_t dim = noise.size();
-  // Users are swept in index-ordered batches, each building and freeing
-  // its own fixed-base tables; the round output is an exact modular
-  // product, so batching never changes a bit.
-  std::vector<BigInt> cipher =
-      NewCipherAccumulator(params_.packed.PackedDim(dim));
-  for (int u0 = 0; u0 < num_users; u0 += kWeightingBatchUsers) {
-    const int u1 = std::min(num_users, u0 + kWeightingBatchUsers);
-    ULDP_RETURN_IF_ERROR(
-        FoldUsers(u0, u1, enc_weights, deltas, dim, &cipher, pool));
-  }
-  ULDP_RETURN_IF_ERROR(FinishRound(round, noise, &cipher, pool));
-  return cipher;
 }
 
 }  // namespace uldp

@@ -111,10 +111,10 @@ struct ProtocolConfig {
   int stream_chunk_coords = 0;
 };
 
-/// Users per weighting batch when streaming is off: each batch builds and
-/// frees its own per-user tables (Straus odd powers, or fixed-base tables
-/// when the fold's cost model picks them), so transient table memory stays
-/// O(batch) instead of O(num_users).
+/// Users per FoldUsers batch on a silo: each batch builds and frees its own
+/// per-user tables (Straus odd powers, or fixed-base tables when the fold's
+/// cost model picks them), so transient table memory stays O(batch)
+/// instead of O(num_users).
 inline constexpr int kWeightingBatchUsers = 128;
 
 /// Effective chunk sizes for streaming mode (resolving the <= 0 defaults);
@@ -320,7 +320,8 @@ class SiloCore {
       std::vector<uint8_t> data) const;
 
   /// Setup (d)-(e): multiplicatively blinds the histogram with r_u and
-  /// applies the pairwise additive masks.
+  /// applies the pairwise additive masks. Refuses (InvalidArgument) a
+  /// negative entry or one above N_max before blinding anything.
   Result<std::vector<BigInt>> BlindHistogram(ThreadPool& pool) const;
 
   /// Weighting (a), OT mode, receiver step: the shared-seed slot choice
@@ -336,18 +337,6 @@ class SiloCore {
       ThreadPool& pool);
   /// Slot choices of the last OT round — simulation diagnostic.
   const std::vector<size_t>& ot_sigmas() const { return ot_sigmas_; }
-
-  /// Weighting (b) + (c) for this silo: the encrypted weighted sum over
-  /// its users, the encoded noise, and the pairwise additive masks.
-  /// `deltas[u]` is empty when user u has no records here; non-empty
-  /// entries must all have noise.size() coordinates. This is the
-  /// self-contained entry point a distributed silo endpoint uses in OT
-  /// mode: FoldUsers over kWeightingBatchUsers batches, then FinishRound —
-  /// the same batch fold the streamed endpoints and the in-process
-  /// orchestrator run.
-  Result<std::vector<BigInt>> WeightMaskRound(
-      uint64_t round, const std::vector<BigInt>& enc_weights,
-      const std::vector<Vec>& deltas, const Vec& noise, ThreadPool& pool);
 
   /// Fresh per-coordinate accumulator for phase (b): one ciphertext
   /// identity per shipped coordinate — PackedDim(model dim) of them when
@@ -374,17 +363,6 @@ class SiloCore {
       const std::vector<std::unique_ptr<FixedBaseTable>>* tables,
       const std::vector<Vec>& deltas, size_t model_dim,
       std::vector<BigInt>* cipher, ThreadPool& pool) const;
-
-  /// Streaming phase (b): folds users [u0, u1) given only that chunk of
-  /// ciphertexts (enc_chunk[i] = Enc(B_inv) for user u0 + i) through
-  /// FoldUsers. The caller discards enc_chunk afterwards, so peak
-  /// resident ciphertexts stay at O(chunk) instead of O(users);
-  /// concatenated chunk folds reproduce WeightMaskRound's accumulator bit
-  /// for bit (exact modular products). Finish with FinishRound as usual.
-  Status AccumulateUsersChunk(const std::vector<BigInt>& enc_chunk, int u0,
-                              int u1, const std::vector<Vec>& deltas,
-                              size_t model_dim, std::vector<BigInt>* cipher,
-                              ThreadPool& pool);
 
   /// The batch fold: phase (b) for users [u0, u1) of the absolute-indexed
   /// `enc_weights`. ChooseFoldPath (math/fixed_base.h) weighs one Straus
@@ -434,11 +412,6 @@ class SiloCore {
   // tables (a batch mixing both counts in each).
   mutable obs::Counter straus_batches_{"core.fold.straus_batches"};
   mutable obs::Counter table_batches_{"core.fold.table_batches"};
-
-  // AccumulateUsersChunk scratch: a full-size vector of (mostly empty)
-  // BigInts so the chunk can be addressed by absolute user index through
-  // AccumulateUsers. Holds at most one chunk's ciphertexts at a time.
-  std::vector<BigInt> enc_scratch_;
 };
 
 }  // namespace uldp

@@ -42,22 +42,6 @@ ObliviousTransfer::SenderState ObliviousTransfer::AssembleSender(
   return state;
 }
 
-ObliviousTransfer::SenderState ObliviousTransfer::SenderInitWithSlots(
-    std::vector<BigInt> slots, Rng& rng) const {
-  BigInt r = SampleSenderSecret(rng);
-  BigInt a = SenderElement(r);
-  return AssembleSender(std::move(slots), std::move(r), std::move(a));
-}
-
-ObliviousTransfer::SenderState ObliviousTransfer::SenderInit(Rng& rng) const {
-  std::vector<BigInt> slots;
-  slots.reserve(num_slots_);
-  for (size_t i = 0; i < num_slots_; ++i) {
-    slots.push_back(SampleSlotElement(rng));
-  }
-  return SenderInitWithSlots(std::move(slots), rng);
-}
-
 Result<ObliviousTransfer::ReceiverState> ObliviousTransfer::ReceiverCommit(
     const BigInt& c_sigma, size_t sigma, Rng& rng) const {
   if (sigma >= num_slots_) {
@@ -75,14 +59,6 @@ Result<ObliviousTransfer::ReceiverState> ObliviousTransfer::ReceiverCommit(
   if (!g_k_inv.ok()) return g_k_inv.status();
   state.b = c_sigma.ModMul(g_k_inv.value(), group_.p);
   return state;
-}
-
-Result<ObliviousTransfer::ReceiverState> ObliviousTransfer::ReceiverChoose(
-    const SenderState& sender_public, size_t sigma, Rng& rng) const {
-  if (sigma >= num_slots_) {
-    return Status::InvalidArgument("OT choice index out of range");
-  }
-  return ReceiverCommit(sender_public.c[sigma], sigma, rng);
 }
 
 std::vector<uint8_t> ObliviousTransfer::Pad(const BigInt& key_element,
@@ -128,28 +104,6 @@ std::vector<uint8_t> ObliviousTransfer::SenderEncryptSlot(
   return ApplyPad(key, message);
 }
 
-Result<std::vector<std::vector<uint8_t>>> ObliviousTransfer::SenderEncrypt(
-    const SenderState& sender, const BigInt& receiver_b,
-    const std::vector<std::vector<uint8_t>>& messages) const {
-  if (messages.size() != num_slots_) {
-    return Status::InvalidArgument("message count != slot count");
-  }
-  size_t len = messages[0].size();
-  for (const auto& m : messages) {
-    if (m.size() != len) {
-      return Status::InvalidArgument("OT messages must have equal length");
-    }
-  }
-  auto b_inv = InvertReceiverMessage(receiver_b);
-  if (!b_inv.ok()) return b_inv.status();
-
-  std::vector<std::vector<uint8_t>> out(num_slots_);
-  for (size_t i = 0; i < num_slots_; ++i) {
-    out[i] = SenderEncryptSlot(sender, b_inv.value(), messages[i], i);
-  }
-  return out;
-}
-
 Result<BigInt> ObliviousTransfer::ReceiverKeyElement(const BigInt& sender_a,
                                                      const BigInt& k) const {
   if (!InGroupRange(sender_a)) {
@@ -157,17 +111,6 @@ Result<BigInt> ObliviousTransfer::ReceiverKeyElement(const BigInt& sender_a,
   }
   // K_sigma = (C_sigma / B)^r = (g^k)^r = A^k.
   return group_.Exp(sender_a, k);
-}
-
-Result<std::vector<uint8_t>> ObliviousTransfer::ReceiverDecrypt(
-    const ReceiverState& receiver, const SenderState& sender_public,
-    const std::vector<std::vector<uint8_t>>& encrypted) const {
-  if (encrypted.size() != num_slots_) {
-    return Status::InvalidArgument("ciphertext count != slot count");
-  }
-  auto key = ReceiverKeyElement(sender_public.a, receiver.k);
-  if (!key.ok()) return key.status();
-  return ApplyPad(key.value(), encrypted[receiver.sigma]);
 }
 
 }  // namespace uldp

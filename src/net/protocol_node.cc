@@ -1,8 +1,10 @@
 #include "net/protocol_node.h"
 
+#include <algorithm>
 #include <chrono>
 #include <iterator>
 #include <mutex>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -26,6 +28,65 @@ double NowSeconds() {
 /// turned into the Status it carries.
 Result<Frame> RecvFromServer(Transport& transport) {
   return UnwrapErrorFrame(transport.Recv(), "server");
+}
+
+/// The server's next frame, which must be a Msg.
+template <typename Msg>
+Result<Msg> RecvMsg(Transport& transport) {
+  auto frame = RecvFromServer(transport);
+  if (!frame.ok()) return frame.status();
+  return FromFrame<Msg>(frame.value());
+}
+
+/// Parses the frame that opens a silo's round; its phase tag must carry
+/// `phase`, and its round is the tag's.
+template <typename Msg>
+Result<Msg> ParseOpening(const Frame& frame, MaskPhase phase,
+                         const char* what) {
+  auto msg = FromFrame<Msg>(frame);
+  if (!msg.ok()) return msg.status();
+  if (MaskTagPhase(msg.value().phase_tag) != phase) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " with wrong phase tag");
+  }
+  return msg;
+}
+
+/// Silo 0's half of a relay through the server: `plain` goes to every
+/// other silo, XOR-encrypted under that pair's key with (`tag`, the
+/// recipient), one frame each from `make_frame`.
+Status SendRelays(
+    const SiloCore& core, Transport& transport, uint64_t tag,
+    const std::vector<uint8_t>& plain,
+    const std::function<Frame(uint32_t to, std::vector<uint8_t>)>&
+        make_frame) {
+  for (int to = 1; to < core.params().num_silos; ++to) {
+    auto ct = core.PairStreamXor(to, tag, static_cast<uint32_t>(to), plain);
+    if (!ct.ok()) return ct.status();
+    ULDP_RETURN_IF_ERROR(transport.Send(
+        make_frame(static_cast<uint32_t>(to), std::move(ct.value()))));
+  }
+  return Status::Ok();
+}
+
+/// The receiving half: a relayed frame must come from silo 0 and be
+/// addressed to this silo; its plaintext is exactly one value, which
+/// `read` parses into `out`.
+template <typename T>
+Status OpenRelay(const SiloCore& core, const char* what, uint32_t from,
+                 uint32_t to, uint64_t tag, std::vector<uint8_t> ciphertext,
+                 Status (WireReader::*read)(T*), T* out) {
+  if (from != 0 || to != static_cast<uint32_t>(core.silo_id())) {
+    return Status::InvalidArgument(std::string("misrouted ") + what);
+  }
+  auto plain = core.PairStreamXor(0, tag, to, std::move(ciphertext));
+  if (!plain.ok()) return plain.status();
+  WireReader r(plain.value());
+  ULDP_RETURN_IF_ERROR((r.*read)(out));
+  if (!r.AtEnd()) {
+    return Status::InvalidArgument(std::string("trailing bytes in ") + what);
+  }
+  return Status::Ok();
 }
 
 /// Static trace-span names for the server's wire phases (the trace buffer
@@ -186,6 +247,28 @@ Status ProtocolServer::AddConnection(std::unique_ptr<Transport> transport) {
   return Status::Ok();
 }
 
+template <typename Msg>
+Result<std::vector<Msg>> ProtocolServer::GatherEach(const char* what) {
+  std::vector<Msg> out(num_silos_);
+  std::vector<Status> status(num_silos_, Status::Ok());
+  pool_->ParallelFor(static_cast<size_t>(num_silos_), [&](size_t s) {
+    auto frame = RecvFrom(static_cast<int>(s));
+    Result<Msg> msg =
+        frame.ok() ? FromFrame<Msg>(frame.value()) : frame.status();
+    if (msg.ok() && msg.value().silo_id != s) {
+      msg = Status::InvalidArgument(std::string(what) +
+                                    " from wrong silo id");
+    }
+    if (!msg.ok()) {
+      status[s] = msg.status();
+      return;
+    }
+    out[s] = std::move(msg.value());
+  });
+  ULDP_RETURN_IF_ERROR(FirstError(status));
+  return out;
+}
+
 Status ProtocolServer::RunSetup() {
   Status status = RunSetupInternal();
   // Any server-side failure ends the run for everyone: without this, a
@@ -220,71 +303,29 @@ Status ProtocolServer::RunSetupInternal() {
   }
   ULDP_RETURN_IF_ERROR(Broadcast(ToFrame(params)));
 
-  // Gather DH public keys (one blocking recv per silo, in parallel), then
-  // relay the full directory.
+  // Gather DH public keys, then relay the full directory.
+  auto keys = GatherEach<DhPublicKeyMsg>("DH key");
+  if (!keys.ok()) return keys.status();
   DhDirectoryMsg directory;
-  directory.public_keys.assign(num_silos_, BigInt(0));
-  std::vector<Status> status(num_silos_, Status::Ok());
-  pool_->ParallelFor(static_cast<size_t>(num_silos_), [&](size_t s) {
-    auto frame = RecvFrom(static_cast<int>(s));
-    if (!frame.ok()) {
-      status[s] = frame.status();
-      return;
-    }
-    auto msg = FromFrame<DhPublicKeyMsg>(frame.value());
-    if (!msg.ok()) {
-      status[s] = msg.status();
-      return;
-    }
-    if (msg.value().silo_id != s) {
-      status[s] = Status::InvalidArgument("DH key from wrong silo id");
-      return;
-    }
-    directory.public_keys[s] = std::move(msg.value().public_key);
-  });
-  ULDP_RETURN_IF_ERROR(FirstError(status));
+  for (DhPublicKeyMsg& key : keys.value()) {
+    directory.public_keys.push_back(std::move(key.public_key));
+  }
   ULDP_RETURN_IF_ERROR(Broadcast(ToFrame(directory)));
 
   // Relay silo 0's encrypted seed shares; the server sees only ciphertext.
-  std::vector<bool> share_seen(num_silos_, false);
-  for (int i = 0; i < num_silos_ - 1; ++i) {
-    auto frame = RecvFrom(0);
-    if (!frame.ok()) return frame.status();
-    auto msg = FromFrame<SeedShareMsg>(frame.value());
-    if (!msg.ok()) return msg.status();
-    const SeedShareMsg& share = msg.value();
-    if (share.from_silo != 0 || share.to_silo == 0 ||
-        share.to_silo >= static_cast<uint32_t>(num_silos_) ||
-        share_seen[share.to_silo]) {
-      return Status::InvalidArgument("invalid seed share routing");
-    }
-    share_seen[share.to_silo] = true;
-    ULDP_RETURN_IF_ERROR(SendTo(static_cast<int>(share.to_silo),
-                                frame.value()));
-  }
+  ULDP_RETURN_IF_ERROR(
+      RelayFromSilo0("seed share", [](const Frame& frame) -> Result<Route> {
+        auto share = FromFrame<SeedShareMsg>(frame);
+        if (!share.ok()) return share.status();
+        return Route{share.value().from_silo, share.value().to_silo};
+      }));
 
   // Gather doubly blinded histograms and finish setup.
-  std::vector<std::vector<BigInt>> blinded(num_silos_);
-  pool_->ParallelFor(static_cast<size_t>(num_silos_), [&](size_t s) {
-    auto frame = RecvFrom(static_cast<int>(s));
-    if (!frame.ok()) {
-      status[s] = frame.status();
-      return;
-    }
-    auto msg = FromFrame<BlindedHistogramMsg>(frame.value());
-    if (!msg.ok()) {
-      status[s] = msg.status();
-      return;
-    }
-    if (msg.value().silo_id != s) {
-      status[s] = Status::InvalidArgument("histogram from wrong silo id");
-      return;
-    }
-    blinded[s] = std::move(msg.value().values);
-  });
-  ULDP_RETURN_IF_ERROR(FirstError(status));
+  auto blinded = GatherEach<BlindedHistogramMsg>("histogram");
+  if (!blinded.ok()) return blinded.status();
   for (int s = 0; s < num_silos_; ++s) {
-    ULDP_RETURN_IF_ERROR(core_.AbsorbBlindedHistogram(s, std::move(blinded[s])));
+    ULDP_RETURN_IF_ERROR(core_.AbsorbBlindedHistogram(
+        s, std::move(blinded.value()[s].values)));
   }
   ULDP_RETURN_IF_ERROR(core_.FinalizeSetup());
   ULDP_RETURN_IF_ERROR(Broadcast(ToFrame(SetupAckMsg{})));
@@ -311,118 +352,21 @@ Result<Vec> ProtocolServer::RunRoundInternal(
   obs::TraceSpan round_span("proto.round", "round",
                             static_cast<int64_t>(round));
   BeginPhase();
-  if (config_.ot_slots > 0) {
-    obs::TraceSpan ot_span("proto.ot_round", "round",
-                           static_cast<int64_t>(round));
-    // OT-based private sub-sampling: silo 0 acts as the joint receiver
-    // (all silos share the seed that picks the slots) and re-distributes
-    // the fetched ciphertexts to its peers, encrypted under pairwise keys
-    // so this server only relays opaque bytes.
-    auto senders = core_.OtSenderInit(round, *pool_);
-    if (!senders.ok()) return senders.status();
-    const uint64_t ot_tag = MakeMaskTag(MaskPhase::kOtSlotChoice, round);
-    OtSenderMsg sender_msg;
-    sender_msg.phase_tag = ot_tag;
-    sender_msg.senders = std::move(senders.value());
-    ULDP_RETURN_IF_ERROR(SendTo(0, ToFrame(sender_msg)));
-
-    auto reply = RecvFrom(0);
-    if (!reply.ok()) return reply.status();
-    auto receiver = FromFrame<OtReceiverMsg>(reply.value());
-    if (!receiver.ok()) return receiver.status();
-    ULDP_RETURN_IF_ERROR(CheckPhaseTag(receiver.value().phase_tag,
-                                       MaskPhase::kOtSlotChoice, round));
-    auto slots = core_.OtEncryptSlots(round, receiver.value().bs, *pool_);
-    if (!slots.ok()) return slots.status();
-    OtSlotsMsg slots_msg;
-    slots_msg.phase_tag = ot_tag;
-    slots_msg.slots = std::move(slots.value());
-    ULDP_RETURN_IF_ERROR(SendTo(0, ToFrame(slots_msg)));
-
-    // Relay the encrypted weight shares to silos 1..N-1.
-    std::vector<bool> relay_seen(num_silos_, false);
-    for (int i = 0; i < num_silos_ - 1; ++i) {
-      auto frame = RecvFrom(0);
-      if (!frame.ok()) return frame.status();
-      auto msg = FromFrame<WeightRelayMsg>(frame.value());
-      if (!msg.ok()) return msg.status();
-      const WeightRelayMsg& relay = msg.value();
-      Status tag_ok = CheckPhaseTag(relay.phase_tag,
-                                    MaskPhase::kOtWeightRelay, round);
-      if (!tag_ok.ok()) return tag_ok;
-      if (relay.from_silo != 0 || relay.to_silo == 0 ||
-          relay.to_silo >= static_cast<uint32_t>(num_silos_) ||
-          relay_seen[relay.to_silo]) {
-        return Status::InvalidArgument("invalid weight relay routing");
-      }
-      relay_seen[relay.to_silo] = true;
-      ULDP_RETURN_IF_ERROR(SendTo(static_cast<int>(relay.to_silo),
-                                  frame.value()));
-    }
-  } else if (StreamChunkUsers(config_) > 0) {
-    // Streaming: per-user-chunk encrypt -> broadcast -> discard, so the
-    // server never materializes the full enc-weight vector.
-    ULDP_RETURN_IF_ERROR(StreamEncWeights(round, user_sampled));
-  } else {
-    auto enc = core_.EncryptWeights(round, user_sampled, *pool_);
-    if (!enc.ok()) return enc.status();
-    RoundBeginMsg begin;
-    begin.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
-    begin.enc_weights = std::move(enc.value());
-    ULDP_RETURN_IF_ERROR(Broadcast(ToFrame(begin)));
-  }
+  ULDP_RETURN_IF_ERROR(DeliverWeights(round, user_sampled));
   EndPhase("enc_weights");
 
-  // Gather the masked silo ciphertexts, folding each into the running
-  // product as it lands — exact modular products make arrival order
-  // irrelevant bitwise, and the server holds one aggregate instead of
-  // num_silos cipher vectors.
+  // Gather the masked silo ciphertexts, folding each range into the
+  // running product as it lands: exact modular products make arrival
+  // order irrelevant bitwise, and the server holds one aggregate instead
+  // of num_silos cipher vectors.
   BeginPhase();
-  const bool streaming = StreamChunkUsers(config_) > 0;
   std::vector<BigInt> product;
   std::mutex fold_mu;
   std::vector<Status> status(num_silos_, Status::Ok());
   std::vector<uint32_t> dims(num_silos_, 0);
   pool_->ParallelFor(static_cast<size_t>(num_silos_), [&](size_t s) {
-    if (streaming) {
-      // The cipher arrives as a coordinate-chunk stream; every chunk is
-      // folded on arrival.
-      status[s] = GatherSiloCipherStream(static_cast<int>(s), round,
-                                         &fold_mu, &product, &dims[s]);
-      return;
-    }
-    auto frame = RecvFrom(static_cast<int>(s));
-    if (!frame.ok()) {
-      status[s] = frame.status();
-      return;
-    }
-    auto msg = FromFrame<SiloCipherMsg>(frame.value());
-    if (!msg.ok()) {
-      status[s] = msg.status();
-      return;
-    }
-    Status tag_ok = CheckPhaseTag(msg.value().phase_tag,
-                                  MaskPhase::kRoundWeighting, round);
-    if (!tag_ok.ok()) {
-      status[s] = tag_ok;
-      return;
-    }
-    if (msg.value().silo_id != s) {
-      status[s] = Status::InvalidArgument("cipher from wrong silo id");
-      return;
-    }
-    // The advertised model dimension must match the packed cipher count;
-    // a mismatch means the peer runs a different slot layout.
-    if (core_.params().packed.PackedDim(msg.value().dim) !=
-        msg.value().cipher.size()) {
-      status[s] = Status::InvalidArgument(
-          "silo cipher count inconsistent with model dimension");
-      return;
-    }
-    dims[s] = msg.value().dim;
-    std::lock_guard<std::mutex> lock(fold_mu);
-    if (product.empty()) product.assign(msg.value().cipher.size(), BigInt(1));
-    status[s] = core_.AccumulateSiloCipher(msg.value().cipher, &product);
+    status[s] = GatherSiloCipher(static_cast<int>(s), round, &fold_mu,
+                                 &product, &dims[s]);
   });
   ULDP_RETURN_IF_ERROR(FirstError(status));
   for (int s = 1; s < num_silos_; ++s) {
@@ -441,6 +385,78 @@ Result<Vec> ProtocolServer::RunRoundInternal(
   ULDP_RETURN_IF_ERROR(Broadcast(ToFrame(result)));
   EndPhase("aggregate");
   return out;
+}
+
+Status ProtocolServer::DeliverWeights(uint64_t round,
+                                      const std::vector<bool>& user_sampled) {
+  if (config_.ot_slots <= 0) {
+    // Streaming encrypts, broadcasts and discards one user chunk at a
+    // time, so the server never materializes the full enc-weight vector.
+    if (StreamChunkUsers(config_) > 0) {
+      return StreamEncWeights(round, user_sampled);
+    }
+    auto enc = core_.EncryptWeights(round, user_sampled, *pool_);
+    if (!enc.ok()) return enc.status();
+    RoundBeginMsg begin;
+    begin.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
+    begin.enc_weights = std::move(enc.value());
+    return Broadcast(ToFrame(begin));
+  }
+  obs::TraceSpan ot_span("proto.ot_round", "round",
+                         static_cast<int64_t>(round));
+  // OT-based private sub-sampling: silo 0 acts as the joint receiver (all
+  // silos share the seed that picks the slots) and re-distributes the
+  // fetched ciphertexts to its peers, encrypted under pairwise keys so
+  // this server only relays opaque bytes.
+  auto senders = core_.OtSenderInit(round, *pool_);
+  if (!senders.ok()) return senders.status();
+  const uint64_t ot_tag = MakeMaskTag(MaskPhase::kOtSlotChoice, round);
+  OtSenderMsg sender_msg;
+  sender_msg.phase_tag = ot_tag;
+  sender_msg.senders = std::move(senders.value());
+  ULDP_RETURN_IF_ERROR(SendTo(0, ToFrame(sender_msg)));
+
+  auto reply = RecvFrom(0);
+  if (!reply.ok()) return reply.status();
+  auto receiver = FromFrame<OtReceiverMsg>(reply.value());
+  if (!receiver.ok()) return receiver.status();
+  ULDP_RETURN_IF_ERROR(CheckPhaseTag(receiver.value().phase_tag,
+                                     MaskPhase::kOtSlotChoice, round));
+  auto slots = core_.OtEncryptSlots(round, receiver.value().bs, *pool_);
+  if (!slots.ok()) return slots.status();
+  OtSlotsMsg slots_msg;
+  slots_msg.phase_tag = ot_tag;
+  slots_msg.slots = std::move(slots.value());
+  ULDP_RETURN_IF_ERROR(SendTo(0, ToFrame(slots_msg)));
+
+  return RelayFromSilo0(
+      "weight relay", [round](const Frame& frame) -> Result<Route> {
+        auto relay = FromFrame<WeightRelayMsg>(frame);
+        if (!relay.ok()) return relay.status();
+        ULDP_RETURN_IF_ERROR(CheckPhaseTag(relay.value().phase_tag,
+                                           MaskPhase::kOtWeightRelay, round));
+        return Route{relay.value().from_silo, relay.value().to_silo};
+      });
+}
+
+Status ProtocolServer::RelayFromSilo0(
+    const char* what, const std::function<Result<Route>(const Frame&)>& route) {
+  std::vector<bool> seen(num_silos_, false);
+  for (int i = 0; i < num_silos_ - 1; ++i) {
+    auto frame = RecvFrom(0);
+    if (!frame.ok()) return frame.status();
+    auto r = route(frame.value());
+    if (!r.ok()) return r.status();
+    const uint32_t to = r.value().to;
+    if (r.value().from != 0 || to == 0 ||
+        to >= static_cast<uint32_t>(num_silos_) || seen[to]) {
+      return Status::InvalidArgument(std::string("invalid ") + what +
+                                     " routing");
+    }
+    seen[to] = true;
+    ULDP_RETURN_IF_ERROR(SendTo(static_cast<int>(to), frame.value()));
+  }
+  return Status::Ok();
 }
 
 Status ProtocolServer::StreamEncWeights(
@@ -465,47 +481,60 @@ Status ProtocolServer::StreamEncWeights(
       [&](int silo) { return RecvFrom(silo); });
 }
 
-Status ProtocolServer::GatherSiloCipherStream(int silo, uint64_t round,
-                                              std::mutex* fold_mu,
-                                              std::vector<BigInt>* product,
-                                              uint32_t* dim_out) {
-  obs::TraceSpan span("proto.gather_cipher_stream", "silo", silo);
-  const uint64_t tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
+Status ProtocolServer::GatherSiloCipher(int silo, uint64_t round,
+                                        std::mutex* fold_mu,
+                                        std::vector<BigInt>* product,
+                                        uint32_t* dim_out) {
+  obs::TraceSpan span("proto.gather_cipher", "silo", silo);
+  const bool streamed = StreamChunkUsers(config_) > 0;
   auto frame = RecvFrom(silo);
   if (!frame.ok()) return frame.status();
-  auto begin_or = FromFrame<StreamBeginMsg>(frame.value());
-  if (!begin_or.ok()) return begin_or.status();
-  const StreamBeginMsg& begin = begin_or.value();
-  if (begin.sender_id != static_cast<uint32_t>(silo)) {
-    return Status::InvalidArgument("cipher stream from wrong silo id");
+  // The cipher's header comes from its one frame or its stream's begin.
+  StreamBeginMsg begin;
+  std::vector<BigInt> whole;
+  if (streamed) {
+    auto msg = FromFrame<StreamBeginMsg>(frame.value());
+    if (!msg.ok()) return msg.status();
+    begin = msg.value();
+  } else {
+    auto msg = FromFrame<SiloCipherMsg>(frame.value());
+    if (!msg.ok()) return msg.status();
+    begin.phase_tag = msg.value().phase_tag;
+    begin.sender_id = msg.value().silo_id;
+    begin.dim = msg.value().dim;
+    whole = std::move(msg.value().cipher);
   }
   ULDP_RETURN_IF_ERROR(
       CheckPhaseTag(begin.phase_tag, MaskPhase::kRoundWeighting, round));
-  // Same layout check as the monolithic SiloCipherMsg path: the announced
-  // model dimension must match the packed cipher count.
+  if (begin.sender_id != static_cast<uint32_t>(silo)) {
+    return Status::InvalidArgument("cipher from wrong silo id");
+  }
+  // The announced model dimension must match the packed cipher count; a
+  // mismatch means the peer runs a different slot layout.
   const size_t cdim = core_.params().packed.PackedDim(begin.dim);
-  if (begin.total_count != cdim) {
+  if ((streamed ? begin.total_count : whole.size()) != cdim) {
     return Status::InvalidArgument(
         "silo cipher count inconsistent with model dimension");
   }
   *dim_out = begin.dim;
+  auto fold = [&](std::vector<BigInt>&& values, size_t offset) -> Status {
+    std::lock_guard<std::mutex> lock(*fold_mu);
+    // The aggregate grows only over coordinates that have arrived: a
+    // stream's announced count is the peer's claim, and sizing from it
+    // would let one StreamBegin allocate without bound. Entries no silo
+    // has shipped yet are the identity 1, so the product's bits are those
+    // of an aggregate sized up front.
+    const size_t end = offset + values.size();
+    if (product->size() < end) product->resize(end, BigInt(1));
+    return core_.AccumulateSiloCipherRange(values, offset, product);
+  };
+  if (!streamed) return fold(std::move(whole), 0);
   auto receiver = ChunkStreamReceiver::Create(
-      begin, StreamKind::kSiloCipher, tag, cdim,
+      begin, StreamKind::kSiloCipher, begin.phase_tag, cdim,
       static_cast<uint32_t>(StreamChunkCoords(config_)));
   if (!receiver.ok()) return receiver.status();
   return ReceiveChunkedStream(
-      std::move(receiver.value()),
-      [&](std::vector<BigInt>&& values, size_t offset) -> Status {
-        std::lock_guard<std::mutex> lock(*fold_mu);
-        // The aggregate grows only over coordinates that have arrived: the
-        // announced count is the peer's claim, and sizing from it would
-        // let one StreamBegin allocate without bound. Entries no silo has
-        // shipped yet are the identity 1, so the product's bits are those
-        // of an aggregate sized up front.
-        const size_t end = offset + values.size();
-        if (product->size() < end) product->resize(end, BigInt(1));
-        return core_.AccumulateSiloCipherRange(values, offset, product);
-      },
+      std::move(receiver.value()), fold,
       [&](const Frame& ack) { return SendTo(silo, ack); },
       [&] { return RecvFrom(silo); });
 }
@@ -556,9 +585,7 @@ Result<std::vector<BigInt>> SiloClient::HandleOtRound(
   receiver.bs = std::move(bs.value());
   ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(receiver)));
 
-  auto frame = RecvFromServer(transport);
-  if (!frame.ok()) return frame.status();
-  auto slots = FromFrame<OtSlotsMsg>(frame.value());
+  auto slots = RecvMsg<OtSlotsMsg>(transport);
   if (!slots.ok()) return slots.status();
   ULDP_RETURN_IF_ERROR(CheckPhaseTag(slots.value().phase_tag,
                                      MaskPhase::kOtSlotChoice, round));
@@ -570,29 +597,159 @@ Result<std::vector<BigInt>> SiloClient::HandleOtRound(
   // the pairwise keys so the relaying server cannot match them to slots.
   WireWriter w;
   w.BigVec(enc.value());
-  const std::vector<uint8_t> plain = w.Take();
   const uint64_t relay_tag = MakeMaskTag(MaskPhase::kOtWeightRelay, round);
-  for (int to = 1; to < num_silos_; ++to) {
-    auto ct = core_->PairStreamXor(to, relay_tag,
-                                   static_cast<uint32_t>(to), plain);
-    if (!ct.ok()) return ct.status();
-    WeightRelayMsg relay;
-    relay.phase_tag = relay_tag;
-    relay.from_silo = 0;
-    relay.to_silo = static_cast<uint32_t>(to);
-    relay.ciphertext = std::move(ct.value());
-    ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(relay)));
-  }
+  ULDP_RETURN_IF_ERROR(SendRelays(
+      *core_, transport, relay_tag, w.Take(),
+      [relay_tag](uint32_t to, std::vector<uint8_t> ciphertext) {
+        WeightRelayMsg relay;
+        relay.phase_tag = relay_tag;
+        relay.from_silo = 0;
+        relay.to_silo = to;
+        relay.ciphertext = std::move(ciphertext);
+        return ToFrame(relay);
+      }));
   return enc;
 }
 
-Status SiloClient::UploadCipherStream(Transport& transport, uint64_t round,
-                                      size_t model_dim,
-                                      std::vector<BigInt> cipher) {
+Result<SiloClient::RoundOpening> SiloClient::OpenRound(Transport& transport,
+                                                       const Frame& first) {
+  // The config fixes the one frame that may open this silo's round.
+  const MessageType opener =
+      config_.ot_slots > 0
+          ? (silo_id_ == 0 ? MessageType::kOtSender : MessageType::kWeightRelay)
+          : (StreamChunkUsers(config_) > 0 ? MessageType::kStreamBegin
+                                           : MessageType::kRoundBegin);
+  if (first.type != static_cast<uint16_t>(opener)) {
+    return Status::InvalidArgument(
+        "unexpected message type " + std::to_string(first.type) +
+        " opening a round; this silo's config expects type " +
+        std::to_string(static_cast<uint16_t>(opener)));
+  }
+  RoundOpening out;
+  switch (opener) {
+    case MessageType::kRoundBegin: {
+      auto begin = ParseOpening<RoundBeginMsg>(
+          first, MaskPhase::kRoundWeighting, "RoundBegin");
+      if (!begin.ok()) return begin.status();
+      out.round = MaskTagRound(begin.value().phase_tag);
+      out.enc_weights = std::move(begin.value().enc_weights);
+      return out;
+    }
+    case MessageType::kStreamBegin: {
+      auto begin = ParseOpening<StreamBeginMsg>(
+          first, MaskPhase::kRoundWeighting, "stream begin");
+      if (!begin.ok()) return begin.status();
+      out.round = MaskTagRound(begin.value().phase_tag);
+      out.stream = std::move(begin.value());
+      return out;
+    }
+    case MessageType::kOtSender: {
+      auto sender = ParseOpening<OtSenderMsg>(
+          first, MaskPhase::kOtSlotChoice, "OT sender");
+      if (!sender.ok()) return sender.status();
+      out.round = MaskTagRound(sender.value().phase_tag);
+      auto enc = HandleOtRound(transport, out.round, sender.value());
+      if (!enc.ok()) return enc.status();
+      out.enc_weights = std::move(enc.value());
+      return out;
+    }
+    default: {  // MessageType::kWeightRelay, the one opener left
+      auto relay = ParseOpening<WeightRelayMsg>(
+          first, MaskPhase::kOtWeightRelay, "weight relay");
+      if (!relay.ok()) return relay.status();
+      out.round = MaskTagRound(relay.value().phase_tag);
+      ULDP_RETURN_IF_ERROR(OpenRelay(
+          *core_, "weight relay", relay.value().from_silo,
+          relay.value().to_silo, relay.value().phase_tag,
+          std::move(relay.value().ciphertext), &WireReader::BigVec,
+          &out.enc_weights));
+      return out;
+    }
+  }
+}
+
+Status SiloClient::ServeRound(Transport& transport, const Frame& first,
+                              const RoundInput& input,
+                              const RoundResultFn& on_result) {
+  auto opening = OpenRound(transport, first);
+  if (!opening.ok()) return opening.status();
+  const uint64_t round = opening.value().round;
+  std::vector<BigInt>& enc_weights = opening.value().enc_weights;
+  obs::TraceSpan round_span("silo.round", "round",
+                            static_cast<int64_t>(round));
+
+  // The silo's own deltas and noise come before any fold: a streamed
+  // round folds each chunk as it lands.
+  std::vector<Vec> deltas;
+  Vec noise;
+  ULDP_RETURN_IF_ERROR(input(round, &deltas, &noise));
+  const size_t dim = noise.size();
+  std::vector<BigInt> cipher =
+      SiloCore::NewCipherAccumulator(core_->params().packed.PackedDim(dim));
+  // Folds users [u0, u1) of enc_weights in index-ordered batches, each
+  // building and freeing its own tables. The cipher is an exact modular
+  // product, so batching and chunking never change a bit.
+  auto fold = [&](int u0, int u1) -> Status {
+    for (int b0 = u0; b0 < u1; b0 += kWeightingBatchUsers) {
+      ULDP_RETURN_IF_ERROR(core_->FoldUsers(
+          b0, std::min(u1, b0 + kWeightingBatchUsers), enc_weights, deltas,
+          dim, &cipher, *pool_));
+    }
+    return Status::Ok();
+  };
+  if (!opening.value().stream) {
+    ULDP_RETURN_IF_ERROR(fold(0, num_users_));
+  } else {
+    auto receiver = ChunkStreamReceiver::Create(
+        *opening.value().stream, StreamKind::kEncWeights,
+        opening.value().stream->phase_tag, static_cast<size_t>(num_users_),
+        static_cast<uint32_t>(StreamChunkUsers(config_)));
+    if (!receiver.ok()) return receiver.status();
+    // Each chunk is resident only while it folds, so the round holds
+    // O(chunk) ciphertexts however many users there are.
+    enc_weights.assign(static_cast<size_t>(num_users_), BigInt());
+    ULDP_RETURN_IF_ERROR(ReceiveChunkedStream(
+        std::move(receiver.value()),
+        [&](std::vector<BigInt>&& values, size_t offset) -> Status {
+          const auto u0 = static_cast<long>(offset);
+          const auto u1 = u0 + static_cast<long>(values.size());
+          std::move(values.begin(), values.end(), enc_weights.begin() + u0);
+          Status folded = fold(static_cast<int>(u0), static_cast<int>(u1));
+          std::fill(enc_weights.begin() + u0, enc_weights.begin() + u1,
+                    BigInt());
+          return folded;
+        },
+        [&](const Frame& ack) { return transport.Send(ack); },
+        [&] { return RecvFromServer(transport); }));
+  }
+  ULDP_RETURN_IF_ERROR(core_->FinishRound(round, noise, &cipher, *pool_));
+  ULDP_RETURN_IF_ERROR(UploadCipher(transport, round, dim, std::move(cipher)));
+
+  auto result = RecvMsg<RoundResultMsg>(transport);
+  if (!result.ok()) return result.status();
+  ULDP_RETURN_IF_ERROR(CheckPhaseTag(result.value().phase_tag,
+                                     MaskPhase::kRoundWeighting, round));
+  if (on_result) on_result(round, result.value().aggregate);
+  return Status::Ok();
+}
+
+Status SiloClient::UploadCipher(Transport& transport, uint64_t round,
+                                size_t model_dim, std::vector<BigInt> cipher) {
   obs::TraceSpan span("silo.upload_cipher", "round",
                       static_cast<int64_t>(round));
+  const uint64_t tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
+  if (StreamChunkUsers(config_) <= 0) {
+    SiloCipherMsg msg;
+    msg.phase_tag = tag;
+    msg.silo_id = static_cast<uint32_t>(silo_id_);
+    msg.dim = static_cast<uint32_t>(model_dim);
+    msg.cipher = std::move(cipher);
+    return transport.Send(ToFrame(msg));
+  }
+  // Chunked so that no frame approaches the transport cap, whichever way
+  // the weights arrived.
   StreamSendOptions opts;
-  opts.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
+  opts.phase_tag = tag;
   opts.kind = StreamKind::kSiloCipher;
   opts.sender_id = static_cast<uint32_t>(silo_id_);
   opts.dim = static_cast<uint32_t>(model_dim);
@@ -608,62 +765,6 @@ Status SiloClient::UploadCipherStream(Transport& transport, uint64_t round,
       [&](int) { return transport.Recv(); });
 }
 
-Status SiloClient::HandleStreamedRound(Transport& transport,
-                                       const Frame& first,
-                                       const RoundInput& input,
-                                       const RoundResultFn& on_result) {
-  if (StreamChunkUsers(config_) <= 0 || config_.ot_slots > 0) {
-    return Status::InvalidArgument(
-        "unexpected enc-weight stream for this configuration");
-  }
-  auto begin_or = FromFrame<StreamBeginMsg>(first);
-  if (!begin_or.ok()) return begin_or.status();
-  const StreamBeginMsg& begin = begin_or.value();
-  if (MaskTagPhase(begin.phase_tag) != MaskPhase::kRoundWeighting) {
-    return Status::InvalidArgument("stream begin with wrong phase tag");
-  }
-  const uint64_t round = MaskTagRound(begin.phase_tag);
-  obs::TraceSpan span("silo.stream_round", "round",
-                      static_cast<int64_t>(round));
-
-  // Round inputs first: the fold needs this silo's deltas and the model
-  // dimension before the first chunk lands.
-  std::vector<Vec> deltas;
-  Vec noise;
-  ULDP_RETURN_IF_ERROR(input(round, &deltas, &noise));
-  const size_t dim = noise.size();
-  const size_t cdim = core_->params().packed.PackedDim(dim);
-
-  auto receiver = ChunkStreamReceiver::Create(
-      begin, StreamKind::kEncWeights, begin.phase_tag,
-      static_cast<size_t>(num_users_),
-      static_cast<uint32_t>(StreamChunkUsers(config_)));
-  if (!receiver.ok()) return receiver.status();
-  std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(cdim);
-  ULDP_RETURN_IF_ERROR(ReceiveChunkedStream(
-      std::move(receiver.value()),
-      [&](std::vector<BigInt>&& values, size_t offset) -> Status {
-        return core_->AccumulateUsersChunk(
-            values, static_cast<int>(offset),
-            static_cast<int>(offset + values.size()), deltas, dim, &cipher,
-            *pool_);
-      },
-      [&](const Frame& ack) { return transport.Send(ack); },
-      [&] { return RecvFromServer(transport); }));
-  ULDP_RETURN_IF_ERROR(core_->FinishRound(round, noise, &cipher, *pool_));
-  ULDP_RETURN_IF_ERROR(
-      UploadCipherStream(transport, round, dim, std::move(cipher)));
-
-  auto frame = RecvFromServer(transport);
-  if (!frame.ok()) return frame.status();
-  auto result = FromFrame<RoundResultMsg>(frame.value());
-  if (!result.ok()) return result.status();
-  ULDP_RETURN_IF_ERROR(CheckPhaseTag(result.value().phase_tag,
-                                     MaskPhase::kRoundWeighting, round));
-  if (on_result) on_result(round, result.value().aggregate);
-  return Status::Ok();
-}
-
 Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
                            const RoundResultFn& on_result) {
   const uint64_t setup_start_ns = obs::NowNs();
@@ -675,9 +776,7 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
   join.config_digest = ProtocolWireDigest(config_, num_silos_, num_users_);
   ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(join)));
 
-  auto frame = RecvFromServer(transport);
-  if (!frame.ok()) return frame.status();
-  auto setup = FromFrame<SetupParamsMsg>(frame.value());
+  auto setup = RecvMsg<SetupParamsMsg>(transport);
   if (!setup.ok()) return setup.status();
 
   ProtocolParams params;
@@ -697,52 +796,36 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
   dh.silo_id = static_cast<uint32_t>(silo_id_);
   dh.public_key = core_->dh_key().public_key;
   ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(dh)));
-  frame = RecvFromServer(transport);
-  if (!frame.ok()) return frame.status();
-  auto directory = FromFrame<DhDirectoryMsg>(frame.value());
+  auto directory = RecvMsg<DhDirectoryMsg>(transport);
   if (!directory.ok()) return directory.status();
   ULDP_RETURN_IF_ERROR(
       core_->ComputePairKeys(directory.value().public_keys));
 
   // -- Shared seed R (silo 0 distributes; server relays ciphertext) --------
   const uint64_t seed_tag = MakeMaskTag(MaskPhase::kSeedRelay, 0);
+  BigInt r_seed;
   if (silo_id_ == 0) {
-    BigInt r_seed = core_->MakeSharedSeed();
-    core_->SetSharedSeed(r_seed);
+    r_seed = core_->MakeSharedSeed();
     WireWriter w;
     w.Big(r_seed);
-    const std::vector<uint8_t> plain = w.Take();
-    for (int to = 1; to < num_silos_; ++to) {
-      auto ct = core_->PairStreamXor(to, seed_tag,
-                                     static_cast<uint32_t>(to), plain);
-      if (!ct.ok()) return ct.status();
-      SeedShareMsg share;
-      share.from_silo = 0;
-      share.to_silo = static_cast<uint32_t>(to);
-      share.ciphertext = std::move(ct.value());
-      ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(share)));
-    }
+    ULDP_RETURN_IF_ERROR(SendRelays(
+        *core_, transport, seed_tag, w.Take(),
+        [](uint32_t to, std::vector<uint8_t> ciphertext) {
+          SeedShareMsg share;
+          share.from_silo = 0;
+          share.to_silo = to;
+          share.ciphertext = std::move(ciphertext);
+          return ToFrame(share);
+        }));
   } else {
-    frame = RecvFromServer(transport);
-    if (!frame.ok()) return frame.status();
-    auto share = FromFrame<SeedShareMsg>(frame.value());
+    auto share = RecvMsg<SeedShareMsg>(transport);
     if (!share.ok()) return share.status();
-    if (share.value().from_silo != 0 ||
-        static_cast<int>(share.value().to_silo) != silo_id_) {
-      return Status::InvalidArgument("misrouted seed share");
-    }
-    auto plain = core_->PairStreamXor(0, seed_tag,
-                                      static_cast<uint32_t>(silo_id_),
-                                      share.value().ciphertext);
-    if (!plain.ok()) return plain.status();
-    WireReader r(plain.value());
-    BigInt r_seed;
-    ULDP_RETURN_IF_ERROR(r.Big(&r_seed));
-    if (!r.AtEnd()) {
-      return Status::InvalidArgument("trailing bytes in seed share");
-    }
-    core_->SetSharedSeed(r_seed);
+    ULDP_RETURN_IF_ERROR(OpenRelay(
+        *core_, "seed share", share.value().from_silo, share.value().to_silo,
+        seed_tag, std::move(share.value().ciphertext), &WireReader::Big,
+        &r_seed));
   }
+  core_->SetSharedSeed(r_seed);
 
   // -- Blinded histogram ---------------------------------------------------
   auto blinded = core_->BlindHistogram(*pool_);
@@ -751,9 +834,7 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
   histogram.silo_id = static_cast<uint32_t>(silo_id_);
   histogram.values = std::move(blinded.value());
   ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(histogram)));
-  frame = RecvFromServer(transport);
-  if (!frame.ok()) return frame.status();
-  auto ack = FromFrame<SetupAckMsg>(frame.value());
+  auto ack = RecvMsg<SetupAckMsg>(transport);
   if (!ack.ok()) return ack.status();
   // The setup leg spans the whole straight-line section above, so it is
   // recorded directly rather than via a scoped span.
@@ -766,116 +847,13 @@ Status SiloClient::RunLoop(Transport& transport, const RoundInput& input,
 
   // -- Round loop ----------------------------------------------------------
   for (;;) {
-    frame = RecvFromServer(transport);
+    auto frame = RecvFromServer(transport);
     if (!frame.ok()) return frame.status();
-    const uint16_t type = frame.value().type;
-    if (type == static_cast<uint16_t>(MessageType::kShutdown)) {
+    if (frame.value().type == static_cast<uint16_t>(MessageType::kShutdown)) {
       return Status::Ok();
     }
-
-    if (type == static_cast<uint16_t>(MessageType::kStreamBegin)) {
-      ULDP_RETURN_IF_ERROR(
-          HandleStreamedRound(transport, frame.value(), input, on_result));
-      continue;
-    }
-
-    uint64_t round = 0;
-    std::vector<BigInt> enc_weights;
-    if (type == static_cast<uint16_t>(MessageType::kRoundBegin)) {
-      if (config_.ot_slots > 0) {
-        return Status::InvalidArgument(
-            "plain RoundBegin received in OT mode");
-      }
-      if (StreamChunkUsers(config_) > 0) {
-        return Status::InvalidArgument(
-            "plain RoundBegin received in streaming mode");
-      }
-      auto begin = FromFrame<RoundBeginMsg>(frame.value());
-      if (!begin.ok()) return begin.status();
-      if (MaskTagPhase(begin.value().phase_tag) !=
-          MaskPhase::kRoundWeighting) {
-        return Status::InvalidArgument("RoundBegin with wrong phase tag");
-      }
-      round = MaskTagRound(begin.value().phase_tag);
-      enc_weights = std::move(begin.value().enc_weights);
-    } else if (type == static_cast<uint16_t>(MessageType::kOtSender)) {
-      if (config_.ot_slots <= 0 || silo_id_ != 0) {
-        return Status::InvalidArgument(
-            "unexpected OT sender message for this silo");
-      }
-      auto sender = FromFrame<OtSenderMsg>(frame.value());
-      if (!sender.ok()) return sender.status();
-      if (MaskTagPhase(sender.value().phase_tag) !=
-          MaskPhase::kOtSlotChoice) {
-        return Status::InvalidArgument("OT sender with wrong phase tag");
-      }
-      round = MaskTagRound(sender.value().phase_tag);
-      auto enc = HandleOtRound(transport, round, sender.value());
-      if (!enc.ok()) return enc.status();
-      enc_weights = std::move(enc.value());
-    } else if (type == static_cast<uint16_t>(MessageType::kWeightRelay)) {
-      if (config_.ot_slots <= 0 || silo_id_ == 0) {
-        return Status::InvalidArgument(
-            "unexpected weight relay for this silo");
-      }
-      auto relay = FromFrame<WeightRelayMsg>(frame.value());
-      if (!relay.ok()) return relay.status();
-      if (MaskTagPhase(relay.value().phase_tag) !=
-          MaskPhase::kOtWeightRelay) {
-        return Status::InvalidArgument("weight relay with wrong phase tag");
-      }
-      round = MaskTagRound(relay.value().phase_tag);
-      if (relay.value().from_silo != 0 ||
-          static_cast<int>(relay.value().to_silo) != silo_id_) {
-        return Status::InvalidArgument("misrouted weight relay");
-      }
-      auto plain = core_->PairStreamXor(0, relay.value().phase_tag,
-                                        static_cast<uint32_t>(silo_id_),
-                                        relay.value().ciphertext);
-      if (!plain.ok()) return plain.status();
-      WireReader r(plain.value());
-      ULDP_RETURN_IF_ERROR(r.BigVec(&enc_weights));
-      if (!r.AtEnd()) {
-        return Status::InvalidArgument("trailing bytes in weight relay");
-      }
-    } else {
-      return Status::InvalidArgument("unexpected message type " +
-                                     std::to_string(type) +
-                                     " in round loop");
-    }
-
-    // Round computation: the silo's own deltas and noise, then the
-    // encrypted weighted sum with masks.
-    obs::TraceSpan round_span("silo.round", "round",
-                              static_cast<int64_t>(round));
-    std::vector<Vec> deltas;
-    Vec noise;
-    ULDP_RETURN_IF_ERROR(input(round, &deltas, &noise));
-    auto cipher = core_->WeightMaskRound(round, enc_weights, deltas, noise,
-                                         *pool_);
-    if (!cipher.ok()) return cipher.status();
-    if (StreamChunkUsers(config_) > 0) {
-      // Streaming with OT: the weight distribution is the OT dance
-      // (materialized by construction), but the cipher upload is still
-      // chunked so no frame approaches the transport cap.
-      ULDP_RETURN_IF_ERROR(UploadCipherStream(
-          transport, round, noise.size(), std::move(cipher.value())));
-    } else {
-      SiloCipherMsg cipher_msg;
-      cipher_msg.phase_tag = MakeMaskTag(MaskPhase::kRoundWeighting, round);
-      cipher_msg.silo_id = static_cast<uint32_t>(silo_id_);
-      cipher_msg.dim = static_cast<uint32_t>(noise.size());
-      cipher_msg.cipher = std::move(cipher.value());
-      ULDP_RETURN_IF_ERROR(transport.Send(ToFrame(cipher_msg)));
-    }
-
-    frame = RecvFromServer(transport);
-    if (!frame.ok()) return frame.status();
-    auto result = FromFrame<RoundResultMsg>(frame.value());
-    if (!result.ok()) return result.status();
-    ULDP_RETURN_IF_ERROR(CheckPhaseTag(result.value().phase_tag,
-                                       MaskPhase::kRoundWeighting, round));
-    if (on_result) on_result(round, result.value().aggregate);
+    ULDP_RETURN_IF_ERROR(
+        ServeRound(transport, frame.value(), input, on_result));
   }
 }
 

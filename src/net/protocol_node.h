@@ -14,23 +14,35 @@
 //   silo 0: -> SeedShare x(N-1)  others: <- SeedShare   (server relays)
 //   -> BlindedHistogram          <- SetupAck
 //   per round:
-//     OT off:  <- RoundBegin
-//     OT on:   silo 0: <- OtSender -> OtReceiver <- OtSlots
-//                      -> WeightRelay x(N-1)
-//              others: <- WeightRelay               (server relays)
-//     -> SiloCipher              <- RoundResult
+//     weights in:  OT off:  <- RoundBegin, or <- StreamBegin + chunks
+//                  OT on:   silo 0: <- OtSender -> OtReceiver <- OtSlots
+//                                   -> WeightRelay x(N-1)
+//                           others: <- WeightRelay      (server relays)
+//     cipher out:  -> SiloCipher, or -> StreamBegin + chunks
+//     <- RoundResult
 //   <- Shutdown
 //
-// Streaming mode (config.stream_chunk_users > 0): the monolithic
-// RoundBegin and SiloCipher frames are replaced by chunked streams with
-// windowed flow control, one sender and one receive loop for both
-// directions (net/stream.h). The server encrypts
-// weights one user-chunk at a time and discards each chunk once acked;
-// silos fold each chunk into their cipher accumulator on arrival
-// (SiloCore::AccumulateUsersChunk) and upload the masked cipher in
-// coordinate chunks the server folds straight into the aggregate product
-// — so a round's peak resident ciphertexts are O(chunk), independent of
-// the user count, and bitwise identical to the materializing path.
+// Each party writes its round once. A silo's round takes its inputs,
+// folds every weight range through SiloCore::FoldUsers in
+// kWeightingBatchUsers batches, finishes the masked cipher, uploads it
+// and checks the RoundResult; only how the weights arrive and how the
+// cipher leaves follow the config. The server's round delivers the
+// weights, gathers each silo's cipher through one checked path that folds
+// every arriving range into the aggregate, then decrypts and broadcasts.
+// Both seed shares and OT weight relays pass through one relay helper on
+// each side: silo 0 encrypts one frame per peer under the pair key, the
+// server checks the route and forwards opaque bytes, the peer checks the
+// route again and decrypts.
+//
+// Streaming mode (config.stream_chunk_users > 0) replaces the one-frame
+// RoundBegin and SiloCipher with chunked streams under windowed flow
+// control (net/stream.h). The server encrypts weights one user chunk at a
+// time and discards each chunk once acked; silos fold each chunk on
+// arrival and upload the masked cipher in coordinate chunks the server
+// folds straight into the aggregate product. So a round's peak resident
+// ciphertexts are O(chunk), independent of the user count, and the bits
+// match the one-frame round. With OT on, the weights arrive through the
+// OT exchange either way and only the upload streams.
 //
 // All server-side receives run through a FrameMux (net/mux.h): a few
 // epoll event-loop threads serve every connection on any transport, and
@@ -47,6 +59,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,22 +122,40 @@ class ProtocolServer {
   uint64_t total_bytes_received() const;
 
  private:
+  /// Where a relayed frame comes from and goes to.
+  struct Route {
+    uint32_t from = 0;
+    uint32_t to = 0;
+  };
+
+  /// Receives one Msg from every silo in parallel; each must name its
+  /// sender's silo id, or the gather fails naming `what`.
+  template <typename Msg>
+  Result<std::vector<Msg>> GatherEach(const char* what);
   Status RunSetupInternal();
   Result<Vec> RunRoundInternal(uint64_t round,
                                const std::vector<bool>& user_sampled);
+  /// Sends the round's encrypted weights: one RoundBegin broadcast, a
+  /// chunked stream, or silo 0's OT exchange and its relays.
+  Status DeliverWeights(uint64_t round, const std::vector<bool>& user_sampled);
   /// Streaming enc-weight distribution: encrypts one user chunk at a
   /// time and broadcasts it through SendChunkedStream, which keeps at most
   /// kStreamWindow chunks unacknowledged per silo.
   Status StreamEncWeights(uint64_t round,
                           const std::vector<bool>& user_sampled);
-  /// Streaming cipher gather for one silo: folds arriving coordinate
-  /// chunks straight into the shared aggregate `product` (grown under
-  /// `fold_mu` over the coordinates that have arrived) and acks each
-  /// chunk.
-  Status GatherSiloCipherStream(int silo, uint64_t round,
-                                std::mutex* fold_mu,
-                                std::vector<BigInt>* product,
-                                uint32_t* dim_out);
+  /// Forwards silo 0's N - 1 pairwise-encrypted frames, one to each other
+  /// silo, as opaque bytes. `route` parses a frame; each must come from
+  /// silo 0 and reach a distinct other silo, or the relay fails naming
+  /// `what`.
+  Status RelayFromSilo0(
+      const char* what,
+      const std::function<Result<Route>(const Frame&)>& route);
+  /// Receives one silo's cipher, as one SiloCipher frame or a chunk
+  /// stream, checks its phase tag, silo id and packed dimension once, and
+  /// folds every arriving range into the shared aggregate `product`
+  /// (grown under `fold_mu` over the coordinates that have arrived).
+  Status GatherSiloCipher(int silo, uint64_t round, std::mutex* fold_mu,
+                          std::vector<BigInt>* product, uint32_t* dim_out);
   Status SendTo(int silo, const Frame& frame);
   /// Receives the next frame from `silo`, turning Error frames into the
   /// Status they carry.
@@ -176,21 +207,30 @@ class SiloClient {
              const RoundResultFn& on_result = nullptr);
 
  private:
+  /// What a round's first frame says: its round, and either the whole
+  /// weight vector (a RoundBegin, silo 0's OT exchange, or a relay from
+  /// silo 0) or the StreamBegin of a weight stream.
+  struct RoundOpening {
+    uint64_t round = 0;
+    std::vector<BigInt> enc_weights;
+    std::optional<StreamBeginMsg> stream;
+  };
+
   Status RunLoop(Transport& transport, const RoundInput& input,
                  const RoundResultFn& on_result);
+  /// One round, whatever its shape: inputs, fold, finish, upload, result.
+  Status ServeRound(Transport& transport, const Frame& first,
+                    const RoundInput& input, const RoundResultFn& on_result);
+  Result<RoundOpening> OpenRound(Transport& transport, const Frame& first);
+  /// Silo 0's OT exchange for one round; relays the fetched weights to
+  /// every other silo and returns them.
   Result<std::vector<BigInt>> HandleOtRound(Transport& transport,
                                             uint64_t round,
                                             const OtSenderMsg& sender_msg);
-  /// One full streamed round (config.stream_chunk_users > 0, OT off):
-  /// folds enc-weight chunks as they arrive, finishes the masked cipher,
-  /// uploads it as a coordinate-chunk stream, and receives the round
-  /// result.
-  Status HandleStreamedRound(Transport& transport, const Frame& first,
-                             const RoundInput& input,
-                             const RoundResultFn& on_result);
-  /// Uploads this silo's masked cipher as a chunked kSiloCipher stream.
-  Status UploadCipherStream(Transport& transport, uint64_t round,
-                            size_t model_dim, std::vector<BigInt> cipher);
+  /// Uploads this silo's masked cipher: one SiloCipher frame, or a chunked
+  /// kSiloCipher stream when streaming.
+  Status UploadCipher(Transport& transport, uint64_t round, size_t model_dim,
+                      std::vector<BigInt> cipher);
 
   ProtocolConfig config_;
   int silo_id_;

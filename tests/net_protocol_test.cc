@@ -336,6 +336,57 @@ TEST(NetProtocolTest, MalformedSetupParamsFailTheJoinInsteadOfAborting) {
   }
 }
 
+TEST(NetProtocolTest, SiloRefusesARecordCountAboveNMaxAndSetupFailsEverywhere) {
+  // The demo histograms reach 4 records per (silo, user), so at N_max = 2
+  // some silo holds more records of one user than Protocol 1 can weight
+  // exactly. That silo refuses before blinding; the server names the
+  // refusal and fails setup for every silo rather than run a round whose
+  // aggregate cannot decode.
+  ProtocolConfig config = TestConfig();
+  config.n_max = 2;
+  const std::string refusal =
+      "this silo holds more than N_max records of a user";
+  const DemoInputs in = MakeDemoInputs(kInputSeed, kSilos, kUsers, kDim);
+  std::vector<std::unique_ptr<Transport>> server_ends, silo_ends;
+  for (int s = 0; s < kSilos; ++s) {
+    auto [a, b] = ChannelTransport::CreatePair();
+    server_ends.push_back(std::move(a));
+    silo_ends.push_back(std::move(b));
+  }
+  std::vector<std::thread> silo_threads;
+  std::vector<Status> silo_status(kSilos, Status::Ok());
+  for (int s = 0; s < kSilos; ++s) {
+    silo_threads.emplace_back([&, s] {
+      silo_status[s] = RunDemoSilo(config, s, kSilos, kUsers, kDim,
+                                   kInputSeed, *silo_ends[s]);
+    });
+  }
+  Status setup = Status::Ok();
+  {
+    ProtocolServer server(config, kSilos, kUsers);
+    for (auto& end : server_ends) {
+      EXPECT_TRUE(server.AddConnection(std::move(end)).ok());
+    }
+    setup = server.RunSetup();
+  }
+  for (auto& t : silo_threads) t.join();
+  EXPECT_EQ(setup.code(), StatusCode::kInvalidArgument) << setup.ToString();
+  EXPECT_NE(setup.message().find(refusal), std::string::npos)
+      << setup.ToString();
+  int refused = 0;
+  for (int s = 0; s < kSilos; ++s) {
+    EXPECT_FALSE(silo_status[s].ok()) << "silo " << s;
+    bool over = false;
+    for (int count : in.histograms[s]) over = over || count > config.n_max;
+    if (!over) continue;
+    // The refusal crosses the wire, so it names neither user nor count.
+    ++refused;
+    EXPECT_EQ(silo_status[s].code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(silo_status[s].message(), refusal);
+  }
+  EXPECT_GT(refused, 0);
+}
+
 TEST(NetProtocolTest, RoundBeyondTagLimitIsRejected) {
   // No connections needed: the range check precedes any traffic, but
   // setup must have run — so check the error class only.

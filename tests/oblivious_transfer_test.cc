@@ -10,6 +10,44 @@ class OtFixture : public ::testing::Test {
   OtFixture() : rng_(7) {
     group_ = DhGroup::GenerateSafePrimeGroup(192, rng_);
   }
+
+  /// The sender's first step as the protocol's sender core runs it: one
+  /// element per slot, then the secret r and A = g^r.
+  ObliviousTransfer::SenderState Sender(const ObliviousTransfer& ot) {
+    std::vector<BigInt> slots;
+    for (size_t i = 0; i < ot.num_slots(); ++i) {
+      slots.push_back(ot.SampleSlotElement(rng_));
+    }
+    BigInt r = ot.SampleSenderSecret(rng_);
+    BigInt a = ot.SenderElement(r);
+    return ot.AssembleSender(std::move(slots), std::move(r), std::move(a));
+  }
+
+  /// The sender's second step: every slot padded under the receiver's B.
+  std::vector<std::vector<uint8_t>> EncryptAll(
+      const ObliviousTransfer& ot, const ObliviousTransfer::SenderState& s,
+      const BigInt& receiver_b,
+      const std::vector<std::vector<uint8_t>>& messages) {
+    auto b_inv = ot.InvertReceiverMessage(receiver_b);
+    EXPECT_TRUE(b_inv.ok());
+    std::vector<std::vector<uint8_t>> out;
+    for (size_t slot = 0; slot < messages.size(); ++slot) {
+      out.push_back(
+          ot.SenderEncryptSlot(s, b_inv.value(), messages[slot], slot));
+    }
+    return out;
+  }
+
+  /// The receiver's last step: K = A^k un-pads slot `slot`.
+  std::vector<uint8_t> Open(const ObliviousTransfer& ot,
+                            const ObliviousTransfer::SenderState& s,
+                            const ObliviousTransfer::ReceiverState& receiver,
+                            const std::vector<uint8_t>& slot) {
+    auto key = ot.ReceiverKeyElement(s.a, receiver.k);
+    EXPECT_TRUE(key.ok());
+    return ot.ApplyPad(key.value(), slot);
+  }
+
   Rng rng_;
   DhGroup group_;
 };
@@ -22,14 +60,12 @@ TEST_F(OtFixture, ReceiverGetsEveryChosenSlot) {
     messages.push_back(std::vector<uint8_t>(16, static_cast<uint8_t>(i + 1)));
   }
   for (size_t sigma = 0; sigma < slots; ++sigma) {
-    auto sender = ot.SenderInit(rng_);
-    auto receiver = ot.ReceiverChoose(sender, sigma, rng_);
+    const auto sender = Sender(ot);
+    auto receiver = ot.ReceiverCommit(sender.c[sigma], sigma, rng_);
     ASSERT_TRUE(receiver.ok());
-    auto enc = ot.SenderEncrypt(sender, receiver.value().b, messages);
-    ASSERT_TRUE(enc.ok());
-    auto got = ot.ReceiverDecrypt(receiver.value(), sender, enc.value());
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got.value(), messages[sigma]);
+    const auto enc = EncryptAll(ot, sender, receiver.value().b, messages);
+    EXPECT_EQ(Open(ot, sender, receiver.value(), enc[sigma]),
+              messages[sigma]);
   }
 }
 
@@ -39,19 +75,14 @@ TEST_F(OtFixture, NonChosenSlotsAreNotRecoverable) {
   std::vector<std::vector<uint8_t>> messages = {
       std::vector<uint8_t>(16, 0xAA), std::vector<uint8_t>(16, 0xBB),
       std::vector<uint8_t>(16, 0xCC)};
-  auto sender = ot.SenderInit(rng_);
-  auto receiver = ot.ReceiverChoose(sender, 1, rng_);
-  auto enc = ot.SenderEncrypt(sender, receiver.value().b, messages);
-  ASSERT_TRUE(enc.ok());
+  const auto sender = Sender(ot);
+  const auto receiver = ot.ReceiverCommit(sender.c[1], 1, rng_).value();
+  const auto enc = EncryptAll(ot, sender, receiver.b, messages);
   // The receiver's key decrypts only its slot; applying its pad to other
   // slots yields garbage (not equal to the plaintext).
-  auto state = receiver.value();
+  EXPECT_EQ(Open(ot, sender, receiver, enc[1]), messages[1]);
   for (size_t wrong : {0u, 2u}) {
-    auto hacked = state;
-    hacked.sigma = wrong;
-    auto got = ot.ReceiverDecrypt(hacked, sender, enc.value());
-    ASSERT_TRUE(got.ok());
-    EXPECT_NE(got.value(), messages[wrong]);
+    EXPECT_NE(Open(ot, sender, receiver, enc[wrong]), messages[wrong]);
   }
 }
 
@@ -60,19 +91,15 @@ TEST_F(OtFixture, HostileSenderElementsAreRejected) {
   // are refused before any exponentiation, as DH publics are.
   const size_t slots = 3;
   ObliviousTransfer ot(group_, slots);
-  const auto sender = ot.SenderInit(rng_);
-  const auto receiver = ot.ReceiverChoose(sender, 1, rng_).value();
-  const std::vector<std::vector<uint8_t>> enc(slots,
-                                              std::vector<uint8_t>(16, 0));
+  const auto sender = Sender(ot);
+  const auto receiver = ot.ReceiverCommit(sender.c[1], 1, rng_).value();
   for (const BigInt& bad : {BigInt(-5), BigInt(1) << 5000, BigInt(0),
                             BigInt(1), group_.p - BigInt(1), group_.p}) {
     EXPECT_EQ(ot.ReceiverKeyElement(bad, receiver.k).status().code(),
               StatusCode::kInvalidArgument);
-    auto hostile = sender;
-    hostile.a = bad;
-    EXPECT_EQ(ot.ReceiverDecrypt(receiver, hostile, enc).status().code(),
-              StatusCode::kInvalidArgument);
     EXPECT_EQ(ot.ReceiverCommit(bad, 1, rng_).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(ot.InvertReceiverMessage(bad).status().code(),
               StatusCode::kInvalidArgument);
   }
 }
@@ -82,24 +109,21 @@ TEST_F(OtFixture, ChoiceMessageIndependentOfSigma) {
   // is; sanity-check that repeated choices of different sigma produce
   // messages with no fixed relation to the slot.
   ObliviousTransfer ot(group_, 4);
-  auto sender = ot.SenderInit(rng_);
-  auto r0 = ot.ReceiverChoose(sender, 0, rng_).value();
-  auto r0b = ot.ReceiverChoose(sender, 0, rng_).value();
-  auto r3 = ot.ReceiverChoose(sender, 3, rng_).value();
+  const auto sender = Sender(ot);
+  auto r0 = ot.ReceiverCommit(sender.c[0], 0, rng_).value();
+  auto r0b = ot.ReceiverCommit(sender.c[0], 0, rng_).value();
+  auto r3 = ot.ReceiverCommit(sender.c[3], 3, rng_).value();
   EXPECT_NE(r0.b, r0b.b);  // fresh randomness each run
   EXPECT_NE(r0.b, r3.b);
 }
 
 TEST_F(OtFixture, RejectsBadParameters) {
   ObliviousTransfer ot(group_, 3);
-  auto sender = ot.SenderInit(rng_);
-  EXPECT_FALSE(ot.ReceiverChoose(sender, 3, rng_).ok());  // out of range
-  auto receiver = ot.ReceiverChoose(sender, 0, rng_).value();
-  std::vector<std::vector<uint8_t>> wrong_count = {{1}, {2}};
-  EXPECT_FALSE(ot.SenderEncrypt(sender, receiver.b, wrong_count).ok());
-  std::vector<std::vector<uint8_t>> ragged = {{1}, {2, 2}, {3}};
-  EXPECT_FALSE(ot.SenderEncrypt(sender, receiver.b, ragged).ok());
-  EXPECT_FALSE(ot.SenderEncrypt(sender, BigInt(0), {{1}, {2}, {3}}).ok());
+  const auto sender = Sender(ot);
+  // A choice past the last slot.
+  EXPECT_FALSE(ot.ReceiverCommit(sender.c[0], 3, rng_).ok());
+  // A receiver message of 0 has no inverse to pad the slots with.
+  EXPECT_FALSE(ot.InvertReceiverMessage(BigInt(0)).ok());
 }
 
 TEST_F(OtFixture, LargePayloads) {
@@ -110,10 +134,10 @@ TEST_F(OtFixture, LargePayloads) {
     messages[0][i] = static_cast<uint8_t>(i);
     messages[1][i] = static_cast<uint8_t>(255 - (i % 256));
   }
-  auto sender = ot.SenderInit(rng_);
-  auto receiver = ot.ReceiverChoose(sender, 1, rng_).value();
-  auto enc = ot.SenderEncrypt(sender, receiver.b, messages).value();
-  EXPECT_EQ(ot.ReceiverDecrypt(receiver, sender, enc).value(), messages[1]);
+  const auto sender = Sender(ot);
+  const auto receiver = ot.ReceiverCommit(sender.c[1], 1, rng_).value();
+  const auto enc = EncryptAll(ot, sender, receiver.b, messages);
+  EXPECT_EQ(Open(ot, sender, receiver, enc[1]), messages[1]);
 }
 
 }  // namespace

@@ -384,8 +384,9 @@ TEST(ProtocolOtTest, HostileSenderElementsFailTheSiloStep) {
   const ObliviousTransfer ot(params.ot_group, 4);
   std::vector<OtSenderPublic> honest;
   for (int u = 0; u < 3; ++u) {
-    ObliviousTransfer::SenderState state = ot.SenderInit(rng);
-    honest.push_back({state.c, state.a});
+    std::vector<BigInt> c;
+    for (int slot = 0; slot < 4; ++slot) c.push_back(ot.SampleSlotElement(rng));
+    honest.push_back({c, ot.SenderElement(ot.SampleSenderSecret(rng))});
   }
   const std::vector<std::vector<std::vector<uint8_t>>> slots(
       3, std::vector<std::vector<uint8_t>>(4, std::vector<uint8_t>(8, 0)));

@@ -7,8 +7,8 @@
 # (-DULDP_SANITIZE=ON) and runs the fast unit-test subset sanitized —
 # the substrate suites where boundary off-by-ones live (BigInt,
 # Montgomery and ChaCha kernels, fixed-base, fixed point, CSV, masks,
-# Paillier, DH/OT) — plus the trainers' golden digests, which must hold
-# in the sanitized RelWithDebInfo build too.
+# Paillier, DH/OT) — plus the trainers' and the wire's golden digests,
+# which must hold in the sanitized RelWithDebInfo build too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 2)"
@@ -17,7 +17,7 @@ if [ "${SANITIZE:-0}" = "1" ]; then
   # Separate default build dir: writing ULDP_SANITIZE=ON into the plain
   # build/ cache would leave later non-sanitized runs silently sanitized.
   BUILD_DIR="${1:-build-asan}"
-  FAST_TESTS='^(bigint_test|montgomery_primes_test|mont_kernel_test|chacha_kernel_test|fixed_base_test|fixed_point_test|csv_loader_test|mask_tags_test|secure_agg_test|sha_chacha_test|common_test|parallel_test|paillier_test|paillier_ctx_test|dh_test|oblivious_transfer_test|net_wire_test|net_transport_test|parse_test|async_rounds_test|multi_exp_test|packed_codec_test|net_stream_test|shard_round_test|session_test|membership_test|obs_test|mux_test|transcript_test|fl_common_test|trainer_golden_test)$'
+  FAST_TESTS='^(bigint_test|montgomery_primes_test|mont_kernel_test|chacha_kernel_test|fixed_base_test|fixed_point_test|csv_loader_test|mask_tags_test|secure_agg_test|sha_chacha_test|common_test|parallel_test|paillier_test|paillier_ctx_test|dh_test|oblivious_transfer_test|net_wire_test|net_transport_test|parse_test|async_rounds_test|multi_exp_test|packed_codec_test|net_stream_test|shard_round_test|session_test|membership_test|obs_test|mux_test|transcript_test|fl_common_test|trainer_golden_test|wire_golden_test)$'
   cmake -B "$BUILD_DIR" -S . -DULDP_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD_DIR" -j"$JOBS"
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
@@ -168,6 +168,44 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
 --net-timeout=120"
   run_protocol_smoke net "$BUILD_DIR/net_smoke_server.log" "$SMOKE_ARGS" \
       "" "" || exit 1
+
+  # OT sub-sampling smoke: at --user-sample-rate=0.5 half of each user's
+  # OT slots carry Enc(0), so the silos fetch a private sample, and
+  # --verify requires the in-process protocol's aggregates at that rate.
+  run_protocol_smoke ot-rate "$BUILD_DIR/ot_rate_smoke_server.log" \
+      "$SMOKE_ARGS --ot-slots=4 --user-sample-rate=0.5" "" "" || exit 1
+
+  # N_max drill: at --n-max=2 the demo histograms give some silo more
+  # than N_max records of one user. That silo refuses at setup, so the
+  # server and all three silos must exit non-zero, the server naming the
+  # refusal, instead of decoding a garbage aggregate with exit 0.
+  NMAX_LOG="$BUILD_DIR/nmax_drill_server.log"
+  NMAX_ARGS="--silos=3 --users=6 --dim=4 --seed=11 --paillier-bits=512 \
+--n-max=2 --net-timeout=120"
+  # shellcheck disable=SC2086
+  start_server n-max "$NMAX_LOG" --serve=0 --rounds=1 $NMAX_ARGS || exit 1
+  NMAX_PIDS=""
+  for s in 0 1 2; do
+    # shellcheck disable=SC2086
+    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=$s \
+        $NMAX_ARGS > "$BUILD_DIR/nmax_drill_silo$s.log" 2>&1 &
+    NMAX_PIDS="$NMAX_PIDS $!"
+  done
+  EXITED_OK=""
+  wait "$SERVER_PID" && EXITED_OK="$EXITED_OK server"
+  S=0
+  for pid in $NMAX_PIDS; do
+    wait "$pid" && EXITED_OK="$EXITED_OK silo$S"
+    S=$((S + 1))
+  done
+  cat "$NMAX_LOG"
+  if [ -n "$EXITED_OK" ] ||
+     ! grep -q "more than N_max records" "$NMAX_LOG"; then
+    echo "n-max drill: expected every party to fail setup on the silo's" \
+        "refusal (exited 0:${EXITED_OK:- none})" >&2
+    exit 1
+  fi
+  echo "n-max drill: the server and every silo refused setup (port $PORT)"
 
   # Enc-weight stream smoke: streaming without OT, so the server streams
   # the encrypted weights (3 chunks of 2 users a round) and the silos

@@ -69,6 +69,9 @@ REFUSED = [
     HEART + ["--method=uldp-naive", "--user-sample-rate=0.1"],
     HEART + ["--method=uldp-group", "--user-sample-rate=0.1"],
     HEART + ["--method=default", "--user-sample-rate=0.1"],
+    # A Protocol 1 run samples users only through its OT slots.
+    ["--serve=0", "--silos=2", "--user-sample-rate=0.5"],
+    SILO + ["--user-sample-rate=0.5"],
     # heart has 4 silos and tcga 6, each with fixed records.
     HEART + ["--silos=9"],
     HEART + ["--records=5"],
@@ -158,6 +161,40 @@ def run(args, timeout=20):
     return done.returncode, done.stdout, done.stderr
 
 
+def loopback(args):
+    """Runs a --verify Protocol 1 server and its silos over loopback TCP
+    with `args` for every party; returns the server's aggregate lines."""
+    server = subprocess.Popen(
+        [CLI, "--serve=0", "--rounds=2", "--verify"] + args,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, cwd=REPO)
+    out, port = [], None
+    try:
+        for line in server.stdout:
+            out.append(line)
+            port = re.search(r"listening on port (\d+)", line)
+            if port:
+                break
+        if port is None:
+            raise AssertionError("server did not start (exit %s):\n%s" %
+                                 (server.wait(timeout=20), "".join(out)))
+        silos_arg = next(a for a in args if a.startswith("--silos="))
+        silos = [subprocess.Popen(
+            [CLI, "--connect=127.0.0.1:" + port.group(1),
+             "--silo-id=%d" % s] + args, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, cwd=REPO)
+            for s in range(int(silos_arg.split("=")[1]))]
+        out += server.stdout.readlines()
+        rcs = [server.wait(timeout=120)] + [s.wait(timeout=120)
+                                            for s in silos]
+    finally:
+        server.kill()
+    text = "".join(out)
+    if rcs != [0] * len(rcs) or "bitwise-match" not in text:
+        raise AssertionError("loopback run failed (exits %s):\n%s" %
+                             (rcs, text))
+    return [line for line in out if "aggregate[" in line]
+
+
 class CliTest(unittest.TestCase):
     def test_help_lists_each_flag_once(self):
         rc, out, _ = run(["--help"])
@@ -213,6 +250,18 @@ class CliTest(unittest.TestCase):
                 last = out.strip().splitlines()[-1].split()
                 self.assertEqual(last[1], "5", out)
                 self.assertLessEqual(float(last[-1]), 2.0, out)
+
+    def test_ot_slots_sample_users_at_the_given_rate(self):
+        # Over loopback TCP: with every OT slot real (rate 1) the aggregate
+        # is the one a run without OT prints; at rate 0.5 half the slots
+        # are dummies, so the aggregate moves, and --verify still finds it
+        # bitwise equal to the in-process protocol at that rate.
+        shape = ["--silos=2", "--users=5", "--dim=4", "--seed=11",
+                 "--net-timeout=60"]
+        plain = loopback(shape)
+        self.assertEqual(loopback(shape + ["--ot-slots=4"]), plain)
+        sampled = loopback(shape + ["--ot-slots=4", "--user-sample-rate=0.5"])
+        self.assertNotEqual(sampled, plain)
 
     def test_readme_tables_name_only_real_flags(self):
         with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:

@@ -216,7 +216,7 @@ Value SiloRound(int Flags::*silo, int Flags::*round) {
 }
 
 /// One flag: its name, the runs that read it, its value and help, and,
-/// for flags only some local runs read, that condition.
+/// for flags those runs read only in some cases, that condition.
 struct FlagSpec {
   const char* name;
   unsigned runs;
@@ -322,13 +322,16 @@ const std::vector<FlagGroup>& FlagTable() {
          [](const Flags& f) {
            return PrivateMethod(f) && f.method != "uldp-group";
          }},
-        {"user-sample-rate", kLocal,
+        {"user-sample-rate", kLocal | kProtocol,
          Double("Q", &Flags::user_sample_rate, 1.0,
                 {"(0, 1]", [](double q) { return q > 0.0 && q <= 1.0; }}),
-         "user-level sub-sampling rate (Alg. 4)",
+         "user-level sub-sampling rate (Alg. 4); a Protocol 1 run samples "
+         "through its OT slots, in multiples of 1/P",
          "local runs only with --method=uldp-avg, uldp-avg-w or uldp-sgd, "
-         "the methods that sample users",
+         "the methods that sample users; Protocol 1 runs only with "
+         "--ot-slots > 0",
          [](const Flags& f) {
+           if (RunOf(f) != kLocal) return f.ot_slots > 0;
            return f.method == "uldp-avg" || f.method == "uldp-avg-w" ||
                   f.method == "uldp-sgd";
          }},
@@ -635,8 +638,8 @@ Result<Flags> ParseFlags(int argc, char** argv) {
   for (const FlagSpec* spec : given) {
     if ((spec->runs & run) == 0) return refuse(*spec);
   }
-  // The local runs' narrower conditions come second, so a flag from the
-  // wrong run is named as such.
+  // The narrower conditions come second, so a flag from the wrong run is
+  // named as such.
   for (const FlagSpec* spec : given) {
     if (spec->holds != nullptr && !spec->holds(flags)) return refuse(*spec);
   }
@@ -653,6 +656,7 @@ ProtocolConfig NetProtocolConfig(const Flags& flags) {
   config.stream_chunk_users = flags.stream_chunk_users;
   config.stream_chunk_coords = flags.stream_chunk_coords;
   config.ot_slots = flags.ot_slots;
+  if (flags.ot_slots > 0) config.ot_sample_rate = flags.user_sample_rate;
   config.pack_slots = flags.pack_slots;
   return config;
 }
