@@ -15,10 +15,10 @@
 // kernel (scalar, AVX2, AVX-512F) checked against the scalar block. Also
 // measures fig11-style private weighting rounds at each ciphertext packing
 // factor (median of alternating round pairs), plus the remaining substrate
-// unit costs behind Figures 10/11 (BigInt mul/div, secure-aggregation
-// masking at dim 64 and 256 and at the async silo's dim 100 000, the async
-// masked step's MaskDelta and UnmaskSum at dim 100 000, SHA-256, the
-// ChaCha stream, C_LCM).
+// unit costs behind Figures 10/11 (BigInt mul/div, Gcd and ModInverse at
+// 1024-3072 bits, secure-aggregation masking at dim 64 and 256 and at the
+// async silo's dim 100 000, the async masked step's MaskDelta and
+// UnmaskSum at dim 100 000, SHA-256, the ChaCha stream, C_LCM).
 //
 // Emits BENCH_micro_crypto.json via bench_common. Modes:
 //   default            — quick sweep (512/1024-bit keys) plus the comb
@@ -467,6 +467,19 @@ int main() {
              SecondsPerOp([&] { a * b; }, window, min_iters));
     RecordOp(table, json, rows, "bigint_div", "-", 1024,
              SecondsPerOp([&] { wide % a; }, window, min_iters));
+    // Euclid on limbs at deployed key sizes: a silo's unit check of each
+    // blind r_u (Gcd with n) and the key holder's setup inverse of each
+    // blinded total (ModInverse mod n). Reported, not gated.
+    for (int bits : {1024, 2048, 3072}) {
+      const BigInt n = BigInt::RandomBits(bits, rng);
+      BigInt r = BigInt::RandomBelow(n, rng);
+      while (!r.ModInverse(n).ok()) r = BigInt::RandomBelow(n, rng);
+      RecordOp(table, json, rows, "bigint_gcd", "-", bits,
+               SecondsPerOp([&] { BigInt::Gcd(r, n); }, window, min_iters));
+      RecordOp(table, json, rows, "bigint_mod_inverse", "-", bits,
+               SecondsPerOp([&] { (void)r.ModInverse(n); }, window,
+                            min_iters));
+    }
 
     BigInt q = GeneratePrime(256, rng);
     const int parties = 5;

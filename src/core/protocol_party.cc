@@ -484,6 +484,8 @@ void SiloCore::SetSharedSeed(const BigInt& r_seed) {
   shared_seed_key_ =
       ChaChaRng::DeriveKey("uldp-shared-seed|" + r_seed.ToHex());
   seed_set_ = true;
+  // Scalars cached under an earlier seed hold that seed's blinds.
+  fold_scalars_.clear();
 }
 
 Result<std::vector<uint8_t>> SiloCore::PairStreamXor(
@@ -511,6 +513,7 @@ BigInt SiloCore::BlindOf(int user) const {
   // All silos derive the same r_u from the shared seed R; the server never
   // learns R. r_u must be a unit of F_n — overwhelmingly likely (Eq. 4 of
   // the paper); regenerate with a counter otherwise.
+  blind_derivations_.Add(1);
   const BigInt& n = params_.public_key.n;
   for (uint32_t attempt = 0;; ++attempt) {
     ChaChaRng stream(shared_seed_key_,
@@ -529,7 +532,7 @@ BigInt SiloCore::PairMask(int peer, uint64_t tag, int index) const {
   return stream.UniformBelow(params_.public_key.n);
 }
 
-Result<std::vector<BigInt>> SiloCore::BlindHistogram(ThreadPool& pool) const {
+Result<std::vector<BigInt>> SiloCore::BlindHistogram(ThreadPool& pool) {
   obs::TraceSpan span("core.blind_histogram");
   if (!pair_keys_done_ || !seed_set_) {
     return Status::FailedPrecondition(
@@ -546,14 +549,19 @@ Result<std::vector<BigInt>> SiloCore::BlindHistogram(ThreadPool& pool) const {
     }
   }
   const BigInt& n = params_.public_key.n;
+  const BigInt c_lcm_mod_n = params_.c_lcm.Mod(n);
   const int num_users = params_.num_users;
   const uint64_t histogram_tag =
       MakeMaskTag(MaskPhase::kHistogramBlind, /*round=*/0);
   std::vector<BigInt> blinded(num_users);
+  fold_scalars_.assign(num_users, BigInt(0));
   pool.ParallelFor(static_cast<size_t>(num_users), [&](size_t ui) {
     const int u = static_cast<int>(ui);
     BigInt b = BlindOf(u).ModMul(
         BigInt(static_cast<int64_t>(histogram_[u])), n);
+    // The user's fold scalar r_u * n_su * C_LCM, for every round of the
+    // session; the server only ever sees b masked.
+    if (histogram_[u] > 0) fold_scalars_[u] = b.ModMul(c_lcm_mod_n, n);
     // Pairwise additive masks (setup e): +mask toward larger peers,
     // -mask toward smaller, so the server-side sum cancels them.
     for (int other = 0; other < params_.num_silos; ++other) {
@@ -706,8 +714,9 @@ Status SiloCore::AccumulateUsers(
     std::vector<BigInt>* cipher, ThreadPool& pool) const {
   obs::TraceSpan span("core.accumulate_users", "u0",
                       static_cast<int64_t>(u0));
-  if (!seed_set_) {
-    return Status::FailedPrecondition("weighting requires the shared seed");
+  if (fold_scalars_.empty()) {
+    return Status::FailedPrecondition(
+        "weighting requires BlindHistogram under the current shared seed");
   }
   const int num_users = params_.num_users;
   if (static_cast<int>(enc_weights.size()) != num_users) {
@@ -730,32 +739,21 @@ Status SiloCore::AccumulateUsers(
   const size_t slots = static_cast<size_t>(packed.slots());
   const BigInt& n = params_.public_key.n;
   const PaillierPublicKey& pk = params_.public_key;
-  const BigInt c_lcm_mod_n = params_.c_lcm.Mod(n);
 
-  // Per-user prep: validation plus the scalar base n_su * r_u * C_LCM
-  // mod n (the delta encoding is per coordinate below).
-  std::vector<Status> prep_status(u1 - u0, Status::Ok());
-  std::vector<BigInt> bases(u1 - u0);
+  // Per-user validation. Each active user's scalar base
+  // r_u * n_su * C_LCM mod n is the one BlindHistogram cached; the delta
+  // encoding is per coordinate below.
   std::vector<char> active(u1 - u0, 0);
-  pool.ParallelFor(static_cast<size_t>(u1 - u0), [&](size_t i) {
-    const int u = u0 + static_cast<int>(i);
-    if (deltas[u].empty()) return;  // user has no records at this silo
+  for (int u = u0; u < u1; ++u) {
+    if (deltas[u].empty()) continue;  // user has no records at this silo
     if (deltas[u].size() != model_dim) {
-      prep_status[i] = Status::InvalidArgument("delta dimension mismatch");
-      return;
+      return Status::InvalidArgument("delta dimension mismatch");
     }
     if (enc_weights[u].IsNegative() || enc_weights[u] >= pk.n_squared) {
-      prep_status[i] =
-          Status::InvalidArgument("encrypted weight outside Z_{n^2}");
-      return;
+      return Status::InvalidArgument("encrypted weight outside Z_{n^2}");
     }
-    if (histogram_[u] == 0) return;
-    active[i] = 1;
-    bases[i] = BlindOf(u)
-                   .ModMul(BigInt(static_cast<int64_t>(histogram_[u])), n)
-                   .ModMul(c_lcm_mod_n, n);
-  });
-  ULDP_RETURN_IF_ERROR(FirstError(prep_status));
+    active[u - u0] = histogram_[u] > 0;
+  }
 
   // Active users with a table raise through it; the rest share one
   // Straus chain per coordinate, their odd-power tables built once here.
@@ -803,7 +801,7 @@ Status SiloCore::AccumulateUsers(
         return;
       }
       if (e.value().IsZero()) continue;
-      BigInt scalar = e.value().ModMul(bases[u - u0], n);
+      BigInt scalar = e.value().ModMul(fold_scalars_[u], n);
       if (straus_slot[u - u0] >= 0) {
         any_straus = any_straus || !scalar.IsZero();
         exps[straus_slot[u - u0]] = std::move(scalar);

@@ -291,6 +291,13 @@ class WeightTableCache {
 /// Silo-side phase logic. Owns the silo's private histogram, its DH key
 /// pair, the pairwise mask keys, and the silo-shared seed R; never sees
 /// the Paillier secret key or another silo's counts.
+///
+/// Each user's blind r_u is derived from R once per session, in
+/// BlindHistogram, which also keeps every active user's fold scalar
+/// r_u * n_su * C_LCM mod n for the rounds that follow: weighting step (b)
+/// raises Enc(B_inv(N_u)) to Encode(delta_u) times that scalar, and only
+/// the encoding changes between rounds. SetSharedSeed drops the scalars,
+/// so a silo never folds with blinds of another seed.
 class SiloCore {
  public:
   /// `params` must have public_key (and ot_group in OT mode) populated.
@@ -308,6 +315,8 @@ class SiloCore {
 
   /// Setup (c), silo 0 only: derives the shared random seed R.
   BigInt MakeSharedSeed() const;
+  /// Keys every blind to R and drops the fold scalars cached under an
+  /// earlier seed; BlindHistogram must run again before the next fold.
   void SetSharedSeed(const BigInt& r_seed);
   bool has_shared_seed() const { return seed_set_; }
 
@@ -321,8 +330,11 @@ class SiloCore {
 
   /// Setup (d)-(e): multiplicatively blinds the histogram with r_u and
   /// applies the pairwise additive masks. Refuses (InvalidArgument) a
-  /// negative entry or one above N_max before blinding anything.
-  Result<std::vector<BigInt>> BlindHistogram(ThreadPool& pool) const;
+  /// negative entry or one above N_max before blinding anything. On
+  /// success it also caches each user's fold scalar r_u * n_su * C_LCM
+  /// mod n (zero where n_su = 0), taken from the unmasked r_u * n_su, so
+  /// r_u is derived once per user per session and no round runs a GCD.
+  Result<std::vector<BigInt>> BlindHistogram(ThreadPool& pool);
 
   /// Weighting (a), OT mode, receiver step: the shared-seed slot choice
   /// sigma and the commitment B = C_sigma * g^{-k} per user.
@@ -352,7 +364,10 @@ class SiloCore {
   /// Phase (b) for users [u0, u1): accumulates this silo's encrypted
   /// weighted terms into `cipher` (from NewCipherAccumulator, size =
   /// PackedDim(model_dim); model_dim is the unpacked coordinate count,
-  /// i.e. the noise dimension). `tables`, when non-null, maps user →
+  /// i.e. the noise dimension). Each user's exponent is its delta encoding
+  /// times the fold scalar BlindHistogram cached; before BlindHistogram
+  /// has run under the current shared seed, the fold returns
+  /// FailedPrecondition. `tables`, when non-null, maps user →
   /// fixed-base table for enc_weights[u]; users with a null entry (every
   /// user when `tables` is null) fold through one Straus MultiExp over the
   /// batch, one Product per coordinate. Parallelizes over coordinates on
@@ -370,7 +385,8 @@ class SiloCore {
   /// from the active-user count, the coordinate count and the exponent
   /// bits — never the thread count — and the fold either passes no tables
   /// to AccumulateUsers or builds this silo's tables, folds and drops
-  /// them. Both paths produce the same bits.
+  /// them. Both paths produce the same bits. Like AccumulateUsers, it
+  /// reads the cached fold scalars, so it requires BlindHistogram first.
   Status FoldUsers(int u0, int u1, const std::vector<BigInt>& enc_weights,
                    const std::vector<Vec>& deltas, size_t model_dim,
                    std::vector<BigInt>* cipher, ThreadPool& pool);
@@ -408,10 +424,17 @@ class SiloCore {
   // core exists.
   WeightTableCache table_cache_;
 
+  // Fold scalar r_u * n_su * C_LCM mod n per user, from the last
+  // BlindHistogram under the current shared seed; empty before it.
+  std::vector<BigInt> fold_scalars_;
+
   // Batches AccumulateUsers folded through a Straus chain / per-user
   // tables (a batch mixing both counts in each).
   mutable obs::Counter straus_batches_{"core.fold.straus_batches"};
   mutable obs::Counter table_batches_{"core.fold.table_batches"};
+  // Blinds r_u derived from the shared seed, one per BlindOf call however
+  // many draws it takes.
+  mutable obs::Counter blind_derivations_{"core.blind_derivations"};
 };
 
 }  // namespace uldp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "math/limbs.h"
@@ -16,6 +17,293 @@ using uint128 = unsigned __int128;
 // Karatsuba pays off only for operands well beyond Paillier's 2n-limb sizes;
 // the threshold is in limbs of the smaller operand.
 constexpr size_t kKaratsubaThreshold = 24;
+
+// Knuth TAOCP vol. 2, algorithm 4.3.1 D, on 64-bit limbs: divides the
+// m + n + 1 limbs of `un` by the n >= 2 limbs of `vn`, whose top limb has
+// its high bit set. Writes the m + 1 quotient limbs to `quot` and leaves
+// the remainder in un[0, n), zeroing un[n, m + n + 1).
+void DivideNormalized(uint64_t* un, const uint64_t* vn, size_t n, size_t m,
+                      uint64_t* quot) {
+  for (size_t j = m + 1; j-- > 0;) {
+    // Estimate quotient digit from the top two limbs of the current window.
+    uint128 numerator = (static_cast<uint128>(un[j + n]) << 64) | un[j + n - 1];
+    uint128 qhat = numerator / vn[n - 1];
+    uint128 rhat = numerator % vn[n - 1];
+    while (qhat >> 64 ||
+           qhat * vn[n - 2] > ((rhat << 64) | un[j + n - 2])) {
+      --qhat;
+      rhat += vn[n - 1];
+      if (rhat >> 64) break;
+    }
+    // Multiply-subtract qhat * v from the window u[j .. j+n].
+    uint128 borrow = 0;
+    uint128 carry = 0;
+    for (size_t i = 0; i < n; ++i) {
+      uint128 p = qhat * vn[i] + carry;
+      carry = p >> 64;
+      uint128 sub = static_cast<uint128>(un[i + j]) -
+                    static_cast<uint64_t>(p) - borrow;
+      un[i + j] = static_cast<uint64_t>(sub);
+      borrow = (sub >> 64) ? 1 : 0;
+    }
+    uint128 sub = static_cast<uint128>(un[j + n]) -
+                  static_cast<uint64_t>(carry) - borrow;
+    un[j + n] = static_cast<uint64_t>(sub);
+    bool went_negative = (sub >> 64) != 0;
+
+    if (went_negative) {
+      // qhat was one too large: add v back once.
+      --qhat;
+      uint128 c = 0;
+      for (size_t i = 0; i < n; ++i) {
+        uint128 s = static_cast<uint128>(un[i + j]) + vn[i] + c;
+        un[i + j] = static_cast<uint64_t>(s);
+        c = s >> 64;
+      }
+      un[j + n] = static_cast<uint64_t>(un[j + n] + c);
+    }
+    quot[j] = static_cast<uint64_t>(qhat);
+  }
+}
+
+// Divides the n limbs of `u` by the one-limb `d`: writes the n quotient
+// limbs to `quot` and returns the remainder.
+uint64_t DivideByLimb(const uint64_t* u, size_t n, uint64_t d,
+                      uint64_t* quot) {
+  uint128 rem = 0;
+  for (size_t i = n; i-- > 0;) {
+    const uint128 cur = (rem << 64) | u[i];
+    quot[i] = static_cast<uint64_t>(cur / d);
+    rem = cur % d;
+  }
+  return static_cast<uint64_t>(rem);
+}
+
+// Normalized length of n limbs.
+size_t TrimLen(const uint64_t* a, size_t n) {
+  while (n > 0 && a[n - 1] == 0) --n;
+  return n;
+}
+
+// out[0, n) = a[0, n) << s for 0 <= s < 64; returns the bits shifted out.
+uint64_t ShiftLimbsLeft(uint64_t* out, const uint64_t* a, size_t n, int s) {
+  if (s == 0) {
+    std::copy(a, a + n, out);
+    return 0;
+  }
+  uint64_t carry = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t x = a[i];
+    out[i] = (x << s) | carry;
+    carry = x >> (64 - s);
+  }
+  return carry;
+}
+
+// out[0, n) = a[0, n) >> s for 0 <= s < 64.
+void ShiftLimbsRight(uint64_t* out, const uint64_t* a, size_t n, int s) {
+  if (s == 0) {
+    std::copy(a, a + n, out);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = (a[i] >> s) | (i + 1 < n ? a[i + 1] << (64 - s) : 0);
+  }
+}
+
+// Euclid's algorithm on limbs by Lehmer's method (Knuth TAOCP vol. 2,
+// 4.5.2, algorithm L) under Collins' one-quotient test as Jebelean proves
+// it: the leading 64 bits of the pair run Euclid's steps in one word for
+// as long as every quotient provably equals the full-precision one, then
+// one 2x2 cosequence matrix applies those steps to the full values. When
+// the leading words decide fewer than two quotients, one Knuth D division
+// takes the step. Every buffer is sized once per call, so no step
+// allocates.
+//
+// After i full-precision steps on (|a|, |b|), a_ = r_i > b_ = r_{i+1}
+// (a_ >= b_ at the start). With cofactors on, ua_ and ub_ hold |s_i| and
+// |s_{i+1}|, where r_j = s_j |a| + t_j |b|. The s_j alternate in sign,
+// s_i having the sign of (-1)^i, so each step adds magnitudes and odd_
+// carries every sign.
+class LimbEuclid {
+ public:
+  LimbEuclid(const std::vector<uint64_t>& a, const std::vector<uint64_t>& b,
+             bool cofactors)
+      : cofactors_(cofactors),
+        width_(std::max(a.size(), b.size()) + 2),
+        buf_(8 * width_, 0) {
+    uint64_t* region = buf_.data();
+    for (uint64_t** p : {&a_, &b_, &un_, &vn_, &q_, &ua_, &ub_, &tmp_}) {
+      *p = region;
+      region += width_;
+    }
+    // When |a| < |b| the first step's quotient is 0: it only swaps the
+    // pair, so the run starts at i = 1 with (r_1, r_2) = (|b|, |a|) and
+    // (s_1, s_2) = (0, 1).
+    odd_ = a.size() < b.size() ||
+           (a.size() == b.size() &&
+            limbs::Compare(a.data(), b.data(), a.size()) < 0);
+    const std::vector<uint64_t>& hi = odd_ ? b : a;
+    const std::vector<uint64_t>& lo = odd_ ? a : b;
+    std::copy(hi.begin(), hi.end(), a_);
+    std::copy(lo.begin(), lo.end(), b_);
+    na_ = hi.size();
+    nb_ = lo.size();
+    (odd_ ? ub_ : ua_)[0] = 1;
+    nu_ = 1;
+  }
+
+  void Run() {
+    while (nb_ > 0) {
+      if (nb_ < 2 || !LehmerStep()) DivisionStep();
+    }
+  }
+
+  /// gcd(|a|, |b|): the last nonzero remainder.
+  std::vector<uint64_t> Gcd() const { return {a_, a_ + na_}; }
+  /// |s| and sign of the Bezout coefficient of |a| in gcd = s|a| + t|b|.
+  std::vector<uint64_t> CofactorOfA() const { return {ua_, ua_ + nu_}; }
+  bool cofactor_negative() const { return odd_; }
+
+ private:
+  // Takes every step the leading words decide; false when they decide
+  // fewer than two, so the matrix would be the identity.
+  bool LehmerStep() {
+    const size_t n = na_;
+    const int h = __builtin_clzll(a_[n - 1]);
+    // Bits [64n - 64 - h, 64n - h) of a value; b_ is zero above nb_.
+    auto lead = [&](const uint64_t* x) {
+      return h == 0 ? x[n - 1] : (x[n - 1] << h) | (x[n - 2] >> (64 - h));
+    };
+    uint64_t a1 = lead(a_), a2 = lead(b_);
+    // Word cosequence magnitudes after j word steps: (u0, u1, u2) are
+    // |s| and (v0, v1, v2) are |t| of the remainders j - 1, j and j + 1.
+    // The test validates step j; on exit, steps 1..j-1 hold.
+    uint64_t u0 = 0, u1 = 1, u2 = 0, v0 = 0, v1 = 0, v2 = 1;
+    size_t j = 0;
+    while (a2 >= v2 && a1 - a2 >= v1 + v2) {
+      const uint64_t q = a1 / a2, r = a1 % a2;
+      a1 = a2;
+      a2 = r;
+      const uint64_t u_next = u1 + q * u2, v_next = v1 + q * v2;
+      u0 = u1;
+      u1 = u2;
+      u2 = u_next;
+      v0 = v1;
+      v1 = v2;
+      v2 = v_next;
+      ++j;
+    }
+    if (v0 == 0) return false;
+    // (a, b) <- (r_{j-1}, r_j) of the full values; the signs alternate, so
+    // with j - 1 even, r_{j-1} = u0 a - v0 b and r_j = v1 b - u1 a, and
+    // the other way round with j - 1 odd.
+    const bool back_even = (j - 1) % 2 == 0;
+    uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0, borrow_a = 0, borrow_b = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint128 pa = static_cast<uint128>(u0) * a_[i] + c0;
+      const uint128 pb = static_cast<uint128>(v0) * b_[i] + c1;
+      const uint128 pc = static_cast<uint128>(u1) * a_[i] + c2;
+      const uint128 pd = static_cast<uint128>(v1) * b_[i] + c3;
+      c0 = static_cast<uint64_t>(pa >> 64);
+      c1 = static_cast<uint64_t>(pb >> 64);
+      c2 = static_cast<uint64_t>(pc >> 64);
+      c3 = static_cast<uint64_t>(pd >> 64);
+      const uint64_t la = static_cast<uint64_t>(pa);
+      const uint64_t lb = static_cast<uint64_t>(pb);
+      const uint64_t lc = static_cast<uint64_t>(pc);
+      const uint64_t ld = static_cast<uint64_t>(pd);
+      borrow_a = back_even ? limbs::SubBorrow(la, lb, borrow_a, &a_[i])
+                           : limbs::SubBorrow(lb, la, borrow_a, &a_[i]);
+      borrow_b = back_even ? limbs::SubBorrow(ld, lc, borrow_b, &b_[i])
+                           : limbs::SubBorrow(lc, ld, borrow_b, &b_[i]);
+    }
+    na_ = TrimLen(a_, n);
+    nb_ = TrimLen(b_, n);
+    odd_ ^= !back_even;
+    if (cofactors_) {
+      // (|s_i|, |s_{i+1}|) <- (u0 |s_i| + v0 |s_{i+1}|,
+      // u1 |s_i| + v1 |s_{i+1}|); limb nu_ of both is zero and takes the
+      // carries.
+      uint64_t d0 = 0, d1 = 0, d2 = 0, d3 = 0, carry_a = 0, carry_b = 0;
+      for (size_t i = 0; i <= nu_; ++i) {
+        const uint128 p0 = static_cast<uint128>(u0) * ua_[i] + d0;
+        const uint128 p1 = static_cast<uint128>(v0) * ub_[i] + d1;
+        const uint128 p2 = static_cast<uint128>(u1) * ua_[i] + d2;
+        const uint128 p3 = static_cast<uint128>(v1) * ub_[i] + d3;
+        d0 = static_cast<uint64_t>(p0 >> 64);
+        d1 = static_cast<uint64_t>(p1 >> 64);
+        d2 = static_cast<uint64_t>(p2 >> 64);
+        d3 = static_cast<uint64_t>(p3 >> 64);
+        carry_a = limbs::AddCarry(static_cast<uint64_t>(p0),
+                                  static_cast<uint64_t>(p1), carry_a, &ua_[i]);
+        carry_b = limbs::AddCarry(static_cast<uint64_t>(p2),
+                                  static_cast<uint64_t>(p3), carry_b, &ub_[i]);
+      }
+      nu_ = std::max(TrimLen(ua_, nu_ + 1), TrimLen(ub_, nu_ + 1));
+    }
+    return true;
+  }
+
+  // One full-precision step: (a, b) <- (b, a mod b) and, with cofactors,
+  // (|s_i|, |s_{i+1}|) <- (|s_{i+1}|, |s_i| + q |s_{i+1}|).
+  void DivisionStep() {
+    const size_t n = nb_;
+    size_t nq = 0;
+    if (n == 1) {
+      const uint64_t rem = DivideByLimb(a_, na_, b_[0], q_);
+      std::fill(a_, a_ + na_, 0);
+      a_[0] = rem;
+      nq = na_;
+    } else {
+      const int shift = __builtin_clzll(b_[n - 1]);
+      ShiftLimbsLeft(vn_, b_, n, shift);
+      un_[na_] = ShiftLimbsLeft(un_, a_, na_, shift);
+      DivideNormalized(un_, vn_, n, na_ - n, q_);
+      ShiftLimbsRight(a_, un_, n, shift);
+      std::fill(a_ + n, a_ + na_, 0);
+      nq = na_ - n + 1;
+    }
+    std::swap(a_, b_);
+    na_ = n;
+    nb_ = TrimLen(b_, n);
+    odd_ = !odd_;
+    if (!cofactors_) return;
+    // |s_i| + q |s_{i+1}| is the next cofactor, below max(|a|, |b|), so
+    // every partial sum stays inside the region.
+    nq = TrimLen(q_, nq);
+    const size_t nub = TrimLen(ub_, nu_);
+    std::copy(ua_, ua_ + width_, tmp_);
+    for (size_t j = 0; j < nq; ++j) {
+      uint64_t carry = 0;
+      for (size_t i = 0; i < nub; ++i) {
+        const uint128 t =
+            static_cast<uint128>(q_[j]) * ub_[i] + tmp_[i + j] + carry;
+        tmp_[i + j] = static_cast<uint64_t>(t);
+        carry = static_cast<uint64_t>(t >> 64);
+      }
+      for (size_t i = nub + j; carry != 0; ++i) {
+        carry = limbs::AddCarry(tmp_[i], carry, 0, &tmp_[i]);
+      }
+    }
+    uint64_t* old_ua = ua_;
+    ua_ = ub_;
+    ub_ = tmp_;
+    tmp_ = old_ua;
+    nu_ = std::max(nu_, TrimLen(ub_, width_));
+  }
+
+  bool cofactors_;
+  size_t width_;  // limbs per region: the longer input plus two
+  std::vector<uint64_t> buf_;
+  // a_, b_: the remainder pair; un_, vn_, q_: a division step's
+  // normalized dividend, divisor and quotient; ua_, ub_, tmp_: cofactor
+  // magnitudes. Each is zero above its length.
+  uint64_t *a_ = nullptr, *b_ = nullptr, *un_ = nullptr, *vn_ = nullptr,
+           *q_ = nullptr, *ua_ = nullptr, *ub_ = nullptr, *tmp_ = nullptr;
+  size_t na_ = 0, nb_ = 0, nu_ = 0;
+  bool odd_ = false;
+};
 
 }  // namespace
 
@@ -386,16 +674,11 @@ void BigInt::DivModMagnitude(const BigInt& u_in, const BigInt& v_in, BigInt* q,
   }
   if (v_in.limbs_.size() == 1) {
     // Short division.
-    uint64_t divisor = v_in.limbs_[0];
     std::vector<uint64_t> quot(u_in.limbs_.size(), 0);
-    uint128 rem = 0;
-    for (size_t i = u_in.limbs_.size(); i-- > 0;) {
-      uint128 cur = (rem << 64) | u_in.limbs_[i];
-      quot[i] = static_cast<uint64_t>(cur / divisor);
-      rem = cur % divisor;
-    }
+    const uint64_t rem = DivideByLimb(u_in.limbs_.data(), u_in.limbs_.size(),
+                                      v_in.limbs_[0], quot.data());
     *q = FromLimbs(std::move(quot));
-    *r = BigInt(static_cast<uint64_t>(rem));
+    *r = BigInt(rem);
     return;
   }
 
@@ -410,47 +693,7 @@ void BigInt::DivModMagnitude(const BigInt& u_in, const BigInt& v_in, BigInt* q,
   const std::vector<uint64_t>& vn = v.limbs_;
   std::vector<uint64_t> quot(m + 1, 0);
 
-  for (size_t j = m + 1; j-- > 0;) {
-    // Estimate quotient digit from the top two limbs of the current window.
-    uint128 numerator = (static_cast<uint128>(un[j + n]) << 64) | un[j + n - 1];
-    uint128 qhat = numerator / vn[n - 1];
-    uint128 rhat = numerator % vn[n - 1];
-    while (qhat >> 64 ||
-           qhat * vn[n - 2] > ((rhat << 64) | un[j + n - 2])) {
-      --qhat;
-      rhat += vn[n - 1];
-      if (rhat >> 64) break;
-    }
-    // Multiply-subtract qhat * v from the window u[j .. j+n].
-    uint128 borrow = 0;
-    uint128 carry = 0;
-    for (size_t i = 0; i < n; ++i) {
-      uint128 p = qhat * vn[i] + carry;
-      carry = p >> 64;
-      uint128 sub = static_cast<uint128>(un[i + j]) -
-                    static_cast<uint64_t>(p) - borrow;
-      un[i + j] = static_cast<uint64_t>(sub);
-      borrow = (sub >> 64) ? 1 : 0;
-    }
-    uint128 sub = static_cast<uint128>(un[j + n]) -
-                  static_cast<uint64_t>(carry) - borrow;
-    un[j + n] = static_cast<uint64_t>(sub);
-    bool went_negative = (sub >> 64) != 0;
-
-    if (went_negative) {
-      // qhat was one too large: add v back once.
-      --qhat;
-      uint128 c = 0;
-      for (size_t i = 0; i < n; ++i) {
-        uint128 s = static_cast<uint128>(un[i + j]) + vn[i] + c;
-        un[i + j] = static_cast<uint64_t>(s);
-        c = s >> 64;
-      }
-      un[j + n] = static_cast<uint64_t>(un[j + n] + c);
-    }
-    quot[j] = static_cast<uint64_t>(qhat);
-  }
-
+  DivideNormalized(un.data(), vn.data(), n, m, quot.data());
   *q = FromLimbs(std::move(quot));
   un.resize(n);
   *r = FromLimbs(std::move(un)) >> shift;
@@ -527,30 +770,19 @@ BigInt BigInt::ModExp(const BigInt& exponent, const BigInt& m) const {
 
 void BigInt::EGcd(const BigInt& a, const BigInt& b, BigInt* g, BigInt* x,
                   BigInt* y) {
-  // Iterative extended Euclid on signed values.
-  BigInt old_r = a, r = b;
-  BigInt old_s(1), s(0);
-  BigInt old_t(0), t(1);
-  while (!r.IsZero()) {
-    BigInt q = old_r / r;
-    BigInt tmp = old_r - q * r;
-    old_r = r;
-    r = tmp;
-    tmp = old_s - q * s;
-    old_s = s;
-    s = tmp;
-    tmp = old_t - q * t;
-    old_t = t;
-    t = tmp;
+  LimbEuclid euclid(a.limbs_, b.limbs_,
+                    /*cofactors=*/x != nullptr || y != nullptr);
+  euclid.Run();
+  BigInt gcd = FromLimbs(euclid.Gcd());
+  if (x != nullptr || y != nullptr) {
+    // gcd = s|a| + t|b|, so x = s * sign(a), and y = (gcd - a x) / b
+    // divides exactly.
+    BigInt xa = FromLimbs(euclid.CofactorOfA(),
+                          euclid.cofactor_negative() != a.negative_);
+    if (y != nullptr) *y = b.IsZero() ? BigInt() : (gcd - a * xa) / b;
+    if (x != nullptr) *x = std::move(xa);
   }
-  if (old_r.IsNegative()) {
-    old_r = -old_r;
-    old_s = -old_s;
-    old_t = -old_t;
-  }
-  if (g != nullptr) *g = std::move(old_r);
-  if (x != nullptr) *x = std::move(old_s);
-  if (y != nullptr) *y = std::move(old_t);
+  if (g != nullptr) *g = std::move(gcd);
 }
 
 Result<BigInt> BigInt::ModInverse(const BigInt& m) const {
@@ -566,13 +798,9 @@ Result<BigInt> BigInt::ModInverse(const BigInt& m) const {
 }
 
 BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
-  BigInt x = a.Abs(), y = b.Abs();
-  while (!y.IsZero()) {
-    BigInt r = x % y;
-    x = y;
-    y = r;
-  }
-  return x;
+  LimbEuclid euclid(a.limbs_, b.limbs_, /*cofactors=*/false);
+  euclid.Run();
+  return FromLimbs(euclid.Gcd());
 }
 
 BigInt BigInt::Lcm(const BigInt& a, const BigInt& b) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "math/bigint.h"
 
@@ -191,6 +193,111 @@ TEST(BigIntTest, ModInverse) {
   // Non-invertible.
   EXPECT_FALSE(BigInt(6).ModInverse(BigInt(9)).ok());
   EXPECT_FALSE(BigInt(5).ModInverse(BigInt(0)).ok());
+}
+
+// Textbook extended Euclid, one BigInt division per step: the reference
+// the limb-level Gcd and EGcd are checked against. Returns gcd(a, b) and
+// the coefficient of a.
+void EuclidReference(const BigInt& a, const BigInt& b, BigInt* g,
+                     BigInt* x) {
+  BigInt old_r = a.Abs(), r = b.Abs(), old_s(1), s(0);
+  while (!r.IsZero()) {
+    const BigInt q = old_r / r;
+    BigInt next = old_r - q * r;
+    old_r = std::move(r);
+    r = std::move(next);
+    next = old_s - q * s;
+    old_s = std::move(s);
+    s = std::move(next);
+  }
+  *g = std::move(old_r);
+  *x = a.IsNegative() ? -old_s : old_s;
+}
+
+// Random operand of 0 to 3072 bits, sometimes negative, sometimes even.
+BigInt RandomOperand(Rng& rng) {
+  if (rng.UniformInt(16) == 0) return BigInt(0);
+  const int bits = 1 + static_cast<int>(rng.UniformInt(3072));
+  BigInt v = BigInt::RandomBits(bits, rng);
+  if (rng.UniformInt(4) == 0) v = v << static_cast<int>(rng.UniformInt(70));
+  return rng.UniformInt(3) == 0 ? -v : v;
+}
+
+TEST(BigIntTest, GcdAndEGcdMatchEuclidReference) {
+  Rng rng(33);
+  for (int i = 0; i < 300; ++i) {
+    BigInt a = RandomOperand(rng);
+    BigInt b = RandomOperand(rng);
+    if (i % 3 == 0) {
+      // Non-coprime: a shared factor of up to 1024 bits.
+      const BigInt c = BigInt::RandomBits(
+          1 + static_cast<int>(rng.UniformInt(1024)), rng);
+      a = a * c;
+      b = b * c;
+    }
+    BigInt want_g, want_x;
+    EuclidReference(a, b, &want_g, &want_x);
+    EXPECT_EQ(BigInt::Gcd(a, b), want_g) << a.ToHex() << " " << b.ToHex();
+    BigInt g, x, y;
+    BigInt::EGcd(a, b, &g, &x, &y);
+    EXPECT_EQ(g, want_g) << a.ToHex() << " " << b.ToHex();
+    EXPECT_EQ(a * x + b * y, g) << a.ToHex() << " " << b.ToHex();
+    BigInt g_only, x_only;
+    BigInt::EGcd(a, b, &g_only, &x_only, nullptr);
+    EXPECT_EQ(g_only, want_g);
+    EXPECT_EQ(x_only, x);
+  }
+  // Edge pairs: zeros, equal values, one, a limb boundary, signs, and a
+  // remainder sequence whose quotients run 2, 1, then 300 bits, so a
+  // multi-limb quotient meets nonzero cofactors mid-run.
+  const BigInt limb = BigInt(1) << 64;
+  const BigInt r3 = BigInt::RandomBits(100, rng);
+  const BigInt r2 = r3 * BigInt::RandomBits(300, rng) + BigInt(12345);
+  const BigInt r1 = r2 + r3;
+  const std::vector<std::pair<BigInt, BigInt>> edges = {
+      {BigInt(0), BigInt(0)},   {BigInt(0), BigInt(-7)},
+      {BigInt(-7), BigInt(0)},  {BigInt(12), BigInt(12)},
+      {BigInt(1), limb},        {limb, limb - BigInt(1)},
+      {-limb, BigInt(6)},       {limb * limb, limb},
+      {BigInt(-12), BigInt(-18)}, {BigInt(2) * r1 + r2, r1}};
+  for (const auto& [a, b] : edges) {
+    BigInt want_g, want_x, g, x, y;
+    EuclidReference(a, b, &want_g, &want_x);
+    EXPECT_EQ(BigInt::Gcd(a, b), want_g) << a.ToHex() << " " << b.ToHex();
+    BigInt::EGcd(a, b, &g, &x, &y);
+    EXPECT_EQ(g, want_g) << a.ToHex() << " " << b.ToHex();
+    EXPECT_EQ(a * x + b * y, g) << a.ToHex() << " " << b.ToHex();
+  }
+}
+
+TEST(BigIntTest, ModInverseMatchesEuclidReference) {
+  Rng rng(34);
+  for (int i = 0; i < 300; ++i) {
+    const BigInt a = RandomOperand(rng);
+    const BigInt m = RandomOperand(rng).Abs();
+    auto inv = a.ModInverse(m);
+    if (m.IsZero()) {
+      EXPECT_FALSE(inv.ok());
+      continue;
+    }
+    BigInt g, x;
+    EuclidReference(a.Mod(m), m, &g, &x);
+    if (g != BigInt(1)) {
+      EXPECT_FALSE(inv.ok()) << a.ToHex() << " mod " << m.ToHex();
+      continue;
+    }
+    ASSERT_TRUE(inv.ok()) << a.ToHex() << " mod " << m.ToHex();
+    EXPECT_EQ(inv.value(), x.Mod(m));
+    EXPECT_EQ(a.ModMul(inv.value(), m), BigInt(1).Mod(m));
+  }
+  // The failures: no positive modulus, or a shared factor.
+  const BigInt p = BigInt::RandomBits(1024, rng);
+  EXPECT_FALSE(BigInt(3).ModInverse(BigInt(0)).ok());
+  EXPECT_FALSE(BigInt(3).ModInverse(-p).ok());
+  EXPECT_FALSE(BigInt(0).ModInverse(p).ok());
+  EXPECT_FALSE((p * BigInt(3)).ModInverse(p * BigInt(5)).ok());
+  EXPECT_FALSE(BigInt(6).ModInverse(BigInt(1) << 2048).ok());
+  EXPECT_EQ(BigInt(5).ModInverse(BigInt(1)).value(), BigInt(0));
 }
 
 TEST(BigIntTest, GcdLcm) {

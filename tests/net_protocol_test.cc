@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -57,10 +58,12 @@ std::vector<Vec> RunInProcess(const ProtocolConfig& config) {
 
 /// Distributed run: a ProtocolServer plus kSilos clients, each client on
 /// its own thread, over the given already-connected transports.
+/// `after_step`, when set, runs once setup completes and after each round.
 std::vector<Vec> RunDistributed(
     const ProtocolConfig& config,
     std::vector<std::unique_ptr<Transport>> server_ends,
-    std::vector<std::unique_ptr<Transport>> silo_ends) {
+    std::vector<std::unique_ptr<Transport>> silo_ends, int rounds = kRounds,
+    const std::function<void()>& after_step = {}) {
   std::vector<std::thread> silo_threads;
   std::vector<Status> silo_status(kSilos, Status::Ok());
   for (int s = 0; s < kSilos; ++s) {
@@ -75,12 +78,14 @@ std::vector<Vec> RunDistributed(
     EXPECT_TRUE(server.AddConnection(std::move(end)).ok());
   }
   EXPECT_TRUE(server.RunSetup().ok());
+  if (after_step) after_step();
   std::vector<Vec> outs;
   std::vector<bool> mask(kUsers, true);
-  for (int r = 0; r < kRounds; ++r) {
+  for (int r = 0; r < rounds; ++r) {
     auto out = server.RunRound(r, mask);
     EXPECT_TRUE(out.ok()) << out.status().ToString();
     outs.push_back(out.value());
+    if (after_step) after_step();
   }
   EXPECT_TRUE(server.Shutdown().ok());
   for (auto& t : silo_threads) t.join();
@@ -107,15 +112,17 @@ std::vector<Vec> RunDistributed(
   return outs;
 }
 
-std::vector<Vec> RunOverChannels(const ProtocolConfig& config) {
+std::vector<Vec> RunOverChannels(const ProtocolConfig& config,
+                                 int rounds = kRounds,
+                                 const std::function<void()>& after_step = {}) {
   std::vector<std::unique_ptr<Transport>> server_ends, silo_ends;
   for (int s = 0; s < kSilos; ++s) {
     auto [a, b] = ChannelTransport::CreatePair();
     server_ends.push_back(std::move(a));
     silo_ends.push_back(std::move(b));
   }
-  return RunDistributed(config, std::move(server_ends),
-                        std::move(silo_ends));
+  return RunDistributed(config, std::move(server_ends), std::move(silo_ends),
+                        rounds, after_step);
 }
 
 std::vector<Vec> RunOverTcp(const ProtocolConfig& config) {
@@ -169,6 +176,29 @@ TEST(NetProtocolTest, ChannelRoundsRunThroughTheEpollMux) {
   // At least the DH key, the histogram and one cipher per silo per round.
   EXPECT_GE(CounterValue("net.mux.frames") - frames,
             static_cast<uint64_t>(kSilos * (2 + kRounds)));
+}
+
+// Each silo derives every blind r_u once per session, in BlindHistogram:
+// the process-wide core.blind_derivations grows by silos x users over
+// setup and then holds through every round, plain, streamed or with OT
+// weights. A silo that re-derived r_u in its fold would add its active
+// users each round.
+TEST(NetProtocolTest, SilosDeriveEachBlindOncePerSession) {
+  ProtocolConfig streamed = TestConfig();
+  streamed.stream_chunk_users = 2;
+  const int rounds = 3;
+  for (const ProtocolConfig& config :
+       {TestConfig(), streamed, OtTestConfig()}) {
+    const uint64_t before = CounterValue("core.blind_derivations");
+    std::vector<uint64_t> derived;
+    const std::vector<Vec> outs = RunOverChannels(config, rounds, [&] {
+      derived.push_back(CounterValue("core.blind_derivations") - before);
+    });
+    EXPECT_EQ(outs.size(), static_cast<size_t>(rounds));
+    EXPECT_EQ(derived, std::vector<uint64_t>(rounds + 1, kSilos * kUsers))
+        << "stream_chunk_users " << config.stream_chunk_users
+        << ", ot_slots " << config.ot_slots;
+  }
 }
 
 TEST(NetProtocolTest, OtModeOverChannelsBitwiseMatchesInProcess) {

@@ -438,9 +438,11 @@ TEST(ProtocolChunkTest, ChunkSizeNeverChangesABit) {
 
 // --- The silo batch fold ----------------------------------------------------
 
-// One silo core over a fresh 512-bit key and a test-chosen shared seed,
-// plus one batch of inputs. User 1 holds no records here (histogram 0) and
-// user 3 sent no delta, so both are inactive; every other user is active.
+// Silo 0 of two over a fresh 512-bit key and a test-chosen shared seed,
+// set up as a real run sets it up (pair keys from the DH directory, then
+// BlindHistogram), plus one batch of inputs. User 1 holds no records here
+// (histogram 0) and user 3 sent no delta, so both are inactive; every
+// other user is active.
 struct FoldBatch {
   ProtocolParams params;
   std::unique_ptr<SiloCore> silo;
@@ -476,8 +478,15 @@ FoldBatch MakeFoldBatch(int users, int dim, uint64_t seed) {
     if (b.histogram[u] > 0) ++b.active;
   }
   b.silo = std::make_unique<SiloCore>(b.params, 0, b.histogram);
+  const SiloCore peer(b.params, 1, std::vector<int>(users, 0));
+  EXPECT_TRUE(b.silo
+                  ->ComputePairKeys({b.silo->dh_key().public_key,
+                                     peer.dh_key().public_key})
+                  .ok());
   b.shared_seed = BigInt::RandomBits(256, rng);
   b.silo->SetSharedSeed(b.shared_seed);
+  ThreadPool pool(2);
+  EXPECT_TRUE(b.silo->BlindHistogram(pool).ok());
   return b;
 }
 
@@ -602,6 +611,58 @@ TEST(SiloFoldTest, AccumulateUsersFoldsNullTableEntriesThroughStraus) {
                                       b.deltas, dim, &straus, pool)
                   .ok());
   EXPECT_EQ(straus, want);
+}
+
+// A fold reads the scalars BlindHistogram cached. A core that has not
+// blinded its histogram has none, and it refuses to fold.
+TEST(SiloFoldTest, FoldBeforeBlindHistogramFailsPrecondition) {
+  const int users = 4, dim = 2;
+  FoldBatch b = MakeFoldBatch(users, dim, 4300);
+  SiloCore fresh(b.params, 0, b.histogram);
+  fresh.SetSharedSeed(b.shared_seed);
+  ThreadPool pool(2);
+  std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(dim);
+  const Status fold =
+      fresh.FoldUsers(0, users, b.enc_weights, b.deltas, dim, &cipher, pool);
+  EXPECT_EQ(fold.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(fold.message().find("BlindHistogram"), std::string::npos)
+      << fold.message();
+  EXPECT_EQ(fresh
+                .AccumulateUsers(0, users, b.enc_weights, nullptr, b.deltas,
+                                 dim, &cipher, pool)
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(cipher, SiloCore::NewCipherAccumulator(dim));
+}
+
+// Re-keying a silo drops the scalars cached under the old seed: a fold
+// after SetSharedSeed fails until BlindHistogram runs again, instead of
+// folding with the old seed's blinds, and then folds with the new ones.
+TEST(SiloFoldTest, FoldAfterReKeyingFailsUntilBlindHistogramRunsAgain) {
+  const int users = 4, dim = 2;
+  FoldBatch b = MakeFoldBatch(users, dim, 4400);
+  ThreadPool pool(2);
+  std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(dim);
+  ASSERT_TRUE(b.silo->FoldUsers(0, users, b.enc_weights, b.deltas, dim,
+                                &cipher, pool)
+                  .ok());
+  EXPECT_EQ(cipher, MulPlaintextReference(b, dim));
+
+  b.shared_seed = b.shared_seed + BigInt(1);
+  b.silo->SetSharedSeed(b.shared_seed);
+  cipher = SiloCore::NewCipherAccumulator(dim);
+  EXPECT_EQ(b.silo
+                ->FoldUsers(0, users, b.enc_weights, b.deltas, dim, &cipher,
+                            pool)
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(cipher, SiloCore::NewCipherAccumulator(dim));
+
+  ASSERT_TRUE(b.silo->BlindHistogram(pool).ok());
+  ASSERT_TRUE(b.silo->FoldUsers(0, users, b.enc_weights, b.deltas, dim,
+                                &cipher, pool)
+                  .ok());
+  EXPECT_EQ(cipher, MulPlaintextReference(b, dim));
 }
 
 // Packing-feasible configuration: at 512-bit keys the slot width is driven

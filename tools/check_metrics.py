@@ -17,8 +17,13 @@ timestamp) plus caller-specified presence floors:
 
 A requirement is NAME or NAME:MIN (MIN defaults to 1): the named
 counter/gauge must exist with value >= MIN, the named histogram must
-have count >= MIN, the named span must appear >= MIN times. Exits
-nonzero listing every violation.
+have count >= MIN, the named span must appear >= MIN times. NAME=VALUE
+asks for exactly VALUE instead, which pins a work count:
+
+  check_metrics.py --metrics silo0.json \
+      --require-metric core.blind_derivations=6
+
+Exits nonzero listing every violation.
 """
 
 import argparse
@@ -34,6 +39,30 @@ def parse_requirement(spec):
     if sep and floor.lstrip("-").isdigit():
         return name, int(floor)
     return spec, 1
+
+
+def parse_exact(spec):
+    """NAME=VALUE -> (name, value); None for a NAME or NAME:MIN spec."""
+    name, sep, value = spec.rpartition("=")
+    if sep and name and value.lstrip("-").isdigit():
+        return name, int(value)
+    return None
+
+
+def requirement(spec):
+    """Any spec -> (name, wanted value, exact?)."""
+    exact = parse_exact(spec)
+    if exact is not None:
+        return exact[0], exact[1], True
+    name, floor = parse_requirement(spec)
+    return name, floor, False
+
+
+def unmet(have, want, exact):
+    """None when `have` meets the requirement, else what was wanted."""
+    if exact:
+        return None if have == want else "want exactly %d" % want
+    return None if have >= want else "want >= %d" % want
 
 
 def load_json(path, errors):
@@ -161,14 +190,17 @@ def main(argv=None):
     parser.add_argument("--trace", action="append", default=[],
                         help="Chrome trace JSON file (repeatable)")
     parser.add_argument("--require-metric", action="append", default=[],
-                        metavar="NAME[:MIN]",
-                        help="counter/gauge present with value >= MIN")
+                        metavar="NAME[:MIN]|NAME=VALUE",
+                        help="counter/gauge present with value >= MIN, "
+                             "or exactly VALUE")
     parser.add_argument("--require-hist", action="append", default=[],
-                        metavar="NAME[:MIN]",
-                        help="histogram present with count >= MIN")
+                        metavar="NAME[:MIN]|NAME=VALUE",
+                        help="histogram present with count >= MIN, or "
+                             "exactly VALUE")
     parser.add_argument("--require-span", action="append", default=[],
-                        metavar="NAME[:MIN]",
-                        help="trace span present >= MIN times")
+                        metavar="NAME[:MIN]|NAME=VALUE",
+                        help="trace span present >= MIN times, or exactly "
+                             "VALUE times")
     args = parser.parse_args(argv)
 
     if not args.metrics and not args.trace:
@@ -201,28 +233,31 @@ def main(argv=None):
             spans[name] = spans.get(name, 0) + n
 
     for spec in args.require_metric:
-        name, floor = parse_requirement(spec)
+        name, want, exact = requirement(spec)
         if name not in values:
             errors.append("required metric %s not found" % name)
-        elif values[name] < floor:
-            errors.append(
-                "metric %s = %d, want >= %d" % (name, values[name], floor)
-            )
+            continue
+        miss = unmet(values[name], want, exact)
+        if miss:
+            errors.append("metric %s = %d, %s" % (name, values[name], miss))
     for spec in args.require_hist:
-        name, floor = parse_requirement(spec)
+        name, want, exact = requirement(spec)
         if name not in hists:
             errors.append("required histogram %s not found" % name)
-        elif hists[name]["count"] < floor:
+            continue
+        miss = unmet(hists[name]["count"], want, exact)
+        if miss:
             errors.append(
-                "histogram %s count = %d, want >= %d"
-                % (name, hists[name]["count"], floor)
+                "histogram %s count = %d, %s"
+                % (name, hists[name]["count"], miss)
             )
     for spec in args.require_span:
-        name, floor = parse_requirement(spec)
-        if spans.get(name, 0) < floor:
+        name, want, exact = requirement(spec)
+        miss = unmet(spans.get(name, 0), want, exact)
+        if miss:
             errors.append(
-                "trace span %s seen %d times, want >= %d"
-                % (name, spans.get(name, 0), floor)
+                "trace span %s seen %d times, %s"
+                % (name, spans.get(name, 0), miss)
             )
 
     if errors:

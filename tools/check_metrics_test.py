@@ -128,6 +128,43 @@ class CheckMetricsTest(unittest.TestCase):
             0,
         )
 
+    def test_exact_requirement_pins_the_value(self):
+        # NAME=VALUE passes only at exactly VALUE: a count that grows past
+        # it fails as surely as one that falls short.
+        m = self.write("m.json", good_metrics())
+        t = self.write("t.json", good_trace())
+        self.assertEqual(
+            check_metrics.main(
+                ["--metrics", m, "--trace", t,
+                 "--require-metric", "net.mux.frames=7",
+                 "--require-hist", "net.mux.dispatch_ns=3",
+                 "--require-span", "proto.round=1"]
+            ),
+            0,
+        )
+        for spec in ("net.mux.frames=6", "net.mux.frames=8"):
+            self.assertEqual(
+                check_metrics.main(["--metrics", m, "--require-metric", spec]),
+                1,
+                spec,
+            )
+        self.assertEqual(
+            check_metrics.main(
+                ["--metrics", m, "--require-hist", "net.mux.dispatch_ns=2"]
+            ),
+            1,
+        )
+        self.assertEqual(
+            check_metrics.main(["--trace", t, "--require-span", "proto.round=2"]),
+            1,
+        )
+        self.assertEqual(
+            check_metrics.main(
+                ["--metrics", m, "--require-metric", "net.server.nope=0"]
+            ),
+            1,
+        )
+
     def test_missing_required_span_fails(self):
         # The acceptance case: the trace never recorded the aggregate phase.
         t = self.write("t.json", good_trace())
@@ -175,6 +212,12 @@ class CheckMetricsTest(unittest.TestCase):
             check_metrics.parse_requirement("net.mux.frames:5"),
             ("net.mux.frames", 5),
         )
+        self.assertEqual(
+            check_metrics.parse_exact("core.blind_derivations=6"),
+            ("core.blind_derivations", 6),
+        )
+        self.assertIsNone(check_metrics.parse_exact("net.mux.frames:5"))
+        self.assertIsNone(check_metrics.parse_exact("net.mux.frames"))
 
 
 if __name__ == "__main__":

@@ -493,12 +493,16 @@ print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
   # coordinates per round) down the Straus path. The silo draws ChaCha20
   # keystream (masks, blinds, OT slot choice), so it also names the
   # keystream kernel; the runner's CPU decides which count is nonzero. The
-  # server may draw none, so only the silo is required to have them.
+  # server may draw none, so only the silo is required to have them. The
+  # silo derives each of its 6 users' blinds once, in setup, and its 2
+  # rounds fold with the cached scalars, so the count is exactly 6; a fold
+  # that re-derived blinds would add its active users every round.
   python3 tools/check_metrics.py \
       --metrics "$BUILD_DIR/obs_smoke_silo0_metrics.json" \
       --trace "$BUILD_DIR/obs_smoke_silo0_trace.json" \
       --require-metric net.stream.silo-cipher.chunks_sent:2 \
       --require-metric core.fold.straus_batches \
+      --require-metric core.blind_derivations=6 \
       --require-metric net.stream.silo-cipher.chunk_bytes \
       --require-metric math.mont.portable_contexts:0 \
       --require-metric math.mont.adx_contexts:0 \
