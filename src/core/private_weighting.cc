@@ -25,8 +25,7 @@ PrivateWeightingProtocol::PrivateWeightingProtocol(ProtocolConfig config,
       num_silos_(num_silos),
       num_users_(num_users),
       pool_(config.num_threads),
-      server_(std::make_unique<ServerCore>(config, num_silos, num_users)),
-      silo_views_(num_silos) {
+      server_(std::make_unique<ServerCore>(config, num_silos, num_users)) {
   ULDP_CHECK_GE(num_silos_, 2);
   ULDP_CHECK_GE(num_users_, 1);
   ULDP_CHECK_GE(config_.n_max, 1);
@@ -103,7 +102,6 @@ Status PrivateWeightingProtocol::Setup(
   }
   ULDP_RETURN_IF_ERROR(server_->FinalizeSetup());
   timings_.histogram_s += SecondsSince(t0);
-  setup_done_ = true;
   return Status::Ok();
 }
 
@@ -111,7 +109,9 @@ Result<Vec> PrivateWeightingProtocol::WeightingRound(
     uint64_t round, const std::vector<std::vector<Vec>>& clipped_deltas,
     const std::vector<Vec>& silo_noise,
     const std::vector<bool>& user_sampled) {
-  if (!setup_done_) {
+  // A Setup that failed after building the silo cores leaves the server
+  // core unfinalized, so its first call below refuses the round.
+  if (silos_.empty()) {
     return Status::FailedPrecondition("Setup() has not completed");
   }
   if (static_cast<int>(clipped_deltas.size()) != num_silos_ ||
@@ -154,16 +154,6 @@ Result<Vec> PrivateWeightingProtocol::WeightingRound(
                                                 slots.value(), *pool_);
     if (!fetched.ok()) return fetched.status();
     enc_weights = std::move(fetched.value());
-    // Ground truth of the hidden sampling outcome: only the simulation —
-    // holding both the sender's shuffles and the receiver's choices — can
-    // reconstruct it.
-    const int real_slots = OtRealSlots(config_);
-    const auto& perms = server_->ot_perms();
-    const auto& sigmas = silos_[0]->ot_sigmas();
-    last_ot_mask_.assign(num_users_, false);
-    for (int u = 0; u < num_users_; ++u) {
-      last_ot_mask_[u] = perms[u][sigmas[u]] < real_slots;
-    }
     timings_.encrypt_weights_s += SecondsSince(t0);
   }
 
@@ -206,13 +196,6 @@ Result<Vec> PrivateWeightingProtocol::WeightingRound(
       for (int u = u0; u < u1; ++u) enc_weights[u] = BigInt();
     }
     timings_.silo_weighting_s += SecondsSince(t0);
-  }
-
-  // Broadcast view: every silo received the same ciphertext vector. A
-  // streamed round only ever holds one chunk, so its view stays empty.
-  for (int s = 0; s < num_silos_; ++s) {
-    silo_views_[s].encrypted_weights =
-        streaming && !ot ? std::vector<BigInt>() : enc_weights;
   }
 
   auto t0 = Clock::now();

@@ -25,9 +25,10 @@
 //
 // The phase logic itself lives in core/protocol_party.h (ServerCore +
 // SiloCore): this class is the *in-process orchestrator* that wires one
-// server core to N silo cores with direct calls, records the per-party
-// views (so the privacy properties — Theorem 5 — can be asserted in tests)
-// and per-phase wall-times (Figure 10/11). The distributed driver
+// server core to N silo cores with direct calls and records per-phase
+// wall-times (Figure 10/11). It keeps no copy of what a party receives;
+// tests assert the privacy properties (Theorem 5) on the frames a
+// distributed cohort's parties receive. The distributed driver
 // (net/protocol_node.h) runs the same cores over a Transport; because
 // every core value is derived from Rng::Fork substreams of the seed, a
 // distributed round is bitwise identical to an in-process round.
@@ -55,12 +56,6 @@ struct ProtocolTimings {
   double decryption_s = 0.0;       // server decrypt + decode
 };
 
-/// What silo s observed.
-struct SiloProtocolView {
-  /// Encrypted weights received each round (ciphertexts only).
-  std::vector<BigInt> encrypted_weights;  // [user], last round
-};
-
 class PrivateWeightingProtocol {
  public:
   PrivateWeightingProtocol(ProtocolConfig config, int num_silos,
@@ -84,23 +79,11 @@ class PrivateWeightingProtocol {
       const std::vector<Vec>& silo_noise,
       const std::vector<bool>& user_sampled);
 
-  /// Ground-truth sampling outcome of the last OT-mode round. In a real
-  /// deployment *nobody* learns this (that is the point of the extension);
-  /// the simulation records it so tests can verify the aggregation honored
-  /// the hidden mask.
-  const std::vector<bool>& last_ot_mask() const { return last_ot_mask_; }
-
   /// The configuration the protocol runs; a trainer reads its OT
   /// sub-sampling rate from here.
   const ProtocolConfig& config() const { return config_; }
   const ProtocolTimings& timings() const { return timings_; }
-  const ServerProtocolView& server_view() const { return server_->view(); }
-  const SiloProtocolView& silo_view(int s) const { return silo_views_[s]; }
-  const PaillierPublicKey& public_key() const {
-    return server_->params().public_key;
-  }
   const BigInt& c_lcm() const { return server_->params().c_lcm; }
-  bool setup_done() const { return setup_done_; }
 
  private:
   ProtocolConfig config_;
@@ -109,12 +92,9 @@ class PrivateWeightingProtocol {
   PoolHandle pool_;
 
   std::unique_ptr<ServerCore> server_;
-  std::vector<std::unique_ptr<SiloCore>> silos_;
+  std::vector<std::unique_ptr<SiloCore>> silos_;  // empty before Setup
 
-  bool setup_done_ = false;
   ProtocolTimings timings_;
-  std::vector<SiloProtocolView> silo_views_;
-  std::vector<bool> last_ot_mask_;
 };
 
 }  // namespace uldp

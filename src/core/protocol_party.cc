@@ -98,6 +98,8 @@ Status ProtocolParams::Derive() {
     }
     ot_group.EnsureGeneratorTable();
   }
+  aggregate_bound = (BigInt(1) << 63) * c_lcm *
+                    BigInt(static_cast<int64_t>(num_users) + num_silos);
   return CheckTheorem4Bound(config, num_silos, num_users, c_lcm,
                             public_key.n);
 }
@@ -139,39 +141,50 @@ Status ServerCore::GenerateKeys(ThreadPool& pool) {
         DhGroup::GenerateSafePrimeGroup(config.ot_group_bits, ot_rng);
   }
   ULDP_RETURN_IF_ERROR(params_.Derive());
-  view_.doubly_blinded_histograms.assign(params_.num_silos, {});
+  b_inv_.assign(params_.num_users, BigInt(0));
   histogram_absorbed_.assign(params_.num_silos, false);
-  keys_done_ = true;
+  finalized_ = false;
   return Status::Ok();
 }
 
 Status ServerCore::AbsorbBlindedHistogram(int silo,
                                           std::vector<BigInt> blinded) {
-  if (!keys_done_) {
+  if (paillier_ == nullptr) {
     return Status::FailedPrecondition("GenerateKeys() has not run");
   }
   if (silo < 0 || silo >= params_.num_silos) {
     return Status::InvalidArgument("blinded histogram from unknown silo " +
                                    std::to_string(silo));
   }
+  if (histogram_absorbed_[silo]) {
+    return Status::InvalidArgument("second blinded histogram from silo " +
+                                   std::to_string(silo));
+  }
   if (static_cast<int>(blinded.size()) != params_.num_users) {
     return Status::InvalidArgument("blinded histogram size != user count");
   }
+  const BigInt& n = params_.public_key.n;
   for (const BigInt& b : blinded) {
-    if (b.IsNegative() || b >= params_.public_key.n) {
+    if (b.IsNegative() || b >= n) {
       return Status::InvalidArgument(
           "blinded histogram entry outside the field");
     }
   }
-  view_.doubly_blinded_histograms[silo] = std::move(blinded);
+  // Once every silo is in, the masks cancel: B(N_u) = r_u * N_u mod n.
+  for (int u = 0; u < params_.num_users; ++u) {
+    b_inv_[u] = b_inv_[u].ModAdd(blinded[u], n);
+  }
   histogram_absorbed_[silo] = true;
   return Status::Ok();
 }
 
 Status ServerCore::FinalizeSetup() {
   obs::TraceSpan span("core.finalize_setup");
-  if (!keys_done_) {
+  if (paillier_ == nullptr) {
     return Status::FailedPrecondition("GenerateKeys() has not run");
+  }
+  if (finalized_) {
+    return Status::FailedPrecondition("setup is already finalized");
   }
   for (int s = 0; s < params_.num_silos; ++s) {
     if (!histogram_absorbed_[s]) {
@@ -180,27 +193,18 @@ Status ServerCore::FinalizeSetup() {
     }
   }
   const BigInt& n = params_.public_key.n;
-  // B(N_u) = sum_s B'(n_su) = r_u * N_u mod n (pairwise masks cancel).
-  view_.blinded_totals.assign(params_.num_users, BigInt(0));
-  for (int u = 0; u < params_.num_users; ++u) {
-    BigInt acc(0);
-    for (int s = 0; s < params_.num_silos; ++s) {
-      acc = acc.ModAdd(view_.doubly_blinded_histograms[s][u], n);
+  for (BigInt& b : b_inv_) {
+    // N_u = 0: the user holds no records anywhere; weight stays zero.
+    if (b.IsZero()) continue;
+    auto inv = b.ModInverse(n);
+    if (!inv.ok()) {
+      // The sums are half inverted now, so only new keys start over.
+      paillier_.reset();
+      return inv.status();
     }
-    view_.blinded_totals[u] = std::move(acc);
+    b = std::move(inv.value());
   }
-  b_inv_.assign(params_.num_users, BigInt(0));
-  for (int u = 0; u < params_.num_users; ++u) {
-    const BigInt& bt = view_.blinded_totals[u];
-    if (bt.IsZero()) {
-      // N_u = 0: the user holds no records anywhere; weight stays zero.
-      continue;
-    }
-    auto inv = bt.ModInverse(n);
-    if (!inv.ok()) return inv.status();
-    b_inv_[u] = std::move(inv.value());
-  }
-  setup_done_ = true;
+  finalized_ = true;
   return Status::Ok();
 }
 
@@ -214,7 +218,7 @@ Result<std::vector<BigInt>> ServerCore::EncryptWeightsRange(
     ThreadPool& pool) {
   obs::TraceSpan span("core.encrypt_weights", "u0",
                       static_cast<int64_t>(u0));
-  if (!setup_done_) {
+  if (!finalized_) {
     return Status::FailedPrecondition("setup has not completed");
   }
   if (params_.config.ot_slots > 0) {
@@ -249,7 +253,8 @@ Result<std::vector<OtSenderPublic>> ServerCore::OtSenderInit(uint64_t round,
                                                              ThreadPool& pool) {
   obs::TraceSpan span("core.ot_sender_init", "round",
                       static_cast<int64_t>(round));
-  if (!setup_done_) {
+  ot_pending_.reset();  // a new init voids an unanswered one
+  if (!finalized_) {
     return Status::FailedPrecondition("setup has not completed");
   }
   const ProtocolConfig& config = params_.config;
@@ -283,26 +288,27 @@ Result<std::vector<OtSenderPublic>> ServerCore::OtSenderInit(uint64_t round,
       });
 
   // Per-user assembly plus the private real/dummy slot shuffle.
-  ot_senders_.assign(num_users, {});
-  ot_perms_.assign(num_users, {});
+  OtSenderRound state;
+  state.round = round;
+  state.senders.resize(num_users);
+  state.shuffles.resize(num_users);
   pool.ParallelFor(static_cast<size_t>(num_users), [&](size_t u) {
-    ot_senders_[u] = ot.AssembleSender(std::move(slot_elems[u]),
-                                       std::move(secrets[u]),
-                                       std::move(elements[u]));
-    ot_perms_[u].resize(config.ot_slots);
-    std::iota(ot_perms_[u].begin(), ot_perms_[u].end(), 0);
+    state.senders[u] = ot.AssembleSender(std::move(slot_elems[u]),
+                                         std::move(secrets[u]),
+                                         std::move(elements[u]));
+    state.shuffles[u].resize(config.ot_slots);
+    std::iota(state.shuffles[u].begin(), state.shuffles[u].end(), 0);
     Rng shuffle_rng = root_.Fork(round, static_cast<uint64_t>(u),
                                  kRngStreamOtShuffle);
-    shuffle_rng.Shuffle(ot_perms_[u]);
+    shuffle_rng.Shuffle(state.shuffles[u]);
   });
-  ot_round_ = round;
-  ot_pending_ = true;
 
   std::vector<OtSenderPublic> publics(num_users);
   for (int u = 0; u < num_users; ++u) {
-    publics[u].c = ot_senders_[u].c;
-    publics[u].a = ot_senders_[u].a;
+    publics[u].c = state.senders[u].c;
+    publics[u].a = state.senders[u].a;
   }
+  ot_pending_ = std::move(state);
   return publics;
 }
 
@@ -310,7 +316,10 @@ Result<std::vector<std::vector<std::vector<uint8_t>>>>
 ServerCore::OtEncryptSlots(uint64_t round,
                            const std::vector<BigInt>& receiver_bs,
                            ThreadPool& pool) {
-  if (!ot_pending_ || ot_round_ != round) {
+  // One-shot: the sender secrets and shuffles answer one receiver message.
+  const std::optional<OtSenderRound> state =
+      std::exchange(ot_pending_, std::nullopt);
+  if (!state || state->round != round) {
     return Status::FailedPrecondition(
         "OtEncryptSlots without a matching OtSenderInit");
   }
@@ -349,14 +358,14 @@ ServerCore::OtEncryptSlots(uint64_t round,
         const size_t u = i / n_slots, slot = i % n_slots;
         Rng enc_rng = root_.Fork(round, SlotCounter(u, slot),
                                  kRngStreamOtSlotEnc);
-        const bool real = ot_perms_[u][slot] < real_slots;
+        const bool real = state->shuffles[u][slot] < real_slots;
         auto c = paillier_->Encrypt(real ? b_inv_[u] : BigInt(0), enc_rng);
         if (!c.ok()) {
           slot_status[i] = c.status();
           return;
         }
         encrypted[u][slot] = ot.SenderEncryptSlot(
-            ot_senders_[u], b_invs[u], c.value().ToBytesLE(clen), slot);
+            state->senders[u], b_invs[u], c.value().ToBytesLE(clen), slot);
       });
   ULDP_RETURN_IF_ERROR(FirstError(slot_status));
   return encrypted;
@@ -375,7 +384,7 @@ Status ServerCore::AccumulateSiloCipherRange(
     std::vector<BigInt>* product) const {
   obs::TraceSpan span("core.accumulate_silo_cipher_range", "offset",
                       static_cast<int64_t>(offset));
-  if (!setup_done_) {
+  if (!finalized_) {
     return Status::FailedPrecondition("setup has not completed");
   }
   if (offset > product->size() || chunk.size() > product->size() - offset) {
@@ -397,7 +406,7 @@ Result<Vec> ServerCore::DecryptAggregate(const std::vector<BigInt>& product,
                                          ThreadPool& pool,
                                          size_t model_dim) const {
   obs::TraceSpan span("core.decrypt_aggregate");
-  if (!setup_done_) {
+  if (!finalized_) {
     return Status::FailedPrecondition("setup has not completed");
   }
   const PackedCodec& packed = params_.packed;
@@ -413,6 +422,14 @@ Result<Vec> ServerCore::DecryptAggregate(const std::vector<BigInt>& product,
   }
   const size_t cdim = product.size();
   const size_t slots = static_cast<size_t>(packed.slots());
+  // m centers to m or m - n, so |centered| <= bound iff m <= bound or
+  // m >= n - bound.
+  const BigInt& bound = params_.aggregate_bound;
+  const BigInt upper = params_.public_key.n - bound;
+  const Status beyond = Status::OutOfRange(
+      "the aggregate is beyond what an honest round can reach, for example "
+      "because a user holds more than N_max records or a silo sent a "
+      "malformed cipher");
   Vec out(model_dim, 0.0);
   std::vector<Status> dim_status(cdim, Status::Ok());
   pool.ParallelFor(cdim, [&](size_t g) {
@@ -421,13 +438,18 @@ Result<Vec> ServerCore::DecryptAggregate(const std::vector<BigInt>& product,
       dim_status[g] = plain.status();
       return;
     }
+    const BigInt& m = plain.value();
     if (packed.active()) {
       const size_t d0 = g * slots;
-      dim_status[g] =
-          packed.DecodeGroup(plain.value(), params_.codec, params_.c_lcm,
-                             std::min(slots, model_dim - d0), &out[d0]);
+      if (!packed.DecodeGroup(m, params_.codec, params_.c_lcm,
+                              std::min(slots, model_dim - d0), &out[d0])
+               .ok()) {
+        dim_status[g] = beyond;
+      }
+    } else if (m > bound && m < upper) {
+      dim_status[g] = beyond;
     } else {
-      out[g] = params_.codec.Decode(plain.value(), params_.c_lcm);
+      out[g] = params_.codec.Decode(m, params_.c_lcm);
     }
   });
   ULDP_RETURN_IF_ERROR(FirstError(dim_status));
@@ -579,6 +601,7 @@ Result<std::vector<BigInt>> SiloCore::OtReceiverChoose(
     ThreadPool& pool) {
   obs::TraceSpan span("core.ot_receiver_choose", "round",
                       static_cast<int64_t>(round));
+  ot_pending_.reset();  // a new choice voids an unopened one
   if (!seed_set_) {
     return Status::FailedPrecondition("shared seed not set");
   }
@@ -598,8 +621,10 @@ Result<std::vector<BigInt>> SiloCore::OtReceiverChoose(
   }
   ObliviousTransfer ot(params_.ot_group, n_slots);
   const uint64_t choice_tag = MakeMaskTag(MaskPhase::kOtSlotChoice, round);
-  ot_ks_.assign(num_users, BigInt(0));
-  ot_sigmas_.assign(num_users, 0);
+  OtReceiverRound state;
+  state.round = round;
+  state.keys.resize(num_users);
+  state.choices.resize(num_users);
   std::vector<BigInt> bs(num_users);
   std::vector<Status> user_status(num_users, Status::Ok());
   pool.ParallelFor(static_cast<size_t>(num_users), [&](size_t ui) {
@@ -612,18 +637,17 @@ Result<std::vector<BigInt>> SiloCore::OtReceiverChoose(
     const size_t sigma = choice.NextUint64() % n_slots;
     Rng krng = root_.Fork(round, static_cast<uint64_t>(u),
                           kRngStreamOtReceiver);
-    auto state = ot.ReceiverCommit(senders[u].c[sigma], sigma, krng);
-    if (!state.ok()) {
-      user_status[u] = state.status();
+    auto commit = ot.ReceiverCommit(senders[u].c[sigma], sigma, krng);
+    if (!commit.ok()) {
+      user_status[u] = commit.status();
       return;
     }
-    ot_ks_[u] = std::move(state.value().k);
-    ot_sigmas_[u] = sigma;
-    bs[u] = std::move(state.value().b);
+    state.keys[u] = std::move(commit.value().k);
+    state.choices[u] = sigma;
+    bs[u] = std::move(commit.value().b);
   });
   ULDP_RETURN_IF_ERROR(FirstError(user_status));
-  ot_round_ = round;
-  ot_pending_ = true;
+  ot_pending_ = std::move(state);
   return bs;
 }
 
@@ -633,7 +657,10 @@ Result<std::vector<BigInt>> SiloCore::OtReceiverDecrypt(
     ThreadPool& pool) {
   obs::TraceSpan span("core.ot_receiver_decrypt", "round",
                       static_cast<int64_t>(round));
-  if (!ot_pending_ || ot_round_ != round) {
+  // One-shot: the keys and choices open one slot per user.
+  const std::optional<OtReceiverRound> state =
+      std::exchange(ot_pending_, std::nullopt);
+  if (!state || state->round != round) {
     return Status::FailedPrecondition(
         "OtReceiverDecrypt without a matching OtReceiverChoose");
   }
@@ -653,13 +680,13 @@ Result<std::vector<BigInt>> SiloCore::OtReceiverDecrypt(
   std::vector<Status> user_status(num_users, Status::Ok());
   // Flat per-user sweep: the pad exponentiation K = A^k dominates.
   pool.ParallelFor(static_cast<size_t>(num_users), [&](size_t u) {
-    auto key = ot.ReceiverKeyElement(senders[u].a, ot_ks_[u]);
+    auto key = ot.ReceiverKeyElement(senders[u].a, state->keys[u]);
     if (!key.ok()) {
       user_status[u] = key.status();
       return;
     }
     std::vector<uint8_t> plain =
-        ot.ApplyPad(key.value(), encrypted[u][ot_sigmas_[u]]);
+        ot.ApplyPad(key.value(), encrypted[u][state->choices[u]]);
     BigInt c = BigInt::FromBytesLE(plain);
     if (c >= params_.public_key.n_squared) {
       user_status[u] =

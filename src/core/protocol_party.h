@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -141,6 +142,10 @@ struct ProtocolParams {
   /// Derive(), which rejects configurations whose carry guard cannot fit
   /// the modulus.
   PackedCodec packed;
+  /// Largest honest unpacked aggregate coordinate, (|U| + |S|) * 2^63 *
+  /// C_LCM: a user's weights sum to at most 1 and every encoding is below
+  /// 2^63. Built by Derive(); the Theorem 4 check keeps it below n/2.
+  BigInt aggregate_bound;
 
   /// Rebuilds the derived fields (n², C_LCM, codec, OT Montgomery state)
   /// from config + public_key (+ ot_group p, g if OT is on). Used by
@@ -149,14 +154,6 @@ struct ProtocolParams {
   /// config.paillier_bits long and, with OT on, a p that is even or not
   /// exactly config.ot_group_bits long, or a g outside (1, p).
   Status Derive();
-};
-
-/// What the server observed (for privacy assertions).
-struct ServerProtocolView {
-  /// Doubly blinded per-silo histograms as received in setup (e).
-  std::vector<std::vector<BigInt>> doubly_blinded_histograms;  // [silo][user]
-  /// Aggregated blinded totals B(N_u) = r_u * N_u mod n.
-  std::vector<BigInt> blinded_totals;  // [user]
 };
 
 /// Public half of one user's OT sender state: the per-slot group elements
@@ -169,6 +166,11 @@ struct OtSenderPublic {
 /// Server-side phase logic. Owns the Paillier secret key, the inverted
 /// blinded totals B_inv(N_u), and the OT sender state; never sees a raw
 /// histogram, an unmasked silo sum, or the OT sampling outcome.
+///
+/// It keeps only what its next step reads: in setup one running sum per
+/// user, each silo's blinded histogram added in on arrival and freed
+/// (FinalizeSetup inverts the sums in place), and in an OT round the
+/// sender state, which the round's first OtEncryptSlots call consumes.
 class ServerCore {
  public:
   ServerCore(const ProtocolConfig& config, int num_silos, int num_users);
@@ -178,16 +180,14 @@ class ServerCore {
   /// codec, and checks the Theorem-4 overflow condition.
   Status GenerateKeys(ThreadPool& pool);
   const ProtocolParams& params() const { return params_; }
-  bool keys_done() const { return keys_done_; }
 
-  /// Setup (e): records silo `silo`'s doubly blinded histogram. Values
-  /// must be field elements (< n).
+  /// Setup (e): adds silo `silo`'s doubly blinded histogram (field
+  /// elements, < n) into the running per-user sums mod n, in any arrival
+  /// order; a second histogram from one silo is refused and adds nothing.
   Status AbsorbBlindedHistogram(int silo, std::vector<BigInt> blinded);
-  /// Setup (e)-(f): sums the blinded histograms (masks cancel) and inverts
-  /// the blinded totals. Requires every silo's histogram absorbed.
+  /// Setup (f): inverts each blinded total B(N_u) = r_u * N_u mod n in
+  /// place into B_inv(N_u). Requires every silo's histogram absorbed.
   Status FinalizeSetup();
-  bool setup_done() const { return setup_done_; }
-  const ServerProtocolView& view() const { return view_; }
 
   /// Weighting (a), server-side sampling (OT off): Enc(B_inv(N_u)) for
   /// sampled users, Enc(0) otherwise; randomness from Fork(round, user).
@@ -210,12 +210,11 @@ class ServerCore {
   /// Weighting (a), OT mode, sender step 2: encrypts every (user, slot)
   /// payload — Enc(B_inv) in shuffled real slots, Enc(0) in dummies —
   /// under the per-slot OT pads derived from the receiver commitments.
+  /// The first call after OtSenderInit consumes the sender secrets and
+  /// shuffles, whatever it returns; a repeat is FailedPrecondition.
   Result<std::vector<std::vector<std::vector<uint8_t>>>> OtEncryptSlots(
       uint64_t round, const std::vector<BigInt>& receiver_bs,
       ThreadPool& pool);
-  /// Ground-truth slot shuffles of the last OtSenderInit — simulation
-  /// diagnostic only (a real server never learns the receiver's slot).
-  const std::vector<std::vector<int>>& ot_perms() const { return ot_perms_; }
 
   /// Weighting (c), server side: folds one silo's masked cipher into the
   /// running per-coordinate product as it lands (pairwise masks cancel
@@ -236,25 +235,27 @@ class ServerCore {
   /// ever sees. With packing active, `product` holds ceil(dim/k) group
   /// ciphertexts and `model_dim` (the unpacked coordinate count) is
   /// required to size the output; 0 means "unpacked, infer from product".
+  /// Fails closed (OutOfRange) on what no honest round reaches: a centered
+  /// plaintext past params().aggregate_bound, or a packed group DecodeGroup
+  /// rejects (docs/privacy.md, "What a round's decode refuses").
   Result<Vec> DecryptAggregate(const std::vector<BigInt>& product,
                                ThreadPool& pool, size_t model_dim = 0) const;
 
  private:
+  struct OtSenderRound {  // what the round's OtEncryptSlots reads
+    uint64_t round = 0;
+    std::vector<ObliviousTransfer::SenderState> senders;
+    std::vector<std::vector<int>> shuffles;  // rank < OtRealSlots: real
+  };
+
   ProtocolParams params_;
   PaillierSecretKey secret_key_;
-  std::unique_ptr<PaillierContext> paillier_;
-  std::vector<BigInt> b_inv_;  // B_inv(N_u)
-  ServerProtocolView view_;
-  std::vector<bool> histogram_absorbed_;
-  bool keys_done_ = false;
-  bool setup_done_ = false;
+  std::unique_ptr<PaillierContext> paillier_;  // null before GenerateKeys
+  std::vector<BigInt> b_inv_;  // running sums, then B_inv(N_u) in place
+  std::vector<bool> histogram_absorbed_;  // [silo]
+  bool finalized_ = false;
   Rng root_;  // Fork-only root; never drawn from directly
-
-  // OT sender round state.
-  uint64_t ot_round_ = 0;
-  bool ot_pending_ = false;
-  std::vector<ObliviousTransfer::SenderState> ot_senders_;
-  std::vector<std::vector<int>> ot_perms_;
+  std::optional<OtSenderRound> ot_pending_;
 };
 
 /// Ciphertext-keyed cache of per-user fixed-base MulPlaintext tables for
@@ -318,7 +319,6 @@ class SiloCore {
   /// Keys every blind to R and drops the fold scalars cached under an
   /// earlier seed; BlindHistogram must run again before the next fold.
   void SetSharedSeed(const BigInt& r_seed);
-  bool has_shared_seed() const { return seed_set_; }
 
   /// XOR-stream encryption under the pairwise key with `peer`, addressed
   /// by a typed mask tag and a stream id. Symmetric (the same call
@@ -343,13 +343,12 @@ class SiloCore {
       ThreadPool& pool);
   /// Weighting (a), OT mode, receiver step 2: decrypts the chosen slot of
   /// every user (the pad exponentiation K = A^k runs in a flat sweep).
+  /// The first call after OtReceiverChoose consumes the keys and choices,
+  /// whatever it returns; a repeat is FailedPrecondition.
   Result<std::vector<BigInt>> OtReceiverDecrypt(
       uint64_t round, const std::vector<OtSenderPublic>& senders,
       const std::vector<std::vector<std::vector<uint8_t>>>& encrypted,
       ThreadPool& pool);
-  /// Slot choices of the last OT round — simulation diagnostic.
-  const std::vector<size_t>& ot_sigmas() const { return ot_sigmas_; }
-
   /// Fresh per-coordinate accumulator for phase (b): one ciphertext
   /// identity per shipped coordinate — PackedDim(model dim) of them when
   /// packing is active.
@@ -398,6 +397,12 @@ class SiloCore {
                      std::vector<BigInt>* cipher, ThreadPool& pool) const;
 
  private:
+  struct OtReceiverRound {  // what the round's OtReceiverDecrypt reads
+    uint64_t round = 0;
+    std::vector<BigInt> keys;     // [user] k
+    std::vector<size_t> choices;  // [user] sigma
+  };
+
   BigInt BlindOf(int user) const;
   BigInt PairMask(int peer, uint64_t tag, int index) const;
 
@@ -413,11 +418,7 @@ class SiloCore {
   bool seed_set_ = false;
   Rng root_;  // Fork-only root
 
-  // OT receiver round state.
-  uint64_t ot_round_ = 0;
-  bool ot_pending_ = false;
-  std::vector<BigInt> ot_ks_;
-  std::vector<size_t> ot_sigmas_;
+  std::optional<OtReceiverRound> ot_pending_;
 
   // Per-user fixed-base tables for FoldUsers' table path. Built with the
   // core, so core.weight_table_cache_hits is registered wherever a silo

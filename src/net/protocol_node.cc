@@ -248,8 +248,8 @@ Status ProtocolServer::AddConnection(std::unique_ptr<Transport> transport) {
 }
 
 template <typename Msg>
-Result<std::vector<Msg>> ProtocolServer::GatherEach(const char* what) {
-  std::vector<Msg> out(num_silos_);
+Status ProtocolServer::GatherEach(
+    const char* what, const std::function<Status(int, Msg)>& take) {
   std::vector<Status> status(num_silos_, Status::Ok());
   pool_->ParallelFor(static_cast<size_t>(num_silos_), [&](size_t s) {
     auto frame = RecvFrom(static_cast<int>(s));
@@ -259,14 +259,10 @@ Result<std::vector<Msg>> ProtocolServer::GatherEach(const char* what) {
       msg = Status::InvalidArgument(std::string(what) +
                                     " from wrong silo id");
     }
-    if (!msg.ok()) {
-      status[s] = msg.status();
-      return;
-    }
-    out[s] = std::move(msg.value());
+    status[s] = msg.ok() ? take(static_cast<int>(s), std::move(msg.value()))
+                         : msg.status();
   });
-  ULDP_RETURN_IF_ERROR(FirstError(status));
-  return out;
+  return FirstError(status);
 }
 
 Status ProtocolServer::RunSetup() {
@@ -304,12 +300,13 @@ Status ProtocolServer::RunSetupInternal() {
   ULDP_RETURN_IF_ERROR(Broadcast(ToFrame(params)));
 
   // Gather DH public keys, then relay the full directory.
-  auto keys = GatherEach<DhPublicKeyMsg>("DH key");
-  if (!keys.ok()) return keys.status();
   DhDirectoryMsg directory;
-  for (DhPublicKeyMsg& key : keys.value()) {
-    directory.public_keys.push_back(std::move(key.public_key));
-  }
+  directory.public_keys.resize(num_silos_);
+  ULDP_RETURN_IF_ERROR(GatherEach<DhPublicKeyMsg>(
+      "DH key", [&](int s, DhPublicKeyMsg key) {
+        directory.public_keys[s] = std::move(key.public_key);
+        return Status::Ok();
+      }));
   ULDP_RETURN_IF_ERROR(Broadcast(ToFrame(directory)));
 
   // Relay silo 0's encrypted seed shares; the server sees only ciphertext.
@@ -320,13 +317,14 @@ Status ProtocolServer::RunSetupInternal() {
         return Route{share.value().from_silo, share.value().to_silo};
       }));
 
-  // Gather doubly blinded histograms and finish setup.
-  auto blinded = GatherEach<BlindedHistogramMsg>("histogram");
-  if (!blinded.ok()) return blinded.status();
-  for (int s = 0; s < num_silos_; ++s) {
-    ULDP_RETURN_IF_ERROR(core_.AbsorbBlindedHistogram(
-        s, std::move(blinded.value()[s].values)));
-  }
+  // Add each doubly blinded histogram into the core's running sums as it
+  // lands (mod-n sums are order-free), then finish setup.
+  std::mutex absorb_mu;
+  ULDP_RETURN_IF_ERROR(GatherEach<BlindedHistogramMsg>(
+      "histogram", [&](int s, BlindedHistogramMsg blinded) {
+        std::lock_guard<std::mutex> lock(absorb_mu);
+        return core_.AbsorbBlindedHistogram(s, std::move(blinded.values));
+      }));
   ULDP_RETURN_IF_ERROR(core_.FinalizeSetup());
   ULDP_RETURN_IF_ERROR(Broadcast(ToFrame(SetupAckMsg{})));
   EndPhase("setup");

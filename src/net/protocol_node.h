@@ -128,10 +128,12 @@ class ProtocolServer {
     uint32_t to = 0;
   };
 
-  /// Receives one Msg from every silo in parallel; each must name its
-  /// sender's silo id, or the gather fails naming `what`.
+  /// Receives one Msg from every silo in parallel and hands each to
+  /// `take` (silo id, message) on the pool thread that received it; each
+  /// must name its sender's silo id, or the gather fails naming `what`.
   template <typename Msg>
-  Result<std::vector<Msg>> GatherEach(const char* what);
+  Status GatherEach(const char* what,
+                    const std::function<Status(int, Msg)>& take);
   Status RunSetupInternal();
   Result<Vec> RunRoundInternal(uint64_t round,
                                const std::vector<bool>& user_sampled);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <mutex>
+#include <thread>
 
 #include "core/experiment.h"
 #include "core/mask_tags.h"
@@ -13,6 +15,9 @@
 #include "data/synthetic.h"
 #include "dp/accountant.h"
 #include "math/fixed_base.h"
+#include "net/messages.h"
+#include "net/protocol_node.h"
+#include "net/transport.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -63,6 +68,36 @@ Vec PlaintextReference(const ProtoInputs& in, const std::vector<bool>& mask,
   return out;
 }
 
+// The hidden OT sample of `round`, read from a one-hot round: every user
+// holds one record at every silo and sends delta e_u with zero noise, so
+// aggregate coordinate u reads 1 if u was sampled and 0 otherwise. The
+// sample depends only on the seed, the OT settings and the round, never
+// on the inputs, so it also holds for a run with real deltas.
+std::vector<bool> OtSampleReadout(const ProtocolConfig& config, int silos,
+                                  int users, uint64_t round) {
+  PrivateWeightingProtocol protocol(config, silos, users);
+  EXPECT_TRUE(
+      protocol.Setup(std::vector<std::vector<int>>(silos,
+                                                   std::vector<int>(users, 1)))
+          .ok());
+  std::vector<std::vector<Vec>> one_hot(silos,
+                                        std::vector<Vec>(users, Vec(users)));
+  for (auto& silo : one_hot) {
+    for (int u = 0; u < users; ++u) silo[u][u] = 1.0;
+  }
+  auto out = protocol.WeightingRound(round, one_hot,
+                                     std::vector<Vec>(silos, Vec(users)),
+                                     std::vector<bool>(users, true));
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  std::vector<bool> sampled(users, false);
+  if (!out.ok()) return sampled;
+  for (int u = 0; u < users; ++u) {
+    sampled[u] = out.value()[u] > 0.5;
+    EXPECT_NEAR(out.value()[u], sampled[u] ? 1.0 : 0.0, 1e-9) << "user " << u;
+  }
+  return sampled;
+}
+
 class ProtocolShapeSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -98,18 +133,102 @@ class ProtocolFixture : public ::testing::Test {
   static constexpr int kDim = 3;
 
   ProtocolFixture() {
-    ProtocolConfig config;
-    config.paillier_bits = 512;
-    config.n_max = 30;
-    config.seed = 77;
-    protocol_ = std::make_unique<PrivateWeightingProtocol>(config, kSilos,
+    config_.paillier_bits = 512;
+    config_.n_max = 30;
+    config_.seed = 77;
+    protocol_ = std::make_unique<PrivateWeightingProtocol>(config_, kSilos,
                                                            kUsers);
     in_ = MakeInputs(kSilos, kUsers, kDim, 55);
   }
 
+  ProtocolConfig config_;
   std::unique_ptr<PrivateWeightingProtocol> protocol_;
   ProtoInputs in_;
 };
+
+// Every frame one party received, decoded as it arrived.
+class ReceivedFrames : public net::TranscriptSink {
+ public:
+  void RecordFrame(uint32_t /*peer_id*/, bool sent, const uint8_t* data,
+                   size_t size) override {
+    if (sent) return;
+    auto frame = net::DecodeFrame(std::vector<uint8_t>(data, data + size));
+    EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (frame.ok()) frames_.push_back(std::move(frame.value()));
+  }
+
+  /// Every received frame of Msg's type, in arrival order.
+  template <typename Msg>
+  std::vector<Msg> All() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::vector<Msg> out;
+    for (const net::Frame& frame : frames_) {
+      if (frame.type != static_cast<uint16_t>(Msg::kType)) continue;
+      auto msg = net::FromFrame<Msg>(frame);
+      EXPECT_TRUE(msg.ok()) << msg.status().ToString();
+      if (msg.ok()) out.push_back(std::move(msg.value()));
+    }
+    return out;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<net::Frame> frames_;
+};
+
+// Runs `in` for `rounds` rounds as a distributed cohort over
+// ChannelTransport: a ProtocolServer plus one SiloClient thread per silo.
+// Returns what each party received: [0] the server, [1 + s] silo s.
+std::vector<std::shared_ptr<ReceivedFrames>> RunCohort(
+    const ProtocolConfig& config, const ProtoInputs& in, int rounds) {
+  const int silos = static_cast<int>(in.histograms.size());
+  const int users = static_cast<int>(in.histograms[0].size());
+  std::vector<std::shared_ptr<ReceivedFrames>> received;
+  for (int p = 0; p <= silos; ++p) {
+    received.push_back(std::make_shared<ReceivedFrames>());
+  }
+  std::vector<std::unique_ptr<net::Transport>> server_ends, silo_ends;
+  for (int s = 0; s < silos; ++s) {
+    auto [a, b] = net::ChannelTransport::CreatePair();
+    a->BindTranscript(received[0], static_cast<uint32_t>(s));
+    b->BindTranscript(received[1 + s], 0);
+    server_ends.push_back(std::move(a));
+    silo_ends.push_back(std::move(b));
+  }
+  std::vector<std::thread> threads;
+  std::vector<Status> silo_status(silos, Status::Ok());
+  for (int s = 0; s < silos; ++s) {
+    threads.emplace_back([&, s] {
+      net::SiloClient client(config, s, silos, users, in.histograms[s]);
+      silo_status[s] = client.Run(
+          *silo_ends[s], [&](uint64_t, std::vector<Vec>* deltas, Vec* noise) {
+            *deltas = in.deltas[s];
+            *noise = in.noise[s];
+            return Status::Ok();
+          });
+    });
+  }
+  {
+    net::ProtocolServer server(config, silos, users);
+    for (auto& end : server_ends) {
+      EXPECT_TRUE(server.AddConnection(std::move(end)).ok());
+    }
+    EXPECT_TRUE(server.RunSetup().ok());
+    for (int r = 0; r < rounds; ++r) {
+      auto out = server.RunRound(static_cast<uint64_t>(r),
+                                 std::vector<bool>(users, true));
+      EXPECT_TRUE(out.ok()) << out.status().ToString();
+    }
+    EXPECT_TRUE(server.Shutdown().ok());
+    for (auto& t : threads) t.join();
+  }
+  for (int s = 0; s < silos; ++s) {
+    EXPECT_TRUE(silo_status[s].ok()) << "silo " << s << ": "
+                                     << silo_status[s].ToString();
+  }
+  return received;
+}
 
 TEST_F(ProtocolFixture, SubsamplingZeroesUnsampledUsers) {
   ASSERT_TRUE(protocol_->Setup(in_.histograms).ok());
@@ -134,44 +253,52 @@ TEST_F(ProtocolFixture, RoundsAreRepeatableAndIndependent) {
   }
 }
 
-TEST_F(ProtocolFixture, ServerViewIsBlinded) {
-  ASSERT_TRUE(protocol_->Setup(in_.histograms).ok());
-  const auto& view = protocol_->server_view();
-  const BigInt& n = protocol_->public_key().n;
-  // Blinded totals are r_u * N_u mod n: random field elements, not the raw
-  // counts (raw counts are tiny; a blinded value that small has negligible
-  // probability and would be a blinding failure).
+// What the server receives in setup: one doubly blinded histogram per
+// silo. Its values and its per-user sums mod n (the blinded totals
+// r_u * N_u the server inverts) are random field elements, never the raw
+// counts (a blinded value as small as a count has negligible probability
+// and would be a blinding failure).
+TEST_F(ProtocolFixture, ServerReceivesOnlyBlindedHistograms) {
+  const auto received = RunCohort(config_, in_, 0);
+  const auto params = received[1]->All<net::SetupParamsMsg>();
+  ASSERT_EQ(params.size(), 1u);
+  const BigInt& n = params[0].paillier_n;
+  const auto histograms = received[0]->All<net::BlindedHistogramMsg>();
+  ASSERT_EQ(histograms.size(), static_cast<size_t>(kSilos));
+  std::vector<BigInt> totals(kUsers, BigInt(0));
+  for (const net::BlindedHistogramMsg& h : histograms) {
+    ASSERT_LT(h.silo_id, static_cast<uint32_t>(kSilos));
+    ASSERT_EQ(h.values.size(), static_cast<size_t>(kUsers));
+    for (int u = 0; u < kUsers; ++u) {
+      EXPECT_NE(h.values[u],
+                BigInt(static_cast<int64_t>(in_.histograms[h.silo_id][u])));
+      EXPECT_GT(h.values[u].BitLength(), 64);
+      EXPECT_TRUE(h.values[u] < n);
+      totals[u] = totals[u].ModAdd(h.values[u], n);
+    }
+  }
   for (int u = 0; u < kUsers; ++u) {
     if (in_.totals[u] == 0) {
-      EXPECT_TRUE(view.blinded_totals[u].IsZero());
+      EXPECT_TRUE(totals[u].IsZero());  // r_u * 0: the masks cancelled
       continue;
     }
-    EXPECT_NE(view.blinded_totals[u],
-              BigInt(static_cast<int64_t>(in_.totals[u])));
-    EXPECT_GT(view.blinded_totals[u].BitLength(), 64);
-    EXPECT_TRUE(view.blinded_totals[u] < n);
-  }
-  // Doubly blinded per-silo histograms: also field-sized, and never the
-  // raw n_su.
-  for (int s = 0; s < kSilos; ++s) {
-    for (int u = 0; u < kUsers; ++u) {
-      EXPECT_NE(view.doubly_blinded_histograms[s][u],
-                BigInt(static_cast<int64_t>(in_.histograms[s][u])));
-      EXPECT_GT(view.doubly_blinded_histograms[s][u].BitLength(), 64);
-    }
+    EXPECT_NE(totals[u], BigInt(static_cast<int64_t>(in_.totals[u])));
+    EXPECT_GT(totals[u].BitLength(), 64);
   }
 }
 
-TEST_F(ProtocolFixture, SiloViewHoldsOnlyCiphertexts) {
-  ASSERT_TRUE(protocol_->Setup(in_.histograms).ok());
-  std::vector<bool> mask(kUsers, true);
-  ASSERT_TRUE(
-      protocol_->WeightingRound(0, in_.deltas, in_.noise, mask).ok());
-  const auto& n2 = protocol_->public_key().n_squared;
+// What a silo receives in a round: one encrypted weight per user, each a
+// field-sized element of Z_{n^2}, never a small plaintext.
+TEST_F(ProtocolFixture, SilosReceiveOnlyCiphertexts) {
+  const auto received = RunCohort(config_, in_, 1);
   for (int s = 0; s < kSilos; ++s) {
-    const auto& view = protocol_->silo_view(s);
-    ASSERT_EQ(view.encrypted_weights.size(), static_cast<size_t>(kUsers));
-    for (const auto& c : view.encrypted_weights) {
+    const auto params = received[1 + s]->All<net::SetupParamsMsg>();
+    ASSERT_EQ(params.size(), 1u);
+    const BigInt n2 = params[0].paillier_n * params[0].paillier_n;
+    const auto begins = received[1 + s]->All<net::RoundBeginMsg>();
+    ASSERT_EQ(begins.size(), 1u) << "silo " << s;
+    ASSERT_EQ(begins[0].enc_weights.size(), static_cast<size_t>(kUsers));
+    for (const BigInt& c : begins[0].enc_weights) {
       EXPECT_TRUE(c < n2);
       EXPECT_GT(c.BitLength(), 128);  // semantically secure blob, not tiny
     }
@@ -314,15 +441,15 @@ TEST(ProtocolThreadInvarianceTest, OtModeBitwiseIdenticalAt125Threads) {
     ASSERT_TRUE(protocol.Setup(in.histograms).ok());
     auto out = protocol.WeightingRound(0, in.deltas, in.noise, ignored);
     ASSERT_TRUE(out.ok());
+    const std::vector<bool> sampled = OtSampleReadout(config, silos, users, 0);
     if (threads == 1) {
       ref = std::move(out.value());
-      ref_mask = protocol.last_ot_mask();
+      ref_mask = sampled;
       Vec expect = PlaintextReference(in, ref_mask, dim);
       for (int d = 0; d < dim; ++d) EXPECT_NEAR(ref[d], expect[d], 1e-7);
     } else {
       EXPECT_EQ(out.value(), ref) << "thread count " << threads;
-      EXPECT_EQ(protocol.last_ot_mask(), ref_mask)
-          << "thread count " << threads;
+      EXPECT_EQ(sampled, ref_mask) << "thread count " << threads;
     }
   }
 }
@@ -354,8 +481,10 @@ TEST(ProtocolOtTest, PrivateSubsamplingHonorsHiddenMask) {
   std::vector<bool> ignored(users, true);
   auto out = protocol.WeightingRound(0, in.deltas, in.noise, ignored);
   ASSERT_TRUE(out.ok());
-  const auto& mask = protocol.last_ot_mask();
-  ASSERT_EQ(mask.size(), static_cast<size_t>(users));
+  const std::vector<bool> mask = OtSampleReadout(config, silos, users, 0);
+  // Rate 0.5 over 5 users: a sample of none or all would test nothing.
+  EXPECT_NE(std::count(mask.begin(), mask.end(), true), 0);
+  EXPECT_NE(std::count(mask.begin(), mask.end(), true), users);
   Vec expect = PlaintextReference(in, mask, dim);
   for (int d = 0; d < dim; ++d) EXPECT_NEAR(out.value()[d], expect[d], 1e-7);
 }
@@ -433,6 +562,246 @@ TEST(ProtocolChunkTest, ChunkSizeNeverChangesABit) {
     } else {
       EXPECT_EQ(out.value(), ref) << "chunk " << chunk;
     }
+  }
+}
+
+// Packing-feasible configuration: at 512-bit keys the slot width is driven
+// by C_LCM(n_max) and pack_clip/precision, and n_max=8 / 1e-6 / clip 8
+// leaves room for all of k in {2, 4, 8}.
+ProtocolConfig PackedTestConfig(int pack_slots) {
+  ProtocolConfig config;
+  config.paillier_bits = 512;
+  config.n_max = 8;
+  config.precision = 1e-6;
+  config.pack_clip = 8.0;
+  config.pack_slots = pack_slots;
+  config.seed = 909;
+  return config;
+}
+
+// --- The party cores, driven by direct calls ---------------------------------
+
+// A server core and its silo cores, set up the way the drivers set them
+// up. Nothing checks N_u <= N_max here: only each silo's own
+// n_su <= N_max refusal runs, as in a distributed cohort.
+struct CoreCohort {
+  CoreCohort(const ProtocolConfig& config,
+             const std::vector<std::vector<int>>& histograms)
+      : server(config, static_cast<int>(histograms.size()),
+               static_cast<int>(histograms[0].size())) {
+    EXPECT_TRUE(server.GenerateKeys(pool).ok());
+    std::vector<BigInt> directory;
+    for (size_t s = 0; s < histograms.size(); ++s) {
+      silos.push_back(std::make_unique<SiloCore>(
+          server.params(), static_cast<int>(s), histograms[s]));
+      directory.push_back(silos.back()->dh_key().public_key);
+    }
+    const BigInt seed = silos[0]->MakeSharedSeed();
+    for (auto& silo : silos) {
+      EXPECT_TRUE(silo->ComputePairKeys(directory).ok());
+      silo->SetSharedSeed(seed);
+    }
+    for (size_t s = 0; s < silos.size(); ++s) {
+      auto blinded = silos[s]->BlindHistogram(pool);
+      EXPECT_TRUE(blinded.ok()) << blinded.status().ToString();
+      if (!blinded.ok()) return;
+      EXPECT_TRUE(server
+                      .AbsorbBlindedHistogram(static_cast<int>(s),
+                                              std::move(blinded.value()))
+                      .ok());
+    }
+    EXPECT_TRUE(server.FinalizeSetup().ok());
+  }
+
+  /// Each silo's masked cipher for one round without OT, every user
+  /// sampled.
+  std::vector<std::vector<BigInt>> SiloCiphers(
+      uint64_t round, const std::vector<std::vector<Vec>>& deltas,
+      const std::vector<Vec>& noise) {
+    const size_t dim = noise[0].size();
+    const int users = server.params().num_users;
+    auto enc = server.EncryptWeights(round, std::vector<bool>(users, true),
+                                     pool);
+    EXPECT_TRUE(enc.ok());
+    std::vector<std::vector<BigInt>> ciphers;
+    for (size_t s = 0; s < silos.size(); ++s) {
+      ciphers.push_back(SiloCore::NewCipherAccumulator(
+          server.params().packed.PackedDim(dim)));
+      EXPECT_TRUE(silos[s]
+                      ->FoldUsers(0, users, enc.value(), deltas[s], dim,
+                                  &ciphers.back(), pool)
+                      .ok());
+      EXPECT_TRUE(
+          silos[s]->FinishRound(round, noise[s], &ciphers.back(), pool).ok());
+    }
+    return ciphers;
+  }
+
+  /// The server's side of the round: fold every cipher, then decrypt.
+  Result<Vec> Aggregate(const std::vector<std::vector<BigInt>>& ciphers,
+                        size_t dim) {
+    std::vector<BigInt> product =
+        SiloCore::NewCipherAccumulator(ciphers[0].size());
+    for (const auto& cipher : ciphers) {
+      ULDP_RETURN_IF_ERROR(server.AccumulateSiloCipher(cipher, &product));
+    }
+    return server.DecryptAggregate(product, pool, dim);
+  }
+
+  ThreadPool pool{2};
+  ServerCore server;
+  std::vector<std::unique_ptr<SiloCore>> silos;
+};
+
+ProtocolConfig CoreTestConfig() {
+  ProtocolConfig config;
+  config.paillier_bits = 512;
+  config.n_max = 30;
+  config.seed = 515;
+  return config;
+}
+
+// The server adds each silo's histogram into its running sums on arrival,
+// so a second histogram from one silo would count that silo twice. It is
+// refused and adds nothing: the weights afterwards equal a run that never
+// saw it.
+TEST(ServerCoreTest, SecondHistogramFromOneSiloIsRefused) {
+  const std::vector<std::vector<int>> hist = {{1, 2, 0}, {3, 0, 4}};
+  CoreCohort cohort(CoreTestConfig(), hist);
+  ServerCore server(CoreTestConfig(), 2, 3);
+  ASSERT_TRUE(server.GenerateKeys(cohort.pool).ok());
+  std::vector<std::vector<BigInt>> blinded;
+  for (auto& silo : cohort.silos) {
+    blinded.push_back(silo->BlindHistogram(cohort.pool).value());
+  }
+  ASSERT_TRUE(server.AbsorbBlindedHistogram(0, blinded[0]).ok());
+  const Status again = server.AbsorbBlindedHistogram(0, blinded[0]);
+  EXPECT_EQ(again.code(), StatusCode::kInvalidArgument) << again.ToString();
+  EXPECT_EQ(server.FinalizeSetup().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(server.AbsorbBlindedHistogram(1, blinded[1]).ok());
+  ASSERT_TRUE(server.FinalizeSetup().ok());
+  EXPECT_EQ(server.FinalizeSetup().code(), StatusCode::kFailedPrecondition);
+  const std::vector<bool> all(3, true);
+  EXPECT_EQ(server.EncryptWeights(4, all, cohort.pool).value(),
+            cohort.server.EncryptWeights(4, all, cohort.pool).value());
+}
+
+// Mod-n sums do not depend on the order the histograms arrive in: a
+// server that absorbs them in reverse encrypts bitwise-equal weights.
+TEST(ServerCoreTest, AbsorbOrderNeverChangesAWeight) {
+  const std::vector<std::vector<int>> hist = {
+      {1, 2, 0, 3}, {3, 0, 4, 1}, {0, 2, 2, 2}};
+  CoreCohort cohort(CoreTestConfig(), hist);
+  ServerCore reversed(CoreTestConfig(), 3, 4);
+  ASSERT_TRUE(reversed.GenerateKeys(cohort.pool).ok());
+  for (int s = 2; s >= 0; --s) {
+    ASSERT_TRUE(reversed
+                    .AbsorbBlindedHistogram(
+                        s, cohort.silos[s]->BlindHistogram(cohort.pool).value())
+                    .ok());
+  }
+  ASSERT_TRUE(reversed.FinalizeSetup().ok());
+  const std::vector<bool> all(4, true);
+  EXPECT_EQ(reversed.EncryptWeights(2, all, cohort.pool).value(),
+            cohort.server.EncryptWeights(2, all, cohort.pool).value());
+}
+
+// The OT state of a round answers one message: the sender's secrets and
+// shuffles one receiver commitment, the receiver's keys and choices one
+// set of slot payloads. A repeated step is refused rather than run under
+// the same secrets, which would let a receiver open a second slot.
+TEST(ProtocolOtTest, OtStepsAreOneShot) {
+  ProtocolConfig config = CoreTestConfig();
+  config.ot_slots = 4;
+  config.ot_sample_rate = 0.5;
+  config.ot_group_bits = 192;
+  CoreCohort cohort(config, {{1, 2, 1}, {2, 1, 0}});
+  ThreadPool& pool = cohort.pool;
+  SiloCore& receiver = *cohort.silos[0];
+  auto senders = cohort.server.OtSenderInit(3, pool);
+  ASSERT_TRUE(senders.ok());
+  auto bs = receiver.OtReceiverChoose(3, senders.value(), pool);
+  ASSERT_TRUE(bs.ok());
+  auto slots = cohort.server.OtEncryptSlots(3, bs.value(), pool);
+  ASSERT_TRUE(slots.ok());
+  EXPECT_EQ(cohort.server.OtEncryptSlots(3, bs.value(), pool).status().code(),
+            StatusCode::kFailedPrecondition);
+  auto weights =
+      receiver.OtReceiverDecrypt(3, senders.value(), slots.value(), pool);
+  ASSERT_TRUE(weights.ok());
+  EXPECT_EQ(receiver.OtReceiverDecrypt(3, senders.value(), slots.value(), pool)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  const BigInt& n2 = cohort.server.params().public_key.n_squared;
+  for (const BigInt& c : weights.value()) {
+    EXPECT_TRUE(c < n2);
+    EXPECT_GT(c.BitLength(), 128);
+  }
+  // A fresh init and choice run the next round as usual.
+  senders = cohort.server.OtSenderInit(4, pool);
+  ASSERT_TRUE(senders.ok());
+  bs = receiver.OtReceiverChoose(4, senders.value(), pool);
+  ASSERT_TRUE(bs.ok());
+  slots = cohort.server.OtEncryptSlots(4, bs.value(), pool);
+  ASSERT_TRUE(slots.ok());
+  EXPECT_TRUE(
+      receiver.OtReceiverDecrypt(4, senders.value(), slots.value(), pool).ok());
+}
+
+bool BeyondTheHonestBound(const Status& status) {
+  return status.code() == StatusCode::kOutOfRange &&
+         status.message().find(
+             "beyond what an honest round can reach") != std::string::npos;
+}
+
+// Protocol 1 decodes exactly only if N_u <= N_max. Here each silo's count
+// is within N_max = 4 (so neither silo refuses), but the user's total is
+// 3 + 4 = 7, so C_LCM / N_u = 12 / 7 is not integral and the aggregate
+// decrypts to a uniform field element. The server refuses it instead of
+// decoding about 1e142; within N_max the same round decodes.
+TEST(ProtocolDecodeBoundTest, UserAboveNMaxFailsTheDecode) {
+  const std::vector<std::vector<Vec>> deltas = {{{0.5, -0.25}}, {{0.125, 1.0}}};
+  const std::vector<Vec> noise(2, Vec(2, 0.0));
+  for (int slots : {1, 2}) {
+    ProtocolConfig config = PackedTestConfig(slots);
+    config.n_max = 4;
+    CoreCohort over(config, {{3}, {4}});
+    auto refused = over.Aggregate(over.SiloCiphers(0, deltas, noise), 2);
+    EXPECT_TRUE(BeyondTheHonestBound(refused.status()))
+        << "pack_slots " << slots << ": " << refused.status().ToString();
+
+    CoreCohort within(config, {{1}, {3}});
+    auto out = within.Aggregate(within.SiloCiphers(0, deltas, noise), 2);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_NEAR(out.value()[0], 0.25 * 0.5 + 0.75 * 0.125, 1e-6);
+    EXPECT_NEAR(out.value()[1], 0.25 * -0.25 + 0.75 * 1.0, 1e-6);
+  }
+}
+
+// A silo that uploads uniform elements of Z_{n^2} instead of its cipher
+// makes every coordinate decrypt to a uniform element of Z_n, which lands
+// within the honest bound with probability about 2 * bound / n.
+TEST(ProtocolDecodeBoundTest, UniformSiloCipherFailsTheDecode) {
+  const int users = 3, dim = 5;
+  ProtoInputs in = MakeInputs(2, users, dim, 640);
+  for (int slots : {1, 2}) {
+    ProtocolConfig config = PackedTestConfig(slots);
+    CoreCohort cohort(config, in.histograms);
+    auto ciphers = cohort.SiloCiphers(1, in.deltas, in.noise);
+    auto honest = cohort.Aggregate(ciphers, dim);
+    ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+    const Vec expect =
+        PlaintextReference(in, std::vector<bool>(users, true), dim);
+    for (int d = 0; d < dim; ++d) EXPECT_NEAR(honest.value()[d], expect[d], 1e-4);
+
+    Rng rng(641 + slots);
+    for (BigInt& c : ciphers[1]) {
+      c = BigInt::RandomBelow(cohort.server.params().public_key.n_squared, rng);
+    }
+    auto refused = cohort.Aggregate(ciphers, dim);
+    EXPECT_TRUE(BeyondTheHonestBound(refused.status()))
+        << "pack_slots " << slots << ": " << refused.status().ToString();
   }
 }
 
@@ -665,20 +1034,6 @@ TEST(SiloFoldTest, FoldAfterReKeyingFailsUntilBlindHistogramRunsAgain) {
   EXPECT_EQ(cipher, MulPlaintextReference(b, dim));
 }
 
-// Packing-feasible configuration: at 512-bit keys the slot width is driven
-// by C_LCM(n_max) and pack_clip/precision, and n_max=8 / 1e-6 / clip 8
-// leaves room for all of k in {2, 4, 8}.
-ProtocolConfig PackedTestConfig(int pack_slots) {
-  ProtocolConfig config;
-  config.paillier_bits = 512;
-  config.n_max = 8;
-  config.precision = 1e-6;
-  config.pack_clip = 8.0;
-  config.pack_slots = pack_slots;
-  config.seed = 909;
-  return config;
-}
-
 TEST(ProtocolPackedTest, PackedRoundsBitwiseMatchUnpacked) {
   // dim = 5 is divisible by none of the slot counts, so every packed run
   // also exercises a partial tail group.
@@ -741,13 +1096,16 @@ TEST(ProtocolPackedTest, PackedOtModeBitwiseMatchesUnpacked) {
     ASSERT_TRUE(protocol.Setup(in.histograms).ok());
     auto out = protocol.WeightingRound(0, in.deltas, in.noise, ignored);
     ASSERT_TRUE(out.ok());
+    const std::vector<bool> sampled = OtSampleReadout(config, silos, users, 0);
     if (slots == 1) {
       unpacked = std::move(out.value());
-      unpacked_mask = protocol.last_ot_mask();
+      unpacked_mask = sampled;
+      Vec expect = PlaintextReference(in, unpacked_mask, dim);
+      for (int d = 0; d < dim; ++d) EXPECT_NEAR(unpacked[d], expect[d], 1e-4);
     } else {
       // The OT transcript never touches the slot layout, so the hidden
-      // mask and the aggregate both carry over bitwise.
-      EXPECT_EQ(protocol.last_ot_mask(), unpacked_mask);
+      // sample and the aggregate both carry over bitwise.
+      EXPECT_EQ(sampled, unpacked_mask);
       EXPECT_EQ(out.value(), unpacked);
     }
   }

@@ -213,14 +213,12 @@ TEST(RoundEngineTest, PrivateProtocolRoundIdenticalAcrossThreadCounts) {
 
 TEST(RoundEngineTest, ProtocolOtPathIdenticalAcrossThreadCounts) {
   // The OT-based private sub-sampling path runs one OT per user on the
-  // pool; both the round output and the hidden sampling mask must be
-  // identical across thread counts.
+  // pool; both the round output and the hidden sample must be identical
+  // across thread counts. The sample is read from a one-hot round: with
+  // delta e_u for user u at every silo and zero noise, aggregate
+  // coordinate u reads 1 if u was sampled and 0 otherwise.
   const int silos = 2, users = 5, dim = 4;
-  struct RoundResult {
-    Vec out;
-    std::vector<bool> mask;
-  };
-  auto run = [&](int threads) -> RoundResult {
+  auto run = [&](int threads, int round_dim, bool one_hot) -> Vec {
     ProtocolConfig pc;
     pc.paillier_bits = 512;
     pc.n_max = 10;
@@ -233,25 +231,38 @@ TEST(RoundEngineTest, ProtocolOtPathIdenticalAcrossThreadCounts) {
     std::vector<std::vector<int>> hist(silos, std::vector<int>(users, 1));
     EXPECT_TRUE(protocol.Setup(hist).ok());
     std::vector<std::vector<Vec>> deltas(silos, std::vector<Vec>(users));
-    std::vector<Vec> noise(silos, Vec(dim, 0.0));
+    std::vector<Vec> noise(silos, Vec(round_dim, 0.0));
     Rng rng(77);
     for (int s = 0; s < silos; ++s) {
       for (int u = 0; u < users; ++u) {
-        deltas[s][u].resize(dim);
+        deltas[s][u].assign(round_dim, 0.0);
+        if (one_hot) {
+          deltas[s][u][u] = 1.0;
+          continue;
+        }
         for (double& v : deltas[s][u]) v = rng.Gaussian(0.0, 0.1);
       }
     }
     std::vector<bool> sampled(users, true);  // ignored in OT mode
     auto out = protocol.WeightingRound(0, deltas, noise, sampled);
     EXPECT_TRUE(out.ok());
-    return RoundResult{out.ok() ? out.value() : Vec(),
-                       protocol.last_ot_mask()};
+    return out.ok() ? out.value() : Vec();
   };
-  RoundResult serial = run(1);
-  ASSERT_EQ(serial.out.size(), static_cast<size_t>(dim));
-  RoundResult parallel = run(ManyThreads());
-  EXPECT_EQ(serial.out, parallel.out);
-  EXPECT_EQ(serial.mask, parallel.mask);
+  auto sample = [&](int threads) {
+    const Vec readout = run(threads, users, /*one_hot=*/true);
+    std::vector<bool> mask;
+    for (double v : readout) {
+      mask.push_back(v > 0.5);
+      EXPECT_NEAR(v, mask.back() ? 1.0 : 0.0, 1e-9);
+    }
+    return mask;
+  };
+  Vec serial = run(1, dim, /*one_hot=*/false);
+  ASSERT_EQ(serial.size(), static_cast<size_t>(dim));
+  EXPECT_EQ(serial, run(ManyThreads(), dim, /*one_hot=*/false));
+  const std::vector<bool> serial_mask = sample(1);
+  ASSERT_EQ(serial_mask.size(), static_cast<size_t>(users));
+  EXPECT_EQ(serial_mask, sample(ManyThreads()));
 }
 
 }  // namespace

@@ -23,6 +23,12 @@ asks for exactly VALUE instead, which pins a work count:
   check_metrics.py --metrics silo0.json \
       --require-metric core.blind_derivations=6
 
+--forbid-metric NAME asks for a counter/gauge that is absent or 0: work
+a party must not book, such as a silo's fold on the server:
+
+  check_metrics.py --metrics server.json \
+      --forbid-metric core.fold.straus_batches
+
 Exits nonzero listing every violation.
 """
 
@@ -197,6 +203,10 @@ def main(argv=None):
                         metavar="NAME[:MIN]|NAME=VALUE",
                         help="histogram present with count >= MIN, or "
                              "exactly VALUE")
+    parser.add_argument("--forbid-metric", action="append", default=[],
+                        metavar="NAME",
+                        help="counter/gauge absent or 0: work this "
+                             "snapshot's party must not book")
     parser.add_argument("--require-span", action="append", default=[],
                         metavar="NAME[:MIN]|NAME=VALUE",
                         help="trace span present >= MIN times, or exactly "
@@ -207,8 +217,10 @@ def main(argv=None):
         parser.error("nothing to check: pass --metrics and/or --trace")
     if args.require_span and not args.trace:
         parser.error("--require-span needs --trace")
-    if (args.require_metric or args.require_hist) and not args.metrics:
-        parser.error("--require-metric/--require-hist need --metrics")
+    if (args.require_metric or args.require_hist or args.forbid_metric) \
+            and not args.metrics:
+        parser.error(
+            "--require-metric/--require-hist/--forbid-metric need --metrics")
 
     errors = []
     values, hists, spans = {}, {}, {}
@@ -240,6 +252,11 @@ def main(argv=None):
         miss = unmet(values[name], want, exact)
         if miss:
             errors.append("metric %s = %d, %s" % (name, values[name], miss))
+    for name in args.forbid_metric:
+        if values.get(name, 0) != 0:
+            errors.append(
+                "metric %s = %d, want absent or 0" % (name, values[name])
+            )
     for spec in args.require_hist:
         name, want, exact = requirement(spec)
         if name not in hists:

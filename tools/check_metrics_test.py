@@ -165,6 +165,27 @@ class CheckMetricsTest(unittest.TestCase):
             1,
         )
 
+    def test_forbidden_metric_must_be_absent_or_zero(self):
+        # A server books no silo work: an absent or zero counter passes,
+        # any booked count fails.
+        doc = good_metrics()
+        doc["counters"]["core.fold.table_batches"] = 0
+        m = self.write("m.json", doc)
+        self.assertEqual(
+            check_metrics.main(
+                ["--metrics", m,
+                 "--forbid-metric", "core.fold.table_batches",
+                 "--forbid-metric", "core.blind_derivations"]
+            ),
+            0,
+        )
+        self.assertEqual(
+            check_metrics.main(
+                ["--metrics", m, "--forbid-metric", "net.mux.frames"]
+            ),
+            1,
+        )
+
     def test_missing_required_span_fails(self):
         # The acceptance case: the trace never recorded the aggregate phase.
         t = self.write("t.json", good_trace())

@@ -36,6 +36,12 @@ env -u ULDP_THREADS ctest --test-dir "$BUILD_DIR" --output-on-failure \
     -j"$JOBS"
 ULDP_THREADS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS"
 
+# The Protocol 1 walk-through: a server and three silo threads over
+# in-process channels, printing what each party receives. It exits
+# non-zero when the decoded aggregate misses the plaintext reference by
+# 1e-8.
+"$BUILD_DIR/example_private_aggregation_demo"
+
 # Crypto fast-path micro bench in smoke mode: produces
 # BENCH_micro_crypto.json in the build dir (uploaded by CI alongside the
 # fig11 artifact) and fails the run if the cached-context operations, the
@@ -175,37 +181,50 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
   run_protocol_smoke ot-rate "$BUILD_DIR/ot_rate_smoke_server.log" \
       "$SMOKE_ARGS --ot-slots=4 --user-sample-rate=0.5" "" "" || exit 1
 
+  # A drill every party must fail: a --rounds=1 server and three silo
+  # clients, all given $3. The server and all three silos must exit
+  # non-zero and the server log $2 (silo logs beside it) must match $4.
+  run_refusal_drill() {  # $1=label $2=server log $3=args $4=log pattern
+    local label="$1" log="$2" pids="" exited_ok="" s pid
+    # shellcheck disable=SC2086
+    start_server "$label" "$log" --serve=0 --rounds=1 $3 || return 1
+    for s in 0 1 2; do
+      # shellcheck disable=SC2086
+      "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=$s \
+          $3 > "${log%_server.log}_silo$s.log" 2>&1 &
+      pids="$pids $!"
+    done
+    wait "$SERVER_PID" && exited_ok="$exited_ok server"
+    s=0
+    for pid in $pids; do
+      wait "$pid" && exited_ok="$exited_ok silo$s"
+      s=$((s + 1))
+    done
+    cat "$log"
+    if [ -n "$exited_ok" ] || ! grep -q "$4" "$log"; then
+      echo "$label drill: expected every party to fail naming '$4'" \
+          "(exited 0:${exited_ok:- none})" >&2
+      return 1
+    fi
+    echo "$label drill: the server and every silo failed (port $PORT)"
+  }
   # N_max drill: at --n-max=2 the demo histograms give some silo more
   # than N_max records of one user. That silo refuses at setup, so the
   # server and all three silos must exit non-zero, the server naming the
   # refusal, instead of decoding a garbage aggregate with exit 0.
-  NMAX_LOG="$BUILD_DIR/nmax_drill_server.log"
-  NMAX_ARGS="--silos=3 --users=6 --dim=4 --seed=11 --paillier-bits=512 \
---n-max=2 --net-timeout=120"
-  # shellcheck disable=SC2086
-  start_server n-max "$NMAX_LOG" --serve=0 --rounds=1 $NMAX_ARGS || exit 1
-  NMAX_PIDS=""
-  for s in 0 1 2; do
-    # shellcheck disable=SC2086
-    "$BUILD_DIR/uldp_fl_cli" --connect=127.0.0.1:"$PORT" --silo-id=$s \
-        $NMAX_ARGS > "$BUILD_DIR/nmax_drill_silo$s.log" 2>&1 &
-    NMAX_PIDS="$NMAX_PIDS $!"
-  done
-  EXITED_OK=""
-  wait "$SERVER_PID" && EXITED_OK="$EXITED_OK server"
-  S=0
-  for pid in $NMAX_PIDS; do
-    wait "$pid" && EXITED_OK="$EXITED_OK silo$S"
-    S=$((S + 1))
-  done
-  cat "$NMAX_LOG"
-  if [ -n "$EXITED_OK" ] ||
-     ! grep -q "more than N_max records" "$NMAX_LOG"; then
-    echo "n-max drill: expected every party to fail setup on the silo's" \
-        "refusal (exited 0:${EXITED_OK:- none})" >&2
-    exit 1
-  fi
-  echo "n-max drill: the server and every silo refused setup (port $PORT)"
+  run_refusal_drill n-max "$BUILD_DIR/nmax_drill_server.log" \
+      "--silos=3 --users=6 --dim=4 --seed=11 --paillier-bits=512 \
+--n-max=2 --net-timeout=120" "more than N_max records" || exit 1
+  # Decode-bound drill: at --n-max=8 every silo holds at most 4 records
+  # of a user, so no silo refuses, but one user's total is 9, where
+  # C_LCM / N_u = 840 / 9 is not integral. The round's aggregate then lies
+  # beyond what an honest round can reach, and the server must refuse to
+  # decode it instead of printing a 1e140 aggregate with every party
+  # exiting 0.
+  run_refusal_drill decode-bound "$BUILD_DIR/decode_bound_drill_server.log" \
+      "--silos=3 --users=6 --dim=4 --seed=11 --paillier-bits=512 \
+--ot-slots=4 --stream-chunk-users=2 --stream-chunk-coords=3 --n-max=8 \
+--net-timeout=120" "beyond what an honest round can reach" || exit 1
 
   # Enc-weight stream smoke: streaming without OT, so the server streams
   # the encrypted weights (3 chunks of 2 users a round) and the silos
@@ -465,6 +484,9 @@ print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
   # histograms, and one complete span per protocol phase per round. Both
   # sides also name the Montgomery kernels their contexts ran on; the
   # runner's CPU decides which counts are nonzero, so each floor is 0.
+  # A server derives no blind and folds nothing, and its snapshot and
+  # trace describe the distributed run only, not the --verify reference
+  # it runs afterwards, so every silo work count must be absent or 0.
   python3 tools/check_metrics.py \
       --metrics "$BUILD_DIR/obs_smoke_server_metrics.json" \
       --trace "$BUILD_DIR/obs_smoke_server_trace.json" \
@@ -472,7 +494,10 @@ print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
       --require-metric net.transport.bytes_received \
       --require-metric net.mux.frames \
       --require-metric net.mux.epoll_wakeups \
-      --require-metric core.weight_table_cache_hits:0 \
+      --forbid-metric core.blind_derivations \
+      --forbid-metric core.fold.straus_batches \
+      --forbid-metric core.fold.table_batches \
+      --forbid-metric core.weight_table_cache_hits \
       --require-metric math.mont.portable_contexts:0 \
       --require-metric math.mont.adx_contexts:0 \
       --require-metric math.mont.ifma_contexts:0 \
@@ -487,7 +512,9 @@ print(c.get("fl.async.steps"), c.get("fl.async.applied"))' "$1"
       --require-span proto.phase.aggregate:2 \
       --require-span proto.ot_round:2 \
       --require-span stream.fold.silo_cipher \
-      --require-span mux.drain
+      --require-span mux.drain \
+      --require-span core.blind_histogram=0 \
+      --require-span core.accumulate_users=0
   # Silo side: per-chunk stream telemetry lives in the sender process, and
   # the fold's cost model sends silo 0's batch (5 active users x 4 packed
   # coordinates per round) down the Straus path. The silo draws ChaCha20

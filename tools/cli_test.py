@@ -6,10 +6,12 @@ Usage: tools/cli_test.py path/to/uldp_fl_cli (ctest passes the built
 binary; registered as cli_test).
 """
 
+import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import unittest
 
 CLI = None
@@ -161,11 +163,13 @@ def run(args, timeout=20):
     return done.returncode, done.stdout, done.stderr
 
 
-def loopback(args):
+def loopback(args, server_args=()):
     """Runs a --verify Protocol 1 server and its silos over loopback TCP
-    with `args` for every party; returns the server's aggregate lines."""
+    with `args` for every party and `server_args` for the server only;
+    returns the server's aggregate lines."""
     server = subprocess.Popen(
-        [CLI, "--serve=0", "--rounds=2", "--verify"] + args,
+        [CLI, "--serve=0", "--rounds=2", "--verify"] + args +
+        list(server_args),
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, cwd=REPO)
     out, port = [], None
     try:
@@ -262,6 +266,23 @@ class CliTest(unittest.TestCase):
         self.assertEqual(loopback(shape + ["--ot-slots=4"]), plain)
         sampled = loopback(shape + ["--ot-slots=4", "--user-sample-rate=0.5"])
         self.assertNotEqual(sampled, plain)
+
+    def test_verify_server_telemetry_books_no_silo_work(self):
+        # --verify runs an in-process reference, silo cores included, in
+        # the server process after the distributed rounds. The server's
+        # --metrics-out describes the distributed run only: a server
+        # derives no blind and folds nothing.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "server_metrics.json")
+            loopback(["--silos=2", "--users=5", "--dim=4", "--seed=11",
+                      "--net-timeout=60"],
+                     server_args=["--metrics-out=" + path])
+            with open(path, encoding="utf-8") as f:
+                counters = json.load(f)["counters"]
+        self.assertGreater(counters.get("net.mux.frames", 0), 0)
+        for name in ("core.blind_derivations", "core.fold.straus_batches",
+                     "core.fold.table_batches"):
+            self.assertEqual(counters.get(name, 0), 0, name)
 
     def test_readme_tables_name_only_real_flags(self):
         with open(os.path.join(REPO, "README.md"), encoding="utf-8") as f:

@@ -1002,6 +1002,8 @@ int RunConnectAsync(const Flags& flags) {
   return 0;
 }
 
+void FlushTelemetry(const Flags& flags);
+
 int RunServe(const Flags& flags) {
   auto socket = OpenServerSocket(
       flags, "protocol server",
@@ -1055,7 +1057,11 @@ int RunServe(const Flags& flags) {
   if (flags.verify) {
     // Replays the exact same protocol in process (same seed, same demo
     // inputs) and requires bitwise equality — the transport subsystem's
-    // core invariant, checkable from the command line.
+    // core invariant, checkable from the command line. The reference's
+    // silo cores book their work into this process's registry and trace,
+    // so the server's telemetry is written first, describing the
+    // distributed run only.
+    FlushTelemetry(flags);
     net::DemoInputs in = net::MakeDemoInputs(flags.seed, flags.silos,
                                              flags.users, flags.dim);
     PrivateWeightingProtocol protocol(config, flags.silos, flags.users);
@@ -1352,11 +1358,16 @@ int Dispatch(const Flags& flags) {
   return RunLocal(flags);
 }
 
-/// Writes the end-of-run telemetry artifacts. Runs after every mode
-/// dispatch — including failed rounds, FailAll teardowns, and injected
-/// silo crashes — so an aborted run still leaves a complete metrics
-/// snapshot and a valid (tmp+rename, never truncated) trace file.
+/// Writes the end-of-run telemetry artifacts, once per process: a run
+/// that flushes early (a protocol server before its --verify reference)
+/// keeps what it wrote. Runs after every mode dispatch — including failed
+/// rounds, FailAll teardowns, and injected silo crashes — so an aborted
+/// run still leaves a complete metrics snapshot and a valid (tmp+rename,
+/// never truncated) trace file.
 void FlushTelemetry(const Flags& flags) {
+  static bool flushed = false;
+  if (flushed) return;
+  flushed = true;
   if (!flags.metrics_out.empty()) {
     Status s =
         obs::MetricsRegistry::Global().WriteJsonFile(flags.metrics_out);
