@@ -40,6 +40,7 @@ constexpr uint64_t kRngStreamDhKey = ~0ull - 11;       // per-silo DH key pair
 constexpr uint64_t kRngStreamSharedSeed = ~0ull - 12;  // silo 0's seed R
 constexpr uint64_t kRngStreamOtGroup = ~0ull - 13;     // OT safe-prime group
 constexpr uint64_t kRngStreamRandomizerBase = ~0ull - 14;  // key holder's x
+constexpr uint64_t kRngStreamSessionEncrypt = ~0ull - 15;  // per-user, q = 1
 
 /// Deterministic pseudo-random generator (mt19937_64 core) with the
 /// distribution helpers the Uldp-FL algorithms need.

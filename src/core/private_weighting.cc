@@ -163,9 +163,9 @@ Result<Vec> PrivateWeightingProtocol::WeightingRound(
   // core on the pool through SiloCore::FoldUsers — the batch fold the
   // distributed silos run — and, when streaming, its ciphertexts are freed
   // afterwards, so resident ciphertexts stay O(chunk). Every per-user
-  // value comes from a Fork(round, user) substream and every fold is an
-  // exact modular product, so the chunk size never changes a bit, and a
-  // distributed silo matches exactly.
+  // value comes from a Fork substream addressed by the absolute user index
+  // and every fold is an exact modular product, so the chunk size never
+  // changes a bit, and a distributed silo matches exactly.
   const bool streaming = StreamChunkUsers(config_) > 0;
   const int chunk_users =
       streaming ? StreamChunkUsers(config_) : kWeightingBatchUsers;

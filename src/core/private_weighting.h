@@ -70,17 +70,19 @@ class PrivateWeightingProtocol {
   /// One weighting round. clipped_deltas[s][u] is user u's clipped
   /// (unweighted) model delta at silo s (empty Vec if the user has no
   /// records there); silo_noise[s] is silo s's Gaussian noise vector;
-  /// user_sampled is the server-side sampling mask (all-true when q = 1;
-  /// ignored when OT-based private sub-sampling is enabled — then the
-  /// protocol derives the mask internally from the shared seed).
+  /// user_sampled is the server-side sampling mask (it must be all-true
+  /// in a full-participation session, config().sample_rate = 1, and a
+  /// partial mask is refused there with InvalidArgument; ignored when
+  /// OT-based private sub-sampling is enabled — then the protocol derives
+  /// the mask internally from the shared seed).
   /// Returns sum_s sum_u (n_su/N_u) delta_su + sum_s noise_s.
   Result<Vec> WeightingRound(
       uint64_t round, const std::vector<std::vector<Vec>>& clipped_deltas,
       const std::vector<Vec>& silo_noise,
       const std::vector<bool>& user_sampled);
 
-  /// The configuration the protocol runs; a trainer reads its OT
-  /// sub-sampling rate from here.
+  /// The configuration the protocol runs; a trainer reads its sampling
+  /// rate from here.
   const ProtocolConfig& config() const { return config_; }
   const ProtocolTimings& timings() const { return timings_; }
   const BigInt& c_lcm() const { return server_->params().c_lcm; }

@@ -46,15 +46,23 @@ uint64_t SlotCounter(size_t user, size_t slot) {
 
 // Bits of the `path` arg on the core.accumulate_users trace span: which
 // fold raised the batch's active users.
-constexpr int64_t kFoldPathStraus = 1;  // one shared Straus chain
-constexpr int64_t kFoldPathTables = 2;  // per-user fixed-base tables
+constexpr int64_t kFoldPathStraus = 1;   // one shared Straus chain
+constexpr int64_t kFoldPathTables = 2;   // per-user fixed-base tables
+constexpr int64_t kFoldPathSession = 4;  // Straus over session powers
+
+// Exponent bits of a session fold: every slot's |units| is below 2^63.
+constexpr int kUnitsBits = 63;
 
 }  // namespace
 
 int OtRealSlots(const ProtocolConfig& config) {
   return static_cast<int>(
-      std::max(0.0, std::min(1.0, config.ot_sample_rate)) * config.ot_slots +
+      std::max(0.0, std::min(1.0, config.sample_rate)) * config.ot_slots +
       0.5);
+}
+
+bool FullParticipation(const ProtocolConfig& config) {
+  return config.ot_slots <= 0 && config.sample_rate == 1.0;
 }
 
 int StreamChunkUsers(const ProtocolConfig& config) {
@@ -69,6 +77,9 @@ int StreamChunkCoords(const ProtocolConfig& config) {
 Status ProtocolParams::Derive() {
   if (num_silos < 2 || num_users < 1) {
     return Status::InvalidArgument("protocol needs >= 2 silos and >= 1 user");
+  }
+  if (!(config.sample_rate > 0.0 && config.sample_rate <= 1.0)) {
+    return Status::InvalidArgument("sample_rate must be in (0, 1]");
   }
   // A silo takes n and the OT group from the wire, so every value its
   // Montgomery contexts and tables will need is checked here: positive odd
@@ -102,6 +113,11 @@ Status ProtocolParams::Derive() {
                     BigInt(static_cast<int64_t>(num_users) + num_silos);
   return CheckTheorem4Bound(config, num_silos, num_users, c_lcm,
                             public_key.n);
+}
+
+double ProtocolParams::DecodedBound() const {
+  return static_cast<double>(num_users + num_silos) * 0x1p63 *
+         config.precision;
 }
 
 // ---------------------------------------------------------------------------
@@ -232,10 +248,22 @@ Result<std::vector<BigInt>> ServerCore::EncryptWeightsRange(
   if (u0 < 0 || u1 > num_users || u0 > u1) {
     return Status::InvalidArgument("user range out of bounds");
   }
+  // A full-participation session sends each user's weight ciphertext
+  // unchanged every round. That shows nothing only while every user is in
+  // every round: a ciphertext that went missing, or came back after a
+  // round of Enc(0), would tell the silos who was sampled.
+  const bool session = FullParticipation(params_.config);
+  if (session && std::find(user_sampled.begin(), user_sampled.end(),
+                           false) != user_sampled.end()) {
+    return Status::InvalidArgument(
+        "a full-participation session (sample_rate 1, no OT) weights every "
+        "user, but the sampling mask drops one; set sample_rate below 1 to "
+        "sample users");
+  }
   const int count = u1 - u0;
   // One comb randomizer per user on the pool. The Fork substream is
   // addressed by the absolute user index u0 + i, so per-user randomness is
-  // independent of how the round is chunked.
+  // independent of how the round is chunked, and in a session by no round.
   std::vector<BigInt> plains(count);
   for (int i = 0; i < count; ++i) {
     if (user_sampled[u0 + i]) plains[i] = b_inv_[u0 + i];
@@ -243,8 +271,9 @@ Result<std::vector<BigInt>> ServerCore::EncryptWeightsRange(
   return paillier_->EncryptBatch(
       plains,
       [&](size_t i) {
-        return root_.Fork(round, static_cast<uint64_t>(u0) + i,
-                          kRngStreamEncrypt);
+        const uint64_t user = static_cast<uint64_t>(u0) + i;
+        return session ? root_.Fork(0, user, kRngStreamSessionEncrypt)
+                       : root_.Fork(round, user, kRngStreamEncrypt);
       },
       pool);
 }
@@ -506,8 +535,10 @@ void SiloCore::SetSharedSeed(const BigInt& r_seed) {
   shared_seed_key_ =
       ChaChaRng::DeriveKey("uldp-shared-seed|" + r_seed.ToHex());
   seed_set_ = true;
-  // Scalars cached under an earlier seed hold that seed's blinds.
+  // Scalars and powers cached under an earlier seed hold that seed's
+  // blinds.
   fold_scalars_.clear();
+  session_powers_.clear();
 }
 
 Result<std::vector<uint8_t>> SiloCore::PairStreamXor(
@@ -734,13 +765,10 @@ std::vector<BigInt> SiloCore::NewCipherAccumulator(size_t dim) {
   return std::vector<BigInt>(dim, BigInt(1));
 }
 
-Status SiloCore::AccumulateUsers(
-    int u0, int u1, const std::vector<BigInt>& enc_weights,
-    const std::vector<std::unique_ptr<FixedBaseTable>>* tables,
-    const std::vector<Vec>& deltas, size_t model_dim,
-    std::vector<BigInt>* cipher, ThreadPool& pool) const {
-  obs::TraceSpan span("core.accumulate_users", "u0",
-                      static_cast<int64_t>(u0));
+Status SiloCore::CheckBatch(int u0, int u1,
+                            const std::vector<BigInt>& enc_weights,
+                            const std::vector<Vec>& deltas, size_t model_dim,
+                            size_t cdim, std::vector<char>* active) const {
   if (fold_scalars_.empty()) {
     return Status::FailedPrecondition(
         "weighting requires BlindHistogram under the current shared seed");
@@ -755,32 +783,46 @@ Status SiloCore::AccumulateUsers(
   if (u0 < 0 || u1 > num_users || u0 > u1) {
     return Status::InvalidArgument("user batch out of range");
   }
-  if (tables != nullptr && static_cast<int>(tables->size()) != num_users) {
-    return Status::InvalidArgument("weight table count mismatch");
-  }
-  const PackedCodec& packed = params_.packed;
-  const size_t cdim = cipher->size();
-  if (cdim != packed.PackedDim(model_dim)) {
+  if (cdim != params_.packed.PackedDim(model_dim)) {
     return Status::InvalidArgument("cipher accumulator dimension mismatch");
   }
-  const size_t slots = static_cast<size_t>(packed.slots());
-  const BigInt& n = params_.public_key.n;
-  const PaillierPublicKey& pk = params_.public_key;
-
   // Per-user validation. Each active user's scalar base
   // r_u * n_su * C_LCM mod n is the one BlindHistogram cached; the delta
-  // encoding is per coordinate below.
-  std::vector<char> active(u1 - u0, 0);
+  // encoding is per coordinate.
+  active->assign(u1 - u0, 0);
   for (int u = u0; u < u1; ++u) {
     if (deltas[u].empty()) continue;  // user has no records at this silo
     if (deltas[u].size() != model_dim) {
       return Status::InvalidArgument("delta dimension mismatch");
     }
-    if (enc_weights[u].IsNegative() || enc_weights[u] >= pk.n_squared) {
+    if (enc_weights[u].IsNegative() ||
+        enc_weights[u] >= params_.public_key.n_squared) {
       return Status::InvalidArgument("encrypted weight outside Z_{n^2}");
     }
-    active[u - u0] = histogram_[u] > 0;
+    (*active)[u - u0] = histogram_[u] > 0;
   }
+  return Status::Ok();
+}
+
+Status SiloCore::AccumulateUsers(
+    int u0, int u1, const std::vector<BigInt>& enc_weights,
+    const std::vector<std::unique_ptr<FixedBaseTable>>* tables,
+    const std::vector<Vec>& deltas, size_t model_dim,
+    std::vector<BigInt>* cipher, ThreadPool& pool) const {
+  obs::TraceSpan span("core.accumulate_users", "u0",
+                      static_cast<int64_t>(u0));
+  const size_t cdim = cipher->size();
+  std::vector<char> active;
+  ULDP_RETURN_IF_ERROR(
+      CheckBatch(u0, u1, enc_weights, deltas, model_dim, cdim, &active));
+  if (tables != nullptr &&
+      static_cast<int>(tables->size()) != params_.num_users) {
+    return Status::InvalidArgument("weight table count mismatch");
+  }
+  const PackedCodec& packed = params_.packed;
+  const size_t slots = static_cast<size_t>(packed.slots());
+  const BigInt& n = params_.public_key.n;
+  const PaillierPublicKey& pk = params_.public_key;
 
   // Active users with a table raise through it; the rest share one
   // Straus chain per coordinate, their odd-power tables built once here.
@@ -857,6 +899,9 @@ Status SiloCore::FoldUsers(int u0, int u1,
   if (u0 < 0 || u1 > num_users || u0 > u1) {
     return Status::InvalidArgument("user batch out of range");
   }
+  if (FullParticipation(params_.config)) {
+    return SessionFold(u0, u1, enc_weights, deltas, model_dim, cipher, pool);
+  }
   const size_t cdim = cipher->size();
   size_t users = 0;
   for (int u = u0; u < u1; ++u) {
@@ -877,6 +922,116 @@ Status SiloCore::FoldUsers(int u0, int u1,
                                   deltas, model_dim, cipher, pool);
   table_cache_.DropRange(u0, u1);
   return status;
+}
+
+Status SiloCore::SessionFold(int u0, int u1,
+                             const std::vector<BigInt>& enc_weights,
+                             const std::vector<Vec>& deltas, size_t model_dim,
+                             std::vector<BigInt>* cipher, ThreadPool& pool) {
+  obs::TraceSpan span("core.accumulate_users", "u0",
+                      static_cast<int64_t>(u0));
+  const size_t cdim = cipher->size();
+  std::vector<char> active;
+  ULDP_RETURN_IF_ERROR(
+      CheckBatch(u0, u1, enc_weights, deltas, model_dim, cdim, &active));
+  const PackedCodec& packed = params_.packed;
+  const size_t slots = static_cast<size_t>(packed.slots());
+  const PaillierPublicKey& pk = params_.public_key;
+  const Montgomery& mont = paillier_->mont_n_squared();
+
+  // Derive the powers of every active user whose ciphertext is new: one
+  // |n|-bit exponentiation, then B squarings per further slot, and one
+  // inversion per slot.
+  session_powers_.resize(params_.num_users);
+  std::vector<int> fresh;
+  for (int u = u0; u < u1; ++u) {
+    const SessionPowers& p = session_powers_[u];
+    if (active[u - u0] && (p.pos.empty() || p.cipher != enc_weights[u])) {
+      fresh.push_back(u);
+    }
+  }
+  if (!fresh.empty()) {
+    obs::TraceSpan derive("core.session_powers", "users",
+                          static_cast<int64_t>(fresh.size()));
+    const BigInt slot_base = BigInt(1) << packed.slot_bits();
+    std::vector<Status> user_status(fresh.size(), Status::Ok());
+    pool.ParallelFor(fresh.size(), [&](size_t i) {
+      const int u = fresh[i];
+      SessionPowers p;
+      for (size_t j = 0; j < slots; ++j) {
+        p.pos.push_back(j == 0 ? mont.MontExp(enc_weights[u], fold_scalars_[u])
+                               : mont.MontExp(p.pos.back(), slot_base));
+        auto inv = p.pos.back().ModInverse(pk.n_squared);
+        if (!inv.ok()) {
+          user_status[i] =
+              Status::InvalidArgument("encrypted weight is not a unit mod n^2");
+          return;
+        }
+        p.neg.push_back(std::move(inv.value()));
+      }
+      p.cipher = enc_weights[u];
+      session_powers_[u] = std::move(p);
+    });
+    ULDP_RETURN_IF_ERROR(FirstError(user_status));
+    session_derivations_.Add(fresh.size());
+  }
+
+  // Bases per active user: (P_{u,j}, P_{u,j}^-1) for each slot j. The
+  // tables are sized as for one product, a window of 3 at 63-bit
+  // exponents: a base's table grows as 2^(w-1) and a session holds 2k
+  // bases per active user, so the window does not grow with the
+  // coordinate count.
+  std::vector<int> first_base(u1 - u0, -1);
+  std::vector<BigInt> bases;
+  for (int u = u0; u < u1; ++u) {
+    if (!active[u - u0]) continue;
+    first_base[u - u0] = static_cast<int>(bases.size());
+    for (size_t j = 0; j < slots; ++j) {
+      bases.push_back(session_powers_[u].pos[j]);
+      bases.push_back(session_powers_[u].neg[j]);
+    }
+  }
+  const MultiExp straus(mont, bases, kUnitsBits, /*products=*/1);
+  span.AddArg("users", static_cast<int64_t>(bases.size() / (2 * slots)));
+  span.AddArg("coords", static_cast<int64_t>(cdim));
+  span.AddArg("path", bases.empty() ? 0 : kFoldPathSession);
+  if (!bases.empty()) straus_batches_.Add(1);
+
+  // Coordinate group g raises each slot power to the slot's |units|, the
+  // inverse taking negative units: Σ_j units_j 2^(jB) s_u is the exponent
+  // the fresh-ciphertext fold reduces mod n, so both decrypt alike.
+  std::vector<Status> dim_status(cdim, Status::Ok());
+  pool.ParallelFor(cdim, [&](size_t g) {
+    const size_t d0 = g * slots;
+    const size_t count = packed.active() ? std::min(slots, model_dim - d0) : 1;
+    std::vector<BigInt> exps(bases.size());
+    std::vector<int64_t> units(slots, 0);
+    bool any = false;
+    for (int u = u0; u < u1; ++u) {
+      if (!active[u - u0]) continue;
+      if (packed.active()) {
+        dim_status[g] =
+            packed.GroupUnits(deltas[u].data() + d0, count, units.data());
+      } else {
+        Result<int64_t> unit = params_.codec.Units(deltas[u][g]);
+        dim_status[g] = unit.status();
+        if (unit.ok()) units[0] = unit.value();
+      }
+      if (!dim_status[g].ok()) return;
+      for (size_t j = 0; j < count; ++j) {
+        if (units[j] == 0) continue;
+        const bool negative = units[j] < 0;
+        exps[first_base[u - u0] + 2 * j + (negative ? 1 : 0)] =
+            BigInt(static_cast<uint64_t>(negative ? -units[j] : units[j]));
+        any = true;
+      }
+    }
+    if (any) {
+      (*cipher)[g] =
+          Paillier::AddCiphertexts(pk, (*cipher)[g], straus.Product(exps));
+    }
+  });
+  return FirstError(dim_status);
 }
 
 Status SiloCore::FinishRound(uint64_t round, const Vec& noise,

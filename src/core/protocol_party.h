@@ -64,10 +64,15 @@ struct ProtocolConfig {
   /// users (they do not know who is sampled), which is exactly the extra
   /// cost §4.1 warns about.
   int ot_slots = 0;
-  /// Sub-sampling rate used in OT mode (quantized to multiples of
-  /// 1/ot_slots). Ignored when ot_slots == 0 (the server-side mask passed
-  /// to WeightingRound is used instead).
-  double ot_sample_rate = 1.0;
+  /// The session's user sampling rate q, in (0, 1]. In OT mode it sets the
+  /// real slots (quantized to multiples of 1/ot_slots). Without OT the
+  /// server-side mask passed to each round samples the users, and q = 1
+  /// makes the session full-participation (FullParticipation): every mask
+  /// must keep every user, each user's Enc(B_inv(N_u)) is the same in
+  /// every round, and each silo folds over per-session powers of it. At
+  /// q < 1 every round encrypts afresh, because a repeated ciphertext
+  /// would show the silos who was sampled.
+  double sample_rate = 1.0;
   /// Bit size of the safe-prime DH group backing the OT (simulation-scale
   /// default; a deployment would use a standardized group).
   int ot_group_bits = 384;
@@ -98,9 +103,9 @@ struct ProtocolConfig {
   /// next arrives, and the silo->server cipher travels as chunked frames
   /// the server folds on arrival. Peak resident per-user ciphertexts drop
   /// from O(users) to O(stream_chunk_users); because every per-user value
-  /// comes from a Fork(round, user) substream and every fold is an exact
-  /// modular product, streamed rounds are bitwise identical to
-  /// materializing ones. Changes the distributed message flow, so both
+  /// comes from a Fork substream addressed by the absolute user index and
+  /// every fold is an exact modular product, streamed rounds are bitwise
+  /// identical to materializing ones. Changes the distributed message flow, so both
   /// endpoints must agree (part of the wire digest). 0 = materialize (the
   /// classic path).
   int stream_chunk_users = 0;
@@ -126,6 +131,11 @@ int StreamChunkCoords(const ProtocolConfig& config);
 /// Derived slot count of real (non-dummy) ciphertexts in OT mode.
 int OtRealSlots(const ProtocolConfig& config);
 
+/// True for a full-participation session: OT off and sample_rate 1, so
+/// every round weights every user and the encrypted weights may repeat
+/// (docs/privacy.md, "Full-participation sessions").
+bool FullParticipation(const ProtocolConfig& config);
+
 /// Public protocol parameters every party ends up holding after key setup.
 /// The server generates them; remote silos receive the non-derivable parts
 /// (Paillier n, the OT group) in the SetupParams message and rebuild the
@@ -147,12 +157,17 @@ struct ProtocolParams {
   /// 2^63. Built by Derive(); the Theorem 4 check keeps it below n/2.
   BigInt aggregate_bound;
 
+  /// aggregate_bound's decoded image, (|U| + |S|) * 2^63 * P: no decoded
+  /// coordinate of an honest round is larger in magnitude.
+  double DecodedBound() const;
+
   /// Rebuilds the derived fields (n², C_LCM, codec, OT Montgomery state)
   /// from config + public_key (+ ot_group p, g if OT is on). Used by
   /// remote silos after receiving the SetupParams message, so it rejects
   /// (InvalidArgument) an n that is even or not exactly
   /// config.paillier_bits long and, with OT on, a p that is even or not
-  /// exactly config.ot_group_bits long, or a g outside (1, p).
+  /// exactly config.ot_group_bits long, or a g outside (1, p). A
+  /// sample_rate outside (0, 1] is InvalidArgument too.
   Status Derive();
 };
 
@@ -170,7 +185,9 @@ struct OtSenderPublic {
 /// It keeps only what its next step reads: in setup one running sum per
 /// user, each silo's blinded histogram added in on arrival and freed
 /// (FinalizeSetup inverts the sums in place), and in an OT round the
-/// sender state, which the round's first OtEncryptSlots call consumes.
+/// sender state, which the round's first OtEncryptSlots call consumes. A
+/// full-participation session adds no state: its weight ciphertexts are
+/// re-derived every round from round-independent substreams.
 class ServerCore {
  public:
   ServerCore(const ProtocolConfig& config, int num_silos, int num_users);
@@ -191,13 +208,20 @@ class ServerCore {
 
   /// Weighting (a), server-side sampling (OT off): Enc(B_inv(N_u)) for
   /// sampled users, Enc(0) otherwise; randomness from Fork(round, user).
-  /// Same as EncryptWeightsRange over [0, num_users).
+  /// In a full-participation session the randomness comes from a
+  /// round-independent Fork(0, user) substream instead, so every round
+  /// returns the same ciphertexts, and a mask that drops any user is
+  /// refused (InvalidArgument): at q < 1 a repeated ciphertext would tell
+  /// the silos who was sampled. Same as EncryptWeightsRange over
+  /// [0, num_users).
   Result<std::vector<BigInt>> EncryptWeights(
       uint64_t round, const std::vector<bool>& user_sampled, ThreadPool& pool);
   /// Encrypts only users [u0, u1) (returning u1 - u0 ciphertexts).
-  /// Randomness comes from Fork(round, u) addressed by the *absolute* user
+  /// Randomness comes from a substream addressed by the *absolute* user
   /// index, so concatenated range calls are bitwise identical to one
-  /// full-range call while holding only one chunk resident.
+  /// full-range call while holding only one chunk resident. The
+  /// full-participation refusal checks the whole mask on every call, so a
+  /// streamed round fails before its first chunk.
   Result<std::vector<BigInt>> EncryptWeightsRange(
       uint64_t round, const std::vector<bool>& user_sampled, int u0, int u1,
       ThreadPool& pool);
@@ -295,10 +319,20 @@ class WeightTableCache {
 ///
 /// Each user's blind r_u is derived from R once per session, in
 /// BlindHistogram, which also keeps every active user's fold scalar
-/// r_u * n_su * C_LCM mod n for the rounds that follow: weighting step (b)
-/// raises Enc(B_inv(N_u)) to Encode(delta_u) times that scalar, and only
-/// the encoding changes between rounds. SetSharedSeed drops the scalars,
-/// so a silo never folds with blinds of another seed.
+/// s_u = r_u * n_su * C_LCM mod n for the rounds that follow: weighting
+/// step (b) raises Enc(B_inv(N_u)) to Encode(delta_u) times that scalar,
+/// and only the encoding changes between rounds.
+///
+/// In a full-participation session the ciphertext c_u = Enc(B_inv(N_u))
+/// repeats too, so the first fold that sees c_u keeps, for each slot
+/// j < k (k = pack_slots, slot width B), P_{u,j} = c_u^(s_u 2^(jB)) and
+/// its inverse mod n², keyed by c_u: 2k values of n² size per active user.
+/// Every later round raises them to the fixed-point units of its deltas
+/// (|units| < 2^63, the inverse taking negative units) instead of raising
+/// c_u to |n|-bit exponents; the aggregate decrypts to the same plaintext
+/// mod n. A changed c_u re-derives its powers. SetSharedSeed drops the
+/// scalars and the powers, so a silo never folds with blinds of another
+/// seed.
 class SiloCore {
  public:
   /// `params` must have public_key (and ot_group in OT mode) populated.
@@ -360,13 +394,13 @@ class SiloCore {
   /// them to AccumulateUsers, as the ledger's layer replay does.
   const PaillierContext* eval_context() const { return paillier_.get(); }
 
-  /// Phase (b) for users [u0, u1): accumulates this silo's encrypted
-  /// weighted terms into `cipher` (from NewCipherAccumulator, size =
-  /// PackedDim(model_dim); model_dim is the unpacked coordinate count,
-  /// i.e. the noise dimension). Each user's exponent is its delta encoding
-  /// times the fold scalar BlindHistogram cached; before BlindHistogram
-  /// has run under the current shared seed, the fold returns
-  /// FailedPrecondition. `tables`, when non-null, maps user →
+  /// Phase (b) for users [u0, u1), the fresh-ciphertext fold: accumulates
+  /// this silo's encrypted weighted terms into `cipher` (from
+  /// NewCipherAccumulator, size = PackedDim(model_dim); model_dim is the
+  /// unpacked coordinate count, i.e. the noise dimension). Each user's
+  /// exponent is its delta encoding times the fold scalar BlindHistogram
+  /// cached, whatever the session; before BlindHistogram has run under
+  /// the current shared seed, the fold returns FailedPrecondition. `tables`, when non-null, maps user →
   /// fixed-base table for enc_weights[u]; users with a null entry (every
   /// user when `tables` is null) fold through one Straus MultiExp over the
   /// batch, one Product per coordinate. Parallelizes over coordinates on
@@ -379,13 +413,18 @@ class SiloCore {
       std::vector<BigInt>* cipher, ThreadPool& pool) const;
 
   /// The batch fold: phase (b) for users [u0, u1) of the absolute-indexed
-  /// `enc_weights`. ChooseFoldPath (math/fixed_base.h) weighs one Straus
-  /// chain per coordinate against one fixed-base table per active user
-  /// from the active-user count, the coordinate count and the exponent
-  /// bits — never the thread count — and the fold either passes no tables
-  /// to AccumulateUsers or builds this silo's tables, folds and drops
-  /// them. Both paths produce the same bits. Like AccumulateUsers, it
-  /// reads the cached fold scalars, so it requires BlindHistogram first.
+  /// `enc_weights`. In a full-participation session it folds each
+  /// coordinate group as one Straus chain over the active users' session
+  /// powers (deriving them for a user whose ciphertext it has not seen),
+  /// with each slot's |units| as the exponent. Otherwise ChooseFoldPath
+  /// (math/fixed_base.h) weighs one Straus chain per coordinate against
+  /// one fixed-base table per active user from the active-user count, the
+  /// coordinate count and the exponent bits — never the thread count —
+  /// and the fold either passes no tables to AccumulateUsers or builds
+  /// this silo's tables, folds and drops them. Both of those paths produce
+  /// the same bits; the session fold produces the same plaintext mod n.
+  /// Like AccumulateUsers, it reads the cached fold scalars, so it
+  /// requires BlindHistogram first.
   Status FoldUsers(int u0, int u1, const std::vector<BigInt>& enc_weights,
                    const std::vector<Vec>& deltas, size_t model_dim,
                    std::vector<BigInt>* cipher, ThreadPool& pool);
@@ -403,8 +442,24 @@ class SiloCore {
     std::vector<size_t> choices;  // [user] sigma
   };
 
+  // A full-participation session's powers of one user's ciphertext.
+  struct SessionPowers {
+    BigInt cipher;            // the c_u they were derived from
+    std::vector<BigInt> pos;  // [slot j] c_u^(s_u 2^(jB)) mod n²
+    std::vector<BigInt> neg;  // [slot j] its inverse mod n²
+  };
+
   BigInt BlindOf(int user) const;
   BigInt PairMask(int peer, uint64_t tag, int index) const;
+  /// Checks one batch's inputs as every fold does and marks its active
+  /// users: those with a delta and records at this silo.
+  Status CheckBatch(int u0, int u1, const std::vector<BigInt>& enc_weights,
+                    const std::vector<Vec>& deltas, size_t model_dim,
+                    size_t cdim, std::vector<char>* active) const;
+  /// FoldUsers in a full-participation session.
+  Status SessionFold(int u0, int u1, const std::vector<BigInt>& enc_weights,
+                     const std::vector<Vec>& deltas, size_t model_dim,
+                     std::vector<BigInt>* cipher, ThreadPool& pool);
 
   ProtocolParams params_;
   int silo_id_ = 0;
@@ -428,6 +483,9 @@ class SiloCore {
   // Fold scalar r_u * n_su * C_LCM mod n per user, from the last
   // BlindHistogram under the current shared seed; empty before it.
   std::vector<BigInt> fold_scalars_;
+  // [user] session powers in a full-participation session; an entry stays
+  // empty until a fold needs it.
+  std::vector<SessionPowers> session_powers_;
 
   // Batches AccumulateUsers folded through a Straus chain / per-user
   // tables (a batch mixing both counts in each).
@@ -436,6 +494,8 @@ class SiloCore {
   // Blinds r_u derived from the shared seed, one per BlindOf call however
   // many draws it takes.
   mutable obs::Counter blind_derivations_{"core.blind_derivations"};
+  // Users whose session powers a fold derived, one per derivation.
+  obs::Counter session_derivations_{"core.session_powers"};
 };
 
 }  // namespace uldp

@@ -10,20 +10,25 @@ namespace uldp {
 
 namespace {
 
-/// The sampling rate q the server steps and accounts at. With Protocol 1's
+/// The sampling rate q the server steps and accounts at: the protocol's
+/// sample_rate when the run is private. Without OT the trainer's mask
+/// samples at user_sample_rate, so it must equal the protocol's q, which
+/// decides whether the session may repeat its weight ciphertexts. With
 /// OT sub-sampling on, the protocol keeps each user with probability
 /// OtRealSlots / ot_slots whatever the trainer's mask says (§4.1), so that
 /// is the rate, and the trainer must not sample a second time.
 double StepSampleRate(const UldpAvgOptions& options) {
-  if (options.private_protocol == nullptr ||
-      options.private_protocol->config().ot_slots <= 0) {
-    return options.user_sample_rate;
-  }
+  if (options.private_protocol == nullptr) return options.user_sample_rate;
   const ProtocolConfig& protocol = options.private_protocol->config();
+  if (protocol.ot_slots <= 0) {
+    ULDP_CHECK_MSG(options.user_sample_rate == protocol.sample_rate,
+                   "user_sample_rate differs from the protocol's sample_rate");
+    return protocol.sample_rate;
+  }
   ULDP_CHECK_MSG(options.user_sample_rate == 1.0,
                  "user_sample_rate < 1 with OT sub-sampling samples twice");
   const int real_slots = OtRealSlots(protocol);
-  ULDP_CHECK_MSG(real_slots > 0, "ot_sample_rate leaves no real OT slot");
+  ULDP_CHECK_MSG(real_slots > 0, "sample_rate leaves no real OT slot");
   return static_cast<double>(real_slots) / protocol.ot_slots;
 }
 

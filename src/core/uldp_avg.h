@@ -44,6 +44,7 @@ struct UldpAvgOptions {
   /// When set, the weighted aggregation runs through Protocol 1 (Paillier +
   /// blinding + secure aggregation) instead of plaintext weighting. Implies
   /// the enhanced weighting strategy — that is what the protocol computes.
+  /// Without OT, user_sample_rate must equal the protocol's sample_rate.
   /// With the protocol's OT sub-sampling on, the protocol samples users at
   /// its own rate, so user_sample_rate must stay 1.0; the trainer steps
   /// and accounts at the OT rate.

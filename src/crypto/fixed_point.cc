@@ -22,6 +22,21 @@ const uint64_t kDecodeScale = 1000000000000000ull;  // 1e15
 // wrap before reaching BigInt domain.
 constexpr double kMaxUnits = 4.6e18;
 
+// The rounding of every encoder: `scaled` = x/P rounded half away from
+// zero, as std::llround, while |scaled| < kMaxUnits; false otherwise,
+// NaN and infinities included.
+inline bool RoundUnits(double scaled, int64_t* units) {
+  if (!(std::fabs(scaled) < kMaxUnits)) return false;
+  // std::llround inline: truncation is exact below 2^63 in magnitude, and
+  // the fraction it leaves is exact too; a half or more steps away from
+  // zero.
+  const auto whole = static_cast<int64_t>(scaled);
+  const double fraction = scaled - static_cast<double>(whole);
+  *units = whole + static_cast<int64_t>(fraction >= 0.5) -
+           static_cast<int64_t>(fraction <= -0.5);
+  return true;
+}
+
 }  // namespace
 
 FixedPointCodec::FixedPointCodec(BigInt modulus, double precision)
@@ -45,13 +60,23 @@ FixedPointCodec::FixedPointCodec(BigInt modulus, double precision)
 }
 
 Result<BigInt> FixedPointCodec::Encode(double x) const {
-  std::vector<uint64_t> out(limbs());
-  ULDP_RETURN_IF_ERROR(EncodeLimbs(x, out.data()));
-  return BigInt::FromLimbs(std::move(out));
+  Result<int64_t> units = Units(x);
+  if (!units.ok()) return units.status();
+  // A negative value maps to n - |units|.
+  if (units.value() < 0) return modulus_ - BigInt(-units.value());
+  return BigInt(units.value());
 }
 
-Status FixedPointCodec::EncodeLimbs(double x, uint64_t* out) const {
-  if (EncodeRun(&x, 1, out) == 1) return Status::Ok();
+bool FixedPointCodec::UnitsOf(double x, int64_t* units) const {
+  if (!RoundUnits(x / precision_, units)) return false;
+  const uint64_t negative = uint64_t{0} - (*units < 0);  // all ones or 0
+  const uint64_t mag = (static_cast<uint64_t>(*units) ^ negative) - negative;
+  return mag <= (negative ? max_units_neg_ : max_units_nonneg_);
+}
+
+Result<int64_t> FixedPointCodec::Units(double x) const {
+  int64_t units = 0;
+  if (UnitsOf(x, &units)) return units;
   if (!std::isfinite(x)) {
     return Status::InvalidArgument("cannot encode non-finite value");
   }
@@ -59,6 +84,11 @@ Status FixedPointCodec::EncodeLimbs(double x, uint64_t* out) const {
     return Status::OutOfRange("value too large for fixed-point range");
   }
   return Status::OutOfRange("encoded magnitude exceeds modulus/2");
+}
+
+Status FixedPointCodec::EncodeLimbs(double x, uint64_t* out) const {
+  if (EncodeRun(&x, 1, out) == 1) return Status::Ok();
+  return Units(x).status();
 }
 
 Status FixedPointCodec::EncodeLimbs(const double* x, size_t count,
@@ -76,20 +106,9 @@ size_t FixedPointCodec::EncodeRun(const double* x, size_t count,
   size_t done = 0;
   limbs::WithWidth(limbs(), [&](auto k) {
     for (; done < count; ++done, out += k) {
-      const double scaled = x[done] / precision_;
-      // Also false for NaN and infinities.
-      if (!(std::fabs(scaled) < kMaxUnits)) return;
-      // std::llround inline: truncation is exact below 2^63 in magnitude,
-      // and the fraction it leaves is exact too; a half or more steps away
-      // from zero.
-      int64_t units = static_cast<int64_t>(scaled);
-      const double fraction = scaled - static_cast<double>(units);
-      units += static_cast<int64_t>(fraction >= 0.5) -
-               static_cast<int64_t>(fraction <= -0.5);
+      int64_t units = 0;
+      if (!UnitsOf(x[done], &units)) return;
       const uint64_t negative = uint64_t{0} - (units < 0);  // all ones or 0
-      const uint64_t mag = (static_cast<uint64_t>(units) ^ negative) -
-                           negative;
-      if (mag > (negative ? max_units_neg_ : max_units_nonneg_)) return;
       // A negative value maps to n - |units|: n plus units sign-extended,
       // whose carry out of the top limb drops.
       uint64_t carry = 0;
@@ -209,26 +228,35 @@ Result<PackedCodec> PackedCodec::Create(const BigInt& modulus,
 }
 
 Result<BigInt> PackedCodec::EncodeGroup(const double* xs, size_t count) const {
-  ULDP_CHECK(active());
-  ULDP_CHECK(count >= 1 && count <= static_cast<size_t>(slots_));
+  std::vector<int64_t> units(count);
+  ULDP_RETURN_IF_ERROR(GroupUnits(xs, count, units.data()));
   BigInt sum;
   for (size_t j = 0; j < count; ++j) {
-    if (!std::isfinite(xs[j])) {
-      return Status::InvalidArgument("cannot encode non-finite value");
+    if (units[j] != 0) {
+      sum += BigInt(units[j]) << (static_cast<int>(j) * slot_bits_);
     }
-    const double scaled = xs[j] / precision_;
-    if (std::fabs(scaled) >= kMaxUnits) {
-      return Status::OutOfRange("value too large for fixed-point range");
-    }
-    const int64_t units = std::llround(scaled);
-    // The carry guard was sized for |x| <= pack_clip; anything beyond it
-    // could bleed into the neighboring slot, so it is a hard error here.
-    if (units > units_max_ || units < -units_max_) {
-      return Status::OutOfRange("weight magnitude exceeds pack_clip");
-    }
-    if (units != 0) sum += BigInt(units) << (static_cast<int>(j) * slot_bits_);
   }
   return sum.Mod(modulus_);
+}
+
+Status PackedCodec::GroupUnits(const double* xs, size_t count,
+                               int64_t* units) const {
+  ULDP_CHECK(active());
+  ULDP_CHECK(count >= 1 && count <= static_cast<size_t>(slots_));
+  for (size_t j = 0; j < count; ++j) {
+    if (!RoundUnits(xs[j] / precision_, &units[j])) {
+      if (!std::isfinite(xs[j])) {
+        return Status::InvalidArgument("cannot encode non-finite value");
+      }
+      return Status::OutOfRange("value too large for fixed-point range");
+    }
+    // The carry guard was sized for |x| <= pack_clip; anything beyond it
+    // could bleed into the neighboring slot, so it is a hard error here.
+    if (units[j] > units_max_ || units[j] < -units_max_) {
+      return Status::OutOfRange("weight magnitude exceeds pack_clip");
+    }
+  }
+  return Status::Ok();
 }
 
 Status PackedCodec::DecodeGroup(const BigInt& x, const FixedPointCodec& codec,

@@ -35,6 +35,11 @@ class FixedPointCodec {
   /// would be ambiguous under centering).
   Result<BigInt> Encode(double x) const;
 
+  /// The signed units Encode maps into F_n: x/P rounded half away from
+  /// zero, with Encode's range checks and Status. Encode, EncodeLimbs and
+  /// Protocol 1's session fold all round through this.
+  Result<int64_t> Units(double x) const;
+
   /// Decode for values carrying no C_LCM factor: center then scale by P.
   double DecodePlain(const BigInt& x) const;
 
@@ -72,6 +77,8 @@ class FixedPointCodec {
  private:
   /// Maps field element to signed representative in (-n/2, n/2].
   BigInt Center(const BigInt& x) const;
+  /// Units(x) when it succeeds, else false.
+  bool UnitsOf(double x, int64_t* units) const;
   /// Encodes x[0, count) into `out` up to the first value Encode rejects;
   /// returns how many it encoded.
   size_t EncodeRun(const double* x, size_t count, uint64_t* out) const;
@@ -123,9 +130,13 @@ class PackedCodec {
 
   /// Σ_j units(xs[j]) · 2^(jB) mod n over `count` (1..slots) weights —
   /// the packed counterpart of FixedPointCodec::Encode, with units(x) the
-  /// identical llround(x/P). Errors on non-finite input or |x| beyond the
-  /// clip bound the carry guard was sized for.
+  /// identical rounding of x/P. Errors on non-finite input or |x| beyond
+  /// the clip bound the carry guard was sized for.
   Result<BigInt> EncodeGroup(const double* xs, size_t count) const;
+
+  /// The per-slot units EncodeGroup packs: units[j] = units(xs[j]) for
+  /// j < count, with EncodeGroup's range checks and Status.
+  Status GroupUnits(const double* xs, size_t count, int64_t* units) const;
 
   /// Decodes an aggregate group plaintext: center into (-n/2, n/2],
   /// extract `count` signed radix-2^B digits, decode each through

@@ -23,7 +23,7 @@ void AppendProtocolConfig(WireWriter& w, const ProtocolConfig& config) {
   w.F64(config.precision);
   w.U64(config.seed);
   w.U32(static_cast<uint32_t>(config.ot_slots));
-  w.F64(config.ot_sample_rate);
+  w.F64(config.sample_rate);
   w.U32(static_cast<uint32_t>(config.ot_group_bits));
   // Packing is part of the wire contract: every silo and the server must
   // agree on the slot layout or packed aggregates decode as garbage.
@@ -49,7 +49,7 @@ Result<ProtocolConfig> ParseProtocolConfig(WireReader& r) {
   ULDP_RETURN_IF_ERROR(r.F64(&config.precision));
   ULDP_RETURN_IF_ERROR(r.U64(&config.seed));
   ULDP_RETURN_IF_ERROR(int_field(&config.ot_slots));
-  ULDP_RETURN_IF_ERROR(r.F64(&config.ot_sample_rate));
+  ULDP_RETURN_IF_ERROR(r.F64(&config.sample_rate));
   ULDP_RETURN_IF_ERROR(int_field(&config.ot_group_bits));
   ULDP_RETURN_IF_ERROR(int_field(&config.pack_slots));
   ULDP_RETURN_IF_ERROR(r.F64(&config.pack_clip));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <iterator>
 #include <mutex>
 #include <string>
@@ -85,6 +86,29 @@ Status OpenRelay(const SiloCore& core, const char* what, uint32_t from,
   ULDP_RETURN_IF_ERROR((r.*read)(out));
   if (!r.AtEnd()) {
     return Status::InvalidArgument(std::string("trailing bytes in ") + what);
+  }
+  return Status::Ok();
+}
+
+/// Refuses (InvalidArgument) a broadcast aggregate no honest round
+/// decodes: a length other than the model dimension, a non-finite value,
+/// or one past `bound` (ProtocolParams::DecodedBound).
+Status CheckRoundResult(const Vec& aggregate, size_t model_dim,
+                        double bound) {
+  if (aggregate.size() != model_dim) {
+    return Status::InvalidArgument(
+        "round result has " + std::to_string(aggregate.size()) +
+        " coordinates, the model has " + std::to_string(model_dim));
+  }
+  for (double v : aggregate) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("round result holds a non-finite value");
+    }
+    if (std::fabs(v) > bound) {
+      return Status::InvalidArgument(
+          "round result holds a value beyond what an honest round can "
+          "decode");
+    }
   }
   return Status::Ok();
 }
@@ -727,6 +751,8 @@ Status SiloClient::ServeRound(Transport& transport, const Frame& first,
   if (!result.ok()) return result.status();
   ULDP_RETURN_IF_ERROR(CheckPhaseTag(result.value().phase_tag,
                                      MaskPhase::kRoundWeighting, round));
+  ULDP_RETURN_IF_ERROR(CheckRoundResult(result.value().aggregate, dim,
+                                        core_->params().DecodedBound()));
   if (on_result) on_result(round, result.value().aggregate);
   return Status::Ok();
 }

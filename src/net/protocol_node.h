@@ -19,7 +19,7 @@
 //                                   -> WeightRelay x(N-1)
 //                           others: <- WeightRelay      (server relays)
 //     cipher out:  -> SiloCipher, or -> StreamBegin + chunks
-//     <- RoundResult
+//     <- RoundResult              (checked: model length, finite, bounded)
 //   <- Shutdown
 //
 // Each party writes its round once. A silo's round takes its inputs,
@@ -108,8 +108,9 @@ class ProtocolServer {
 
   /// Drives one weighting round; returns the decrypted aggregate (which
   /// is also broadcast to the silos). `user_sampled` is ignored in OT
-  /// mode, exactly like the in-process WeightingRound. On failure every
-  /// silo is told (Error frame) so no client is left blocked in Recv.
+  /// mode and must keep every user in a full-participation session,
+  /// exactly like the in-process WeightingRound. On failure every silo is
+  /// told (Error frame) so no client is left blocked in Recv.
   /// Arriving silo ciphers are folded into the aggregate as they land
   /// (ServerCore::AccumulateSiloCipher).
   Result<Vec> RunRound(uint64_t round, const std::vector<bool>& user_sampled);

@@ -560,6 +560,7 @@ TEST(DistributedProtocolTest, MultiRoundChannelRunMatchesInProcess) {
   config.paillier_bits = 512;
   config.n_max = 20;
   config.seed = 55;
+  config.sample_rate = 0.75;  // the rounds sample users
   auto mask_of = [&](int r) {
     std::vector<bool> mask(users, true);
     mask[r % users] = false;

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/private_weighting.h"
 #include "net/demo.h"
@@ -36,7 +38,7 @@ ProtocolConfig TestConfig() {
 ProtocolConfig OtTestConfig() {
   ProtocolConfig config = TestConfig();
   config.ot_slots = 4;
-  config.ot_sample_rate = 0.5;
+  config.sample_rate = 0.5;
   config.ot_group_bits = 192;
   return config;
 }
@@ -198,6 +200,160 @@ TEST(NetProtocolTest, SilosDeriveEachBlindOncePerSession) {
     EXPECT_EQ(derived, std::vector<uint64_t>(rounds + 1, kSilos * kUsers))
         << "stream_chunk_users " << config.stream_chunk_users
         << ", ot_slots " << config.ot_slots;
+  }
+}
+
+// A silo derives its session powers once per session: in a
+// full-participation session (plain or streamed) core.session_powers
+// reads the active (silo, user) pairs after round 0 and holds through
+// rounds 1-2, since every round re-sends the same weight ciphertexts. OT
+// rounds fetch fresh ciphertexts and derive none. A silo that re-derived
+// every round would add its active users each round.
+TEST(NetProtocolTest, SilosDeriveSessionPowersOncePerSession) {
+  const DemoInputs in = MakeDemoInputs(kInputSeed, kSilos, kUsers, kDim);
+  uint64_t active = 0;
+  for (int s = 0; s < kSilos; ++s) {
+    for (int u = 0; u < kUsers; ++u) {
+      if (in.histograms[s][u] > 0 && !in.deltas[s][u].empty()) ++active;
+    }
+  }
+  ASSERT_GT(active, 0u);
+  ProtocolConfig streamed = TestConfig();
+  streamed.stream_chunk_users = 2;
+  const int rounds = 3;
+  for (const ProtocolConfig& config :
+       {TestConfig(), streamed, OtTestConfig()}) {
+    const uint64_t before = CounterValue("core.session_powers");
+    std::vector<uint64_t> derived;
+    const std::vector<Vec> outs = RunOverChannels(config, rounds, [&] {
+      derived.push_back(CounterValue("core.session_powers") - before);
+    });
+    EXPECT_EQ(outs.size(), static_cast<size_t>(rounds));
+    const uint64_t expect = config.ot_slots > 0 ? 0 : active;
+    EXPECT_EQ(derived, std::vector<uint64_t>({0, expect, expect, expect}))
+        << "stream_chunk_users " << config.stream_chunk_users
+        << ", ot_slots " << config.ot_slots;
+  }
+}
+
+/// Runs setup and one round over channels, silo 0's connection wrapped by
+/// `wrap` on the server's side, with `mask` as the round's sampling mask.
+/// Returns the round's result and each silo's Run status.
+std::pair<Result<Vec>, std::vector<Status>> RunOneWrappedRound(
+    const ProtocolConfig& config, const std::vector<bool>& mask,
+    const std::function<std::unique_ptr<Transport>(
+        std::unique_ptr<Transport>)>& wrap) {
+  std::vector<std::unique_ptr<Transport>> server_ends, silo_ends;
+  for (int s = 0; s < kSilos; ++s) {
+    auto [a, b] = ChannelTransport::CreatePair();
+    server_ends.push_back(std::move(a));
+    silo_ends.push_back(std::move(b));
+  }
+  server_ends[0] = wrap(std::move(server_ends[0]));
+  std::vector<std::thread> silo_threads;
+  std::vector<Status> silo_status(kSilos, Status::Ok());
+  for (int s = 0; s < kSilos; ++s) {
+    silo_threads.emplace_back([&, s] {
+      silo_status[s] = RunDemoSilo(config, s, kSilos, kUsers, kDim,
+                                   kInputSeed, *silo_ends[s]);
+    });
+  }
+  Result<Vec> out = Status::Internal("setup failed");
+  {
+    ProtocolServer server(config, kSilos, kUsers);
+    for (auto& end : server_ends) {
+      EXPECT_TRUE(server.AddConnection(std::move(end)).ok());
+    }
+    if (server.RunSetup().ok()) {
+      out = server.RunRound(0, mask);
+      if (out.ok()) server.Shutdown();
+    }
+  }
+  for (auto& t : silo_threads) t.join();
+  return {std::move(out), std::move(silo_status)};
+}
+
+// At q = 1 the server refuses a mask that drops a user before sending any
+// weight (a repeated ciphertext would then tell the silos who was
+// sampled), and FailAll ends every silo's run with the refusal.
+TEST(NetProtocolTest, FullParticipationRoundRefusesAPartialMaskEverywhere) {
+  ProtocolConfig streamed = TestConfig();
+  streamed.stream_chunk_users = 2;
+  std::vector<bool> partial(kUsers, true);
+  partial[3] = false;
+  for (const ProtocolConfig& config : {TestConfig(), streamed}) {
+    auto [out, silo_status] = RunOneWrappedRound(
+        config, partial, [](std::unique_ptr<Transport> t) { return t; });
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument)
+        << out.status().ToString();
+    for (int s = 0; s < kSilos; ++s) {
+      EXPECT_EQ(silo_status[s].code(), StatusCode::kInvalidArgument)
+          << "silo " << s << ": " << silo_status[s].ToString();
+      EXPECT_NE(silo_status[s].message().find("full-participation"),
+                std::string::npos)
+          << silo_status[s].ToString();
+    }
+  }
+}
+
+/// The server's end of one silo's connection, rewriting the aggregate of
+/// every RoundResult it sends.
+class ResultRewritingTransport : public Transport {
+ public:
+  ResultRewritingTransport(std::unique_ptr<Transport> inner,
+                           std::function<void(Vec*)> rewrite)
+      : inner_(std::move(inner)), rewrite_(std::move(rewrite)) {}
+
+  Status Send(const Frame& frame) override {
+    if (frame.type == static_cast<uint16_t>(MessageType::kRoundResult)) {
+      auto result = FromFrame<RoundResultMsg>(frame);
+      if (result.ok()) {
+        rewrite_(&result.value().aggregate);
+        return inner_->Send(ToFrame(result.value()));
+      }
+    }
+    return inner_->Send(frame);
+  }
+  Result<Frame> Recv() override { return inner_->Recv(); }
+  void Close() override { inner_->Close(); }
+  int NativeHandle() const override { return inner_->NativeHandle(); }
+  Result<bool> TryReadFrame(Frame* out) override {
+    return inner_->TryReadFrame(out);
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::function<void(Vec*)> rewrite_;
+};
+
+// A silo checks the broadcast aggregate before handing it on: a length
+// other than the model dimension, a non-finite value and a value past the
+// decoded image of aggregate_bound, (|U| + |S|) * 2^63 * P, each fail the
+// silo with InvalidArgument. The other silos receive the true result.
+TEST(NetProtocolTest, SiloRefusesAMalformedRoundResult) {
+  const std::vector<std::pair<std::string, std::function<void(Vec*)>>>
+      rewrites = {
+          {"wrong length", [](Vec* v) { v->push_back(0.0); }},
+          {"NaN", [](Vec* v) { (*v)[1] = std::nan(""); }},
+          {"1e143", [](Vec* v) { (*v)[2] = 1e143; }},
+      };
+  for (const auto& [what, rewrite] : rewrites) {
+    auto [out, silo_status] = RunOneWrappedRound(
+        TestConfig(), std::vector<bool>(kUsers, true),
+        [&rewrite = rewrite](std::unique_ptr<Transport> t) {
+          return std::make_unique<ResultRewritingTransport>(std::move(t),
+                                                            rewrite);
+        });
+    EXPECT_TRUE(out.ok()) << what << ": " << out.status().ToString();
+    EXPECT_EQ(silo_status[0].code(), StatusCode::kInvalidArgument)
+        << what << ": " << silo_status[0].ToString();
+    EXPECT_NE(silo_status[0].message().find("round result"),
+              std::string::npos)
+        << what << ": " << silo_status[0].ToString();
+    for (int s = 1; s < kSilos; ++s) {
+      EXPECT_TRUE(silo_status[s].ok())
+          << what << ", silo " << s << ": " << silo_status[s].ToString();
+    }
   }
 }
 

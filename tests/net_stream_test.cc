@@ -52,7 +52,7 @@ ProtocolConfig StreamTestConfig() {
 ProtocolConfig OtTestConfig() {
   ProtocolConfig config = TestConfig();
   config.ot_slots = 4;
-  config.ot_sample_rate = 0.5;
+  config.sample_rate = 0.5;
   config.ot_group_bits = 192;
   return config;
 }

@@ -581,7 +581,7 @@ TEST(MessageDigestTest, ConfigCodecRoundTripsTheWireFields) {
   config.precision = 1e-8;
   config.seed = 0x0123456789ABCDEFull;
   config.ot_slots = 4;
-  config.ot_sample_rate = 0.25;
+  config.sample_rate = 0.25;
   config.ot_group_bits = 192;
   config.num_threads = 3;
   config.pack_slots = 2;
@@ -599,7 +599,7 @@ TEST(MessageDigestTest, ConfigCodecRoundTripsTheWireFields) {
   EXPECT_EQ(b.precision, 1e-8);
   EXPECT_EQ(b.seed, config.seed);
   EXPECT_EQ(b.ot_slots, 4);
-  EXPECT_EQ(b.ot_sample_rate, 0.25);
+  EXPECT_EQ(b.sample_rate, 0.25);
   EXPECT_EQ(b.ot_group_bits, 192);
   EXPECT_EQ(b.num_threads, ProtocolConfig{}.num_threads);
   EXPECT_EQ(b.pack_slots, 2);

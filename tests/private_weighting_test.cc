@@ -15,6 +15,7 @@
 #include "data/synthetic.h"
 #include "dp/accountant.h"
 #include "math/fixed_base.h"
+#include "math/montgomery.h"
 #include "net/messages.h"
 #include "net/protocol_node.h"
 #include "net/transport.h"
@@ -231,6 +232,9 @@ std::vector<std::shared_ptr<ReceivedFrames>> RunCohort(
 }
 
 TEST_F(ProtocolFixture, SubsamplingZeroesUnsampledUsers) {
+  config_.sample_rate = 0.5;  // the rounds sample users
+  protocol_ =
+      std::make_unique<PrivateWeightingProtocol>(config_, kSilos, kUsers);
   ASSERT_TRUE(protocol_->Setup(in_.histograms).ok());
   std::vector<bool> mask(kUsers, true);
   mask[1] = false;
@@ -383,6 +387,7 @@ TEST(ProtocolEdgeTest, AllUsersUnsampledYieldsNoiseOnly) {
   config.paillier_bits = 512;
   config.n_max = 10;
   config.seed = 92;
+  config.sample_rate = 0.5;  // the round samples users
   PrivateWeightingProtocol protocol(config, 2, 2);
   ASSERT_TRUE(protocol.Setup({{2, 1}, {1, 2}}).ok());
   std::vector<std::vector<Vec>> deltas(2, std::vector<Vec>(2, Vec{3.0}));
@@ -393,28 +398,33 @@ TEST(ProtocolEdgeTest, AllUsersUnsampledYieldsNoiseOnly) {
 }
 
 TEST(ProtocolThreadInvarianceTest, RoundBitwiseIdenticalAt125Threads) {
-  // Fixed-base tables, the flattened mask sweep, and the randomizer
-  // pipeline all run on the pool; the round output must not depend on the
-  // thread count.
+  // Fixed-base tables, the flattened mask sweep, the session powers and
+  // the randomizer pipeline all run on the pool; the round output must
+  // not depend on the thread count. At q = 0.5 the round samples users;
+  // a full-participation session (q = 1) weights them all.
   const int silos = 3, users = 6, dim = 5;
   auto in = MakeInputs(silos, users, dim, 61);
-  std::vector<bool> mask(users, true);
-  mask[2] = false;
-  Vec ref;
-  for (int threads : {1, 2, 5}) {
-    ProtocolConfig config;
-    config.paillier_bits = 512;
-    config.n_max = 30;
-    config.seed = 2024;
-    config.num_threads = threads;
-    PrivateWeightingProtocol protocol(config, silos, users);
-    ASSERT_TRUE(protocol.Setup(in.histograms).ok());
-    auto out = protocol.WeightingRound(1, in.deltas, in.noise, mask);
-    ASSERT_TRUE(out.ok());
-    if (threads == 1) {
-      ref = std::move(out.value());
-    } else {
-      EXPECT_EQ(out.value(), ref) << "thread count " << threads;
+  for (double q : {0.5, 1.0}) {
+    std::vector<bool> mask(users, true);
+    if (q < 1.0) mask[2] = false;
+    Vec ref;
+    for (int threads : {1, 2, 5}) {
+      ProtocolConfig config;
+      config.paillier_bits = 512;
+      config.n_max = 30;
+      config.seed = 2024;
+      config.sample_rate = q;
+      config.num_threads = threads;
+      PrivateWeightingProtocol protocol(config, silos, users);
+      ASSERT_TRUE(protocol.Setup(in.histograms).ok());
+      auto out = protocol.WeightingRound(1, in.deltas, in.noise, mask);
+      ASSERT_TRUE(out.ok());
+      if (threads == 1) {
+        ref = std::move(out.value());
+      } else {
+        EXPECT_EQ(out.value(), ref) << "thread count " << threads << ", q "
+                                    << q;
+      }
     }
   }
 }
@@ -434,7 +444,7 @@ TEST(ProtocolThreadInvarianceTest, OtModeBitwiseIdenticalAt125Threads) {
     config.n_max = 30;
     config.seed = 3456;
     config.ot_slots = 4;
-    config.ot_sample_rate = 0.5;
+    config.sample_rate = 0.5;
     config.ot_group_bits = 192;
     config.num_threads = threads;
     PrivateWeightingProtocol protocol(config, silos, users);
@@ -472,7 +482,7 @@ TEST(ProtocolOtTest, PrivateSubsamplingHonorsHiddenMask) {
   config.n_max = 30;
   config.seed = 13;
   config.ot_slots = 4;
-  config.ot_sample_rate = 0.5;  // 2 of 4 slots real
+  config.sample_rate = 0.5;  // 2 of 4 slots real
   config.ot_group_bits = 192;
   const int silos = 2, users = 5, dim = 3;
   PrivateWeightingProtocol protocol(config, silos, users);
@@ -539,28 +549,33 @@ TEST(ProtocolChunkTest, ChunkSizeNeverChangesABit) {
   // One chunk sweep serves every round shape: 128-user chunks when
   // streaming is off, stream_chunk_users otherwise. 131 users make the
   // unstreamed sweep span two chunks and the streamed ones end on a
-  // partial tail; the aggregate must not move by a single bit.
+  // partial tail; the aggregate must not move by a single bit, whether
+  // the round samples users (q = 0.5) or the session weights them all
+  // (q = 1).
   const int silos = 2, users = 131, dim = 2;
   auto in = MakeInputs(silos, users, dim, 176);
-  std::vector<bool> mask(users, true);
-  mask[5] = false;
-  Vec ref;
-  for (int chunk : {0, 7, 64, users}) {
-    ProtocolConfig config;
-    config.paillier_bits = 512;
-    config.n_max = 30;
-    config.seed = 912;
-    config.stream_chunk_users = chunk;
-    PrivateWeightingProtocol protocol(config, silos, users);
-    ASSERT_TRUE(protocol.Setup(in.histograms).ok());
-    auto out = protocol.WeightingRound(0, in.deltas, in.noise, mask);
-    ASSERT_TRUE(out.ok()) << "chunk " << chunk;
-    if (chunk == 0) {
-      ref = std::move(out.value());
-      Vec expect = PlaintextReference(in, mask, dim);
-      for (int d = 0; d < dim; ++d) EXPECT_NEAR(ref[d], expect[d], 1e-7);
-    } else {
-      EXPECT_EQ(out.value(), ref) << "chunk " << chunk;
+  for (double q : {0.5, 1.0}) {
+    std::vector<bool> mask(users, true);
+    if (q < 1.0) mask[5] = false;
+    Vec ref;
+    for (int chunk : {0, 7, 64, users}) {
+      ProtocolConfig config;
+      config.paillier_bits = 512;
+      config.n_max = 30;
+      config.seed = 912;
+      config.sample_rate = q;
+      config.stream_chunk_users = chunk;
+      PrivateWeightingProtocol protocol(config, silos, users);
+      ASSERT_TRUE(protocol.Setup(in.histograms).ok());
+      auto out = protocol.WeightingRound(0, in.deltas, in.noise, mask);
+      ASSERT_TRUE(out.ok()) << "chunk " << chunk << ", q " << q;
+      if (chunk == 0) {
+        ref = std::move(out.value());
+        Vec expect = PlaintextReference(in, mask, dim);
+        for (int d = 0; d < dim; ++d) EXPECT_NEAR(ref[d], expect[d], 1e-7);
+      } else {
+        EXPECT_EQ(out.value(), ref) << "chunk " << chunk << ", q " << q;
+      }
     }
   }
 }
@@ -706,6 +721,68 @@ TEST(ServerCoreTest, AbsorbOrderNeverChangesAWeight) {
             cohort.server.EncryptWeights(2, all, cohort.pool).value());
 }
 
+// A full-participation session (q = 1, no OT) encrypts each user's weight
+// once: every round, and every chunking of a round, yields the same
+// ciphertexts. At q < 1 every round encrypts afresh.
+TEST(ServerCoreTest, WeightCiphertextsRepeatOnlyInAFullParticipationSession) {
+  const std::vector<std::vector<int>> hist = {{1, 2, 0, 3, 1},
+                                              {3, 0, 4, 1, 2}};
+  const int users = 5;
+  const std::vector<bool> all(users, true);
+  for (double q : {0.5, 1.0}) {
+    ProtocolConfig config = CoreTestConfig();
+    config.sample_rate = q;
+    CoreCohort cohort(config, hist);
+    std::vector<std::vector<BigInt>> rounds;
+    for (uint64_t r = 0; r < 3; ++r) {
+      rounds.push_back(cohort.server.EncryptWeights(r, all, cohort.pool).value());
+      for (int chunk : {1, 2, 3}) {
+        std::vector<BigInt> joined;
+        for (int u0 = 0; u0 < users; u0 += chunk) {
+          auto part = cohort.server.EncryptWeightsRange(
+              r, all, u0, std::min(users, u0 + chunk), cohort.pool);
+          ASSERT_TRUE(part.ok()) << part.status().ToString();
+          joined.insert(joined.end(), part.value().begin(), part.value().end());
+        }
+        EXPECT_EQ(joined, rounds.back()) << "q " << q << ", chunk " << chunk;
+      }
+    }
+    for (size_t r = 1; r < rounds.size(); ++r) {
+      for (int u = 0; u < users; ++u) {
+        if (q == 1.0) {
+          EXPECT_EQ(rounds[r][u], rounds[0][u]) << "round " << r << " user " << u;
+        } else {
+          EXPECT_NE(rounds[r][u], rounds[0][u]) << "round " << r << " user " << u;
+        }
+      }
+    }
+  }
+}
+
+// At q = 1 a repeated ciphertext is safe only because every user is in
+// every round, so a mask that drops a user is refused, by the server core
+// over any user range and by the in-process round.
+TEST(ServerCoreTest, FullParticipationRefusesAPartialMask) {
+  const std::vector<std::vector<int>> hist = {{1, 2, 0, 3}, {3, 0, 4, 1}};
+  CoreCohort cohort(CoreTestConfig(), hist);
+  std::vector<bool> partial(4, true);
+  partial[1] = false;
+  EXPECT_EQ(cohort.server.EncryptWeights(0, partial, cohort.pool).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(cohort.server.EncryptWeightsRange(0, partial, 2, 4, cohort.pool)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  ProtoInputs in = MakeInputs(2, 4, 3, 650);
+  PrivateWeightingProtocol protocol(CoreTestConfig(), 2, 4);
+  ASSERT_TRUE(protocol.Setup(in.histograms).ok());
+  const Status round =
+      protocol.WeightingRound(0, in.deltas, in.noise, partial).status();
+  EXPECT_EQ(round.code(), StatusCode::kInvalidArgument) << round.ToString();
+  EXPECT_NE(round.message().find("full-participation"), std::string::npos);
+}
+
 // The OT state of a round answers one message: the sender's secrets and
 // shuffles one receiver commitment, the receiver's keys and choices one
 // set of slot payloads. A repeated step is refused rather than run under
@@ -713,7 +790,7 @@ TEST(ServerCoreTest, AbsorbOrderNeverChangesAWeight) {
 TEST(ProtocolOtTest, OtStepsAreOneShot) {
   ProtocolConfig config = CoreTestConfig();
   config.ot_slots = 4;
-  config.ot_sample_rate = 0.5;
+  config.sample_rate = 0.5;
   config.ot_group_bits = 192;
   CoreCohort cohort(config, {{1, 2, 1}, {2, 1, 0}});
   ThreadPool& pool = cohort.pool;
@@ -811,7 +888,9 @@ TEST(ProtocolDecodeBoundTest, UniformSiloCipherFailsTheDecode) {
 // set up as a real run sets it up (pair keys from the DH directory, then
 // BlindHistogram), plus one batch of inputs. User 1 holds no records here
 // (histogram 0) and user 3 sent no delta, so both are inactive; every
-// other user is active.
+// other user is active. At sample_rate 1 the silo runs a
+// full-participation session and folds over session powers; below 1 it
+// folds fresh ciphertexts.
 struct FoldBatch {
   ProtocolParams params;
   std::unique_ptr<SiloCore> silo;
@@ -822,11 +901,14 @@ struct FoldBatch {
   int active = 0;
 };
 
-FoldBatch MakeFoldBatch(int users, int dim, uint64_t seed) {
+FoldBatch MakeFoldBatch(int users, int dim, uint64_t seed,
+                        double sample_rate = 1.0, int pack_slots = 1) {
   FoldBatch b;
   Rng rng(seed);
   b.params.config.paillier_bits = 512;
   b.params.config.n_max = 30;
+  b.params.config.sample_rate = sample_rate;
+  b.params.config.pack_slots = pack_slots;
   b.params.num_silos = 2;
   b.params.num_users = users;
   PaillierSecretKey sk;
@@ -859,30 +941,34 @@ FoldBatch MakeFoldBatch(int users, int dim, uint64_t seed) {
   return b;
 }
 
+// User u's fold scalar r_u * n_su * C_LCM mod n, with the blind r_u
+// re-derived from the shared seed as every silo derives it.
+BigInt FoldScalar(const FoldBatch& b, int u) {
+  const BigInt& n = b.params.public_key.n;
+  const ChaChaRng::Key key =
+      ChaChaRng::DeriveKey("uldp-shared-seed|" + b.shared_seed.ToHex());
+  BigInt r;
+  for (uint32_t attempt = 0;; ++attempt) {
+    ChaChaRng stream(
+        key, ChaChaRng::MakeNonce(
+                 MakeMaskTag(MaskPhase::kUserBlind, static_cast<uint64_t>(u)),
+                 attempt));
+    r = stream.UniformBelow(n);
+    if (!r.IsZero() && BigInt::Gcd(r, n) == BigInt(1)) break;
+  }
+  return r.ModMul(BigInt(static_cast<int64_t>(b.histogram[u])), n)
+      .ModMul(b.params.c_lcm.Mod(n), n);
+}
+
 // The batch fold the slow way: one MulPlaintext per (user, coordinate)
-// into a fresh accumulator, with each blind r_u re-derived from the shared
-// seed as every silo derives it.
+// into a fresh accumulator.
 std::vector<BigInt> MulPlaintextReference(const FoldBatch& b, size_t dim) {
   const BigInt& n = b.params.public_key.n;
   PaillierContext ctx(b.params.public_key);
-  const ChaChaRng::Key key =
-      ChaChaRng::DeriveKey("uldp-shared-seed|" + b.shared_seed.ToHex());
   std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(dim);
   for (int u = 0; u < b.params.num_users; ++u) {
     if (b.deltas[u].empty() || b.histogram[u] == 0) continue;
-    BigInt r;
-    for (uint32_t attempt = 0;; ++attempt) {
-      ChaChaRng stream(
-          key, ChaChaRng::MakeNonce(
-                   MakeMaskTag(MaskPhase::kUserBlind,
-                               static_cast<uint64_t>(u)),
-                   attempt));
-      r = stream.UniformBelow(n);
-      if (!r.IsZero() && BigInt::Gcd(r, n) == BigInt(1)) break;
-    }
-    const BigInt base = r.ModMul(BigInt(static_cast<int64_t>(b.histogram[u])),
-                                 n)
-                            .ModMul(b.params.c_lcm.Mod(n), n);
+    const BigInt base = FoldScalar(b, u);
     for (size_t g = 0; g < dim; ++g) {
       const BigInt scalar =
           b.params.codec.Encode(b.deltas[u][g]).value().ModMul(base, n);
@@ -915,7 +1001,8 @@ TEST(SiloFoldTest, FoldUsersMatchesMulPlaintextOnEachSideOfTheCrossover) {
   uint64_t seed = 4100;
   for (const Shape& shape : {Shape{8, 2, FoldPath::kStraus},
                              Shape{4, 12, FoldPath::kTables}}) {
-    FoldBatch b = MakeFoldBatch(shape.users, shape.dim, ++seed);
+    FoldBatch b =
+        MakeFoldBatch(shape.users, shape.dim, ++seed, /*sample_rate=*/0.5);
     ASSERT_EQ(ChooseFoldPath(static_cast<size_t>(b.active),
                              static_cast<size_t>(shape.dim), 512),
               shape.path)
@@ -1009,7 +1096,7 @@ TEST(SiloFoldTest, FoldBeforeBlindHistogramFailsPrecondition) {
 // folding with the old seed's blinds, and then folds with the new ones.
 TEST(SiloFoldTest, FoldAfterReKeyingFailsUntilBlindHistogramRunsAgain) {
   const int users = 4, dim = 2;
-  FoldBatch b = MakeFoldBatch(users, dim, 4400);
+  FoldBatch b = MakeFoldBatch(users, dim, 4400, /*sample_rate=*/0.5);
   ThreadPool pool(2);
   std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(dim);
   ASSERT_TRUE(b.silo->FoldUsers(0, users, b.enc_weights, b.deltas, dim,
@@ -1034,6 +1121,208 @@ TEST(SiloFoldTest, FoldAfterReKeyingFailsUntilBlindHistogramRunsAgain) {
   EXPECT_EQ(cipher, MulPlaintextReference(b, dim));
 }
 
+// The session fold term by term: for every active user, coordinate group
+// and slot j, c_u raised to s_u * 2^(jB) * |units_j| by one MontExp and
+// inverted when units_j < 0, with units_j = llround(delta / P).
+std::vector<BigInt> SessionReference(const FoldBatch& b, size_t model_dim) {
+  const PaillierPublicKey& pk = b.params.public_key;
+  const Montgomery mont(pk.n_squared);
+  const PackedCodec& packed = b.params.packed;
+  const size_t slots = static_cast<size_t>(packed.slots());
+  std::vector<BigInt> cipher =
+      SiloCore::NewCipherAccumulator(packed.PackedDim(model_dim));
+  for (int u = 0; u < b.params.num_users; ++u) {
+    if (b.deltas[u].empty() || b.histogram[u] == 0) continue;
+    const BigInt scalar = FoldScalar(b, u);
+    for (size_t d = 0; d < model_dim; ++d) {
+      const int64_t units =
+          std::llround(b.deltas[u][d] / b.params.config.precision);
+      if (units == 0) continue;
+      const size_t j = d % slots;
+      const BigInt exp =
+          scalar * (BigInt(1) << (static_cast<int>(j) * packed.slot_bits())) *
+          BigInt(static_cast<uint64_t>(units < 0 ? -units : units));
+      BigInt term = mont.MontExp(b.enc_weights[u], exp);
+      if (units < 0) term = term.ModInverse(pk.n_squared).value();
+      cipher[d / slots] = mont.ModMul(cipher[d / slots], term);
+    }
+  }
+  return cipher;
+}
+
+// The session twin of FoldUsersMatchesMulPlaintextOnEachSideOfTheCrossover:
+// at sample_rate 1 every shape folds through one Straus chain over the
+// session powers, and the cipher equals the per-term reference, unpacked
+// and packed. The first fold derives each active user's powers once; the
+// next round's fold of the same ciphertexts derives none, and a changed
+// ciphertext derives its user's powers again.
+TEST(SiloFoldTest, SessionFoldMatchesThePerTermReference) {
+  struct Shape {
+    int users;
+    int dim;
+    int pack_slots;
+  };
+  ThreadPool pool(3);
+  uint64_t seed = 4500;
+  for (const Shape& shape :
+       {Shape{8, 2, 1}, Shape{4, 12, 1}, Shape{6, 6, 4}}) {
+    SCOPED_TRACE(std::to_string(shape.users) + " users x " +
+                 std::to_string(shape.dim) + ", pack_slots " +
+                 std::to_string(shape.pack_slots));
+    FoldBatch b = MakeFoldBatch(shape.users, shape.dim, ++seed,
+                                /*sample_rate=*/1.0, shape.pack_slots);
+    const size_t cdim = b.params.packed.PackedDim(shape.dim);
+    const uint64_t powers0 = CounterValue("core.session_powers");
+    const uint64_t straus0 = CounterValue("core.fold.straus_batches");
+    const uint64_t tables0 = CounterValue("core.fold.table_batches");
+    for (int round = 0; round < 2; ++round) {
+      std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(cdim);
+      ASSERT_TRUE(b.silo->FoldUsers(0, shape.users, b.enc_weights, b.deltas,
+                                    shape.dim, &cipher, pool)
+                      .ok());
+      EXPECT_EQ(cipher, SessionReference(b, shape.dim)) << "round " << round;
+      EXPECT_EQ(CounterValue("core.session_powers") - powers0,
+                static_cast<uint64_t>(b.active))
+          << "round " << round;
+    }
+    EXPECT_EQ(CounterValue("core.fold.straus_batches") - straus0, 2u);
+    EXPECT_EQ(CounterValue("core.fold.table_batches") - tables0, 0u);
+
+    PaillierContext ctx(b.params.public_key);
+    Rng rng(seed);
+    b.enc_weights[0] =
+        ctx.Encrypt(BigInt::RandomBelow(b.params.public_key.n, rng), rng)
+            .value();
+    std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(cdim);
+    ASSERT_TRUE(b.silo->FoldUsers(0, shape.users, b.enc_weights, b.deltas,
+                                  shape.dim, &cipher, pool)
+                    .ok());
+    EXPECT_EQ(cipher, SessionReference(b, shape.dim));
+    EXPECT_EQ(CounterValue("core.session_powers") - powers0,
+              static_cast<uint64_t>(b.active) + 1);
+  }
+}
+
+// A session power needs an inverse mod n^2, so a weight ciphertext that is
+// not a unit (no honest server sends one) fails the fold with
+// InvalidArgument and leaves the cipher as it was.
+TEST(SiloFoldTest, SessionFoldRefusesANonUnitCiphertext) {
+  const int users = 4, dim = 2;
+  ThreadPool pool(2);
+  for (int which : {0, 1}) {
+    FoldBatch b = MakeFoldBatch(users, dim, 4700 + which);
+    b.enc_weights[2] = which == 0 ? BigInt(0) : b.params.public_key.n;
+    std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(dim);
+    EXPECT_EQ(b.silo
+                  ->FoldUsers(0, users, b.enc_weights, b.deltas, dim, &cipher,
+                              pool)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(cipher, SiloCore::NewCipherAccumulator(dim));
+  }
+}
+
+// The session twin of FoldAfterReKeyingFailsUntilBlindHistogramRunsAgain:
+// re-keying drops the session powers with the scalars, so the fold fails
+// until BlindHistogram runs again and then derives every active user's
+// powers anew under the new blinds.
+TEST(SiloFoldTest, ReKeyingDropsTheSessionPowers) {
+  const int users = 4, dim = 2;
+  FoldBatch b = MakeFoldBatch(users, dim, 4600);
+  ThreadPool pool(2);
+  const uint64_t powers0 = CounterValue("core.session_powers");
+  std::vector<BigInt> cipher = SiloCore::NewCipherAccumulator(dim);
+  ASSERT_TRUE(b.silo->FoldUsers(0, users, b.enc_weights, b.deltas, dim,
+                                &cipher, pool)
+                  .ok());
+  EXPECT_EQ(cipher, SessionReference(b, dim));
+  EXPECT_EQ(CounterValue("core.session_powers") - powers0,
+            static_cast<uint64_t>(b.active));
+
+  b.shared_seed = b.shared_seed + BigInt(1);
+  b.silo->SetSharedSeed(b.shared_seed);
+  cipher = SiloCore::NewCipherAccumulator(dim);
+  EXPECT_EQ(b.silo
+                ->FoldUsers(0, users, b.enc_weights, b.deltas, dim, &cipher,
+                            pool)
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(cipher, SiloCore::NewCipherAccumulator(dim));
+
+  ASSERT_TRUE(b.silo->BlindHistogram(pool).ok());
+  ASSERT_TRUE(b.silo->FoldUsers(0, users, b.enc_weights, b.deltas, dim,
+                                &cipher, pool)
+                  .ok());
+  EXPECT_EQ(cipher, SessionReference(b, dim));
+  EXPECT_EQ(CounterValue("core.session_powers") - powers0,
+            2 * static_cast<uint64_t>(b.active));
+}
+
+// A full-participation session decodes every round bitwise like the same
+// inputs at sample_rate < 1 with every user sampled, which fold fresh
+// ciphertexts: unpacked and packed, materialized and streamed, at 1, 2
+// and 5 threads, over 3 rounds. The deltas include the encode limits: 0,
+// +-P and, unpacked, the largest |delta| Encode accepts or, packed,
+// +-pack_clip.
+TEST(ProtocolSessionTest, SessionDecodesBitwiseLikeFreshCiphertexts) {
+  const int silos = 2, users = 5, dim = 6, rounds = 3;
+  for (int slots : {1, 4}) {
+    const ProtocolConfig base = PackedTestConfig(slots);
+    const double p = base.precision;
+    double top = base.pack_clip;
+    if (slots == 1) {
+      // Step down from the fixed-point range until Encode accepts.
+      const FixedPointCodec codec((BigInt(1) << 511) + BigInt(1), p);
+      top = 4.6e18 * p;
+      while (!codec.Units(top).ok()) top = std::nextafter(top, 0.0);
+      ASSERT_FALSE(codec.Units(std::nextafter(top, 1e300)).ok());
+    }
+    const std::vector<double> limits = {0.0, p, -p, top, -top};
+    ProtoInputs in = MakeInputs(silos, users, dim, 180 + slots);
+    for (int s = 0; s < silos; ++s) {
+      for (int u = 0; u < users; ++u) {
+        for (size_t d = 0; d < in.deltas[s][u].size(); d += 2) {
+          in.deltas[s][u][d] = limits[(s + 3 * u + d) % limits.size()];
+        }
+      }
+    }
+    for (int chunk : {0, 2}) {
+      for (int threads : {1, 2, 5}) {
+        std::vector<std::vector<Vec>> outs;  // [q]
+        for (double q : {0.5, 1.0}) {
+          ProtocolConfig config = base;
+          config.sample_rate = q;
+          config.stream_chunk_users = chunk;
+          config.num_threads = threads;
+          PrivateWeightingProtocol protocol(config, silos, users);
+          ASSERT_TRUE(protocol.Setup(in.histograms).ok());
+          outs.emplace_back();
+          for (int r = 0; r < rounds; ++r) {
+            auto out = protocol.WeightingRound(
+                r, in.deltas, in.noise, std::vector<bool>(users, true));
+            ASSERT_TRUE(out.ok()) << out.status().ToString();
+            outs.back().push_back(std::move(out.value()));
+          }
+        }
+        EXPECT_EQ(outs[1], outs[0]) << "pack_slots " << slots << ", chunk "
+                                    << chunk << ", threads " << threads;
+      }
+    }
+    const Vec expect =
+        PlaintextReference(in, std::vector<bool>(users, true), dim);
+    ProtocolConfig config = base;
+    PrivateWeightingProtocol protocol(config, silos, users);
+    ASSERT_TRUE(protocol.Setup(in.histograms).ok());
+    auto out = protocol.WeightingRound(0, in.deltas, in.noise,
+                                       std::vector<bool>(users, true));
+    ASSERT_TRUE(out.ok());
+    for (int d = 0; d < dim; ++d) {
+      EXPECT_NEAR(out.value()[d], expect[d], 1e-4 * (1.0 + std::fabs(expect[d])))
+          << "pack_slots " << slots << ", coordinate " << d;
+    }
+  }
+}
+
 TEST(ProtocolPackedTest, PackedRoundsBitwiseMatchUnpacked) {
   // dim = 5 is divisible by none of the slot counts, so every packed run
   // also exercises a partial tail group.
@@ -1043,7 +1332,9 @@ TEST(ProtocolPackedTest, PackedRoundsBitwiseMatchUnpacked) {
   mask[2] = false;
   Vec unpacked;
   for (int slots : {1, 2, 4, 8}) {
-    PrivateWeightingProtocol protocol(PackedTestConfig(slots), silos, users);
+    ProtocolConfig config = PackedTestConfig(slots);
+    config.sample_rate = 0.5;  // the round samples users
+    PrivateWeightingProtocol protocol(config, silos, users);
     ASSERT_TRUE(protocol.Setup(in.histograms).ok());
     auto out = protocol.WeightingRound(0, in.deltas, in.noise, mask);
     ASSERT_TRUE(out.ok()) << "pack_slots " << slots;
@@ -1065,18 +1356,24 @@ TEST(ProtocolPackedTest, PackedRoundsAreThreadCountInvariant) {
   const int silos = 2, users = 5, dim = 6;
   auto in = MakeInputs(silos, users, dim, 172);
   std::vector<bool> mask(users, true);
-  Vec ref;
-  for (int threads : {1, 2, 5}) {
-    ProtocolConfig config = PackedTestConfig(4);
-    config.num_threads = threads;
-    PrivateWeightingProtocol protocol(config, silos, users);
-    ASSERT_TRUE(protocol.Setup(in.histograms).ok());
-    auto out = protocol.WeightingRound(0, in.deltas, in.noise, mask);
-    ASSERT_TRUE(out.ok());
-    if (threads == 1) {
-      ref = std::move(out.value());
-    } else {
-      EXPECT_EQ(out.value(), ref) << "thread count " << threads;
+  // Fresh ciphertexts every round (q = 0.5, every user sampled) and a
+  // full-participation session (q = 1).
+  for (double q : {0.5, 1.0}) {
+    Vec ref;
+    for (int threads : {1, 2, 5}) {
+      ProtocolConfig config = PackedTestConfig(4);
+      config.sample_rate = q;
+      config.num_threads = threads;
+      PrivateWeightingProtocol protocol(config, silos, users);
+      ASSERT_TRUE(protocol.Setup(in.histograms).ok());
+      auto out = protocol.WeightingRound(0, in.deltas, in.noise, mask);
+      ASSERT_TRUE(out.ok());
+      if (threads == 1) {
+        ref = std::move(out.value());
+      } else {
+        EXPECT_EQ(out.value(), ref) << "thread count " << threads << ", q "
+                                    << q;
+      }
     }
   }
 }
@@ -1090,7 +1387,7 @@ TEST(ProtocolPackedTest, PackedOtModeBitwiseMatchesUnpacked) {
   for (int slots : {1, 4}) {
     ProtocolConfig config = PackedTestConfig(slots);
     config.ot_slots = 4;
-    config.ot_sample_rate = 0.5;
+    config.sample_rate = 0.5;
     config.ot_group_bits = 192;
     PrivateWeightingProtocol protocol(config, silos, users);
     ASSERT_TRUE(protocol.Setup(in.histograms).ok());
@@ -1188,7 +1485,7 @@ struct OtTrainerFixture {
     pc.paillier_bits = 512;
     pc.seed = 6;
     pc.ot_slots = 4;
-    pc.ot_sample_rate = 0.5;
+    pc.sample_rate = 0.5;
     pc.ot_group_bits = 256;
     pc.n_max = 1;
     hist.assign(kSilos, std::vector<int>(kUsers, 0));
@@ -1264,9 +1561,28 @@ TEST(ProtocolTrainerDeathTest, OtSubsamplingRefusesASecondSampler) {
   EXPECT_DEATH(UldpAvgTrainer(*f.data, *f.model, f.fl, opt), "samples twice");
 }
 
+// Without OT the trainer's mask samples users at user_sample_rate, and
+// the protocol's sample_rate decides whether the session repeats its
+// weight ciphertexts, so the two must agree; a mismatch fails at
+// construction, not at the first round.
+TEST(ProtocolTrainerDeathTest, RateOtherThanTheProtocolsIsRefusedWithoutOt) {
+  OtTrainerFixture f;
+  f.pc.ot_slots = 0;
+  for (double protocol_q : {1.0, 0.6}) {
+    f.pc.sample_rate = protocol_q;
+    PrivateWeightingProtocol protocol(f.pc, OtTrainerFixture::kSilos,
+                                      OtTrainerFixture::kUsers);
+    UldpAvgOptions opt;
+    opt.private_protocol = &protocol;
+    opt.user_sample_rate = protocol_q == 1.0 ? 0.6 : 1.0;
+    EXPECT_DEATH(UldpAvgTrainer(*f.data, *f.model, f.fl, opt),
+                 "differs from the protocol's sample_rate");
+  }
+}
+
 TEST(ProtocolTrainerDeathTest, OtRateWithoutARealSlotIsRefused) {
   OtTrainerFixture f;
-  f.pc.ot_sample_rate = 0.1;  // 0.1 * 4 slots rounds to 0 real slots
+  f.pc.sample_rate = 0.1;  // 0.1 * 4 slots rounds to 0 real slots
   PrivateWeightingProtocol protocol(f.pc, OtTrainerFixture::kSilos,
                                     OtTrainerFixture::kUsers);
   UldpAvgOptions opt;

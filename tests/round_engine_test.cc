@@ -225,7 +225,7 @@ TEST(RoundEngineTest, ProtocolOtPathIdenticalAcrossThreadCounts) {
     pc.seed = 98;
     pc.num_threads = threads;
     pc.ot_slots = 4;
-    pc.ot_sample_rate = 0.5;
+    pc.sample_rate = 0.5;
     pc.ot_group_bits = 256;
     PrivateWeightingProtocol protocol(pc, silos, users);
     std::vector<std::vector<int>> hist(silos, std::vector<int>(users, 1));

@@ -87,13 +87,16 @@ Trained Sgd(const Model& arch, FlConfig c, WeightingStrategy w,
   return Plain(std::make_unique<UldpSgdTrainer>(Data(), arch, c, w, q));
 }
 
-/// ULDP-AVG-w over an in-process Protocol 1 at 512 bits, without OT.
+/// ULDP-AVG-w over an in-process Protocol 1 at 512 bits, without OT, the
+/// protocol and the trainer both sampling users at q (q = 1 runs a
+/// full-participation session).
 Trained Private(const Model& arch, int threads, double q) {
   const FederatedDataset& fd = Data();
   ProtocolConfig pc;
   pc.paillier_bits = 512;
   pc.seed = 5;
   pc.num_threads = threads;
+  pc.sample_rate = q;
   pc.n_max = 1;
   std::vector<std::vector<int>> hist(kSilos, std::vector<int>(kUsers, 0));
   for (int u = 0; u < kUsers; ++u) {

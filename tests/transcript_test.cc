@@ -265,7 +265,7 @@ TEST(TranscriptTest, RecordingIsPassive) {
 TEST(TranscriptTest, OtPackedStreamedRunReplaysCleanly) {
   ProtocolConfig config = TestConfig();
   config.ot_slots = 4;
-  config.ot_sample_rate = 0.5;
+  config.sample_rate = 0.5;
   config.ot_group_bits = 192;
   config.pack_slots = 2;
   config.pack_clip = 8.0;

@@ -230,17 +230,28 @@ if [ -x "$BUILD_DIR/uldp_fl_cli" ]; then
   # the encrypted weights (3 chunks of 2 users a round) and the silos
   # stream their ciphers back. Only the shared chunk-stream sender emits
   # the per-chunk telemetry check_metrics.py requires of the server.
+  # Every user is in every round (sample rate 1, no OT), so the session
+  # re-sends each user's weight ciphertext unchanged and silo 0 derives
+  # its session powers once, in round 0: one per active user, SESSION_POWERS
+  # of them, however many rounds run; a silo that re-derived them every
+  # round would read twice that. The server folds nothing.
   EW_OUT="$BUILD_DIR/enc_weights_smoke_server"
-  rm -f "${EW_OUT}_metrics.json" "${EW_OUT}_trace.json"
+  EW_SILO="$BUILD_DIR/enc_weights_smoke_silo0"
+  SESSION_POWERS=5
+  rm -f "${EW_OUT}_metrics.json" "${EW_OUT}_trace.json" \
+      "${EW_SILO}_metrics.json"
   run_protocol_smoke enc-weights "$EW_OUT.log" \
       "$SMOKE_ARGS --stream-chunk-users=2" \
       "--metrics-out=${EW_OUT}_metrics.json --trace-out=${EW_OUT}_trace.json" \
-      "" || exit 1
+      "--metrics-out=${EW_SILO}_metrics.json" || exit 1
   python3 tools/check_metrics.py \
       --metrics "${EW_OUT}_metrics.json" --trace "${EW_OUT}_trace.json" \
       --require-metric net.stream.enc-weights.chunks_sent:6 \
       --require-hist net.stream.enc-weights.ack_wait_ns \
-      --require-span stream.chunk.enc_weights:6
+      --require-span stream.chunk.enc_weights:6 \
+      --forbid-metric core.session_powers
+  python3 tools/check_metrics.py --metrics "${EW_SILO}_metrics.json" \
+      --require-metric core.session_powers=$SESSION_POWERS
 
   # Async-rounds loopback smokes: the staleness-bounded FL server plus two
   # silo clients over real TCP, --verify asserting bitwise identity to the

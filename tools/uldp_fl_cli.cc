@@ -656,7 +656,7 @@ ProtocolConfig NetProtocolConfig(const Flags& flags) {
   config.stream_chunk_users = flags.stream_chunk_users;
   config.stream_chunk_coords = flags.stream_chunk_coords;
   config.ot_slots = flags.ot_slots;
-  if (flags.ot_slots > 0) config.ot_sample_rate = flags.user_sample_rate;
+  config.sample_rate = flags.user_sample_rate;
   config.pack_slots = flags.pack_slots;
   return config;
 }
